@@ -94,11 +94,16 @@ let digit ~b (t : t) i =
 
 let num_digits ~b (t : t) = bits t / b
 
+(* The loops below run on every learned peer and every routed hop, so
+   they are top-level functions taking their free variables as
+   arguments: a local closure over [x], [y] or [n] would be
+   heap-allocated on every call. *)
+let rec shared_digits_from ~b x y n i =
+  if i < n && digit ~b x i = digit ~b y i then shared_digits_from ~b x y n (i + 1) else i
+
 let shared_prefix_digits ~b (x : t) (y : t) =
   same_width "Id.shared_prefix_digits" x y;
-  let n = num_digits ~b x in
-  let rec go i = if i < n && digit ~b x i = digit ~b y i then go (i + 1) else i in
-  go 0
+  shared_digits_from ~b x y (num_digits ~b x) 0
 
 let to_nat (t : t) = Nat.of_bytes_be (Bytes.of_string t)
 
@@ -154,17 +159,17 @@ let cw_dist_key (a : t) (b : t) =
    a nonnegative int, without allocating the key. The borrow into the
    packed region is 1 exactly when b's remaining suffix is
    lexicographically (= numerically, big-endian) below a's. *)
+let rec suffix_lt (a : t) (b : t) n i =
+  i < n
+  &&
+  let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
+  c < 0 || (c = 0 && suffix_lt a b n (i + 1))
+
 let cw_dist_hi7 (a : t) (b : t) =
   same_width "Id.cw_dist_hi7" a b;
   let n = String.length a in
   let k = if n < 7 then n else 7 in
-  let rec suffix_lt i =
-    i < n
-    &&
-    let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
-    c < 0 || (c = 0 && suffix_lt (i + 1))
-  in
-  let borrow = if suffix_lt k then 1 else 0 in
+  let borrow = if suffix_lt a b n k then 1 else 0 in
   let hb = ref 0 and ha = ref 0 in
   for i = 0 to k - 1 do
     hb := (!hb lsl 8) lor Char.code (String.unsafe_get b i);
@@ -178,17 +183,17 @@ let cw_dist_hi7 (a : t) (b : t) =
    when the suffixes are equal, i.e. the low bytes of e = b - a are all
    zero — the carry that two's-complement negation propagates into the
    top bytes of -e. *)
+let rec suffix_cmp (a : t) (b : t) n i =
+  if i = n then 0
+  else
+    let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
+    if c <> 0 then c else suffix_cmp a b n (i + 1)
+
 let ring_dist_hi7 (a : t) (b : t) =
   same_width "Id.ring_dist_hi7" a b;
   let n = String.length a in
   let k = if n < 7 then n else 7 in
-  let rec sfx i =
-    if i = n then 0
-    else
-      let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
-      if c <> 0 then c else sfx (i + 1)
-  in
-  let c = sfx k in
+  let c = suffix_cmp a b n k in
   let borrow = if c < 0 then 1 else 0 in
   let hb = ref 0 and ha = ref 0 in
   for i = 0 to k - 1 do

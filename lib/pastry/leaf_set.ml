@@ -51,46 +51,60 @@ let entry_key ~own ~cw id = if cw then Id.cw_dist_key own id else Id.cw_dist_key
 let set_ext side ~own ~cw =
   side.ext_key <- (if side.n = 0 then "" else entry_key ~own ~cw side.ids.(side.n - 1))
 
-(* Insert into a distance-sorted side, capped at l/2. The candidate's
-   packed 7-byte distance prefix decides almost every comparison; the
-   full key string is materialized only on a prefix tie. The insertion
+(* The helpers below run on every learned peer. They are top-level
+   functions taking their free variables as arguments: a local closure
+   over [side], [own] or the candidate would be heap-allocated on every
+   call. *)
+let rec side_mem_from side addr i =
+  i < side.n && (side.addrs.(i) = addr || side_mem_from side addr (i + 1))
+
+let side_mem side addr = side_mem_from side addr 0
+
+(* Does the candidate [id] (packed prefix [cand_hi]) sort strictly
+   before entry [i]? The packed 7-byte distance prefix decides almost
+   every comparison; the full key strings are built only on a prefix
+   tie. *)
+let before side ~own ~cw id (cand_hi : int) i =
+  let c = compare cand_hi (entry_hi ~own ~cw side.ids.(i)) in
+  if c <> 0 then c < 0
+  else begin
+    let c = String.compare (entry_key ~own ~cw id) (entry_key ~own ~cw side.ids.(i)) in
+    c < 0 || (c = 0 && Id.compare id side.ids.(i) < 0)
+  end
+
+(* Leftmost i in [lo, hi) with [before i]; [hi] if none. *)
+let rec search side ~own ~cw id cand_hi lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if before side ~own ~cw id cand_hi mid then search side ~own ~cw id cand_hi lo mid
+    else search side ~own ~cw id cand_hi (mid + 1) hi
+
+(* Insert into a distance-sorted side, capped at l/2. The insertion
    point is found by binary search (the side is strictly ordered by
    (distance, id)): the leftmost entry strictly farther than the
-   candidate — identical to what the historical linear scan chose. A
-   duplicate address implies an equal distance and id, so it always
-   sorts strictly before that point and the address scan over the
-   prefix decides. *)
+   candidate — identical to what the historical linear scan chose.
+   Membership is tested first: a duplicate address implies an equal
+   distance and id, so it always sorts before the insertion point and
+   refuses the offer either way, but searching for it would tie with
+   its own entry and build the full keys. *)
 let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
-  let cand_hi = entry_hi ~own ~cw peer.Peer.id in
-  let before i =
-    let c = compare cand_hi (entry_hi ~own ~cw side.ids.(i)) in
-    if c <> 0 then c < 0
-    else begin
-      let c = String.compare (entry_key ~own ~cw peer.Peer.id) (entry_key ~own ~cw side.ids.(i)) in
-      c < 0 || (c = 0 && Id.compare peer.Peer.id side.ids.(i) < 0)
-    end
-  in
-  let rec search lo hi = (* leftmost i with [before i]; n if none *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if before mid then search lo mid else search (mid + 1) hi
-  in
-  let pos = search 0 side.n in
-  let rec dup i = i < pos && (side.addrs.(i) = peer.Peer.addr || dup (i + 1)) in
-  if dup 0 then false
-  else if pos = side.n && side.n >= cap then false
+  if side_mem side peer.Peer.addr then false
   else begin
-    let last = Stdlib.min (side.n + 1) cap - 1 in
-    for j = last downto pos + 1 do
-      side.ids.(j) <- side.ids.(j - 1);
-      side.addrs.(j) <- side.addrs.(j - 1)
-    done;
-    side.ids.(pos) <- peer.Peer.id;
-    side.addrs.(pos) <- peer.Peer.addr;
-    side.n <- last + 1;
-    set_ext side ~own ~cw;
-    true
+    let pos = search side ~own ~cw peer.Peer.id (entry_hi ~own ~cw peer.Peer.id) 0 side.n in
+    if pos = side.n && side.n >= cap then false
+    else begin
+      let last = Stdlib.min (side.n + 1) cap - 1 in
+      for j = last downto pos + 1 do
+        side.ids.(j) <- side.ids.(j - 1);
+        side.addrs.(j) <- side.addrs.(j - 1)
+      done;
+      side.ids.(pos) <- peer.Peer.id;
+      side.addrs.(pos) <- peer.Peer.addr;
+      side.n <- last + 1;
+      set_ext side ~own ~cw;
+      true
+    end
   end
 
 let add t (peer : Peer.t) =
@@ -127,10 +141,6 @@ let remove_addr t addr =
   let changed = changed_s || changed_l in
   if changed then t.members_cache <- None;
   changed
-
-let side_mem side addr =
-  let rec go i = i < side.n && (side.addrs.(i) = addr || go (i + 1)) in
-  go 0
 
 let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
 

@@ -21,18 +21,23 @@ let create ?dir ~config ~own () =
   let cap = Stdlib.max 1 config.Config.neighborhood_size in
   { config; own; dir; n = 0; prox = Array.make cap 0.0; addrs = Array.make cap (-1) }
 
+(* Top-level scans, not local closures: a local function capturing
+   [t] or [proximity] would be heap-allocated on every [add]. *)
+let rec mem_from t addr i = i < t.n && (t.addrs.(i) = addr || mem_from t addr (i + 1))
+
+let rec insert_pos t proximity i =
+  if i < t.n && t.prox.(i) <= proximity then insert_pos t proximity (i + 1) else i
+
 let add t ~proximity (peer : Peer.t) =
   if Id.equal peer.Peer.id t.own then false
   else begin
     let cap = t.config.Config.neighborhood_size in
-    let rec dup i = i < t.n && (t.addrs.(i) = peer.Peer.addr || dup (i + 1)) in
-    if dup 0 then false
+    if mem_from t peer.Peer.addr 0 then false
     else begin
       (* Insertion point: after every entry with proximity <= ours, so
          equal-proximity incumbents keep precedence. Beyond the cap the
          offer is dropped without touching the arrays. *)
-      let rec pos i = if i < t.n && t.prox.(i) <= proximity then pos (i + 1) else i in
-      let pos = pos 0 in
+      let pos = insert_pos t proximity 0 in
       if pos >= cap then false
       else begin
         Directory.note t.dir peer;

@@ -1,5 +1,4 @@
 module Rng = Past_stdext.Rng
-module Heap = Past_stdext.Heap
 module Timing_wheel = Past_stdext.Timing_wheel
 module Domain_pool = Past_stdext.Domain_pool
 module Registry = Past_telemetry.Registry
@@ -14,15 +13,20 @@ let pp_addr = Format.pp_print_int
 (* Per-kind accounting: one counter triple per message kind, resolved
    through the registry once per kind and cached. The triple for a
    message is resolved once at send time and carried in its Deliver
-   event, so delivery/drop accounting never re-runs [describe] or the
+   action, so delivery/drop accounting never re-runs [describe] or the
    string-keyed lookup. *)
 type kind_counters = { k_sent : Counter.t; k_delivered : Counter.t; k_dropped : Counter.t }
 
-type 'msg event = { time : float; seq : int; action : 'msg action }
-
-and 'msg action =
+(* What a queued event does. The timing-wheel cell stores the action
+   itself next to the event's (time, seq) key, so an event costs its
+   action block and its cell, with no wrapper record. *)
+type 'msg action =
   | Deliver of { src : addr; dst : addr; msg : 'msg; kinds : kind_counters }
   | Thunk of { owner : addr option; run : unit -> unit }
+
+(* A cross-partition event created inside a window, parked in the
+   creating context's outbox until the barrier. *)
+type 'msg outbound = { o_ctx : int; o_time : float; o_seq : int; o_action : 'msg action }
 
 type 'msg node = {
   location : Topology.location;
@@ -41,23 +45,6 @@ type link = { lk_loss : float option; lk_delay_factor : float; lk_extra_delay : 
    respect to simulation state (snapshot metrics, evaluate monitors) so
    arming one never perturbs event order or RNG draws. *)
 type sampler = { s_interval : float; mutable s_next : float; s_fn : float -> unit }
-
-(* The event queue behind the simulator. Both schedulers pop in exactly
-   the same (time, seq) order — ascending time, FIFO among ties — so
-   the choice never affects delivery order, only its cost: the wheel is
-   O(1) amortized per event where the heap pays O(log pending). The
-   heap stays available as a fallback and as the equivalence oracle
-   (PAST_SCHED=heap; see test_timing_wheel.ml). *)
-type 'msg queue =
-  | Q_heap of 'msg event Heap.t
-  | Q_wheel of 'msg event Timing_wheel.t
-
-type sched = [ `Heap | `Wheel ]
-
-let default_sched () : sched =
-  match Sys.getenv_opt "PAST_SCHED" with
-  | Some "heap" -> `Heap
-  | Some "wheel" | Some _ | None -> `Wheel
 
 (* --- intra-run parallelism -------------------------------------------- *)
 
@@ -106,7 +93,7 @@ type 'msg t = {
   (* One queue in a sequential net; one per context (0 = environment,
      1..num_partitions = partitions) in a parallel net. Only the owning
      context touches its queue during a window. *)
-  queues : 'msg queue array;
+  queues : 'msg action Timing_wheel.t array;
   is_ctx : bool;  (** parallel (windowed) engine? *)
   jobs : int;  (** worker domains a window may use (1 = inline) *)
   mutable pool : Domain_pool.t option;  (** lazily created at the first parallel window *)
@@ -117,10 +104,10 @@ type 'msg t = {
   w_clocks : float array;
   w_oseq : int array;  (** per-context event sequence; packed as [seq*16 lor ctx] *)
   mutable in_window : bool;
-  (* Cross-partition events created inside a window, newest first, as
-     [(dst_ctx, event)]; merged into the destination queues at the
-     window barrier in fixed context order. *)
-  outboxes : (int * 'msg event) list array;
+  (* Cross-partition events created inside a window, newest first;
+     merged into the destination queues at the window barrier in fixed
+     context order. *)
+  outboxes : 'msg outbound list array;
   (* Environment callbacks deferred from inside a window (see
      {!defer_to_env}), newest first, tagged with the context clock at
      deferral; replayed at the barrier in (time, context, order). *)
@@ -164,18 +151,14 @@ type 'msg t = {
   mutable next_sample : float;
 }
 
-let make_queue (sched : sched) =
-  match sched with
-  | `Heap ->
-    Q_heap (Heap.create ~leq:(fun a b -> a.time < b.time || (a.time = b.time && a.seq <= b.seq)))
-  | `Wheel ->
-    (* tick = 1 time unit (~1 simulated ms): link latencies span tens
-       to hundreds of ticks, so concurrent traffic spreads across
-       slots and per-slot populations stay small. *)
-    Q_wheel (Timing_wheel.create ~tick:1.0 ())
+(* The event queue pops in exact (time, seq) order — ascending time,
+   FIFO among ties. tick = 1 time unit (~1 simulated ms): link
+   latencies span tens to hundreds of ticks, so concurrent traffic
+   spreads across slots and per-slot populations stay small. *)
+let make_queue () = Timing_wheel.create ~tick:1.0 ()
 
 let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun _ -> "msg")
-    ?sched ?par ~rng ~topology () =
+    ?par ~rng ~topology () =
   if loss_rate < 0.0 || loss_rate > 1.0 then
     invalid_arg (Printf.sprintf "Net.create: loss_rate must be in [0,1] (got %g)" loss_rate);
   if latency_factor <= 0.0 then
@@ -185,7 +168,6 @@ let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun
           lookahead and would livelock the windowed engine"
          latency_factor);
   let registry = match registry with Some r -> r | None -> Registry.create ~name:"net" () in
-  let sched = match sched with Some s -> s | None -> default_sched () in
   let par = match par with Some p -> p | None -> default_par () in
   let is_ctx, jobs =
     match par with
@@ -214,7 +196,7 @@ let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun
     reorder_max_delay = 0.0;
     clock = 0.0;
     seq = 0;
-    queues = Array.init nctx (fun _ -> make_queue sched);
+    queues = Array.init nctx (fun _ -> make_queue ());
     is_ctx;
     jobs;
     pool = None;
@@ -250,7 +232,6 @@ let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun
   }
 
 let registry t = t.registry
-let scheduler t = match t.queues.(0) with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 let parallelism t : par = if t.is_ctx then `Domains t.jobs else `Seq
 let in_window t = t.in_window
 let on_barrier t fn = t.barrier_hooks <- t.barrier_hooks @ [ fn ]
@@ -281,11 +262,13 @@ let c_duplicated t = force_counter t t.c_duplicated ~labels:[] "net.duplicated"
 
 let[@inline] current_ctx t = if t.is_ctx then Context.current () else 0
 
+(* [Hashtbl.find], not [find_opt]: a hit, i.e. every send after a
+   kind's first, then allocates no option. *)
 let kind_counters t ~ctx kind =
   let tbl = Array.unsafe_get t.by_kind ctx in
-  match Hashtbl.find_opt tbl kind with
-  | Some k -> k
-  | None ->
+  match Hashtbl.find tbl kind with
+  | k -> k
+  | exception Not_found ->
     let labels = [ ("kind", kind) ] in
     let k =
       {
@@ -343,16 +326,6 @@ let rng t = if t.is_ctx then t.w_rngs.(Context.current ()) else t.rng
 
 (* --- event queues ------------------------------------------------------ *)
 
-let[@inline] q_peek q =
-  match q with Q_heap h -> Heap.peek h | Q_wheel w -> Timing_wheel.peek w
-
-let[@inline] q_pop q = match q with Q_heap h -> Heap.pop h | Q_wheel w -> Timing_wheel.pop w
-
-let[@inline] q_push q ev =
-  match q with
-  | Q_heap h -> Heap.push h ev
-  | Q_wheel w -> Timing_wheel.push w ~time:ev.time ~seq:ev.seq ev
-
 (* Route an event to its destination context's queue. The creating
    context assigns the sequence number from its own counter (packed
    with the context index so sequences are globally unique and
@@ -362,7 +335,7 @@ let[@inline] q_push q ev =
 let push_event t ~ctx time action =
   if not t.is_ctx then begin
     t.seq <- t.seq + 1;
-    q_push t.queues.(0) { time; seq = t.seq; action }
+    Timing_wheel.push t.queues.(0) ~time ~seq:t.seq action
   end
   else begin
     let dst_ctx =
@@ -383,10 +356,11 @@ let push_event t ~ctx time action =
     in
     let o = t.w_oseq.(ctx) + 1 in
     t.w_oseq.(ctx) <- o;
-    let ev = { time; seq = (o lsl 4) lor ctx; action } in
+    let seq = (o lsl 4) lor ctx in
     if t.in_window && dst_ctx <> ctx then
-      t.outboxes.(ctx) <- (dst_ctx, ev) :: t.outboxes.(ctx)
-    else q_push t.queues.(dst_ctx) ev
+      t.outboxes.(ctx) <-
+        { o_ctx = dst_ctx; o_time = time; o_seq = seq; o_action = action } :: t.outboxes.(ctx)
+    else Timing_wheel.push t.queues.(dst_ctx) ~time ~seq action
   end
 
 let proximity t a b = Topology.proximity t.topology (node t a).location (node t b).location
@@ -621,52 +595,63 @@ let fire_samplers t limit =
 
 (* --- sequential engine ------------------------------------------------- *)
 
+(* Run the minimum event of [q], due at [time] (its
+   {!Timing_wheel.min_time}): fire the sampler boundaries it crosses,
+   advance the clock, dispatch. *)
+let step_seq_at t q time =
+  if time >= t.next_sample then fire_samplers t time;
+  let action = Timing_wheel.pop_min q in
+  if time > t.clock then t.clock <- time;
+  dispatch t action
+
 let step_seq t =
-  match q_peek t.queues.(0) with
-  | None -> false
-  | Some { time = next_time; _ } -> (
-    if next_time >= t.next_sample then fire_samplers t next_time;
-    match q_pop t.queues.(0) with
-    | None -> false
-    | Some { time; action; _ } ->
-      t.clock <- Stdlib.max t.clock time;
-      dispatch t action;
-      true)
+  let q = t.queues.(0) in
+  if Timing_wheel.is_empty q then false
+  else begin
+    step_seq_at t q (Timing_wheel.min_time q);
+    true
+  end
 
 let run_seq ?until ?(max_events = max_int) t =
+  let q = t.queues.(0) in
   let continue = ref true in
   let count = ref 0 in
   while !continue && !count < max_events do
-    match q_peek t.queues.(0) with
-    | None ->
+    if Timing_wheel.is_empty q then begin
       (match until with Some limit -> fire_samplers t limit | None -> ());
       continue := false
-    | Some { time; _ } -> (
+    end
+    else begin
+      let time = Timing_wheel.min_time q in
       match until with
       | Some limit when time > limit ->
         fire_samplers t limit;
         t.clock <- limit;
         continue := false
       | _ ->
-        ignore (step_seq t);
-        incr count)
+        step_seq_at t q time;
+        incr count
+    end
   done
 
 (* --- windowed (conservative parallel) engine --------------------------- *)
 
-(* The queue holding the globally minimal (time, seq) event. Sequences
-   are globally unique (packed with the creating context), so the
-   minimum is unambiguous. *)
+(* The context whose queue holds the globally minimal (time, seq)
+   event, or -1 when every queue is empty. Sequences are globally
+   unique (packed with the creating context), so the minimum is
+   unambiguous. *)
 let global_min t =
-  let best = ref None in
+  let best = ref (-1) and best_time = ref 0.0 and best_seq = ref 0 in
   for c = 0 to Array.length t.queues - 1 do
-    match q_peek t.queues.(c) with
-    | Some ev -> (
-      match !best with
-      | Some (_, (b : _ event)) when b.time < ev.time || (b.time = ev.time && b.seq <= ev.seq)
-        -> ()
-      | _ -> best := Some (c, ev))
-    | None -> ()
+    let q = t.queues.(c) in
+    if not (Timing_wheel.is_empty q) then begin
+      let time = Timing_wheel.min_time q and seq = Timing_wheel.min_seq q in
+      if !best < 0 || time < !best_time || (time = !best_time && seq < !best_seq) then begin
+        best := c;
+        best_time := time;
+        best_seq := seq
+      end
+    end
   done;
   !best
 
@@ -676,22 +661,23 @@ let global_min t =
    the owning context current, so RNG draws and telemetry shards are
    the same as when the event runs inside a window. *)
 let step_ctx t =
-  match global_min t with
-  | None -> false
-  | Some (c, { time = next_time; _ }) -> (
-    if next_time >= t.next_sample then fire_samplers t next_time;
-    match q_pop t.queues.(c) with
-    | None -> false
-    | Some { time; action; _ } ->
-      if time > t.clock then t.clock <- time;
-      if c > 0 then begin
-        if time > Array.unsafe_get t.w_clocks c then t.w_clocks.(c) <- time;
-        Context.set c
-      end;
-      Fun.protect
-        ~finally:(fun () -> if c > 0 then Context.set 0)
-        (fun () -> dispatch t action);
-      true)
+  let c = global_min t in
+  if c < 0 then false
+  else begin
+    let q = t.queues.(c) in
+    let time = Timing_wheel.min_time q in
+    if time >= t.next_sample then fire_samplers t time;
+    let action = Timing_wheel.pop_min q in
+    if time > t.clock then t.clock <- time;
+    if c > 0 then begin
+      if time > Array.unsafe_get t.w_clocks c then t.w_clocks.(c) <- time;
+      Context.set c
+    end;
+    Fun.protect
+      ~finally:(fun () -> if c > 0 then Context.set 0)
+      (fun () -> dispatch t action);
+    true
+  end
 
 let get_pool t =
   match t.pool with
@@ -707,6 +693,9 @@ let get_pool t =
     t.pool <- Some p;
     p
 
+(* Is [q]'s next event due before [limit]? *)
+let due_before q limit = (not (Timing_wheel.is_empty q)) && Timing_wheel.min_time q < limit
+
 (* Execute one partition's slice of the window [w_start, w_limit):
    pop-and-dispatch every owned event below the limit. Intra-partition
    sends land back in this queue (possibly inside the window — the
@@ -719,21 +708,16 @@ let run_partition t c ~w_start ~w_limit =
     (fun () ->
       if Array.unsafe_get t.w_clocks c < w_start then t.w_clocks.(c) <- w_start;
       let q = t.queues.(c) in
-      let continue = ref true in
-      while !continue do
-        match q_peek q with
-        | Some ev when ev.time < w_limit -> (
-          match q_pop q with
-          | Some { time; action; _ } ->
-            if time > Array.unsafe_get t.w_clocks c then t.w_clocks.(c) <- time;
-            dispatch t action
-          | None -> continue := false)
-        | _ -> continue := false
+      while due_before q w_limit do
+        let time = Timing_wheel.min_time q in
+        let action = Timing_wheel.pop_min q in
+        if time > Array.unsafe_get t.w_clocks c then t.w_clocks.(c) <- time;
+        dispatch t action
       done)
 
 (* Window barrier, part 1: merge every outbox into the destination
    queues in fixed context order. Events were sequenced at creation,
-   so the merge order only decides heap/wheel internal layout, never
+   so the merge order only decides the wheel's internal layout, never
    pop order. The lookahead guarantee is checked here: a cross-window
    event landing inside the window just executed would mean causality
    was already violated. *)
@@ -744,14 +728,14 @@ let merge_outboxes t ~w_limit =
     | newest_first ->
       t.outboxes.(c) <- [];
       List.iter
-        (fun (dst_ctx, ev) ->
-          if ev.time < w_limit then
+        (fun o ->
+          if o.o_time < w_limit then
             failwith
               (Printf.sprintf
                  "Net: conservation violated: cross-partition event at t=%.6f inside the \
                   window ending at %.6f (lookahead too large)"
-                 ev.time w_limit);
-          q_push t.queues.(dst_ctx) ev)
+                 o.o_time w_limit);
+          Timing_wheel.push t.queues.(o.o_ctx) ~time:o.o_time ~seq:o.o_seq o.o_action)
         (List.rev newest_first)
   done
 
@@ -792,9 +776,7 @@ let defer_to_env t fn =
 let run_window t ~w_start ~w_limit =
   let active = ref [] in
   for c = num_partitions downto 1 do
-    match q_peek t.queues.(c) with
-    | Some ev when ev.time < w_limit -> active := c :: !active
-    | _ -> ()
+    if due_before t.queues.(c) w_limit then active := c :: !active
   done;
   t.in_window <- true;
   Fun.protect
@@ -823,11 +805,13 @@ let run_window t ~w_start ~w_limit =
    boundary, or [until]: those are points the lock-step schedule must
    observe in global order. *)
 let advance_ctx t ~until =
-  match global_min t with
-  | None ->
+  let c = global_min t in
+  if c < 0 then begin
     (match until with Some limit -> fire_samplers t limit | None -> ());
     false
-  | Some (_, { time = m; _ }) -> (
+  end
+  else begin
+    let m = Timing_wheel.min_time t.queues.(c) in
     match until with
     | Some limit when m > limit ->
       fire_samplers t limit;
@@ -835,17 +819,16 @@ let advance_ctx t ~until =
       false
     | _ ->
       if m >= t.next_sample then fire_samplers t m;
-      (match q_peek t.queues.(0) with
-      | Some ev when ev.time <= m ->
+      let env = t.queues.(0) in
+      let env_empty = Timing_wheel.is_empty env in
+      if (not env_empty) && Timing_wheel.min_time env <= m then
         (* Environment event at the frontier: run it sequentially. *)
         ignore (step_ctx t : bool)
-      | _ ->
+      else begin
         let la = lookahead t in
         let w_limit = m +. la in
         let w_limit =
-          match q_peek t.queues.(0) with
-          | Some ev -> Float.min w_limit ev.time
-          | None -> w_limit
+          if env_empty then w_limit else Float.min w_limit (Timing_wheel.min_time env)
         in
         let w_limit = Float.min w_limit t.next_sample in
         let w_limit =
@@ -856,8 +839,10 @@ let advance_ctx t ~until =
              topology with no locality floor): fall back to exact
              sequential stepping — same schedule, no windows. *)
           ignore (step_ctx t : bool)
-        else run_window t ~w_start:m ~w_limit);
-      true)
+        else run_window t ~w_start:m ~w_limit
+      end;
+      true
+  end
 
 let run_ctx ?until ?(max_events = max_int) t =
   if max_events <> max_int then begin
@@ -865,11 +850,13 @@ let run_ctx ?until ?(max_events = max_int) t =
     let continue = ref true in
     let count = ref 0 in
     while !continue && !count < max_events do
-      match global_min t with
-      | None ->
+      let c = global_min t in
+      if c < 0 then begin
         (match until with Some limit -> fire_samplers t limit | None -> ());
         continue := false
-      | Some (_, { time; _ }) -> (
+      end
+      else begin
+        let time = Timing_wheel.min_time t.queues.(c) in
         match until with
         | Some limit when time > limit ->
           fire_samplers t limit;
@@ -877,7 +864,8 @@ let run_ctx ?until ?(max_events = max_int) t =
           continue := false
         | _ ->
           ignore (step_ctx t : bool);
-          incr count)
+          incr count
+      end
     done
   end
   else begin

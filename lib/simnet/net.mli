@@ -4,21 +4,14 @@
     Nodes register a message handler and receive an address; messages
     are delivered after a latency proportional to the topology
     proximity between the endpoints. Everything is driven by an event
-    queue, so a run is a pure function of the seed. *)
+    queue (a {!Past_stdext.Timing_wheel}), so a run is a pure function
+    of the seed. *)
 
 type addr = int
 
 val pp_addr : Format.formatter -> addr -> unit
 
 type 'msg t
-
-type sched = [ `Heap | `Wheel ]
-(** Event-queue implementation: a hierarchical timing wheel (O(1)
-    amortized per event, the default) or the binary heap (O(log
-    pending), kept as a fallback and as the wheel's equivalence
-    oracle). Both pop in exactly the same (time, seq) order, so the
-    choice never changes delivery order — golden outputs are
-    byte-identical under either. *)
 
 type par = [ `Seq | `Domains of int ]
 (** Execution engine. [`Seq] (the default) is the original
@@ -51,7 +44,6 @@ val create :
   ?latency_factor:float ->
   ?registry:Past_telemetry.Registry.t ->
   ?describe:('msg -> string) ->
-  ?sched:sched ->
   ?par:par ->
   rng:Past_stdext.Rng.t ->
   topology:Topology.t ->
@@ -65,12 +57,9 @@ val create :
     (default: a fresh one) receives the network's telemetry;
     [describe] names a message's kind for the per-kind
     send/deliver/drop counters (default: every message is ["msg"]).
-    [sched] picks the event-queue implementation (default: the
-    [PAST_SCHED] environment variable — ["heap"] for the binary-heap
-    fallback, anything else or unset for the timing wheel). [par]
-    picks the execution engine (default: {!default_par}, i.e. the
-    [PAST_NET_JOBS] environment variable). Validation failures report
-    the offending value in the [Invalid_argument] message.
+    [par] picks the execution engine (default: {!default_par}, i.e.
+    the [PAST_NET_JOBS] environment variable). Validation failures
+    report the offending value in the [Invalid_argument] message.
 
     Fault-injection determinism: all fault coins (loss, duplication,
     reordering) are drawn from a dedicated stream derived from [rng]
@@ -79,9 +68,6 @@ val create :
     differ only in fault knobs therefore consume the main RNG stream
     identically: every message delivered in both runs is delivered at
     the same time. *)
-
-val scheduler : _ t -> sched
-(** Which event-queue implementation this network runs on. *)
 
 val parallelism : _ t -> par
 (** Which execution engine this network runs on ([`Domains k] reports
@@ -192,7 +178,7 @@ val add_sampler : _ t -> interval:float -> (float -> unit) -> unit
     multiple of [interval] the clock crosses (called with the boundary
     time, before the event that crosses it is dispatched; [run ~until]
     also fires boundaries up to [until] when the queue drains early).
-    Samplers are not heap events — an armed sampler never prevents
+    Samplers are not queue events — an armed sampler never prevents
     {!run} from quiescing — and callbacks must not mutate simulation
     state or draw from its RNGs: they are for snapshotting telemetry
     and evaluating invariant monitors. *)

@@ -1,6 +1,7 @@
 (** Imperative binary min-heap, parameterised by an ordering function.
 
-    Used for the discrete-event queue and for cache eviction orders. *)
+    The reference {!Timing_wheel}'s pop order is tested and
+    benchmarked against. *)
 
 type 'a t
 

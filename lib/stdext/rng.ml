@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro state words live in a 32-byte buffer read and
+   written with the unboxed 64-bit bytes primitives: a record of
+   [mutable int64] fields would box a fresh int64 on every store, i.e.
+   four allocations per draw on the simulator's per-message path. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64: used only to expand the integer seed into four non-zero
    state words, as recommended by the xoshiro authors. *)
@@ -12,30 +19,37 @@ let splitmix_next state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix_next state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy t = Bytes.copy t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step. Inlined into every drawing function so the
+   result stays an unboxed int64 up to its final conversion. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
+let bits64 t = next t
+
 let split t =
-  let seed = Int64.to_int (bits64 t) in
+  let seed = Int64.to_int (next t) in
   create seed
 
 let derive t ~salt =
@@ -45,8 +59,8 @@ let derive t ~salt =
   let open Int64 in
   let mixed =
     logxor
-      (logxor t.s0 (rotl t.s1 17))
-      (logxor (rotl t.s2 31) (rotl t.s3 47))
+      (logxor (get64 t 0) (rotl (get64 t 8) 17))
+      (logxor (rotl (get64 t 16) 31) (rotl (get64 t 24) 47))
   in
   create (to_int (logxor mixed (mul (of_int salt) 0x9E3779B97F4A7C15L)))
 
@@ -55,12 +69,11 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let bound64 = Int64.of_int bound in
   let limit = Int64.sub (Int64.div Int64.max_int bound64) 1L in
-  let rec draw () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let q = Int64.div r bound64 in
-    if q <= limit then Int64.to_int (Int64.rem r bound64) else draw ()
-  in
-  draw ()
+  let r = ref (Int64.shift_right_logical (next t) 1) in
+  while Int64.div !r bound64 > limit do
+    r := Int64.shift_right_logical (next t) 1
+  done;
+  Int64.to_int (Int64.rem !r bound64)
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
@@ -68,10 +81,10 @@ let int_in t lo hi =
 
 let float t bound =
   (* 53 random bits scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 let chance t p = float t 1.0 < p
 
 let pick t arr =

@@ -24,7 +24,12 @@
    - Cancellation is lazy: [c_live] flips off, [live] drops, and the
      cell is discarded whenever it next surfaces (slot drain, cascade,
      or heap pop). Structural per-slot counts track cells physically
-     present, live or not. *)
+     present, live or not.
+
+   Every event passes through push and pop, so neither allocates
+   beyond the cell and its bucket cons: the helpers are top-level
+   functions, not closures over [t], and [min_time]/[pop_min] answer
+   without an option. *)
 
 type 'a cell = {
   c_time : float;
@@ -71,39 +76,36 @@ module Minheap = struct
       else continue_ := false
     done
 
-  let peek h = if h.n = 0 then None else Some (Array.unsafe_get h.a 0)
+  (* The minimum. Requires a non-empty heap. *)
+  let[@inline] top h = Array.unsafe_get h.a 0
 
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let a = h.a in
-      let top = Array.unsafe_get a 0 in
-      h.n <- h.n - 1;
-      let last = Array.unsafe_get a h.n in
-      if h.n > 0 then begin
-        Array.unsafe_set a 0 last;
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 in
-          if l >= h.n then continue_ := false
-          else begin
-            let r = l + 1 in
-            let smallest =
-              if r < h.n && before (Array.unsafe_get a r) (Array.unsafe_get a l) then r
-              else l
-            in
-            let sc = Array.unsafe_get a smallest in
-            if before sc last then begin
-              Array.unsafe_set a !i sc;
-              Array.unsafe_set a smallest last;
-              i := smallest
-            end
-            else continue_ := false
+  (* Drop the minimum. Requires a non-empty heap. *)
+  let remove_top h =
+    let a = h.a in
+    h.n <- h.n - 1;
+    let last = Array.unsafe_get a h.n in
+    if h.n > 0 then begin
+      Array.unsafe_set a 0 last;
+      let i = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let l = (2 * !i) + 1 in
+        if l >= h.n then continue_ := false
+        else begin
+          let r = l + 1 in
+          let smallest =
+            if r < h.n && before (Array.unsafe_get a r) (Array.unsafe_get a l) then r
+            else l
+          in
+          let sc = Array.unsafe_get a smallest in
+          if before sc last then begin
+            Array.unsafe_set a !i sc;
+            Array.unsafe_set a smallest last;
+            i := smallest
           end
-        done
-      end;
-      Some top
+          else continue_ := false
+        end
+      done
     end
 end
 
@@ -155,29 +157,30 @@ let is_empty t = t.live = 0
 
 let[@inline] tick_of t time = int_of_float (time *. t.inv_tick)
 
+(* Place [cell], due at tick [at] = cur_tick + [delta] (delta > 0), in
+   level [l] or above, or in the overflow store. *)
+let rec place t cell at delta l =
+  if l >= t.nlevels then begin
+    let epoch = at lsr t.top_shift in
+    (match Hashtbl.find_opt t.overflow epoch with
+    | Some r -> r := cell :: !r
+    | None -> Hashtbl.replace t.overflow epoch (ref [ cell ]));
+    t.overflow_count <- t.overflow_count + 1
+  end
+  else if delta <= 1 lsl (t.bits * (l + 1)) then begin
+    let slot = (at lsr (t.bits * l)) land t.mask in
+    let lv = Array.unsafe_get t.levels l in
+    let sc = Array.unsafe_get t.slot_count l in
+    Array.unsafe_set lv slot (cell :: Array.unsafe_get lv slot);
+    Array.unsafe_set sc slot (Array.unsafe_get sc slot + 1);
+    t.level_count.(l) <- t.level_count.(l) + 1
+  end
+  else place t cell at delta (l + 1)
+
 (* Place [cell] (tick > cur_tick) into a wheel level or the overflow
    store. Shared by push, cascade and overflow drain. *)
 let insert_wheel t cell at =
-  let delta = at - t.cur_tick in
-  let rec place l =
-    if l >= t.nlevels then begin
-      let epoch = at lsr t.top_shift in
-      (match Hashtbl.find_opt t.overflow epoch with
-      | Some r -> r := cell :: !r
-      | None -> Hashtbl.replace t.overflow epoch (ref [ cell ]));
-      t.overflow_count <- t.overflow_count + 1
-    end
-    else if delta <= 1 lsl (t.bits * (l + 1)) then begin
-      let slot = (at lsr (t.bits * l)) land t.mask in
-      let lv = Array.unsafe_get t.levels l in
-      let sc = Array.unsafe_get t.slot_count l in
-      Array.unsafe_set lv slot (cell :: Array.unsafe_get lv slot);
-      Array.unsafe_set sc slot (Array.unsafe_get sc slot + 1);
-      t.level_count.(l) <- t.level_count.(l) + 1
-    end
-    else place (l + 1)
-  in
-  place 0;
+  place t cell at (at - t.cur_tick) 0;
   t.wheel_count <- t.wheel_count + 1
 
 let[@inline] insert t cell =
@@ -211,12 +214,19 @@ let drain_slot t l s =
   end;
   cells
 
-let reinsert t cells =
-  List.iter
-    (fun c ->
-      if c.c_live then insert t c
-      else () (* cancelled: drop on the floor; [live] already adjusted *))
-    cells
+(* Re-place drained cells; cancelled ones are dropped on the floor
+   ([live] already accounts for them). *)
+let rec reinsert t = function
+  | [] -> ()
+  | c :: rest ->
+    if c.c_live then insert t c;
+    reinsert t rest
+
+let rec push_live heap = function
+  | [] -> ()
+  | c :: rest ->
+    if c.c_live then Minheap.push heap c;
+    push_live heap rest
 
 (* Boundary work when the cursor enters the window starting at [from]
    (a multiple of [slots]; cur_tick = from - 1). Top-down so cells
@@ -260,9 +270,7 @@ let rec refill t =
     end;
     if !found >= 0 then begin
       t.cur_tick <- wbase + !found;
-      List.iter
-        (fun c -> if c.c_live then Minheap.push t.current c)
-        (drain_slot t 0 !found)
+      push_live t.current (drain_slot t 0 !found)
     end
     else begin
       (* Nothing left in this window: hop to its end, and when only the
@@ -278,26 +286,32 @@ let rec refill t =
     refill t
   end
 
-let rec peek t =
-  if t.live = 0 then None
+(* The minimum live cell, left at the top of [current]; cancelled cells
+   that surface first are discarded. Requires [t.live > 0]. *)
+let rec min_cell t =
+  refill t;
+  if Minheap.is_empty t.current then
+    failwith (Printf.sprintf "Timing_wheel: %d live events but none left to pop" t.live);
+  let c = Minheap.top t.current in
+  if c.c_live then c
   else begin
-    refill t;
-    match Minheap.peek t.current with
-    | None -> None
-    | Some c when not c.c_live ->
-      ignore (Minheap.pop t.current : _ option);
-      peek t
-    | Some c -> Some c.c_val
+    Minheap.remove_top t.current;
+    min_cell t
   end
 
-let rec pop t =
-  if t.live = 0 then None
-  else begin
-    refill t;
-    match Minheap.pop t.current with
-    | None -> None
-    | Some c when not c.c_live -> pop t
-    | Some c ->
-      t.live <- t.live - 1;
-      Some c.c_val
-  end
+let min_time t =
+  if t.live = 0 then invalid_arg "Timing_wheel.min_time: empty wheel";
+  (min_cell t).c_time
+
+let min_seq t =
+  if t.live = 0 then invalid_arg "Timing_wheel.min_seq: empty wheel";
+  (min_cell t).c_seq
+
+let pop_min t =
+  if t.live = 0 then invalid_arg "Timing_wheel.pop_min: empty wheel";
+  let c = min_cell t in
+  Minheap.remove_top t.current;
+  t.live <- t.live - 1;
+  c.c_val
+
+let pop t = if t.live = 0 then None else Some (pop_min t)

@@ -1,10 +1,10 @@
 (** Hierarchical timing wheel: an O(1)-amortized discrete-event queue.
 
-    Replaces the binary heap on the simulator's hot path. Events carry
-    a [(time, seq)] priority; pop order is {e exactly} the binary-heap
-    order — ascending time, FIFO [seq] among equal times — so swapping
-    the scheduler preserves delivery order bit-for-bit (the EXP1 golden
-    fixture and every [--jobs] byte-compare depend on this).
+    The simulator's event queue. Events carry a [(time, seq)] priority;
+    pop order is {e exactly} the binary-heap order — ascending time,
+    FIFO [seq] among equal times — which the tests check against
+    {!Heap} (the EXP1 golden fixture and every [--jobs] byte-compare
+    depend on this order).
 
     Geometry: [levels] wheels of [2^bits] slots each, with slot
     granularity [tick] at level 0 and a factor [2^bits] coarser per
@@ -48,11 +48,24 @@ val push_handle : 'a t -> time:float -> seq:int -> 'a -> 'a handle
 val cancel : 'a t -> 'a handle -> unit
 (** Lazily cancel a pushed event: O(1), idempotent, a no-op if the
     event was already popped. Cancelled events are dropped when their
-    slot drains and are never returned by {!peek}/{!pop}. *)
-
-val peek : 'a t -> 'a option
-(** The minimum-(time, seq) live event, without removing it. *)
+    slot drains and are never returned by {!pop} or {!pop_min}. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum-(time, seq) live event. Amortized
     O(1) plus O(log m) in the population m of the event's own tick. *)
+
+(** {2 Allocation-free access}
+
+    The simulator pops through these: they answer with the minimum
+    event's time, sequence number and value directly, with no option
+    per event. Each raises [Invalid_argument] on an empty wheel; test
+    {!is_empty} first. *)
+
+val min_time : 'a t -> float
+(** Time of the minimum-(time, seq) live event. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of that event. *)
+
+val pop_min : 'a t -> 'a
+(** Remove and return that event. *)

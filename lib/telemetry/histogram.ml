@@ -10,16 +10,21 @@
    the simulation, not of the worker count — the merged summary is
    identical at any parallelism. Single-threaded code only ever
    touches shard 0, which behaves exactly like the pre-sharding
-   histogram (same LCG, same reservoir decisions, same percentiles). *)
+   histogram (same LCG, same reservoir decisions, same percentiles).
+
+   [observe] runs once per simulated message, so it stores nothing
+   boxed: the running sum and extremes sit in an all-float record
+   (fields stored flat) and the 64-bit LCG state in an 8-byte buffer
+   read and written with the unboxed bytes primitives. *)
+
+type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
 
 type shard = {
   reservoir : float array;
   mutable kept : int;
   mutable count : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
-  mutable state : int64;
+  m : moments;
+  state : Bytes.t;
 }
 
 type t = {
@@ -30,17 +35,20 @@ type t = {
          was built at; only read/written from the driver context. *)
 }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let default_capacity = 1024
 
 let new_shard capacity =
+  let state = Bytes.create 8 in
+  set64 state 0 0x9E3779B97F4A7C15L;
   {
     reservoir = Array.make capacity 0.0;
     kept = 0;
     count = 0;
-    sum = 0.0;
-    lo = Float.infinity;
-    hi = Float.neg_infinity;
-    state = 0x9E3779B97F4A7C15L;
+    m = { sum = 0.0; lo = Float.infinity; hi = Float.neg_infinity };
+    state;
   }
 
 let create ?(capacity = default_capacity) () =
@@ -51,8 +59,11 @@ let create ?(capacity = default_capacity) () =
 
 (* SplitMix-style step; only used to pick reservoir slots. *)
 let next_int s bound =
-  s.state <- Int64.add (Int64.mul s.state 6364136223846793005L) 1442695040888963407L;
-  let bits = Int64.to_int (Int64.shift_right_logical s.state 17) in
+  let state =
+    Int64.add (Int64.mul (get64 s.state 0) 6364136223846793005L) 1442695040888963407L
+  in
+  set64 s.state 0 state;
+  let bits = Int64.to_int (Int64.shift_right_logical state 17) in
   bits mod bound
 
 let[@inline] shard_for t =
@@ -68,10 +79,11 @@ let[@inline] shard_for t =
 
 let observe t x =
   let s = shard_for t in
+  let m = s.m in
   s.count <- s.count + 1;
-  s.sum <- s.sum +. x;
-  if x < s.lo then s.lo <- x;
-  if x > s.hi then s.hi <- x;
+  m.sum <- m.sum +. x;
+  if x < m.lo then m.lo <- x;
+  if x > m.hi then m.hi <- x;
   if s.kept < Array.length s.reservoir then begin
     s.reservoir.(s.kept) <- x;
     s.kept <- s.kept + 1
@@ -87,10 +99,10 @@ let fold f acc t =
   Array.fold_left (fun acc s -> match s with Some s -> f acc s | None -> acc) acc t.shards
 
 let count t = fold (fun acc s -> acc + s.count) 0 t
-let sum t = fold (fun acc s -> acc +. s.sum) 0.0 t
+let sum t = fold (fun acc s -> acc +. s.m.sum) 0.0 t
 let mean t = let n = count t in if n = 0 then 0.0 else sum t /. float_of_int n
-let min t = if count t = 0 then 0.0 else fold (fun acc s -> Float.min acc s.lo) Float.infinity t
-let max t = if count t = 0 then 0.0 else fold (fun acc s -> Float.max acc s.hi) Float.neg_infinity t
+let min t = if count t = 0 then 0.0 else fold (fun acc s -> Float.min acc s.m.lo) Float.infinity t
+let max t = if count t = 0 then 0.0 else fold (fun acc s -> Float.max acc s.m.hi) Float.neg_infinity t
 
 (* Sorted concatenation of every shard's reservoir, cached against the
    total observation count. Only the export path (driver context) calls
@@ -157,9 +169,9 @@ let reset t =
            histogram: reset clears the data, not the LCG position. *)
         s.kept <- 0;
         s.count <- 0;
-        s.sum <- 0.0;
-        s.lo <- Float.infinity;
-        s.hi <- Float.neg_infinity
+        s.m.sum <- 0.0;
+        s.m.lo <- Float.infinity;
+        s.m.hi <- Float.neg_infinity
       | None -> ())
     t.shards;
   t.merged <- None

@@ -25,4 +25,5 @@ let () =
       Test_experiments.suite;
       Test_security.suite;
       Test_robustness.suite;
+      Test_alloc.suite;
     ]

@@ -1,0 +1,111 @@
+(* Allocation budgets on the per-message path, in minor-heap words.
+
+   Every simulated message runs Net.send, a timing-wheel push and pop,
+   a jitter draw, a latency observation and a Node.learn of its
+   sender. At millions of messages per run the words allocated there
+   drive minor GC, so each budget below pins the steady-state cost
+   after warm-up: a closure, an option or a boxed store reintroduced
+   on one of these paths fails it. *)
+
+module Rng = Past_stdext.Rng
+module Histogram = Past_telemetry.Histogram
+module Net = Past_simnet.Net
+module Overlay = Past_pastry.Overlay
+module PNode = Past_pastry.Node
+module Message = Past_pastry.Message
+module Peer = Past_pastry.Peer
+module Leaf_set = Past_pastry.Leaf_set
+module Neighborhood = Past_pastry.Neighborhood
+module Routing_table = Past_pastry.Routing_table
+
+let ( => ) name f = Alcotest.test_case name `Quick f
+
+(* Minor words allocated per call of [f], after [warmup] calls. *)
+let words_per_call ?(warmup = 1_000) ~calls f =
+  for _ = 1 to warmup do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let within what ~budget words =
+  if words > budget then
+    Alcotest.failf "%s: %.2f minor words per call, budget %.1f" what words budget
+
+(* The drawn float is returned boxed (2 words); the generator state is
+   updated in place. *)
+let rng_float () =
+  let rng = Rng.create 1 in
+  within "Rng.float" ~budget:2.0
+    (words_per_call ~calls:100_000 (fun () -> ignore (Sys.opaque_identity (Rng.float rng 1.0))))
+
+(* The warm-up overfills the reservoir, so the measured calls also take
+   the replacement path and its generator step. A budget under 2 words
+   admits no per-call block at all. *)
+let histogram_observe () =
+  let h = Histogram.create ~capacity:64 () in
+  within "Histogram.observe" ~budget:0.5
+    (words_per_call ~calls:100_000 (fun () -> Histogram.observe h 1.5))
+
+(* A converged static overlay of 32 nodes: with l = 32 and a
+   neighborhood of 32, every node holds every other in its leaf set and
+   its neighborhood. *)
+let converged_overlay () =
+  let ov : unit Overlay.t = Overlay.create ~seed:11 () in
+  Overlay.build_static ov ~n:32;
+  Overlay.run ov;
+  ov
+
+(* The proximity handed to the routing table and the neighborhood is a
+   boxed float (2 words); the three tables refuse the offer without
+   allocating. *)
+let learn_known_peer () =
+  let ov = converged_overlay () in
+  let node = (Overlay.nodes ov).(0) in
+  let known (p : Peer.t) =
+    Leaf_set.mem_addr (PNode.leaf_set node) p.Peer.addr
+    && List.exists
+         (fun (q : Peer.t) -> q.Peer.addr = p.Peer.addr)
+         (Neighborhood.members (PNode.neighborhood node))
+  in
+  match List.filter known (Routing_table.peers (PNode.routing_table node)) with
+  | [] -> Alcotest.fail "no peer sits in all three tables"
+  | peer :: _ ->
+    within "Node.learn of a peer already in all three tables" ~budget:2.0
+      (words_per_call ~calls:20_000 (fun () -> PNode.learn node peer))
+
+(* A keep-alive from a node to a leaf-set member and the member's ack:
+   two sends, two wheel pushes and pops, two deliveries, two learns. *)
+let keepalive_round_trip () =
+  let ov = converged_overlay () in
+  let net = Overlay.net ov in
+  let a = (Overlay.nodes ov).(0) in
+  let dst =
+    match Leaf_set.members (PNode.leaf_set a) with
+    | p :: _ -> p.Peer.addr
+    | [] -> Alcotest.fail "empty leaf set"
+  in
+  let src = PNode.addr a in
+  let keepalive : unit Message.t = Message.Keepalive { from = PNode.self a } in
+  let delivered = Net.messages_delivered net in
+  let words =
+    words_per_call ~warmup:100 ~calls:5_000 (fun () ->
+        Net.send net ~src ~dst keepalive;
+        Net.run net)
+  in
+  Alcotest.(check int)
+    "keep-alive and ack delivered every time" (2 * 5_100)
+    (Net.messages_delivered net - delivered);
+  within "keep-alive send + deliver round trip" ~budget:64.0 words
+
+let suite =
+  ( "alloc",
+    [
+      "Rng.float" => rng_float;
+      "Histogram.observe" => histogram_observe;
+      "Node.learn of a known peer" => learn_known_peer;
+      "keep-alive round trip" => keepalive_round_trip;
+    ] )

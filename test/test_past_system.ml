@@ -301,6 +301,48 @@ let lookup_retries_route_around_droppers () =
   done;
   check Alcotest.bool (Printf.sprintf "%d/10 with retries" !ok) true (!ok >= 8)
 
+(* A lookup's timeout fails that lookup only. The client looks the same
+   file up twice; the second lookup starts just before the first one's
+   timer fires and is still in flight when it does. With [retries:0],
+   a timer that matched by fileId and attempt number would fail it. *)
+let stale_lookup_timer_ignored () =
+  let node_config =
+    { Node.default_config with Node.cache_on_lookup_path = false; cache_on_insert_path = false }
+  in
+  let sys =
+    System.create ~node_config ~seed:77 ~n:20 ~crypto_mode:`Insecure
+      ~node_capacity:(fun _ _ -> 1_000_000)
+      ()
+  in
+  let writer = System.new_client sys ~quota:1_000_000 () in
+  let r = insert_exn writer ~name:"twice" ~data:"looked up twice" ~k:2 in
+  (* An access node without a copy, so every lookup crosses the net. *)
+  let access =
+    List.find
+      (fun n -> not (Store.mem (Node.store n) r.file_id))
+      (Array.to_list (System.nodes sys))
+  in
+  let op_timeout = 5_000.0 in
+  let reader = System.new_client sys ~access ~op_timeout ~quota:0 () in
+  let net = System.net sys in
+  let first_sent = Net.now net in
+  (match Client.lookup_sync reader ~file_id:r.file_id () with
+  | Client.Found _ -> ()
+  | Client.Lookup_failed -> Alcotest.fail "first lookup failed");
+  System.run ~until:(first_sent +. op_timeout -. 0.001) sys;
+  let second = ref None in
+  Client.lookup reader ~file_id:r.file_id (fun res -> second := Some res);
+  System.run ~until:(first_sent +. op_timeout) sys;
+  (match !second with
+  | None -> ()
+  | Some Client.Lookup_failed -> Alcotest.fail "the first lookup's timer failed the second"
+  | Some (Client.Found _) -> Alcotest.fail "second lookup settled before the first timer fired");
+  System.run sys;
+  match !second with
+  | Some (Client.Found _) -> ()
+  | Some Client.Lookup_failed -> Alcotest.fail "the first lookup's timer failed the second"
+  | None -> Alcotest.fail "second lookup never settled"
+
 (* qcheck: the smartcard debit/refund protocol never leaks quota across
    multi-attempt inserts. Small op timeouts force attempts to settle
    before some or all receipts arrive: the attempt is retried under a
@@ -404,6 +446,7 @@ let suite =
       "dynamic build" => dynamic_build_system;
       "insecure crypto mode" => insecure_crypto_mode_works;
       "lookup retries route around droppers" => lookup_retries_route_around_droppers;
+      "stale lookup timer ignored" => stale_lookup_timer_ignored;
       "rejoin pull restores node range" => rejoin_pull_restores_range ~pull:true;
       "rejoin without pull stays empty" => rejoin_pull_restores_range ~pull:false;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;

@@ -7,6 +7,7 @@ module Peer = Past_pastry.Peer
 module Routing_table = Past_pastry.Routing_table
 module Leaf_set = Past_pastry.Leaf_set
 module Neighborhood = Past_pastry.Neighborhood
+module Nat = Past_bignum.Nat
 
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
@@ -218,6 +219,103 @@ let qcheck_replica_set =
       in
       List.equal Id.equal got expected)
 
+(* qcheck: [add] and [remove_addr] against a naive model. Each model
+   side is a plain list sorted by the exact big-integer ring distance
+   from own (clockwise on the larger side, counterclockwise on the
+   smaller; ties by id), truncated to l/2, refusing an address it
+   already holds; [members] is the historical construction — smaller
+   then larger, deduplicated through a 64-bucket table, folded out.
+   Pools smaller than l/2 put every peer on both sides of a sparse
+   ring; "near" ids lie within a few thousand of own, so their
+   distances share the packed 7-byte prefix and the full keys decide. *)
+let model_side_add ~cap ~dist side ((addr, id) as entry) =
+  if List.exists (fun (a, _) -> a = addr) side then (side, false)
+  else begin
+    let d = dist id in
+    let rec insert = function
+      | [] -> [ entry ]
+      | ((_, id') as e) :: rest ->
+        let c = Nat.compare d (dist id') in
+        if c < 0 || (c = 0 && Id.compare id id' < 0) then entry :: e :: rest
+        else e :: insert rest
+    in
+    let side = List.filteri (fun i _ -> i < cap) (insert side) in
+    (side, List.exists (fun (a, _) -> a = addr) side)
+  end
+
+let model_members smaller larger =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (a, _) -> if not (Hashtbl.mem seen a) then Hashtbl.replace seen a ())
+    (smaller @ larger);
+  Hashtbl.fold (fun a () acc -> a :: acc) seen []
+
+let qcheck_leaf_set_model =
+  QCheck.Test.make ~name:"leaf set add/remove_addr = sorted-list model" ~count:300
+    QCheck.(triple small_nat (int_bound 2) (int_bound 3))
+    (fun (seed, id_mode, l_index) ->
+      let rng = Rng.create seed in
+      let l = [| 2; 4; 8; 16 |].(l_index) in
+      let own = Id.random rng ~width:128 in
+      let random_id () =
+        let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
+        match id_mode with
+        | 0 -> Id.random rng ~width:128
+        | 1 -> near ()
+        | _ -> if Rng.bool rng then near () else Id.random rng ~width:128
+      in
+      let pool = 1 + Rng.int rng 24 in
+      let used = Hashtbl.create 32 in
+      Hashtbl.replace used own ();
+      let rec fresh () =
+        let id = random_id () in
+        if Hashtbl.mem used id then fresh ()
+        else begin
+          Hashtbl.replace used id ();
+          id
+        end
+      in
+      let ids = Array.init pool (fun _ -> fresh ()) in
+      let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
+      let smaller = ref [] and larger = ref [] in
+      let addrs peers = List.map (fun (p : Peer.t) -> p.Peer.addr) peers in
+      let agrees = ref true in
+      for _ = 1 to 80 do
+        let a = Rng.int rng pool in
+        let expected, got =
+          match Rng.int rng 8 with
+          | 0 | 1 ->
+            let keep = List.filter (fun (a', _) -> a' <> a) in
+            let s = keep !smaller and g = keep !larger in
+            let changed =
+              List.length s < List.length !smaller || List.length g < List.length !larger
+            in
+            smaller := s;
+            larger := g;
+            (changed, Leaf_set.remove_addr ls a)
+          | 2 -> (false, Leaf_set.add ls (Peer.make ~id:own ~addr:pool))
+          | _ ->
+            let g, cg =
+              model_side_add ~cap:(l / 2) ~dist:(Id.cw_distance own) !larger (a, ids.(a))
+            in
+            let s, cs =
+              model_side_add ~cap:(l / 2)
+                ~dist:(fun id -> Id.cw_distance id own)
+                !smaller (a, ids.(a))
+            in
+            larger := g;
+            smaller := s;
+            (cg || cs, Leaf_set.add ls (Peer.make ~id:ids.(a) ~addr:a))
+        in
+        if
+          expected <> got
+          || addrs (Leaf_set.smaller ls) <> List.map fst !smaller
+          || addrs (Leaf_set.larger ls) <> List.map fst !larger
+          || addrs (Leaf_set.members ls) <> model_members !smaller !larger
+        then agrees := false
+      done;
+      !agrees)
+
 (* --- Neighborhood --- *)
 
 let nbhd_caps_and_keeps_closest () =
@@ -264,6 +362,7 @@ let suite =
       "leaf remove" => leaf_remove;
       "leaf wrap-around" => leaf_wrap_around;
       QCheck_alcotest.to_alcotest qcheck_replica_set;
+      QCheck_alcotest.to_alcotest qcheck_leaf_set_model;
       "neighborhood cap/closest" => nbhd_caps_and_keeps_closest;
       "neighborhood dedup/remove" => nbhd_dedup_and_remove;
     ] )
