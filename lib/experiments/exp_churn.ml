@@ -54,10 +54,6 @@ type params = {
   probe_period : float;
   scan_period : float;
   seed : int;
-  net_jobs : int option;
-      (** worker domains for the parallel simulation engine; [None]
-          defers to [PAST_NET_JOBS] (default 1). The engine and hence
-          the result bytes are identical at any worker count. *)
 }
 
 let default_params =
@@ -72,7 +68,6 @@ let default_params =
     probe_period = 2_500.0;
     scan_period = 1_000.0;
     seed = 4;
-    net_jobs = None;
   }
 
 type result = {
@@ -109,19 +104,10 @@ let run ?trace_capacity params =
   let node_config =
     { Node.default_config with Node.verify_certificates = false; replication_delay = 200.0 }
   in
-  (* This experiment always runs on the parallel engine over a
-     transit-stub topology (the topology's locality gives the engine
-     its lookahead). The worker count only sets wall-clock parallelism:
-     `Domains 1 and `Domains 4 produce byte-identical results. *)
-  let jobs =
-    match params.net_jobs with
-    | Some j -> j
-    | None -> ( match Net.env_jobs () with Some j -> j | None -> 1)
-  in
   let sys =
     System.create ~node_config ~build:`Dynamic ?trace_capacity
       ~topology:(Past_simnet.Topology.transit_stub ())
-      ~par:(`Domains jobs) ~seed:params.seed ~n:params.n
+      ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ _ -> params.capacity)
       ()
   in

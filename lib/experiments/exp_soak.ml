@@ -32,10 +32,6 @@ type params = {
   mean_downtime : float;
   min_live_fraction : float;  (** churn keeps at least this many nodes up *)
   seed : int;
-  net_jobs : int option;
-      (** worker domains for the parallel simulation engine; [None]
-          defers to [PAST_NET_JOBS] (default 1). The engine and hence
-          the result is identical at any worker count. *)
 }
 
 let default_params =
@@ -49,7 +45,6 @@ let default_params =
     mean_downtime = 8_000.0;
     min_live_fraction = 0.5;
     seed = 97;
-    net_jobs = None;
   }
 
 type result = {
@@ -70,17 +65,10 @@ let run params =
   let node_config =
     { Node.default_config with Node.verify_certificates = false; replication_delay = 200.0 }
   in
-  (* Parallel engine over a transit-stub topology (see Exp_churn): the
-     worker count never changes the result, only the wall clock. *)
-  let jobs =
-    match params.net_jobs with
-    | Some j -> j
-    | None -> ( match Net.env_jobs () with Some j -> j | None -> 1)
-  in
   let sys =
     System.create ~node_config ~build:`Dynamic
       ~topology:(Past_simnet.Topology.transit_stub ())
-      ~par:(`Domains jobs) ~seed:params.seed ~n:params.n
+      ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ _ -> params.capacity)
       ()
   in
@@ -89,7 +77,9 @@ let run params =
   let clients = Array.init 8 (fun _ -> System.new_client sys ~verify:false ~quota:max_int ()) in
   System.start_maintenance sys;
 
-  (* Build the merged timeline: workload ops + per-node churn. *)
+  (* Build the merged timeline: workload ops + per-node churn, offset
+     by the clock the overlay build left behind. *)
+  let t0 = Net.now net in
   let profile =
     {
       Generator.default_profile with
@@ -113,18 +103,21 @@ let run params =
       (List.map (fun e -> (e.Generator.at, `Op e.Generator.op)) ops @ churn)
   in
 
-  (* Catalog of inserted files (grows over the run); reclaimed entries
-     are tombstoned. *)
+  (* Catalog of inserted files (grows as inserts are acknowledged);
+     reclaimed entries are tombstoned. *)
   let catalog : (Id.t * bool ref) array ref = ref [||] in
   let inserts_attempted = ref 0 and inserts_ok = ref 0 in
   let lookups_attempted = ref 0 and lookups_ok = ref 0 in
   let reclaims = ref 0 and failures = ref 0 and recoveries = ref 0 in
   let live_count () = List.length (Overlay.live_nodes (System.overlay sys)) in
 
+  (* Open loop: every operation is issued at its timeline time through
+     the asynchronous client API and counted when its callback fires,
+     so a slow or failing operation never delays the ones behind it. *)
+  let pick_client () = clients.(Rng.int rng (Array.length clients)) in
   List.iter
     (fun (at, action) ->
-      (* Advance simulated time to the event's timestamp first. *)
-      System.run ~until:at sys;
+      System.run ~until:(t0 +. at) sys;
       match action with
       | `Churn (node, `Fail) ->
         if
@@ -142,21 +135,19 @@ let run params =
         end
       | `Op (Generator.Insert { name; size }) ->
         incr inserts_attempted;
-        let client = clients.(Rng.int rng (Array.length clients)) in
-        (match Client.insert_sync client ~name ~data:"" ~declared_size:size ~k:params.k () with
-        | Client.Inserted { file_id; _ } ->
-          incr inserts_ok;
-          catalog := Array.append !catalog [| (file_id, ref true) |]
-        | Client.Insert_failed _ -> ())
+        Client.insert (pick_client ()) ~name ~data:"" ~declared_size:size ~k:params.k (function
+          | Client.Inserted { file_id; _ } ->
+            incr inserts_ok;
+            catalog := Array.append !catalog [| (file_id, ref true) |]
+          | Client.Insert_failed _ -> ())
       | `Op (Generator.Lookup { catalog_index }) ->
         if Array.length !catalog > 0 then begin
           let file_id, live = !catalog.(catalog_index mod Array.length !catalog) in
           if !live then begin
             incr lookups_attempted;
-            let client = clients.(Rng.int rng (Array.length clients)) in
-            match Client.lookup_sync client ~retries:2 ~file_id () with
-            | Client.Found _ -> incr lookups_ok
-            | Client.Lookup_failed -> ()
+            Client.lookup (pick_client ()) ~retries:2 ~file_id (function
+              | Client.Found _ -> incr lookups_ok
+              | Client.Lookup_failed -> ())
           end
         end
       | `Op (Generator.Reclaim { catalog_index }) ->
@@ -165,8 +156,7 @@ let run params =
           if !live then begin
             incr reclaims;
             live := false;
-            let client = clients.(Rng.int rng (Array.length clients)) in
-            ignore (Client.reclaim_sync client ~file_id ())
+            Client.reclaim (pick_client ()) ~file_id ignore
           end
         end)
     timeline;

@@ -344,28 +344,19 @@ let determinism_fixture () =
   | [] -> ());
   Buffer.contents buf
 
-(* A fixed-seed, scaled-down EXP14 churn run on the parallel engine,
-   rendered with its time-series and telemetry snapshot. The companion
-   golden file (test/exp14_churn.golden) is captured at [jobs = 1] —
-   the windowed engine run inline, i.e. the sequential oracle — and
-   the test suite asserts the same bytes at [jobs = 4]: the proof that
-   worker count never leaks into results. Regenerate with
+(* A fixed-seed, scaled-down EXP14 churn run, rendered with its
+   time-series and telemetry snapshot: the golden file
+   (test/exp14_churn.golden) pins churn, failure detection, repair and
+   the probe loop end to end. Regenerate with
    `dune exec test/gen/gen_golden.exe -- churn > test/exp14_churn.golden`
    only when intentionally changing engine or experiment behavior. *)
-let churn_fixture ?jobs () =
+let churn_fixture () =
   let params =
-    {
-      Exp_churn.default_params with
-      Exp_churn.n = 40;
-      files = 24;
-      duration = 60_000.0;
-      net_jobs = jobs;
-    }
+    { Exp_churn.default_params with Exp_churn.n = 40; files = 24; duration = 60_000.0 }
   in
   let r = Exp_churn.run params in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "EXP14 (golden: n=40 files=24 duration=60000 seed=4, parallel engine)\n";
+  Buffer.add_string buf "EXP14 (golden: n=40 files=24 duration=60000 seed=4)\n";
   Buffer.add_string buf (Text_table.render (Exp_churn.table r));
   Buffer.add_string buf "\nchurn time-series\n";
   Buffer.add_string buf (Text_table.render (Exp_churn.series_table r));

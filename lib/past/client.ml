@@ -109,18 +109,6 @@ let span_point t span name =
       ~node:(PNode.addr (Node.pastry t.node))
       (Trace.Point { span; name })
 
-(* User-facing result callbacks routinely mutate experiment-shared
-   state (success counters, latency histograms of the driver). Under
-   the parallel simulation engine the client's machinery runs inside
-   its access node's partition, where two clients on different
-   partitions would race such state — so the terminal callback of
-   every operation is deferred to the window barrier
-   ({!Net.defer_to_env}): it runs in the environment context, in
-   deterministic order, with {!Net.now} reading the completion time.
-   In sequential nets (and outside windows) this is an immediate
-   call — behaviour unchanged. *)
-let defer_cb t cb r = Net.defer_to_env (net t) (fun () -> cb r)
-
 (* Full-jitter exponential backoff: after [failures] consecutive
    failures of one operation, wait a uniform draw from
    [0, op_timeout * 2^(failures-1)] (window capped at 2^8) before
@@ -238,15 +226,13 @@ let insert t ~name ~data ?declared_size ~k cb =
     cb (Insert_failed { attempts = 0; reason = "quota exceeded" })
   | Ok cert ->
     let op = span_start t ~op_name:"insert" ~detail:name in
-    let cb =
-      defer_cb t (fun r ->
-          span_end t op
-            ~note:
-              (match r with
-              | Inserted { attempts; _ } ->
-                Printf.sprintf "inserted after %d attempt(s)" attempts
-              | Insert_failed { reason; _ } -> reason);
-          cb r)
+    let cb r =
+      span_end t op
+        ~note:
+          (match r with
+          | Inserted { attempts; _ } -> Printf.sprintf "inserted after %d attempt(s)" attempts
+          | Insert_failed { reason; _ } -> reason);
+      cb r
     in
     start_insert_attempt t
       {
@@ -307,10 +293,9 @@ and lookup_failed_attempt t file_id state =
 
 let lookup t ?(retries = 0) ~file_id cb =
   let op = span_start t ~op_name:"lookup" ~detail:(Id.short file_id) in
-  let cb =
-    defer_cb t (fun r ->
-        span_end t op ~note:(match r with Found _ -> "found" | Lookup_failed -> "failed");
-        cb r)
+  let cb r =
+    span_end t op ~note:(match r with Found _ -> "found" | Lookup_failed -> "failed");
+    cb r
   in
   send_lookup t file_id
     { lk_settled = false; retries_left = retries; lk_attempt = 1; lk_retry_pending = false;
@@ -327,10 +312,9 @@ let finish_reclaim t file_id state =
 
 let reclaim t ~file_id ?expected cb =
   let op = span_start t ~op_name:"reclaim" ~detail:(Id.short file_id) in
-  let cb =
-    defer_cb t (fun (r : reclaim_result) ->
-        span_end t op ~note:(Printf.sprintf "%d receipt(s)" (List.length r.receipts));
-        cb r)
+  let cb (r : reclaim_result) =
+    span_end t op ~note:(Printf.sprintf "%d receipt(s)" (List.length r.receipts));
+    cb r
   in
   let state =
     { rc_receipts = []; rc_settled = false; rc_credited = 0; credit = true; expected; rc_cb = cb }
@@ -352,7 +336,7 @@ let audit t ~file_id ~data ~holder cb =
   let expected_proof =
     Past_crypto.Sha1.hex_of_digest (Past_crypto.Sha1.digest_string (nonce ^ data))
   in
-  let state = { expected_proof; au_settled = false; au_cb = defer_cb t cb } in
+  let state = { expected_proof; au_settled = false; au_cb = cb } in
   Hashtbl.replace t.audits nonce state;
   PNode.send_direct (Node.pastry t.node) ~dst:holder
     (Wire.Audit_challenge { file_id; nonce; client = client_ref t ~op:Trace.no_parent });

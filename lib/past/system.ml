@@ -83,13 +83,6 @@ let install_monitors t =
     let stats : replica_stat Id.Table.t = Id.Table.create 1024 in
     let suspects : unit Id.Table.t = Id.Table.create 64 in
     let deficits : float Id.Table.t = Id.Table.create 64 in
-    (* Store observers fire from whichever partition domain mutates the
-       store when the simulation runs on the parallel engine; the
-       bookkeeping tables are shared, so updates are serialized. The
-       final counts are sums and stay deterministic at any worker
-       count; the rs_best high-water mark can differ by interleaving —
-       monitors are a pass/fail surface, not a byte-compared one. *)
-    let stats_mutex = Mutex.create () in
     (* What the monitor currently believes about each node's liveness.
        Observer deltas only apply while the node's holdings are
        credited (believed live); flips are reconciled at evaluation
@@ -106,8 +99,6 @@ let install_monitors t =
        (capped by the live-node count) is applied at evaluation time,
        so the suspect set is a conservative superset. *)
     let update file_id k delta ~deliberate =
-      Mutex.lock stats_mutex;
-      Fun.protect ~finally:(fun () -> Mutex.unlock stats_mutex) @@ fun () ->
       let s =
         match Id.Table.find_opt stats file_id with
         | Some s -> s
@@ -232,14 +223,13 @@ let install_monitors t =
   end
 
 let create ?pastry_config ?(node_config = Node.default_config) ?topology
-    ?(crypto_mode = `Insecure) ?build ?loss_rate ?(broker_count = 1) ?trace_capacity ?par
+    ?(crypto_mode = `Insecure) ?build ?loss_rate ?(broker_count = 1) ?trace_capacity
     ?store_backend ~seed ~n ~node_capacity () =
   if n < 1 then invalid_arg "System.create: need at least one node";
   if broker_count < 1 then invalid_arg "System.create: need at least one broker";
   let rng = Rng.create seed in
   let overlay =
-    Overlay.create ?config:pastry_config ?topology ?loss_rate ?trace_capacity ?par
-      ~seed:(seed + 1) ()
+    Overlay.create ?config:pastry_config ?topology ?loss_rate ?trace_capacity ~seed:(seed + 1) ()
   in
   let brokers = Array.init broker_count (fun _ -> Broker.create ~mode:crypto_mode (Rng.split rng)) in
   let build = match build with Some b -> b | None -> if n <= 500 then `Dynamic else `Static in
@@ -255,28 +245,10 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
     }
   in
   let trusted = Array.to_list (Array.map Broker.public brokers) in
-  (* The free-space oracle (the load-balancing shortcut for querying a
-     remote node's free space, see Node.free_oracle) reads *another*
-     node's store. Under the parallel engine that node's partition may
-     be executing concurrently, and even at one worker the value would
-     depend on how far the other partition has progressed through the
-     window — a jobs-dependent read. Inside a window the oracle
-     therefore answers from a snapshot refreshed at every window
-     barrier: stale by at most one lookahead of sim-time, and
-     byte-identical at any worker count. Outside windows (and in
-     sequential nets) it reads live state, unchanged. *)
-  let net = Overlay.net overlay in
-  let parallel = match Net.parallelism net with `Domains _ -> true | `Seq -> false in
-  let free_snapshot : (Net.addr, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  let refresh_free_snapshot () =
-    Hashtbl.iter
-      (fun addr node -> Hashtbl.replace free_snapshot addr (Store.free (Node.store node)))
-      t.by_addr
-  in
-  if parallel then Net.on_barrier net refresh_free_snapshot;
+  (* The free-space oracle: the load-balancing shortcut for querying a
+     remote node's free space (see Node.free_oracle). *)
   let free_oracle addr =
-    if parallel && Net.in_window net then Hashtbl.find_opt free_snapshot addr
-    else Option.map (fun node -> Store.free (Node.store node)) (Hashtbl.find_opt t.by_addr addr)
+    Option.map (fun node -> Store.free (Node.store node)) (Hashtbl.find_opt t.by_addr addr)
   in
   let make_node i =
     let capacity = node_capacity i rng in
@@ -295,7 +267,6 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
     node
   in
   t.nodes <- Array.init n make_node;
-  if parallel then refresh_free_snapshot ();
   (match build with
   | `Static -> Overlay.populate_static overlay
   | `Dynamic -> Overlay.join_all_dynamic overlay);
@@ -333,7 +304,6 @@ let revive_node t node =
 let start_maintenance t = Overlay.start_maintenance t.overlay
 let stop_maintenance t = Overlay.stop_maintenance t.overlay
 let shutdown t =
-  (* Release backend resources first: the disk-backed store holds open
-     segment file handles (and possibly a scratch directory) per node. *)
-  Array.iter (fun node -> Store.close (Node.store node)) t.nodes;
-  Net.shutdown (net t)
+  (* The disk-backed store holds open segment file handles (and
+     possibly a scratch directory) per node. *)
+  Array.iter (fun node -> Store.close (Node.store node)) t.nodes

@@ -17,7 +17,6 @@ val create :
   ?loss_rate:float ->
   ?broker_count:int ->
   ?trace_capacity:int ->
-  ?par:Past_simnet.Net.par ->
   ?store_backend:Store.backend ->
   seed:int ->
   n:int ->
@@ -34,10 +33,7 @@ val create :
     {!Past_telemetry.Trace}). When invariant monitoring is active
     (see {!Past_telemetry.Monitor.env_active}), PAST-level monitors
     ([past.replica_count], [past.quota_conservation]) are installed
-    alongside Pastry's. [par] selects the network's execution engine
-    (see {!Past_simnet.Net.create}); under [`Domains _] the free-space
-    oracle answers from a per-window snapshot so results are
-    independent of the worker count. [store_backend] selects every
+    alongside Pastry's. [store_backend] selects every
     node's replica storage backend (default {!Store.default_backend},
     i.e. the [PAST_STORE] environment variable). *)
 
@@ -103,6 +99,4 @@ val stop_maintenance : t -> unit
 
 val shutdown : t -> unit
 (** Close every node's store (file handles and scratch directories of
-    disk-backed stores) and tear down the network's worker-domain
-    pool, if any (see {!Past_simnet.Net.shutdown}). The system must
-    not be used afterwards. *)
+    disk-backed stores). The system must not be used afterwards. *)

@@ -7,17 +7,21 @@ module Id = Past_id.Id
    addresses, resolved through the shared {!Directory} on the cold
    paths that need the peer record. Distance keys are not stored:
    an entry's key is a pure function of the own id and the entry id,
-   recomputed on demand; only the farthest (last) entry's full key per
-   side — the coverage bound read on every routed hop — is cached.
+   recomputed on demand; only the farthest (last) entry's key per side
+   is cached, in full (the coverage bound read on every routed hop) and
+   as its packed prefix (the bound every learned peer is tested
+   against).
    In a sparse ring (< l live nodes) the same peer may legally appear
    on both sides; [members] deduplicates. *)
 type side = {
   mutable n : int;
   ids : Id.t array;
   addrs : int array;
-  (* Full [Id.cw_dist_key] of entry [n-1]; [""] when the side is
-     empty. Refreshed after every mutation. *)
+  (* Full [Id.cw_dist_key] of entry [n-1] and its packed prefix
+     ([entry_hi]); [""] and [max_int] when the side is empty. Refreshed
+     after every mutation. *)
   mutable ext_key : string;
+  mutable ext_hi : int;
 }
 
 type t = {
@@ -32,7 +36,8 @@ type t = {
   mutable members_cache : Peer.t list option;
 }
 
-let make_side ~cap ~own = { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1); ext_key = "" }
+let make_side ~cap ~own =
+  { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1); ext_key = ""; ext_hi = max_int }
 
 let create ?dir ~config ~own () =
   Config.validate config;
@@ -49,7 +54,14 @@ let entry_hi ~own ~cw id = if cw then Id.cw_dist_hi7 own id else Id.cw_dist_hi7 
 let entry_key ~own ~cw id = if cw then Id.cw_dist_key own id else Id.cw_dist_key id own
 
 let set_ext side ~own ~cw =
-  side.ext_key <- (if side.n = 0 then "" else entry_key ~own ~cw side.ids.(side.n - 1))
+  if side.n = 0 then begin
+    side.ext_key <- "";
+    side.ext_hi <- max_int
+  end
+  else begin
+    side.ext_key <- entry_key ~own ~cw side.ids.(side.n - 1);
+    side.ext_hi <- entry_hi ~own ~cw side.ids.(side.n - 1)
+  end
 
 (* The helpers below run on every learned peer. They are top-level
    functions taking their free variables as arguments: a local closure
@@ -87,11 +99,17 @@ let rec search side ~own ~cw id cand_hi lo hi =
    Membership is tested first: a duplicate address implies an equal
    distance and id, so it always sorts before the insertion point and
    refuses the offer either way, but searching for it would tie with
-   its own entry and build the full keys. *)
+   its own entry and build the full keys. Before either, a candidate
+   strictly beyond a full side's extreme is refused outright: it can be
+   neither a member (a member's prefix is at most the extreme's) nor
+   inserted — the common case, since every message teaches its
+   receiver the sender. *)
 let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
-  if side_mem side peer.Peer.addr then false
+  let cand_hi = entry_hi ~own ~cw peer.Peer.id in
+  if side.n >= cap && cand_hi > side.ext_hi then false
+  else if side_mem side peer.Peer.addr then false
   else begin
-    let pos = search side ~own ~cw peer.Peer.id (entry_hi ~own ~cw peer.Peer.id) 0 side.n in
+    let pos = search side ~own ~cw peer.Peer.id cand_hi 0 side.n in
     if pos = side.n && side.n >= cap then false
     else begin
       let last = Stdlib.min (side.n + 1) cap - 1 in

@@ -32,7 +32,11 @@ let add t ~proximity (peer : Peer.t) =
   if Id.equal peer.Peer.id t.own then false
   else begin
     let cap = t.config.Config.neighborhood_size in
-    if mem_from t peer.Peer.addr 0 then false
+    (* A full set refuses anything no closer than its farthest entry —
+       a member included, whose proximity is at most that — without the
+       membership scan. *)
+    if t.n > 0 && t.n >= cap && proximity >= t.prox.(t.n - 1) then false
+    else if mem_from t peer.Peer.addr 0 then false
     else begin
       (* Insertion point: after every entry with proximity <= ours, so
          equal-proximity incumbents keep precedence. Beyond the cap the

@@ -16,7 +16,6 @@ val create :
   ?topology:Past_simnet.Topology.t ->
   ?loss_rate:float ->
   ?trace_capacity:int ->
-  ?par:Past_simnet.Net.par ->
   seed:int ->
   unit ->
   'a t
@@ -25,8 +24,7 @@ val create :
     monitors are active (the [PAST_MONITORS] convention,
     {!Past_telemetry.Monitor.env_active}) the overlay registers a
     leaf-set symmetry monitor and arms a keepalive-period sampler that
-    ticks the registry's monitor set. [par] selects the network's
-    execution engine (see {!Past_simnet.Net.create}). *)
+    ticks the registry's monitor set. *)
 
 val net : 'a t -> 'a Message.t Past_simnet.Net.t
 val config : 'a t -> Config.t

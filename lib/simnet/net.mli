@@ -13,53 +13,23 @@ val pp_addr : Format.formatter -> addr -> unit
 
 type 'msg t
 
-type par = [ `Seq | `Domains of int ]
-(** Execution engine. [`Seq] (the default) is the original
-    single-queue sequential engine. [`Domains k] is the conservative
-    bounded-lag parallel engine (DESIGN.md §6f): nodes are partitioned
-    into 8 fixed contexts by topology locality, each context owns its
-    event queue, clock and RNG streams, and the run advances in
-    lock-step windows whose width is the minimum cross-partition link
-    delay (the lookahead), with up to [k] domains executing the
-    partitions of each window. The partitioning and every RNG draw are
-    independent of [k], so a [`Domains k] run produces byte-identical
-    results for any [k] — [`Domains 1] is the sequential oracle for
-    [`Domains 4]. The two engines draw different RNG streams, so
-    [`Seq] and [`Domains _] outputs differ from each other.
-
-    With a topology whose {!Topology.min_cross_proximity} is 0 (plane,
-    sphere) the lookahead is zero and [`Domains _] degenerates to
-    exact sequential stepping in global (time, seq) order — still
-    deterministic and [k]-independent, just not parallel. *)
-
-val env_jobs : unit -> int option
-(** The [PAST_NET_JOBS] environment variable, when set to a positive
-    integer. *)
-
-val default_par : unit -> par
-(** [`Domains k] when [PAST_NET_JOBS=k] is set, else [`Seq]. *)
-
 val create :
   ?loss_rate:float ->
   ?latency_factor:float ->
   ?registry:Past_telemetry.Registry.t ->
   ?describe:('msg -> string) ->
-  ?par:par ->
   rng:Past_stdext.Rng.t ->
   topology:Topology.t ->
   unit ->
   'msg t
 (** [loss_rate] (default 0, accepted on the closed interval [[0,1]] —
     1.0 is a blackout) drops each message independently;
-    [latency_factor] (default 1.0, must be strictly positive — a
-    non-positive factor would mean zero lookahead and livelock the
-    windowed engine) converts proximity to delivery delay. [registry]
-    (default: a fresh one) receives the network's telemetry;
-    [describe] names a message's kind for the per-kind
-    send/deliver/drop counters (default: every message is ["msg"]).
-    [par] picks the execution engine (default: {!default_par}, i.e.
-    the [PAST_NET_JOBS] environment variable). Validation failures
-    report the offending value in the [Invalid_argument] message.
+    [latency_factor] (default 1.0, must be strictly positive) converts
+    proximity to delivery delay. [registry] (default: a fresh one)
+    receives the network's telemetry; [describe] names a message's kind
+    for the per-kind send/deliver/drop counters (default: every message
+    is ["msg"]). Validation failures report the offending value in the
+    [Invalid_argument] message.
 
     Fault-injection determinism: all fault coins (loss, duplication,
     reordering) are drawn from a dedicated stream derived from [rng]
@@ -69,46 +39,16 @@ val create :
     identically: every message delivered in both runs is delivered at
     the same time. *)
 
-val parallelism : _ t -> par
-(** Which execution engine this network runs on ([`Domains k] reports
-    the effective worker count after clamping). *)
-
-val shutdown : _ t -> unit
-(** Tear down the worker-domain pool of a [`Domains _] network (created
-    lazily at the first parallel window). Idempotent; a no-op for
-    [`Seq] networks and pools never started. The network remains usable
-    — a later window recreates the pool. *)
-
-val in_window : _ t -> bool
-(** [true] while the windowed engine is executing a window's partition
-    slices — the phase during which environment-side mutable state must
-    not be read from node handlers (see {!defer_to_env}). *)
-
-val defer_to_env : _ t -> (unit -> unit) -> unit
-(** Run [fn] now — unless called from a partition context inside a
-    window, in which case [fn] is queued and replayed at the window
-    barrier (in deterministic (time, context) order, with {!now}
-    restored to the deferring context's clock). Wrap callbacks that
-    touch environment/driver state (shared accumulators, registries of
-    other systems) so they never race a concurrently executing
-    partition. *)
-
-val on_barrier : _ t -> (unit -> unit) -> unit
-(** Register a hook that runs (in registration order, in the
-    environment context) after every window of the parallel engine —
-    for refreshing snapshots of state that node handlers read through
-    {!defer_to_env}-style indirection. Never called by the sequential
-    engine. *)
-
 val registry : _ t -> Past_telemetry.Registry.t
 (** The telemetry registry this network reports into. One registry per
-    simulated system: parallel simulations never share counters. *)
+    simulated system: concurrent simulations never share counters. *)
 
 val register : 'msg t -> handler:(addr -> 'msg -> unit) -> addr
 (** Add a node: samples a location, returns its address. The handler
     receives [(source, message)]. *)
 
 val now : _ t -> float
+(** The simulation clock. It never decreases. *)
 
 val send : 'msg t -> src:addr -> dst:addr -> 'msg -> unit
 (** Queue a message. Silently dropped (and counted) if [src] is down —
@@ -171,7 +111,9 @@ val set_reorder : _ t -> rate:float -> max_extra_delay:float -> unit
 
 val run : ?until:float -> ?max_events:int -> _ t -> unit
 (** Process queued events in time order until the queue drains, time
-    exceeds [until], or [max_events] is hit. *)
+    exceeds [until], or [max_events] is hit. Stopping at [until] moves
+    the clock forward to [until], never backwards: an [until] earlier
+    than {!now} leaves the clock unchanged. *)
 
 val add_sampler : _ t -> interval:float -> (float -> unit) -> unit
 (** Arm a periodic sim-time observer: the callback runs at every

@@ -60,27 +60,6 @@ let proximity t a b =
     else intra_stub +. (2.0 *. stub_to_transit) +. inter_transit +. jitter
   | _ -> invalid_arg "Topology.proximity: location from a different topology"
 
-(* Conservative parallel simulation support: nodes are partitioned so
-   that the minimum proximity between any two nodes in *different*
-   partitions is large — that floor, times the net's latency factor,
-   is the engine's lookahead (window width). The transit-stub model
-   partitions by transit domain: any cross-partition pair is
-   cross-transit, so its proximity is at least
-   intra + 2*stub_to_transit + inter (per-node jitter only adds).
-   The geometric models have no such structure — nearby points fall in
-   different partitions — so their floor is 0 and a partitioned net
-   degenerates to sequential stepping. *)
-
-let partition_hint t location =
-  match (t, location) with
-  | Transit_stub _, Ts { transit; _ } -> Some transit
-  | _ -> None
-
-let min_cross_proximity = function
-  | Plane _ | Sphere _ -> 0.0
-  | Transit_stub { intra_stub; stub_to_transit; inter_transit; _ } ->
-    intra_stub +. (2.0 *. stub_to_transit) +. inter_transit
-
 let max_proximity = function
   | Plane side -> side *. sqrt 2.0
   | Sphere radius -> Float.pi *. radius

@@ -43,16 +43,3 @@ val proximity : t -> location -> location -> float
 val max_proximity : t -> float
 (** An upper bound on [proximity] between any two sampled locations —
     used to normalise distances in experiments. *)
-
-val partition_hint : t -> location -> int option
-(** Which locality cluster a location belongs to, for partitioning a
-    parallel simulation ({!Simnet.Net} with [`Domains _]): transit-stub
-    locations cluster by transit domain; the geometric models have no
-    usable clustering and return [None] (the net then partitions by
-    address, with zero lookahead). *)
-
-val min_cross_proximity : t -> float
-(** A lower bound on [proximity] between two locations in {e different}
-    {!partition_hint} clusters — the lookahead floor of the parallel
-    simulation engine. 0 for the geometric models (no safe lookahead);
-    [intra_stub + 2*stub_to_transit + inter_transit] for transit-stub. *)

@@ -1,16 +1,11 @@
-(* Atomic so partition domains of a parallel simulation window can
-   bump shared counters directly: increments commute, so totals are
-   independent of interleaving and the exported value is identical at
-   any worker count. *)
+type t = { mutable n : int }
 
-type t = int Atomic.t
-
-let create () = Atomic.make 0
-let incr t = Atomic.incr t
+let create () = { n = 0 }
+let incr t = t.n <- t.n + 1
 
 let add t n =
   if n < 0 then invalid_arg "Counter.add: counters are monotonic";
-  ignore (Atomic.fetch_and_add t n : int)
+  t.n <- t.n + n
 
-let value t = Atomic.get t
-let reset t = Atomic.set t 0
+let value t = t.n
+let reset t = t.n <- 0

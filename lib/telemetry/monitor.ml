@@ -28,18 +28,7 @@ type t = {
   is_active : bool;
   mutable entries : entry list; (* newest first *)
   mutable tracer : Trace.t option;
-  (* Event-driven checks ([record_check]) can fire from partition
-     domains of a parallel simulation window; entry bookkeeping is too
-     stateful to shard, so a per-set mutex serializes it. Violation
-     *counts* stay deterministic at any worker count (they are sums);
-     which concurrent violation is recorded first is not — monitor
-     output is a pass/fail surface, not a byte-compared one. *)
-  m_mutex : Mutex.t;
 }
-
-let[@inline] locked t f =
-  Mutex.lock t.m_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m_mutex) f
 
 (* --- process-global accounting ---------------------------------------- *)
 
@@ -80,7 +69,7 @@ let env_active () =
 
 let create ?active () =
   let is_active = match active with Some a -> a | None -> env_active () in
-  { is_active; entries = []; tracer = None; m_mutex = Mutex.create () }
+  { is_active; entries = []; tracer = None }
 
 let active t = t.is_active
 let attach_tracer t tracer = t.tracer <- Some tracer
@@ -139,8 +128,7 @@ let find_or_create t ~name ~grace ~pred =
   | None -> fresh t ~name ~grace ~interval:0.0 ~pred
 
 let register t ~name ?(grace = 0.0) ?(interval = 0.0) pred =
-  if t.is_active then
-    locked t (fun () -> ignore (fresh t ~name ~grace ~interval ~pred:(Some pred)))
+  if t.is_active then ignore (fresh t ~name ~grace ~interval ~pred:(Some pred))
 
 let violate t e ~now ~detail =
   e.e_violations <- e.e_violations + 1;
@@ -176,25 +164,24 @@ let observe t e ~now result =
 
 let tick t ~now =
   if t.is_active then
-    locked t (fun () ->
-        List.iter
-          (fun e ->
-            match e.e_pred with
-            | Some pred when now >= e.e_next_due ->
-              e.e_next_due <- now +. e.e_interval;
-              observe t e ~now (pred ~now)
-            | _ -> ())
-          t.entries)
+    List.iter
+      (fun e ->
+        match e.e_pred with
+        | Some pred when now >= e.e_next_due ->
+          e.e_next_due <- now +. e.e_interval;
+          observe t e ~now (pred ~now)
+        | _ -> ())
+      t.entries
 
 let record_check t ~name ~now ?(detail = "") ok =
-  if t.is_active then
-    locked t (fun () ->
-        let e = find_or_create t ~name ~grace:0.0 ~pred:None in
-        e.e_checks <- e.e_checks + 1;
-        if not ok then begin
-          e.e_failures <- e.e_failures + 1;
-          violate t e ~now ~detail
-        end)
+  if t.is_active then begin
+    let e = find_or_create t ~name ~grace:0.0 ~pred:None in
+    e.e_checks <- e.e_checks + 1;
+    if not ok then begin
+      e.e_failures <- e.e_failures + 1;
+      violate t e ~now ~detail
+    end
+  end
 
 (* --- reports ----------------------------------------------------------- *)
 
@@ -209,23 +196,21 @@ type report = {
 }
 
 let reports t =
-  locked t (fun () ->
-      List.map
-        (fun e ->
-          {
-            m_name = e.e_name;
-            m_checks = e.e_checks;
-            m_failures = e.e_failures;
-            m_violations = e.e_violations;
-            m_first_violation = e.e_first_violation;
-            m_first_detail = e.e_first_detail;
-            m_trace_context = e.e_trace_context;
-          })
-        t.entries)
+  List.map
+    (fun e ->
+      {
+        m_name = e.e_name;
+        m_checks = e.e_checks;
+        m_failures = e.e_failures;
+        m_violations = e.e_violations;
+        m_first_violation = e.e_first_violation;
+        m_first_detail = e.e_first_detail;
+        m_trace_context = e.e_trace_context;
+      })
+    t.entries
   |> List.sort (fun a b -> String.compare a.m_name b.m_name)
 
-let violations t =
-  locked t (fun () -> List.fold_left (fun acc e -> acc + e.e_violations) 0 t.entries)
+let violations t = List.fold_left (fun acc e -> acc + e.e_violations) 0 t.entries
 
 let to_table t =
   let table =

@@ -19,12 +19,6 @@ type t = {
   mutable order : key list; (* registration order, newest first *)
   tracer : Trace.t;
   monitors : Monitor.t;
-  (* Partition domains of a parallel simulation window may register a
-     metric lazily (e.g. a per-kind counter on first sight of a kind);
-     the mutex serializes the table. Which domain registers first is
-     scheduling-dependent, but exports are immune: {!snapshot} sorts by
-     (name, labels), never by registration order. *)
-  r_mutex : Mutex.t;
 }
 
 let create ?(name = "telemetry") ?trace_capacity ?monitors_active () =
@@ -37,7 +31,6 @@ let create ?(name = "telemetry") ?trace_capacity ?monitors_active () =
     order = [];
     tracer;
     monitors;
-    r_mutex = Mutex.create ();
   }
 
 let name t = t.name
@@ -49,24 +42,19 @@ let normalize_labels labels =
 
 let find_or_add t ~name ~labels ~kind ~make ~extract =
   let key = { k_name = name; k_labels = normalize_labels labels } in
-  Mutex.lock t.r_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.r_mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.metrics key with
-      | Some m -> (
-        match extract m with
-        | Some v -> v
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Registry: metric %S already registered with a different type (%s wanted)" name
-               kind))
-      | None ->
-        let v, m = make () in
-        Hashtbl.replace t.metrics key m;
-        t.order <- key :: t.order;
-        v)
+  match Hashtbl.find_opt t.metrics key with
+  | Some m -> (
+    match extract m with
+    | Some v -> v
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Registry: metric %S already registered with a different type (%s wanted)"
+           name kind))
+  | None ->
+    let v, m = make () in
+    Hashtbl.replace t.metrics key m;
+    t.order <- key :: t.order;
+    v
 
 let counter t ?(labels = []) name =
   find_or_add t ~name ~labels ~kind:"counter"

@@ -49,33 +49,22 @@ let kind_name_of_index = function
   | 5 -> "point"
   | _ -> "note"
 
-(* The ring is sharded by Context (the calling domain's partition
-   index in a parallel simulation window): each partition records only
-   into its own sub-ring, so [record] never races and — because the
-   partition an event fires in is a property of the simulation, not of
-   the worker count — the merged event list, totals and per-kind drop
-   accounting are identical at any parallelism. Single-threaded code
-   only ever touches shard 0, which behaves exactly like the
-   pre-sharding ring. Ids are made globally unique by carrying the
-   shard index in their low bits. *)
-type shard = {
+type t = {
+  capacity : int;
   ring : event array;
   mutable next : int; (* slot for the next write *)
-  mutable total : int; (* events ever recorded in this shard *)
-  mutable next_id : int; (* per-shard route/span id sequence *)
+  mutable total : int; (* events ever recorded *)
+  mutable next_id : int; (* route/span id sequence *)
   dropped_by_kind : int array;
   mutable dropped_sum : int;
 }
 
-type t = {
-  capacity : int; (* per shard *)
-  shards : shard option array; (* Context.max_contexts slots, lazily filled *)
-}
-
 let dummy = { time = 0.0; node = -1; kind = Note "" }
 
-let new_shard capacity =
+let create ?(capacity = 4096) () =
+  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
   {
+    capacity;
     ring = Array.make (Stdlib.max 1 capacity) dummy;
     next = 0;
     total = 0;
@@ -84,96 +73,53 @@ let new_shard capacity =
     dropped_sum = 0;
   }
 
-let create ?(capacity = 4096) () =
-  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
-  let shards = Array.make Context.max_contexts None in
-  shards.(0) <- Some (new_shard capacity);
-  { capacity; shards }
-
 let enabled t = t.capacity > 0
-
-let[@inline] shard_for t =
-  let c = Context.current () in
-  match Array.unsafe_get t.shards c with
-  | Some s -> s
-  | None ->
-    (* Each context only ever writes its own slot: no race. *)
-    let s = new_shard t.capacity in
-    t.shards.(c) <- Some s;
-    s
 
 let record t ~time ~node kind =
   if t.capacity > 0 then begin
-    let s = shard_for t in
-    if s.total >= t.capacity then begin
+    if t.total >= t.capacity then begin
       (* The slot holds a still-retained event about to be lost. *)
-      let old = s.ring.(s.next) in
+      let old = t.ring.(t.next) in
       let i = kind_index old.kind in
-      s.dropped_by_kind.(i) <- s.dropped_by_kind.(i) + 1;
-      s.dropped_sum <- s.dropped_sum + 1
+      t.dropped_by_kind.(i) <- t.dropped_by_kind.(i) + 1;
+      t.dropped_sum <- t.dropped_sum + 1
     end;
-    s.ring.(s.next) <- { time; node; kind };
-    s.next <- (s.next + 1) mod t.capacity;
-    s.total <- s.total + 1
+    t.ring.(t.next) <- { time; node; kind };
+    t.next <- (t.next + 1) mod t.capacity;
+    t.total <- t.total + 1
   end
 
-(* Ids carry the recording context in their low bits so ids minted
-   concurrently by different partitions never collide and never depend
-   on scheduling. *)
 let new_route_id t =
-  let c = Context.current () in
-  let s = shard_for t in
-  let id = s.next_id in
-  s.next_id <- id + 1;
-  (id * Context.max_contexts) + c
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
 let new_span_id = new_route_id
-
-let fold f acc t =
-  Array.fold_left (fun acc s -> match s with Some s -> f acc s | None -> acc) acc t.shards
-
-let total_recorded t = fold (fun acc s -> acc + s.total) 0 t
-let dropped_total t = fold (fun acc s -> acc + s.dropped_sum) 0 t
+let total_recorded t = t.total
+let dropped_total t = t.dropped_sum
 
 let dropped t =
   let out = ref [] in
   for i = kind_count - 1 downto 0 do
-    let n = fold (fun acc s -> acc + s.dropped_by_kind.(i)) 0 t in
+    let n = t.dropped_by_kind.(i) in
     if n > 0 then out := (kind_name_of_index i, n) :: !out
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
-(* Retained events, oldest first: each shard's ring is already in
-   recording order; the shards are merged by timestamp, with the
-   shard index (then ring position) breaking ties — a fixed order, so
-   reconstruction output never depends on how many domains ran. *)
+(* Retained events, oldest first. *)
 let events t =
-  let shard_events s =
-    if t.capacity = 0 || s.total = 0 then []
-    else begin
-      let kept = Stdlib.min s.total t.capacity in
-      let start = (s.next - kept + t.capacity) mod t.capacity in
-      List.init kept (fun i -> s.ring.((start + i) mod t.capacity))
-    end
-  in
-  let populated = fold (fun acc s -> if s.total > 0 then acc + 1 else acc) 0 t in
-  if populated <= 1 then fold (fun acc s -> acc @ shard_events s) [] t
-  else
-    fold (fun acc s -> acc @ shard_events s) [] t
-    |> List.stable_sort (fun a b -> Float.compare a.time b.time)
+  if t.capacity = 0 || t.total = 0 then []
+  else begin
+    let kept = Stdlib.min t.total t.capacity in
+    let start = (t.next - kept + t.capacity) mod t.capacity in
+    List.init kept (fun i -> t.ring.((start + i) mod t.capacity))
+  end
 
 let clear t =
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Some _ when i > 0 -> t.shards.(i) <- None
-      | Some s ->
-        s.next <- 0;
-        s.total <- 0;
-        Array.fill s.dropped_by_kind 0 kind_count 0;
-        s.dropped_sum <- 0
-      | None -> ())
-    t.shards
+  t.next <- 0;
+  t.total <- 0;
+  Array.fill t.dropped_by_kind 0 kind_count 0;
+  t.dropped_sum <- 0
 
 (* --- route reconstruction --------------------------------------------- *)
 

@@ -4,14 +4,14 @@
      dune exec test/gen/gen_golden.exe -- churn > test/exp14_churn.golden
      dune exec test/gen/gen_golden.exe -- scale > test/exp15_scale.golden
 
-   See Past_experiments.Report.determinism_fixture (EXP1, sequential
-   engine) and Report.churn_fixture (EXP14, parallel engine at jobs=1)
-   for what each covers and when regeneration is legitimate. *)
+   See Past_experiments.Report.determinism_fixture (EXP1),
+   Report.churn_fixture (EXP14) and Exp_scale.route_dump (EXP15) for
+   what each covers and when regeneration is legitimate. *)
 
 let () =
   match Sys.argv with
   | [| _ |] -> print_string (Past_experiments.Report.determinism_fixture ())
-  | [| _; "churn" |] -> print_string (Past_experiments.Report.churn_fixture ~jobs:1 ())
+  | [| _; "churn" |] -> print_string (Past_experiments.Report.churn_fixture ())
   | [| _; "scale" |] -> print_string (Past_experiments.Exp_scale.route_dump ())
   | _ ->
     prerr_endline "usage: gen_golden.exe [churn|scale]";

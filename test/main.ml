@@ -12,7 +12,6 @@ let () =
       Test_crypto.suite;
       Test_id.suite;
       Test_simnet.suite;
-      Test_parallel_net.suite;
       Test_churn.suite;
       Test_telemetry.suite;
       Test_pastry_state.suite;

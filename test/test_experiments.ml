@@ -241,28 +241,19 @@ let read_golden name =
   close_in ic;
   expected
 
-let golden_churn_parallel () =
-  (* The EXP14 fixture is captured on the windowed engine at jobs=1
-     (see gen_golden.ml). The same bytes must come back at jobs=4: the
-     worker count may only change the wall clock, never the transcript.
-     This is the committed-artifact complement to the randomized
-     equivalence tests in test_parallel_net.ml. *)
+let golden_churn () =
+  (* The EXP14 fixture pins churn, failure detection, repair and the
+     probe loop end to end (see gen_golden.ml). *)
   let expected = read_golden "exp14_churn.golden" in
-  List.iter
-    (fun jobs ->
-      let actual = Past_experiments.Report.churn_fixture ~jobs () in
-      if not (String.equal actual expected) then begin
-        let n = Stdlib.min (String.length actual) (String.length expected) in
-        let rec first_diff i =
-          if i < n && actual.[i] = expected.[i] then first_diff (i + 1) else i
-        in
-        Alcotest.failf
-          "EXP14 output at jobs=%d drifted from test/exp14_churn.golden (first difference at \
-           byte %d; %d vs %d bytes). If intentional, regenerate with `dune exec \
-           test/gen/gen_golden.exe -- churn`."
-          jobs (first_diff 0) (String.length actual) (String.length expected)
-      end)
-    [ 1; 4 ]
+  let actual = Past_experiments.Report.churn_fixture () in
+  if not (String.equal actual expected) then begin
+    let n = Stdlib.min (String.length actual) (String.length expected) in
+    let rec first_diff i = if i < n && actual.[i] = expected.[i] then first_diff (i + 1) else i in
+    Alcotest.failf
+      "EXP14 output drifted from test/exp14_churn.golden (first difference at byte %d; %d vs %d \
+       bytes). If intentional, regenerate with `dune exec test/gen/gen_golden.exe -- churn`."
+      (first_diff 0) (String.length actual) (String.length expected)
+  end
 
 let golden_scale () =
   (* Pinned snapshot-builder behavior: the per-route dump over a
@@ -396,10 +387,9 @@ let malicious_success_monotone () =
     [ "malicious fraction"; "deterministic (any #retries)"; "randomized <=3 tries" ]
 
 let soak_smoke () =
-  (* The soak experiment end to end at smoke scale, on the parallel
-     engine: the mixed workload makes progress and the quiesce+repair
-     epilogue leaves every surviving file with at least one live
-     replica. *)
+  (* The soak experiment end to end at smoke scale: the mixed workload
+     makes progress and the quiesce+repair epilogue leaves every
+     surviving file with at least one live replica. *)
   let open Past_experiments.Exp_soak in
   let r =
     run
@@ -410,7 +400,6 @@ let soak_smoke () =
         mean_time_to_failure = 20_000.0;
         mean_downtime = 3_000.0;
         seed = 31;
-        net_jobs = Some 2;
       }
   in
   check Alcotest.bool "inserts attempted" true (r.inserts_attempted > 0);
@@ -439,9 +428,9 @@ let suite =
       "EXP12 balance and diversity" => balance_and_diversity;
       "EXP5/12 row-parallel --jobs byte-identical" => replica_balance_jobs_byte_identical;
       "EXP13 quota economy" => quota_economy_conserves;
-      "EXP14 churn golden at jobs 1 and 4" => golden_churn_parallel;
+      "EXP14 churn golden" => golden_churn;
       "EXP15 scale route golden" => golden_scale;
       QCheck_alcotest.to_alcotest qcheck_snapshot_equals_dynamic;
       "EXP15 snapshot/dynamic same destinations" => snapshot_dynamic_same_destinations;
-      "SOAK smoke on the parallel engine" => soak_smoke;
+      "SOAK smoke" => soak_smoke;
     ] )

@@ -332,7 +332,16 @@ let nbhd_caps_and_keeps_closest () =
   (* A closer latecomer evicts the farthest member. *)
   ignore (Neighborhood.add nb ~proximity:0.5 (Peer.make ~id:(i_id 9) ~addr:9));
   let addrs = List.sort compare (List.map (fun p -> p.Peer.addr) (Neighborhood.members nb)) in
-  check (Alcotest.list Alcotest.int) "evicted farthest" [ 1; 2; 9 ] addrs
+  check (Alcotest.list Alcotest.int) "evicted farthest" [ 1; 2; 9 ] addrs;
+  (* A full set refuses a newcomer tied with its farthest entry. *)
+  check Alcotest.bool "tie with farthest refused" false
+    (Neighborhood.add nb ~proximity:2.0 (Peer.make ~id:(i_id 10) ~addr:10));
+  let empty =
+    Neighborhood.create ~config:{ Config.default with Config.neighborhood_size = 0 } ~own:(i_id 0)
+      ()
+  in
+  check Alcotest.bool "size-0 set refuses" false
+    (Neighborhood.add empty ~proximity:1.0 (Peer.make ~id:(i_id 1) ~addr:1))
 
 let nbhd_dedup_and_remove () =
   let nb = Neighborhood.create ~config:Config.default ~own:(i_id 0) () in

@@ -108,6 +108,20 @@ let run_until_bounds () =
   Net.run net;
   check Alcotest.bool "fires later" true !fired
 
+let run_until_never_rewinds () =
+  let net = make_net () in
+  (* A far-future event keeps the queue non-empty, so each [run ~until]
+     stops at its limit rather than draining. *)
+  Net.schedule net ~delay:1_000.0 (fun () -> ());
+  Net.run ~until:100.0 net;
+  check (Alcotest.float 1e-9) "clock at first horizon" 100.0 (Net.now net);
+  Net.run ~until:40.0 net;
+  check (Alcotest.float 1e-9) "earlier horizon leaves the clock" 100.0 (Net.now net);
+  let fired_at = ref nan in
+  Net.schedule net ~delay:5.0 (fun () -> fired_at := Net.now net);
+  Net.run ~until:200.0 net;
+  check (Alcotest.float 1e-9) "thunk due at old now + delay" 105.0 !fired_at
+
 let dead_node_drops () =
   let net = make_net () in
   let got = ref 0 in
@@ -402,6 +416,7 @@ let suite =
       "time ordering" => time_ordering;
       "clock advances" => clock_advances;
       "run ~until bounds" => run_until_bounds;
+      "run ~until never rewinds the clock" => run_until_never_rewinds;
       "dead node drops" => dead_node_drops;
       "latency proportional" => latency_proportional_to_proximity;
       "loss rate statistical" => loss_rate_statistical;
