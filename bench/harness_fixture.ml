@@ -86,13 +86,7 @@ let cache_cycle_once () =
 let overlay ?trace_capacity n : probe Overlay.t =
   let ov = Overlay.create ?trace_capacity ~seed:42 () in
   Overlay.build_static ov ~n;
-  Overlay.install_apps ov (fun _ ->
-      {
-        PNode.deliver = (fun ~key:_ _ _ -> ());
-        forward = (fun ~key:_ _ _ -> `Continue);
-        on_direct = (fun ~from:_ _ -> ());
-        on_leaf_change = (fun () -> ());
-      });
+  Overlay.install_apps ov (fun _ -> Past_experiments.Harness.null_app);
   ov
 
 let route_once ov =

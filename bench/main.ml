@@ -397,7 +397,7 @@ let run_macro () =
             let sv : unit Past_pastry.Overlay.t =
               Past_pastry.Overlay.create ~trace_capacity:0 ~seed:42 ()
             in
-            Past_pastry.Overlay.build_snapshot sv ~n;
+            Past_pastry.Overlay.build_static ~dynamic_tail:0.01 sv ~n;
             sv)
       in
       Gc.compact ();

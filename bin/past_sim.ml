@@ -17,12 +17,28 @@ module Domain_pool = Past_stdext.Domain_pool
 
 let experiment_names = List.map fst Past_experiments.Report.all
 
+(* [conv] restricted to the values [ok] admits; a rejected value is a
+   usage error that names it. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ | Error _ -> Error (Printf.sprintf "%S: expected %s" s expected)
+  in
+  Arg.conv' (parse, Arg.conv_printer conv)
+
+let positive_float =
+  checked Arg.float ~expected:"a positive number" (fun f -> f > 0.0 && Float.is_finite f)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun j -> j >= 1)
+let fraction = checked Arg.float ~expected:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+
 let scale_arg =
   let doc =
     "Sampling-effort multiplier (lookup counts, trials). 0.2 is a quick smoke pass, 1.0 the \
      EXPERIMENTS.md numbers."
   in
-  Arg.(value & opt (some float) None & info [ "s"; "scale" ] ~docv:"FACTOR" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "s"; "scale" ] ~docv:"FACTOR" ~doc)
 
 let json_arg =
   let doc = "Emit results as JSON (one object per experiment, with its tables) on stdout." in
@@ -42,19 +58,7 @@ let jobs_arg =
      else the runtime's recommended domain count). Results merge in submission order, so the \
      output is byte-identical for any $(docv)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let apply_scale scale =
-  match scale with
-  | Some f when f > 0.0 -> Unix.putenv "PAST_SCALE" (string_of_float f)
-  | Some _ -> prerr_endline "ignoring non-positive --scale"
-  | None -> ()
-
-let apply_jobs jobs =
-  match jobs with
-  | Some j when j >= 1 -> Domain_pool.set_jobs j
-  | Some _ -> prerr_endline "ignoring non-positive --jobs"
-  | None -> ()
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let monitors_arg =
   let doc =
@@ -64,7 +68,19 @@ let monitors_arg =
   in
   Arg.(value & flag & info [ "monitors" ] ~doc)
 
-let apply_monitors monitors = if monitors then Unix.putenv "PAST_MONITORS" "1"
+(* Flags override the environment; the PAST_SCALE and PAST_JOBS the
+   libraries read are then parsed once up front, so a malformed value is
+   a usage error naming it, not a crash or a silent fallback mid-run. *)
+let setup ?scale ?jobs monitors =
+  Option.iter (fun f -> Unix.putenv "PAST_SCALE" (string_of_float f)) scale;
+  Option.iter Domain_pool.set_jobs jobs;
+  if monitors then Unix.putenv "PAST_MONITORS" "1";
+  try
+    ignore (Past_experiments.Report.scale () : float);
+    ignore (Domain_pool.current_jobs () : int)
+  with Invalid_argument msg ->
+    prerr_endline ("past_sim: " ^ msg);
+    exit 2
 
 (* Exit nonzero when any monitor in any system (including systems run
    on pool domains) recorded a violation. *)
@@ -96,9 +112,7 @@ let write_chrome_trace ~out registry =
 let run_cmd name =
   let doc = Printf.sprintf "Run the %s experiment and print its table(s)." name in
   let f scale jobs json trace monitors =
-    apply_scale scale;
-    apply_jobs jobs;
-    apply_monitors monitors;
+    setup ?scale ?jobs monitors;
     Past_experiments.Report.run_named ~json ~trace name;
     check_monitors monitors
   in
@@ -108,9 +122,7 @@ let run_cmd name =
 let all_cmd =
   let doc = "Run every experiment (regenerates all tables)." in
   let f scale jobs json trace monitors =
-    apply_scale scale;
-    apply_jobs jobs;
-    apply_monitors monitors;
+    setup ?scale ?jobs monitors;
     ignore (Past_experiments.Report.run_all ~json ~trace () : (string * float) list);
     check_monitors monitors
   in
@@ -159,8 +171,7 @@ let churn_cmd =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let f scale json rate duration seed monitors trace_out =
-    apply_scale scale;
-    apply_monitors monitors;
+    setup ?scale monitors;
     let p = Exp_churn.default_params in
     let p =
       {
@@ -234,7 +245,7 @@ let megastore_cmd =
     Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let f json files nodes store seed monitors =
-    apply_monitors monitors;
+    setup monitors;
     let store_backend =
       match store with
       | Some `Mem -> Store.Mem
@@ -290,7 +301,7 @@ let scale_cmd =
       "Fraction of each overlay joining through the real \194\1672.2 protocol rather than \
        the snapshot (default 0.01)."
     in
-    Arg.(value & opt float 0.01 & info [ "tail" ] ~docv:"F" ~doc)
+    Arg.(value & opt fraction 0.01 & info [ "tail" ] ~docv:"F" ~doc)
   in
   let seed_arg =
     let doc = "RNG seed (default 15); runs are a pure function of it." in
@@ -324,7 +335,6 @@ let scale_cmd =
         Exp_scale.ns = parse_ns ns ~points;
         lookups;
         dynamic_tail = tail;
-        rt_samples = 8;
         seed;
         hop_tolerance = tolerance;
       }

@@ -20,7 +20,6 @@ module PNode = Past_pastry.Node
 module Net = Past_simnet.Net
 module Stats = Past_stdext.Stats
 module Rng = Past_stdext.Rng
-module Splitmix = Past_stdext.Splitmix
 module Text_table = Past_stdext.Text_table
 module Domain_pool = Past_stdext.Domain_pool
 module Id = Past_id.Id
@@ -57,9 +56,10 @@ let mean_pairwise_proximity net addrs =
     addrs;
   Stats.mean s
 
-(* One trial: an isolated system (own Splitmix-derived seeds for the
-   build and for the client/file stream) that runs the full insert
-   phase and a share of the diversity samples. Each trial is a pure
+(* One trial: an isolated system (the system's seed and the
+   client/file stream both drawn from the stream [Rng.derive] gives the
+   trial index) that runs the full insert phase and a share of the
+   diversity samples. Each trial is a pure
    function of (params.seed, trial index), so trials fan out over the
    domain pool; the merge concatenates samples in trial order, keeping
    the output byte-identical at any --jobs. *)
@@ -73,14 +73,14 @@ let run_trial params ~trial ~diversity_samples =
       cache_on_lookup_path = false;
     }
   in
+  let trial_rng = Rng.derive (Rng.create params.seed) ~salt:trial in
   let sys =
-    System.create ~node_config ~build:`Static
-      ~seed:(Splitmix.stream_seed ~seed:params.seed ~stream:(2 * trial))
+    System.create ~node_config ~build:`Static ~seed:(Int64.to_int (Rng.bits64 trial_rng))
       ~n:params.n
       ~node_capacity:(fun _ _ -> max_int / 4)
       ()
   in
-  let rng = Splitmix.stream ~seed:params.seed ~stream:((2 * trial) + 1) in
+  let rng = Rng.split trial_rng in
   let clients = Array.init 10 (fun _ -> System.new_client sys ~verify:false ~quota:max_int ()) in
   for i = 1 to params.files do
     let client = clients.(Rng.int rng (Array.length clients)) in

@@ -22,7 +22,6 @@ module Neighborhood = Past_pastry.Neighborhood
 module Id = Past_id.Id
 module Net = Past_simnet.Net
 module Rng = Past_stdext.Rng
-module Splitmix = Past_stdext.Splitmix
 module Text_table = Past_stdext.Text_table
 module Domain_pool = Past_stdext.Domain_pool
 
@@ -52,15 +51,15 @@ let known_replicas node replicas =
     Hashtbl.replace known (Node.addr node) ();
   Hashtbl.fold (fun a () acc -> a :: acc) known []
 
-(* One trial: an isolated overlay (own Splitmix-derived seed, own RNG
-   stream, own net) measuring [lookups] redirect ranks. The trial is a
-   pure function of (params.seed, trial index), so trials fan out over
-   the domain pool and merge in submission order — byte-identical
-   output at any --jobs. *)
+(* One trial: an isolated overlay (own seed drawn from the stream
+   [Rng.derive] gives the trial index, own RNG stream, own net)
+   measuring [lookups] redirect ranks. The trial is a pure function of
+   (params.seed, trial index), so trials fan out over the domain pool
+   and merge in submission order — byte-identical output at any
+   --jobs. *)
 let run_trial params ~trial ~lookups =
-  let overlay : Harness.probe Overlay.t =
-    Overlay.create ~seed:(Splitmix.stream_seed ~seed:params.seed ~stream:trial) ()
-  in
+  let seed = Int64.to_int (Rng.bits64 (Rng.derive (Rng.create params.seed) ~salt:trial)) in
+  let overlay : Harness.probe Overlay.t = Overlay.create ~seed () in
   Overlay.build_static ~rt_samples:64 overlay ~n:params.n;
   let net = Overlay.net overlay in
   let rng = Overlay.rng overlay in

@@ -39,7 +39,6 @@ type params = {
   ns : int list;  (** sweep sizes, ascending *)
   lookups : int;  (** random lookups per N *)
   dynamic_tail : float;  (** fraction of nodes joining via the §2.2 protocol *)
-  rt_samples : int;
   seed : int;
   hop_tolerance : float;  (** fitted hop slope must lie in [1 − tol, 1 + tol/4] *)
 }
@@ -49,7 +48,6 @@ let default_params =
     ns = [ 2_000; 6_325; 20_000; 63_246; 100_000 ];
     lookups = 1_000;
     dynamic_tail = 0.01;
-    rt_samples = 8;
     seed = 15;
     hop_tolerance = 0.45;
   }
@@ -109,8 +107,7 @@ let run_one ~config ~params n =
   let overlay : Harness.probe Overlay.t =
     Overlay.create ~config ~trace_capacity:0 ~seed:(params.seed + n) ()
   in
-  Overlay.build_snapshot ~rt_samples:params.rt_samples ~dynamic_tail:params.dynamic_tail
-    overlay ~n;
+  Overlay.build_static ~dynamic_tail:params.dynamic_tail overlay ~n;
   let build_s = Unix.gettimeofday () -. t0 in
   let bytes_per_node = (live_words () - words0) * (Sys.word_size / 8) / n in
   let state = Stats.create () in
@@ -181,7 +178,7 @@ let fits_table { hop_fit; state_fit; hop_ok; state_ok; _ } =
    wall clock and memory: golden bytes must be stable. *)
 let route_dump ?(n = 300) ?(lookups = 60) ?(seed = 15) () =
   let overlay : Harness.probe Overlay.t = Overlay.create ~trace_capacity:0 ~seed () in
-  Overlay.build_snapshot overlay ~n;
+  Overlay.build_static ~dynamic_tail:0.01 overlay ~n;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "EXP15 route golden (n=%d lookups=%d seed=%d, snapshot builder)\n" n

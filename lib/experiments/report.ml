@@ -3,8 +3,9 @@
 
    PAST_SCALE (default 1.0) multiplies the sampling effort (lookup
    counts, trials) of each experiment: 0.2 gives a fast smoke pass,
-   1.0 the EXPERIMENTS.md numbers. Structural parameters (network
-   sizes, k, thresholds) are never scaled — they define the experiment.
+   1.0 the EXPERIMENTS.md numbers; anything but a positive number is
+   rejected. Structural parameters (network sizes, k, thresholds) are
+   never scaled — they define the experiment.
 
    Each experiment produces named tables; [run_all]/[run_named] render
    them as text (the default) or as machine-readable JSON, and can
@@ -19,8 +20,11 @@ module Trace = Past_telemetry.Trace
 
 let scale () =
   match Sys.getenv_opt "PAST_SCALE" with
-  | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 1.0)
-  | None -> 1.0
+  | None | Some "" -> 1.0
+  | Some s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some f when f > 0.0 && Float.is_finite f -> f
+    | _ -> invalid_arg (Printf.sprintf "PAST_SCALE=%S: expected a positive number" s))
 
 let s_int ?(min_value = 10) base =
   Stdlib.max min_value (int_of_float (float_of_int base *. scale ()))

@@ -268,8 +268,8 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
   in
   t.nodes <- Array.init n make_node;
   (match build with
-  | `Static -> Overlay.populate_static overlay
-  | `Dynamic -> Overlay.join_all_dynamic overlay);
+  | `Static -> Overlay.build_static overlay ~n:0
+  | `Dynamic -> Overlay.build_dynamic overlay ~n:0);
   Overlay.run overlay;
   install_monitors t;
   t

@@ -7,19 +7,24 @@ type 'a t = {
   net : 'a Message.t Net.t;
   config : Config.t;
   rng : Rng.t;
-  mutable nodes_rev : 'a Node.t list; (* newest first *)
+  (* Every node in insertion order ([all.(0 .. count-1)]; the array
+     grows by doubling). The overlay owns its network, so a node's
+     address is its insertion index and [all] is also the address
+     table. The first [built] nodes are part of the overlay —
+     snapshot-populated or joined — and are the bootstrap candidates of
+     the next join; the rest are registered but not yet built. *)
+  mutable all : 'a Node.t array;
   mutable count : int;
-  mutable nodes_cache : 'a Node.t array option;
-  (* Dense address → node table (addresses are the simulator's small
-     ints) and the overlay-wide peer directory / telemetry bundle
-     shared by every node's compact state. [shared] is created at the
-     first node so registry rows appear exactly when they always
-     did. *)
-  mutable by_addr : 'a Node.t option array;
+  mutable built : int;
+  (* Exact-length copies, rebuilt when a node was added since (nodes
+     are never removed, so a stale copy is one shorter than [count]). *)
+  mutable nodes_cache : 'a Node.t array;
+  mutable sorted : 'a Node.t array; (* by id *)
+  (* The overlay-wide peer directory / telemetry bundle shared by every
+     node's compact state. [shared] is created at the first node so
+     registry rows appear exactly when they always did. *)
   dir : Directory.t;
   mutable shared : Node.shared option;
-  mutable sorted : 'a Node.t array; (* by id; rebuilt lazily *)
-  mutable sorted_valid : bool;
   (* Live-node array in insertion order, revalidated against the
      network's liveness epoch and the node count: [random_live_node]
      and [live_nodes] run per lookup in every experiment, so they must
@@ -35,22 +40,14 @@ let rng t = t.rng
 let registry t = Net.registry t.net
 
 let nodes t =
-  match t.nodes_cache with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.rev t.nodes_rev) in
-    t.nodes_cache <- Some a;
-    a
+  if Array.length t.nodes_cache <> t.count then t.nodes_cache <- Array.sub t.all 0 t.count;
+  t.nodes_cache
 
 let node_count t = t.count
 
-let by_addr_find t addr =
-  if addr >= 0 && addr < Array.length t.by_addr then t.by_addr.(addr) else None
-
 let node_by_addr t addr =
-  match by_addr_find t addr with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Overlay.node_by_addr: unknown address %d" addr)
+  if addr >= 0 && addr < t.count then t.all.(addr)
+  else invalid_arg (Printf.sprintf "Overlay.node_by_addr: unknown address %d" addr)
 
 let add_node_with_id t ~id =
   let shared =
@@ -64,27 +61,23 @@ let add_node_with_id t ~id =
   let node =
     Node.create ~dir:t.dir ~shared ~net:t.net ~config:t.config ~rng:(Rng.split t.rng) ~id ()
   in
-  t.nodes_rev <- node :: t.nodes_rev;
+  assert (Node.addr node = t.count);
+  if t.count = Array.length t.all then begin
+    let fresh = Array.make (Stdlib.max 16 (2 * t.count)) node in
+    Array.blit t.all 0 fresh 0 t.count;
+    t.all <- fresh
+  end;
+  t.all.(t.count) <- node;
   t.count <- t.count + 1;
-  t.nodes_cache <- None;
-  let addr = Node.addr node in
-  (if addr >= Array.length t.by_addr then begin
-     let fresh = Array.make (Stdlib.max (addr + 1) (Stdlib.max 1024 (2 * Array.length t.by_addr))) None in
-     Array.blit t.by_addr 0 fresh 0 (Array.length t.by_addr);
-     t.by_addr <- fresh
-   end);
-  t.by_addr.(addr) <- Some node;
-  t.sorted_valid <- false;
   node
 
 let add_node t = add_node_with_id t ~id:(Id.random t.rng ~width:Id.node_bits)
 
 let sorted_nodes t =
-  if not t.sorted_valid then begin
+  if Array.length t.sorted <> t.count then begin
     let s = Array.copy (nodes t) in
     Array.sort (fun a b -> Id.compare (Node.id a) (Node.id b)) s;
-    t.sorted <- s;
-    t.sorted_valid <- true
+    t.sorted <- s
   end;
   t.sorted
 
@@ -98,7 +91,7 @@ let alive t node = Net.alive t.net (Node.addr node)
 let live_array t =
   let epoch = Net.liveness_epoch t.net in
   if t.live_epoch <> epoch || t.live_count_at <> t.count then begin
-    t.live <- Array.of_list (List.filter (alive t) (List.rev t.nodes_rev));
+    t.live <- Array.of_list (List.filter (alive t) (Array.to_list (nodes t)));
     t.live_epoch <- epoch;
     t.live_count_at <- t.count
   end;
@@ -155,17 +148,13 @@ let install_monitors t =
              or the member legitimately excluding it — ends the
              episode. *)
           let asymmetric holder_addr member_addr =
-            match
-              (by_addr_find t holder_addr, by_addr_find t member_addr)
-            with
-            | Some holder, Some member
-              when Net.alive t.net holder_addr
-                   && Net.alive t.net member_addr
-                   && Node.joined holder && Node.joined member
-                   && Leaf_set.mem_addr (Node.leaf_set holder) member_addr ->
-              (not (Leaf_set.mem_addr (Node.leaf_set member) holder_addr))
-              && Leaf_set.covers (Node.leaf_set member) (Node.id holder)
-            | _ -> false
+            let holder = t.all.(holder_addr) and member = t.all.(member_addr) in
+            Net.alive t.net holder_addr
+            && Net.alive t.net member_addr
+            && Node.joined holder && Node.joined member
+            && Leaf_set.mem_addr (Node.leaf_set holder) member_addr
+            && (not (Leaf_set.mem_addr (Node.leaf_set member) holder_addr))
+            && Leaf_set.covers (Node.leaf_set member) (Node.id holder)
           in
           let fault = ref None in
           let resolved =
@@ -224,14 +213,13 @@ let create ?(config = Config.default) ?topology ?(loss_rate = 0.0) ?trace_capaci
       net;
       config;
       rng;
-      nodes_rev = [];
+      all = [||];
       count = 0;
-      nodes_cache = None;
-      by_addr = [||];
+      built = 0;
+      nodes_cache = [||];
       dir = Directory.create ();
       shared = None;
       sorted = [||];
-      sorted_valid = true;
       live = [||];
       live_epoch = -1;
       live_count_at = -1;
@@ -252,15 +240,23 @@ let random_live_node t =
 (* The k circularly-nearest live nodes lie among the k nearest live
    nodes in each ring direction from the key's insertion point, so
    collect k live per side and sort by circular distance. *)
+(* Index of the first node in id order whose id is not below [key]
+   ([~inclusive]: not at or below it). *)
+let search ?(inclusive = false) t key =
+  let s = sorted_nodes t in
+  let a = ref 0 and b = ref (Array.length s) in
+  while !a < !b do
+    let mid = (!a + !b) / 2 in
+    let c = Id.compare (Node.id s.(mid)) key in
+    if c < 0 || (inclusive && c = 0) then a := mid + 1 else b := mid
+  done;
+  !a
+
 let nearest_live t key ~k =
   let s = sorted_nodes t in
   let n = Array.length s in
   if n = 0 then invalid_arg "Overlay.nearest_live: empty overlay";
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Id.compare (Node.id s.(mid)) key < 0 then lo := mid + 1 else hi := mid
-  done;
+  let lo = search t key in
   let candidates = Hashtbl.create (4 * k) in
   let collect start step =
     let found = ref 0 and visited = ref 0 and idx = ref start in
@@ -276,8 +272,8 @@ let nearest_live t key ~k =
       incr visited
     done
   in
-  collect !lo 1;
-  collect (!lo - 1) (-1);
+  collect lo 1;
+  collect (lo - 1) (-1);
   Hashtbl.fold (fun _ node acc -> node :: acc) candidates []
   |> List.sort (fun a b -> Id.closer ~target:key (Node.id a) (Node.id b))
   |> List.filteri (fun i _ -> i < k)
@@ -317,28 +313,9 @@ let prefix_bounds ~b id r col =
   Bytes.set hi full_bytes (Char.chr hi_byte);
   (Id.of_bytes lo, Id.of_bytes hi)
 
-let range_of t lo hi =
-  let s = sorted_nodes t in
-  let n = Array.length s in
-  let lower key =
-    let a = ref 0 and b = ref n in
-    while !a < !b do
-      let mid = (!a + !b) / 2 in
-      if Id.compare (Node.id s.(mid)) key < 0 then a := mid + 1 else b := mid
-    done;
-    !a
-  in
-  let upper key =
-    let a = ref 0 and b = ref n in
-    while !a < !b do
-      let mid = (!a + !b) / 2 in
-      if Id.compare (Node.id s.(mid)) key <= 0 then a := mid + 1 else b := mid
-    done;
-    !a
-  in
-  (lower lo, upper hi)
+let range_of t lo hi = (search t lo, search ~inclusive:true t hi)
 
-let populate_static ?(locality = true) ?(rt_samples = 8) t =
+let populate ~locality ~rt_samples t =
   let s = sorted_nodes t in
   let total = Array.length s in
   let b = t.config.Config.b in
@@ -408,101 +385,65 @@ let populate_static ?(locality = true) ?(rt_samples = 8) t =
       done)
     s
 
-let build_static ?locality ?rt_samples t ~n =
-  for _ = 1 to n do
-    ignore (add_node t)
-  done;
-  populate_static ?locality ?rt_samples t
-
-(* The joiner contacts a nearby node (§2.2): proximally closest of a
-   random sample of the [ncand] candidates. [None] iff there are no
-   candidates (first node: an overlay of one). *)
-let pick_bootstrap ?(bootstrap_sample = 16) t node candidates ncand =
-  if ncand = 0 then None
-  else begin
-    let best = ref candidates.(Rng.int t.rng ncand) in
-    let best_d = ref (Net.proximity t.net (Node.addr node) (Node.addr !best)) in
-    for _ = 2 to Stdlib.min bootstrap_sample ncand do
-      let c = candidates.(Rng.int t.rng ncand) in
-      let d = Net.proximity t.net (Node.addr node) (Node.addr c) in
-      if d < !best_d then begin
-        best := c;
-        best_d := d
-      end
-    done;
-    Some !best
-  end
-
-(* Join [node] through a bootstrap drawn from [existing] — nodes that
-   are already part of the overlay. [run] (default true) drains the
-   network to quiescence afterwards; batched builders defer that to
-   amortize the drain over several joins. *)
-let join_via ?bootstrap_sample ?(run = true) t node existing =
-    let candidates = Array.of_list existing in
-    (match pick_bootstrap ?bootstrap_sample t node candidates (Array.length candidates) with
-    | None -> ()
-    | Some best -> Node.join node ~bootstrap:(Node.addr best));
-    if run then Net.run t.net
-
-let build_dynamic ?bootstrap_sample ?(quiesce_every = 1) t ~n =
+(* The joiner contacts a nearby node (§2.2): the proximally closest of
+   a sample of 16 random draws among the built nodes, then the network
+   drains to quiescence every [quiesce_every] joins and after the last.
+   Candidate r of a draw is the r-th newest built node on the dynamic
+   path and the r-th oldest on the snapshot tail — the two historical
+   orders, which the EXP14 and EXP15 goldens pin. Joining the very first
+   node only marks it built: it is an overlay of one. *)
+let join_pending ~newest ?(quiesce_every = 1) t ~joins =
   let q = Stdlib.max 1 quiesce_every in
-  for i = 1 to n do
-    let node = add_node t in
-    let existing = List.filter (fun m -> Node.addr m <> Node.addr node) t.nodes_rev in
-    join_via ?bootstrap_sample ~run:(i mod q = 0 || i = n) t node existing
+  let pending = t.count - t.built in
+  let total = pending + joins in
+  for i = 1 to total do
+    if i > pending then ignore (add_node t);
+    let node = t.all.(t.built) in
+    let ncand = t.built in
+    if ncand > 0 then begin
+      let cand r = t.all.(if newest then ncand - 1 - r else r) in
+      let best = ref (cand (Rng.int t.rng ncand)) in
+      let best_d = ref (Net.proximity t.net (Node.addr node) (Node.addr !best)) in
+      for _ = 2 to Stdlib.min 16 ncand do
+        let c = cand (Rng.int t.rng ncand) in
+        let d = Net.proximity t.net (Node.addr node) (Node.addr c) in
+        if d < !best_d then begin
+          best := c;
+          best_d := d
+        end
+      done;
+      Node.join node ~bootstrap:(Node.addr !best)
+    end;
+    t.built <- t.built + 1;
+    if i mod q = 0 || i = total then Net.run t.net
   done
 
-(* Snapshot bootstrap — the mega-scale builder (DESIGN.md §8). All but
-   a small dynamic tail of the nodes get their state directly from the
-   static snapshot: exact leaf sets from ring order and routing cells
-   filled with proximity-sampled prefix matches — the fixed point the
-   §2.2 join protocol converges to. The tail then joins through the
-   real message-driven protocol against the snapshot base, so the join
-   path stays exercised at every scale and the snapshot's claim to be
-   that fixed point is re-validated on every build. *)
-let build_snapshot ?locality ?rt_samples ?(dynamic_tail = 0.01) ?bootstrap_sample
-    ?(quiesce_every = 1) t ~n =
-  if n <= 0 then invalid_arg "Overlay.build_snapshot: n must be positive";
-  if dynamic_tail < 0.0 || dynamic_tail > 1.0 then
-    invalid_arg "Overlay.build_snapshot: dynamic_tail must be in [0, 1]";
+(* Snapshot bootstrap (DESIGN.md §8): every node gets its state
+   directly from the sorted id space — exact leaf sets from ring order
+   and routing cells filled with proximity-sampled prefix matches, the
+   fixed point the §2.2 join protocol converges to. A [dynamic_tail]
+   then joins through the real message-driven protocol against that
+   base, so the join path stays exercised at every scale and the
+   snapshot's claim to be the fixed point is re-validated. *)
+let build_static ?(locality = true) ?(rt_samples = 8) ?(dynamic_tail = 0.0) t ~n =
+  if n < 0 then invalid_arg (Printf.sprintf "Overlay.build_static: n = %d is negative" n);
+  if not (dynamic_tail >= 0.0 && dynamic_tail <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Overlay.build_static: dynamic_tail %g is outside [0, 1]" dynamic_tail);
   let tail =
-    Stdlib.min n (Stdlib.max 1 (int_of_float (dynamic_tail *. float_of_int n)))
+    if dynamic_tail = 0.0 then 0
+    else Stdlib.min n (Stdlib.max 1 (int_of_float (dynamic_tail *. float_of_int n)))
   in
   for _ = 1 to n - tail do
     ignore (add_node t)
   done;
-  populate_static ?locality ?rt_samples t;
-  (* Tail joins bootstrap from a candidate array grown incrementally:
-     the per-join exclude-self list filter [build_dynamic] affords at
-     experiment scale would cost O(tail·N) here. *)
-  let q = Stdlib.max 1 quiesce_every in
-  let cand = ref (Array.of_list (List.rev t.nodes_rev)) in
-  let ncand = ref (Array.length !cand) in
-  for i = 1 to tail do
-    let node = add_node t in
-    (match pick_bootstrap ?bootstrap_sample t node !cand !ncand with
-    | None -> ()
-    | Some best -> Node.join node ~bootstrap:(Node.addr best));
-    if i mod q = 0 || i = tail then Net.run t.net;
-    if !ncand = Array.length !cand then begin
-      let fresh = Array.make (Stdlib.max 16 (2 * !ncand)) node in
-      Array.blit !cand 0 fresh 0 !ncand;
-      cand := fresh
-    end;
-    !cand.(!ncand) <- node;
-    incr ncand
-  done
+  populate ~locality ~rt_samples t;
+  t.built <- t.count;
+  join_pending ~newest:false t ~joins:tail
 
-let join_all_dynamic ?bootstrap_sample t =
-  (* Nodes were pre-registered; only the ones already processed are
-     part of the overlay and eligible as bootstraps. *)
-  ignore
-    (List.fold_left
-       (fun joined node ->
-         join_via ?bootstrap_sample t node joined;
-         node :: joined)
-       []
-       (List.rev t.nodes_rev))
+let build_dynamic ?quiesce_every t ~n =
+  if n < 0 then invalid_arg (Printf.sprintf "Overlay.build_dynamic: n = %d is negative" n);
+  join_pending ~newest:true ?quiesce_every t ~joins:n
 
 let kill t node = Net.set_alive t.net (Node.addr node) false
 

@@ -3,11 +3,13 @@
     Two builders are provided. [build_dynamic] performs real
     message-driven joins through the §2.2 protocol — this is what the
     maintenance-cost and churn experiments exercise. [build_static]
-    constructs the same invariants directly from global knowledge
-    (exact leaf sets; routing-table cells filled with a
-    proximity-closest candidate), the standard technique for simulating
-    Pastry at 10^4–10^5 nodes; a test asserts both builders converge to
-    the same invariants. *)
+    writes down the state that protocol converges to, directly from
+    global knowledge (exact leaf sets; routing-table cells filled with
+    a proximity-closest candidate) — the standard technique for
+    simulating Pastry at 10^4–10^6 nodes — optionally followed by a
+    tail of protocol joins; a test asserts both builders converge to
+    the same invariants. Both bootstrap each protocol join from the
+    nodes built before it. *)
 
 type 'a t
 
@@ -37,55 +39,43 @@ val registry : 'a t -> Past_telemetry.Registry.t
 
 val add_node : 'a t -> 'a Node.t
 (** Create a node with a random nodeId, registered on the network but
-    with empty tables and not joined to anything. *)
+    with empty tables and not joined to anything. The next builder call
+    builds it: [build_static ~n:0] populates it by snapshot,
+    [build_dynamic ~n:0] joins it through the protocol. *)
 
 val add_node_with_id : 'a t -> id:Past_id.Id.t -> 'a Node.t
 (** Same, with a caller-supplied nodeId (PAST derives nodeIds from
     smartcard keys). *)
 
-val build_static : ?locality:bool -> ?rt_samples:int -> 'a t -> n:int -> unit
-(** Add [n] nodes and populate all nodes with globally consistent
-    state. [locality] (default true) selects the proximally closest of
-    [rt_samples] (default 8) candidates per routing cell, modelling
-    Pastry's locality heuristic; [locality:false] picks uniformly — the
-    "no network locality" (Chord-like) baseline. *)
+val build_static :
+  ?locality:bool -> ?rt_samples:int -> ?dynamic_tail:float -> 'a t -> n:int -> unit
+(** Add [n] nodes and write snapshot state into every node of the
+    overlay (DESIGN.md §8): exact leaf sets from the sorted id space,
+    each routing cell filled from its prefix class, neighborhoods from
+    a proximity sample. [locality] (default true) selects the
+    proximally closest of [rt_samples] (default 8) candidates per
+    routing cell, modelling Pastry's locality heuristic;
+    [locality:false] picks uniformly — the "no network locality"
+    (Chord-like) baseline.
 
-val populate_static : ?locality:bool -> ?rt_samples:int -> 'a t -> unit
-(** Populate the already-added nodes (see {!build_static}). *)
+    A [dynamic_tail] fraction of the [n] new nodes (default 0: none;
+    any positive fraction means at least one node) is then joined
+    through the §2.2 protocol as in {!build_dynamic}, so join code
+    stays exercised at any scale. Raises [Invalid_argument] naming the
+    value when [dynamic_tail] is outside \[0, 1\] or [n] is negative. *)
 
-val join_all_dynamic : ?bootstrap_sample:int -> 'a t -> unit
-(** Join every already-added node sequentially through the §2.2
-    protocol (see {!build_dynamic}). *)
-
-val build_dynamic : ?bootstrap_sample:int -> ?quiesce_every:int -> 'a t -> n:int -> unit
-(** Grow the overlay by [n] sequential joins, each bootstrapped from
-    the proximally closest of [bootstrap_sample] (default 16) existing
-    nodes (the paper assumes the joiner contacts a nearby node).
-    [quiesce_every] (default 1) drains the network to quiescence every
-    that many joins (and always after the last): 1 gives the fully
-    sequential historical behaviour; larger batches amortize the drain
-    when the overlay is a throwaway fixture, at the price of joiners
-    mid-batch bootstrapping through nodes whose own joins are still in
-    flight. Deterministic for any value. *)
-
-val build_snapshot :
-  ?locality:bool ->
-  ?rt_samples:int ->
-  ?dynamic_tail:float ->
-  ?bootstrap_sample:int ->
-  ?quiesce_every:int ->
-  'a t ->
-  n:int ->
-  unit
-(** Mega-scale builder (100k–1M nodes): all but a [dynamic_tail]
-    fraction (default 0.01, at least one node) of the [n] nodes are
-    built by snapshot — state written directly from the sorted id
-    space and topology coordinates, the fixed point the §2.2 join
-    protocol converges to (DESIGN.md §8) — and the tail then joins
-    through the real message-driven protocol, so join code stays
-    exercised at every scale. [locality]/[rt_samples] as in
-    {!build_static}; [bootstrap_sample]/[quiesce_every] govern the
-    tail as in {!build_dynamic}. *)
+val build_dynamic : ?quiesce_every:int -> 'a t -> n:int -> unit
+(** Join every registered but not yet built node through the §2.2
+    protocol, in insertion order, then grow the overlay by [n] more
+    sequential joins. Each join bootstraps from the proximally closest
+    of 16 random draws among the nodes built before it (the paper
+    assumes the joiner contacts a nearby node). [quiesce_every]
+    (default 1) drains the network to quiescence every that many joins
+    (and always after the last): 1 gives the fully sequential
+    behaviour; larger batches amortize the drain when the overlay is a
+    throwaway fixture, at the price of joiners mid-batch bootstrapping
+    through nodes whose own joins are still in flight. Deterministic
+    for any value. *)
 
 val install_apps : 'a t -> ('a Node.t -> 'a Node.app) -> unit
 (** Attach an application to every current node. *)

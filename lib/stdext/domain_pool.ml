@@ -30,11 +30,11 @@ let recommended () = Domain.recommended_domain_count ()
 
 let default_jobs () =
   match Sys.getenv_opt "PAST_JOBS" with
+  | None | Some "" -> recommended ()
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some j when j >= 1 -> Stdlib.min j max_jobs
-    | Some _ | None -> recommended ())
-  | None -> recommended ()
+    | _ -> invalid_arg (Printf.sprintf "PAST_JOBS=%S: expected a positive integer" s))
 
 let jobs pool = pool.jobs
 

@@ -22,8 +22,9 @@ val recommended : unit -> int
 
 val default_jobs : unit -> int
 (** Pool width used when none is requested explicitly: [PAST_JOBS] from
-    the environment when set to a positive integer, otherwise
-    [recommended ()]. *)
+    the environment when set, otherwise [recommended ()]. Raises
+    [Invalid_argument] naming the value when [PAST_JOBS] is not a
+    positive integer. *)
 
 val create : jobs:int -> t
 (** A pool running up to [jobs] tasks concurrently. [jobs] is clamped

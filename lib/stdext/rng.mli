@@ -25,7 +25,9 @@ val derive : t -> salt:int -> t
     Unlike {!split}, the parent's stream is unaffected — use it to give
     a subsystem (e.g. fault injection) its own stream while keeping the
     parent's draw sequence byte-identical to a run without that
-    subsystem. *)
+    subsystem, or to give trial [k] of a fanned-out experiment a world
+    that is a pure function of [(seed, k)]: [derive (create seed)
+    ~salt:k]. *)
 
 val bits64 : t -> int64
 (** Next raw 64 random bits. *)

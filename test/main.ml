@@ -4,7 +4,6 @@ let () =
   Alcotest.run "past"
     [
       Test_rng.suite;
-      Test_splitmix.suite;
       Test_stdext.suite;
       Test_timing_wheel.suite;
       Test_domain_pool.suite;

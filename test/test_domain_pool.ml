@@ -129,6 +129,27 @@ let suite_json_identical_across_jobs () =
           (first_diff 0) (String.length sequential) (String.length parallel)
       end)
 
+(* PAST_JOBS is parsed strictly: unset or empty means the default, a
+   positive integer is honoured, anything else is an error naming the
+   value rather than a silent fallback. *)
+let past_jobs_parser () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "PAST_JOBS") in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PAST_JOBS" saved)
+    (fun () ->
+      Unix.putenv "PAST_JOBS" "";
+      check Alcotest.int "empty means default" (Domain_pool.recommended ())
+        (Domain_pool.default_jobs ());
+      Unix.putenv "PAST_JOBS" " 3 ";
+      check Alcotest.int "positive integer" 3 (Domain_pool.default_jobs ());
+      List.iter
+        (fun v ->
+          Unix.putenv "PAST_JOBS" v;
+          Alcotest.check_raises v
+            (Invalid_argument (Printf.sprintf "PAST_JOBS=%S: expected a positive integer" v))
+            (fun () -> ignore (Domain_pool.default_jobs ())))
+        [ "0"; "-2"; "four"; "2.5" ])
+
 let suite =
   ( "domain_pool",
     [
@@ -138,5 +159,6 @@ let suite =
       "pool reuse" => pool_reuse;
       "nested map" => nested_map;
       "shared pool configuration" => shared_pool_configuration;
+      "PAST_JOBS parser" => past_jobs_parser;
       "suite JSON identical for --jobs 1 vs 4" => suite_json_identical_across_jobs;
     ] )

@@ -170,8 +170,8 @@ let balance_and_diversity () =
 
 (* The two formerly-sequential experiments now fan out per-trial over
    the domain pool; their rendered JSON must be byte-identical at any
-   pool width (the order-preserving merge plus Splitmix per-trial
-   streams are what make that true). *)
+   pool width (the order-preserving merge plus per-trial streams from
+   Rng.derive are what make that true). *)
 let replica_balance_jobs_byte_identical () =
   let module Domain_pool = Past_stdext.Domain_pool in
   let module Json = Past_stdext.Json in
@@ -202,19 +202,16 @@ let quota_economy_conserves () =
   check Alcotest.bool "reclaims credited" true
     (r.quota_used_after_reclaims < r.quota_used_after_inserts)
 
-let golden_determinism () =
-  (* Byte-identical output against the committed golden file: any drift
-     in RNG consumption, event ordering or telemetry counter totals —
-     e.g. from a hot-path "optimization" that is not actually
-     behavior-preserving — fails here. Regenerate with
-     `dune exec test/gen/gen_golden.exe > test/exp1_hops.golden` only
-     when the change in behavior is intentional. *)
-  let actual = Past_experiments.Report.determinism_fixture () in
+(* Byte-compare [actual] against the committed golden [file]: any drift
+   in RNG consumption, event ordering or telemetry counter totals — e.g.
+   from a hot-path "optimization" that is not actually
+   behavior-preserving — fails here. Regenerate (`dune exec
+   test/gen/gen_golden.exe -- <gen>`) only when the change in behavior
+   is intentional. *)
+let check_golden ~what ~file ~gen actual =
   (* dune runtest runs in the stanza's build dir; dune exec from the
      project root. *)
-  let path =
-    if Sys.file_exists "exp1_hops.golden" then "exp1_hops.golden" else "test/exp1_hops.golden"
-  in
+  let path = if Sys.file_exists file then file else Filename.concat "test" file in
   let ic = open_in_bin path in
   let expected = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -222,55 +219,32 @@ let golden_determinism () =
     let n = Stdlib.min (String.length actual) (String.length expected) in
     let rec first_diff i = if i < n && actual.[i] = expected.[i] then first_diff (i + 1) else i in
     Alcotest.failf
-      "EXP1 output drifted from test/exp1_hops.golden (first difference at byte %d; %d vs %d \
-       bytes). If intentional, regenerate with `dune exec test/gen/gen_golden.exe`."
-      (first_diff 0) (String.length actual) (String.length expected)
+      "%s drifted from test/%s (first difference at byte %d; %d vs %d bytes). If intentional, \
+       regenerate with `dune exec test/gen/gen_golden.exe%s`."
+      what file (first_diff 0) (String.length actual) (String.length expected) gen
   end
+
+let golden_determinism () =
+  check_golden ~what:"EXP1 output" ~file:"exp1_hops.golden" ~gen:""
+    (Past_experiments.Report.determinism_fixture ())
+
+(* The EXP14 fixture pins churn, failure detection, repair and the probe
+   loop end to end (see gen_golden.ml). *)
+let golden_churn () =
+  check_golden ~what:"EXP14 output" ~file:"exp14_churn.golden" ~gen:" -- churn"
+    (Past_experiments.Report.churn_fixture ())
+
+(* Pinned snapshot-builder behavior: the per-route dump over a
+   snapshot-built overlay. Guards the builder's RNG draw order, the
+   packed table layout, and routing policy together. *)
+let golden_scale () =
+  check_golden ~what:"EXP15 route dump" ~file:"exp15_scale.golden" ~gen:" -- scale"
+    (Past_experiments.Exp_scale.route_dump ())
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.equal (String.sub haystack i nn) needle || at (i + 1)) in
   at 0
-
-let read_golden name =
-  (* dune runtest runs in the stanza's build dir; dune exec from the
-     project root. *)
-  let path = if Sys.file_exists name then name else Filename.concat "test" name in
-  let ic = open_in_bin path in
-  let expected = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  expected
-
-let golden_churn () =
-  (* The EXP14 fixture pins churn, failure detection, repair and the
-     probe loop end to end (see gen_golden.ml). *)
-  let expected = read_golden "exp14_churn.golden" in
-  let actual = Past_experiments.Report.churn_fixture () in
-  if not (String.equal actual expected) then begin
-    let n = Stdlib.min (String.length actual) (String.length expected) in
-    let rec first_diff i = if i < n && actual.[i] = expected.[i] then first_diff (i + 1) else i in
-    Alcotest.failf
-      "EXP14 output drifted from test/exp14_churn.golden (first difference at byte %d; %d vs %d \
-       bytes). If intentional, regenerate with `dune exec test/gen/gen_golden.exe -- churn`."
-      (first_diff 0) (String.length actual) (String.length expected)
-  end
-
-let golden_scale () =
-  (* Pinned snapshot-builder behavior: the per-route dump over a
-     snapshot-built overlay must be byte-identical to the committed
-     golden. Guards the builder's RNG draw order, the packed table
-     layout, and routing policy together. *)
-  let expected = read_golden "exp15_scale.golden" in
-  let actual = Past_experiments.Exp_scale.route_dump () in
-  if not (String.equal actual expected) then begin
-    let n = Stdlib.min (String.length actual) (String.length expected) in
-    let rec first_diff i = if i < n && actual.[i] = expected.[i] then first_diff (i + 1) else i in
-    Alcotest.failf
-      "EXP15 route dump drifted from test/exp15_scale.golden (first difference at byte %d; \
-       %d vs %d bytes). If intentional, regenerate with `dune exec test/gen/gen_golden.exe \
-       -- scale`."
-      (first_diff 0) (String.length actual) (String.length expected)
-  end
 
 (* Snapshot-vs-protocol equivalence harness. Both overlays get the
    same node ids; one is populated by the snapshot, the other joins
@@ -287,8 +261,8 @@ module Equiv = struct
     let overlay : Harness.probe Overlay.t = Overlay.create ~trace_capacity:0 ~seed () in
     List.iter (fun id -> ignore (Overlay.add_node_with_id overlay ~id)) ids;
     (match kind with
-    | `Snapshot -> Overlay.populate_static overlay
-    | `Dynamic -> Overlay.join_all_dynamic overlay);
+    | `Snapshot -> Overlay.build_static overlay ~n:0
+    | `Dynamic -> Overlay.build_dynamic overlay ~n:0);
     overlay
 
   (* Route [lookups] keys drawn from a fresh rng at [lookup_seed]; the
@@ -409,6 +383,26 @@ let soak_smoke () =
   check Alcotest.bool "table has the availability row" true
     (contains (Past_stdext.Text_table.render (table r)) "available (>=1 live replica)")
 
+(* PAST_SCALE is parsed strictly: a malformed value (a decimal comma,
+   a non-positive or non-finite factor) is an error naming the value,
+   never a silent run at full scale. *)
+let past_scale_parser () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "PAST_SCALE") in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PAST_SCALE" saved)
+    (fun () ->
+      Unix.putenv "PAST_SCALE" "";
+      check (Alcotest.float 0.0) "empty means 1.0" 1.0 (Past_experiments.Report.scale ());
+      Unix.putenv "PAST_SCALE" "0.05";
+      check (Alcotest.float 0.0) "positive number" 0.05 (Past_experiments.Report.scale ());
+      List.iter
+        (fun v ->
+          Unix.putenv "PAST_SCALE" v;
+          Alcotest.check_raises v
+            (Invalid_argument (Printf.sprintf "PAST_SCALE=%S: expected a positive number" v))
+            (fun () -> ignore (Past_experiments.Report.scale ())))
+        [ "0,05"; "0"; "-1"; "inf"; "nan"; "fast" ])
+
 let suite =
   ( "experiments",
     [
@@ -433,4 +427,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_snapshot_equals_dynamic;
       "EXP15 snapshot/dynamic same destinations" => snapshot_dynamic_same_destinations;
       "SOAK smoke" => soak_smoke;
+      "PAST_SCALE parser" => past_scale_parser;
     ] )

@@ -14,13 +14,7 @@ module Net = Past_simnet.Net
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
 
-let null_app =
-  {
-    Node.deliver = (fun ~key:_ _ _ -> ());
-    forward = (fun ~key:_ _ _ -> `Continue);
-    on_direct = (fun ~from:_ _ -> ());
-    on_leaf_change = (fun () -> ());
-  }
+let null_app = Past_experiments.Harness.null_app
 
 (* Route [lookups] random keys and assert every one is delivered at the
    numerically closest live node. Returns average hops. *)
@@ -268,7 +262,7 @@ let sorted_neighbours_ground_truth () =
     check (Alcotest.list Alcotest.int) "k closest" expected got
   done
 
-let join_via_any_bootstrap () =
+let join_through_distant_bootstrap () =
   (* A joiner bootstrapped from the farthest node still converges. *)
   let overlay : unit Overlay.t = Overlay.create ~seed:16 () in
   Overlay.build_static overlay ~n:30;
@@ -277,6 +271,61 @@ let join_via_any_bootstrap () =
   Overlay.run overlay;
   check Alcotest.bool "joined" true (Node.joined joiner);
   assert_leaf_invariant overlay
+
+let sent (overlay : unit Overlay.t) kind =
+  let sent, _, _ = Net.counters_for_kind (Overlay.net overlay) kind in
+  sent
+
+(* Messages of the §2.2 join protocol sent so far; Z sends exactly one
+   join_leaf per join. *)
+let join_messages overlay =
+  List.fold_left (fun acc kind -> acc + sent overlay kind) 0
+    [ "routed/join"; "join_rows"; "join_leaf" ]
+
+let static_without_tail_sends_no_joins () =
+  let overlay : unit Overlay.t = Overlay.create ~seed:21 () in
+  Overlay.build_static ~dynamic_tail:0. overlay ~n:200;
+  check Alcotest.int "join messages" 0 (join_messages overlay);
+  assert_leaf_invariant overlay
+
+let static_tail_joins_by_protocol () =
+  let overlay : unit Overlay.t = Overlay.create ~seed:22 () in
+  Overlay.build_static ~dynamic_tail:0.01 overlay ~n:300;
+  check Alcotest.int "nodes" 300 (Overlay.node_count overlay);
+  check Alcotest.int "protocol joins" 3 (sent overlay "join_leaf");
+  Array.iter
+    (fun node -> check Alcotest.bool "joined" true (Node.joined node))
+    (Overlay.nodes overlay);
+  assert_leaf_invariant overlay;
+  assert_rt_invariant overlay
+
+let static_rejects_bad_tail () =
+  List.iter
+    (fun (tail, shown) ->
+      let overlay : unit Overlay.t = Overlay.create ~seed:23 () in
+      Alcotest.check_raises shown
+        (Invalid_argument
+           (Printf.sprintf "Overlay.build_static: dynamic_tail %s is outside [0, 1]" shown))
+        (fun () -> Overlay.build_static ~dynamic_tail:tail overlay ~n:10);
+      check Alcotest.int "no node added" 0 (Overlay.node_count overlay))
+    [ (2.0, "2"); (-0.5, "-0.5"); (Float.nan, "nan") ]
+
+(* Pre-registered nodes (as System.create registers its smartcard ids)
+   are joined first, in insertion order; later growth joins on top. *)
+let dynamic_joins_registered_then_grows () =
+  let overlay : unit Overlay.t = Overlay.create ~seed:24 () in
+  for _ = 1 to 40 do
+    ignore (Overlay.add_node overlay)
+  done;
+  Overlay.build_dynamic overlay ~n:0;
+  check Alcotest.int "one join per registered node but the first" 39 (sent overlay "join_leaf");
+  Overlay.build_dynamic overlay ~n:20;
+  check Alcotest.int "nodes" 60 (Overlay.node_count overlay);
+  Array.iter
+    (fun node -> check Alcotest.bool "joined" true (Node.joined node))
+    (Overlay.nodes overlay);
+  assert_leaf_invariant overlay;
+  assert_rt_invariant overlay
 
 let suite =
   ( "pastry-overlay",
@@ -296,5 +345,9 @@ let suite =
       "malicious node drops" => malicious_node_drops;
       "closest_live_node ground truth" => closest_live_node_ground_truth;
       "sorted_neighbours ground truth" => sorted_neighbours_ground_truth;
-      "join via distant bootstrap" => join_via_any_bootstrap;
+      "join via distant bootstrap" => join_through_distant_bootstrap;
+      "static no-tail sends no joins" => static_without_tail_sends_no_joins;
+      "static tail joins by protocol" => static_tail_joins_by_protocol;
+      "static rejects bad dynamic_tail" => static_rejects_bad_tail;
+      "dynamic joins registered first" => dynamic_joins_registered_then_grows;
     ] )

@@ -3,6 +3,17 @@ module Rng = Past_stdext.Rng
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
 
+let draws rng n = List.init n (fun _ -> Rng.bits64 rng)
+
+(* 64 draws colliding more than a few times would mean correlated
+   streams. *)
+let decorrelated a b =
+  let same = ref 0 in
+  for _ = 1 to 64 do
+    if Rng.bits64 a = Rng.bits64 b then incr same
+  done;
+  !same < 4
+
 let determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
@@ -10,12 +21,7 @@ let determinism () =
   done
 
 let distinct_seeds () =
-  let a = Rng.create 1 and b = Rng.create 2 in
-  let same = ref 0 in
-  for _ = 1 to 64 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
-  done;
-  check Alcotest.bool "streams differ" true (!same < 4)
+  check Alcotest.bool "streams differ" true (decorrelated (Rng.create 1) (Rng.create 2))
 
 let copy_replays () =
   let a = Rng.create 7 in
@@ -26,11 +32,7 @@ let copy_replays () =
 let split_diverges () =
   let a = Rng.create 7 in
   let b = Rng.split a in
-  let same = ref 0 in
-  for _ = 1 to 64 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
-  done;
-  check Alcotest.bool "split differs" true (!same < 4)
+  check Alcotest.bool "split differs" true (decorrelated a b)
 
 let int_bounds () =
   let rng = Rng.create 3 in
@@ -126,6 +128,56 @@ let qcheck_int_in =
       let v = Rng.int_in rng lo (lo + extent) in
       v >= lo && v <= lo + extent)
 
+(* Rng.derive: the per-trial stream of the experiments' parallel loops.
+   A trial's world must be a pure function of (seed, salt) — the same
+   values in any order, on any domain, which is what makes --jobs N
+   byte-identical — and distinct salts must give independent samples. *)
+let arb_seed = QCheck.int_range 0 0x3FFFFFFF
+let arb_salt = QCheck.int_range 0 10_000
+
+let qcheck_derive_replays =
+  QCheck.Test.make ~name:"derive replays identically" ~count:200 (QCheck.pair arb_seed arb_salt)
+    (fun (seed, salt) ->
+      draws (Rng.derive (Rng.create seed) ~salt) 32
+      = draws (Rng.derive (Rng.create seed) ~salt) 32)
+
+let qcheck_derive_salts_differ =
+  QCheck.Test.make ~name:"derive distinct salts differ" ~count:200
+    (QCheck.triple arb_seed arb_salt arb_salt) (fun (seed, i, j) ->
+      QCheck.assume (i <> j);
+      let parent = Rng.create seed in
+      decorrelated (Rng.derive parent ~salt:i) (Rng.derive parent ~salt:j))
+
+let qcheck_derive_parents_differ =
+  QCheck.Test.make ~name:"derive distinct parents differ" ~count:200
+    (QCheck.triple arb_seed arb_seed arb_salt) (fun (s1, s2, salt) ->
+      QCheck.assume (s1 <> s2);
+      decorrelated (Rng.derive (Rng.create s1) ~salt) (Rng.derive (Rng.create s2) ~salt))
+
+let derive_keeps_parent () =
+  let a = Rng.create 77 in
+  let b = Rng.copy a in
+  let child = Rng.derive a ~salt:5 in
+  check (Alcotest.list Alcotest.int64) "parent not advanced" (draws b 16) (draws a 16);
+  check Alcotest.bool "child differs from parent" true (decorrelated a child)
+
+(* Bit balance: across many salts, the first draw's bits should be
+   roughly half ones — a cheap screen against a degenerate mixer. *)
+let derive_bit_balance () =
+  let parent = Rng.create 5 in
+  let ones = ref 0 in
+  for salt = 0 to 999 do
+    let v = Rng.bits64 (Rng.derive parent ~salt) in
+    for b = 0 to 63 do
+      if Int64.logand (Int64.shift_right_logical v b) 1L = 1L then incr ones
+    done
+  done;
+  let frac = float_of_int !ones /. 64_000.0 in
+  check Alcotest.bool
+    (Printf.sprintf "ones fraction %.3f in [0.48, 0.52]" frac)
+    true
+    (frac > 0.48 && frac < 0.52)
+
 let suite =
   ( "rng",
     [
@@ -147,4 +199,9 @@ let suite =
       "pick singleton" => pick_from_singleton;
       "bytes length" => bytes_length;
       QCheck_alcotest.to_alcotest qcheck_int_in;
+      "derive keeps parent" => derive_keeps_parent;
+      "derive bit balance across salts" => derive_bit_balance;
+      QCheck_alcotest.to_alcotest qcheck_derive_replays;
+      QCheck_alcotest.to_alcotest qcheck_derive_salts_differ;
+      QCheck_alcotest.to_alcotest qcheck_derive_parents_differ;
     ] )
