@@ -14,7 +14,8 @@
 
    Part 3: regeneration of every table the paper's claims map to
    (EXP1–EXP13; see DESIGN.md section 5 and EXPERIMENTS.md). Scale with
-   PAST_SCALE (default 1.0; the tables in EXPERIMENTS.md use 1.0).
+   --scale F (default 1.0; the tables in EXPERIMENTS.md use 1.0); the
+   worker-domain pool runs at the runtime's recommended width.
 
    Part 4: store-backend benchmarks — sustained insert throughput on
    the in-memory vs disk-backed log store, and a replacement-churn run
@@ -442,6 +443,17 @@ let () =
   let tables_only = List.mem "--tables-only" args in
   let store_only = List.mem "--store-only" args in
   let json = List.mem "--json" args in
+  let rec scale = function
+    | "--scale" :: v :: _ -> (
+      match float_of_string_opt v with
+      | Some f when f > 0.0 && Float.is_finite f -> f
+      | _ ->
+        Printf.eprintf "--scale %S: expected a positive number\n" v;
+        exit 2)
+    | _ :: rest -> scale rest
+    | [] -> 1.0
+  in
+  let scale = scale args in
   let all = not (micro_only || macro_only || tables_only || store_only) in
   if all || micro_only then run_micro ();
   if all || macro_only then begin
@@ -457,7 +469,7 @@ let () =
     (* Per-experiment wall clock from the suite run lands in the JSON
        too, so the --jobs speedup stays tracked alongside the
        micro/macro numbers. *)
-    let timings = Past_experiments.Report.run_all () in
+    let timings = Past_experiments.Report.run_all ~scale () in
     List.iter
       (fun (name, dt) -> record ("suite wall clock: " ^ name) ~unit:"ms" (dt *. 1e3))
       timings;

@@ -1,19 +1,24 @@
 (* Command-line driver for the PAST reproduction experiments.
 
    `past_sim all` regenerates every table; `past_sim <name>` runs one
-   experiment. `--scale` trades sampling effort for time (it sets
-   PAST_SCALE for the experiment runners; structural parameters are
-   never scaled). `--json` emits the tables as JSON instead of text;
-   `--trace N` appends the first N reconstructed route traces when the
-   experiment records them. `--jobs N` (or PAST_JOBS; default: the
+   experiment. `--scale` trades sampling effort for time (structural
+   parameters are never scaled). `--json` emits the tables as JSON
+   instead of text; `--trace N` appends the first N reconstructed route
+   traces when the experiment records them. `--jobs N` (default: the
    runtime's recommended domain count) sizes the worker-domain pool the
    per-row experiment loops fan out over — results are merged in
    submission order, so output is byte-identical for any N. `past_sim
    metrics` runs a small end-to-end workload and dumps the telemetry
-   registry snapshot. *)
+   registry snapshot.
+
+   Run configuration is read here only: `--scale`, `--jobs`, `--store`
+   and `--monitors` fall back to PAST_SCALE, PAST_JOBS, PAST_STORE and
+   PAST_MONITORS through the flag's own converter. *)
 
 open Cmdliner
 module Domain_pool = Past_stdext.Domain_pool
+module Monitor = Past_telemetry.Monitor
+module Store = Past_core.Store
 
 let experiment_names = List.map fst Past_experiments.Report.all
 
@@ -32,13 +37,16 @@ let positive_float =
 
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun j -> j >= 1)
 let fraction = checked Arg.float ~expected:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+let env = Cmd.Env.info
 
 let scale_arg =
   let doc =
     "Sampling-effort multiplier (lookup counts, trials). 0.2 is a quick smoke pass, 1.0 the \
      EXPERIMENTS.md numbers."
   in
-  Arg.(value & opt (some positive_float) None & info [ "s"; "scale" ] ~docv:"FACTOR" ~doc)
+  Arg.(
+    value & opt positive_float 1.0
+    & info [ "s"; "scale" ] ~env:(env "PAST_SCALE") ~docv:"FACTOR" ~doc)
 
 let json_arg =
   let doc = "Emit results as JSON (one object per experiment, with its tables) on stdout." in
@@ -54,38 +62,44 @@ let trace_arg =
 
 let jobs_arg =
   let doc =
-    "Size of the worker-domain pool the experiment loops fan out over (default: PAST_JOBS, \
-     else the runtime's recommended domain count). Results merge in submission order, so the \
-     output is byte-identical for any $(docv)."
+    "Size of the worker-domain pool the experiment loops fan out over. Results merge in \
+     submission order, so the output is byte-identical for any $(docv)."
   in
-  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some positive_int) None
+    & info [ "j"; "jobs" ] ~env:(env "PAST_JOBS") ~docv:"N"
+        ~absent:"the runtime's recommended domain count" ~doc)
+
+let store_arg =
+  let doc =
+    "Replica store backend of every node: $(b,mem) (in-memory table) or $(b,log) (disk-backed \
+     log store, segments under PAST_STORE_DIR or the system temp dir). Results are identical \
+     on both."
+  in
+  let backends = [ ("mem", Store.Mem); ("log", Store.Log { dir = None; segment_target = None }) ] in
+  Arg.(
+    value & opt (enum backends) Store.Mem
+    & info [ "store" ] ~env:(env "PAST_STORE") ~docv:"BACKEND" ~doc)
 
 let monitors_arg =
   let doc =
     "Activate the online invariant monitors (leaf-set symmetry, replica counts, hop bound, \
      storage-quota conservation) in every system the run creates; exit 1 if any monitor \
-     records a violation. Equivalent to setting PAST_MONITORS=1."
+     records a violation."
   in
-  Arg.(value & flag & info [ "monitors" ] ~doc)
+  Arg.(value & flag & info [ "monitors" ] ~env:(env "PAST_MONITORS") ~doc)
 
-(* Flags override the environment; the PAST_SCALE and PAST_JOBS the
-   libraries read are then parsed once up front, so a malformed value is
-   a usage error naming it, not a crash or a silent fallback mid-run. *)
-let setup ?scale ?jobs monitors =
-  Option.iter (fun f -> Unix.putenv "PAST_SCALE" (string_of_float f)) scale;
+(* The library defaults are process-wide: set them before any worker
+   domain spawns. *)
+let configure ?jobs ?store monitors =
   Option.iter Domain_pool.set_jobs jobs;
-  if monitors then Unix.putenv "PAST_MONITORS" "1";
-  try
-    ignore (Past_experiments.Report.scale () : float);
-    ignore (Domain_pool.current_jobs () : int)
-  with Invalid_argument msg ->
-    prerr_endline ("past_sim: " ^ msg);
-    exit 2
+  Option.iter Store.set_default_backend store;
+  Monitor.set_default_active monitors
 
 (* Exit nonzero when any monitor in any system (including systems run
    on pool domains) recorded a violation. *)
 let check_monitors monitors =
-  let module Monitor = Past_telemetry.Monitor in
   if monitors then
     match Monitor.global_violations () with
     | 0 -> prerr_endline "invariant monitors: all green"
@@ -111,31 +125,35 @@ let write_chrome_trace ~out registry =
 
 let run_cmd name =
   let doc = Printf.sprintf "Run the %s experiment and print its table(s)." name in
-  let f scale jobs json trace monitors =
-    setup ?scale ?jobs monitors;
-    Past_experiments.Report.run_named ~json ~trace name;
+  let f scale jobs store json trace monitors =
+    configure ?jobs ~store monitors;
+    Past_experiments.Report.run_named ~json ~trace ~scale name;
     check_monitors monitors
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const f $ scale_arg $ jobs_arg $ json_arg $ trace_arg $ monitors_arg)
+    Term.(const f $ scale_arg $ jobs_arg $ store_arg $ json_arg $ trace_arg $ monitors_arg)
 
 let all_cmd =
   let doc = "Run every experiment (regenerates all tables)." in
-  let f scale jobs json trace monitors =
-    setup ?scale ?jobs monitors;
-    ignore (Past_experiments.Report.run_all ~json ~trace () : (string * float) list);
+  let f scale jobs store json trace monitors =
+    configure ?jobs ~store monitors;
+    ignore (Past_experiments.Report.run_all ~json ~trace ~scale () : (string * float) list);
     check_monitors monitors
   in
   Cmd.v (Cmd.info "all" ~doc)
-    Term.(const f $ scale_arg $ jobs_arg $ json_arg $ trace_arg $ monitors_arg)
+    Term.(const f $ scale_arg $ jobs_arg $ store_arg $ json_arg $ trace_arg $ monitors_arg)
 
 let metrics_cmd =
   let doc =
     "Run a small end-to-end PAST workload and dump the telemetry registry snapshot (message \
      counters, routing-stage counters, storage metrics, latency histogram)."
   in
-  let f json trace = Past_experiments.Report.metrics ~json ~trace () in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const f $ json_arg $ trace_arg)
+  let f store json trace monitors =
+    configure ~store monitors;
+    Past_experiments.Report.metrics ~json ~trace ();
+    check_monitors monitors
+  in
+  Cmd.v (Cmd.info "metrics" ~doc) Term.(const f $ store_arg $ json_arg $ trace_arg $ monitors_arg)
 
 (* Dedicated `churn` command: same experiment as `past_sim churn` would
    auto-generate from the registry, plus knobs for the fault process
@@ -149,14 +167,14 @@ let churn_cmd =
   in
   let rate_arg =
     let doc = "Crash arrivals per simulated time unit (default 0.001)." in
-    Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"R" ~doc)
+    Arg.(value & opt (some positive_float) None & info [ "rate" ] ~docv:"R" ~doc)
   in
   let duration_arg =
     let doc =
       "Churn horizon in simulated time units (default 1800000 = 30 simulated minutes, \
        multiplied by --scale when not given explicitly)."
     in
-    Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"T" ~doc)
+    Arg.(value & opt (some positive_float) None & info [ "duration" ] ~docv:"T" ~doc)
   in
   let seed_arg =
     let doc = "RNG seed (default 4); runs are a pure function of it." in
@@ -170,8 +188,8 @@ let churn_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let f scale json rate duration seed monitors trace_out =
-    setup ?scale monitors;
+  let f scale store json rate duration seed monitors trace_out =
+    configure ~store monitors;
     let p = Exp_churn.default_params in
     let p =
       {
@@ -180,8 +198,7 @@ let churn_cmd =
         duration =
           (match duration with
           | Some d -> d
-          | None ->
-            Float.max 60_000.0 (p.Exp_churn.duration *. Past_experiments.Report.scale ()));
+          | None -> Float.max 60_000.0 (p.Exp_churn.duration *. scale));
         seed = Option.value ~default:p.Exp_churn.seed seed;
       }
     in
@@ -211,15 +228,14 @@ let churn_cmd =
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      const f $ scale_arg $ json_arg $ rate_arg $ duration_arg $ seed_arg $ monitors_arg
-      $ trace_out_arg)
+      const f $ scale_arg $ store_arg $ json_arg $ rate_arg $ duration_arg $ seed_arg
+      $ monitors_arg $ trace_out_arg)
 
 (* Dedicated `megastore` command: EXP9/EXP10 at millions of files on a
    chosen store backend. Deliberately not part of `all` — a full run
    takes minutes and writes gigabytes of scratch segments. *)
 let megastore_cmd =
   let module Exp_storage = Past_experiments.Exp_storage in
-  let module Store = Past_core.Store in
   let doc =
     "Run the storage-utilization experiment (EXP9/EXP10, Full policy) at mega scale — \
      default one million insert attempts — and report the C7 envelope plus sustained insert \
@@ -227,32 +243,19 @@ let megastore_cmd =
   in
   let files_arg =
     let doc = "Number of insert attempts (default 1000000)." in
-    Arg.(value & opt int 1_000_000 & info [ "files" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1_000_000 & info [ "files" ] ~docv:"N" ~doc)
   in
   let nodes_arg =
     let doc = "Number of storage nodes (default 100); capacities scale as files/nodes." in
-    Arg.(value & opt int 100 & info [ "nodes" ] ~docv:"N" ~doc)
-  in
-  let store_arg =
-    let doc =
-      "Store backend: $(b,mem) or $(b,log) (default: PAST_STORE environment variable, else \
-       mem)."
-    in
-    Arg.(value & opt (some (enum [ ("mem", `Mem); ("log", `Log) ])) None & info [ "store" ] ~doc)
+    Arg.(value & opt positive_int 100 & info [ "nodes" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "RNG seed (default 97); runs are a pure function of it." in
     Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let f json files nodes store seed monitors =
-    setup monitors;
-    let store_backend =
-      match store with
-      | Some `Mem -> Store.Mem
-      | Some `Log -> Store.Log { dir = None; segment_target = None }
-      | None -> Store.default_backend ()
-    in
-    let m = Exp_storage.run_mega ~n:nodes ~files ~seed ~store_backend () in
+    configure ~store monitors;
+    let m = Exp_storage.run_mega ~n:nodes ~files ~seed () in
     let out =
       Past_experiments.Report.tables
         [
@@ -281,20 +284,44 @@ let scale_cmd =
      log_2^b N by least squares. Exits 1 when a fitted slope falls outside its analytic \
      window."
   in
+  (* LO..HI stays a range until --points is known. *)
+  let sizes =
+    let size s =
+      match int_of_string_opt (String.trim s) with Some v when v > 1 -> Some v | _ -> None
+    in
+    let parse spec =
+      let bad =
+        Error (Printf.sprintf "%S: expected LO..HI or a comma-separated list of sizes above 1" spec)
+      in
+      match (String.split_on_char '.' spec, List.map size (String.split_on_char ',' spec)) with
+      | [ lo; ""; hi ], _ -> (
+        match (size lo, size hi) with
+        | Some lo, Some hi when lo <= hi -> Ok (`Range (lo, hi))
+        | _ -> bad)
+      | [ _ ], ns when List.for_all Option.is_some ns -> Ok (`List (List.filter_map Fun.id ns))
+      | _ -> bad
+    in
+    let print ppf = function
+      | `Range (lo, hi) -> Format.fprintf ppf "%d..%d" lo hi
+      | `List ns -> Format.pp_print_string ppf (String.concat "," (List.map string_of_int ns))
+    in
+    Arg.conv' (parse, print)
+  in
   let ns_arg =
     let doc =
       "Sweep sizes: either $(b,LO..HI) (log-spaced, see --points) or an explicit \
        comma-separated list like $(b,2000,20000,100000)."
     in
-    Arg.(value & opt string "2000..100000" & info [ "n"; "sizes" ] ~docv:"SPEC" ~doc)
+    Arg.(value & opt sizes (`Range (2000, 100_000)) & info [ "n"; "sizes" ] ~docv:"SPEC" ~doc)
   in
   let points_arg =
     let doc = "Number of log-spaced sweep points for the LO..HI form (default 5)." in
-    Arg.(value & opt int 5 & info [ "points" ] ~docv:"K" ~doc)
+    let at_least_two = checked Arg.int ~expected:"an integer >= 2" (fun k -> k >= 2) in
+    Arg.(value & opt at_least_two 5 & info [ "points" ] ~docv:"K" ~doc)
   in
   let lookups_arg =
     let doc = "Random lookups per sweep point (default 1000)." in
-    Arg.(value & opt int 1_000 & info [ "lookups" ] ~docv:"L" ~doc)
+    Arg.(value & opt positive_int 1_000 & info [ "lookups" ] ~docv:"L" ~doc)
   in
   let tail_arg =
     let doc =
@@ -309,30 +336,16 @@ let scale_cmd =
   in
   let tolerance_arg =
     let doc = "Hop-slope tolerance: the fit must lie in [1-TOL, 1+TOL/4] (default 0.45)." in
-    Arg.(value & opt float 0.45 & info [ "tolerance" ] ~docv:"TOL" ~doc)
+    Arg.(value & opt positive_float 0.45 & info [ "tolerance" ] ~docv:"TOL" ~doc)
   in
-  let parse_ns spec ~points =
-    let fail () =
-      prerr_endline "bad --n: expected LO..HI or a comma-separated list of sizes";
-      exit 2
-    in
-    let num s = match int_of_string_opt (String.trim s) with Some v when v > 1 -> v | _ -> fail () in
-    match String.index_opt spec '.' with
-    | Some _ -> (
-      match String.split_on_char '.' spec |> List.filter (fun s -> s <> "") with
-      | [ lo; hi ] ->
-        let lo = num lo and hi = num hi in
-        if lo > hi then fail () else Exp_scale.log_spaced ~lo ~hi ~k:(Stdlib.max 2 points)
-      | _ -> fail ())
-    | None -> (
-      match String.split_on_char ',' spec with
-      | [] -> fail ()
-      | parts -> List.map num parts)
-  in
-  let f json ns points lookups tail seed tolerance =
+  let f json ns points lookups tail seed tolerance monitors =
+    configure monitors;
     let params =
       {
-        Exp_scale.ns = parse_ns ns ~points;
+        Exp_scale.ns =
+          (match ns with
+          | `Range (lo, hi) -> Exp_scale.log_spaced ~lo ~hi ~k:points
+          | `List ns -> ns);
         lookups;
         dynamic_tail = tail;
         seed;
@@ -353,6 +366,7 @@ let scale_cmd =
         (Past_stdext.Json.to_string ~indent:true
            (Past_experiments.Report.json_of_output ~trace:0 "scale" out))
     else Past_experiments.Report.print_output ~trace:0 out;
+    check_monitors monitors;
     if not (r.Exp_scale.hop_ok && r.Exp_scale.state_ok) then begin
       prerr_endline "EXP15: fitted scaling slope outside its analytic window";
       exit 1
@@ -361,7 +375,7 @@ let scale_cmd =
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
       const f $ json_arg $ ns_arg $ points_arg $ lookups_arg $ tail_arg $ seed_arg
-      $ tolerance_arg)
+      $ tolerance_arg $ monitors_arg)
 
 let trace_cmd =
   let doc =
@@ -373,8 +387,12 @@ let trace_cmd =
     let doc = "Output file for the trace-event JSON." in
     Arg.(value & opt string "past_trace.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
-  let f out = Past_experiments.Report.trace_export ~out () in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const f $ out_arg)
+  let f store out monitors =
+    configure ~store monitors;
+    Past_experiments.Report.trace_export ~out ();
+    check_monitors monitors
+  in
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const f $ store_arg $ out_arg $ monitors_arg)
 
 let list_cmd =
   let doc = "List available experiments." in

@@ -155,21 +155,12 @@ let run ?trace_capacity params =
       ~min_live:(3 * params.n / 4) ()
   in
   let plan = List.map (fun e -> { e with Churn.at = e.Churn.at +. t0 }) plan in
-  let debug = Sys.getenv_opt "PAST_CHURN_DEBUG" <> None in
-  let hooks =
-    {
-      Churn.on_crash =
-        (fun addr ->
-          if debug then Printf.eprintf "[%.0f] crash addr %d\n" (Net.now net) addr);
-      on_recover =
-        (fun addr ->
-          if debug then Printf.eprintf "[%.0f] recover addr %d\n" (Net.now net) addr;
-          let node = System.node_of_pastry_addr sys addr in
-          PNode.recover (Node.pastry node);
-          Node.notify_revived node);
-    }
+  let on_recover addr =
+    let node = System.node_of_pastry_addr sys addr in
+    PNode.recover (Node.pastry node);
+    Node.notify_revived node
   in
-  Churn.apply ~hooks net plan;
+  Churn.apply ~hooks:{ Churn.no_hooks with on_recover } net plan;
 
   (* C6 probe loop: look up a random file every probe_period; files that
      failed are re-probed every tick until they are found again, so a
@@ -243,16 +234,6 @@ let run ?trace_capacity params =
   in
   let scan_file now fid =
     let c = live_replicas fid in
-    if debug then begin
-      match Hashtbl.find_opt deficit_since fid with
-      | Some (since, _) when c >= params.k ->
-        Printf.eprintf "[%.0f] %s repaired after %.0f\n" now (Id.to_hex fid) (now -. since)
-      | Some (_, last) when c <> last ->
-        Printf.eprintf "[%.0f] %s count %d -> %d\n" now (Id.to_hex fid) last c
-      | None when c < params.k && c > 0 ->
-        Printf.eprintf "[%.0f] %s deficit opens at %d\n" now (Id.to_hex fid) c
-      | _ -> ()
-    end;
     if c >= params.k then begin
       close_outage fid now;
       match Hashtbl.find_opt deficit_since fid with

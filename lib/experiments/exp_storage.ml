@@ -119,10 +119,9 @@ let max_attempts_of = function Baseline -> 1 | Thresholds | Full -> 3
    Returns the system alongside the row so callers that need
    final-state access (store/backend statistics) can take it — they
    own the shutdown then. *)
-let run_policy_sys ?(attempt_cap = 500_000) ?store_backend params policy node_config =
+let run_policy_sys ?(attempt_cap = 500_000) params policy node_config =
   let sys =
-    System.create ~node_config ~build:`Static ?store_backend ~seed:params.seed
-      ~n:params.n
+    System.create ~node_config ~build:`Static ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ rng ->
         Capacities.draw (Capacities.normal_truncated ~mean:params.capacity_mean ~cv:0.4) rng)
       ()
@@ -256,10 +255,10 @@ let mega_params ~n ~files ~k ~seed =
     policies = [ Full ];
   }
 
-let run_mega ?(n = 100) ?(files = 1_000_000) ?(k = 3) ?(seed = 97) ?store_backend () =
+let run_mega ?(n = 100) ?(files = 1_000_000) ?(k = 3) ?(seed = 97) () =
   let params = mega_params ~n ~files ~k ~seed in
   let t0 = Unix.gettimeofday () in
-  let row, sys = run_policy_sys ~attempt_cap:files ?store_backend params Full (node_config_of Full) in
+  let row, sys = run_policy_sys ~attempt_cap:files params Full (node_config_of Full) in
   let wall = Unix.gettimeofday () -. t0 in
   let nodes = System.nodes sys in
   let files_stored =
@@ -281,10 +280,8 @@ let run_mega ?(n = 100) ?(files = 1_000_000) ?(k = 3) ?(seed = 97) ?store_backen
         compactions := !compactions + s.compactions;
         compacted_bytes := !compacted_bytes + s.compacted_bytes)
     nodes;
+  let backend_name = Store.backend_name (Node.store nodes.(0)) in
   System.shutdown sys;
-  let backend_name =
-    match store_backend with Some (Store.Log _) -> "log" | Some Store.Mem -> "mem" | None -> "mem"
-  in
   {
     mega_backend = backend_name;
     mega_row = row;

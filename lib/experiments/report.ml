@@ -1,11 +1,11 @@
 (* Run every experiment and print the paper-shaped tables — the entry
    point used by bench/main.exe and by `past_sim all`.
 
-   PAST_SCALE (default 1.0) multiplies the sampling effort (lookup
-   counts, trials) of each experiment: 0.2 gives a fast smoke pass,
-   1.0 the EXPERIMENTS.md numbers; anything but a positive number is
-   rejected. Structural parameters (network sizes, k, thresholds) are
-   never scaled — they define the experiment.
+   [~scale] (past_sim --scale, default 1.0) multiplies the sampling
+   effort (lookup counts, trials) of each experiment: 0.2 gives a fast
+   smoke pass, 1.0 the EXPERIMENTS.md numbers. Structural parameters
+   (network sizes, k, thresholds) are never scaled — they define the
+   experiment.
 
    Each experiment produces named tables; [run_all]/[run_named] render
    them as text (the default) or as machine-readable JSON, and can
@@ -18,16 +18,8 @@ module Domain_pool = Past_stdext.Domain_pool
 module Registry = Past_telemetry.Registry
 module Trace = Past_telemetry.Trace
 
-let scale () =
-  match Sys.getenv_opt "PAST_SCALE" with
-  | None | Some "" -> 1.0
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0.0 && Float.is_finite f -> f
-    | _ -> invalid_arg (Printf.sprintf "PAST_SCALE=%S: expected a positive number" s))
-
-let s_int ?(min_value = 10) base =
-  Stdlib.max min_value (int_of_float (float_of_int base *. scale ()))
+let s_int ~scale ?(min_value = 10) base =
+  Stdlib.max min_value (int_of_float (float_of_int base *. scale))
 
 type output = {
   tables : (string * Text_table.t) list;  (** (title, table) in print order *)
@@ -38,12 +30,12 @@ type output = {
 
 let tables ts = { tables = ts; trace_registry = None }
 
-let run_hops () =
+let run_hops ~scale =
   let p = Exp_hops.default_params in
-  let r = Exp_hops.run { p with Exp_hops.lookups = s_int p.Exp_hops.lookups } in
+  let r = Exp_hops.run { p with Exp_hops.lookups = s_int ~scale p.Exp_hops.lookups } in
   let d = Exp_hops.default_dist_params in
   let dist =
-    Exp_hops.run_distribution { d with Exp_hops.dlookups = s_int d.Exp_hops.dlookups }
+    Exp_hops.run_distribution { d with Exp_hops.dlookups = s_int ~scale d.Exp_hops.dlookups }
   in
   {
     tables =
@@ -56,39 +48,40 @@ let run_hops () =
       (match r.Exp_hops.registries with (_, reg) :: _ -> Some reg | [] -> None);
   }
 
-let run_state () =
+let run_state ~scale:_ =
   tables
     [
       ( "EXP3: per-node state vs formula (2^b-1)*ceil(log_2^b N) + 2l",
         Exp_state.table (Exp_state.run Exp_state.default_params) );
     ]
 
-let run_locality () =
+let run_locality ~scale =
   let p = Exp_locality.default_params in
   tables
     [
       ( "EXP4: locality — route distance vs direct distance (paper: ~1.5x with locality)",
         Exp_locality.table
-          (Exp_locality.run { p with Exp_locality.lookups = s_int p.Exp_locality.lookups }) );
+          (Exp_locality.run
+             { p with Exp_locality.lookups = s_int ~scale p.Exp_locality.lookups }) );
     ]
 
-let run_replica () =
+let run_replica ~scale =
   let p = Exp_replica.default_params in
   tables
     [
       ( "EXP5: which of the k=5 replicas serves a lookup",
         Exp_replica.table
-          (Exp_replica.run { p with Exp_replica.lookups = s_int p.Exp_replica.lookups }) );
+          (Exp_replica.run { p with Exp_replica.lookups = s_int ~scale p.Exp_replica.lookups }) );
     ]
 
-let run_failures () =
+let run_failures ~scale =
   let p = Exp_failures.default_params in
   let r =
     Exp_failures.run
       {
         p with
-        Exp_failures.trials = s_int ~min_value:2 p.Exp_failures.trials;
-        lookups_per_trial = s_int p.Exp_failures.lookups_per_trial;
+        Exp_failures.trials = s_int ~scale ~min_value:2 p.Exp_failures.trials;
+        lookups_per_trial = s_int ~scale p.Exp_failures.lookups_per_trial;
       }
   in
   tables
@@ -100,7 +93,7 @@ let run_failures () =
         Exp_failures.table r );
     ]
 
-let run_maintenance () =
+let run_maintenance ~scale =
   let p = Exp_maintenance.default_params in
   tables
     [
@@ -109,22 +102,24 @@ let run_maintenance () =
           (Exp_maintenance.run
              {
                p with
-               Exp_maintenance.join_samples = s_int ~min_value:5 p.Exp_maintenance.join_samples;
-               fail_samples = s_int ~min_value:2 p.Exp_maintenance.fail_samples;
+               Exp_maintenance.join_samples =
+                 s_int ~scale ~min_value:5 p.Exp_maintenance.join_samples;
+               fail_samples = s_int ~scale ~min_value:2 p.Exp_maintenance.fail_samples;
              }) );
     ]
 
-let run_malicious () =
+let run_malicious ~scale =
   let p = Exp_malicious.default_params in
   tables
     [
       ( "EXP8: routing around malicious droppers (randomized + retries vs deterministic)",
         Exp_malicious.table
-          (Exp_malicious.run { p with Exp_malicious.lookups = s_int p.Exp_malicious.lookups })
+          (Exp_malicious.run
+             { p with Exp_malicious.lookups = s_int ~scale p.Exp_malicious.lookups })
       );
     ]
 
-let run_storage () =
+let run_storage ~scale:_ =
   tables
     [
       ( "EXP9/EXP10: storage utilization & insert rejection (paper: >95% util, <5% rejects, \
@@ -132,9 +127,9 @@ let run_storage () =
         Exp_storage.table (Exp_storage.run Exp_storage.default_params) );
     ]
 
-let run_caching () =
+let run_caching ~scale =
   let p = Exp_caching.default_params in
-  let r = Exp_caching.run { p with Exp_caching.lookups = s_int p.Exp_caching.lookups } in
+  let r = Exp_caching.run { p with Exp_caching.lookups = s_int ~scale p.Exp_caching.lookups } in
   tables
     [
       ( "EXP11: caching popular files (paper: caching cuts fetch distance, balances query \
@@ -144,25 +139,28 @@ let run_caching () =
         Exp_caching.trajectory_table r );
     ]
 
-let run_balance () =
+let run_balance ~scale =
   let p = Exp_balance.default_params in
   tables
     [
       ( "EXP12: per-node file balance and replica diversity",
         Exp_balance.table
           (Exp_balance.run
-             { p with Exp_balance.diversity_samples = s_int p.Exp_balance.diversity_samples })
+             {
+               p with
+               Exp_balance.diversity_samples = s_int ~scale p.Exp_balance.diversity_samples;
+             })
       );
     ]
 
-let run_quota () =
+let run_quota ~scale:_ =
   tables
     [
       ( "EXP13: smartcard quota economy (debit on insert, credit on reclaim)",
         Exp_quota.table (Exp_quota.run Exp_quota.default_params) );
     ]
 
-let run_ablation () =
+let run_ablation ~scale:_ =
   tables
     [
       ( "ABLATION A: digit width b (N=2000)",
@@ -178,19 +176,19 @@ let run_ablation () =
       );
     ]
 
-let run_soak () =
+let run_soak ~scale:_ =
   tables
     [
       ( "SOAK: mixed Poisson workload under continuous churn (availability + self-healing)",
         Exp_soak.table (Exp_soak.run Exp_soak.default_params) );
     ]
 
-let run_churn () =
+let run_churn ~scale =
   let p = Exp_churn.default_params in
   (* Churn scales its horizon, not its sampling: the invariants are
      about behaviour over time. Floor it at one full fault cycle so a
      smoke pass still exercises crash, detection and repair. *)
-  let duration = Float.max 60_000.0 (p.Exp_churn.duration *. scale ()) in
+  let duration = Float.max 60_000.0 (p.Exp_churn.duration *. scale) in
   let r = Exp_churn.run { p with Exp_churn.duration } in
   {
     tables =
@@ -203,7 +201,7 @@ let run_churn () =
     trace_registry = Some r.Exp_churn.registry;
   }
 
-let all : (string * (unit -> output)) list =
+let all : (string * (scale:float -> output)) list =
   [
     ("hops", run_hops);
     ("state", run_state);
@@ -267,9 +265,9 @@ let print_output ~trace (out : output) =
 (* The full suite as one JSON string. Shared by `past_sim all --json`
    and the --jobs determinism test: every experiment merges its
    pool-mapped rows in submission order, so this string is
-   byte-identical for any --jobs value at fixed PAST_SCALE and seeds. *)
-let all_json ?(trace = 0) () =
-  let objs = List.map (fun (name, run) -> json_of_output ~trace name (run ())) all in
+   byte-identical for any --jobs value at fixed scale and seeds. *)
+let all_json ?(trace = 0) ~scale () =
+  let objs = List.map (fun (name, run) -> json_of_output ~trace name (run ~scale)) all in
   Json.to_string ~indent:true (Json.List objs)
 
 let wall_clock_table timings =
@@ -283,11 +281,11 @@ let wall_clock_table timings =
    so bench/main can track the suite's speedup in BENCH_results.json.
    The wall-clock table goes to stderr in JSON mode to keep stdout
    byte-comparable across --jobs values. *)
-let run_all ?(json = false) ?(trace = 0) () =
+let run_all ?(json = false) ?(trace = 0) ~scale () =
   let timings = ref [] in
   let timed name run =
     let t0 = Unix.gettimeofday () in
-    let out = run () in
+    let out = run ~scale in
     let dt = Unix.gettimeofday () -. t0 in
     timings := (name, dt) :: !timings;
     (out, dt)
@@ -312,10 +310,10 @@ let run_all ?(json = false) ?(trace = 0) () =
   else Text_table.print ~title:"wall clock per experiment" table;
   timings
 
-let run_named ?(json = false) ?(trace = 0) name =
+let run_named ?(json = false) ?(trace = 0) ~scale name =
   match List.assoc_opt name all with
   | Some run ->
-    let out = run () in
+    let out = run ~scale in
     if json then print_endline (Json.to_string ~indent:true (json_of_output ~trace name out))
     else print_output ~trace out
   | None ->

@@ -23,7 +23,9 @@ val create : ?dir:string -> ?segment_target:int -> unit -> t
 (** Open a log store.
 
     [dir]: segment directory. When omitted, a scratch directory is
-    created (under [PAST_STORE_DIR] or the system temp dir), owned by
+    created under the directory named by the [PAST_STORE_DIR]
+    environment variable (a deployment path, like [TMPDIR]; the only
+    variable the libraries read) or else the system temp dir, owned by
     the store: {!close} deletes it, and any leftovers are removed at
     process exit. When given, the directory is created if missing and
     an existing segment chain in it is {e replayed} — this is the

@@ -5,11 +5,9 @@ type entry = Store_backend.entry = { cert : Certificate.file; data : string; kin
 
 type backend = Mem | Log of { dir : string option; segment_target : int option }
 
-let default_backend () =
-  match Sys.getenv_opt "PAST_STORE" with
-  | None | Some "" | Some "mem" -> Mem
-  | Some "log" -> Log { dir = None; segment_target = None }
-  | Some other -> invalid_arg (Printf.sprintf "PAST_STORE=%S: expected \"mem\" or \"log\"" other)
+(* Set once by the binary before any worker domain spawns; read-only after. *)
+let process_default = ref Mem
+let set_default_backend backend = process_default := backend
 
 type event = Added of Certificate.file | Removed of Certificate.file
 
@@ -29,7 +27,7 @@ type t = {
 let create ~capacity ?(t_pri = 0.1) ?(t_div = 0.05) ?backend () =
   if capacity < 0 then invalid_arg "Store.create: negative capacity";
   if t_pri <= 0.0 || t_div <= 0.0 then invalid_arg "Store.create: thresholds must be positive";
-  let backend = match backend with Some b -> b | None -> default_backend () in
+  let backend = Option.value backend ~default:!process_default in
   let impl, log =
     match backend with
     | Mem -> (Impl ((module Store_backend.Mem), Store_backend.Mem.create ()), None)

@@ -31,11 +31,11 @@ val create :
     (simulation-fast signatures; use [`Rsa bits] for real crypto).
     [trace_capacity] sizes the system's causal-trace ring (see
     {!Past_telemetry.Trace}). When invariant monitoring is active
-    (see {!Past_telemetry.Monitor.env_active}), PAST-level monitors
-    ([past.replica_count], [past.quota_conservation]) are installed
-    alongside Pastry's. [store_backend] selects every
-    node's replica storage backend (default {!Store.default_backend},
-    i.e. the [PAST_STORE] environment variable). *)
+    (see {!Past_telemetry.Monitor.set_default_active}), PAST-level
+    monitors ([past.replica_count], [past.quota_conservation]) are
+    installed alongside Pastry's. [store_backend] selects every node's
+    replica storage backend (default: the process-wide one, see
+    {!Store.set_default_backend}). *)
 
 val overlay : t -> Wire.t Past_pastry.Overlay.t
 

@@ -23,10 +23,9 @@ val create :
   'a t
 (** [trace_capacity] sizes the registry's trace-event ring (see
     {!Past_telemetry.Trace.create}; 0 disables tracing). When invariant
-    monitors are active (the [PAST_MONITORS] convention,
-    {!Past_telemetry.Monitor.env_active}) the overlay registers a
-    leaf-set symmetry monitor and arms a keepalive-period sampler that
-    ticks the registry's monitor set. *)
+    monitors are active ({!Past_telemetry.Monitor.set_default_active})
+    the overlay registers a leaf-set symmetry monitor and arms a
+    keepalive-period sampler that ticks the registry's monitor set. *)
 
 val net : 'a t -> 'a Message.t Past_simnet.Net.t
 val config : 'a t -> Config.t

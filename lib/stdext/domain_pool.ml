@@ -28,14 +28,6 @@ type t = {
 
 let recommended () = Domain.recommended_domain_count ()
 
-let default_jobs () =
-  match Sys.getenv_opt "PAST_JOBS" with
-  | None | Some "" -> recommended ()
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Stdlib.min j max_jobs
-    | _ -> invalid_arg (Printf.sprintf "PAST_JOBS=%S: expected a positive integer" s))
-
 let jobs pool = pool.jobs
 
 let worker_loop pool =
@@ -145,7 +137,7 @@ let requested_jobs = ref None
 let shared_pool = ref None
 
 let current_jobs () =
-  match !requested_jobs with Some j -> j | None -> default_jobs ()
+  match !requested_jobs with Some j -> j | None -> recommended ()
 
 let set_jobs j =
   let j = Stdlib.max 1 (Stdlib.min j max_jobs) in
@@ -157,17 +149,10 @@ let set_jobs j =
   | Some _ | None -> ()
 
 let shared () =
-  let want = current_jobs () in
   match !shared_pool with
-  | Some pool when pool.jobs = want -> pool
-  | Some pool ->
-    (* default_jobs drifted (e.g. PAST_JOBS changed) — resize lazily. *)
-    shutdown pool;
-    let pool = create ~jobs:want in
-    shared_pool := Some pool;
-    pool
+  | Some pool -> pool
   | None ->
-    let pool = create ~jobs:want in
+    let pool = create ~jobs:(current_jobs ()) in
     shared_pool := Some pool;
     pool
 

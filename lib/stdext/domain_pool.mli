@@ -20,12 +20,6 @@ val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism the
     runtime suggests. *)
 
-val default_jobs : unit -> int
-(** Pool width used when none is requested explicitly: [PAST_JOBS] from
-    the environment when set, otherwise [recommended ()]. Raises
-    [Invalid_argument] naming the value when [PAST_JOBS] is not a
-    positive integer. *)
-
 val create : jobs:int -> t
 (** A pool running up to [jobs] tasks concurrently. [jobs] is clamped
     to [1, 64]; values above [recommended ()] are honoured (the domains
@@ -53,8 +47,8 @@ val shutdown : t -> unit
 (** {1 Shared pool}
 
     The experiment modules pull their parallelism from one process-wide
-    pool so that [past_sim --jobs N] (or [PAST_JOBS]) configures every
-    per-row loop without threading a pool through each signature. *)
+    pool so that one [set_jobs] call (from [past_sim --jobs N]) configures
+    every per-row loop without threading a pool through each signature. *)
 
 val set_jobs : int -> unit
 (** Request a width for the shared pool. If a shared pool of a
@@ -63,7 +57,7 @@ val set_jobs : int -> unit
 
 val current_jobs : unit -> int
 (** Width the shared pool has (or will be created with): the last
-    [set_jobs] value, else [default_jobs ()]. *)
+    [set_jobs] value, else [recommended ()]. *)
 
 val map_shared : ('a -> 'b) -> 'a list -> 'b list
 (** [map] on the shared pool, creating it on first use. *)

@@ -62,13 +62,12 @@ let reset_global () =
 
 (* --- monitor sets ------------------------------------------------------ *)
 
-let env_active () =
-  match Sys.getenv_opt "PAST_MONITORS" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+(* Set once by the binary before any worker domain spawns; read-only after. *)
+let default_active = ref false
+let set_default_active a = default_active := a
 
 let create ?active () =
-  let is_active = match active with Some a -> a | None -> env_active () in
+  let is_active = Option.value active ~default:!default_active in
   { is_active; entries = []; tracer = None }
 
 let active t = t.is_active

@@ -22,17 +22,17 @@
     across every monitor set created while active, so a CI driver can
     run a whole experiment suite and fail the run if any invariant
     broke anywhere. Monitors default to inactive — activation is by
-    [create ~active:true] (see {!env_active} for the [PAST_MONITORS]
-    convention) — and inactive sets cost one branch per check site. *)
+    [create ~active:true] or process-wide by {!set_default_active} —
+    and inactive sets cost one branch per check site. *)
 
 type t
 
 val create : ?active:bool -> unit -> t
-(** Default [active] follows {!env_active}. *)
+(** Default [active] is the value last given to {!set_default_active}. *)
 
-val env_active : unit -> bool
-(** [true] when the [PAST_MONITORS] environment variable is a value
-    other than ["0"] or [""]. *)
+val set_default_active : bool -> unit
+(** Default for {!create}'s [active]; [false] until set. Process-wide
+    ([past_sim --monitors]): set it before any worker domain spawns. *)
 
 val active : t -> bool
 val attach_tracer : t -> Trace.t -> unit

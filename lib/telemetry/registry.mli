@@ -11,8 +11,8 @@
 type t
 
 val create : ?name:string -> ?trace_capacity:int -> ?monitors_active:bool -> unit -> t
-(** [monitors_active] defaults to {!Monitor.env_active} (the
-    [PAST_MONITORS] environment convention). *)
+(** [monitors_active] defaults to the process-wide
+    {!Monitor.set_default_active} value. *)
 
 val name : t -> string
 val tracer : t -> Trace.t

@@ -108,16 +108,13 @@ let shared_pool_configuration () =
    each row is an isolated (seed, overlay, registry) simulation and the
    pool merges rows in submission order. *)
 let suite_json_identical_across_jobs () =
-  Unix.putenv "PAST_SCALE" "0.05";
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PAST_SCALE" "1.0";
-      Domain_pool.set_jobs 1)
+    ~finally:(fun () -> Domain_pool.set_jobs 1)
     (fun () ->
       Domain_pool.set_jobs 1;
-      let sequential = Past_experiments.Report.all_json () in
+      let sequential = Past_experiments.Report.all_json ~scale:0.05 () in
       Domain_pool.set_jobs 4;
-      let parallel = Past_experiments.Report.all_json () in
+      let parallel = Past_experiments.Report.all_json ~scale:0.05 () in
       if not (String.equal sequential parallel) then begin
         let n = Stdlib.min (String.length sequential) (String.length parallel) in
         let rec first_diff i =
@@ -129,27 +126,6 @@ let suite_json_identical_across_jobs () =
           (first_diff 0) (String.length sequential) (String.length parallel)
       end)
 
-(* PAST_JOBS is parsed strictly: unset or empty means the default, a
-   positive integer is honoured, anything else is an error naming the
-   value rather than a silent fallback. *)
-let past_jobs_parser () =
-  let saved = Option.value ~default:"" (Sys.getenv_opt "PAST_JOBS") in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PAST_JOBS" saved)
-    (fun () ->
-      Unix.putenv "PAST_JOBS" "";
-      check Alcotest.int "empty means default" (Domain_pool.recommended ())
-        (Domain_pool.default_jobs ());
-      Unix.putenv "PAST_JOBS" " 3 ";
-      check Alcotest.int "positive integer" 3 (Domain_pool.default_jobs ());
-      List.iter
-        (fun v ->
-          Unix.putenv "PAST_JOBS" v;
-          Alcotest.check_raises v
-            (Invalid_argument (Printf.sprintf "PAST_JOBS=%S: expected a positive integer" v))
-            (fun () -> ignore (Domain_pool.default_jobs ())))
-        [ "0"; "-2"; "four"; "2.5" ])
-
 let suite =
   ( "domain_pool",
     [
@@ -159,6 +135,5 @@ let suite =
       "pool reuse" => pool_reuse;
       "nested map" => nested_map;
       "shared pool configuration" => shared_pool_configuration;
-      "PAST_JOBS parser" => past_jobs_parser;
       "suite JSON identical for --jobs 1 vs 4" => suite_json_identical_across_jobs;
     ] )

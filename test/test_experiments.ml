@@ -191,7 +191,7 @@ let replica_balance_jobs_byte_identical () =
   in
   let j1 = render 1 in
   let j4 = render 4 in
-  Domain_pool.set_jobs (Domain_pool.default_jobs ());
+  Domain_pool.set_jobs (Domain_pool.recommended ());
   check Alcotest.string "replica+balance JSON identical at jobs 1 vs 4" j1 j4
 
 let quota_economy_conserves () =
@@ -383,26 +383,6 @@ let soak_smoke () =
   check Alcotest.bool "table has the availability row" true
     (contains (Past_stdext.Text_table.render (table r)) "available (>=1 live replica)")
 
-(* PAST_SCALE is parsed strictly: a malformed value (a decimal comma,
-   a non-positive or non-finite factor) is an error naming the value,
-   never a silent run at full scale. *)
-let past_scale_parser () =
-  let saved = Option.value ~default:"" (Sys.getenv_opt "PAST_SCALE") in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PAST_SCALE" saved)
-    (fun () ->
-      Unix.putenv "PAST_SCALE" "";
-      check (Alcotest.float 0.0) "empty means 1.0" 1.0 (Past_experiments.Report.scale ());
-      Unix.putenv "PAST_SCALE" "0.05";
-      check (Alcotest.float 0.0) "positive number" 0.05 (Past_experiments.Report.scale ());
-      List.iter
-        (fun v ->
-          Unix.putenv "PAST_SCALE" v;
-          Alcotest.check_raises v
-            (Invalid_argument (Printf.sprintf "PAST_SCALE=%S: expected a positive number" v))
-            (fun () -> ignore (Past_experiments.Report.scale ())))
-        [ "0,05"; "0"; "-1"; "inf"; "nan"; "fast" ])
-
 let suite =
   ( "experiments",
     [
@@ -427,5 +407,4 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_snapshot_equals_dynamic;
       "EXP15 snapshot/dynamic same destinations" => snapshot_dynamic_same_destinations;
       "SOAK smoke" => soak_smoke;
-      "PAST_SCALE parser" => past_scale_parser;
     ] )

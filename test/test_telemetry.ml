@@ -148,53 +148,42 @@ let route_trace_reconstruction () =
   check Alcotest.int "ring keeps capacity" 8 (List.length (Trace.events tr));
   check Alcotest.int "total counts overwritten" 20 (Trace.total_recorded tr)
 
-(* Satellite smoke test: the full report pipeline at PAST_SCALE=0.05
-   must emit JSON that round-trips through our parser with one object
-   per experiment, each carrying its titled tables. *)
+(* Satellite smoke test: the full report pipeline at scale 0.05 must
+   emit JSON that round-trips through our parser with one object per
+   experiment, each carrying its titled tables. *)
 let report_json_smoke () =
   let module Report = Past_experiments.Report in
   let module Json = Past_stdext.Json in
-  let saved = Sys.getenv_opt "PAST_SCALE" in
-  Unix.putenv "PAST_SCALE" "0.05";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PAST_SCALE" (match saved with Some s -> s | None -> "1"))
-    (fun () ->
-      let objs =
-        List.map (fun (name, run) -> Report.json_of_output ~trace:0 name (run ())) Report.all
-      in
-      let text = Json.to_string ~indent:true (Json.List objs) in
-      match Json.of_string text with
-      | Error e -> Alcotest.failf "report JSON does not parse: %s" e
-      | Ok parsed ->
-        let experiments =
-          match Json.to_list parsed with
-          | Some l -> l
-          | None -> Alcotest.fail "top level is not a list"
+  match Json.of_string (Report.all_json ~scale:0.05 ()) with
+  | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+  | Ok parsed ->
+    let experiments =
+      match Json.to_list parsed with
+      | Some l -> l
+      | None -> Alcotest.fail "top level is not a list"
+    in
+    check Alcotest.int "one object per experiment" (List.length Report.all)
+      (List.length experiments);
+    List.iter2
+      (fun (name, _) obj ->
+        check (Alcotest.option Alcotest.string) "experiment name" (Some name)
+          (Json.string_member "experiment" obj);
+        let tables =
+          match Json.member "tables" obj with
+          | Some t -> ( match Json.to_list t with Some l -> l | None -> [])
+          | None -> []
         in
-        check Alcotest.int "one object per experiment" (List.length Report.all)
-          (List.length experiments);
-        List.iter2
-          (fun (name, _) obj ->
-            check (Alcotest.option Alcotest.string) "experiment name" (Some name)
-              (Json.string_member "experiment" obj);
-            let tables =
-              match Json.member "tables" obj with
-              | Some t -> ( match Json.to_list t with Some l -> l | None -> [])
-              | None -> []
-            in
-            check Alcotest.bool (name ^ " has tables") true (List.length tables > 0);
-            List.iter
-              (fun tbl ->
-                check Alcotest.bool (name ^ " table titled") true
-                  (Json.string_member "title" tbl <> None);
-                match Json.member "rows" tbl with
-                | Some rows ->
-                  check Alcotest.bool (name ^ " rows are a list") true
-                    (Json.to_list rows <> None)
-                | None -> Alcotest.failf "%s table missing rows" name)
-              tables)
-          Report.all experiments)
+        check Alcotest.bool (name ^ " has tables") true (List.length tables > 0);
+        List.iter
+          (fun tbl ->
+            check Alcotest.bool (name ^ " table titled") true
+              (Json.string_member "title" tbl <> None);
+            match Json.member "rows" tbl with
+            | Some rows ->
+              check Alcotest.bool (name ^ " rows are a list") true (Json.to_list rows <> None)
+            | None -> Alcotest.failf "%s table missing rows" name)
+          tables)
+      Report.all experiments
 
 let contains s sub =
   let n = String.length sub in
@@ -444,16 +433,15 @@ let timeseries_window_semantics () =
    the CI gate reads. *)
 let monitor_grace_and_global () =
   let module Monitor = Past_telemetry.Monitor in
-  let saved = Sys.getenv_opt "PAST_MONITORS" in
-  Unix.putenv "PAST_MONITORS" "1";
+  Monitor.set_default_active true;
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "PAST_MONITORS" (match saved with Some s -> s | None -> "");
+      Monitor.set_default_active false;
       Monitor.reset_global ())
     (fun () ->
       Monitor.reset_global ();
       let m = Monitor.create () in
-      check Alcotest.bool "PAST_MONITORS activates" true (Monitor.active m);
+      check Alcotest.bool "set_default_active activates" true (Monitor.active m);
       let failing = ref false in
       Monitor.register m ~name:"inv" ~grace:10.0 (fun ~now:_ ->
           if !failing then Error "broken" else Ok ());
