@@ -116,9 +116,15 @@ let system ?trace_capacity n =
   let client = System.new_client sys ~verify:false ~quota:max_int () in
   { sys; client; n = 0 }
 
+(* A refused insert would time the refusal path instead, so it fails
+   the run. *)
 let insert_once fx =
   fx.n <- fx.n + 1;
-  ignore
-    (Client.insert_sync fx.client
-       ~name:(Printf.sprintf "bench-%d" fx.n)
-       ~data:"" ~declared_size:1_000 ~k:3 ())
+  match
+    Client.insert_sync fx.client
+      ~name:(Printf.sprintf "bench-%d" fx.n)
+      ~data:"" ~declared_size:1_000 ~k:3 ()
+  with
+  | Client.Inserted _ -> ()
+  | Client.Insert_failed { attempts; reason } ->
+    failwith (Printf.sprintf "bench insert %d failed after %d attempts: %s" fx.n attempts reason)

@@ -137,7 +137,7 @@ let all_cmd =
   let doc = "Run every experiment (regenerates all tables)." in
   let f scale jobs store json trace monitors =
     configure ?jobs ~store monitors;
-    ignore (Past_experiments.Report.run_all ~json ~trace ~scale () : (string * float) list);
+    Past_experiments.Report.run_all ~json ~trace ~scale ();
     check_monitors monitors
   in
   Cmd.v (Cmd.info "all" ~doc)

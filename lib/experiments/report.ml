@@ -1,5 +1,5 @@
 (* Run every experiment and print the paper-shaped tables — the entry
-   point used by bench/main.exe and by `past_sim all`.
+   point behind `past_sim all` and `past_sim <experiment>`.
 
    [~scale] (past_sim --scale, default 1.0) multiplies the sampling
    effort (lookup counts, trials) of each experiment: 0.2 gives a fast
@@ -262,13 +262,17 @@ let print_output ~trace (out : output) =
     | Some reg -> print_traces ~count:trace reg
     | None -> print_endline "(this experiment does not retain route traces)"
 
-(* The full suite as one JSON string. Shared by `past_sim all --json`
-   and the --jobs determinism test: every experiment merges its
+(* The full suite as one JSON string, each experiment's output
+   obtained through [run name experiment]. *)
+let suite_json ~trace run =
+  Json.to_string ~indent:true
+    (Json.List (List.map (fun (name, exp) -> json_of_output ~trace name (run name exp)) all))
+
+(* What `past_sim all --json` prints, minus its timing. The --jobs
+   determinism test compares it: every experiment merges its
    pool-mapped rows in submission order, so this string is
    byte-identical for any --jobs value at fixed scale and seeds. *)
-let all_json ?(trace = 0) ~scale () =
-  let objs = List.map (fun (name, run) -> json_of_output ~trace name (run ~scale)) all in
-  Json.to_string ~indent:true (Json.List objs)
+let all_json ?(trace = 0) ~scale () = suite_json ~trace (fun _ run -> run ~scale)
 
 let wall_clock_table timings =
   let t = Text_table.create [ "experiment"; "wall clock" ] in
@@ -277,10 +281,9 @@ let wall_clock_table timings =
     (List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 timings);
   t
 
-(* Runs every experiment; returns (name, wall seconds) per experiment
-   so bench/main can track the suite's speedup in BENCH_results.json.
-   The wall-clock table goes to stderr in JSON mode to keep stdout
-   byte-comparable across --jobs values. *)
+(* Runs every experiment, then prints a wall-clock table of them. The
+   table goes to stderr in JSON mode to keep stdout byte-comparable
+   across --jobs values. *)
 let run_all ?(json = false) ?(trace = 0) ~scale () =
   let timings = ref [] in
   let timed name run =
@@ -290,12 +293,7 @@ let run_all ?(json = false) ?(trace = 0) ~scale () =
     timings := (name, dt) :: !timings;
     (out, dt)
   in
-  if json then begin
-    let objs =
-      List.map (fun (name, run) -> json_of_output ~trace name (fst (timed name run))) all
-    in
-    print_endline (Json.to_string ~indent:true (Json.List objs))
-  end
+  if json then print_endline (suite_json ~trace (fun name run -> fst (timed name run)))
   else
     List.iter
       (fun (name, run) ->
@@ -307,8 +305,7 @@ let run_all ?(json = false) ?(trace = 0) ~scale () =
   let timings = List.rev !timings in
   let table = wall_clock_table timings in
   if json then output_string stderr ("\nwall clock per experiment\n" ^ Text_table.render table)
-  else Text_table.print ~title:"wall clock per experiment" table;
-  timings
+  else Text_table.print ~title:"wall clock per experiment" table
 
 let run_named ?(json = false) ?(trace = 0) ~scale name =
   match List.assoc_opt name all with

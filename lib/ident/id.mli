@@ -30,7 +30,7 @@ val to_hex : t -> string
 (** Full-width lowercase hex. *)
 
 val short : t -> string
-(** First 8 hex digits — compact display for logs. *)
+(** First 8 hex digits — compact display in traces and monitor messages. *)
 
 val zero : width:int -> t
 val max_id : width:int -> t

@@ -9,10 +9,6 @@ module Counter = Past_telemetry.Counter
 module Histogram = Past_telemetry.Histogram
 module Trace = Past_telemetry.Trace
 
-let log_src = Logs.Src.create "past.core" ~doc:"PAST storage protocol events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   verify_certificates : bool;
   cache_policy : Cache.policy;
@@ -183,9 +179,6 @@ let ack_stored t (cert : Certificate.file) client =
   to_client t client (Wire.Replica_ack { file_id = cert.Certificate.file_id; receipt })
 
 let nack t (cert : Certificate.file) client =
-  Log.debug (fun m ->
-      m "%s refuses replica of %s (%d bytes, free %d)" (Id.short (id t))
-        (Id.short cert.Certificate.file_id) cert.Certificate.size (Store.free t.store));
   t.refused <- t.refused + 1;
   Counter.incr t.c_reject;
   point t ~span:client.Wire.op "replica_refused";
@@ -216,9 +209,6 @@ let try_divert t (cert : Certificate.file) data client =
   match divert_target t cert with
   | None -> nack t cert client
   | Some target ->
-    Log.debug (fun m ->
-        m "%s diverts replica of %s to %s" (Id.short (id t))
-          (Id.short cert.Certificate.file_id) (Id.short target.Peer.id));
     t.diverts_tried <- t.diverts_tried + 1;
     Counter.incr t.c_divert_try;
     send t target (Wire.Divert_store { cert; data; client; origin = self t })
@@ -405,7 +395,6 @@ let handle_reclaim t (rc : Certificate.reclaim) client =
 (* --- failure recovery / re-replication (§2.1 Persistence) -------------- *)
 
 let re_replicate t =
-  Log.debug (fun m -> m "%s re-replicating after leaf-set change" (Id.short (id t)));
   t.replication_scheduled <- false;
   (* The repair pass is a causal root of its own: every Replicate it
      pushes (and any diverted store the push causes downstream) carries

@@ -6,12 +6,6 @@ module Counter = Past_telemetry.Counter
 module Trace = Past_telemetry.Trace
 module Monitor = Past_telemetry.Monitor
 
-(* Tracing: enable with Logs.Src.set_level (e.g. in an example or a
-   debug session) — the hot paths only format when the level is on. *)
-let log_src = Logs.Src.create "past.pastry" ~doc:"Pastry overlay protocol events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type route_info = { hops : int; dist : float; path : Net.addr list }
 
 type 'a app = {
@@ -177,8 +171,6 @@ let known_peers t =
 (* --- failure handling ------------------------------------------------ *)
 
 let declare_failed t failed_addr =
-  Log.debug (fun m ->
-      m "%s declares node@%d failed" (Id.short t.self.Peer.id) failed_addr);
   tbl_remove t.pending_acks failed_addr;
   Hashtbl.replace (Lazy.force t.suspects) failed_addr (Net.now t.net);
   let was_smaller = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.smaller t.leaf) in
@@ -443,9 +435,6 @@ let handle t src msg =
     List.iter (learn t) smaller;
     List.iter (learn t) larger;
     if not t.joined then begin
-      Log.info (fun m ->
-          m "%s joined (leaf set seeded by %s)" (Id.short t.self.Peer.id)
-            (Id.short from.Peer.id));
       t.joined <- true;
       (* Notify every node that needs to know of our arrival, restoring
          Pastry's invariants (§2.2). *)
@@ -521,7 +510,6 @@ let state_size t =
 
 let join t ~bootstrap =
   if bootstrap = t.self.Peer.addr then invalid_arg "Node.join: cannot bootstrap from self";
-  Log.info (fun m -> m "%s joining via node@%d" (Id.short t.self.Peer.id) bootstrap);
   t.joined <- false;
   let trace = Trace.new_route_id t.shared.tracer in
   trace_event t

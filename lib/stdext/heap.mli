@@ -1,7 +1,7 @@
 (** Imperative binary min-heap, parameterised by an ordering function.
 
-    The reference {!Timing_wheel}'s pop order is tested and
-    benchmarked against. *)
+    The reference {!Timing_wheel}'s pop order is tested against; it
+    has no user outside the tests. *)
 
 type 'a t
 

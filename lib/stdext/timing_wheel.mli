@@ -1,10 +1,10 @@
 (** Hierarchical timing wheel: an O(1)-amortized discrete-event queue.
 
     The simulator's event queue. Events carry a [(time, seq)] priority;
-    pop order is {e exactly} the binary-heap order — ascending time,
-    FIFO [seq] among equal times — which the tests check against
-    {!Heap} (the EXP1 golden fixture and every [--jobs] byte-compare
-    depend on this order).
+    pop order is {e exactly} ascending time, FIFO [seq] among equal
+    times (the EXP1 golden fixture and every [--jobs] byte-compare
+    depend on this order). The tests check it on randomized traces
+    against {!Heap}, a reference binary heap nothing else uses.
 
     Geometry: [levels] wheels of [2^bits] slots each, with slot
     granularity [tick] at level 0 and a factor [2^bits] coarser per
