@@ -57,13 +57,13 @@ let store_admit_once () = ignore (Store.admits store ~size:10_000 ~kind:`Primary
 
 let cache = Cache.create Cache.Gds
 
-let cache_certs =
+let card =
   let broker = Past_core.Broker.create ~mode:`Insecure (Rng.create 3) in
-  let card =
-    match Past_core.Broker.issue_card broker ~quota:max_int ~contributed:0 with
-    | Ok c -> c
-    | Error _ -> assert false
-  in
+  match Past_core.Broker.issue_card broker ~quota:max_int ~contributed:0 with
+  | Ok c -> c
+  | Error _ -> assert false
+
+let cache_certs =
   Array.init 128 (fun i ->
       match
         Past_core.Smartcard.issue_file_certificate card ~name:(string_of_int i) ~data:""
@@ -80,6 +80,15 @@ let cache_cycle_once () =
   ignore (Cache.offer cache ~cert ~data:"");
   ignore (Cache.find cache cert.Past_core.Certificate.file_id);
   incr cache_i
+
+(* --- store receipt ------------------------------------------------------- *)
+
+(* What a storing node does per replica: build the receipt material and
+   sign it with its `Insecure card. *)
+let receipt_file_id = Id.random rng ~width:Id.file_bits
+
+let store_receipt_once () =
+  ignore (Past_core.Smartcard.issue_store_receipt card ~file_id:receipt_file_id ~now:1.0)
 
 (* --- one routed lookup on a prebuilt overlay ---------------------------- *)
 

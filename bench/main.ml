@@ -22,6 +22,11 @@ module Nat = Past_bignum.Nat
 
 let rng = Rng.create 20260705
 let payload_4k = String.init 4096 (fun i -> Char.chr (i mod 256))
+
+(* The size of the materials an insert hashes: certificates and
+   receipts, with hex ids and keys, run to ~300 bytes. *)
+let payload_320 = String.sub payload_4k 0 320
+
 let rsa_keypair = Rsa.generate rng ~bits:512
 let rsa_signature = Rsa.sign rsa_keypair (Bytes.of_string payload_4k)
 let nat_base = Rng.bits64 rng |> Int64.to_int |> abs |> Nat.of_int
@@ -53,6 +58,9 @@ let micro_tests () =
     [
       Test.make ~name:"sha1 (4 KiB)" (Staged.stage (fun () -> Sha1.digest_string payload_4k));
       Test.make ~name:"sha256 (4 KiB)" (Staged.stage (fun () -> Sha256.digest_string payload_4k));
+      Test.make ~name:"sha256 (320 B)" (Staged.stage (fun () -> Sha256.digest_string payload_320));
+      Test.make ~name:"insecure sign (store receipt)"
+        (Staged.stage Harness_fixture.store_receipt_once);
       Test.make ~name:"rsa-512 sign"
         (Staged.stage (fun () -> Rsa.sign rsa_keypair (Bytes.of_string "msg")));
       Test.make ~name:"rsa-512 verify"

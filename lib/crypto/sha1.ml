@@ -1,80 +1,53 @@
-(* 32-bit arithmetic on native 63-bit ints, masking after each op. *)
+(* 32-bit arithmetic on native 63-bit ints, masking where a value must
+   stay a 32-bit word. [Md] feeds the blocks and pads. *)
 
 let m32 = 0xFFFFFFFF
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m32
+let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m32
 
-let pad msg =
-  let len = Bytes.length msg in
-  let bit_len = len * 8 in
-  let padded_len =
-    let l = len + 1 + 8 in
-    ((l + 63) / 64) * 64
-  in
-  let out = Bytes.make padded_len '\000' in
-  Bytes.blit msg 0 out 0 len;
-  Bytes.set out len '\x80';
-  for i = 0 to 7 do
-    Bytes.set out (padded_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xFF))
+(* Compress the 64-byte block of [data] at [off] into the state [h],
+   using [w] (80 words) as the message schedule. Each 20-round stage
+   adds its own mixing function and constant, summed as one term. *)
+let compress h w data off =
+  for t = 0 to 15 do
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be data (off + (4 * t))) land m32)
   done;
-  out
+  for t = 16 to 79 do
+    Array.unsafe_set w t
+      (rotl
+         (Array.unsafe_get w (t - 3)
+         lxor Array.unsafe_get w (t - 8)
+         lxor Array.unsafe_get w (t - 14)
+         lxor Array.unsafe_get w (t - 16))
+         1)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) in
+  for t = 0 to 79 do
+    let fk =
+      if t < 20 then ((!b land !c) lor (lnot !b land !d)) + 0x5A827999
+      else if t < 40 then (!b lxor !c lxor !d) + 0x6ED9EBA1
+      else if t < 60 then ((!b land !c) lor (!b land !d) lor (!c land !d)) + 0x8F1BBCDC
+      else (!b lxor !c lxor !d) + 0xCA62C1D6
+    in
+    let tmp = (rotl !a 5 + fk + !e + Array.unsafe_get w t) land m32 in
+    e := !d;
+    d := !c;
+    c := rotl !b 30;
+    b := !a;
+    a := tmp
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land m32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land m32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land m32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land m32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land m32)
 
 let digest_bytes msg =
-  let data = pad msg in
-  let h0 = ref 0x67452301
-  and h1 = ref 0xEFCDAB89
-  and h2 = ref 0x98BADCFE
-  and h3 = ref 0x10325476
-  and h4 = ref 0xC3D2E1F0 in
-  let w = Array.make 80 0 in
-  let blocks = Bytes.length data / 64 in
-  for blk = 0 to blocks - 1 do
-    let off = blk * 64 in
-    for t = 0 to 15 do
-      let b i = Char.code (Bytes.get data (off + (4 * t) + i)) in
-      w.(t) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-    done;
-    for t = 16 to 79 do
-      w.(t) <- rotl (w.(t - 3) lxor w.(t - 8) lxor w.(t - 14) lxor w.(t - 16)) 1
-    done;
-    let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
-    for t = 0 to 79 do
-      let f, k =
-        if t < 20 then ((!b land !c) lor (lnot !b land !d) land m32, 0x5A827999)
-        else if t < 40 then (!b lxor !c lxor !d, 0x6ED9EBA1)
-        else if t < 60 then ((!b land !c) lor (!b land !d) lor (!c land !d), 0x8F1BBCDC)
-        else (!b lxor !c lxor !d, 0xCA62C1D6)
-      in
-      let tmp = (rotl !a 5 + (f land m32) + !e + w.(t) + k) land m32 in
-      e := !d;
-      d := !c;
-      c := rotl !b 30;
-      b := !a;
-      a := tmp
-    done;
-    h0 := (!h0 + !a) land m32;
-    h1 := (!h1 + !b) land m32;
-    h2 := (!h2 + !c) land m32;
-    h3 := (!h3 + !d) land m32;
-    h4 := (!h4 + !e) land m32
-  done;
-  let out = Bytes.create 20 in
-  let put i v =
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j) (Char.chr ((v lsr (8 * (3 - j))) land 0xFF))
-    done
-  in
-  put 0 !h0;
-  put 1 !h1;
-  put 2 !h2;
-  put 3 !h3;
-  put 4 !h4;
-  out
+  Md.digest ~compress
+    [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |]
+    (Array.make 80 0) msg
 
-let digest_string s = digest_bytes (Bytes.of_string s)
-
-let hex_of_digest d =
-  let buf = Buffer.create (2 * Bytes.length d) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
-
-let digest_hex s = hex_of_digest (digest_string s)
+(* The kernel only reads its argument, so the string is not copied. *)
+let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
+let digest_hex s = Hex.of_bytes (digest_string s)

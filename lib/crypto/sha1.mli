@@ -8,7 +8,5 @@ val digest_bytes : bytes -> bytes
 
 val digest_string : string -> bytes
 
-val hex_of_digest : bytes -> string
-
 val digest_hex : string -> string
 (** [digest_hex s] is the lowercase hex digest of [s]. *)

@@ -1,6 +1,7 @@
+(* 32-bit arithmetic on native 63-bit ints, masking where a value must
+   stay a 32-bit word. [Md] feeds the blocks and pads. *)
+
 let m32 = 0xFFFFFFFF
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-let shr x n = x lsr n
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
@@ -14,80 +15,73 @@ let k =
      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
      0xc67178f2 |]
 
-let pad msg =
-  let len = Bytes.length msg in
-  let bit_len = len * 8 in
-  let padded_len =
-    let l = len + 1 + 8 in
-    ((l + 63) / 64) * 64
-  in
-  let out = Bytes.make padded_len '\000' in
-  Bytes.blit msg 0 out 0 len;
-  Bytes.set out len '\x80';
-  for i = 0 to 7 do
-    Bytes.set out (padded_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xFF))
+(* For a 32-bit [x], [x lor (x lsl 32)] holds x twice, so bits n..n+31
+   of it are x rotated right by n (n <= 31; the lost bit 63 is never
+   read). The three rotations of each sigma are three shifts of that
+   doubled word and one mask. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)) land m32
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)) land m32
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (((xx lsr 7) lxor (xx lsr 18)) land m32) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (((xx lsr 17) lxor (xx lsr 19)) land m32) lxor (x lsr 10)
+
+(* Compress the 64-byte block of [data] at [off] into the state [h],
+   using [w] (64 words) as the message schedule. *)
+let compress h w data off =
+  for t = 0 to 15 do
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be data (off + (4 * t))) land m32)
   done;
-  out
+  for t = 16 to 63 do
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + small_sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + small_sigma1 (Array.unsafe_get w (t - 2)))
+      land m32)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  for t = 0 to 63 do
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let temp1 = !hh + big_sigma1 !e + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
+    let temp2 = big_sigma0 !a + maj in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + temp1) land m32;
+    d := !c;
+    c := !b;
+    b := !a;
+    a := (temp1 + temp2) land m32
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land m32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land m32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land m32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land m32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land m32);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land m32);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land m32);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land m32)
 
 let digest_bytes msg =
-  let data = pad msg in
-  let h =
+  Md.digest ~compress
     [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
        0x5be0cd19 |]
-  in
-  let w = Array.make 64 0 in
-  let blocks = Bytes.length data / 64 in
-  for blk = 0 to blocks - 1 do
-    let off = blk * 64 in
-    for t = 0 to 15 do
-      let b i = Char.code (Bytes.get data (off + (4 * t) + i)) in
-      w.(t) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-    done;
-    for t = 16 to 63 do
-      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor shr w.(t - 15) 3 in
-      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor shr w.(t - 2) 10 in
-      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
-    done;
-    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-      let temp1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-      let temp2 = (s0 + maj) land m32 in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + temp1) land m32;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := (temp1 + temp2) land m32
-    done;
-    h.(0) <- (h.(0) + !a) land m32;
-    h.(1) <- (h.(1) + !b) land m32;
-    h.(2) <- (h.(2) + !c) land m32;
-    h.(3) <- (h.(3) + !d) land m32;
-    h.(4) <- (h.(4) + !e) land m32;
-    h.(5) <- (h.(5) + !f) land m32;
-    h.(6) <- (h.(6) + !g) land m32;
-    h.(7) <- (h.(7) + !hh) land m32
-  done;
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j) (Char.chr ((h.(i) lsr (8 * (3 - j))) land 0xFF))
-    done
-  done;
-  out
+    (Array.make 64 0) msg
 
-let digest_string s = digest_bytes (Bytes.of_string s)
-
-let hex_of_digest d =
-  let buf = Buffer.create (2 * Bytes.length d) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
-
-let digest_hex s = hex_of_digest (digest_string s)
+(* The kernel only reads its argument, so the string is not copied. *)
+let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
+let digest_hex s = Hex.of_bytes (digest_string s)

@@ -8,5 +8,6 @@ val digest_bytes : bytes -> bytes
 (** 32-byte digest. *)
 
 val digest_string : string -> bytes
-val hex_of_digest : bytes -> string
+
 val digest_hex : string -> string
+(** [digest_hex s] is the lowercase hex digest of [s]. *)

@@ -7,7 +7,7 @@ let generate rng ~mode =
   match mode with
   | `Rsa bits -> Rsa_key (Rsa.generate rng ~bits)
   | `Insecure ->
-    let nonce = Sha256.hex_of_digest (Bytes.to_string (Rng.bytes rng 16) |> Sha256.digest_string) in
+    let nonce = Hex.of_bytes (Sha256.digest_bytes (Rng.bytes rng 16)) in
     Insecure_key { nonce }
 
 let public = function
@@ -16,20 +16,21 @@ let public = function
 
 let public_to_string = function
   | Rsa_pub pub -> Rsa.public_to_string pub
-  | Insecure_pub { nonce } -> Printf.sprintf "insecure:%s" nonce
+  | Insecure_pub { nonce } -> "insecure:" ^ nonce
+
+(* The insecure tag is SHA-256 of "tag:<nonce>:<msg>". *)
+let insecure_tag nonce msg =
+  Sha256.digest_string (String.concat ":" [ "tag"; nonce; Bytes.unsafe_to_string msg ])
 
 let sign kp msg =
   match kp with
   | Rsa_key kp -> Rsa.sign kp msg
-  | Insecure_key { nonce } ->
-    Sha256.digest_string (Printf.sprintf "tag:%s:%s" nonce (Bytes.to_string msg))
+  | Insecure_key { nonce } -> insecure_tag nonce msg
 
 let verify pub msg signature =
   match pub with
   | Rsa_pub pub -> Rsa.verify pub msg signature
-  | Insecure_pub { nonce } ->
-    Bytes.equal signature
-      (Sha256.digest_string (Printf.sprintf "tag:%s:%s" nonce (Bytes.to_string msg)))
+  | Insecure_pub { nonce } -> Bytes.equal signature (insecure_tag nonce msg)
 
 let public_of_string s =
   let prefixed p = String.length s > String.length p && String.sub s 0 (String.length p) = p in

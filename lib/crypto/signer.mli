@@ -6,8 +6,9 @@
       unit tests, the quickstart and any security-sensitive example.
     - [`Insecure] — a hash tag over a public per-key nonce. It has no
       cryptographic strength (anyone could forge it) but is
-      collision-free between honest parties and costs almost nothing,
-      which is what the 10^3–10^4-node storage experiments need. The
+      collision-free between honest parties and costs one SHA-256 per
+      sign or verify, which is what the 10^3–10^4-node storage
+      experiments need. The
       paper's security argument rests on real signatures; the
       simulation substitution is documented in DESIGN.md. *)
 

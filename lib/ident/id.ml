@@ -29,28 +29,8 @@ let of_hex ~width s =
   if Nat.num_bits n > width then invalid_arg "Id.of_hex: value exceeds width";
   Bytes.to_string (Nat.to_bytes_be ~width:(width / 8) n)
 
-let hex_digits = "0123456789abcdef"
-
-(* [Id.short] runs on every route/join via Trace.Route_start, so hex
-   rendering is hot. Byte value v renders as the precomputed character
-   pair at [2v, 2v+1]: one bounds-check-free table read per output
-   character and no per-nibble shifting. *)
-let hex_pairs =
-  String.init 512 (fun i ->
-      let v = i / 2 in
-      if i land 1 = 0 then hex_digits.[v lsr 4] else hex_digits.[v land 0xf])
-
-let hex_of_prefix (t : t) n =
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let v = Char.code (String.unsafe_get t i) in
-    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_pairs (2 * v));
-    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_pairs ((2 * v) + 1))
-  done;
-  Bytes.unsafe_to_string out
-
-let to_hex (t : t) = hex_of_prefix t (String.length t)
-let short (t : t) = hex_of_prefix t (Stdlib.min 4 (String.length t))
+let to_hex (t : t) = Past_crypto.Hex.of_prefix t (String.length t)
+let short (t : t) = Past_crypto.Hex.of_prefix t (Stdlib.min 4 (String.length t))
 
 let random rng ~width =
   check_width "Id.random" width;

@@ -22,7 +22,7 @@ let file_material ~file_id ~owner ~content_hash ~size ~replication ~salt ~insert
     (Printf.sprintf "filecert:%s:%s:%s:%d:%d:%s:%h" (Id.to_hex file_id)
        (Signer.public_to_string owner) content_hash size replication salt inserted_at)
 
-let content_hash_of data = Sha1.hex_of_digest (Sha1.digest_string data)
+let content_hash_of data = Past_crypto.Hex.of_bytes (Sha1.digest_string data)
 
 let make_file ~keypair ~owner ~owner_endorsement ~name ~data ?declared_size ~replication ~salt ~now () =
   if replication < 1 then invalid_arg "Certificate.make_file: replication must be >= 1";

@@ -332,9 +332,9 @@ let reclaim t ~file_id ?expected cb =
    produce files they are supposed to store") ---------------------------- *)
 
 let audit t ~file_id ~data ~holder cb =
-  let nonce = Past_crypto.Sha256.hex_of_digest (Rng.bytes t.rng 8) in
+  let nonce = Past_crypto.Hex.of_bytes (Rng.bytes t.rng 8) in
   let expected_proof =
-    Past_crypto.Sha1.hex_of_digest (Past_crypto.Sha1.digest_string (nonce ^ data))
+    Past_crypto.Hex.of_bytes (Past_crypto.Sha1.digest_string (nonce ^ data))
   in
   let state = { expected_proof; au_settled = false; au_cb = cb } in
   Hashtbl.replace t.audits nonce state;

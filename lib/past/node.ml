@@ -587,7 +587,7 @@ let on_direct t ~from:_ (msg : Wire.t) =
     match Store.get t.store file_id with
     | Some entry ->
       let proof =
-        Past_crypto.Sha1.hex_of_digest
+        Past_crypto.Hex.of_bytes
           (Past_crypto.Sha1.digest_string (nonce ^ entry.Store.data))
       in
       to_client t client (Wire.Audit_proof { file_id; nonce; proof })

@@ -5,6 +5,7 @@ module Rng = Past_stdext.Rng
 type t = {
   keypair : Signer.keypair;
   public : Signer.public;
+  node_id : Id.t;
   endorsement : bytes;
   broker : Signer.public;
   quota : int;
@@ -16,9 +17,11 @@ type t = {
 
 let make ~keypair ~endorsement ~broker ~quota ~contributed ~rng =
   if quota < 0 || contributed < 0 then invalid_arg "Smartcard.make: negative quota";
+  let public = Signer.public keypair in
   {
     keypair;
-    public = Signer.public keypair;
+    public;
+    node_id = Id.node_id_of_key (Signer.public_to_string public);
     endorsement;
     broker;
     quota;
@@ -31,7 +34,7 @@ let make ~keypair ~endorsement ~broker ~quota ~contributed ~rng =
 let public t = t.public
 let endorsement t = t.endorsement
 let broker t = t.broker
-let node_id t = Id.node_id_of_key (Signer.public_to_string t.public)
+let node_id t = t.node_id
 let quota t = t.quota
 let used t = t.used
 let remaining t = t.quota - t.used
@@ -46,7 +49,7 @@ let endorsed_by ~broker ~public ~endorsement =
 
 type quota_error = Quota_exceeded of { requested : int; available : int }
 
-let fresh_salt t = Past_crypto.Sha256.hex_of_digest (Rng.bytes t.rng 8)
+let fresh_salt t = Past_crypto.Hex.of_bytes (Rng.bytes t.rng 8)
 
 let issue_with_salt t ~name ~data ?declared_size ~replication ~now ~debit () =
   let size = match declared_size with Some s -> s | None -> String.length data in
@@ -89,7 +92,7 @@ let credit_reclaim_receipt t (r : Certificate.reclaim_receipt) =
   end
 
 let issue_store_receipt t ~file_id ~now =
-  Certificate.make_store_receipt ~keypair:t.keypair ~node_key:t.public ~node_id:(node_id t)
+  Certificate.make_store_receipt ~keypair:t.keypair ~node_key:t.public ~node_id:t.node_id
     ~file_id ~now
 
 let issue_reclaim_receipt t ~file_id ~freed =

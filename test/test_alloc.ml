@@ -5,7 +5,11 @@
    sender. At millions of messages per run the words allocated there
    drive minor GC, so each budget below pins the steady-state cost
    after warm-up: a closure, an option or a boxed store reintroduced
-   on one of these paths fails it. *)
+   on one of these paths fails it.
+
+   The crypto budgets pin the insert path's hashing: every operation
+   signs and verifies certificates and receipts over ~300-byte
+   materials. *)
 
 module Rng = Past_stdext.Rng
 module Histogram = Past_telemetry.Histogram
@@ -17,6 +21,9 @@ module Peer = Past_pastry.Peer
 module Leaf_set = Past_pastry.Leaf_set
 module Neighborhood = Past_pastry.Neighborhood
 module Routing_table = Past_pastry.Routing_table
+module Sha1 = Past_crypto.Sha1
+module Sha256 = Past_crypto.Sha256
+module Hex = Past_crypto.Hex
 
 let ( => ) name f = Alcotest.test_case name `Quick f
 
@@ -101,6 +108,27 @@ let keepalive_round_trip () =
     (Net.messages_delivered net - delivered);
   within "keep-alive send + deliver round trip" ~budget:64.0 words
 
+(* A digest allocates its state, message schedule, padded tail (one or
+   two blocks) and result, and nothing per input block: 320 bytes are
+   five blocks, the sixth is the tail. *)
+let material_320 = String.init 320 (fun i -> Char.chr (i land 0xff))
+
+let sha256_320 () =
+  within "Sha256.digest_string (320 B)" ~budget:128.0
+    (words_per_call ~calls:20_000 (fun () ->
+         ignore (Sys.opaque_identity (Sha256.digest_string material_320))))
+
+let sha1_320 () =
+  within "Sha1.digest_string (320 B)" ~budget:128.0
+    (words_per_call ~calls:20_000 (fun () ->
+         ignore (Sys.opaque_identity (Sha1.digest_string material_320))))
+
+(* The 64-character result string is the only block. *)
+let hex_32 () =
+  let digest = Sha256.digest_string "x" in
+  within "Hex.of_bytes (32-byte digest)" ~budget:16.0
+    (words_per_call ~calls:100_000 (fun () -> ignore (Sys.opaque_identity (Hex.of_bytes digest))))
+
 let suite =
   ( "alloc",
     [
@@ -108,4 +136,7 @@ let suite =
       "Histogram.observe" => histogram_observe;
       "Node.learn of a known peer" => learn_known_peer;
       "keep-alive round trip" => keepalive_round_trip;
+      "Sha256.digest_string (320 B)" => sha256_320;
+      "Sha1.digest_string (320 B)" => sha1_320;
+      "Hex.of_bytes (32-byte digest)" => hex_32;
     ] )

@@ -42,21 +42,81 @@ let sha256_million_a () =
   check Alcotest.string "10^6 x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.digest_hex (String.make 1_000_000 'a'))
 
-(* Padding boundaries: lengths around the 64-byte block edge. *)
+(* Padding boundaries: 55 leftover bytes still fit one padded tail
+   block, 56 need two, and at multiples of 64 the tail holds padding
+   only. Digests of [String.make n 'x'] from coreutils
+   [sha1sum]/[sha256sum]. *)
 let padding_boundaries () =
   List.iter
-    (fun len ->
+    (fun (len, sha1, sha256) ->
       let s = String.make len 'x' in
-      check Alcotest.int (Printf.sprintf "sha1 len %d" len) 20 (Bytes.length (Sha1.digest_string s));
-      check Alcotest.int
-        (Printf.sprintf "sha256 len %d" len)
-        32
-        (Bytes.length (Sha256.digest_string s)))
-    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+      check Alcotest.string (Printf.sprintf "sha1 len %d" len) sha1 (Sha1.digest_hex s);
+      check Alcotest.string (Printf.sprintf "sha256 len %d" len) sha256 (Sha256.digest_hex s))
+    [
+      ( 0,
+        "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" );
+      ( 1,
+        "11f6ad8ec52a2984abaafd7c3b516503785c2072",
+        "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881" );
+      ( 54,
+        "31045e7bb077ff8d188a776b196b980388735dbb",
+        "45f316e10b2c99abf374b22bda893cf3300d77263f1e272349ed414680522952" );
+      ( 55,
+        "cef734ba81a024479e09eb5a75b6ddae62e6abf1",
+        "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072" );
+      ( 56,
+        "901305367c259952f4e7af8323f480d59f81335b",
+        "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e" );
+      ( 57,
+        "025ecbd5d70f8fb3c5457cd96bab13fda305dc59",
+        "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217" );
+      ( 63,
+        "0ddc4e0cccd9a12850deb5abb0853a4425559fec",
+        "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2" );
+      ( 64,
+        "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163",
+        "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c" );
+      ( 65,
+        "78c741ddc482e4cdf8c474a0876347a0905b6233",
+        "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9" );
+      ( 119,
+        "4300320394f7ee239bcdce7d3b8bcee173a0cd5c",
+        "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c" );
+      ( 120,
+        "ceb2821639c4b6dcb10bce0e522ca2e608ce056d",
+        "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98" );
+      ( 128,
+        "150fa3fbdc899bd0b8f95a9fb6027f564d953762",
+        "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464" );
+      ( 1000,
+        "c3efa690fa3fdd2e2526853eed670538ea127638",
+        "44f8354494a5ba03ba1792a8d3e9c534c47a9181980fde7a3f44b06ef2ae7c7f" );
+    ]
 
 let sha_distinct_inputs () =
   check Alcotest.bool "different inputs differ" false
     (String.equal (Sha256.digest_hex "a") (Sha256.digest_hex "b"))
+
+(* The table-driven encoder against the obvious formatting one. *)
+let hex_matches_printf =
+  QCheck.Test.make ~name:"Hex.of_bytes = Printf %02x per byte" ~count:200 QCheck.string
+    (fun s ->
+      let oracle =
+        String.concat ""
+          (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+      in
+      String.equal (Past_crypto.Hex.of_bytes (Bytes.of_string s)) oracle)
+
+(* [digest_string] hashes its argument in place; it must agree with
+   hashing a private copy. Lengths up to 300 cross several block
+   edges. *)
+let digest_string_matches_bytes =
+  QCheck.Test.make ~name:"digest_string s = digest_bytes (Bytes.of_string s)" ~count:200
+    QCheck.(string_of_size Gen.(0 -- 300))
+    (fun s ->
+      Bytes.equal (Sha1.digest_string s) (Sha1.digest_bytes (Bytes.of_string s))
+      && Bytes.equal (Sha256.digest_string s) (Sha256.digest_bytes (Bytes.of_string s)))
 
 (* --- RSA --- *)
 
@@ -143,6 +203,8 @@ let suite =
       "sha256 million a" => sha256_million_a;
       "padding boundaries" => padding_boundaries;
       "distinct inputs" => sha_distinct_inputs;
+      QCheck_alcotest.to_alcotest hex_matches_printf;
+      QCheck_alcotest.to_alcotest digest_string_matches_bytes;
       "rsa sign/verify" => rsa_sign_verify;
       "rsa rejects tampered message" => rsa_reject_tampered_message;
       "rsa rejects tampered signature" => rsa_reject_tampered_signature;
