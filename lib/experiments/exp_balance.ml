@@ -105,6 +105,7 @@ let run_trial params ~trial ~diversity_samples =
     Stats.add random
       (mean_pairwise_proximity net (List.map (fun i -> Node.addr nodes.(i)) pick))
   done;
+  System.shutdown sys;
   (per_node, replica, random)
 
 let run params =

@@ -150,10 +150,12 @@ let run_one params policy fill =
     (fun n ->
       Stats.add_int load (Node.lookups_served_from_cache n + Node.lookups_served_from_store n))
     (System.nodes sys);
+  let utilization = System.global_utilization sys in
+  System.shutdown sys;
   {
     policy;
     fill;
-    utilization = System.global_utilization sys;
+    utilization;
     avg_hops = Stats.mean hops;
     avg_dist = Stats.mean dist;
     cache_hit_fraction =

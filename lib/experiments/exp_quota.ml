@@ -105,6 +105,7 @@ let run params =
     Array.fold_left (fun acc n -> acc + Store.file_count (Node.store n)) 0 (System.nodes sys)
   in
   let report = Broker.report (System.broker sys) in
+  System.shutdown sys;
   {
     total_quota = report.Broker.total_quota;
     total_supply = report.Broker.total_contributed;

@@ -185,7 +185,9 @@ let run_policy_sys ?(attempt_cap = 500_000) params policy node_config =
     sys )
 
 let run_policy_with_config params policy node_config =
-  fst (run_policy_sys params policy node_config)
+  let row, sys = run_policy_sys params policy node_config in
+  System.shutdown sys;
+  row
 
 let run_policy params policy = run_policy_with_config params policy (node_config_of policy)
 

@@ -10,7 +10,13 @@ module Signer = Past_crypto.Signer
    replication salt inserted_at signature data). Ids are u8 byte-count
    + raw bytes; strings are u32 LE byte-count + bytes. Anything that
    fails to parse — including a record cut short by a crash — ends the
-   segment at the last good record. *)
+   segment at the last good record.
+
+   Reads go through one read-only descriptor per segment, opened on the
+   segment's first read and closed when compaction unlinks it or the
+   store closes: [lseek] to the slot and [read] exactly its length. The
+   index slot carries the certificate's size and replication factor, so
+   admission and reclaim routing never touch the disk. *)
 
 let magic = 0xA5
 let tag_tombstone = 0
@@ -19,8 +25,16 @@ let tag_diverted = 2
 
 exception Corrupt
 
-type slot = { sl_seg : int; sl_off : int; sl_len : int; sl_size : int }
-type seg = { sg_id : int; mutable sg_bytes : int; mutable sg_live : int }
+type slot = { sl_seg : int; sl_off : int; sl_len : int; sl_size : int; sl_repl : int }
+
+type seg = {
+  sg_id : int;
+  mutable sg_bytes : int;
+  mutable sg_live : int;
+  mutable sg_fd : Unix.file_descr option;  (* read descriptor, opened on first read *)
+}
+
+let new_seg id = { sg_id = id; sg_bytes = 0; sg_live = 0; sg_fd = None }
 
 type stats = {
   segments : int;
@@ -45,7 +59,6 @@ type t = {
   mutable active : seg;
   mutable out : out_channel option;
   mutable out_dirty : bool;
-  mutable reader : (int * in_channel) option;
   mutable disk_bytes : int;
   mutable live_bytes : int;
   mutable compactions : int;
@@ -147,11 +160,17 @@ let get_u32 s off =
   if v < 0 then raise Corrupt;
   v
 
+(* End of the record starting at [off]: its header must lie within [s],
+   its payload may run past the end (every read checks [need]). *)
+let record_limit s off =
+  if off + 6 > String.length s then raise Corrupt;
+  off + 6 + get_u32 s (off + 2)
+
 (* [decode_entry s off] parses the record starting at [off]; [s] must
-   hold the full record. Raises on any malformation. *)
+   hold the full record. Raises [Corrupt] on any malformation. *)
 let decode_entry s off : Store_backend.entry =
+  let limit = record_limit s off in
   let tag = Char.code s.[off + 1] in
-  let limit = off + 6 + get_u32 s (off + 2) in
   let pos = ref (off + 6) in
   let need n = if !pos + n > limit || limit > String.length s then raise Corrupt in
   let u8 () =
@@ -180,12 +199,17 @@ let decode_entry s off : Store_backend.entry =
     v
   in
   let file_id = read_id () in
+  if Id.bits file_id <> Id.file_bits then raise Corrupt;
   let kind =
     if tag = tag_diverted then Store_backend.Diverted { on_behalf = read_id () }
     else if tag = tag_primary then Store_backend.Primary
     else raise Corrupt
   in
-  let owner = Signer.public_of_string (read_str ()) in
+  let owner =
+    match Signer.public_of_string (read_str ()) with
+    | p -> p
+    | exception Invalid_argument _ -> raise Corrupt
+  in
   let owner_endorsement = Bytes.of_string (read_str ()) in
   let content_hash = read_str () in
   let size = Int64.to_int (read_i64 ()) in
@@ -214,8 +238,11 @@ let decode_entry s off : Store_backend.entry =
   }
 
 let decode_tombstone s off =
+  let limit = record_limit s off in
+  if off + 7 > limit || limit > String.length s then raise Corrupt;
   let n = Char.code s.[off + 6] in
-  if off + 7 + n > String.length s then raise Corrupt;
+  (* A fileId of any other width would make the index's equality raise. *)
+  if n * 8 <> Id.file_bits || off + 7 + n > limit then raise Corrupt;
   Id.of_bytes (Bytes.of_string (String.sub s (off + 7) n))
 
 (* -- state plumbing ----------------------------------------------- *)
@@ -250,7 +277,7 @@ let replay t seg_id =
   let path = seg_path t.dir seg_id in
   let s = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length s in
-  let seg = { sg_id = seg_id; sg_bytes = 0; sg_live = 0 } in
+  let seg = new_seg seg_id in
   Hashtbl.replace t.segs seg_id seg;
   let pos = ref 0 and ok = ref true in
   while !ok do
@@ -269,11 +296,16 @@ let replay t seg_id =
             Id.Table.remove t.index id
           end
           else begin
-            let e = decode_entry s off in
-            let c = e.Store_backend.cert in
+            let c = (decode_entry s off).Store_backend.cert in
             orphan_slot t c.Certificate.file_id;
             Id.Table.replace t.index c.Certificate.file_id
-              { sl_seg = seg_id; sl_off = off; sl_len = len; sl_size = c.Certificate.size };
+              {
+                sl_seg = seg_id;
+                sl_off = off;
+                sl_len = len;
+                sl_size = c.Certificate.size;
+                sl_repl = c.Certificate.replication;
+              };
             seg.sg_live <- seg.sg_live + len;
             t.live_bytes <- t.live_bytes + len
           end
@@ -281,7 +313,7 @@ let replay t seg_id =
         | () ->
           seg.sg_bytes <- seg.sg_bytes + len;
           pos := off + len
-        | exception _ -> ok := false)
+        | exception Corrupt -> ok := false)
     end
   done;
   if !pos < n then truncate_file path !pos;
@@ -313,10 +345,9 @@ let create ?dir ?(segment_target = 8 * 1024 * 1024) () =
       segment_target;
       index = Id.Table.create 64;
       segs = Hashtbl.create 16;
-      active = { sg_id = 0; sg_bytes = 0; sg_live = 0 };
+      active = new_seg 0;
       out = None;
       out_dirty = false;
-      reader = None;
       disk_bytes = 0;
       live_bytes = 0;
       compactions = 0;
@@ -331,7 +362,7 @@ let create ?dir ?(segment_target = 8 * 1024 * 1024) () =
     match Hashtbl.find_opt t.segs active_id with
     | Some s -> s
     | None ->
-      let s = { sg_id = active_id; sg_bytes = 0; sg_live = 0 } in
+      let s = new_seg active_id in
       Hashtbl.replace t.segs active_id s;
       s
   in
@@ -341,20 +372,42 @@ let create ?dir ?(segment_target = 8 * 1024 * 1024) () =
 
 (* -- reads --------------------------------------------------------- *)
 
-let reader_for t seg_id =
-  match t.reader with
-  | Some (id, ic) when id = seg_id -> ic
-  | prev ->
-    (match prev with Some (_, ic) -> close_in_noerr ic | None -> ());
-    let ic = open_in_bin (seg_path t.dir seg_id) in
-    t.reader <- Some (seg_id, ic);
-    ic
+let seg_fd t sg =
+  match sg.sg_fd with
+  | Some fd -> fd
+  | None ->
+    let fd = Unix.openfile (seg_path t.dir sg.sg_id) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    sg.sg_fd <- Some fd;
+    fd
+
+let close_fd sg =
+  match sg.sg_fd with
+  | None -> ()
+  | Some fd ->
+    sg.sg_fd <- None;
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* Exactly [len] bytes at [off] of segment [sg]. The caller flushes the
+   active segment's buffer first. *)
+let read_at t sg ~off ~len =
+  let fd = seg_fd t sg in
+  ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+  let buf = Bytes.create len in
+  let rec fill got =
+    if got < len then
+      match Unix.read fd buf got (len - got) with
+      | 0 ->
+        failwith
+          (Printf.sprintf "Log_store: short read of %s: %d of %d bytes at offset %d"
+             (seg_path t.dir sg.sg_id) got len off)
+      | r -> fill (got + r)
+  in
+  fill 0;
+  Bytes.unsafe_to_string buf
 
 let read_record t sl =
   if sl.sl_seg = t.active.sg_id then flush_out t;
-  let ic = reader_for t sl.sl_seg in
-  seek_in ic sl.sl_off;
-  really_input_string ic sl.sl_len
+  read_at t (Hashtbl.find t.segs sl.sl_seg) ~off:sl.sl_off ~len:sl.sl_len
 
 let get t id =
   check_open t;
@@ -369,6 +422,10 @@ let mem t id =
 let size_of t id =
   check_open t;
   match Id.Table.find_opt t.index id with Some sl -> Some sl.sl_size | None -> None
+
+let replication_of t id =
+  check_open t;
+  match Id.Table.find_opt t.index id with Some sl -> Some sl.sl_repl | None -> None
 
 let length t = Id.Table.length t.index
 
@@ -389,7 +446,7 @@ let enumerate_range t ~lo ~hi f =
 (* -- writes -------------------------------------------------------- *)
 
 let start_segment t id =
-  let s = { sg_id = id; sg_bytes = 0; sg_live = 0 } in
+  let s = new_seg id in
   Hashtbl.replace t.segs id s;
   t.active <- s;
   t.out <- Some (open_append (seg_path t.dir id));
@@ -414,18 +471,17 @@ let append t record =
 (* -- compaction ---------------------------------------------------- *)
 
 (* Copy every live record (raw bytes, in storage order: one sequential
-   pass over the old chain) into a fresh chain of strictly higher
-   segment ids, then unlink the old chain. Replay order is segment-id
-   order with last-record-wins, so a crash anywhere in between — both
-   chains on disk — recovers to exactly the same state. *)
+   pass over the old chain, through the old segments' read descriptors)
+   into a fresh chain of strictly higher segment ids, then unlink the
+   old chain. Replay order is segment-id order with last-record-wins,
+   so a crash anywhere in between — both chains on disk — recovers to
+   exactly the same state. *)
 let compact ?(crash_before_cleanup = false) t =
   check_open t;
   flush_out t;
   close_out (outc t);
   t.out <- None;
-  (match t.reader with Some (_, ic) -> close_in_noerr ic | None -> ());
-  t.reader <- None;
-  let old_paths = Hashtbl.fold (fun id _ acc -> seg_path t.dir id :: acc) t.segs [] in
+  let old_segs = Hashtbl.copy t.segs in
   let base = t.active.sg_id + 1 in
   let slots = Id.Table.fold (fun id sl acc -> (id, sl) :: acc) t.index [] in
   let slots =
@@ -435,28 +491,16 @@ let compact ?(crash_before_cleanup = false) t =
   t.disk_bytes <- 0;
   t.live_bytes <- 0;
   let moved = ref 0 in
-  let cur = ref { sg_id = base; sg_bytes = 0; sg_live = 0 } in
+  let cur = ref (new_seg base) in
   Hashtbl.replace t.segs base !cur;
   let cur_out = ref (open_out_bin (seg_path t.dir base)) in
-  let src = ref None in
-  let src_for seg_id =
-    match !src with
-    | Some (id, ic) when id = seg_id -> ic
-    | prev ->
-      (match prev with Some (_, ic) -> close_in_noerr ic | None -> ());
-      let ic = open_in_bin (seg_path t.dir seg_id) in
-      src := Some (seg_id, ic);
-      ic
-  in
   List.iter
     (fun (id, sl) ->
-      let ic = src_for sl.sl_seg in
-      seek_in ic sl.sl_off;
-      let record = really_input_string ic sl.sl_len in
+      let record = read_at t (Hashtbl.find old_segs sl.sl_seg) ~off:sl.sl_off ~len:sl.sl_len in
       if (!cur).sg_bytes > 0 && (!cur).sg_bytes + sl.sl_len > t.segment_target then begin
         close_out !cur_out;
         let nid = (!cur).sg_id + 1 in
-        cur := { sg_id = nid; sg_bytes = 0; sg_live = 0 };
+        cur := new_seg nid;
         Hashtbl.replace t.segs nid !cur;
         cur_out := open_out_bin (seg_path t.dir nid)
       end;
@@ -470,7 +514,7 @@ let compact ?(crash_before_cleanup = false) t =
       (* in-place update: index iteration order is unchanged *)
       Id.Table.replace t.index id { sl with sl_seg = (!cur).sg_id; sl_off = off })
     slots;
-  (match !src with Some (_, ic) -> close_in_noerr ic | None -> ());
+  Hashtbl.iter (fun _ sg -> close_fd sg) old_segs;
   flush !cur_out;
   t.compactions <- t.compactions + 1;
   t.compacted_bytes <- t.compacted_bytes + !moved;
@@ -483,7 +527,9 @@ let compact ?(crash_before_cleanup = false) t =
     t.active <- !cur;
     t.out <- Some !cur_out;
     t.out_dirty <- false;
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) old_paths
+    Hashtbl.iter
+      (fun id _ -> try Sys.remove (seg_path t.dir id) with Sys_error _ -> ())
+      old_segs
   end
 
 let maybe_compact t =
@@ -500,26 +546,29 @@ let put t (e : Store_backend.entry) =
   orphan_slot t c.Certificate.file_id;
   let len = String.length record in
   Id.Table.replace t.index c.Certificate.file_id
-    { sl_seg = seg_id; sl_off = off; sl_len = len; sl_size = c.Certificate.size };
+    {
+      sl_seg = seg_id;
+      sl_off = off;
+      sl_len = len;
+      sl_size = c.Certificate.size;
+      sl_repl = c.Certificate.replication;
+    };
   t.active.sg_live <- t.active.sg_live + len;
   t.live_bytes <- t.live_bytes + len;
   maybe_compact t
 
 let put_batch t es = List.iter (put t) es
 
-let remove t id =
+let delete t id =
   check_open t;
-  match Id.Table.find_opt t.index id with
-  | None -> None
-  | Some sl ->
-    let e = decode_entry (read_record t sl) 0 in
+  if Id.Table.mem t.index id then begin
     let record = encode_tombstone id in
     roll_if_needed t (String.length record);
     ignore (append t record : int);
     orphan_slot t id;
     Id.Table.remove t.index id;
-    maybe_compact t;
-    Some e
+    maybe_compact t
+  end
 
 let flush t =
   check_open t;
@@ -527,11 +576,10 @@ let flush t =
 
 let close t =
   if not t.closed then begin
-    (try flush_out t with _ -> ());
-    (match t.out with Some o -> (try close_out o with _ -> ()) | None -> ());
+    (try flush_out t with Sys_error _ -> ());
+    (match t.out with Some o -> (try close_out o with Sys_error _ -> ()) | None -> ());
     t.out <- None;
-    (match t.reader with Some (_, ic) -> close_in_noerr ic | None -> ());
-    t.reader <- None;
+    Hashtbl.iter (fun _ sg -> close_fd sg) t.segs;
     t.closed <- true;
     if t.owns_dir then begin
       remove_dir t.dir;

@@ -9,6 +9,13 @@
     records into a fresh segment chain and unlinks the old one when
     dead bytes exceed live bytes.
 
+    Reads use one read-only descriptor per segment, opened on the
+    segment's first read and closed when compaction unlinks the
+    segment or the store closes, so a store holds at most one
+    descriptor per segment plus its append channel. The index keeps
+    each entry's declared size and replication factor, which
+    {!size_of} and {!replication_of} answer without a disk read.
+
     Durability model: segments are written through a buffered channel;
     {!flush} (or any read of the active segment) pushes the buffer to
     the OS. Recovery replays segments in chain order with last-record-

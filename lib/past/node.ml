@@ -359,19 +359,19 @@ let handle_reclaim_exec t (rc : Certificate.reclaim) client =
     send t holder (Wire.Reclaim_exec { rc; client })
   | None -> ());
   Cache.remove t.cache file_id;
-  match Store.get t.store file_id with
-  | None -> ()
-  | Some entry ->
-    if reclaim_valid t rc && Certificate.reclaim_matches_file rc entry.Store.cert then begin
-      ignore (Store.remove t.store file_id);
-      sync_cache t;
-      let receipt =
-        Smartcard.issue_reclaim_receipt t.card ~file_id ~freed:entry.Store.cert.Certificate.size
-      in
-      to_client t client (Wire.Reclaim_ack { receipt })
-    end
-    else
-      to_client t client (Wire.Reclaim_nack { file_id; reason = "owner mismatch or bad signature" })
+  match
+    Store.remove_if t.store file_id (fun cert ->
+        reclaim_valid t rc && Certificate.reclaim_matches_file rc cert)
+  with
+  | `Absent -> ()
+  | `Removed entry ->
+    sync_cache t;
+    let receipt =
+      Smartcard.issue_reclaim_receipt t.card ~file_id ~freed:entry.Store.cert.Certificate.size
+    in
+    to_client t client (Wire.Reclaim_ack { receipt })
+  | `Kept ->
+    to_client t client (Wire.Reclaim_nack { file_id; reason = "owner mismatch or bad signature" })
 
 let handle_reclaim t (rc : Certificate.reclaim) client =
   if not (reclaim_valid t rc) then
@@ -379,11 +379,7 @@ let handle_reclaim t (rc : Certificate.reclaim) client =
       (Wire.Reclaim_nack { file_id = rc.Certificate.rc_file_id; reason = "bad reclaim certificate" })
   else begin
     let file_id = rc.Certificate.rc_file_id in
-    let k =
-      match Store.get t.store file_id with
-      | Some entry -> entry.Store.cert.Certificate.replication
-      | None -> 8
-    in
+    let k = Option.value (Store.replication_of t.store file_id) ~default:8 in
     let rs = replica_set t ~k (Id.prefix_of_file_id file_id) in
     List.iter
       (fun (p : Peer.t) ->

@@ -12,7 +12,11 @@ type t = {
   mutable used : int;
   contributed : int;
   rng : Rng.t;
-  seen_receipts : (string, unit) Hashtbl.t; (* double-credit protection *)
+  (* Double-credit protection: per fileId, the storing nodes whose
+     reclaim receipt for it was credited. A generic table, so ids of any
+     width compare as plain bytes; the arrays hold the receipts' own
+     public values, shared with the nodes' cards. *)
+  seen_receipts : (Id.t, Signer.public array) Hashtbl.t;
 }
 
 let make ~keypair ~endorsement ~broker ~quota ~contributed ~rng =
@@ -78,15 +82,12 @@ let issue_reclaim_certificate t ~file_id ~now =
   Certificate.make_reclaim ~keypair:t.keypair ~owner:t.public ~file_id ~now
 
 let credit_reclaim_receipt t (r : Certificate.reclaim_receipt) =
-  let key =
-    Printf.sprintf "%s:%s"
-      (Id.to_hex r.Certificate.rr_file_id)
-      (Signer.public_to_string r.Certificate.rr_storing_node)
-  in
-  if Hashtbl.mem t.seen_receipts key then false
+  let file_id = r.Certificate.rr_file_id and node = r.Certificate.rr_storing_node in
+  let seen = Option.value (Hashtbl.find_opt t.seen_receipts file_id) ~default:[||] in
+  if Array.exists (Signer.equal_public node) seen then false
   else if not (Certificate.verify_reclaim_receipt r) then false
   else begin
-    Hashtbl.replace t.seen_receipts key ();
+    Hashtbl.replace t.seen_receipts file_id (Array.append seen [| node |]);
     t.used <- Stdlib.max 0 (t.used - r.Certificate.freed);
     true
   end

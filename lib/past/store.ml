@@ -113,14 +113,23 @@ let mem t file_id =
   let (Impl ((module B), b)) = t.impl in
   B.mem b file_id
 
-let remove t file_id =
+let replication_of t file_id =
   let (Impl ((module B), b)) = t.impl in
-  match B.remove b file_id with
-  | None -> None
+  B.replication_of b file_id
+
+let remove_if t file_id pred =
+  let (Impl ((module B), b)) = t.impl in
+  match B.get b file_id with
+  | None -> `Absent
+  | Some entry when not (pred entry.cert) -> `Kept
   | Some entry ->
+    B.delete b file_id;
     t.used <- t.used - entry.cert.Certificate.size;
     notify t (Removed entry.cert);
-    Some entry
+    `Removed entry
+
+let remove t file_id =
+  match remove_if t file_id (fun _ -> true) with `Removed e -> Some e | `Kept | `Absent -> None
 
 let entries t =
   let (Impl ((module B), b)) = t.impl in

@@ -69,8 +69,19 @@ val force_put : t -> cert:Certificate.file -> data:string -> kind:kind -> (unit,
 val get : t -> Past_id.Id.t -> entry option
 val mem : t -> Past_id.Id.t -> bool
 
+val replication_of : t -> Past_id.Id.t -> int option
+(** The stored certificate's replication factor k, from the backend's
+    index (no disk read on the log backend). *)
+
+val remove_if :
+  t -> Past_id.Id.t -> (Certificate.file -> bool) -> [ `Removed of entry | `Kept | `Absent ]
+(** Read the entry once and remove it if [pred] holds on its
+    certificate: frees the space, notifies the observer and returns the
+    removed entry. [`Kept]: the predicate refused the stored entry. *)
+
 val remove : t -> Past_id.Id.t -> entry option
-(** Frees the space; returns the removed entry. *)
+(** [remove_if] with a predicate that always holds: frees the space;
+    returns the removed entry. *)
 
 val entries : t -> entry list
 val iter : t -> (entry -> unit) -> unit

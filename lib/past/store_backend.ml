@@ -12,7 +12,8 @@ module type S = sig
   val get : t -> Id.t -> entry option
   val mem : t -> Id.t -> bool
   val size_of : t -> Id.t -> int option
-  val remove : t -> Id.t -> entry option
+  val replication_of : t -> Id.t -> int option
+  val delete : t -> Id.t -> unit
   val iter : t -> (entry -> unit) -> unit
   val length : t -> int
   val iter_sizes : t -> (int -> unit) -> unit
@@ -40,12 +41,12 @@ module Mem = struct
     | Some e -> Some e.cert.Certificate.size
     | None -> None
 
-  let remove t id =
+  let replication_of t id =
     match Id.Table.find_opt t id with
+    | Some e -> Some e.cert.Certificate.replication
     | None -> None
-    | Some e ->
-      Id.Table.remove t id;
-      Some e
+
+  let delete t id = Id.Table.remove t id
 
   let iter t f = Id.Table.iter (fun _ e -> f e) t
   let length t = Id.Table.length t

@@ -38,8 +38,15 @@ module type S = sig
       the entry (no disk read in the log backend) — the front-end's
       delta-admission check for same-id replacement sits on this. *)
 
-  val remove : t -> Past_id.Id.t -> entry option
-  (** Returns the removed entry, [None] if absent. *)
+  val replication_of : t -> Past_id.Id.t -> int option
+  (** Replication factor k of the stored certificate, read like
+      {!size_of} without materialising the entry — reclaim routing
+      sizes its replica set with it. *)
+
+  val delete : t -> Past_id.Id.t -> unit
+  (** Drop the entry, if present, without reading it (the log backend
+      appends a tombstone). {!Store.remove_if} reads the entry first
+      and calls this once its predicate holds. *)
 
   val iter : t -> (entry -> unit) -> unit
   val length : t -> int

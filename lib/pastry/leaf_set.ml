@@ -238,30 +238,68 @@ let closest_including_self t key =
   | None -> `Self
   | Some p -> if Id.closer ~target:key t.own p.Peer.id <= 0 then `Self else `Peer p
 
+(* The k closest candidates so far, closest first, in parallel arrays:
+   packed ring-distance prefix, id, and result element. *)
+type best = {
+  b_hi : int array;
+  b_ids : Id.t array;
+  b_elts : [ `Self | `Peer of Peer.t ] array;
+  mutable b_n : int;
+}
+
+(* Does candidate [id] (prefix [h]) sort strictly before slot [i]? The
+   prefix decides almost every comparison; a prefix tie compares the
+   full keys (random ids essentially never tie), and an exact distance
+   tie breaks on the id, matching [Id.closer]'s ordering. *)
+let best_before b key h id i =
+  let c = compare (h : int) b.b_hi.(i) in
+  if c <> 0 then c < 0
+  else
+    let c = String.compare (Id.ring_dist_key key id) (Id.ring_dist_key key b.b_ids.(i)) in
+    c < 0 || (c = 0 && Id.compare id b.b_ids.(i) < 0)
+
+(* Make room for the candidate at its place among the first [b_n]
+   slots, dropping the farthest once all k are taken, and return its
+   slot; -1 when a full set refuses it. The caller stores the element,
+   so a refused candidate allocates nothing. *)
+let best_slot b ~k key id =
+  let h = Id.ring_dist_hi7 key id in
+  if b.b_n < k || best_before b key h id (b.b_n - 1) then begin
+    let last = Stdlib.min b.b_n (k - 1) in
+    let pos = ref last in
+    while !pos > 0 && best_before b key h id (!pos - 1) do
+      decr pos
+    done;
+    for j = last downto !pos + 1 do
+      b.b_hi.(j) <- b.b_hi.(j - 1);
+      b.b_ids.(j) <- b.b_ids.(j - 1);
+      b.b_elts.(j) <- b.b_elts.(j - 1)
+    done;
+    b.b_hi.(!pos) <- h;
+    b.b_ids.(!pos) <- id;
+    b.b_n <- last + 1;
+    !pos
+  end
+  else -1
+
+let rec best_offer_peers b ~k key = function
+  | [] -> ()
+  | (p : Peer.t) :: rest ->
+    let i = best_slot b ~k key p.Peer.id in
+    if i >= 0 then b.b_elts.(i) <- `Peer p;
+    best_offer_peers b ~k key rest
+
 let replica_set t ~k key =
   if k <= 0 then invalid_arg "Leaf_set.replica_set: k must be positive";
-  (* Decorate-sort on the packed ring-distance prefix — computed once
-     per element instead of O(log n) full keys inside the comparator.
-     A prefix tie recomputes the full keys (random ids essentially
-     never tie); an exact distance tie breaks on the id, matching
-     [Id.closer]'s ordering. The order is total (distinct ids, and
-     [members] excludes own), so sort instability cannot show. *)
-  let decorate id elt = (Id.ring_dist_hi7 key id, id, elt) in
-  let entries =
-    decorate t.own `Self
-    :: List.map (fun p -> decorate p.Peer.id (`Peer p)) (members t)
+  (* Bounded insertion of own id and the members into k slots. The
+     order is total (distinct ids, and [members] excludes own), so this
+     is exactly the first k of the sorted candidates. *)
+  let b =
+    { b_hi = Array.make k max_int; b_ids = Array.make k t.own; b_elts = Array.make k `Self; b_n = 0 }
   in
-  let sorted =
-    List.sort
-      (fun (ha, ia, _) (hb, ib, _) ->
-        let c = compare (ha : int) hb in
-        if c <> 0 then c
-        else
-          let c = String.compare (Id.ring_dist_key key ia) (Id.ring_dist_key key ib) in
-          if c <> 0 then c else Id.compare ia ib)
-      entries
-  in
-  List.filteri (fun i _ -> i < k) sorted |> List.map (fun (_, _, elt) -> elt)
+  ignore (best_slot b ~k key t.own : int);
+  best_offer_peers b ~k key (members t);
+  List.init b.b_n (fun i -> b.b_elts.(i))
 
 let pp fmt t =
   let pp_side name side =

@@ -108,6 +108,20 @@ let keepalive_round_trip () =
     (Net.messages_delivered net - delivered);
   within "keep-alive send + deliver round trip" ~budget:64.0 words
 
+(* Re-replication and reclaim routing pick the k = 3 closest of own id
+   and 31 leaf-set members: three slot arrays, the few candidates that
+   enter the best k, and the result list. *)
+let replica_set_k3 () =
+  let ov = converged_overlay () in
+  let ls = PNode.leaf_set (Overlay.nodes ov).(0) in
+  let rng = Rng.create 5 in
+  let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
+  let i = ref 0 in
+  within "Leaf_set.replica_set (k = 3, 31 members)" ~budget:96.0
+    (words_per_call ~calls:20_000 (fun () ->
+         incr i;
+         ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
+
 (* A digest allocates its state, message schedule, padded tail (one or
    two blocks) and result, and nothing per input block: 320 bytes are
    five blocks, the sixth is the tail. *)
@@ -136,6 +150,7 @@ let suite =
       "Histogram.observe" => histogram_observe;
       "Node.learn of a known peer" => learn_known_peer;
       "keep-alive round trip" => keepalive_round_trip;
+      "Leaf_set.replica_set (k = 3)" => replica_set_k3;
       "Sha256.digest_string (320 B)" => sha256_320;
       "Sha1.digest_string (320 B)" => sha1_320;
       "Hex.of_bytes (32-byte digest)" => hex_32;
