@@ -19,8 +19,9 @@ open Cmdliner
 module Domain_pool = Past_stdext.Domain_pool
 module Monitor = Past_telemetry.Monitor
 module Store = Past_core.Store
+module Report = Past_experiments.Report
 
-let experiment_names = List.map fst Past_experiments.Report.all
+let experiment_names = List.map fst Report.all
 
 (* [conv] restricted to the values [ok] admits; a rejected value is a
    usage error that names it. *)
@@ -108,26 +109,11 @@ let check_monitors monitors =
       List.iter (fun line -> Printf.eprintf "  %s\n" line) (Monitor.global_summaries ());
       exit 1
 
-let write_chrome_trace ~out registry =
-  let module Trace = Past_telemetry.Trace in
-  let tracer = Past_telemetry.Registry.tracer registry in
-  let oc = open_out out in
-  output_string oc (Past_stdext.Json.to_string ~indent:true (Trace.chrome_json tracer));
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s: %d trace event(s), %d span(s), %d route(s)%s\n" out
-    (Trace.total_recorded tracer)
-    (List.length (Trace.spans tracer))
-    (List.length (Trace.routes tracer))
-    (match Trace.dropped_total tracer with
-    | 0 -> ""
-    | d -> Printf.sprintf " (%d dropped: enlarge the ring)" d)
-
 let run_cmd name =
   let doc = Printf.sprintf "Run the %s experiment and print its table(s)." name in
   let f scale jobs store json trace monitors =
     configure ?jobs ~store monitors;
-    Past_experiments.Report.run_named ~json ~trace ~scale name;
+    Report.run_named ~json ~trace ~scale name;
     check_monitors monitors
   in
   Cmd.v (Cmd.info name ~doc)
@@ -137,7 +123,7 @@ let all_cmd =
   let doc = "Run every experiment (regenerates all tables)." in
   let f scale jobs store json trace monitors =
     configure ?jobs ~store monitors;
-    Past_experiments.Report.run_all ~json ~trace ~scale ();
+    Report.run_all ~json ~trace ~scale ();
     check_monitors monitors
   in
   Cmd.v (Cmd.info "all" ~doc)
@@ -150,7 +136,7 @@ let metrics_cmd =
   in
   let f store json trace monitors =
     configure ~store monitors;
-    Past_experiments.Report.metrics ~json ~trace ();
+    Report.metrics ~json ~trace ();
     check_monitors monitors
   in
   Cmd.v (Cmd.info "metrics" ~doc) Term.(const f $ store_arg $ json_arg $ trace_arg $ monitors_arg)
@@ -204,26 +190,8 @@ let churn_cmd =
     in
     let trace_capacity = Option.map (fun _ -> 262_144) trace_out in
     let r = Exp_churn.run ?trace_capacity p in
-    let out =
-      {
-        (Past_experiments.Report.tables
-           [
-             ( "EXP14: invariants under sustained churn (C5 repair cost, C6 availability)",
-               Exp_churn.table r );
-             ( "EXP14b: churn time-series (per-window repair traffic, live nodes, probe \
-                latency)",
-               Exp_churn.series_table r );
-           ])
-        with
-        Past_experiments.Report.trace_registry = Some r.Exp_churn.registry;
-      }
-    in
-    if json then
-      print_endline
-        (Past_stdext.Json.to_string ~indent:true
-           (Past_experiments.Report.json_of_output ~trace:0 "churn" out))
-    else Past_experiments.Report.print_output ~trace:0 out;
-    Option.iter (fun file -> write_chrome_trace ~out:file r.Exp_churn.registry) trace_out;
+    Report.emit ~json ~trace:0 "churn" (Report.churn_output r);
+    Option.iter (fun out -> Report.write_trace ~out r.Exp_churn.registry) trace_out;
     check_monitors monitors
   in
   Cmd.v (Cmd.info "churn" ~doc)
@@ -256,18 +224,12 @@ let megastore_cmd =
   let f json files nodes store seed monitors =
     configure ~store monitors;
     let m = Exp_storage.run_mega ~n:nodes ~files ~seed () in
-    let out =
-      Past_experiments.Report.tables
-        [
-          ( "EXP9/EXP10 mega: utilization, rejects and insert throughput at scale",
-            Exp_storage.mega_table m );
-        ]
-    in
-    if json then
-      print_endline
-        (Past_stdext.Json.to_string ~indent:true
-           (Past_experiments.Report.json_of_output ~trace:0 "megastore" out))
-    else Past_experiments.Report.print_output ~trace:0 out;
+    Report.emit ~json ~trace:0 "megastore"
+      (Report.tables
+         [
+           ( "EXP9/EXP10 mega: utilization, rejects and insert throughput at scale",
+             Exp_storage.mega_table m );
+         ]);
     check_monitors monitors
   in
   Cmd.v (Cmd.info "megastore" ~doc)
@@ -353,19 +315,12 @@ let scale_cmd =
       }
     in
     let r = Exp_scale.run params in
-    let out =
-      Past_experiments.Report.tables
-        [
-          ( "EXP15: scaling sweep (C1 hops, C3 state vs log_2^b N)",
-            Exp_scale.table r );
-          ("EXP15: least-squares scaling fits", Exp_scale.fits_table r);
-        ]
-    in
-    if json then
-      print_endline
-        (Past_stdext.Json.to_string ~indent:true
-           (Past_experiments.Report.json_of_output ~trace:0 "scale" out))
-    else Past_experiments.Report.print_output ~trace:0 out;
+    Report.emit ~json ~trace:0 "scale"
+      (Report.tables
+         [
+           ("EXP15: scaling sweep (C1 hops, C3 state vs log_2^b N)", Exp_scale.table r);
+           ("EXP15: least-squares scaling fits", Exp_scale.fits_table r);
+         ]);
     check_monitors monitors;
     if not (r.Exp_scale.hop_ok && r.Exp_scale.state_ok) then begin
       prerr_endline "EXP15: fitted scaling slope outside its analytic window";
@@ -389,7 +344,7 @@ let trace_cmd =
   in
   let f store out monitors =
     configure ~store monitors;
-    Past_experiments.Report.trace_export ~out ();
+    Report.trace_export ~out ();
     check_monitors monitors
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const f $ store_arg $ out_arg $ monitors_arg)
@@ -406,6 +361,6 @@ let () =
     all_cmd :: list_cmd :: metrics_cmd :: churn_cmd :: megastore_cmd :: scale_cmd :: trace_cmd
     :: List.filter_map
          (fun (name, _) -> if name = "churn" then None else Some (run_cmd name))
-         Past_experiments.Report.all
+         Report.all
   in
   exit (Cmd.eval (Cmd.group info subcommands))

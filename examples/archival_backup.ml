@@ -14,7 +14,6 @@ module Client = Past_core.Client
 module Broker = Past_core.Broker
 module Smartcard = Past_core.Smartcard
 module Node = Past_core.Node
-module Id = Past_id.Id
 module Rng = Past_stdext.Rng
 
 let () =

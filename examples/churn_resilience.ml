@@ -12,10 +12,8 @@ module Client = Past_core.Client
 module Node = Past_core.Node
 module Store = Past_core.Store
 module Overlay = Past_pastry.Overlay
-module PNode = Past_pastry.Node
 module Net = Past_simnet.Net
 module Rng = Past_stdext.Rng
-module Id = Past_id.Id
 
 let () =
   print_endline "== PAST under churn ==";

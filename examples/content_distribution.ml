@@ -16,7 +16,6 @@ module Cache = Past_core.Cache
 module Popularity = Past_workload.Popularity
 module Stats = Past_stdext.Stats
 module Rng = Past_stdext.Rng
-module Id = Past_id.Id
 
 let run_with ~policy ~label =
   let node_config =

@@ -278,7 +278,6 @@ let divmod (a : t) (b : t) : t * t =
     end
   end
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let hex_digit c =
@@ -353,8 +352,6 @@ let to_string (a : t) =
     let s = Buffer.contents buf in
     String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 (* --- modular exponentiation --------------------------------------------- *)
 
@@ -531,7 +528,7 @@ let small_primes =
     97; 101; 103; 107; 109; 113; 127; 131; 137; 139; 149; 151; 157; 163; 167; 173; 179; 181; 191;
     193; 197; 199; 211; 223; 227; 229; 233; 239; 241; 251 ]
 
-let is_probable_prime ?(rounds = 20) rng n =
+let is_probable_prime rng n =
   if compare n two < 0 then false
   else if equal n two then true
   else if is_even n then false
@@ -575,7 +572,7 @@ let is_probable_prime ?(rounds = 20) rng n =
           if witness a then false else trial (k - 1)
         end
       in
-      if compare n (of_int 5) < 0 then true else trial rounds
+      if compare n (of_int 5) < 0 then true else trial 20
     end
   end
 

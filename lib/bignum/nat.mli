@@ -20,7 +20,6 @@ val to_int : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_zero : t -> bool
 val is_even : t -> bool
 
 val add : t -> t -> t
@@ -32,7 +31,6 @@ val mul : t -> t -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero]. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val shift_left : t -> int -> t
@@ -59,8 +57,6 @@ val of_bytes_be : bytes -> t
 val to_string : t -> string
 (** Decimal. *)
 
-val pp : Format.formatter -> t -> unit
-
 val mod_pow : t -> t -> t -> t
 (** [mod_pow b e m] is [b^e mod m]. Raises [Division_by_zero] if [m] is
     zero. *)
@@ -77,9 +73,8 @@ val random_bits : Past_stdext.Rng.t -> int -> t
 val random_below : Past_stdext.Rng.t -> t -> t
 (** Uniform over \[0, n). Requires [n > 0]. *)
 
-val is_probable_prime : ?rounds:int -> Past_stdext.Rng.t -> t -> bool
-(** Trial division by small primes, then [rounds] (default 20) rounds of
-    Miller–Rabin. *)
+val is_probable_prime : Past_stdext.Rng.t -> t -> bool
+(** Trial division by small primes, then 20 rounds of Miller–Rabin. *)
 
 val random_prime : Past_stdext.Rng.t -> bits:int -> t
 (** A probable prime with exactly [bits] bits (top bit set, odd).

@@ -1,5 +1,4 @@
 module Nat = Past_bignum.Nat
-module Rng = Past_stdext.Rng
 
 type public = { n : Nat.t; e : Nat.t }
 type keypair = { pub : public; d : Nat.t }

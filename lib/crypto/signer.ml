@@ -45,5 +45,3 @@ let equal_public a b =
   match (a, b) with
   | Insecure_pub a, Insecure_pub b -> String.equal a.nonce b.nonce
   | _ -> String.equal (public_to_string a) (public_to_string b)
-
-let pp_public fmt p = Format.pp_print_string fmt (public_to_string p)

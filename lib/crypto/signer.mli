@@ -29,4 +29,3 @@ val public_of_string : string -> public
 val sign : keypair -> bytes -> bytes
 val verify : public -> bytes -> bytes -> bool
 val equal_public : public -> public -> bool
-val pp_public : Format.formatter -> public -> unit

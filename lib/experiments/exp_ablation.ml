@@ -212,13 +212,3 @@ let bias_table rows =
     (fun r -> Text_table.add_rowf t "%.1f|%.1f%%|%.2f" r.bias (100.0 *. r.success) r.avg_hops_b)
     rows;
   t
-
-let print () =
-  Text_table.print ~title:"ABLATION A: digit width b (N=2000)"
-    (b_table (run_b_sweep ~n:2000 ~lookups:500 ~seed:61));
-  Text_table.print ~title:"ABLATION B: leaf-set size l vs adjacent-failure threshold (N=1500)"
-    (l_table (run_l_sweep ~n:1500 ~trials:6 ~lookups_per_trial:20 ~seed:62));
-  Text_table.print ~title:"ABLATION C: admission threshold t_pri (full policy)"
-    (t_table (run_t_sweep ~seed:63));
-  Text_table.print ~title:"ABLATION D: randomized-routing bias (N=1000)"
-    (bias_table (run_bias_sweep ~n:1000 ~lookups:200 ~fraction:0.2 ~retries:3 ~seed:64))

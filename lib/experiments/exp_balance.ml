@@ -153,7 +153,3 @@ let table r =
   Text_table.add_rowf t "random-set mean pairwise distance|%.1f" r.random_spread;
   Text_table.add_rowf t "diversity ratio (1.0 = as diverse as random)|%.2f" r.diversity_ratio;
   t
-
-let print () =
-  Text_table.print ~title:"EXP12: per-node file balance and replica diversity"
-    (table (run default_params))

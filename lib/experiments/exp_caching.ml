@@ -13,13 +13,11 @@ module System = Past_core.System
 module Client = Past_core.Client
 module Node = Past_core.Node
 module Cache = Past_core.Cache
-module Sizes = Past_workload.Sizes
 module Popularity = Past_workload.Popularity
 module Stats = Past_stdext.Stats
 module Rng = Past_stdext.Rng
 module Text_table = Past_stdext.Text_table
 module Domain_pool = Past_stdext.Domain_pool
-module Id = Past_id.Id
 module Timeseries = Past_telemetry.Timeseries
 
 type params = {
@@ -221,8 +219,3 @@ let trajectory_table { rows; _ } =
     Text_table.add_row t (x :: cells)
   done;
   t
-
-let print () =
-  Text_table.print
-    ~title:"EXP11: caching popular files (paper: caching cuts fetch distance, balances query load)"
-    (table (run default_params))

@@ -401,8 +401,3 @@ let table r =
   t
 
 let series_table r = Timeseries.to_table ~max_rows:16 r.series
-
-let print () =
-  Text_table.print
-    ~title:"EXP14: invariants under sustained churn (C5 repair cost, C6 availability)"
-    (table (run default_params))

@@ -12,7 +12,6 @@
 module Overlay = Past_pastry.Overlay
 module Node = Past_pastry.Node
 module Id = Past_id.Id
-module Rng = Past_stdext.Rng
 module Text_table = Past_stdext.Text_table
 module Domain_pool = Past_stdext.Domain_pool
 
@@ -112,12 +111,3 @@ let table { rows; half } =
         (if r.m < half then "m < l/2 (guaranteed)" else "m >= l/2 (no guarantee)"))
     rows;
   t
-
-let print () =
-  let r = run default_params in
-  Text_table.print
-    ~title:
-      (Printf.sprintf
-         "EXP6: delivery under m simultaneous adjacent failures (l=%d, guarantee holds for m < %d)"
-         default_params.leaf_set_size r.half)
-    (table r)

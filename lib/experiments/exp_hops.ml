@@ -113,8 +113,3 @@ let dist_table { probs; dn; expected } =
   List.iter (fun (h, p) -> Text_table.add_rowf t "%d|%.4f" h p) probs;
   Text_table.add_rowf t "(N=%d, log_2^b N = %.2f)|" dn expected;
   t
-
-let print () =
-  Text_table.print ~title:"EXP1: average route length vs network size (paper: < ceil(log16 N))"
-    (table (run default_params));
-  Text_table.print ~title:"EXP2: hop-count distribution" (dist_table (run_distribution default_dist_params))

@@ -84,8 +84,3 @@ let table { rows } =
         r.avg_ratio r.avg_hops)
     rows;
   t
-
-let print () =
-  Text_table.print
-    ~title:"EXP4: locality — route distance vs direct distance (paper: ~1.5x with locality)"
-    (table (run default_params))

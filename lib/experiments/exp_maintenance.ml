@@ -9,7 +9,6 @@
    machinery, and count repair messages. *)
 
 module Overlay = Past_pastry.Overlay
-module Node = Past_pastry.Node
 module Net = Past_simnet.Net
 module Config = Past_pastry.Config
 module Stats = Past_stdext.Stats
@@ -107,8 +106,3 @@ let table { rows } =
       Text_table.add_rowf t "%d|%.1f|%.1f|%.2f" r.n r.avg_join_msgs r.avg_repair_msgs r.log_bound)
     rows;
   t
-
-let print () =
-  Text_table.print
-    ~title:"EXP7: join and failure-repair message cost (paper: O(log_2^b N))"
-    (table (run default_params))

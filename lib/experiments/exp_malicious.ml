@@ -129,8 +129,3 @@ let table { rows; max_retries } =
       Text_table.add_row t cells)
     rows;
   t
-
-let print () =
-  Text_table.print
-    ~title:"EXP8: routing around malicious droppers (randomized + retries vs deterministic)"
-    (table (run default_params))

@@ -130,7 +130,3 @@ let table r =
   Text_table.add_rowf t "replicas held|%d" r.live_files;
   Text_table.add_rowf t "conservation (quota used = stored bytes)|%b" r.conservation_holds;
   t
-
-let print () =
-  Text_table.print ~title:"EXP13: smartcard quota economy (debit on insert, credit on reclaim)"
-    (table (run default_params))

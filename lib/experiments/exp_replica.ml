@@ -162,7 +162,3 @@ let table r =
   Text_table.add_rowf t "one of two nearest (paper: 92%%)|%.1f%%"
     (100.0 *. float_of_int r.hit_two_nearest /. total);
   t
-
-let print () =
-  Text_table.print ~title:"EXP5: which of the k=5 replicas serves a lookup"
-    (table (run default_params))

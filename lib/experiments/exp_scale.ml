@@ -43,15 +43,6 @@ type params = {
   hop_tolerance : float;  (** fitted hop slope must lie in [1 − tol, 1 + tol/4] *)
 }
 
-let default_params =
-  {
-    ns = [ 2_000; 6_325; 20_000; 63_246; 100_000 ];
-    lookups = 1_000;
-    dynamic_tail = 0.01;
-    seed = 15;
-    hop_tolerance = 0.45;
-  }
-
 (* log-spaced sweep: k points from lo to hi at equal log increments. *)
 let log_spaced ~lo ~hi ~k =
   if k <= 1 || lo >= hi then [ lo ]
@@ -204,8 +195,3 @@ let route_dump ?(n = 300) ?(lookups = 60) ?(seed = 15) () =
     | None -> Buffer.add_string buf (Printf.sprintf "%02d key=%s LOST\n" i (Id.short key))
   done;
   Buffer.contents buf
-
-let print () =
-  let r = run default_params in
-  Text_table.print ~title:"EXP15: scaling sweep (C1 hops, C3 state vs log_2^b N)" (table r);
-  Text_table.print ~title:"EXP15: least-squares scaling fits" (fits_table r)

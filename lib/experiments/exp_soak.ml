@@ -216,8 +216,3 @@ let table r =
   Text_table.add_rowf t "fully replicated (k live copies)|%d" r.files_fully_replicated;
   Text_table.add_rowf t "final live nodes|%d" r.final_live_nodes;
   t
-
-let print () =
-  Text_table.print
-    ~title:"SOAK: mixed Poisson workload under continuous churn (availability + self-healing)"
-    (table (run default_params))

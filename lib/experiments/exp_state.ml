@@ -69,8 +69,3 @@ let table { rows } =
         r.avg_leaf r.formula)
     rows;
   t
-
-let print () =
-  Text_table.print
-    ~title:"EXP3: per-node state vs formula (2^b-1)*ceil(log_2^b N) + 2l"
-    (table (run default_params))

@@ -352,9 +352,3 @@ let table { rows; _ } =
         r.mean_size_accepted r.mean_size_rejected r.diverted_replicas)
     rows;
   t
-
-let print () =
-  Text_table.print
-    ~title:
-      "EXP9/EXP10: storage utilization & insert rejection (paper: >95% util, <5% rejects, large files rejected first)"
-    (table (run default_params))

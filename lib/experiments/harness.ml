@@ -3,11 +3,9 @@
    statistics. *)
 
 module Id = Past_id.Id
-module Net = Past_simnet.Net
 module Overlay = Past_pastry.Overlay
 module Node = Past_pastry.Node
 module Stats = Past_stdext.Stats
-module Rng = Past_stdext.Rng
 module Registry = Past_telemetry.Registry
 module Counter = Past_telemetry.Counter
 

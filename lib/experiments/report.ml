@@ -17,6 +17,8 @@ module Json = Past_stdext.Json
 module Domain_pool = Past_stdext.Domain_pool
 module Registry = Past_telemetry.Registry
 module Trace = Past_telemetry.Trace
+module System = Past_core.System
+module Client = Past_core.Client
 
 let s_int ~scale ?(min_value = 10) base =
   Stdlib.max min_value (int_of_float (float_of_int base *. scale))
@@ -183,13 +185,8 @@ let run_soak ~scale:_ =
         Exp_soak.table (Exp_soak.run Exp_soak.default_params) );
     ]
 
-let run_churn ~scale =
-  let p = Exp_churn.default_params in
-  (* Churn scales its horizon, not its sampling: the invariants are
-     about behaviour over time. Floor it at one full fault cycle so a
-     smoke pass still exercises crash, detection and repair. *)
-  let duration = Float.max 60_000.0 (p.Exp_churn.duration *. scale) in
-  let r = Exp_churn.run { p with Exp_churn.duration } in
+(* EXP14's two tables, shared by `past_sim all` and `past_sim churn`. *)
+let churn_output (r : Exp_churn.result) =
   {
     tables =
       [
@@ -200,6 +197,14 @@ let run_churn ~scale =
       ];
     trace_registry = Some r.Exp_churn.registry;
   }
+
+let run_churn ~scale =
+  let p = Exp_churn.default_params in
+  (* Churn scales its horizon, not its sampling: the invariants are
+     about behaviour over time. Floor it at one full fault cycle so a
+     smoke pass still exercises crash, detection and repair. *)
+  let duration = Float.max 60_000.0 (p.Exp_churn.duration *. scale) in
+  churn_output (Exp_churn.run { p with Exp_churn.duration })
 
 let all : (string * (scale:float -> output)) list =
   [
@@ -262,6 +267,12 @@ let print_output ~trace (out : output) =
     | Some reg -> print_traces ~count:trace reg
     | None -> print_endline "(this experiment does not retain route traces)"
 
+(* One experiment's output on stdout: its tables as text, or as one
+   JSON object with [json]. *)
+let emit ~json ~trace name out =
+  if json then print_endline (Json.to_string ~indent:true (json_of_output ~trace name out))
+  else print_output ~trace out
+
 (* The full suite as one JSON string, each experiment's output
    obtained through [run name experiment]. *)
 let suite_json ~trace run =
@@ -309,10 +320,7 @@ let run_all ?(json = false) ?(trace = 0) ~scale () =
 
 let run_named ?(json = false) ?(trace = 0) ~scale name =
   match List.assoc_opt name all with
-  | Some run ->
-    let out = run ~scale in
-    if json then print_endline (Json.to_string ~indent:true (json_of_output ~trace name out))
-    else print_output ~trace out
+  | Some run -> emit ~json ~trace name (run ~scale)
   | None ->
     Printf.eprintf "unknown experiment %S; available: %s\n" name
       (String.concat ", " (List.map fst all));
@@ -363,47 +371,17 @@ let churn_fixture () =
   Buffer.add_string buf (Text_table.render (Registry.to_table r.Exp_churn.registry));
   Buffer.contents buf
 
-(* --- causal trace export ------------------------------------------------ *)
+(* --- demo workloads ------------------------------------------------------ *)
 
-(* A small traced workload exported as Chrome trace-event JSON (open in
-   Perfetto / chrome://tracing): inserts, a mid-run crash so the export
-   contains repair spans, then lookups (the doubled pass hits caches)
-   and a reclaim. *)
-let trace_export ~out () =
-  let module System = Past_core.System in
-  let module Client = Past_core.Client in
-  let module Net = Past_simnet.Net in
-  let n = 40 in
-  let sys =
-    System.create ~seed:11 ~n ~trace_capacity:65_536 ~node_capacity:(fun _ _ -> 120_000) ()
-  in
-  let client = System.new_client sys ~quota:2_000_000 () in
-  let stored = ref [] in
-  for i = 1 to 30 do
-    let data = String.make (500 + (137 * i mod 3_000)) 'x' in
-    match Client.insert_sync client ~name:(Printf.sprintf "file-%d" i) ~data ~k:3 () with
-    | Client.Inserted { file_id; _ } -> stored := file_id :: !stored
-    | Client.Insert_failed _ -> ()
-  done;
-  System.start_maintenance sys;
-  let nodes = System.nodes sys in
-  if Array.length nodes > 1 then
-    System.kill_node sys nodes.(Array.length nodes / 2);
-  System.run ~until:(Net.now (System.net sys) +. 30_000.0) sys;
-  List.iter
-    (fun file_id -> ignore (Client.lookup_sync client ~file_id ()))
-    (!stored @ !stored);
-  (match !stored with
-  | file_id :: _ -> ignore (Client.reclaim_sync client ~file_id ())
-  | [] -> ());
-  let tracer = Registry.tracer (System.registry sys) in
-  let json = Json.to_string ~indent:true (Trace.chrome_json tracer) in
+(* Write [reg]'s trace ring as Chrome trace-event JSON (open in
+   Perfetto / chrome://tracing) and report its counts on stderr. *)
+let write_trace ~out reg =
+  let tracer = Registry.tracer reg in
   let oc = open_out out in
-  output_string oc json;
+  output_string oc (Json.to_string ~indent:true (Trace.chrome_json tracer));
   output_char oc '\n';
   close_out oc;
-  Printf.printf
-    "wrote %s: %d trace event(s), %d operation span(s), %d route(s)%s\n" out
+  Printf.eprintf "wrote %s: %d trace event(s), %d span(s), %d route(s)%s\n" out
     (Trace.total_recorded tracer)
     (List.length (Trace.spans tracer))
     (List.length (Trace.routes tracer))
@@ -411,17 +389,12 @@ let trace_export ~out () =
     | 0 -> ""
     | d -> Printf.sprintf " (%d dropped: enlarge the ring)" d)
 
-(* --- metrics snapshot -------------------------------------------------- *)
-
-(* A small end-to-end PAST workload whose registry snapshot exercises
-   every layer: network counters and latency histogram, routing-stage
-   counters, and the storage layer's accept/reject/cache metrics. *)
-let metrics ?(json = false) ?(trace = 0) () =
-  let module System = Past_core.System in
-  let module Client = Past_core.Client in
-  let n = 40 in
+(* The demo behind `metrics` and `trace`: 30 client inserts into a
+   40-node system. Returns the system, its client and the stored
+   fileIds, newest first. *)
+let demo_inserts () =
   let sys =
-    System.create ~seed:11 ~n ~node_capacity:(fun _ _ -> 120_000) ()
+    System.create ~seed:11 ~n:40 ~trace_capacity:65_536 ~node_capacity:(fun _ _ -> 120_000) ()
   in
   let client = System.new_client sys ~quota:2_000_000 () in
   let stored = ref [] in
@@ -431,17 +404,41 @@ let metrics ?(json = false) ?(trace = 0) () =
     | Client.Inserted { file_id; _ } -> stored := file_id :: !stored
     | Client.Insert_failed _ -> ()
   done;
-  List.iter
-    (fun file_id -> ignore (Client.lookup_sync client ~file_id ()))
-    (!stored @ !stored);
+  (sys, client, !stored)
+
+(* The demo's causal trace, for `past_sim trace`: after the inserts, a
+   mid-run crash so the export contains repair spans, then lookups (the
+   doubled pass hits caches) and a reclaim. *)
+let trace_export ~out () =
+  let sys, client, stored = demo_inserts () in
+  System.start_maintenance sys;
+  let nodes = System.nodes sys in
+  if Array.length nodes > 1 then
+    System.kill_node sys nodes.(Array.length nodes / 2);
+  System.run ~until:(Past_simnet.Net.now (System.net sys) +. 30_000.0) sys;
+  List.iter (fun file_id -> ignore (Client.lookup_sync client ~file_id ())) (stored @ stored);
+  (match stored with
+  | file_id :: _ -> ignore (Client.reclaim_sync client ~file_id ())
+  | [] -> ());
+  write_trace ~out (System.registry sys);
+  System.shutdown sys
+
+(* The demo's registry snapshot, for `past_sim metrics`: after the
+   inserts, every file is looked up twice. The snapshot exercises every
+   layer: network counters and latency histogram, routing-stage
+   counters, and the storage layer's accept/reject/cache metrics. *)
+let metrics ?(json = false) ?(trace = 0) () =
+  let sys, client, stored = demo_inserts () in
+  List.iter (fun file_id -> ignore (Client.lookup_sync client ~file_id ())) (stored @ stored);
   let reg = System.registry sys in
   if json then print_endline (Json.to_string ~indent:true (Registry.to_json reg))
   else begin
     Registry.print
       ~title:
         (Printf.sprintf "telemetry snapshot (demo workload: %d nodes, 30 inserts, %d lookups)"
-           n
-           (2 * List.length !stored))
+           (Array.length (System.nodes sys))
+           (2 * List.length stored))
       reg;
     if trace > 0 then print_traces ~count:trace reg
-  end
+  end;
+  System.shutdown sys

@@ -40,8 +40,6 @@ let node_id_of_key key =
   let digest = Past_crypto.Sha256.digest_string key in
   Bytes.sub_string digest 0 (node_bits / 8)
 
-let node_id_of_public_key pub = node_id_of_key (Past_crypto.Rsa.public_to_string pub)
-
 let file_id_of_key ~name ~owner_key ~salt =
   let material = Printf.sprintf "fileid:%s:%s:%s" name owner_key salt in
   Bytes.to_string (Past_crypto.Sha1.digest_string material)
@@ -283,8 +281,6 @@ let add_int (t : t) delta =
     end
   in
   of_nat ~width:(bits t) n'
-
-let pp fmt t = Format.pp_print_string fmt (to_hex t)
 
 module Ord = struct
   type nonrec t = t

@@ -37,13 +37,10 @@ val max_id : width:int -> t
 
 val random : Past_stdext.Rng.t -> width:int -> t
 
-val node_id_of_public_key : Past_crypto.Rsa.public -> t
-(** 128 most significant bits of SHA-256 of the canonical public-key
-    encoding (paper §2.1 "Generation of nodeIds"). *)
-
 val node_id_of_key : string -> t
-(** Same, from a canonical public-key encoding (any {!Past_crypto.Signer}
-    key). *)
+(** 128 most significant bits of SHA-256 of a canonical public-key
+    encoding (any {!Past_crypto.Signer} key; paper §2.1 "Generation of
+    nodeIds"). *)
 
 val file_id : name:string -> owner:Past_crypto.Rsa.public -> salt:string -> t
 (** 160-bit SHA-1 of the file's textual name, the owner's public key and
@@ -67,16 +64,11 @@ val digit : b:int -> t -> int -> int
 (** [digit ~b id i] is the [i]-th base-2^b digit, [i = 0] being the most
     significant. Requires [b] to divide 8 (1, 2, 4 or 8). *)
 
-val num_digits : b:int -> t -> int
-
 val shared_prefix_digits : b:int -> t -> t -> int
 (** Length of the longest common prefix, counted in base-2^b digits. *)
 
 val distance : t -> t -> Past_bignum.Nat.t
 (** Circular distance: [min (|a-b|) (2^bits - |a-b|)]. *)
-
-val linear_distance : t -> t -> Past_bignum.Nat.t
-(** Plain |a - b|. *)
 
 val is_between_cw : t -> t -> t -> bool
 (** [is_between_cw a x b]: walking clockwise (increasing ids, wrapping)
@@ -125,8 +117,6 @@ val add_int : t -> int -> t
 val to_nat : t -> Past_bignum.Nat.t
 val of_nat : width:int -> Past_bignum.Nat.t -> t
 (** Reduced modulo 2^width. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -28,6 +28,7 @@ let create ?(mode = `Insecure) ?(enforce_balance = false) rng =
 let public t = t.public
 
 let issue_card t ~quota ~contributed =
+  if contributed < 0 then invalid_arg "Broker.issue_card: negative contribution";
   if t.enforce_balance && t.total_quota + quota > t.total_contributed + contributed then
     Error `Supply_exhausted
   else begin
@@ -38,8 +39,7 @@ let issue_card t ~quota ~contributed =
     t.total_quota <- t.total_quota + quota;
     t.total_contributed <- t.total_contributed + contributed;
     Ok
-      (Smartcard.make ~keypair ~endorsement ~broker:t.public ~quota ~contributed
-         ~rng:(Rng.split t.rng))
+      (Smartcard.make ~keypair ~endorsement ~quota ~rng:(Rng.split t.rng))
   end
 
 type report = { cards_issued : int; total_quota : int; total_contributed : int }

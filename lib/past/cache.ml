@@ -36,15 +36,10 @@ let create policy =
     c_misses = Counter.create ();
   }
 
-let budget t = t.budget
 let used t = t.used
 let entry_count t = Id.Table.length t.entries
 let hits t = Counter.value t.c_hits
 let misses t = Counter.value t.c_misses
-
-let reset_counters t =
-  Counter.reset t.c_hits;
-  Counter.reset t.c_misses
 
 let drop t file_id =
   match Id.Table.find_opt t.entries file_id with

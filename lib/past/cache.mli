@@ -20,7 +20,6 @@ val set_budget : t -> int -> unit
     immediately. The PAST node sets it to the store's free space after
     every store mutation. *)
 
-val budget : t -> int
 val used : t -> int
 
 val find : t -> Past_id.Id.t -> (Certificate.file * string) option
@@ -39,4 +38,3 @@ val remove : t -> Past_id.Id.t -> unit
 val entry_count : t -> int
 val hits : t -> int
 val misses : t -> int
-val reset_counters : t -> unit

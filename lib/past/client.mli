@@ -76,24 +76,16 @@ val reclaim :
 (** Collects reclaim receipts until [expected] arrive or the timeout
     passes; each valid receipt credits the card's quota. *)
 
-val audit :
-  t ->
-  file_id:Past_id.Id.t ->
-  data:string ->
-  holder:Past_pastry.Peer.t ->
-  (bool -> unit) ->
-  unit
-(** Random storage audit (§2.1): challenge [holder] to prove it can
-    produce the file, by returning SHA-1(nonce ‖ content) for a fresh
-    nonce. The auditor must know the content (it is typically the
-    owner). The callback receives [true] iff the proof checks out
-    before the timeout; nodes that diverted the replica satisfy the
-    audit by chasing their pointer. *)
-
 val insert_sync :
   t -> name:string -> data:string -> ?declared_size:int -> k:int -> unit -> insert_result
 val lookup_sync : t -> ?retries:int -> file_id:Past_id.Id.t -> unit -> lookup_result
 val audit_sync :
   t -> file_id:Past_id.Id.t -> data:string -> holder:Past_pastry.Peer.t -> unit -> bool
+(** Random storage audit (§2.1): challenge [holder] to prove it can
+    produce the file, by returning SHA-1(nonce ‖ content) for a fresh
+    nonce. The auditor must know the content (it is typically the
+    owner). The result is [true] iff the proof checks out before the
+    timeout; nodes that diverted the replica satisfy the audit by
+    chasing their pointer. *)
 
 val reclaim_sync : t -> file_id:Past_id.Id.t -> ?expected:int -> unit -> reclaim_result

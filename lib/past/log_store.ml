@@ -67,7 +67,6 @@ type t = {
 }
 
 let backend_name = "log"
-let dir t = t.dir
 let seg_path dir id = Filename.concat dir (Printf.sprintf "seg-%08d.log" id)
 
 let rec mkdir_p d =
@@ -437,12 +436,6 @@ let iter_sizes t f =
   check_open t;
   Id.Table.iter (fun _ sl -> f sl.sl_size) t.index
 
-let enumerate_range t ~lo ~hi f =
-  check_open t;
-  Id.Table.iter
-    (fun id sl -> if Id.is_between_cw lo id hi then f (decode_entry (read_record t sl) 0))
-    t.index
-
 (* -- writes -------------------------------------------------------- *)
 
 let start_segment t id =
@@ -557,7 +550,6 @@ let put t (e : Store_backend.entry) =
   t.live_bytes <- t.live_bytes + len;
   maybe_compact t
 
-let put_batch t es = List.iter (put t) es
 
 let delete t id =
   check_open t;

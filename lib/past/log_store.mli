@@ -60,4 +60,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val dir : t -> string

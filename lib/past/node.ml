@@ -19,7 +19,6 @@ type config = {
   t_pri : float;
   t_div : float;
   replication_delay : float;
-  pull_on_rejoin : bool;
 }
 
 let default_config =
@@ -33,7 +32,6 @@ let default_config =
     t_pri = 0.1;
     t_div = 0.05;
     replication_delay = 50.0;
-    pull_on_rejoin = false;
   }
 
 (* Root-side bookkeeping for lookups the root must satisfy by fetching
@@ -63,10 +61,6 @@ type t = {
   (* per-node counters *)
   mutable served_store : int;
   mutable served_cache : int;
-  mutable stored : int;
-  mutable refused : int;
-  mutable diverts_tried : int;
-  mutable diverts_ok : int;
   (* overlay-wide telemetry, shared through the overlay's registry *)
   c_accept : Counter.t;
   c_reject : Counter.t;
@@ -81,8 +75,6 @@ type t = {
 
 let pastry t = t.pastry
 let store t = t.store
-let cache t = t.cache
-let card t = t.card
 let config t = t.config
 let id t = PNode.id t.pastry
 let addr t = PNode.addr t.pastry
@@ -92,18 +84,10 @@ let now t = Net.now (net t)
 
 let lookups_served_from_store t = t.served_store
 let lookups_served_from_cache t = t.served_cache
-let replicas_stored t = t.stored
-let replicas_refused t = t.refused
-let diverts_attempted t = t.diverts_tried
-let diverts_succeeded t = t.diverts_ok
 
 let reset_counters t =
   t.served_store <- 0;
-  t.served_cache <- 0;
-  t.stored <- 0;
-  t.refused <- 0;
-  t.diverts_tried <- 0;
-  t.diverts_ok <- 0
+  t.served_cache <- 0
 
 (* Cache lives in the store's unused space: re-budget after every
    store mutation (§2.3: "cached copies are evicted when a node stores
@@ -166,7 +150,6 @@ let store_locally t (cert : Certificate.file) data kind =
     sync_cache t;
     (* A file promoted to a replica needs no cached copy here too. *)
     Cache.remove t.cache cert.Certificate.file_id;
-    t.stored <- t.stored + 1;
     Counter.incr t.c_accept;
     Histogram.observe_int t.h_size cert.Certificate.size;
     Ok ()
@@ -179,7 +162,6 @@ let ack_stored t (cert : Certificate.file) client =
   to_client t client (Wire.Replica_ack { file_id = cert.Certificate.file_id; receipt })
 
 let nack t (cert : Certificate.file) client =
-  t.refused <- t.refused + 1;
   Counter.incr t.c_reject;
   point t ~span:client.Wire.op "replica_refused";
   to_client t client (Wire.Replica_nack { file_id = cert.Certificate.file_id; node_id = id t })
@@ -209,7 +191,6 @@ let try_divert t (cert : Certificate.file) data client =
   match divert_target t cert with
   | None -> nack t cert client
   | Some target ->
-    t.diverts_tried <- t.diverts_tried + 1;
     Counter.incr t.c_divert_try;
     send t target (Wire.Divert_store { cert; data; client; origin = self t })
 
@@ -448,52 +429,12 @@ let schedule_re_replication t =
         re_replicate t)
   end
 
-(* The clockwise arc of fileIds this node may be a replica holder for,
-   bounded by its leaf-set extremes (fileIds are 160-bit; nodeIds are
-   widened by appending zero bytes, the numerically smallest fileId the
-   node routes). A leaf set too small to have both extremes means the
-   node may be responsible for anything: the full ring ([lo = hi]). *)
-let file_width_of_node_id id =
-  Id.of_bytes (Bytes.cat (Id.to_bytes id) (Bytes.make ((Id.file_bits - Id.node_bits) / 8) '\000'))
-
-let responsible_range t =
-  let ls = PNode.leaf_set t.pastry in
-  match (Leaf_set.extreme_smaller ls, Leaf_set.extreme_larger ls) with
-  | Some lo, Some hi when lo.Peer.addr <> hi.Peer.addr ->
-    (file_width_of_node_id lo.Peer.id, file_width_of_node_id hi.Peer.id)
-  | _ ->
-    let own = file_width_of_node_id (id t) in
-    (own, own)
-
-(* Ask every leaf-set neighbour to stream back the primary replicas in
-   this node's range — the pull half of failure recovery. The push half
-   ([re_replicate] on the neighbours) already repairs replica counts
-   over time; the pull converges a rejoining node in one round trip
-   instead of waiting for each neighbour's debounced repair pass. *)
-let pull_node_range t =
-  let lo, hi = responsible_range t in
-  List.iter
-    (fun (p : Peer.t) -> send t p (Wire.Range_pull { lo; hi; requester = self t }))
-    (Leaf_set.members (PNode.leaf_set t.pastry))
-
-let handle_range_pull t ~lo ~hi (requester : Peer.t) =
-  if requester.Peer.addr <> addr t then
-    Store.enumerate_range t.store ~lo ~hi (fun entry ->
-        match entry.Store.kind with
-        | Store.Diverted _ -> ()
-        | Store.Primary ->
-          Counter.incr t.c_rereplicate;
-          send t requester
-            (Wire.Replicate
-               { cert = entry.Store.cert; data = entry.Store.data; op = Trace.no_parent }))
-
 let notify_revived t =
   (* A crash may have swallowed a scheduled re-replication pass (the
      owner-gated thunk was skipped); clear the latch and run a fresh
      pass so files this node is root for regain their k copies. *)
   t.replication_scheduled <- false;
-  schedule_re_replication t;
-  if t.config.pull_on_rejoin then pull_node_range t
+  schedule_re_replication t
 
 let handle_replicate t (cert : Certificate.file) data ~op =
   if Store.mem t.store cert.Certificate.file_id then ()
@@ -553,12 +494,10 @@ let on_direct t ~from:_ (msg : Wire.t) =
   | Wire.Store_replica { cert; data; client } -> handle_store_replica t cert data client
   | Wire.Divert_store { cert; data; client; origin } -> handle_divert_store t cert data client origin
   | Wire.Divert_ack { file_id; holder } ->
-    t.diverts_ok <- t.diverts_ok + 1;
     Counter.incr t.c_divert_ok;
     Store.add_pointer t.store ~file_id ~holder
   | Wire.Divert_nack { file_id; client } ->
     if client.Wire.tag >= 0 then begin
-      t.refused <- t.refused + 1;
       Counter.incr t.c_reject;
       to_client t client (Wire.Replica_nack { file_id; node_id = id t })
     end
@@ -596,7 +535,6 @@ let on_direct t ~from:_ (msg : Wire.t) =
     if not (Store.mem t.store cert.Certificate.file_id) then
       if Cache.offer t.cache ~cert ~data then point t ~span:op "cached_en_route"
   | Wire.Replicate { cert; data; op } -> handle_replicate t cert data ~op
-  | Wire.Range_pull { lo; hi; requester } -> handle_range_pull t ~lo ~hi requester
   | Wire.Insert _ | Wire.Lookup _ | Wire.Reclaim _ -> ()
 
 let attach ~pastry ~card ~brokers ~capacity ?(config = default_config) ?backend ?free_oracle () =
@@ -617,10 +555,6 @@ let attach ~pastry ~card ~brokers ~capacity ?(config = default_config) ?backend 
       replication_scheduled = false;
       served_store = 0;
       served_cache = 0;
-      stored = 0;
-      refused = 0;
-      diverts_tried = 0;
-      diverts_ok = 0;
       c_accept = Registry.counter reg "past.insert.accepted";
       c_reject = Registry.counter reg "past.insert.rejected";
       c_divert_try = Registry.counter reg "past.divert.attempted";

@@ -23,11 +23,6 @@ type config = {
   t_div : float;
   replication_delay : float;
       (** debounce before re-replicating after a leaf-set change *)
-  pull_on_rejoin : bool;
-      (** on revival, additionally {e pull} the node range's content
-          from leaf-set neighbours (a {!Wire.t.Range_pull} per
-          neighbour) instead of relying only on their debounced repair
-          pushes; off by default *)
 }
 
 val default_config : config
@@ -56,8 +51,6 @@ val attach :
 
 val pastry : t -> Wire.t Past_pastry.Node.t
 val store : t -> Store.t
-val cache : t -> Cache.t
-val card : t -> Smartcard.t
 val config : t -> config
 val id : t -> Past_id.Id.t
 val addr : t -> Past_simnet.Net.addr
@@ -82,8 +75,4 @@ val notify_revived : t -> unit
 
 val lookups_served_from_store : t -> int
 val lookups_served_from_cache : t -> int
-val replicas_stored : t -> int
-val replicas_refused : t -> int
-val diverts_attempted : t -> int
-val diverts_succeeded : t -> int
 val reset_counters : t -> unit

@@ -7,10 +7,8 @@ type t = {
   public : Signer.public;
   node_id : Id.t;
   endorsement : bytes;
-  broker : Signer.public;
   quota : int;
   mutable used : int;
-  contributed : int;
   rng : Rng.t;
   (* Double-credit protection: per fileId, the storing nodes whose
      reclaim receipt for it was credited. A generic table, so ids of any
@@ -19,31 +17,26 @@ type t = {
   seen_receipts : (Id.t, Signer.public array) Hashtbl.t;
 }
 
-let make ~keypair ~endorsement ~broker ~quota ~contributed ~rng =
-  if quota < 0 || contributed < 0 then invalid_arg "Smartcard.make: negative quota";
+let make ~keypair ~endorsement ~quota ~rng =
+  if quota < 0 then invalid_arg "Smartcard.make: negative quota";
   let public = Signer.public keypair in
   {
     keypair;
     public;
     node_id = Id.node_id_of_key (Signer.public_to_string public);
     endorsement;
-    broker;
     quota;
     used = 0;
-    contributed;
     rng;
     seen_receipts = Hashtbl.create 16;
   }
 
 let public t = t.public
 let endorsement t = t.endorsement
-let broker t = t.broker
 let node_id t = t.node_id
 let quota t = t.quota
 let used t = t.used
 let remaining t = t.quota - t.used
-let contributed t = t.contributed
-let keypair t = t.keypair
 
 let endorsement_material public =
   Bytes.of_string (Printf.sprintf "card:%s" (Signer.public_to_string public))

@@ -18,25 +18,20 @@ type t
 val make :
   keypair:Signer.keypair ->
   endorsement:bytes ->
-  broker:Signer.public ->
   quota:int ->
-  contributed:int ->
   rng:Past_stdext.Rng.t ->
   t
 (** Used by {!Broker.issue_card}; [quota] bounds what the holder may
-    insert (bytes × replication), [contributed] is the storage a node
-    holding this card offers. *)
+    insert (bytes × replication). *)
 
 val public : t -> Signer.public
 val endorsement : t -> bytes
-val broker : t -> Signer.public
 val node_id : t -> Past_id.Id.t
 (** nodeId derived from the card's public key (§2.1). *)
 
 val quota : t -> int
 val used : t -> int
 val remaining : t -> int
-val contributed : t -> int
 
 val endorsed_by : broker:Signer.public -> public:Signer.public -> endorsement:bytes -> bool
 (** Verify a peer card's broker endorsement. *)
@@ -78,6 +73,3 @@ val credit_reclaim_receipt : t -> Certificate.reclaim_receipt -> bool
 
 val issue_store_receipt : t -> file_id:Past_id.Id.t -> now:float -> Certificate.store_receipt
 val issue_reclaim_receipt : t -> file_id:Past_id.Id.t -> freed:int -> Certificate.reclaim_receipt
-
-val keypair : t -> Signer.keypair
-(** Exposed for protocol modules that sign on the card's behalf. *)

@@ -145,10 +145,6 @@ let iter_sizes t f =
   let (Impl ((module B), b)) = t.impl in
   B.iter_sizes b f
 
-let enumerate_range t ~lo ~hi f =
-  let (Impl ((module B), b)) = t.impl in
-  B.enumerate_range b ~lo ~hi f
-
 let flush t =
   let (Impl ((module B), b)) = t.impl in
   B.flush b

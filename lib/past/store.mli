@@ -91,11 +91,6 @@ val iter_sizes : t -> (int -> unit) -> unit
     reads on the log backend); the quota-conservation monitor audits
     [used] with this. *)
 
-val enumerate_range : t -> lo:Past_id.Id.t -> hi:Past_id.Id.t -> (entry -> unit) -> unit
-(** Entries whose fileId lies on the clockwise half-open arc [\[lo, hi)]
-    (fileId-width ids; [lo = hi] is the full ring) — node-range content
-    enumeration for join/leave handoff. *)
-
 val flush : t -> unit
 (** Push buffered backend writes to durable storage (no-op on [Mem]). *)
 

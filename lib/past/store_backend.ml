@@ -8,7 +8,6 @@ module type S = sig
 
   val backend_name : string
   val put : t -> entry -> unit
-  val put_batch : t -> entry list -> unit
   val get : t -> Id.t -> entry option
   val mem : t -> Id.t -> bool
   val size_of : t -> Id.t -> int option
@@ -17,7 +16,6 @@ module type S = sig
   val iter : t -> (entry -> unit) -> unit
   val length : t -> int
   val iter_sizes : t -> (int -> unit) -> unit
-  val enumerate_range : t -> lo:Id.t -> hi:Id.t -> (entry -> unit) -> unit
   val flush : t -> unit
   val close : t -> unit
 end
@@ -32,7 +30,6 @@ module Mem = struct
   let backend_name = "mem"
   let create () = Id.Table.create 64
   let put t e = Id.Table.replace t e.cert.Certificate.file_id e
-  let put_batch t es = List.iter (put t) es
   let get t id = Id.Table.find_opt t id
   let mem t id = Id.Table.mem t id
 
@@ -51,9 +48,6 @@ module Mem = struct
   let iter t f = Id.Table.iter (fun _ e -> f e) t
   let length t = Id.Table.length t
   let iter_sizes t f = Id.Table.iter (fun _ e -> f e.cert.Certificate.size) t
-
-  let enumerate_range t ~lo ~hi f =
-    Id.Table.iter (fun id e -> if Id.is_between_cw lo id hi then f e) t
 
   let flush _ = ()
   let close _ = ()

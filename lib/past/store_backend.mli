@@ -26,10 +26,6 @@ module type S = sig
   val put : t -> entry -> unit
   (** Insert or replace the entry keyed by [entry.cert.file_id]. *)
 
-  val put_batch : t -> entry list -> unit
-  (** Bulk insert (content seeding / node-range handoff); semantically
-      [List.iter (put t)], but a backend may batch its I/O. *)
-
   val get : t -> Past_id.Id.t -> entry option
   val mem : t -> Past_id.Id.t -> bool
 
@@ -54,13 +50,6 @@ module type S = sig
   val iter_sizes : t -> (int -> unit) -> unit
   (** Iterate declared sizes only — lets the quota-conservation monitor
       audit [used = sum of sizes] without decoding entries from disk. *)
-
-  val enumerate_range : t -> lo:Past_id.Id.t -> hi:Past_id.Id.t -> (entry -> unit) -> unit
-  (** Entries whose fileId lies in the clockwise half-open arc
-      [\[lo, hi)] of the (circular) fileId space — the node-range
-      content handoff on join/leave. [lo] and [hi] must be fileId-width
-      ids. [lo = hi] denotes the full ring (as {!Past_id.Id.is_between_cw}
-      does). *)
 
   val flush : t -> unit
   (** Push buffered writes to durable storage (no-op in memory). *)

@@ -35,7 +35,6 @@ type t =
   | Reclaim_nack of { file_id : Past_id.Id.t; reason : string }
   | Cache_offer of { cert : Certificate.file; data : string; op : int }
   | Replicate of { cert : Certificate.file; data : string; op : int }
-  | Range_pull of { lo : Past_id.Id.t; hi : Past_id.Id.t; requester : Past_pastry.Peer.t }
   | Audit_challenge of { file_id : Past_id.Id.t; nonce : string; client : client_ref }
   | Audit_proof of { file_id : Past_id.Id.t; nonce : string; proof : string }
   | To_client of { tag : int; inner : t }
@@ -60,7 +59,6 @@ let rec describe = function
   | Reclaim_nack _ -> "reclaim_nack"
   | Cache_offer _ -> "cache_offer"
   | Replicate _ -> "replicate"
-  | Range_pull _ -> "range_pull"
   | Audit_challenge _ -> "audit_challenge"
   | Audit_proof _ -> "audit_proof"
   | To_client { inner; _ } -> "to_client/" ^ describe inner

@@ -56,12 +56,6 @@ type t =
   | Replicate of { cert : Certificate.file; data : string; op : int }
       (** direct: failure recovery / join re-replication; [op] is the
           repair span minted by the pushing node *)
-  | Range_pull of { lo : Past_id.Id.t; hi : Past_id.Id.t; requester : Past_pastry.Peer.t }
-      (** direct: a rejoining node asks a leaf-set neighbour to stream
-          (as {!constructor-Replicate} messages) the primary replicas
-          whose fileIds lie on the clockwise arc [\[lo, hi)] — the
-          content handoff for the node range it just became responsible
-          for; [lo]/[hi] are fileId-width *)
   | Audit_challenge of { file_id : Past_id.Id.t; nonce : string; client : client_ref }
       (** direct: auditor → a node that is supposed to hold the file
           (§2.1 "nodes are randomly audited to see if they can produce

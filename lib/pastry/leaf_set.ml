@@ -300,15 +300,3 @@ let replica_set t ~k key =
   ignore (best_slot b ~k key t.own : int);
   best_offer_peers b ~k key (members t);
   List.init b.b_n (fun i -> b.b_elts.(i))
-
-let pp fmt t =
-  let pp_side name side =
-    Format.fprintf fmt "  %s:" name;
-    for i = 0 to side.n - 1 do
-      Format.fprintf fmt " %a" Peer.pp (Directory.get t.dir side.addrs.(i))
-    done;
-    Format.fprintf fmt "@."
-  in
-  Format.fprintf fmt "leaf set of %s@." (Id.short t.own);
-  pp_side "smaller" t.smaller;
-  pp_side "larger " t.larger

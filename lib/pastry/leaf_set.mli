@@ -54,5 +54,3 @@ val extreme_smaller : t -> Peer.t option
 (** Farthest member on the smaller side. *)
 
 val extreme_larger : t -> Peer.t option
-
-val pp : Format.formatter -> t -> unit

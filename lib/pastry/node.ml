@@ -86,8 +86,6 @@ type 'a t = {
      not clear — between uses: reset restores the initial bucket count,
      so iteration order matches a fresh table of the same size. *)
   peers_scratch : (Net.addr, Peer.t) Hashtbl.t Lazy.t;
-  mutable fwd_count : int;
-  mutable ctl_count : int;
   shared : shared;
 }
 
@@ -95,7 +93,6 @@ let self t = t.self
 let net t = t.net
 let id t = t.self.Peer.id
 let addr t = t.self.Peer.addr
-let config t = t.config
 let routing_table t = t.rt
 let leaf_set t = t.leaf
 let neighborhood t = t.nbhd
@@ -103,21 +100,13 @@ let joined t = t.joined
 let set_app t app = t.app <- Some app
 let set_malicious t flag = t.malicious <- flag
 let malicious t = t.malicious
-let messages_forwarded t = t.fwd_count
-let control_messages t = t.ctl_count
-
-let reset_counters t =
-  t.fwd_count <- 0;
-  t.ctl_count <- 0
 
 let proximity_to t peer_addr = Net.proximity t.net t.self.Peer.addr peer_addr
 
 let tell t dst msg =
   (match msg with
   | Message.Routed { payload = Message.App _; _ } | Message.Direct _ -> ()
-  | _ ->
-    t.ctl_count <- t.ctl_count + 1;
-    Counter.incr t.shared.c_ctl);
+  | _ -> Counter.incr t.shared.c_ctl);
   Net.send t.net ~src:t.self.Peer.addr ~dst msg
 
 let fire_leaf_change t = match t.app with Some a -> a.on_leaf_change () | None -> ()
@@ -356,7 +345,6 @@ let check_hop_bound t (r : 'a Message.routed) =
 
 let handle_routed t (r : 'a Message.routed) =
   if not t.malicious then begin
-    t.fwd_count <- t.fwd_count + 1;
     let hop, stage = next_hop t r.Message.key in
     match hop with
     | Deliver ->
@@ -494,8 +482,6 @@ let create ?dir ?shared ~net ~config ~rng ~id () =
       pending_acks = lazy (Hashtbl.create 16);
       suspects = lazy (Hashtbl.create 16);
       peers_scratch = lazy (Hashtbl.create 64);
-      fwd_count = 0;
-      ctl_count = 0;
       shared;
     }
   in
@@ -549,11 +535,6 @@ let send_direct t ~dst payload =
     match t.app with Some a -> a.on_direct ~from:t.self payload | None -> ()
   end
   else tell t dst.Peer.addr (Message.Direct { from = t.self; payload })
-
-let deliver_local t ~key payload =
-  match t.app with
-  | Some a -> a.deliver ~key payload { hops = 0; dist = 0.0; path = [ t.self.Peer.addr ] }
-  | None -> ()
 
 let check_failures t =
   if Lazy.is_val t.pending_acks then begin

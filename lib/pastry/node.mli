@@ -50,7 +50,6 @@ val self : 'a t -> Peer.t
 val net : 'a t -> 'a Message.t Past_simnet.Net.t
 val id : 'a t -> Past_id.Id.t
 val addr : 'a t -> Past_simnet.Net.addr
-val config : 'a t -> Config.t
 
 val routing_table : 'a t -> Routing_table.t
 val leaf_set : 'a t -> Leaf_set.t
@@ -78,10 +77,6 @@ val learn : 'a t -> Peer.t -> unit
 (** Offer a (id, addr) binding to all three tables — used by the static
     overlay builder and by tests. *)
 
-val deliver_local : 'a t -> key:Past_id.Id.t -> 'a -> unit
-(** Invoke the app deliver callback as if a message had arrived with
-    zero hops (used when the local node is itself responsible). *)
-
 val start_maintenance : 'a t -> unit
 (** Begin periodic leaf-set keep-alives and failure detection. The
     timer re-arms itself; bound simulation runs with [~until]. *)
@@ -97,13 +92,3 @@ val set_malicious : 'a t -> bool -> unit
     should forward or deliver (§2.2 "Fault-tolerance"). *)
 
 val malicious : 'a t -> bool
-
-val messages_forwarded : 'a t -> int
-(** Routed messages this node forwarded or delivered — query-load
-    metric for the balance experiment. *)
-
-val control_messages : 'a t -> int
-(** Protocol (non-app) messages this node sent — join/repair cost
-    metric. *)
-
-val reset_counters : 'a t -> unit

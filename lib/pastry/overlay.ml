@@ -45,10 +45,6 @@ let nodes t =
 
 let node_count t = t.count
 
-let node_by_addr t addr =
-  if addr >= 0 && addr < t.count then t.all.(addr)
-  else invalid_arg (Printf.sprintf "Overlay.node_by_addr: unknown address %d" addr)
-
 let add_node_with_id t ~id =
   let shared =
     match t.shared with

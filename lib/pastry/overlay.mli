@@ -81,7 +81,6 @@ val install_apps : 'a t -> ('a Node.t -> 'a Node.app) -> unit
 
 val nodes : 'a t -> 'a Node.t array
 val node_count : 'a t -> int
-val node_by_addr : 'a t -> Past_simnet.Net.addr -> 'a Node.t
 val random_node : 'a t -> 'a Node.t
 val random_live_node : 'a t -> 'a Node.t
 val live_nodes : 'a t -> 'a Node.t list

@@ -4,5 +4,3 @@ type t = { id : Id.t; addr : Past_simnet.Net.addr }
 
 let make ~id ~addr = { id; addr }
 let equal a b = a.addr = b.addr && Id.equal a.id b.id
-let compare_by_id a b = Id.compare a.id b.id
-let pp fmt t = Format.fprintf fmt "%s@%d" (Id.short t.id) t.addr

@@ -6,5 +6,3 @@ type t = { id : Past_id.Id.t; addr : Past_simnet.Net.addr }
 
 val make : id:Past_id.Id.t -> addr:Past_simnet.Net.addr -> t
 val equal : t -> t -> bool
-val compare_by_id : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -144,14 +144,3 @@ let next_hop t ~key =
   else
     let packed = t.cells.((row * Config.cols t.config) + Id.digit ~b key row) in
     if packed < 0 then None else Some (Directory.get t.dir (packed land addr_mask))
-
-let pp fmt t =
-  Format.fprintf fmt "routing table for %s (%d entries)@." (Id.short t.own) t.count;
-  for i = 0 to t.rows_alloc - 1 do
-    let filled = List.rev (row_fold t i (fun acc p -> p :: acc) []) in
-    if filled <> [] then begin
-      Format.fprintf fmt "  row %2d:" i;
-      List.iter (fun p -> Format.fprintf fmt " %a" Peer.pp p) filled;
-      Format.fprintf fmt "@."
-    end
-  done

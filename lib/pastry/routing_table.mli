@@ -58,5 +58,3 @@ val entry_count : t -> int
 val next_hop : t -> key:Past_id.Id.t -> Peer.t option
 (** The primary routing step: the entry at row = length of the shared
     prefix with [key], column = [key]'s digit at that position. *)
-
-val pp : Format.formatter -> t -> unit

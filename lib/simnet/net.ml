@@ -6,8 +6,6 @@ module Histogram = Past_telemetry.Histogram
 
 type addr = int
 
-let pp_addr = Format.pp_print_int
-
 (* Per-kind accounting: one counter triple per message kind, resolved
    through the registry once per kind and cached. The triple for a
    message is resolved once at send time and carried in its Deliver
@@ -184,7 +182,6 @@ let push_event t time action =
   Timing_wheel.push t.queue ~time ~seq:t.seq action
 
 let proximity t a b = Topology.proximity t.topology (node t a).location (node t b).location
-let max_proximity t = Topology.max_proximity t.topology
 
 let drop t kinds =
   Counter.incr t.c_dropped;
@@ -196,8 +193,6 @@ let set_loss_rate t rate =
   if rate < 0.0 || rate > 1.0 then
     invalid_arg (Printf.sprintf "Net.set_loss_rate: rate must be in [0,1] (got %g)" rate);
   t.loss_rate <- rate
-
-let loss_rate t = t.loss_rate
 
 let set_duplication_rate t rate =
   if rate < 0.0 || rate > 1.0 then
@@ -228,7 +223,6 @@ let set_link t ~src ~dst ?loss ?(delay_factor = 1.0) ?(extra_delay = 0.0) () =
     { lk_loss = loss; lk_delay_factor = delay_factor; lk_extra_delay = extra_delay }
 
 let clear_link t ~src ~dst = Hashtbl.remove t.links (src, dst)
-let clear_links t = Hashtbl.reset t.links
 
 let partition t groups =
   (* Every listed node goes into the group of its list; unlisted nodes

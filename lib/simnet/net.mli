@@ -9,8 +9,6 @@
 
 type addr = int
 
-val pp_addr : Format.formatter -> addr -> unit
-
 type 'msg t
 
 val create :
@@ -71,8 +69,6 @@ val schedule : ?owner:addr -> _ t -> delay:float -> (unit -> unit) -> unit
 val set_loss_rate : _ t -> float -> unit
 (** Replace the global loss rate, in [[0,1]]. *)
 
-val loss_rate : _ t -> float
-
 val set_link :
   _ t ->
   src:addr ->
@@ -88,7 +84,6 @@ val set_link :
     two directions separately for asymmetric links. *)
 
 val clear_link : _ t -> src:addr -> dst:addr -> unit
-val clear_links : _ t -> unit
 
 val partition : _ t -> addr list list -> unit
 (** Split the network: each listed group becomes one side, every
@@ -143,7 +138,6 @@ val node_count : _ t -> int
 val proximity : _ t -> addr -> addr -> float
 (** Topology distance between two registered nodes. *)
 
-val max_proximity : _ t -> float
 val rng : _ t -> Past_stdext.Rng.t
 
 (** Counters, cumulative since creation. These are thin reads of the

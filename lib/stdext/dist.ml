@@ -1,5 +1,3 @@
-let uniform rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
-
 let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   let u = 1.0 -. Rng.float rng 1.0 in

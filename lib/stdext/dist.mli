@@ -2,8 +2,6 @@
 
     All samplers draw from an explicit {!Rng.t}. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-
 val exponential : Rng.t -> rate:float -> float
 (** Mean [1/rate]. Requires [rate > 0]. *)
 

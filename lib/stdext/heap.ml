@@ -59,10 +59,3 @@ let pop t =
 let clear t =
   t.data <- [||];
   t.size <- 0
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := t.data.(i) :: !acc
-  done;
-  !acc

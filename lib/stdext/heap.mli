@@ -18,5 +18,3 @@ val pop : 'a t -> 'a option
 (** Remove and return the minimum. *)
 
 val clear : 'a t -> unit
-val to_list : 'a t -> 'a list
-(** Elements in arbitrary (heap) order. *)

@@ -303,10 +303,6 @@ let min_time t =
   if t.live = 0 then invalid_arg "Timing_wheel.min_time: empty wheel";
   (min_cell t).c_time
 
-let min_seq t =
-  if t.live = 0 then invalid_arg "Timing_wheel.min_seq: empty wheel";
-  (min_cell t).c_seq
-
 let pop_min t =
   if t.live = 0 then invalid_arg "Timing_wheel.pop_min: empty wheel";
   let c = min_cell t in

@@ -57,15 +57,12 @@ val pop : 'a t -> 'a option
 (** {2 Allocation-free access}
 
     The simulator pops through these: they answer with the minimum
-    event's time, sequence number and value directly, with no option
-    per event. Each raises [Invalid_argument] on an empty wheel; test
-    {!is_empty} first. *)
+    event's time and value directly, with no option per event. Each
+    raises [Invalid_argument] on an empty wheel; test {!is_empty}
+    first. *)
 
 val min_time : 'a t -> float
 (** Time of the minimum-(time, seq) live event. *)
-
-val min_seq : 'a t -> int
-(** Sequence number of that event. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return that event. *)

@@ -24,9 +24,7 @@ type t = {
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let default_capacity = 1024
-
-let create ?(capacity = default_capacity) () =
+let create ?(capacity = 1024) () =
   if capacity < 1 then invalid_arg "Histogram.create: capacity must be positive";
   let state = Bytes.create 8 in
   set64 state 0 0x9E3779B97F4A7C15L;

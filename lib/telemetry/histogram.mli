@@ -8,15 +8,13 @@
 
 type t
 
-val default_capacity : int
-(** 1024. *)
-
 val create : ?capacity:int -> unit -> t
+(** [capacity] defaults to 1024. *)
+
 val observe : t -> float -> unit
 val observe_int : t -> int -> unit
 
 val count : t -> int
-val sum : t -> float
 val mean : t -> float
 
 val min : t -> float

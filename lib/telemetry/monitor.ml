@@ -5,9 +5,6 @@
    fail a whole run on any violation without threading monitor sets
    through every layer. *)
 
-module Json = Past_stdext.Json
-module Text_table = Past_stdext.Text_table
-
 type entry = {
   e_name : string;
   e_grace : float;
@@ -210,42 +207,3 @@ let reports t =
   |> List.sort (fun a b -> String.compare a.m_name b.m_name)
 
 let violations t = List.fold_left (fun acc e -> acc + e.e_violations) 0 t.entries
-
-let to_table t =
-  let table =
-    Text_table.create [ "monitor"; "checks"; "failures"; "violations"; "first-violation"; "detail" ]
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        [
-          r.m_name;
-          string_of_int r.m_checks;
-          string_of_int r.m_failures;
-          string_of_int r.m_violations;
-          (match r.m_first_violation with Some tv -> Printf.sprintf "t=%.1f" tv | None -> "-");
-          r.m_first_detail;
-        ])
-    (reports t);
-  table
-
-let to_json t =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           ([
-              ("name", Json.String r.m_name);
-              ("checks", Json.Int r.m_checks);
-              ("failures", Json.Int r.m_failures);
-              ("violations", Json.Int r.m_violations);
-            ]
-           @ (match r.m_first_violation with
-             | Some tv ->
-               [
-                 ("first_violation", Json.Float tv);
-                 ("detail", Json.String r.m_first_detail);
-                 ("trace_context", Json.String r.m_trace_context);
-               ]
-             | None -> [])))
-       (reports t))

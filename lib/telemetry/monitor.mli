@@ -78,9 +78,6 @@ val reports : t -> report list
 val violations : t -> int
 (** Total violations across this set's monitors. *)
 
-val to_table : t -> Past_stdext.Text_table.t
-val to_json : t -> Past_stdext.Json.t
-
 (** {2 Process-wide accounting (for CI gating)} *)
 
 val global_violations : unit -> int

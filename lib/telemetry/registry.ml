@@ -33,7 +33,6 @@ let create ?(name = "telemetry") ?trace_capacity ?monitors_active () =
     monitors;
   }
 
-let name t = t.name
 let tracer t = t.tracer
 let monitors t = t.monitors
 
@@ -76,16 +75,6 @@ let histogram t ?(labels = []) ?capacity name =
       let h = Histogram.create ?capacity () in
       (h, Histogram h))
     ~extract:(function Histogram h -> Some h | _ -> None)
-
-let reset t =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> Counter.reset c
-      | Gauge g -> Gauge.reset g
-      | Histogram h -> Histogram.reset h)
-    t.metrics;
-  Trace.clear t.tracer
 
 (* --- export ------------------------------------------------------------ *)
 

@@ -14,7 +14,6 @@ val create : ?name:string -> ?trace_capacity:int -> ?monitors_active:bool -> uni
 (** [monitors_active] defaults to the process-wide
     {!Monitor.set_default_active} value. *)
 
-val name : t -> string
 val tracer : t -> Trace.t
 val monitors : t -> Monitor.t
 
@@ -23,9 +22,6 @@ val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
 val histogram : t -> ?labels:(string * string) list -> ?capacity:int -> string -> Histogram.t
 (** Get-or-create. Raises [Invalid_argument] if the name+labels pair is
     already registered as a different metric type. *)
-
-val reset : t -> unit
-(** Reset every metric and clear the trace ring. *)
 
 (** {2 Export} *)
 

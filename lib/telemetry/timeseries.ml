@@ -5,7 +5,6 @@
    deltas; windowed-histogram probes reset their histogram after every
    sample so each window's quantiles cover only that window. *)
 
-module Json = Past_stdext.Json
 module Text_table = Past_stdext.Text_table
 
 type probe =
@@ -89,69 +88,7 @@ let dropped_windows t = Stdlib.max 0 (t.total - t.capacity)
 
 (* --- export ------------------------------------------------------------ *)
 
-let value_json = function
-  | Count n -> Json.Int n
-  | Level v -> Json.Float v
-  | Dist d ->
-    Json.Obj
-      [
-        ("count", Json.Int d.d_count);
-        ("mean", Json.Float d.d_mean);
-        ("p50", Json.Float d.d_p50);
-        ("p99", Json.Float d.d_p99);
-      ]
-
-let to_json t =
-  let window_json w =
-    Json.Obj
-      [
-        ("t_start", Json.Float w.w_start);
-        ("t_end", Json.Float w.w_end);
-        ("values", Json.Obj (List.map (fun (n, v) -> (n, value_json v)) w.w_values));
-      ]
-  in
-  Json.Obj
-    [
-      ("dropped_windows", Json.Int (dropped_windows t));
-      ("windows", Json.List (List.map window_json (windows t)));
-    ]
-
 let series_names t = List.rev_map fst t.probes
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  let cols name = function
-    | P_hist _ -> [ name ^ ".count"; name ^ ".mean"; name ^ ".p50"; name ^ ".p99" ]
-    | P_cumulative _ | P_level _ -> [ name ]
-  in
-  let header =
-    "t_start" :: "t_end"
-    :: List.concat (List.rev_map (fun (n, p) -> cols n p) t.probes |> List.rev)
-  in
-  Buffer.add_string buf (String.concat "," header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun w ->
-      let cells =
-        Printf.sprintf "%g" w.w_start :: Printf.sprintf "%g" w.w_end
-        :: List.concat_map
-             (fun (_, v) ->
-               match v with
-               | Count n -> [ string_of_int n ]
-               | Level x -> [ Printf.sprintf "%g" x ]
-               | Dist d ->
-                 [
-                   string_of_int d.d_count;
-                   Printf.sprintf "%g" d.d_mean;
-                   Printf.sprintf "%g" d.d_p50;
-                   Printf.sprintf "%g" d.d_p99;
-                 ])
-             w.w_values
-      in
-      Buffer.add_string buf (String.concat "," cells);
-      Buffer.add_char buf '\n')
-    (windows t);
-  Buffer.contents buf
 
 let to_table ?(max_rows = 24) t =
   let table = Text_table.create ("window" :: "t_end" :: series_names t) in

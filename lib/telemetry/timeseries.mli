@@ -45,11 +45,6 @@ val windows : t -> window list
 val window_count : t -> int
 val dropped_windows : t -> int
 
-val to_json : t -> Past_stdext.Json.t
-val to_csv : t -> string
-(** Header row then one line per window; [Dist] series expand into
-    [name.count], [name.mean], [name.p50], [name.p99] columns. *)
-
 val to_table : ?max_rows:int -> t -> Past_stdext.Text_table.t
 (** Text rendering; when more than [max_rows] (default 24) windows are
     retained, evenly strided rows are shown. *)

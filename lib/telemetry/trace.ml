@@ -115,12 +115,6 @@ let events t =
     List.init kept (fun i -> t.ring.((start + i) mod t.capacity))
   end
 
-let clear t =
-  t.next <- 0;
-  t.total <- 0;
-  Array.fill t.dropped_by_kind 0 kind_count 0;
-  t.dropped_sum <- 0
-
 (* --- route reconstruction --------------------------------------------- *)
 
 type hop = { h_time : float; h_from : int; h_to : int; h_stage : stage }
@@ -372,31 +366,6 @@ let trees t =
   (* Roots: spans whose parent did not survive (or never existed). *)
   List.filter (fun s -> not (Hashtbl.mem span_ids s.span_parent)) all_spans
   |> List.map build
-
-let span_to_string ?(indent = 0) tree =
-  let buf = Buffer.create 256 in
-  let rec go pad t =
-    let s = t.t_span in
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s [span %d] node@%d t=%.1f%s%s\n" pad s.op s.span_id s.s_node s.s_start
-         (match s.s_end with Some e -> Printf.sprintf "..%.1f" e | None -> " (open)")
-         (if s.detail = "" then "" else " " ^ s.detail));
-    List.iter
-      (fun (p : point) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s  * %s node@%d t=%.1f%s\n" pad p.pt_name p.pt_node p.pt_time
-             (if p.pt_count > 1 then Printf.sprintf " x%d" p.pt_count else "")))
-      s.points;
-    List.iter
-      (fun (r : route) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s  -> route %d key %s: %d hop(s) to node@%d\n" pad r.route_id r.key
-             (List.length r.hops) r.delivered_at))
-      t.t_routes;
-    List.iter (go (pad ^ "  ")) t.t_children
-  in
-  go (String.make indent ' ') tree;
-  Buffer.contents buf
 
 (* --- Chrome trace-event export ----------------------------------------- *)
 

@@ -58,13 +58,11 @@ val total_recorded : t -> int
 (** Events ever recorded, including overwritten ones. *)
 
 val dropped_total : t -> int
-(** Events lost to ring overwrites since creation/[clear]. *)
+(** Events lost to ring overwrites since creation. *)
 
 val dropped : t -> (string * int) list
 (** Drop counts by event kind, non-zero entries only, sorted by kind
     name. *)
-
-val clear : t -> unit
 
 (** {2 Route reconstruction} *)
 
@@ -88,7 +86,6 @@ val routes : t -> route list
     de-duplicated by sequence number (first occurrence wins), so
     fault-injected duplicate deliveries never double-count hops. *)
 
-val pp_route : Format.formatter -> route -> unit
 val route_to_string : route -> string
 
 (** {2 Span / causal-tree reconstruction} *)
@@ -118,8 +115,6 @@ type tree = { t_span : span; t_routes : route list; t_children : tree list }
 val trees : t -> tree list
 (** Causal forest: root spans (no surviving parent) with their child
     spans and the routes they caused, oldest first. *)
-
-val span_to_string : ?indent:int -> tree -> string
 
 (** {2 Chrome trace-event export} *)
 

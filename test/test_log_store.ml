@@ -83,32 +83,6 @@ let remove_and_tombstone () =
   check Alcotest.bool "b still there" true (Log_store.mem ls (fid "b"));
   Log_store.close ls
 
-let enumerate_range_arcs () =
-  let ls = Log_store.create () in
-  for i = 1 to 20 do
-    Log_store.put ls (entry ~name:(Printf.sprintf "e%d" i) ~size:i ())
-  done;
-  let all = ref 0 in
-  let some_id = fid "e7" in
-  Log_store.iter ls (fun _ -> incr all);
-  check Alcotest.int "iter sees all" 20 !all;
-  (* lo = hi: the full ring (Id.is_between_cw semantics) *)
-  let full = ref 0 in
-  Log_store.enumerate_range ls ~lo:some_id ~hi:some_id (fun _ -> incr full);
-  check Alcotest.int "degenerate arc is full ring" 20 !full;
-  (* a one-entry arc [id, id+1) *)
-  let one = ref 0 in
-  Log_store.enumerate_range ls ~lo:some_id ~hi:(Id.add_int some_id 1) (fun e ->
-      incr one;
-      check Alcotest.bool "the right entry" true
-        (Id.equal e.Store_backend.cert.Cert.file_id some_id));
-  check Alcotest.int "singleton arc" 1 !one;
-  (* complement arc [id+1, id) has the other 19 *)
-  let rest = ref 0 in
-  Log_store.enumerate_range ls ~lo:(Id.add_int some_id 1) ~hi:some_id (fun _ -> incr rest);
-  check Alcotest.int "complement arc" 19 !rest;
-  Log_store.close ls
-
 (* --- compaction -------------------------------------------------------- *)
 
 let compaction_reclaims_garbage () =
@@ -516,7 +490,6 @@ let suite =
     [
       "entry round-trip" => roundtrip_entry;
       "remove / tombstone" => remove_and_tombstone;
-      "enumerate_range arcs" => enumerate_range_arcs;
       "compaction reclaims garbage" => compaction_reclaims_garbage;
       "explicit compaction exact" => explicit_compaction_exact;
       "reopen restores state" => reopen_restores_state;

@@ -385,18 +385,12 @@ let qcheck_insert_quota_never_leaks =
       && Smartcard.used card = expect1 + expect2
       && Smartcard.used card <= Smartcard.quota card)
 
-(* A revived node converges in one Range_pull round trip even when the
-   neighbours' debounced push repair never fires within the test
-   horizon (replication_delay is set far beyond it); a control run
-   without pull_on_rejoin shows the pull is what restores the range. *)
-let rejoin_pull_restores_range ~pull () =
+(* A node revived after missing inserts regains them only through the
+   neighbours' debounced re-replication push: with replication_delay
+   set far beyond the test horizon, its store stays empty. *)
+let revival_waits_for_repair () =
   let node_config =
-    {
-      Node.default_config with
-      Node.verify_certificates = false;
-      pull_on_rejoin = pull;
-      replication_delay = 1e12;
-    }
+    { Node.default_config with Node.verify_certificates = false; replication_delay = 1e12 }
   in
   let sys =
     System.create ~node_config ~seed:76 ~n:12 ~crypto_mode:`Insecure
@@ -418,15 +412,10 @@ let rejoin_pull_restores_range ~pull () =
     (Store.file_count (Node.store victim));
   System.revive_node sys victim;
   System.run ~until:(Net.now (System.net sys) +. 50_000.0) sys;
-  let pulled =
+  let restored =
     List.length (List.filter (fun id -> Store.mem (Node.store victim) id) !inserted)
   in
-  if pull then
-    check Alcotest.bool
-      (Printf.sprintf "revived node pulled its range (%d/%d files)" pulled
-         (List.length !inserted))
-      true (pulled > 0)
-  else check Alcotest.int "no pull, no push: store stays empty" 0 pulled
+  check Alcotest.int "no push yet: store stays empty" 0 restored
 
 let suite =
   ( "past-system",
@@ -447,7 +436,6 @@ let suite =
       "insecure crypto mode" => insecure_crypto_mode_works;
       "lookup retries route around droppers" => lookup_retries_route_around_droppers;
       "stale lookup timer ignored" => stale_lookup_timer_ignored;
-      "rejoin pull restores node range" => rejoin_pull_restores_range ~pull:true;
-      "rejoin without pull stays empty" => rejoin_pull_restores_range ~pull:false;
+      "revival waits for repair" => revival_waits_for_repair;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )

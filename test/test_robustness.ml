@@ -102,13 +102,12 @@ let wire_describe_total () =
         Wire.Divert_nack { file_id = fid; client };
         Wire.Audit_challenge { file_id = fid; nonce = "n"; client };
         Wire.Audit_proof { file_id = fid; nonce = "n"; proof = "p" };
-        Wire.Range_pull { lo = fid; hi = fid; requester = peer };
         Wire.To_client { tag = 1; inner = Wire.Lookup_miss { file_id = fid } };
       ]
   in
   check Alcotest.int "distinct labels" (List.length labels)
     (List.length (List.sort_uniq compare labels));
-  check Alcotest.string "envelope label nests" "to_client/lookup_miss" (List.nth labels 9)
+  check Alcotest.string "envelope label nests" "to_client/lookup_miss" (List.nth labels 8)
 
 (* --- Id <-> Nat conversions --- *)
 
