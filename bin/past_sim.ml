@@ -37,6 +37,18 @@ let positive_float =
   checked Arg.float ~expected:"a positive number" (fun f -> f > 0.0 && Float.is_finite f)
 
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun j -> j >= 1)
+let non_negative_int = checked Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+(* A positive integer no wider than the domain pool can be. *)
+let jobs_count =
+  let parse s =
+    match Arg.conv_parser positive_int s with
+    | Ok j when j > Domain_pool.max_jobs ->
+      Error (`Msg (Printf.sprintf "%S: expected an integer <= %d" s Domain_pool.max_jobs))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer positive_int)
+
 let fraction = checked Arg.float ~expected:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
 let env = Cmd.Env.info
 
@@ -59,18 +71,18 @@ let trace_arg =
      that chose each hop). Only experiments that retain their telemetry registry produce \
      traces."
   in
-  Arg.(value & opt int 0 & info [ "trace" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "trace" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
-    "Size of the worker-domain pool the experiment loops fan out over. Results merge in \
-     submission order, so the output is byte-identical for any $(docv)."
+    "Size of the worker-domain pool the experiment loops fan out over, at most 64. Results \
+     merge in submission order, so the output is byte-identical for any $(docv)."
   in
   Arg.(
     value
-    & opt (some positive_int) None
+    & opt (some jobs_count) None
     & info [ "j"; "jobs" ] ~env:(env "PAST_JOBS") ~docv:"N"
-        ~absent:"the runtime's recommended domain count" ~doc)
+        ~absent:"the runtime's recommended domain count (capped at 64)" ~doc)
 
 let store_arg =
   let doc =

@@ -84,7 +84,7 @@ let run params =
     {
       Generator.default_profile with
       Generator.ops_per_time_unit = params.ops_rate;
-      sizes = Sizes.custom ~mean:8_000.0 (fun rng -> Stdlib.min 30_000 (Sizes.draw (Sizes.web_proxy ()) rng));
+      sizes = Sizes.custom (fun rng -> Stdlib.min 30_000 (Sizes.draw (Sizes.web_proxy ()) rng));
     }
   in
   let ops = Generator.schedule profile ~rng ~horizon:params.horizon in

@@ -52,7 +52,7 @@ type params = {
 let capped_sizes ~capacity_mean =
   let base = Sizes.web_proxy () in
   let cap = Stdlib.max 1 (capacity_mean / 100) in
-  Sizes.custom ~mean:7_000.0 (fun rng -> Stdlib.min cap (Sizes.draw base rng))
+  Sizes.custom (fun rng -> Stdlib.min cap (Sizes.draw base rng))
 
 let default_params =
   {

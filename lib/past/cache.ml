@@ -1,5 +1,4 @@
 module Id = Past_id.Id
-module Counter = Past_telemetry.Counter
 
 type policy = No_cache | Lru | Gds
 
@@ -18,10 +17,6 @@ type t = {
   entries : entry Id.Table.t;
   mutable inflation : float; (* GDS L *)
   mutable tick : int; (* LRU clock *)
-  (* Per-cache telemetry counters (the PAST node additionally reports
-     overlay-wide aggregates into its registry). *)
-  c_hits : Counter.t;
-  c_misses : Counter.t;
 }
 
 let create policy =
@@ -32,14 +27,10 @@ let create policy =
     entries = Id.Table.create 64;
     inflation = 0.0;
     tick = 0;
-    c_hits = Counter.create ();
-    c_misses = Counter.create ();
   }
 
 let used t = t.used
 let entry_count t = Id.Table.length t.entries
-let hits t = Counter.value t.c_hits
-let misses t = Counter.value t.c_misses
 
 let drop t file_id =
   match Id.Table.find_opt t.entries file_id with
@@ -84,11 +75,8 @@ let fresh_weight t size =
 
 let find t file_id =
   match Id.Table.find_opt t.entries file_id with
-  | None ->
-    Counter.incr t.c_misses;
-    None
+  | None -> None
   | Some e ->
-    Counter.incr t.c_hits;
     e.weight <- fresh_weight t e.cert.Certificate.size;
     Some (e.cert, e.data)
 

@@ -23,10 +23,11 @@ val set_budget : t -> int -> unit
 val used : t -> int
 
 val find : t -> Past_id.Id.t -> (Certificate.file * string) option
-(** A hit refreshes the entry's recency/weight and is counted. *)
+(** A hit refreshes the entry's recency/weight. The PAST node counts
+    hits and misses in its registry ([past.cache.hits/misses]). *)
 
 val mem : t -> Past_id.Id.t -> bool
-(** Presence test without touching recency or hit counters. *)
+(** Presence test without touching recency. *)
 
 val offer : t -> cert:Certificate.file -> data:string -> bool
 (** Consider caching a copy; evicts according to policy to make room.
@@ -36,5 +37,3 @@ val remove : t -> Past_id.Id.t -> unit
 (** Drop a cached copy (e.g. after reclaim). *)
 
 val entry_count : t -> int
-val hits : t -> int
-val misses : t -> int

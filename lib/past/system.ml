@@ -73,9 +73,9 @@ let install_monitors t =
     let node_alive node = Net.alive net (PNode.addr (Node.pastry node)) in
     (* Recovery bound: failure detection (keepalive + timeout), the
        re-replication debounce, then the fetch/push round trips. The
-       grace is a deliberately loose multiple — the monitor is a lost-
+       bound is a deliberately loose multiple — the monitor is a lost-
        file tripwire, not a repair-latency benchmark. *)
-    let replica_grace =
+    let replica_bound =
       10.0
       *. (cfg.Past_pastry.Config.keepalive_period +. cfg.Past_pastry.Config.failure_timeout)
       +. t.node_config.Node.replication_delay
@@ -134,7 +134,7 @@ let install_monitors t =
               | Store.Removed c ->
                 update c.Certificate.file_id c.Certificate.replication (-1) ~deliberate:true))
       t.nodes;
-    Monitor.register monitors ~name:"past.replica_count" ~interval:(replica_grace /. 4.)
+    Monitor.register monitors ~name:"past.replica_count" ~interval:(replica_bound /. 4.)
       (fun ~now ->
         let live = ref 0 in
         Array.iteri
@@ -171,7 +171,7 @@ let install_monitors t =
                     now
                 in
                 let age = now -. since in
-                if age > replica_grace then
+                if age > replica_bound then
                   match !worst with
                   | Some (_, _, _, worst_age) when worst_age >= age -> ()
                   | _ -> worst := Some (id, s.rs_n, req, age)

@@ -116,14 +116,14 @@ let live_nodes t = Array.to_list (live_array t)
    an underpopulated side) while y correctly prefers l/2 strictly
    closer members — that state is stable and correct, not a repair
    failure. A dead endpoint ends the episode: the repair that follows
-   recovery is a fresh episode with a fresh grace. *)
+   recovery is a fresh episode with a fresh clock. *)
 let install_monitors t =
   let module Monitor = Past_telemetry.Monitor in
   let monitors = Past_telemetry.Registry.monitors (Net.registry t.net) in
   if Monitor.active monitors then begin
     let cursor = ref 0 in
     let tick_no = ref 0 in
-    let pair_grace =
+    let pair_bound =
       4.0 *. (t.config.Config.keepalive_period +. t.config.Config.failure_timeout)
     in
     let pair_since : (int * int, float) Hashtbl.t = Hashtbl.create 32 in
@@ -157,7 +157,7 @@ let install_monitors t =
             Hashtbl.fold
               (fun ((a, b) as pair) since acc ->
                 if asymmetric a b then begin
-                  if now -. since > pair_grace && !fault = None then
+                  if now -. since > pair_bound && !fault = None then
                     fault :=
                       Some
                         (Printf.sprintf
@@ -171,7 +171,7 @@ let install_monitors t =
           in
           List.iter (Hashtbl.remove pair_since) resolved;
           (* Discovery — starting clocks for new asymmetric pairs — only
-             needs to notice a pair well within its grace window, so it
+             needs to notice a pair well within its bound, so it
              runs on a fraction of the ticks; the clocked re-verification
              above stays every-tick (coarser sampling there aliases
              brief legitimate flapping into long violations). *)

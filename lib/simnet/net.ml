@@ -47,7 +47,6 @@ type 'msg t = {
   fault_rng : Rng.t;
   topology : Topology.t;
   mutable loss_rate : float;
-  latency_factor : float;
   mutable duplication_rate : float;
   mutable reorder_rate : float;
   mutable reorder_max_delay : float;
@@ -83,23 +82,15 @@ type 'msg t = {
   mutable next_sample : float;
 }
 
-let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun _ -> "msg")
-    ~rng ~topology () =
+let create ?(loss_rate = 0.0) ?registry ?(describe = fun _ -> "msg") ~rng ~topology () =
   if loss_rate < 0.0 || loss_rate > 1.0 then
     invalid_arg (Printf.sprintf "Net.create: loss_rate must be in [0,1] (got %g)" loss_rate);
-  if latency_factor <= 0.0 then
-    invalid_arg
-      (Printf.sprintf
-         "Net.create: latency_factor must be > 0 (got %g) — a non-positive factor would deliver \
-          messages instantly or before they were sent"
-         latency_factor);
   let registry = match registry with Some r -> r | None -> Registry.create ~name:"net" () in
   {
     rng;
     fault_rng = Rng.derive rng ~salt:0x6661756c74 (* "fault" *);
     topology;
     loss_rate;
-    latency_factor;
     duplication_rate = 0.0;
     reorder_rate = 0.0;
     reorder_max_delay = 0.0;
@@ -109,7 +100,7 @@ let create ?(loss_rate = 0.0) ?(latency_factor = 1.0) ?registry ?(describe = fun
        among ties. tick = 1 time unit (~1 simulated ms): link latencies
        span tens to hundreds of ticks, so concurrent traffic spreads
        across slots and per-slot populations stay small. *)
-    queue = Timing_wheel.create ~tick:1.0 ();
+    queue = Timing_wheel.create ();
     nodes = Array.make 1024 None;
     next_addr = 0;
     liveness_epoch = 0;
@@ -278,7 +269,7 @@ let send t ~src ~dst msg =
     let loss = match link with Some { lk_loss = Some l; _ } -> l | _ -> t.loss_rate in
     if loss > 0.0 && Rng.chance t.fault_rng loss then drop t kinds
     else begin
-      let base = t.latency_factor *. proximity t src dst in
+      let base = proximity t src dst in
       let latency =
         match link with
         | Some { lk_delay_factor; lk_extra_delay; _ } ->
@@ -383,11 +374,10 @@ let step t =
     true
   end
 
-let run ?until ?(max_events = max_int) t =
+let run ?until t =
   let q = t.queue in
   let continue = ref true in
-  let count = ref 0 in
-  while !continue && !count < max_events do
+  while !continue do
     if Timing_wheel.is_empty q then begin
       (match until with Some limit -> fire_samplers t limit | None -> ());
       continue := false
@@ -402,9 +392,7 @@ let run ?until ?(max_events = max_int) t =
            at [now + delay]. *)
         if limit > t.clock then t.clock <- limit;
         continue := false
-      | _ ->
-        step_at t time;
-        incr count
+      | _ -> step_at t time
     end
   done
 
@@ -416,20 +404,3 @@ let opt_value c = if Lazy.is_val c then Counter.value (Lazy.force c) else 0
 let messages_dropped_src_down t = opt_value t.c_src_down
 let messages_dropped_partition t = opt_value t.c_partition
 let messages_duplicated t = opt_value t.c_duplicated
-
-let opt_reset c = if Lazy.is_val c then Counter.reset (Lazy.force c)
-
-let reset_counters t =
-  Counter.reset t.c_sent;
-  Counter.reset t.c_delivered;
-  Counter.reset t.c_dropped;
-  opt_reset t.c_src_down;
-  opt_reset t.c_partition;
-  opt_reset t.c_duplicated;
-  Histogram.reset t.latency;
-  Hashtbl.iter
-    (fun _ k ->
-      Counter.reset k.k_sent;
-      Counter.reset k.k_delivered;
-      Counter.reset k.k_dropped)
-    t.by_kind

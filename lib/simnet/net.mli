@@ -13,7 +13,6 @@ type 'msg t
 
 val create :
   ?loss_rate:float ->
-  ?latency_factor:float ->
   ?registry:Past_telemetry.Registry.t ->
   ?describe:('msg -> string) ->
   rng:Past_stdext.Rng.t ->
@@ -21,9 +20,9 @@ val create :
   unit ->
   'msg t
 (** [loss_rate] (default 0, accepted on the closed interval [[0,1]] —
-    1.0 is a blackout) drops each message independently;
-    [latency_factor] (default 1.0, must be strictly positive) converts
-    proximity to delivery delay. [registry] (default: a fresh one)
+    1.0 is a blackout) drops each message independently. A message's
+    delivery delay is the topology proximity of its endpoints plus a
+    jitter below 0.01. [registry] (default: a fresh one)
     receives the network's telemetry; [describe] names a message's kind
     for the per-kind send/deliver/drop counters (default: every message
     is ["msg"]). Validation failures report the offending value in the
@@ -80,7 +79,7 @@ val set_link :
   unit
 (** Override one directional link: [loss] (default: inherit the global
     rate) replaces the loss coin; delivery delay becomes
-    [delay_factor * proximity * latency_factor + extra_delay]. Set the
+    [delay_factor * proximity + extra_delay]. Set the
     two directions separately for asymmetric links. *)
 
 val clear_link : _ t -> src:addr -> dst:addr -> unit
@@ -104,9 +103,9 @@ val set_reorder : _ t -> rate:float -> max_extra_delay:float -> unit
 (** With probability [rate], delay a message by an extra uniform
     [[0, max_extra_delay]] — enough to overtake later sends. *)
 
-val run : ?until:float -> ?max_events:int -> _ t -> unit
-(** Process queued events in time order until the queue drains, time
-    exceeds [until], or [max_events] is hit. Stopping at [until] moves
+val run : ?until:float -> _ t -> unit
+(** Process queued events in time order until the queue drains or time
+    exceeds [until]. Stopping at [until] moves
     the clock forward to [until], never backwards: an [until] earlier
     than {!now} leaves the clock unchanged. *)
 
@@ -159,5 +158,3 @@ val messages_duplicated : _ t -> int
 val counters_for_kind : _ t -> string -> int * int * int
 (** [(sent, delivered, dropped)] for one [describe] kind — how the
     experiments account traffic by message type. *)
-
-val reset_counters : _ t -> unit

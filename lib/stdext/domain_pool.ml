@@ -137,7 +137,7 @@ let requested_jobs = ref None
 let shared_pool = ref None
 
 let current_jobs () =
-  match !requested_jobs with Some j -> j | None -> recommended ()
+  match !requested_jobs with Some j -> j | None -> Stdlib.min (recommended ()) max_jobs
 
 let set_jobs j =
   let j = Stdlib.max 1 (Stdlib.min j max_jobs) in

@@ -20,11 +20,14 @@ val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism the
     runtime suggests. *)
 
+val max_jobs : int
+(** 64: the widest pool, well under the runtime's domain limit. *)
+
 val create : jobs:int -> t
 (** A pool running up to [jobs] tasks concurrently. [jobs] is clamped
-    to [1, 64]; values above [recommended ()] are honoured (the domains
-    timeshare), which keeps explicit [--jobs N] meaningful on small
-    machines. [jobs = 1] spawns no domains at all. *)
+    to [1, {!max_jobs}]; values above [recommended ()] are honoured
+    (the domains timeshare), which keeps explicit [--jobs N] meaningful
+    on small machines. [jobs = 1] spawns no domains at all. *)
 
 val jobs : t -> int
 
@@ -57,7 +60,8 @@ val set_jobs : int -> unit
 
 val current_jobs : unit -> int
 (** Width the shared pool has (or will be created with): the last
-    [set_jobs] value, else [recommended ()]. *)
+    [set_jobs] value (clamped like {!create}'s), else [recommended ()]
+    capped at {!max_jobs}. *)
 
 val map_shared : ('a -> 'b) -> 'a list -> 'b list
 (** [map] on the shared pool, creating it on first use. *)

@@ -55,32 +55,3 @@ let percentile t p =
 
 let median t = percentile t 50.0
 let to_list t = List.rev t.samples
-
-type histogram = { bin_width : float; lo : float; counts : int array }
-
-let histogram t ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if t.n = 0 then invalid_arg "Stats.histogram: empty";
-  let lo = min t and hi = max t in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  let place x =
-    let i = int_of_float ((x -. lo) /. width) in
-    let i = Stdlib.min (bins - 1) (Stdlib.max 0 i) in
-    counts.(i) <- counts.(i) + 1
-  in
-  List.iter place t.samples;
-  { bin_width = width; lo; counts }
-
-let cdf_at t x =
-  if t.n = 0 then 0.0
-  else
-    let a = sorted t in
-    (* Count of samples <= x via binary search for the upper bound. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if a.(mid) <= x then search (mid + 1) hi else search lo mid
-    in
-    float_of_int (search 0 (Array.length a)) /. float_of_int t.n

@@ -27,11 +27,3 @@ val median : t -> float
 
 val to_list : t -> float list
 (** Samples in insertion order. *)
-
-type histogram = { bin_width : float; lo : float; counts : int array }
-
-val histogram : t -> bins:int -> histogram
-(** Equal-width histogram over \[min, max\]. *)
-
-val cdf_at : t -> float -> float
-(** Empirical CDF: fraction of samples <= x. *)

@@ -4,9 +4,4 @@ type t
 
 val create : unit -> t
 val incr : t -> unit
-
-val add : t -> int -> unit
-(** Raises [Invalid_argument] on negative increments. *)
-
 val value : t -> int
-val reset : t -> unit

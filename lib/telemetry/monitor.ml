@@ -1,20 +1,17 @@
 (* Invariant monitors. Each monitor keeps its own failure bookkeeping;
-   grace windows debounce predicates that are legitimately false while
-   a repair is in flight. A process-global accumulator (mutex-guarded —
-   experiment suites run systems on multiple domains) lets a CI driver
-   fail a whole run on any violation without threading monitor sets
-   through every layer. *)
+   an episode latch counts a run of failures as one violation. A
+   process-global accumulator (mutex-guarded — experiment suites run
+   systems on multiple domains) lets a CI driver fail a whole run on
+   any violation without threading monitor sets through every layer. *)
 
 type entry = {
   e_name : string;
-  e_grace : float;
   e_interval : float; (* min sim-time between evaluations; 0 = every tick *)
   mutable e_next_due : float;
   e_pred : (now:float -> (unit, string) result) option; (* None for event-driven *)
   mutable e_checks : int;
   mutable e_failures : int;
   mutable e_violations : int;
-  mutable e_failing_since : float option; (* start of current failing episode *)
   mutable e_episode_counted : bool; (* current episode already a violation *)
   mutable e_first_violation : float option;
   mutable e_first_detail : string;
@@ -63,9 +60,7 @@ let reset_global () =
 let default_active = ref false
 let set_default_active a = default_active := a
 
-let create ?active () =
-  let is_active = Option.value active ~default:!default_active in
-  { is_active; entries = []; tracer = None }
+let create () = { is_active = !default_active; entries = []; tracer = None }
 
 let active t = t.is_active
 let attach_tracer t tracer = t.tracer <- Some tracer
@@ -97,18 +92,16 @@ let trace_context t =
            Printf.sprintf "[t=%.1f n%d %s]" e.Trace.time e.Trace.node k)
          recent)
 
-let fresh t ~name ~grace ~interval ~pred =
+let fresh t ~name ~interval ~pred =
   let e =
     {
       e_name = name;
-      e_grace = grace;
       e_interval = interval;
       e_next_due = neg_infinity;
       e_pred = pred;
       e_checks = 0;
       e_failures = 0;
       e_violations = 0;
-      e_failing_since = None;
       e_episode_counted = false;
       e_first_violation = None;
       e_first_detail = "";
@@ -118,13 +111,13 @@ let fresh t ~name ~grace ~interval ~pred =
   t.entries <- e :: List.filter (fun x -> x.e_name <> name) t.entries;
   e
 
-let find_or_create t ~name ~grace ~pred =
+let find_or_create t ~name ~pred =
   match List.find_opt (fun e -> e.e_name = name) t.entries with
   | Some e -> e
-  | None -> fresh t ~name ~grace ~interval:0.0 ~pred
+  | None -> fresh t ~name ~interval:0.0 ~pred
 
-let register t ~name ?(grace = 0.0) ?(interval = 0.0) pred =
-  if t.is_active then ignore (fresh t ~name ~grace ~interval ~pred:(Some pred))
+let register t ~name ?(interval = 0.0) pred =
+  if t.is_active then ignore (fresh t ~name ~interval ~pred:(Some pred))
 
 let violate t e ~now ~detail =
   e.e_violations <- e.e_violations + 1;
@@ -140,23 +133,13 @@ let violate t e ~now ~detail =
 let observe t e ~now result =
   e.e_checks <- e.e_checks + 1;
   match result with
-  | Ok () ->
-    e.e_failing_since <- None;
-    e.e_episode_counted <- false
-  | Error detail -> (
+  | Ok () -> e.e_episode_counted <- false
+  | Error detail ->
     e.e_failures <- e.e_failures + 1;
-    match e.e_failing_since with
-    | None ->
-      e.e_failing_since <- Some now;
-      if e.e_grace <= 0.0 && not e.e_episode_counted then begin
-        e.e_episode_counted <- true;
-        violate t e ~now ~detail
-      end
-    | Some since ->
-      if now -. since > e.e_grace && not e.e_episode_counted then begin
-        e.e_episode_counted <- true;
-        violate t e ~now ~detail
-      end)
+    if not e.e_episode_counted then begin
+      e.e_episode_counted <- true;
+      violate t e ~now ~detail
+    end
 
 let tick t ~now =
   if t.is_active then
@@ -171,7 +154,7 @@ let tick t ~now =
 
 let record_check t ~name ~now ?(detail = "") ok =
   if t.is_active then begin
-    let e = find_or_create t ~name ~grace:0.0 ~pred:None in
+    let e = find_or_create t ~name ~pred:None in
     e.e_checks <- e.e_checks + 1;
     if not ok then begin
       e.e_failures <- e.e_failures + 1;

@@ -4,11 +4,13 @@
     Two styles of check share one registry:
 
     - {e sampled} predicates ({!register}) are evaluated on every
-      {!tick} (driven by the network's sim-time sampler). A predicate
-      may be transiently false during legitimate repair (a node just
-      failed; replicas are being restored), so each monitor carries a
-      {e grace} window: only a predicate that stays false continuously
-      for longer than its grace counts as a violation.
+      {!tick} (driven by the network's sim-time sampler). A failing
+      result is a violation, and a run of consecutive failures counts
+      as one: the episode ends at the next [Ok]. State that may be
+      transiently wrong during legitimate repair (a node just failed;
+      replicas are being restored) is the predicate's own business: it
+      keeps its own per-item clock and reports an error only once
+      repair has overrun its bound.
 
     - {e event-driven} checks ({!record_check}) are asserted inline at
       the code path that knows the answer (e.g. the hop bound at
@@ -21,18 +23,20 @@
     A process-wide violation count ({!global_violations}) accumulates
     across every monitor set created while active, so a CI driver can
     run a whole experiment suite and fail the run if any invariant
-    broke anywhere. Monitors default to inactive — activation is by
-    [create ~active:true] or process-wide by {!set_default_active} —
-    and inactive sets cost one branch per check site. *)
+    broke anywhere. Monitors are inactive unless {!set_default_active}
+    turned them on before the set was created, and inactive sets cost
+    one branch per check site. *)
 
 type t
 
-val create : ?active:bool -> unit -> t
-(** Default [active] is the value last given to {!set_default_active}. *)
+val create : unit -> t
+(** Active iff the value last given to {!set_default_active} is
+    [true]. *)
 
 val set_default_active : bool -> unit
-(** Default for {!create}'s [active]; [false] until set. Process-wide
-    ([past_sim --monitors]): set it before any worker domain spawns. *)
+(** Whether {!create} makes active sets; [false] until set.
+    Process-wide ([past_sim --monitors]): set it before any worker
+    domain spawns. *)
 
 val active : t -> bool
 val attach_tracer : t -> Trace.t -> unit
@@ -40,15 +44,13 @@ val attach_tracer : t -> Trace.t -> unit
 val register :
   t ->
   name:string ->
-  ?grace:float ->
   ?interval:float ->
   (now:float -> (unit, string) result) ->
   unit
-(** Add a sampled predicate. [grace] (default 0) is the sim-time a
-    predicate may stay false before it becomes a violation. [interval]
-    (default 0) is the minimum sim-time between evaluations — an
-    expensive predicate whose grace window is long can opt out of
-    every-tick sampling; it is still only evaluated from {!tick}, so
+(** Add a sampled predicate. [interval] (default 0) is the minimum
+    sim-time between evaluations — an expensive predicate whose repair
+    bound is long can opt out of every-tick sampling; it is still only
+    evaluated from {!tick}, so
     the effective period is the tick period rounded up to [interval].
     No-op when inactive. Re-registering a name replaces the
     predicate. *)
@@ -64,8 +66,8 @@ val record_check : t -> name:string -> now:float -> ?detail:string -> bool -> un
 type report = {
   m_name : string;
   m_checks : int;  (** times the predicate was evaluated *)
-  m_failures : int;  (** raw [false]/[Error] results, including in-grace ones *)
-  m_violations : int;  (** failures that exceeded the grace window *)
+  m_failures : int;  (** raw [false]/[Error] results *)
+  m_violations : int;  (** failed event checks, or runs of consecutive sampled failures *)
   m_first_violation : float option;  (** sim-time of the first violation *)
   m_first_detail : string;
   m_trace_context : string;  (** recent causal-trace events at first violation *)

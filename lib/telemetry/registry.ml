@@ -21,9 +21,9 @@ type t = {
   monitors : Monitor.t;
 }
 
-let create ?(name = "telemetry") ?trace_capacity ?monitors_active () =
+let create ?(name = "telemetry") ?trace_capacity () =
   let tracer = Trace.create ?capacity:trace_capacity () in
-  let monitors = Monitor.create ?active:monitors_active () in
+  let monitors = Monitor.create () in
   Monitor.attach_tracer monitors tracer;
   {
     name;
@@ -69,10 +69,10 @@ let gauge t ?(labels = []) name =
       (g, Gauge g))
     ~extract:(function Gauge g -> Some g | _ -> None)
 
-let histogram t ?(labels = []) ?capacity name =
+let histogram t ?(labels = []) name =
   find_or_add t ~name ~labels ~kind:"histogram"
     ~make:(fun () ->
-      let h = Histogram.create ?capacity () in
+      let h = Histogram.create () in
       (h, Histogram h))
     ~extract:(function Histogram h -> Some h | _ -> None)
 

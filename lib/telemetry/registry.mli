@@ -10,17 +10,19 @@
 
 type t
 
-val create : ?name:string -> ?trace_capacity:int -> ?monitors_active:bool -> unit -> t
-(** [monitors_active] defaults to the process-wide
-    {!Monitor.set_default_active} value. *)
+val create : ?name:string -> ?trace_capacity:int -> unit -> t
+(** [trace_capacity] sizes the trace ring (see {!Trace.create}). The
+    monitor set is active iff {!Monitor.set_default_active} turned
+    monitoring on. *)
 
 val tracer : t -> Trace.t
 val monitors : t -> Monitor.t
 
 val counter : t -> ?labels:(string * string) list -> string -> Counter.t
 val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
-val histogram : t -> ?labels:(string * string) list -> ?capacity:int -> string -> Histogram.t
-(** Get-or-create. Raises [Invalid_argument] if the name+labels pair is
+val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
+(** Get-or-create (histograms get {!Histogram.create}'s default
+    reservoir). Raises [Invalid_argument] if the name+labels pair is
     already registered as a different metric type. *)
 
 (** {2 Export} *)

@@ -1,43 +1,15 @@
 module Rng = Past_stdext.Rng
 module Dist = Past_stdext.Dist
 
-type t = { mean : float; sample : Rng.t -> int }
+type t = Rng.t -> int
 
 let normal_truncated ~mean ~cv =
   if mean < 1 then invalid_arg "Capacities.normal_truncated: mean must be >= 1";
   if cv < 0.0 then invalid_arg "Capacities.normal_truncated: cv must be >= 0";
   let m = float_of_int mean in
   let lo = Stdlib.max 1 (mean / 10) and hi = mean * 10 in
-  let sample rng =
+  fun rng ->
     let v = int_of_float (Dist.normal rng ~mean:m ~stddev:(cv *. m)) in
     Stdlib.max lo (Stdlib.min hi v)
-  in
-  { mean = m; sample }
 
-let classes specs =
-  if specs = [] then invalid_arg "Capacities.classes: empty spec";
-  let total_w = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 specs in
-  if total_w <= 0.0 then invalid_arg "Capacities.classes: weights must be positive";
-  List.iter
-    (fun (w, c) ->
-      if w < 0.0 || c < 1 then invalid_arg "Capacities.classes: bad weight or capacity")
-    specs;
-  let mean =
-    List.fold_left (fun acc (w, c) -> acc +. (w /. total_w *. float_of_int c)) 0.0 specs
-  in
-  let sample rng =
-    let u = Rng.float rng total_w in
-    let rec pick acc = function
-      | [] -> snd (List.hd (List.rev specs))
-      | (w, c) :: rest -> if u < acc +. w then c else pick (acc +. w) rest
-    in
-    pick 0.0 specs
-  in
-  { mean; sample }
-
-let fixed n =
-  if n < 1 then invalid_arg "Capacities.fixed: capacity must be >= 1";
-  { mean = float_of_int n; sample = (fun _ -> n) }
-
-let draw t rng = t.sample rng
-let mean t = t.mean
+let draw t rng = t rng

@@ -1,9 +1,7 @@
-(** Node storage-capacity generators.
+(** Node storage-capacity generator.
 
     The SOSP'01 companion models node capacities as a truncated normal
-    distribution (most nodes similar, some much larger/smaller); we
-    also provide the multi-class shape observed in deployed
-    peer-to-peer systems (a few server-class nodes, many desktops). *)
+    distribution: most nodes similar, some much larger or smaller. *)
 
 type t
 
@@ -11,10 +9,4 @@ val normal_truncated : mean:int -> cv:float -> t
 (** Truncated at [mean/10, mean*10]; [cv] is the coefficient of
     variation (stddev/mean). *)
 
-val classes : (float * int) list -> t
-(** [classes [(0.8, small); (0.2, big)]] draws a class by weight, then
-    that class's capacity. Weights must be positive and sum to ~1. *)
-
-val fixed : int -> t
 val draw : t -> Past_stdext.Rng.t -> int
-val mean : t -> float

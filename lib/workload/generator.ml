@@ -13,7 +13,6 @@ type profile = {
   lookup_weight : float;
   reclaim_weight : float;
   sizes : Sizes.t;
-  popularity_s : float;
   ops_per_time_unit : float;
 }
 
@@ -23,7 +22,6 @@ let default_profile =
     lookup_weight = 0.75;
     reclaim_weight = 0.05;
     sizes = Sizes.web_proxy ();
-    popularity_s = 1.0;
     ops_per_time_unit = 1.0;
   }
 

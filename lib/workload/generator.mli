@@ -20,19 +20,19 @@ type profile = {
   lookup_weight : float;
   reclaim_weight : float;
   sizes : Sizes.t;
-  popularity_s : float;  (** Zipf exponent over the live catalog *)
   ops_per_time_unit : float;  (** Poisson arrival rate *)
 }
 
 val default_profile : profile
-(** 20% inserts, 75% lookups, 5% reclaims; web-proxy sizes; Zipf 1.0;
-    one operation per simulated time unit. *)
+(** 20% inserts, 75% lookups, 5% reclaims; web-proxy sizes; one
+    operation per simulated time unit. *)
 
 val schedule :
   profile -> rng:Past_stdext.Rng.t -> horizon:float -> event list
 (** Events in increasing [at] order over \[0, horizon). Lookup/reclaim
-    targets are drawn by Zipf rank over the catalog of inserts issued
-    so far (the caller maps ranks to fileIds as its catalog grows);
+    targets are drawn by an approximately Zipf(1) rank over the catalog
+    of inserts issued so far ([n^u] for uniform [u], oldest insert most
+    popular; the caller maps ranks to fileIds as its catalog grows);
     while the catalog is empty only inserts are emitted. *)
 
 type churn_event = { c_at : float; kind : [ `Fail | `Recover ] }

@@ -1,22 +1,6 @@
-module Rng = Past_stdext.Rng
 module Dist = Past_stdext.Dist
 
-type t = Zipf of { z : Dist.zipf; n : int } | Uniform of int
+type t = Dist.zipf
 
-let zipf ~s ~n = Zipf { z = Dist.zipf ~s ~n; n }
-
-let uniform ~n =
-  if n <= 0 then invalid_arg "Popularity.uniform: n must be positive";
-  Uniform n
-
-let draw t rng =
-  match t with
-  | Zipf { z; _ } -> Dist.zipf_draw z rng - 1
-  | Uniform n -> Rng.int rng n
-
-let pmf t i =
-  match t with
-  | Zipf { z; _ } -> Dist.zipf_pmf z (i + 1)
-  | Uniform n -> 1.0 /. float_of_int n
-
-let size = function Zipf { n; _ } -> n | Uniform n -> n
+let zipf ~s ~n = Dist.zipf ~s ~n
+let draw t rng = Dist.zipf_draw t rng - 1

@@ -8,12 +8,5 @@ type t
 val zipf : s:float -> n:int -> t
 (** Exponent [s] (1.0 ≈ classic web popularity) over [n] ranks. *)
 
-val uniform : n:int -> t
-
 val draw : t -> Past_stdext.Rng.t -> int
 (** A 0-based catalog index, rank 0 most popular. *)
-
-val pmf : t -> int -> float
-(** Request probability of a 0-based index. *)
-
-val size : t -> int

@@ -1,36 +1,24 @@
 module Rng = Past_stdext.Rng
 module Dist = Past_stdext.Dist
 
-type t = { mean : float; sample : Rng.t -> int }
+type t = Rng.t -> int
 
 let clamp ~lo ~hi x = Stdlib.max lo (Stdlib.min hi x)
 
-let heavy_tailed ~mu ~sigma ~tail_prob ~tail_min ~tail_alpha ~cap ~mean =
-  let sample rng =
-    let v =
-      if Rng.chance rng tail_prob then Dist.pareto rng ~alpha:tail_alpha ~x_min:tail_min
-      else Dist.lognormal rng ~mu ~sigma
-    in
-    clamp ~lo:1 ~hi:cap (int_of_float v)
+let heavy_tailed ~mu ~sigma ~tail_prob ~tail_min ~tail_alpha ~cap rng =
+  let v =
+    if Rng.chance rng tail_prob then Dist.pareto rng ~alpha:tail_alpha ~x_min:tail_min
+    else Dist.lognormal rng ~mu ~sigma
   in
-  { mean; sample }
+  clamp ~lo:1 ~hi:cap (int_of_float v)
 
 let web_proxy () =
   heavy_tailed ~mu:8.35 ~sigma:1.5 ~tail_prob:0.03 ~tail_min:40_000.0 ~tail_alpha:1.1
-    ~cap:5_000_000 ~mean:10_000.0
+    ~cap:5_000_000
 
 let filesystem () =
   heavy_tailed ~mu:9.6 ~sigma:2.0 ~tail_prob:0.05 ~tail_min:200_000.0 ~tail_alpha:1.05
-    ~cap:50_000_000 ~mean:90_000.0
+    ~cap:50_000_000
 
-let fixed n =
-  if n < 1 then invalid_arg "Sizes.fixed: size must be >= 1";
-  { mean = float_of_int n; sample = (fun _ -> n) }
-
-let uniform ~lo ~hi =
-  if lo < 1 || hi < lo then invalid_arg "Sizes.uniform: need 1 <= lo <= hi";
-  { mean = float_of_int (lo + hi) /. 2.0; sample = (fun rng -> Rng.int_in rng lo hi) }
-
-let custom ~mean sample = { mean; sample }
-let draw t rng = t.sample rng
-let mean t = t.mean
+let custom sample = sample
+let draw t rng = t rng

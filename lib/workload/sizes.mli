@@ -16,16 +16,8 @@ val filesystem : unit -> t
 (** Lognormal(mu=9.6, sigma=2.0) body with a 5%% Pareto(1.05) tail from
     200 kB; mean ≈ 90 kB, max capped at 50 MB. *)
 
-val fixed : int -> t
-val uniform : lo:int -> hi:int -> t
-
-val custom :
-  mean:float -> (Past_stdext.Rng.t -> int) -> t
-(** Roll your own: provide the sampler and its analytic mean. *)
+val custom : (Past_stdext.Rng.t -> int) -> t
+(** Roll your own sampler (e.g. a capped {!web_proxy}). *)
 
 val draw : t -> Past_stdext.Rng.t -> int
 (** A file size in bytes, >= 1. *)
-
-val mean : t -> float
-(** Approximate analytic mean, used to size experiments (e.g. number
-    of files needed to reach a target utilization). *)

@@ -13,6 +13,8 @@ module Id = Past_id.Id
 module Overlay = Past_pastry.Overlay
 module PNode = Past_pastry.Node
 module Net = Past_simnet.Net
+module Monitor = Past_telemetry.Monitor
+module Registry = Past_telemetry.Registry
 
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
@@ -417,6 +419,46 @@ let revival_waits_for_repair () =
   in
   check Alcotest.int "no push yet: store stays empty" 0 restored
 
+(* The production replica-count monitor fires on real loss: losing one
+   of three holders is repaired within the monitor's bound, losing all
+   three leaves the file at 0/3 and is exactly one violation. *)
+let replica_monitor_fires_on_loss () =
+  Monitor.set_default_active true;
+  Fun.protect
+    ~finally:(fun () ->
+      Monitor.set_default_active false;
+      Monitor.reset_global ())
+    (fun () ->
+      Monitor.reset_global ();
+      let node_config = { Node.default_config with Node.verify_certificates = false } in
+      let sys =
+        System.create ~node_config ~seed:5 ~n:30 ~crypto_mode:`Insecure
+          ~node_capacity:(fun _ _ -> 1_000_000)
+          ()
+      in
+      let monitors = Registry.monitors (System.registry sys) in
+      let client = System.new_client sys ~quota:1_000_000 () in
+      let r = insert_exn client ~name:"watched" ~data:"payload" ~k:3 in
+      System.start_maintenance sys;
+      let holders () =
+        List.filter
+          (fun n -> Net.alive (System.net sys) (Node.addr n) && Store.mem (Node.store n) r.file_id)
+          (Array.to_list (System.nodes sys))
+      in
+      let run_for ms = System.run ~until:(Net.now (System.net sys) +. ms) sys in
+      System.kill_node sys (List.hd (holders ()));
+      run_for 40_000.0;
+      check Alcotest.int "one lost holder is repaired in time" 0 (Monitor.violations monitors);
+      List.iter (System.kill_node sys) (holders ());
+      run_for 40_000.0;
+      check Alcotest.int "losing every holder is one violation" 1 (Monitor.violations monitors);
+      match List.filter (fun r -> r.Monitor.m_violations > 0) (Monitor.reports monitors) with
+      | [ rep ] ->
+        check Alcotest.string "monitor" "past.replica_count" rep.Monitor.m_name;
+        check Alcotest.string "names the loss" "0/3"
+          (List.nth (String.split_on_char ' ' rep.Monitor.m_first_detail) 3)
+      | reps -> Alcotest.failf "expected one violated monitor, got %d" (List.length reps))
+
 let suite =
   ( "past-system",
     [
@@ -437,5 +479,6 @@ let suite =
       "lookup retries route around droppers" => lookup_retries_route_around_droppers;
       "stale lookup timer ignored" => stale_lookup_timer_ignored;
       "revival waits for repair" => revival_waits_for_repair;
+      "replica monitor fires on loss" => replica_monitor_fires_on_loss;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )

@@ -1,9 +1,8 @@
 (* Failure-injection and miscellaneous coverage: lossy networks,
-   event-loop bounds, wire descriptions, id/nat conversions. *)
+   id/nat conversions, Pastry message labels. *)
 
 module System = Past_core.System
 module Client = Past_core.Client
-module Wire = Past_core.Wire
 module Id = Past_id.Id
 module Nat = Past_bignum.Nat
 module Net = Past_simnet.Net
@@ -65,50 +64,6 @@ let lossy_network_lookups_with_retries () =
     true
     (!ok = List.length !ids)
 
-(* --- Net event-loop bounds --- *)
-
-let run_max_events_bounds () =
-  let net = Net.create ~rng:(Rng.create 1) ~topology:(Topology.plane ()) () in
-  let fired = ref 0 in
-  for i = 1 to 10 do
-    Net.schedule net ~delay:(float_of_int i) (fun () -> incr fired)
-  done;
-  Net.run ~max_events:3 net;
-  check Alcotest.int "only 3 processed" 3 !fired;
-  Net.run net;
-  check Alcotest.int "rest drain" 10 !fired
-
-(* --- Wire describe coverage --- *)
-
-let wire_describe_total () =
-  (* describe must be defined for every constructor (a smoke of the
-     match's totality and a stable label set for traffic accounting). *)
-  let sys =
-    System.create ~seed:82 ~n:5 ~crypto_mode:`Insecure ~node_capacity:(fun _ _ -> 1_000)
-      ()
-  in
-  ignore sys;
-  let peer = Past_pastry.Peer.make ~id:(Id.zero ~width:128) ~addr:0 in
-  let client = { Wire.access = peer; tag = 0; op = Past_telemetry.Trace.no_parent } in
-  let fid = Id.zero ~width:160 in
-  let labels =
-    List.map Wire.describe
-      [
-        Wire.Lookup { file_id = fid; client };
-        Wire.Lookup_miss { file_id = fid };
-        Wire.Fetch { file_id = fid; requester = peer };
-        Wire.Fetch_miss { file_id = fid };
-        Wire.Replica_nack { file_id = fid; node_id = Id.zero ~width:128 };
-        Wire.Divert_nack { file_id = fid; client };
-        Wire.Audit_challenge { file_id = fid; nonce = "n"; client };
-        Wire.Audit_proof { file_id = fid; nonce = "n"; proof = "p" };
-        Wire.To_client { tag = 1; inner = Wire.Lookup_miss { file_id = fid } };
-      ]
-  in
-  check Alcotest.int "distinct labels" (List.length labels)
-    (List.length (List.sort_uniq compare labels));
-  check Alcotest.string "envelope label nests" "to_client/lookup_miss" (List.nth labels 8)
-
 (* --- Id <-> Nat conversions --- *)
 
 let id_nat_roundtrip () =
@@ -143,8 +98,6 @@ let suite =
     [
       "lossy net: inserts with retries" => lossy_network_inserts_with_retries;
       "lossy net: lookups with retries" => lossy_network_lookups_with_retries;
-      "net run ~max_events" => run_max_events_bounds;
-      "wire describe total" => wire_describe_total;
       "id/nat roundtrip" => id_nat_roundtrip;
       "pastry message describe" => pastry_message_describe;
     ] )

@@ -156,9 +156,7 @@ let counters () =
   Net.send net ~src:a ~dst:b "m";
   Net.run net;
   check Alcotest.int "sent" 1 (Net.messages_sent net);
-  check Alcotest.int "delivered" 1 (Net.messages_delivered net);
-  Net.reset_counters net;
-  check Alcotest.int "reset" 0 (Net.messages_sent net)
+  check Alcotest.int "delivered" 1 (Net.messages_delivered net)
 
 let per_kind_counters () =
   let rng = Rng.create 77 in
@@ -175,9 +173,7 @@ let per_kind_counters () =
   Net.send net ~src:a ~dst:b "y";
   Net.run net;
   check Alcotest.(triple int int int) "kind x" (2, 2, 0) (Net.counters_for_kind net "x");
-  check Alcotest.(triple int int int) "kind y" (2, 1, 1) (Net.counters_for_kind net "y");
-  Net.reset_counters net;
-  check Alcotest.(triple int int int) "reset" (0, 0, 0) (Net.counters_for_kind net "x")
+  check Alcotest.(triple int int int) "kind y" (2, 1, 1) (Net.counters_for_kind net "y")
 
 let step_one_event () =
   let net = make_net () in

@@ -105,23 +105,6 @@ let stats_percentile () =
   close "p100" (Stats.percentile s 100.0) 100.0;
   close "p0 -> first" (Stats.percentile s 0.0) 1.0
 
-let stats_cdf () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  close "cdf mid" (Stats.cdf_at s 2.5) 0.5;
-  close "cdf below" (Stats.cdf_at s 0.0) 0.0;
-  close "cdf above" (Stats.cdf_at s 10.0) 1.0;
-  close "cdf at sample" (Stats.cdf_at s 2.0) 0.5
-
-let stats_histogram () =
-  let s = Stats.create () in
-  for i = 0 to 99 do
-    Stats.add s (float_of_int i)
-  done;
-  let h = Stats.histogram s ~bins:10 in
-  check Alcotest.int "total count" 100 (Array.fold_left ( + ) 0 h.Stats.counts);
-  check Alcotest.int "bins" 10 (Array.length h.Stats.counts)
-
 let stats_insertion_order () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 3.0; 1.0; 2.0 ];
@@ -195,8 +178,6 @@ let suite =
       "stats basics" => stats_basic;
       "stats empty" => stats_empty;
       "stats percentile" => stats_percentile;
-      "stats cdf" => stats_cdf;
-      "stats histogram" => stats_histogram;
       "stats insertion order" => stats_insertion_order;
       "heap pops sorted" => heap_pops_sorted;
       "heap peek" => heap_peek;

@@ -214,9 +214,8 @@ let cache_stores_and_hits () =
   (match Cache.find c cert.Cert.file_id with
   | Some (_, data) -> check Alcotest.string "data" "payload" data
   | None -> Alcotest.fail "miss");
-  check Alcotest.int "hit counted" 1 (Cache.hits c);
-  ignore (Cache.find c (Id.random (Rng.create 5) ~width:160));
-  check Alcotest.int "miss counted" 1 (Cache.misses c)
+  check Alcotest.bool "unknown id misses" true
+    (Cache.find c (Id.random (Rng.create 5) ~width:160) = None)
 
 let cache_respects_budget () =
   let c = Cache.create Cache.Lru in

@@ -13,14 +13,8 @@ let counter_semantics () =
   let c = Counter.create () in
   check Alcotest.int "starts at zero" 0 (Counter.value c);
   Counter.incr c;
-  Counter.add c 4;
-  check Alcotest.int "incr + add" 5 (Counter.value c);
-  (match Counter.add c (-1) with
-  | () -> Alcotest.fail "negative add accepted"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "unchanged after rejected add" 5 (Counter.value c);
-  Counter.reset c;
-  check Alcotest.int "reset" 0 (Counter.value c)
+  Counter.incr c;
+  check Alcotest.int "incr" 2 (Counter.value c)
 
 let gauge_semantics () =
   let g = Gauge.create () in
@@ -429,8 +423,8 @@ let timeseries_window_semantics () =
   | w :: _ -> check (Alcotest.float 1e-9) "oldest retained window" 9.0 w.Ts.w_end
   | [] -> Alcotest.fail "no windows retained"
 
-(* Monitor grace/episode semantics plus the process-wide accumulator
-   the CI gate reads. *)
+(* Monitor episode semantics plus the process-wide accumulator the CI
+   gate reads. *)
 let monitor_grace_and_global () =
   let module Monitor = Past_telemetry.Monitor in
   Monitor.set_default_active true;
@@ -443,41 +437,42 @@ let monitor_grace_and_global () =
       let m = Monitor.create () in
       check Alcotest.bool "set_default_active activates" true (Monitor.active m);
       let failing = ref false in
-      Monitor.register m ~name:"inv" ~grace:10.0 (fun ~now:_ ->
-          if !failing then Error "broken" else Ok ());
+      Monitor.register m ~name:"inv" (fun ~now:_ -> if !failing then Error "broken" else Ok ());
       Monitor.tick m ~now:0.0;
+      check Alcotest.int "passing checks are not violations" 0 (Monitor.violations m);
       failing := true;
       Monitor.tick m ~now:1.0;
+      check Alcotest.int "a failure violates at once" 1 (Monitor.violations m);
       Monitor.tick m ~now:8.0;
-      check Alcotest.int "in-grace failures are not violations" 0 (Monitor.violations m);
       Monitor.tick m ~now:12.0;
-      check Alcotest.int "continuous failure past grace violates" 1 (Monitor.violations m);
+      check Alcotest.int "a run of failures is one violation" 1 (Monitor.violations m);
       (match Monitor.reports m with
       | [ r ] ->
         check Alcotest.int "checks" 4 r.Monitor.m_checks;
         check Alcotest.int "raw failures" 3 r.Monitor.m_failures;
         check
           (Alcotest.option (Alcotest.float 1e-9))
-          "first violation time" (Some 12.0) r.Monitor.m_first_violation;
+          "first violation time" (Some 1.0) r.Monitor.m_first_violation;
         check Alcotest.string "first detail" "broken" r.Monitor.m_first_detail
       | l -> Alcotest.failf "expected one report, got %d" (List.length l));
-      (* Healing ends the episode: the next failure gets a fresh grace. *)
+      (* Healing ends the episode: the next failure is a new violation. *)
       failing := false;
       Monitor.tick m ~now:13.0;
       failing := true;
       Monitor.tick m ~now:14.0;
-      check Alcotest.int "fresh episode starts in grace" 1 (Monitor.violations m);
+      check Alcotest.int "fresh episode violates again" 2 (Monitor.violations m);
       (* Event-driven checks violate immediately. *)
       Monitor.record_check m ~name:"hop_bound" ~now:20.0 ~detail:"hops=9" false;
-      check Alcotest.int "event-driven violation" 2 (Monitor.violations m);
-      check Alcotest.bool "global accumulator sees both" true
-        (Monitor.global_violations () >= 2);
+      check Alcotest.int "event-driven violation" 3 (Monitor.violations m);
+      check Alcotest.bool "global accumulator sees all" true
+        (Monitor.global_violations () >= 3);
       check Alcotest.bool "global summaries name the monitor" true
         (List.exists (fun s -> contains s "hop_bound") (Monitor.global_summaries ()));
       Monitor.reset_global ();
       check Alcotest.int "global reset" 0 (Monitor.global_violations ());
       (* Inactive sets are no-ops end to end. *)
-      let off = Monitor.create ~active:false () in
+      Monitor.set_default_active false;
+      let off = Monitor.create () in
       Monitor.register off ~name:"never" (fun ~now:_ -> Error "x");
       Monitor.tick off ~now:1.0;
       Monitor.record_check off ~name:"never2" ~now:1.0 false;
