@@ -10,6 +10,7 @@ module Leaf_set = Past_pastry.Leaf_set
 module Routing_table = Past_pastry.Routing_table
 module Overlay = Past_pastry.Overlay
 module PNode = Past_pastry.Node
+module Net = Past_simnet.Net
 module System = Past_core.System
 module Client = Past_core.Client
 module Store = Past_core.Store
@@ -102,6 +103,35 @@ let route_once ov =
   let key = Id.random (Overlay.rng ov) ~width:Id.node_bits in
   PNode.route (Overlay.random_node ov) ~key ();
   Overlay.run ov
+
+(* --- one whole snapshot build -------------------------------------------- *)
+
+(* A fresh overlay built by snapshot, every call from the same seed:
+   node creation plus the bulk fixed-point write. *)
+let static_build_once n () =
+  let ov : probe Overlay.t = Overlay.create ~trace_capacity:0 ~seed:44 () in
+  Overlay.build_static ov ~n
+
+(* --- network proximity --------------------------------------------------- *)
+
+(* Proximity between 1024 pseudo-random pairs of 4096 registered
+   nodes per call: one call alone is below the timer's resolution. *)
+let prox_net =
+  let net = Net.create ~rng:(Rng.create 45) ~topology:(Past_simnet.Topology.plane ()) () in
+  for _ = 1 to 4096 do
+    ignore (Net.register net ~handler:(fun _ (_ : unit) -> ()))
+  done;
+  net
+
+let prox_src = Array.init 1024 (fun _ -> Rng.int rng 4096)
+let prox_dst = Array.init 1024 (fun _ -> Rng.int rng 4096)
+
+let net_proximity_1024 () =
+  let sum = ref 0.0 in
+  for i = 0 to 1023 do
+    sum := !sum +. Net.proximity prox_net prox_src.(i) prox_dst.(i)
+  done;
+  !sum
 
 (* --- one full PAST insert on a prebuilt system -------------------------- *)
 

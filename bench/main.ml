@@ -2,8 +2,9 @@
    rests on — hashing and signatures (the certificate machinery behind
    EXP9/EXP13), id arithmetic and table maintenance (EXP1–EXP8
    routing), storage admission (EXP9) and cache decisions (EXP11) —
-   plus whole-operation benches: one routed lookup and one full PAST
-   insert, each also with the trace ring off to price tracing.
+   plus whole-operation benches: one snapshot overlay build, one routed
+   lookup and one full PAST insert, the last two also with the trace
+   ring off to price tracing.
 
    Prints one table to stdout and takes no arguments. End-to-end
    numbers come from `past_sim` (the tables, `scale`) and from
@@ -78,6 +79,9 @@ let micro_tests () =
       Test.make ~name:"routing-table consider" (Staged.stage Harness_fixture.rt_consider_once);
       Test.make ~name:"store admission check" (Staged.stage Harness_fixture.store_admit_once);
       Test.make ~name:"cache offer+find (GD-S)" (Staged.stage Harness_fixture.cache_cycle_once);
+      Test.make ~name:"net proximity x1024" (Staged.stage Harness_fixture.net_proximity_1024);
+      Test.make ~name:"static build (N=2000)"
+        (Staged.stage (Harness_fixture.static_build_once 2000));
       Test.make ~name:"route 1 lookup (N=2000)"
         (Staged.stage (fun () -> Harness_fixture.route_once overlay));
       Test.make ~name:"route 1 lookup (N=2000, tracing off)"

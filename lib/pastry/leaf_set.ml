@@ -137,6 +137,32 @@ let add t (peer : Peer.t) =
     changed
   end
 
+(* Snapshot form of [add]. Offered to an empty leaf set, the ring's
+   [count] nearest successors and [count] nearest predecessors leave
+   exactly those two slices on the larger and smaller sides, closest
+   first, whatever the offer order: a side keeps the l/2 nearest in its
+   own direction, and the successor slice is the clockwise-nearest of
+   all the offers (the predecessor slice the counterclockwise-nearest)
+   even when the ring is so small that the slices overlap. So the
+   slices are written straight in. *)
+let set_ring t ~ids ~addrs ~pos ~count =
+  let total = Array.length ids in
+  if t.smaller.n > 0 || t.larger.n > 0 then invalid_arg "Leaf_set.set_ring: leaf set is not empty";
+  if count < 0 || count > half t || count >= Stdlib.max 1 total then
+    invalid_arg (Printf.sprintf "Leaf_set.set_ring: count %d out of range" count);
+  for d = 1 to count do
+    let succ = (pos + d) mod total and pred = (pos - d + total) mod total in
+    t.larger.ids.(d - 1) <- ids.(succ);
+    t.larger.addrs.(d - 1) <- addrs.(succ);
+    t.smaller.ids.(d - 1) <- ids.(pred);
+    t.smaller.addrs.(d - 1) <- addrs.(pred)
+  done;
+  t.larger.n <- count;
+  t.smaller.n <- count;
+  set_ext t.larger ~own:t.own ~cw:true;
+  set_ext t.smaller ~own:t.own ~cw:false;
+  t.members_cache <- None
+
 let side_remove side ~own ~cw addr =
   let w = ref 0 in
   for i = 0 to side.n - 1 do

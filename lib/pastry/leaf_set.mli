@@ -19,6 +19,17 @@ val add : t -> Peer.t -> bool
 (** Offer a peer; inserted on whichever side(s) it is among the l/2
     closest. Returns [true] if membership changed. *)
 
+val set_ring :
+  t -> ids:Past_id.Id.t array -> addrs:Past_simnet.Net.addr array -> pos:int -> count:int -> unit
+(** Snapshot bulk write: [ids]/[addrs] list a ring's nodes in id order
+    (distinct ids, every address already in the directory) and [pos]
+    is the owner's slot. The larger side becomes the [count] ring
+    successors of [pos] and the smaller side its [count] predecessors,
+    closest first, wrapping — the state an empty leaf set reaches when
+    {!add} is offered those peers. Raises [Invalid_argument] if the
+    leaf set is not empty or [count] is outside \[0, l/2\] or not
+    below the ring size. *)
+
 val remove_addr : t -> Past_simnet.Net.addr -> bool
 val mem_addr : t -> Past_simnet.Net.addr -> bool
 

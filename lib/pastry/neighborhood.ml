@@ -28,34 +28,41 @@ let rec mem_from t addr i = i < t.n && (t.addrs.(i) = addr || mem_from t addr (i
 let rec insert_pos t proximity i =
   if i < t.n && t.prox.(i) <= proximity then insert_pos t proximity (i + 1) else i
 
+(* The insertion proper, on the bare address. Equal proximities keep
+   arrival order, so the set is a stable selection of the closest
+   [neighborhood_size] distinct addresses offered. *)
+let offer t ~proximity addr =
+  let cap = t.config.Config.neighborhood_size in
+  (* A full set refuses anything no closer than its farthest entry —
+     a member included, whose proximity is at most that — without the
+     membership scan. *)
+  if t.n > 0 && t.n >= cap && proximity >= t.prox.(t.n - 1) then false
+  else if mem_from t addr 0 then false
+  else begin
+    (* Insertion point: after every entry with proximity <= ours, so
+       equal-proximity incumbents keep precedence. Beyond the cap the
+       offer is dropped without touching the arrays. *)
+    let pos = insert_pos t proximity 0 in
+    if pos >= cap then false
+    else begin
+      let last = Stdlib.min (t.n + 1) cap - 1 in
+      for j = last downto pos + 1 do
+        t.prox.(j) <- t.prox.(j - 1);
+        t.addrs.(j) <- t.addrs.(j - 1)
+      done;
+      t.prox.(pos) <- proximity;
+      t.addrs.(pos) <- addr;
+      t.n <- last + 1;
+      true
+    end
+  end
+
 let add t ~proximity (peer : Peer.t) =
   if Id.equal peer.Peer.id t.own then false
   else begin
-    let cap = t.config.Config.neighborhood_size in
-    (* A full set refuses anything no closer than its farthest entry —
-       a member included, whose proximity is at most that — without the
-       membership scan. *)
-    if t.n > 0 && t.n >= cap && proximity >= t.prox.(t.n - 1) then false
-    else if mem_from t peer.Peer.addr 0 then false
-    else begin
-      (* Insertion point: after every entry with proximity <= ours, so
-         equal-proximity incumbents keep precedence. Beyond the cap the
-         offer is dropped without touching the arrays. *)
-      let pos = insert_pos t proximity 0 in
-      if pos >= cap then false
-      else begin
-        Directory.note t.dir peer;
-        let last = Stdlib.min (t.n + 1) cap - 1 in
-        for j = last downto pos + 1 do
-          t.prox.(j) <- t.prox.(j - 1);
-          t.addrs.(j) <- t.addrs.(j - 1)
-        done;
-        t.prox.(pos) <- proximity;
-        t.addrs.(pos) <- peer.Peer.addr;
-        t.n <- last + 1;
-        true
-      end
-    end
+    let added = offer t ~proximity peer.Peer.addr in
+    if added then Directory.note t.dir peer;
+    added
   end
 
 let remove_addr t addr =

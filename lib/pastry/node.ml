@@ -148,6 +148,10 @@ let learn t (peer : Peer.t) =
     if leaf_changed then fire_leaf_change t
   end
 
+let set_leaf_ring t ~ids ~addrs ~pos ~count =
+  Leaf_set.set_ring t.leaf ~ids ~addrs ~pos ~count;
+  if count > 0 then fire_leaf_change t
+
 let known_peers t =
   let tbl = Lazy.force t.peers_scratch in
   Hashtbl.reset tbl;

@@ -19,6 +19,12 @@ type 'a app = {
           (PAST answers lookups from en-route caches this way) *)
   on_direct : from:Peer.t -> 'a -> unit;
   on_leaf_change : unit -> unit;
+      (** called after leaf-set membership changed. It may coalesce:
+          one static build writes a node's whole leaf set at once and
+          calls it once, where offering the members one by one would
+          have called it once per change — so the handler must be
+          idempotent over a burst (PAST's re-replication trigger is
+          latched). *)
 }
 
 type shared
@@ -74,8 +80,12 @@ val route : ?parent:int -> 'a t -> key:Past_id.Id.t -> 'a -> unit
 val send_direct : 'a t -> dst:Peer.t -> 'a -> unit
 
 val learn : 'a t -> Peer.t -> unit
-(** Offer a (id, addr) binding to all three tables — used by the static
-    overlay builder and by tests. *)
+(** Offer a (id, addr) binding to all three tables. *)
+
+val set_leaf_ring :
+  'a t -> ids:Past_id.Id.t array -> addrs:Past_simnet.Net.addr array -> pos:int -> count:int -> unit
+(** The static overlay builder's leaf-set write ({!Leaf_set.set_ring}),
+    followed by one [on_leaf_change] when the leaf set gained members. *)
 
 val start_maintenance : 'a t -> unit
 (** Begin periodic leaf-set keep-alives and failure detection. The

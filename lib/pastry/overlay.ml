@@ -236,15 +236,14 @@ let random_live_node t =
 (* The k circularly-nearest live nodes lie among the k nearest live
    nodes in each ring direction from the key's insertion point, so
    collect k live per side and sort by circular distance. *)
-(* Index of the first node in id order whose id is not below [key]
-   ([~inclusive]: not at or below it). *)
-let search ?(inclusive = false) t key =
+(* Index of the first node in id order whose id is not below [key]. *)
+let search t key =
   let s = sorted_nodes t in
   let a = ref 0 and b = ref (Array.length s) in
   while !a < !b do
     let mid = (!a + !b) / 2 in
     let c = Id.compare (Node.id s.(mid)) key in
-    if c < 0 || (inclusive && c = 0) then a := mid + 1 else b := mid
+    if c < 0 then a := mid + 1 else b := mid
   done;
   !a
 
@@ -285,101 +284,120 @@ let install_apps t make_app = Array.iter (fun n -> Node.set_app n (make_app n)) 
 
 (* --- static construction --------------------------------------------- *)
 
-(* Inclusive id bounds of the prefix "first [r] digits of [id], then
-   digit [col]" — the candidate range for routing cell (r, col). *)
-let prefix_bounds ~b id r col =
-  let nbytes = Id.node_bits / 8 in
-  let per_byte = 8 / b in
-  let lo = Bytes.make nbytes '\000' and hi = Bytes.make nbytes '\255' in
-  let raw = Id.to_bytes id in
-  let full_bytes = r / per_byte in
-  Bytes.blit raw 0 lo 0 full_bytes;
-  Bytes.blit raw 0 hi 0 full_bytes;
-  (* Byte containing digit r: keep the digits above slot, set slot=col,
-     then 0s (lo) / 1s (hi). *)
-  let slot = r mod per_byte in
-  let v = Char.code (Bytes.get raw full_bytes) in
-  let keep_bits = slot * b in
-  let keep_mask = if keep_bits = 0 then 0 else lnot ((1 lsl (8 - keep_bits)) - 1) land 0xFF in
-  let kept = v land keep_mask in
-  let col_shift = 8 - keep_bits - b in
-  let lo_byte = kept lor (col lsl col_shift) in
-  let hi_byte = lo_byte lor ((1 lsl col_shift) - 1) in
-  Bytes.set lo full_bytes (Char.chr lo_byte);
-  Bytes.set hi full_bytes (Char.chr hi_byte);
-  (Id.of_bytes lo, Id.of_bytes hi)
+(* The snapshot fixed point, written in bulk (DESIGN.md §8a). Nodes
+   are visited in id order and the rng draws come in a fixed order —
+   per node, each row's cells by column, then the neighbourhood sample
+   — that every seed's overlay depends on; the state is what offering
+   the peers one at a time would leave. Per node:
+   - the leaf set is the two ring slices around it ({!Leaf_set.set_ring});
+     the slice peers are then offered to the routing table and the
+     neighbourhood in the historical order, successor d before
+     predecessor d;
+   - routing cell (r, c) draws from the ids that share the node's first
+     r digits and have digit c at r: a contiguous run of the sorted
+     ids. One walk down the node's own prefix classes finds the runs;
+     the column bounds of a class are computed once and reused by every
+     node in it (the nodes of a class are consecutive);
+   - the neighbourhood keeps the closest of the leaf offers and the
+     sampled draws ({!Neighborhood.offer}), by address alone.
+   Candidates are read from flat arrays — the sorted ids and addresses
+   here, the coordinates inside {!Net.proximity} — and offered to the
+   tables as bare bindings: no node or peer record is read, except the
+   single pick per cell when locality is off. *)
 
-let range_of t lo hi = (search t lo, search ~inclusive:true t hi)
+(* Column bounds of the row-[r] prefix class [lo, hi): [bounds.(o + c)]
+   is the first index of the class whose digit [r] is at least [c], and
+   [bounds.(o + cols)] is [hi]. *)
+let fill_bounds ~b ~cols ids bounds o r lo hi =
+  let j = ref lo in
+  for c = 0 to cols - 1 do
+    while !j < hi && Id.digit ~b ids.(!j) r < c do
+      incr j
+    done;
+    bounds.(o + c) <- !j
+  done;
+  bounds.(o + cols) <- hi
 
 let populate ~locality ~rt_samples t =
   let s = sorted_nodes t in
   let total = Array.length s in
+  let ids = Array.map Node.id s and addrs = Array.map Node.addr s in
+  for i = 1 to total - 1 do
+    if Id.equal ids.(i - 1) ids.(i) then
+      invalid_arg
+        (Printf.sprintf "Overlay.build_static: duplicate nodeId %s" (Id.to_hex ids.(i)))
+  done;
+  let net = t.net and rng = t.rng in
   let b = t.config.Config.b in
+  let rows = Config.rows t.config and cols = Config.cols t.config in
   let half = t.config.Config.leaf_set_size / 2 in
-  Array.iteri
-    (fun i node ->
-      (* Exact leaf set from ring order. *)
-      for d = 1 to Stdlib.min half (total - 1) do
-        Node.learn node (Node.self s.((i + d) mod total));
-        Node.learn node (Node.self s.(((i - d) mod total + total) mod total))
-      done;
-      (* Routing table: per cell, proximity-closest of a candidate
-         sample (or uniform when locality is off). *)
-      let id = Node.id node in
-      let continue = ref true in
-      let row = ref 0 in
-      while !continue && !row < Config.rows t.config do
-        let own_digit = Id.digit ~b id !row in
-        for col = 0 to Config.cols t.config - 1 do
-          if col <> own_digit then begin
-            let lo, hi = prefix_bounds ~b id !row col in
-            let lo_i, hi_i = range_of t lo hi in
-            let size = hi_i - lo_i in
-            if size > 0 then begin
-              let pick () = s.(lo_i + Rng.int t.rng size) in
-              let chosen =
-                if not locality then pick ()
-                else begin
-                  let best = ref (pick ()) in
-                  let best_d =
-                    ref (Net.proximity t.net (Node.addr node) (Node.addr !best))
-                  in
-                  for _ = 2 to Stdlib.min rt_samples size do
-                    let c = pick () in
-                    let d = Net.proximity t.net (Node.addr node) (Node.addr c) in
-                    if d < !best_d then begin
-                      best := c;
-                      best_d := d
-                    end
-                  done;
-                  !best
-                end
-              in
-              if locality then
-                ignore (Routing_table.consider (Node.routing_table node) (Node.self chosen))
-              else
-                ignore (Routing_table.consider_no_proximity (Node.routing_table node) (Node.self chosen))
-            end
+  let sample = 4 * t.config.Config.neighborhood_size in
+  (* Row r's cached class starts at [class_lo.(r)] (-1: none yet); its
+     bounds are [bounds.(r * (cols + 1) ..)]. Classes of one row are
+     disjoint, so the start identifies the class. *)
+  let class_lo = Array.make rows (-1) in
+  let bounds = Array.make (rows * (cols + 1)) 0 in
+  for i = 0 to total - 1 do
+    let node = s.(i) and own = addrs.(i) in
+    let rt = Node.routing_table node and nbhd = Node.neighborhood node in
+    let count = Stdlib.min half (total - 1) in
+    Node.set_leaf_ring node ~ids ~addrs ~pos:i ~count;
+    let offer j =
+      let prox = Net.proximity net own addrs.(j) in
+      ignore (Routing_table.offer rt ~prox ~id:ids.(j) addrs.(j));
+      ignore (Neighborhood.offer nbhd ~proximity:prox addrs.(j))
+    in
+    for d = 1 to count do
+      offer ((i + d) mod total);
+      offer ((i - d + total) mod total)
+    done;
+    (* Routing table: per cell, the proximity-closest of up to
+       [rt_samples] draws from the cell's run (one uniform draw when
+       locality is off). *)
+    let lo = ref 0 and hi = ref total and row = ref 0 in
+    while !row < rows && !hi - !lo > 1 do
+      let r = !row in
+      let o = r * (cols + 1) in
+      if class_lo.(r) <> !lo then begin
+        fill_bounds ~b ~cols ids bounds o r !lo !hi;
+        class_lo.(r) <- !lo
+      end;
+      let own_digit = Id.digit ~b ids.(i) r in
+      for col = 0 to cols - 1 do
+        let first = bounds.(o + col) in
+        let size = bounds.(o + col + 1) - first in
+        if col <> own_digit && size > 0 then begin
+          if not locality then
+            ignore
+              (Routing_table.consider_no_proximity rt (Node.self s.(first + Rng.int rng size)))
+          else begin
+            let best = ref (first + Rng.int rng size) in
+            let best_d = ref (Net.proximity net own addrs.(!best)) in
+            for _ = 2 to Stdlib.min rt_samples size do
+              let c = first + Rng.int rng size in
+              let d = Net.proximity net own addrs.(c) in
+              if d < !best_d then begin
+                best := c;
+                best_d := d
+              end
+            done;
+            ignore (Routing_table.offer rt ~prox:!best_d ~id:ids.(!best) addrs.(!best))
           end
-        done;
-        (* Stop once no other node shares this node's prefix through this
-           row's own digit: deeper rows are necessarily empty. *)
-        let lo, hi = prefix_bounds ~b id !row own_digit in
-        let lo_i, hi_i = range_of t lo hi in
-        if hi_i - lo_i <= 1 then continue := false;
-        incr row
+        end
       done;
-      (* Neighborhood: proximity-closest of a random sample. *)
-      let sample = Stdlib.min (4 * t.config.Config.neighborhood_size) (total - 1) in
-      for _ = 1 to sample do
-        let other = s.(Rng.int t.rng total) in
-        if Node.addr other <> Node.addr node then
-          ignore
-            (Neighborhood.add (Node.neighborhood node)
-               ~proximity:(Net.proximity t.net (Node.addr node) (Node.addr other))
-               (Node.self other))
-      done)
-    s
+      (* Descend into the node's own class; once nobody else shares
+         the prefix through this row's digit, deeper rows are empty. *)
+      lo := bounds.(o + own_digit);
+      hi := bounds.(o + own_digit + 1);
+      incr row
+    done;
+    (* Neighborhood: proximity-closest of a random sample. *)
+    for _ = 1 to Stdlib.min sample (total - 1) do
+      let other = addrs.(Rng.int rng total) in
+      if other <> own then
+        ignore (Neighborhood.offer nbhd ~proximity:(Net.proximity net own other) other)
+    done
+  done
 
 (* The joiner contacts a nearby node (§2.2): the proximally closest of
    a sample of 16 random draws among the built nodes, then the network
@@ -423,6 +441,9 @@ let join_pending ~newest ?(quiesce_every = 1) t ~joins =
    snapshot's claim to be the fixed point is re-validated. *)
 let build_static ?(locality = true) ?(rt_samples = 8) ?(dynamic_tail = 0.0) t ~n =
   if n < 0 then invalid_arg (Printf.sprintf "Overlay.build_static: n = %d is negative" n);
+  if t.built > 0 then
+    invalid_arg
+      (Printf.sprintf "Overlay.build_static: the overlay already has %d built nodes" t.built);
   if not (dynamic_tail >= 0.0 && dynamic_tail <= 1.0) then
     invalid_arg
       (Printf.sprintf "Overlay.build_static: dynamic_tail %g is outside [0, 1]" dynamic_tail);

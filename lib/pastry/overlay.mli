@@ -49,19 +49,26 @@ val add_node_with_id : 'a t -> id:Past_id.Id.t -> 'a Node.t
 val build_static :
   ?locality:bool -> ?rt_samples:int -> ?dynamic_tail:float -> 'a t -> n:int -> unit
 (** Add [n] nodes and write snapshot state into every node of the
-    overlay (DESIGN.md §8): exact leaf sets from the sorted id space,
-    each routing cell filled from its prefix class, neighborhoods from
-    a proximity sample. [locality] (default true) selects the
-    proximally closest of [rt_samples] (default 8) candidates per
-    routing cell, modelling Pastry's locality heuristic;
-    [locality:false] picks uniformly — the "no network locality"
-    (Chord-like) baseline.
+    overlay (DESIGN.md §8a): exact leaf sets as ring slices of the
+    sorted id space, each routing cell filled from its prefix class (a
+    run of the sorted ids), neighborhoods as the proximity-closest of
+    the leaf peers and a random sample. [locality] (default true)
+    selects the proximally closest of [rt_samples] (default 8)
+    candidates per routing cell, modelling Pastry's locality
+    heuristic; [locality:false] picks uniformly — the "no network
+    locality" (Chord-like) baseline. The state is written in bulk, with
+    the overlay rng drawn in a fixed order (node by id, then row,
+    column, sample), so a seed gives the same overlay on every
+    version that keeps that order. Each node's [on_leaf_change] fires
+    once, after its leaf set is written.
 
     A [dynamic_tail] fraction of the [n] new nodes (default 0: none;
     any positive fraction means at least one node) is then joined
     through the §2.2 protocol as in {!build_dynamic}, so join code
     stays exercised at any scale. Raises [Invalid_argument] naming the
-    value when [dynamic_tail] is outside \[0, 1\] or [n] is negative. *)
+    value when [dynamic_tail] is outside \[0, 1\] or [n] is negative,
+    when the overlay already has built nodes (a snapshot is its first
+    build), or when two nodes share a nodeId. *)
 
 val build_dynamic : ?quiesce_every:int -> 'a t -> n:int -> unit
 (** Join every registered but not yet built node through the §2.2

@@ -59,35 +59,40 @@ let lookup t ~row ~col =
     let packed = t.cells.((row * Config.cols t.config) + col) in
     if packed < 0 then None else Some (Directory.get t.dir (packed land addr_mask))
 
-let install t row col packed peer =
+let install t row col packed =
   ensure_row t row;
   let idx = (row * Config.cols t.config) + col in
   if t.cells.(idx) < 0 then t.count <- t.count + 1;
-  t.cells.(idx) <- packed;
-  Directory.note t.dir peer
+  t.cells.(idx) <- packed
 
-(* Learn-path variant: the proximity is already known (and equals what
-   [t.proximity] would return), and the row/col are computed without
-   the Option/tuple that [position] allocates — this runs twice per
-   routed hop, almost always hitting the same-incumbent case. *)
-let consider_prox t ~prox (peer : Peer.t) =
+(* The learn path's offer, on the bare binding: the proximity is
+   already known (and equals what [t.proximity] would return), and the
+   row/col are computed without the Option/tuple that [position]
+   allocates — this runs twice per routed hop, almost always hitting
+   the same-incumbent case. *)
+let offer t ~prox ~id addr =
   let b = t.config.Config.b in
-  let row = Id.shared_prefix_digits ~b t.own peer.Peer.id in
+  let row = Id.shared_prefix_digits ~b t.own id in
   if row >= Config.rows t.config then false (* id = own *)
   else begin
-    let col = Id.digit ~b peer.Peer.id row in
+    let col = Id.digit ~b id row in
     let packed = if row >= t.rows_alloc then -1 else t.cells.((row * Config.cols t.config) + col) in
     if packed < 0 then begin
-      install t row col peer.Peer.addr peer;
+      install t row col addr;
       true
     end
-    else if packed land addr_mask = peer.Peer.addr then false
+    else if packed land addr_mask = addr then false
     else if prox < cell_prox t packed then begin
-      install t row col peer.Peer.addr peer;
+      install t row col addr;
       true
     end
     else false
   end
+
+let consider_prox t ~prox (peer : Peer.t) =
+  let changed = offer t ~prox ~id:peer.Peer.id peer.Peer.addr in
+  if changed then Directory.note t.dir peer;
+  changed
 
 let consider t (peer : Peer.t) = consider_prox t ~prox:(t.proximity peer.Peer.addr) peer
 
@@ -97,7 +102,8 @@ let consider_no_proximity t (peer : Peer.t) =
   | Some (row, col) ->
     let packed = if row >= t.rows_alloc then -1 else t.cells.((row * Config.cols t.config) + col) in
     if packed < 0 then begin
-      install t row col (peer.Peer.addr lor no_prox_bit) peer;
+      install t row col (peer.Peer.addr lor no_prox_bit);
+      Directory.note t.dir peer;
       true
     end
     else false

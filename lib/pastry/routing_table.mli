@@ -37,6 +37,11 @@ val consider_prox : t -> prox:float -> Peer.t -> bool
     variant used on the per-hop learn path. [prox] must equal what the
     table's metric returns for the candidate's address. *)
 
+val offer : t -> prox:float -> id:Past_id.Id.t -> Past_simnet.Net.addr -> bool
+(** {!consider_prox} on a bare (id, address) binding, for the snapshot
+    builder, which must not read peer records: the caller guarantees
+    the address is already in the directory. *)
+
 val consider_no_proximity : t -> Peer.t -> bool
 (** Like {!consider} but keeps the first-seen entry (no locality
     preference) — the "Chord-like, no network locality" baseline used in

@@ -21,7 +21,6 @@ type 'msg action =
   | Thunk of { owner : addr option; run : unit -> unit }
 
 type 'msg node = {
-  location : Topology.location;
   handler : addr -> 'msg -> unit;
   mutable up : bool;
   mutable group : int;  (** partition group; delivery requires src.group = dst.group *)
@@ -57,6 +56,10 @@ type 'msg t = {
      table is a growable array: O(1) lookup with no hashing on the
      per-message hot path. Slots [next_addr..] are None. *)
   mutable nodes : 'msg node option array;
+  (* Node locations, unboxed: location [a] is the [Topology.stride]
+     floats at [Topology.stride * a]. Proximity runs per send and per
+     learned peer and reads this array alone, never a node record. *)
+  mutable coords : float array;
   mutable next_addr : addr;
   mutable liveness_epoch : int;
   links : (addr * addr, link) Hashtbl.t;
@@ -102,6 +105,7 @@ let create ?(loss_rate = 0.0) ?registry ?(describe = fun _ -> "msg") ~rng ~topol
        across slots and per-slot populations stay small. *)
     queue = Timing_wheel.create ();
     nodes = Array.make 1024 None;
+    coords = Array.make (1024 * Topology.stride) 0.0;
     next_addr = 0;
     liveness_epoch = 0;
     links = Hashtbl.create 16;
@@ -148,10 +152,12 @@ let counters_for_kind t kind =
 let[@inline] node_opt t addr =
   if addr < 0 || addr >= t.next_addr then None else Array.unsafe_get t.nodes addr
 
+let unknown addr = invalid_arg (Printf.sprintf "Net: unknown address %d" addr)
+
 let node t addr =
   match node_opt t addr with
   | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Net: unknown address %d" addr)
+  | None -> unknown addr
 
 let register t ~handler =
   let addr = t.next_addr in
@@ -159,10 +165,13 @@ let register t ~handler =
   if addr >= Array.length t.nodes then begin
     let grown = Array.make (2 * Array.length t.nodes) None in
     Array.blit t.nodes 0 grown 0 (Array.length t.nodes);
-    t.nodes <- grown
+    t.nodes <- grown;
+    let coords = Array.make (2 * Array.length t.coords) 0.0 in
+    Array.blit t.coords 0 coords 0 (Array.length t.coords);
+    t.coords <- coords
   end;
-  let location = Topology.sample t.topology t.rng in
-  t.nodes.(addr) <- Some { location; handler; up = true; group = 0 };
+  Topology.sample t.topology t.rng t.coords addr;
+  t.nodes.(addr) <- Some { handler; up = true; group = 0 };
   addr
 
 let now t = t.clock
@@ -172,7 +181,10 @@ let push_event t time action =
   t.seq <- t.seq + 1;
   Timing_wheel.push t.queue ~time ~seq:t.seq action
 
-let proximity t a b = Topology.proximity t.topology (node t a).location (node t b).location
+let[@inline] proximity t a b =
+  if b < 0 || b >= t.next_addr then unknown b;
+  if a < 0 || a >= t.next_addr then unknown a;
+  Topology.proximity t.topology t.coords a b
 
 let drop t kinds =
   Counter.incr t.c_dropped;

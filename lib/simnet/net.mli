@@ -41,7 +41,8 @@ val registry : _ t -> Past_telemetry.Registry.t
     simulated system: concurrent simulations never share counters. *)
 
 val register : 'msg t -> handler:(addr -> 'msg -> unit) -> addr
-(** Add a node: samples a location, returns its address. The handler
+(** Add a node: samples a location into the net's flat coordinate
+    array (see {!Topology.sample}), returns its address. The handler
     receives [(source, message)]. *)
 
 val now : _ t -> float
@@ -135,7 +136,9 @@ val liveness_epoch : _ t -> int
 
 val node_count : _ t -> int
 val proximity : _ t -> addr -> addr -> float
-(** Topology distance between two registered nodes. *)
+(** Topology distance between two registered nodes, read from the
+    flat coordinate array. Raises [Invalid_argument] naming an
+    unregistered address. *)
 
 val rng : _ t -> Past_stdext.Rng.t
 

@@ -1,6 +1,5 @@
 module Rng = Past_stdext.Rng
 
-type location = Point2 of float * float | Ts of { transit : int; stub : int; jitter : float }
 type t = Plane | Transit_stub
 
 (* The plane is a [side] × [side] square. *)
@@ -17,30 +16,42 @@ let inter_transit = 50.0
 let plane () = Plane
 let transit_stub () = Transit_stub
 
-let sample t rng =
-  match t with
-  | Plane -> Point2 (Rng.float rng side, Rng.float rng side)
-  | Transit_stub ->
-    Ts
-      {
-        transit = Rng.int rng transit_domains;
-        stub = Rng.int rng stubs_per_transit;
-        jitter = Rng.float rng 1.0;
-      }
+(* A location is three consecutive floats: (x, y, 0) on the plane,
+   (transit, stub, jitter) in the transit-stub model. *)
+let stride = 3
 
-let proximity t a b =
-  match (t, a, b) with
-  | Plane, Point2 (x1, y1), Point2 (x2, y2) ->
-    let dx = x1 -. x2 and dy = y1 -. y2 in
+(* The draw order — y before x; jitter, then stub, then transit — is
+   part of every seed's topology: it is the order in which ocamlopt's
+   right-to-left argument evaluation drew the boxed locations this
+   layout replaced. *)
+let sample t rng coords i =
+  let o = stride * i in
+  match t with
+  | Plane ->
+    let y = Rng.float rng side in
+    let x = Rng.float rng side in
+    coords.(o) <- x;
+    coords.(o + 1) <- y;
+    coords.(o + 2) <- 0.0
+  | Transit_stub ->
+    let jitter = Rng.float rng 1.0 in
+    let stub = Rng.int rng stubs_per_transit in
+    let transit = Rng.int rng transit_domains in
+    coords.(o) <- float_of_int transit;
+    coords.(o + 1) <- float_of_int stub;
+    coords.(o + 2) <- jitter
+
+let[@inline] proximity t (coords : float array) i j =
+  let a = stride * i and b = stride * j in
+  match t with
+  | Plane ->
+    let dx = coords.(a) -. coords.(b) and dy = coords.(a + 1) -. coords.(b + 1) in
     sqrt ((dx *. dx) +. (dy *. dy))
-  | ( Transit_stub,
-      Ts { transit = t1; stub = s1; jitter = j1 },
-      Ts { transit = t2; stub = s2; jitter = j2 } ) ->
-    let jitter = Float.abs (j1 -. j2) in
-    if t1 = t2 && s1 = s2 then intra_stub +. jitter
-    else if t1 = t2 then intra_stub +. (2.0 *. stub_to_transit) +. jitter
+  | Transit_stub ->
+    let jitter = Float.abs (coords.(a + 2) -. coords.(b + 2)) in
+    if coords.(a) = coords.(b) && coords.(a + 1) = coords.(b + 1) then intra_stub +. jitter
+    else if coords.(a) = coords.(b) then intra_stub +. (2.0 *. stub_to_transit) +. jitter
     else intra_stub +. (2.0 *. stub_to_transit) +. inter_transit +. jitter
-  | _ -> invalid_arg "Topology.proximity: location from a different topology"
 
 let max_proximity = function
   | Plane -> side *. sqrt 2.0

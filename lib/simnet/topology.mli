@@ -5,9 +5,11 @@
     combination". A topology samples a location for each node and
     exposes that scalar metric between locations. Two models are
     provided: a Euclidean plane (geographic distance) and a
-    transit-stub hierarchy (IP-hop-like). *)
+    transit-stub hierarchy (IP-hop-like).
 
-type location
+    Locations live unboxed in one flat [float array] owned by the
+    caller (the network keeps one per net): location [i] is the
+    [stride] floats starting at [stride * i]. *)
 
 type t
 
@@ -22,12 +24,18 @@ val transit_stub : unit -> t
     transit core costs 20 per side and crossing between transit domains
     another 50. *)
 
-val sample : t -> Past_stdext.Rng.t -> location
-(** Draw a location for a new node. *)
+val stride : int
+(** Floats per location in a coordinate array. *)
 
-val proximity : t -> location -> location -> float
-(** Scalar distance; symmetric, zero only for identical locations (up
-    to jitter in the transit-stub model). *)
+val sample : t -> Past_stdext.Rng.t -> float array -> int -> unit
+(** [sample t rng coords i] draws a location for a new node and writes
+    it as location [i] of [coords]. The draw order is part of the
+    determinism contract. *)
+
+val proximity : t -> float array -> int -> int -> float
+(** [proximity t coords i j] is the scalar distance between locations
+    [i] and [j] of [coords]; symmetric, zero only for identical
+    locations (up to jitter in the transit-stub model). *)
 
 val max_proximity : t -> float
 (** An upper bound on [proximity] between any two sampled locations. *)

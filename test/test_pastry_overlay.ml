@@ -310,6 +310,21 @@ let static_rejects_bad_tail () =
       check Alcotest.int "no node added" 0 (Overlay.node_count overlay))
     [ (2.0, "2"); (-0.5, "-0.5"); (Float.nan, "nan") ]
 
+(* The ring-slice leaf sets assume a fresh overlay of distinct ids. *)
+let static_rejects_rebuild_and_duplicate_ids () =
+  let overlay : unit Overlay.t = Overlay.create ~seed:25 () in
+  Overlay.build_static overlay ~n:10;
+  Alcotest.check_raises "second build"
+    (Invalid_argument "Overlay.build_static: the overlay already has 10 built nodes")
+    (fun () -> Overlay.build_static overlay ~n:5);
+  let overlay : unit Overlay.t = Overlay.create ~seed:26 () in
+  let id = Id.of_hex ~width:Id.node_bits "abcd" in
+  ignore (Overlay.add_node_with_id overlay ~id);
+  ignore (Overlay.add_node_with_id overlay ~id);
+  Alcotest.check_raises "duplicate id"
+    (Invalid_argument ("Overlay.build_static: duplicate nodeId " ^ Id.to_hex id))
+    (fun () -> Overlay.build_static overlay ~n:0)
+
 (* Pre-registered nodes (as System.create registers its smartcard ids)
    are joined first, in insertion order; later growth joins on top. *)
 let dynamic_joins_registered_then_grows () =
@@ -326,6 +341,100 @@ let dynamic_joins_registered_then_grows () =
     (Overlay.nodes overlay);
   assert_leaf_invariant overlay;
   assert_rt_invariant overlay
+
+(* Snapshot fixed-point pin: a digest of every node's full routing
+   state after [build_static] — both leaf-set sides in order, every
+   routing cell, the neighbourhood in order — plus the overlay rng's
+   next draw and the clock after the network drains. Any change to the
+   builder's rng draw order or to what it writes moves the digest.
+   N = 0..3, 17 and 33 cover the empty and sparse rings: while N - 1 <
+   l (32 by default) the two leaf-set slices overlap, and at N = 17 and
+   N = 33 they just cover the ring. *)
+module Neighborhood = Past_pastry.Neighborhood
+module Topology = Past_simnet.Topology
+
+let state_digest ?(dynamic_tail = 0.0) ~config ~topology ~locality ~rt_samples ~n () =
+  let overlay : unit Overlay.t = Overlay.create ~config ~topology ~seed:(31 + n) () in
+  Overlay.build_static ~locality ~rt_samples ~dynamic_tail overlay ~n;
+  let buf = Buffer.create 4096 in
+  let addrs tag peers =
+    Buffer.add_string buf tag;
+    List.iter (fun (p : Peer.t) -> Buffer.add_string buf (Printf.sprintf " %d" p.Peer.addr)) peers;
+    Buffer.add_char buf '\n'
+  in
+  Array.iter
+    (fun node ->
+      let ls = Node.leaf_set node and rt = Node.routing_table node in
+      addrs "s" (Leaf_set.smaller ls);
+      addrs "l" (Leaf_set.larger ls);
+      for row = 0 to Config.rows config - 1 do
+        for col = 0 to Config.cols config - 1 do
+          match Routing_table.lookup rt ~row ~col with
+          | None -> ()
+          | Some p -> Buffer.add_string buf (Printf.sprintf "%d.%d=%d " row col p.Peer.addr)
+        done
+      done;
+      addrs "\nn" (Neighborhood.members (Node.neighborhood node)))
+    (Overlay.nodes overlay);
+  Buffer.add_string buf (Int64.to_string (Past_stdext.Rng.bits64 (Overlay.rng overlay)));
+  Overlay.run overlay;
+  Buffer.add_string buf (Printf.sprintf " %h" (Net.now (Overlay.net overlay)));
+  Buffer.contents buf
+
+(* One digest per (topology, N) over the 16-configuration grid b x
+   locality x rt_samples, and one per default build at N=2000. *)
+let static_fixed_point_pinned () =
+  let topologies = [ ("plane", Topology.plane); ("transit_stub", Topology.transit_stub) ] in
+  let grid_case (tname, topology) n =
+    let buf = Buffer.create 65536 in
+    List.iter
+      (fun b ->
+        let config = { Config.default with Config.b } in
+        List.iter
+          (fun locality ->
+            List.iter
+              (fun rt_samples ->
+                Buffer.add_string buf
+                  (state_digest ~config ~topology:(topology ()) ~locality ~rt_samples ~n ()))
+              [ 8; 64 ])
+          [ true; false ])
+      [ 1; 2; 4; 8 ];
+    (Printf.sprintf "%s N=%d" tname n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  let default_case dynamic_tail =
+    let d =
+      state_digest ~dynamic_tail ~config:Config.default ~topology:(Topology.plane ())
+        ~locality:true ~rt_samples:8 ~n:2000 ()
+    in
+    (Printf.sprintf "default N=2000 tail=%g" dynamic_tail, Digest.to_hex (Digest.string d))
+  in
+  let got =
+    List.concat_map
+      (fun topo -> List.map (grid_case topo) [ 0; 1; 2; 3; 17; 33; 300 ])
+      topologies
+    @ [ default_case 0.0; default_case 0.05 ]
+  in
+  let expected =
+    [
+      ("plane N=0", "2ea093e1bdb273e87f656015782e0a8f");
+      ("plane N=1", "66baac1f9401d251e11927bcde2147db");
+      ("plane N=2", "dfad3f059dd7ea0e6223e585a8601743");
+      ("plane N=3", "8f47621f2670badc3f5402dd06506453");
+      ("plane N=17", "f881c42300e6280d297e2c2036ceba95");
+      ("plane N=33", "58921c3337d831b3f9e1eaafdaee2bef");
+      ("plane N=300", "4d59ccb2faa32808df7c78a3e97e6644");
+      ("transit_stub N=0", "2ea093e1bdb273e87f656015782e0a8f");
+      ("transit_stub N=1", "66baac1f9401d251e11927bcde2147db");
+      ("transit_stub N=2", "dfad3f059dd7ea0e6223e585a8601743");
+      ("transit_stub N=3", "5ebf9776d8cc63a2f8ff7dea8236ad2a");
+      ("transit_stub N=17", "2bf95c5e9361934ecbc0ae80f7aebee0");
+      ("transit_stub N=33", "1dcc87e64b3f63b4d2cc4818f6b46480");
+      ("transit_stub N=300", "356fa5bbe8cd859e084f4b6d8c6d1b8c");
+      ("default N=2000 tail=0", "fa44a585908da23514ba4378751f4427");
+      ("default N=2000 tail=0.05", "85c2f00e193ae5cd2ada906d9cd05000");
+    ]
+  in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "fixed point" expected got
 
 let suite =
   ( "pastry-overlay",
@@ -349,5 +458,7 @@ let suite =
       "static no-tail sends no joins" => static_without_tail_sends_no_joins;
       "static tail joins by protocol" => static_tail_joins_by_protocol;
       "static rejects bad dynamic_tail" => static_rejects_bad_tail;
+      "static rejects rebuild, duplicate ids" => static_rejects_rebuild_and_duplicate_ids;
       "dynamic joins registered first" => dynamic_joins_registered_then_grows;
+      "static fixed point pinned" => static_fixed_point_pinned;
     ] )

@@ -7,28 +7,34 @@ let ( => ) name f = Alcotest.test_case name `Quick f
 
 (* --- Topology --- *)
 
+(* [n] locations drawn into one flat coordinate array. *)
+let sample_coords topo rng n =
+  let coords = Array.make (n * Topology.stride) 0.0 in
+  for i = 0 to n - 1 do
+    Topology.sample topo rng coords i
+  done;
+  coords
+
 let topo_symmetry name topo =
-  let rng = Rng.create 1 in
-  for _ = 1 to 100 do
-    let a = Topology.sample topo rng and b = Topology.sample topo rng in
-    let d1 = Topology.proximity topo a b and d2 = Topology.proximity topo b a in
+  let coords = sample_coords topo (Rng.create 1) 200 in
+  for i = 0 to 99 do
+    let a = 2 * i and b = (2 * i) + 1 in
+    let d1 = Topology.proximity topo coords a b and d2 = Topology.proximity topo coords b a in
     if abs_float (d1 -. d2) > 1e-9 then Alcotest.failf "%s not symmetric: %f vs %f" name d1 d2
   done
 
 let topo_bounds name topo =
-  let rng = Rng.create 2 in
+  let coords = sample_coords topo (Rng.create 2) 400 in
   let bound = Topology.max_proximity topo in
-  for _ = 1 to 200 do
-    let a = Topology.sample topo rng and b = Topology.sample topo rng in
-    let d = Topology.proximity topo a b in
+  for i = 0 to 199 do
+    let d = Topology.proximity topo coords (2 * i) ((2 * i) + 1) in
     if d < 0.0 || d > bound then Alcotest.failf "%s out of bounds: %f (max %f)" name d bound
   done
 
 let plane_self_distance () =
   let topo = Topology.plane () in
-  let rng = Rng.create 3 in
-  let a = Topology.sample topo rng in
-  check (Alcotest.float 1e-9) "self distance" 0.0 (Topology.proximity topo a a)
+  let coords = sample_coords topo (Rng.create 3) 1 in
+  check (Alcotest.float 1e-9) "self distance" 0.0 (Topology.proximity topo coords 0 0)
 
 let all_topologies () =
   List.iter
@@ -40,22 +46,58 @@ let all_topologies () =
 let transit_stub_hierarchy () =
   (* Same stub < same transit < cross transit, up to jitter (< 1). *)
   let topo = Topology.transit_stub () in
-  let rng = Rng.create 4 in
   (* Sample until we find pairs in the relevant relations. *)
-  let samples = Array.init 500 (fun _ -> Topology.sample topo rng) in
+  let n = 500 in
+  let coords = sample_coords topo (Rng.create 4) n in
   let min_cross = ref infinity and max_local = ref 0.0 in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if i < j then begin
-            let d = Topology.proximity topo a b in
-            if d > 60.0 then min_cross := Stdlib.min !min_cross d
-            else if d < 7.0 then max_local := Stdlib.max !max_local d
-          end)
-        samples)
-    samples;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let d = Topology.proximity topo coords i j in
+      if d > 60.0 then min_cross := Stdlib.min !min_cross d
+      else if d < 7.0 then max_local := Stdlib.max !max_local d
+    done
+  done;
   check Alcotest.bool "local cheaper than cross-transit" true (!max_local < !min_cross)
+
+(* Coordinate draw-order pin: the proximities between the first four
+   registered nodes of a fresh network, for two seeds on each topology,
+   printed exactly ([%h]). A change to the order in which [register]
+   draws a location's coordinates moves these. *)
+let coordinate_draw_order () =
+  let show topology seed =
+    let net = Net.create ~rng:(Rng.create seed) ~topology () in
+    let addrs = Array.init 4 (fun _ -> Net.register net ~handler:(fun _ _ -> ())) in
+    let pairs = ref [] in
+    for i = 0 to 3 do
+      for j = i + 1 to 3 do
+        pairs := Printf.sprintf "%h" (Net.proximity net addrs.(i) addrs.(j)) :: !pairs
+      done
+    done;
+    String.concat " " (List.rev !pairs)
+  in
+  let got =
+    List.concat_map
+      (fun (name, topology) ->
+        List.map (fun seed -> (Printf.sprintf "%s seed %d" name seed, show (topology ()) seed)) [ 1; 2 ])
+      [ ("plane", Topology.plane); ("transit_stub", Topology.transit_stub) ]
+  in
+  let expected =
+    [
+      ( "plane seed 1",
+        "0x1.6cc293afed499p+7 0x1.78e889548000ap+8 0x1.4384f7dc71fb3p+9 0x1.14a41496488c8p+8 \
+         0x1.f729aa1374ffcp+8 0x1.4eda0412aafccp+9" );
+      ( "plane seed 2",
+        "0x1.531cff1c84ef9p+6 0x1.7d017e2133767p+9 0x1.73fa8f840c4f8p+9 0x1.6689c0f23e01p+9 \
+         0x1.5f7a8642c2e0fp+9 0x1.5452ec1bfa1f8p+5" );
+      ( "transit_stub seed 1",
+        "0x1.7d3f124bc5358p+6 0x1.7e870aa9f6074p+6 0x1.7c9ad74f83548p+6 0x1.7d47f85e30d1cp+6 \
+         0x1.7ca43afc41e1p+6 0x1.7dec335a72b2cp+6" );
+      ( "transit_stub seed 2",
+        "0x1.7e952b5558a24p+6 0x1.7e2e06530f828p+6 0x1.7e9675fc08a04p+6 0x1.7c672502491fcp+6 \
+         0x1.7c014aa6affdfp+6 0x1.7c686fa8f91dcp+6" );
+    ]
+  in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "proximities" expected got
 
 (* --- Net --- *)
 
@@ -396,6 +438,7 @@ let suite =
       "topology symmetry/bounds" => all_topologies;
       "plane self distance" => plane_self_distance;
       "transit-stub hierarchy" => transit_stub_hierarchy;
+      "coordinate draw order" => coordinate_draw_order;
       "delivery roundtrip" => delivery_roundtrip;
       "time ordering" => time_ordering;
       "clock advances" => clock_advances;
