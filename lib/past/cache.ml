@@ -8,15 +8,22 @@ type entry = {
   cert : Certificate.file;
   data : string;
   mutable weight : float; (* GDS: H value; LRU: last-use tick *)
+  mutable stamp : int; (* clock value when [weight] was last set *)
+  mutable slot : int; (* index in [heap]; -1 once evicted or removed *)
 }
 
+(* Entries sit both in the id table and in a binary min-heap ordered
+   by (weight, stamp), each entry knowing its heap slot, so finding,
+   re-weighting and deleting a victim are all O(log n). *)
 type t = {
   policy : policy;
   mutable budget : int;
   mutable used : int;
   entries : entry Id.Table.t;
+  mutable heap : entry array; (* [0, len) is live *)
+  mutable len : int;
   mutable inflation : float; (* GDS L *)
-  mutable tick : int; (* LRU clock *)
+  mutable clock : int; (* stamps every weight set; doubles as LRU's tick *)
 }
 
 let create policy =
@@ -25,59 +32,110 @@ let create policy =
     budget = 0;
     used = 0;
     entries = Id.Table.create 64;
+    heap = [||];
+    len = 0;
     inflation = 0.0;
-    tick = 0;
+    clock = 0;
   }
 
 let used t = t.used
 let entry_count t = Id.Table.length t.entries
 
-let drop t file_id =
-  match Id.Table.find_opt t.entries file_id with
-  | None -> ()
-  | Some e ->
-    Id.Table.remove t.entries file_id;
-    t.used <- t.used - e.cert.Certificate.size
+(* --- heap ------------------------------------------------------------- *)
 
-let remove = drop
+let before a b = a.weight < b.weight || (a.weight = b.weight && a.stamp < b.stamp)
 
-(* Victim with the smallest weight: lowest H for GDS, least recent for
-   LRU. Linear scan; caches hold at most a few thousand entries. *)
-let victim t =
-  Id.Table.fold
-    (fun id e acc ->
-      match acc with
-      | Some (_, best) when best.weight <= e.weight -> acc
-      | _ -> Some (id, e))
-    t.entries None
+let place t i e =
+  t.heap.(i) <- e;
+  e.slot <- i
+
+let rec sift_up t i e =
+  if i = 0 then place t 0 e
+  else begin
+    let p = (i - 1) / 2 in
+    let parent = t.heap.(p) in
+    if before e parent then begin
+      place t i parent;
+      sift_up t p e
+    end
+    else place t i e
+  end
+
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  if l >= t.len then place t i e
+  else begin
+    let r = l + 1 in
+    let c = if r < t.len && before t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if before child e then begin
+      place t i child;
+      sift_down t c e
+    end
+    else place t i e
+  end
+
+let push t e =
+  if t.len = Array.length t.heap then begin
+    let bigger = Array.make (Stdlib.max 16 (2 * t.len)) e in
+    Array.blit t.heap 0 bigger 0 t.len;
+    t.heap <- bigger
+  end;
+  t.len <- t.len + 1;
+  sift_up t (t.len - 1) e
+
+(* Unlink [e] from the heap: the last entry fills its slot and moves
+   whichever way restores the order. A vacated last slot is pointed at
+   the root so it does not keep [e]'s data alive. *)
+let delete t e =
+  let i = e.slot in
+  e.slot <- -1;
+  t.len <- t.len - 1;
+  let last = t.heap.(t.len) in
+  if i < t.len then begin
+    if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last else sift_down t i last
+  end
+  else if t.len > 0 then t.heap.(t.len) <- t.heap.(0)
+
+(* --- cache ------------------------------------------------------------ *)
+
+let unlink t e =
+  delete t e;
+  Id.Table.remove t.entries e.cert.Certificate.file_id;
+  t.used <- t.used - e.cert.Certificate.size
+
+let remove t file_id =
+  match Id.Table.find_opt t.entries file_id with None -> () | Some e -> unlink t e
 
 let rec evict_until t target =
-  if t.used > target then begin
-    match victim t with
-    | None -> ()
-    | Some (id, e) ->
-      if t.policy = Gds then t.inflation <- e.weight;
-      drop t id;
-      evict_until t target
+  if t.used > target && t.len > 0 then begin
+    let e = t.heap.(0) in
+    if t.policy = Gds then t.inflation <- e.weight;
+    unlink t e;
+    evict_until t target
   end
 
 let set_budget t budget =
   t.budget <- Stdlib.max 0 budget;
   evict_until t t.budget
 
-let fresh_weight t size =
-  match t.policy with
-  | No_cache -> 0.0
-  | Lru ->
-    t.tick <- t.tick + 1;
-    float_of_int t.tick
-  | Gds -> t.inflation +. (1.0 /. float_of_int (Stdlib.max 1 size))
+(* Set [e]'s weight for a use now. Neither policy lowers a weight:
+   LRU's tick rises, and GD-S's L never falls. *)
+let touch t e =
+  t.clock <- t.clock + 1;
+  e.stamp <- t.clock;
+  e.weight <-
+    (match t.policy with
+    | No_cache -> 0.0
+    | Lru -> float_of_int t.clock
+    | Gds -> t.inflation +. (1.0 /. float_of_int (Stdlib.max 1 e.cert.Certificate.size)))
 
 let find t file_id =
   match Id.Table.find_opt t.entries file_id with
   | None -> None
   | Some e ->
-    e.weight <- fresh_weight t e.cert.Certificate.size;
+    touch t e;
+    sift_down t e.slot e;
     Some (e.cert, e.data)
 
 let mem t file_id = Id.Table.mem t.entries file_id
@@ -85,16 +143,19 @@ let mem t file_id = Id.Table.mem t.entries file_id
 let offer t ~cert ~data =
   match t.policy with
   | No_cache -> false
-  | Lru | Gds ->
+  | Lru | Gds -> (
     let size = cert.Certificate.size in
-    let file_id = cert.Certificate.file_id in
     if size > t.budget then false
-    else if Id.Table.mem t.entries file_id then true
-    else begin
-      (* Admit, then evict lowest-weight entries to fit; the newcomer
-         itself may be the first victim (classic GreedyDual-Size). *)
-      Id.Table.replace t.entries file_id { cert; data; weight = fresh_weight t size };
-      t.used <- t.used + size;
-      evict_until t t.budget;
-      Id.Table.mem t.entries file_id
-    end
+    else
+      match Id.Table.find_opt t.entries cert.Certificate.file_id with
+      | Some _ -> true
+      | None ->
+        (* Admit, then evict lowest-weight entries to fit; the newcomer
+           itself may be the first victim (classic GreedyDual-Size). *)
+        let e = { cert; data; weight = 0.0; stamp = 0; slot = -1 } in
+        touch t e;
+        Id.Table.add t.entries cert.Certificate.file_id e;
+        push t e;
+        t.used <- t.used + size;
+        evict_until t t.budget;
+        e.slot >= 0)

@@ -5,7 +5,15 @@
     copies are evicted whenever real storage needs the room. The
     eviction policy of the companion paper [12] is GreedyDual-Size
     (weight H = L + 1/size, evict smallest H, L inflates to the evicted
-    weight); LRU and no-caching are provided as baselines. *)
+    weight); LRU and no-caching are provided as baselines.
+
+    Eviction takes the entry with the smallest weight; among equal
+    weights, the one whose weight was set earliest (by insertion or
+    by its last hit) goes first. Neither policy ever lowers a weight,
+    so GD-S over files of one size evicts exactly as LRU does. Entries
+    sit in a binary min-heap indexed by slot: [find], [offer] and
+    [remove] cost O(log n) plus O(log n) per entry evicted, for a
+    cache of n entries. *)
 
 type policy = No_cache | Lru | Gds
 

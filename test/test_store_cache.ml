@@ -286,6 +286,134 @@ let qcheck_cache_within_budget =
       List.iter (fun size -> ignore (Cache.offer c ~cert:(cert_of_size size) ~data:"")) sizes;
       Cache.used c <= 500)
 
+(* Model check: a reference cache that finds each victim by a linear
+   scan in (weight, stamp) order — the eviction rule [Cache.mli]
+   documents — run side by side with [Cache] on random operation
+   sequences. *)
+module Model = struct
+  type entry = { cert : Cert.file; mutable weight : float; mutable stamp : int }
+
+  type t = {
+    policy : Cache.policy;
+    mutable budget : int;
+    mutable entries : entry list;
+    mutable inflation : float;
+    mutable clock : int;
+  }
+
+  let create policy = { policy; budget = 0; entries = []; inflation = 0.0; clock = 0 }
+  let used t = List.fold_left (fun acc e -> acc + e.cert.Cert.size) 0 t.entries
+  let mem t id = List.exists (fun e -> Id.equal e.cert.Cert.file_id id) t.entries
+
+  let touch t e =
+    t.clock <- t.clock + 1;
+    e.stamp <- t.clock;
+    e.weight <-
+      (match t.policy with
+      | Cache.Lru -> float_of_int t.clock
+      | _ -> t.inflation +. (1.0 /. float_of_int (Stdlib.max 1 e.cert.Cert.size)))
+
+  let rec evict t =
+    let lower a b = (a.weight, a.stamp) < (b.weight, b.stamp) in
+    match t.entries with
+    | first :: rest when used t > t.budget ->
+      let v = List.fold_left (fun v e -> if lower e v then e else v) first rest in
+      if t.policy = Cache.Gds then t.inflation <- v.weight;
+      t.entries <- List.filter (fun e -> e != v) t.entries;
+      evict t
+    | _ -> ()
+
+  let set_budget t b =
+    t.budget <- b;
+    evict t
+
+  let remove t id = t.entries <- List.filter (fun e -> not (Id.equal e.cert.Cert.file_id id)) t.entries
+
+  let find t id =
+    match List.find_opt (fun e -> Id.equal e.cert.Cert.file_id id) t.entries with
+    | None -> false
+    | Some e ->
+      touch t e;
+      true
+
+  let offer t cert =
+    if cert.Cert.size > t.budget then false
+    else if mem t cert.Cert.file_id then true
+    else begin
+      let e = { cert; weight = 0.0; stamp = 0 } in
+      touch t e;
+      t.entries <- e :: t.entries;
+      evict t;
+      mem t cert.Cert.file_id
+    end
+end
+
+(* Sizes repeat so GD-S weights tie often. *)
+let model_pool = lazy (Array.init 24 (fun i -> cert_of_size (List.nth [ 50; 100; 100; 150; 300 ] (i mod 5))))
+
+(* (op, file index): op 0-1 offer, 2-3 find, 4 remove, 5 set budget
+   to [120 * index]. *)
+let model_ops = QCheck.(list_of_size Gen.(int_range 1 200) (pair (int_bound 5) (int_bound 23)))
+
+let agrees_with_model policy ops =
+  let pool = Lazy.force model_pool in
+  let c = Cache.create policy and m = Model.create policy in
+  Cache.set_budget c 2000;
+  Model.set_budget m 2000;
+  List.for_all
+    (fun (op, i) ->
+      let cert = pool.(i) in
+      let id = cert.Cert.file_id in
+      let same_result =
+        match op with
+        | 0 | 1 -> Cache.offer c ~cert ~data:"" = Model.offer m cert
+        | 2 | 3 -> Option.is_some (Cache.find c id) = Model.find m id
+        | 4 ->
+          Cache.remove c id;
+          Model.remove m id;
+          true
+        | _ ->
+          Cache.set_budget c (120 * i);
+          Model.set_budget m (120 * i);
+          true
+      in
+      same_result
+      && Cache.used c = Model.used m
+      && Array.for_all (fun p -> Cache.mem c p.Cert.file_id = Model.mem m p.Cert.file_id) pool)
+    ops
+
+let qcheck_cache_matches_model policy =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "cache matches linear-scan model (%s)" (Cache.policy_name policy))
+    ~count:300 model_ops (agrees_with_model policy)
+
+(* GD-S over one file size is LRU: the two keep the same set at every
+   step of any offer/find stream. *)
+let qcheck_gds_one_size_is_lru =
+  let pool = lazy (Array.init 12 (fun _ -> cert_of_size 100)) in
+  QCheck.Test.make ~name:"GD-S over one size keeps LRU's set" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 200) (pair bool (int_bound 11)))
+    (fun ops ->
+      let pool = Lazy.force pool in
+      let gds = Cache.create Cache.Gds and lru = Cache.create Cache.Lru in
+      Cache.set_budget gds 500;
+      Cache.set_budget lru 500;
+      List.for_all
+        (fun (is_offer, i) ->
+          let cert = pool.(i) in
+          (if is_offer then begin
+             ignore (Cache.offer gds ~cert ~data:"");
+             ignore (Cache.offer lru ~cert ~data:"")
+           end
+           else begin
+             ignore (Cache.find gds cert.Cert.file_id);
+             ignore (Cache.find lru cert.Cert.file_id)
+           end);
+          Array.for_all
+            (fun p -> Cache.mem gds p.Cert.file_id = Cache.mem lru p.Cert.file_id)
+            pool)
+        ops)
+
 let suite =
   ( "store-cache",
     [
@@ -309,4 +437,7 @@ let suite =
       "cache oversized rejected" => cache_oversized_file_rejected;
       "cache remove" => cache_remove;
       QCheck_alcotest.to_alcotest qcheck_cache_within_budget;
+      QCheck_alcotest.to_alcotest (qcheck_cache_matches_model Cache.Gds);
+      QCheck_alcotest.to_alcotest (qcheck_cache_matches_model Cache.Lru);
+      QCheck_alcotest.to_alcotest qcheck_gds_one_size_is_lru;
     ] )
