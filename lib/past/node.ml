@@ -75,6 +75,7 @@ type t = {
 
 let pastry t = t.pastry
 let store t = t.store
+let cache t = t.cache
 let config t = t.config
 let id t = PNode.id t.pastry
 let addr t = PNode.addr t.pastry
@@ -147,9 +148,11 @@ let store_locally t (cert : Certificate.file) data kind =
   let put = if t.config.admission_thresholds then Store.put else Store.force_put in
   match put t.store ~cert ~data ~kind with
   | Ok () ->
-    sync_cache t;
-    (* A file promoted to a replica needs no cached copy here too. *)
+    (* A file promoted to a replica needs no cached copy here too. Drop
+       it before re-budgeting, so its bytes count as freed and no other
+       cached file is evicted to make room for them. *)
     Cache.remove t.cache cert.Certificate.file_id;
+    sync_cache t;
     Counter.incr t.c_accept;
     Histogram.observe_int t.h_size cert.Certificate.size;
     Ok ()

@@ -51,6 +51,10 @@ val attach :
 
 val pastry : t -> Wire.t Past_pastry.Node.t
 val store : t -> Store.t
+
+val cache : t -> Cache.t
+(** The cache of copies held in the store's unused space. *)
+
 val config : t -> config
 val id : t -> Past_id.Id.t
 val addr : t -> Past_simnet.Net.addr

@@ -234,6 +234,44 @@ let cache_serves_popular_file () =
   in
   check Alcotest.bool (Printf.sprintf "cache served %d" cache_hits) true (cache_hits > 0)
 
+(* A node that caches a file and is then sent the same file as a
+   replica drops the cached copy before re-budgeting its cache: at a
+   full cache budget, no other cached file is evicted. *)
+let replica_of_cached_file_evicts_nothing () =
+  let node_config = { Node.default_config with Node.verify_certificates = false } in
+  let sys = System.create ~node_config ~seed:71 ~n:8 ~node_capacity:(fun _ _ -> 100_000) () in
+  let card = Client.card (System.new_client sys ~quota:max_int ()) in
+  let certs =
+    Array.init 100 (fun i ->
+        match
+          Smartcard.issue_file_certificate card ~name:(Printf.sprintf "c%d" i) ~data:""
+            ~declared_size:1000 ~replication:1 ~now:0.0 ()
+        with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "certificate")
+  in
+  let node = (System.nodes sys).(0) in
+  let cache = Node.cache node in
+  (* 100 files of 1000 bytes fill the 100 kB budget; the last one
+     offered has the highest weight, so any eviction takes another. *)
+  Array.iter (fun cert -> ignore (Cache.offer cache ~cert ~data:"")) certs;
+  check Alcotest.int "cache full" (Store.free (Node.store node)) (Cache.used cache);
+  let x = certs.(99) and self = PNode.self (Node.pastry node) in
+  Net.send
+    (PNode.net (Node.pastry node))
+    ~src:(Node.addr node) ~dst:(Node.addr node)
+    (Past_pastry.Message.Direct
+       {
+         from = self;
+         payload =
+           Past_core.Wire.Store_replica
+             { cert = x; data = ""; client = { Past_core.Wire.access = self; tag = -1; op = -1 } };
+       });
+  System.run sys;
+  check Alcotest.bool "stored" true (Store.mem (Node.store node) x.Cert.file_id);
+  check Alcotest.bool "cached copy dropped" false (Cache.mem cache x.Cert.file_id);
+  check Alcotest.int "nothing else evicted" 99 (Cache.entry_count cache)
+
 let utilization_accounting () =
   let sys = small_system ~n:20 () in
   let client = System.new_client sys ~quota:max_int () in
@@ -473,6 +511,7 @@ let suite =
       "diversion keeps files reachable" => diversion_keeps_file_reachable;
       "quota enforced end to end" => quota_enforced_end_to_end;
       "cache serves popular file" => cache_serves_popular_file;
+      "replica of a cached file evicts nothing" => replica_of_cached_file_evicts_nothing;
       "utilization accounting" => utilization_accounting;
       "dynamic build" => dynamic_build_system;
       "insecure crypto mode" => insecure_crypto_mode_works;
