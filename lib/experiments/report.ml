@@ -371,6 +371,35 @@ let churn_fixture () =
   Buffer.add_string buf (Text_table.render (Registry.to_table r.Exp_churn.registry));
   Buffer.contents buf
 
+(* The default EXP11 run (under a second), rendered with full-precision
+   per-cell figures and its hit-rate trajectory: the golden file
+   (test/exp11_caching.golden) pins cache admission and eviction order
+   end to end, GD-S's tie rule included. Regenerate with
+   `dune exec test/gen/gen_golden.exe -- caching > test/exp11_caching.golden`
+   only when intentionally changing cache or experiment behavior. *)
+let caching_fixture () =
+  let p = Exp_caching.default_params in
+  let r = Exp_caching.run p in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (Printf.sprintf "EXP11 (golden: default params n=%d catalog=%d lookups=%d seed=%d)\n"
+       p.Exp_caching.n p.Exp_caching.catalog p.Exp_caching.lookups p.Exp_caching.seed);
+  Buffer.add_string buf (Text_table.render (Exp_caching.table r));
+  (* The table rounds to 0.1%; these full-precision figures move with a
+     single changed eviction. *)
+  Buffer.add_string buf "\npolicy fill: cache-hit fraction, fetch distance, load CV\n";
+  List.iter
+    (fun (row : Exp_caching.row) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s %.1f: %.9f %.6f %.9f\n"
+           (Past_core.Cache.policy_name row.Exp_caching.policy)
+           row.Exp_caching.fill row.Exp_caching.cache_hit_fraction row.Exp_caching.avg_dist
+           row.Exp_caching.query_load_cv))
+    r.Exp_caching.rows;
+  Buffer.add_string buf "\nhit-rate trajectory\n";
+  Buffer.add_string buf (Text_table.render (Exp_caching.trajectory_table r));
+  Buffer.contents buf
+
 (* --- demo workloads ------------------------------------------------------ *)
 
 (* Write [reg]'s trace ring as Chrome trace-event JSON (open in

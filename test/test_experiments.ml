@@ -241,6 +241,13 @@ let golden_scale () =
   check_golden ~what:"EXP15 route dump" ~file:"exp15_scale.golden" ~gen:" -- scale"
     (Past_experiments.Exp_scale.route_dump ())
 
+(* Pinned cache behavior: EXP11 at its defaults, where caches are full
+   and evicting, so a change to admission, eviction order or GD-S's
+   tie rule shows up here. *)
+let golden_caching () =
+  check_golden ~what:"EXP11 output" ~file:"exp11_caching.golden" ~gen:" -- caching"
+    (Past_experiments.Report.caching_fixture ())
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.equal (String.sub haystack i nn) needle || at (i + 1)) in
@@ -399,6 +406,7 @@ let suite =
       "EXP8 success monotone in malicious fraction" => malicious_success_monotone;
       "EXP9/10 storage policy ordering" => storage_policies_ordered;
       "EXP11 caching reduces distance" => caching_reduces_distance;
+      "EXP11 caching golden" => golden_caching;
       "EXP12 balance and diversity" => balance_and_diversity;
       "EXP5/12 row-parallel --jobs byte-identical" => replica_balance_jobs_byte_identical;
       "EXP13 quota economy" => quota_economy_conserves;
