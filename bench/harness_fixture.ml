@@ -64,14 +64,15 @@ let card =
   | Ok c -> c
   | Error _ -> assert false
 
-let cache_certs =
-  Array.init 128 (fun i ->
-      match
-        Past_core.Smartcard.issue_file_certificate card ~name:(string_of_int i) ~data:""
-          ~declared_size:1_000 ~replication:1 ~now:0.0 ()
-      with
-      | Ok c -> c
-      | Error _ -> assert false)
+let cache_cert name =
+  match
+    Past_core.Smartcard.issue_file_certificate card ~name ~data:"" ~declared_size:1_000
+      ~replication:1 ~now:0.0 ()
+  with
+  | Ok c -> c
+  | Error _ -> assert false
+
+let cache_certs = Array.init 128 (fun i -> cache_cert (string_of_int i))
 
 let () = Cache.set_budget cache 50_000
 let cache_i = ref 0
@@ -81,6 +82,25 @@ let cache_cycle_once () =
   ignore (Cache.offer cache ~cert ~data:"");
   ignore (Cache.find cache cert.Past_core.Certificate.file_id);
   incr cache_i
+
+(* --- cache at full budget ----------------------------------------------- *)
+
+(* 2000 files cycled through a GD-S cache that holds 1000 of them:
+   every offer misses, admits the file and evicts one. *)
+let full_cache = Cache.create Cache.Gds
+let full_cache_certs = Array.init 2000 (fun i -> cache_cert (Printf.sprintf "full-%d" i))
+
+let () =
+  Cache.set_budget full_cache 1_000_000;
+  for i = 0 to 999 do
+    ignore (Cache.offer full_cache ~cert:full_cache_certs.(i) ~data:"")
+  done
+
+let full_cache_i = ref 1000
+
+let cache_offer_full_once () =
+  ignore (Cache.offer full_cache ~cert:full_cache_certs.(!full_cache_i mod 2000) ~data:"");
+  incr full_cache_i
 
 (* --- store receipt ------------------------------------------------------- *)
 

@@ -79,6 +79,8 @@ let micro_tests () =
       Test.make ~name:"routing-table consider" (Staged.stage Harness_fixture.rt_consider_once);
       Test.make ~name:"store admission check" (Staged.stage Harness_fixture.store_admit_once);
       Test.make ~name:"cache offer+find (GD-S)" (Staged.stage Harness_fixture.cache_cycle_once);
+      Test.make ~name:"cache offer at full budget (GD-S, 1000 entries)"
+        (Staged.stage Harness_fixture.cache_offer_full_once);
       Test.make ~name:"net proximity x1024" (Staged.stage Harness_fixture.net_proximity_1024);
       Test.make ~name:"static build (N=2000)"
         (Staged.stage (Harness_fixture.static_build_once 2000));
