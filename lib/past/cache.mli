@@ -11,9 +11,9 @@
     weights, the one whose weight was set earliest (by insertion or
     by its last hit) goes first. Neither policy ever lowers a weight,
     so GD-S over files of one size evicts exactly as LRU does. Entries
-    sit in a binary min-heap indexed by slot: [find], [offer] and
-    [remove] cost O(log n) plus O(log n) per entry evicted, for a
-    cache of n entries. *)
+    sit in a binary min-heap indexed by slot: in a cache of n entries,
+    [find] and [remove] cost O(log n), and [offer] and [set_budget]
+    O(log n) per entry admitted or evicted. *)
 
 type policy = No_cache | Lru | Gds
 

@@ -327,7 +327,8 @@ module Model = struct
     t.budget <- b;
     evict t
 
-  let remove t id = t.entries <- List.filter (fun e -> not (Id.equal e.cert.Cert.file_id id)) t.entries
+  let remove t id =
+    t.entries <- List.filter (fun e -> not (Id.equal e.cert.Cert.file_id id)) t.entries
 
   let find t id =
     match List.find_opt (fun e -> Id.equal e.cert.Cert.file_id id) t.entries with
@@ -349,7 +350,8 @@ module Model = struct
 end
 
 (* Sizes repeat so GD-S weights tie often. *)
-let model_pool = lazy (Array.init 24 (fun i -> cert_of_size (List.nth [ 50; 100; 100; 150; 300 ] (i mod 5))))
+let model_pool =
+  lazy (Array.init 24 (fun i -> cert_of_size (List.nth [ 50; 100; 100; 150; 300 ] (i mod 5))))
 
 (* (op, file index): op 0-1 offer, 2-3 find, 4 remove, 5 set budget
    to [120 * index]. *)
