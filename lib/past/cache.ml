@@ -117,8 +117,9 @@ let push t e =
   sift_up t i
 
 (* Unlink [e] from the heap: the last entry fills its slot and moves
-   whichever way restores the order. The vacated last slot is pointed
-   at the root so it does not keep [e]'s data alive. *)
+   whichever way restores the order. Unless the heap is now empty, the
+   vacated last slot is pointed at the root so it does not keep [e]'s
+   data alive. *)
 let delete t e =
   let i = e.slot and last = t.len - 1 in
   e.slot <- -1;
