@@ -275,6 +275,36 @@ let qcheck_digit_reassembly =
       in
       String.equal hex (Id.to_hex a))
 
+(* Digit-by-digit reference for [shared_prefix_digits]. *)
+let prefix_oracle ~b x y =
+  let n = Id.bits x / b in
+  let rec go i = if i < n && Id.digit ~b x i = Id.digit ~b y i then go (i + 1) else i in
+  go 0
+
+let flip_bit id j =
+  let s = Id.to_bytes id in
+  Bytes.set s (j / 8) (Char.chr (Char.code (Bytes.get s (j / 8)) lxor (0x80 lsr (j mod 8))));
+  Id.of_bytes s
+
+(* Random pairs, equal ids, and every single-bit difference: a pair
+   that first differs at bit j shares exactly j / b digits. *)
+let qcheck_prefix_oracle =
+  QCheck.Test.make ~name:"shared prefix = digit-by-digit oracle" ~count:100
+    (QCheck.triple arb_id arb_id (QCheck.make ~print:Id.to_hex (gen_id 160)))
+    (fun (x, y, w) ->
+      List.for_all
+        (fun b ->
+          let agrees a c = Id.shared_prefix_digits ~b a c = prefix_oracle ~b a c in
+          let flips a =
+            List.for_all
+              (fun j ->
+                let c = flip_bit a j in
+                agrees a c && Id.shared_prefix_digits ~b a c = j / b)
+              (List.init (Id.bits a) Fun.id)
+          in
+          agrees x y && agrees x x && agrees w w && flips x && flips w)
+        [ 1; 2; 4; 8 ])
+
 let suite =
   ( "id",
     [
@@ -302,5 +332,6 @@ let suite =
       "dist hi7 vs keys, adversarial ids" => adversarial_hi7;
       QCheck_alcotest.to_alcotest qcheck_le_sum;
       QCheck_alcotest.to_alcotest qcheck_prefix_symmetric;
+      QCheck_alcotest.to_alcotest qcheck_prefix_oracle;
       QCheck_alcotest.to_alcotest qcheck_digit_reassembly;
     ] )

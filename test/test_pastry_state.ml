@@ -194,30 +194,66 @@ let leaf_wrap_around () =
   | `Peer p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
   | `Self -> Alcotest.fail "wrapped peer is closer"
 
-(* qcheck: replica_set matches a brute-force sort of members+self. *)
+(* qcheck: replica_set matches a brute-force sort of members+self.
+   Pools run from one peer to 3l, so a leaf set may be sparse (the
+   whole ring fits and its two arcs overlap) or full with disjoint
+   arcs; a quarter of the cases then remove a peer or two, leaving a
+   side short. "Near" ids lie within a few thousand of own, so their
+   distances share the packed 7-byte prefix and near keys tie exactly
+   between two nodes. Keys include own, every member, a member's
+   neighbour and own's antipode; k runs over 1, 3, l/2 and l+1. *)
+let antipode id = Id.of_nat ~width:128 (Nat.add (Id.to_nat id) (Nat.shift_left Nat.one 127))
+
 let qcheck_replica_set =
-  QCheck.Test.make ~name:"replica_set = brute force k closest" ~count:100
-    QCheck.(pair small_int (int_bound 1000))
-    (fun (seed, _) ->
+  QCheck.Test.make ~name:"replica_set = brute force k closest" ~count:300
+    QCheck.(pair small_nat (int_bound 3))
+    (fun (seed, l_index) ->
       let rng = Rng.create seed in
+      let l = [| 2; 4; 8; 16 |].(l_index) in
       let own = Id.random rng ~width:128 in
-      let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = 16 } ~own () in
-      let peers =
-        List.init 12 (fun i -> Peer.make ~id:(Id.random rng ~width:128) ~addr:i)
+      let id_mode = Rng.int rng 3 in
+      let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
+      let random_id () =
+        match id_mode with
+        | 0 -> Id.random rng ~width:128
+        | 1 -> near ()
+        | _ -> if Rng.bool rng then near () else Id.random rng ~width:128
       in
-      List.iter (fun p -> ignore (Leaf_set.add ls p)) peers;
-      let key = Id.random rng ~width:128 in
-      let k = 4 in
-      let got =
-        Leaf_set.replica_set ls ~k key
-        |> List.map (function `Self -> own | `Peer p -> p.Peer.id)
+      let pool = 1 + Rng.int rng (3 * l) in
+      let used = Hashtbl.create 64 in
+      Hashtbl.replace used own ();
+      let rec fresh () =
+        let id = random_id () in
+        if Hashtbl.mem used id then fresh ()
+        else begin
+          Hashtbl.replace used id ();
+          id
+        end
       in
+      let ids = Array.init pool (fun _ -> fresh ()) in
+      let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
+      Array.iteri (fun addr id -> ignore (Leaf_set.add ls (Peer.make ~id ~addr))) ids;
+      if Rng.int rng 4 = 0 then
+        for _ = 0 to Rng.int rng 2 do
+          ignore (Leaf_set.remove_addr ls (Rng.int rng pool))
+        done;
       let members = Leaf_set.members ls |> List.map (fun p -> p.Peer.id) in
-      let expected =
-        List.sort (fun a b -> Id.closer ~target:key a b) (own :: members)
-        |> List.filteri (fun i _ -> i < k)
+      let keys =
+        own :: antipode own :: Id.random rng ~width:128 :: near () :: near ()
+        :: List.concat_map (fun m -> [ m; Id.add_int m 1 ]) members
       in
-      List.equal Id.equal got expected)
+      List.for_all
+        (fun key ->
+          let sorted = List.sort (fun a b -> Id.closer ~target:key a b) (own :: members) in
+          List.for_all
+            (fun k ->
+              let got =
+                Leaf_set.replica_set ls ~k key
+                |> List.map (function `Self -> own | `Peer p -> p.Peer.id)
+              in
+              List.equal Id.equal got (List.filteri (fun i _ -> i < k) sorted))
+            [ 1; 3; l / 2; l + 1 ])
+        keys)
 
 (* qcheck: [add] and [remove_addr] against a naive model. Each model
    side is a plain list sorted by the exact big-integer ring distance
