@@ -124,6 +124,30 @@ let route_once ov =
   PNode.route (Overlay.random_node ov) ~key ();
   Overlay.run ov
 
+(* --- keep-alive path on a ring larger than the leaf set ------------------ *)
+
+(* Node 0 of a 100-node static overlay (l = 32): its leaf set is two
+   full sides with disjoint arcs, as on every node of the churn
+   workload. *)
+let leaf_node = (Overlay.nodes (overlay 100)).(0)
+let leaf_members = Array.of_list (Leaf_set.members (PNode.leaf_set leaf_node))
+
+(* What 32 keep-alive acks teach their receiver: each sender is a
+   current leaf-set member. *)
+let learn_leaf_members_once () = Array.iter (PNode.learn leaf_node) leaf_members
+
+(* Keys from their own stream, so the fixtures below draw what they
+   always drew from [rng]. *)
+let replica_keys =
+  let keys_rng = Rng.create 78 in
+  Array.init 64 (fun _ -> Id.random keys_rng ~width:Id.node_bits)
+
+let replica_i = ref 0
+
+let replica_set_once () =
+  incr replica_i;
+  Leaf_set.replica_set (PNode.leaf_set leaf_node) ~k:3 replica_keys.(!replica_i land 63)
+
 (* --- one whole snapshot build -------------------------------------------- *)
 
 (* A fresh overlay built by snapshot, every call from the same seed:

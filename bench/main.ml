@@ -76,6 +76,9 @@ let micro_tests () =
       Test.make ~name:"id shared-prefix"
         (Staged.stage (fun () -> Id.shared_prefix_digits ~b:4 id_x id_y));
       Test.make ~name:"leaf-set insert x32" (Staged.stage Harness_fixture.leaf_insert_once);
+      Test.make ~name:"learn x32 leaf members (N=100)"
+        (Staged.stage Harness_fixture.learn_leaf_members_once);
+      Test.make ~name:"replica set k=3 (N=100)" (Staged.stage Harness_fixture.replica_set_once);
       Test.make ~name:"routing-table consider" (Staged.stage Harness_fixture.rt_consider_once);
       Test.make ~name:"store admission check" (Staged.stage Harness_fixture.store_admit_once);
       Test.make ~name:"cache offer+find (GD-S)" (Staged.stage Harness_fixture.cache_cycle_once);

@@ -51,8 +51,13 @@ let prefix_of_file_id (t : t) =
   if bits t < node_bits then invalid_arg "Id.prefix_of_file_id: id too short";
   String.sub t 0 (node_bits / 8)
 
-let same_width name (a : t) (b : t) =
-  if String.length a <> String.length b then invalid_arg (name ^ ": width mismatch")
+(* The checks below run on every id comparison: they are inlined, and
+   the message is built out of line. *)
+let width_mismatch name (a : t) (b : t) =
+  invalid_arg (Printf.sprintf "%s: width mismatch (%d vs %d bits)" name (bits a) (bits b))
+
+let[@inline] same_width name (a : t) (b : t) =
+  if String.length a <> String.length b then width_mismatch name a b
 
 let compare (a : t) (b : t) =
   same_width "Id.compare" a b;
@@ -61,27 +66,47 @@ let compare (a : t) (b : t) =
 let equal a b = compare a b = 0
 let hash (t : t) = Hashtbl.hash t
 
-let digit ~b (t : t) i =
-  if b <> 1 && b <> 2 && b <> 4 && b <> 8 then invalid_arg "Id.digit: b must be 1, 2, 4 or 8";
-  let per_byte = 8 / b in
-  let byte = i / per_byte and slot = i mod per_byte in
-  if byte >= String.length t then invalid_arg "Id.digit: index out of range";
-  let v = Char.code t.[byte] in
-  let shift = 8 - (b * (slot + 1)) in
-  (v lsr shift) land ((1 lsl b) - 1)
+let bad_b name b = invalid_arg (Printf.sprintf "%s: b must be 1, 2, 4 or 8 (got %d)" name b)
+let[@inline] check_b name b = if b <> 1 && b <> 2 && b <> 4 && b <> 8 then bad_b name b
 
-let num_digits ~b (t : t) = bits t / b
+(* log2 of a valid b (1, 2, 4, 8 -> 0, 1, 2, 3): digit arithmetic is
+   shifts and masks, with no division. *)
+let[@inline] log2_b b = (b lsr 1) - (b lsr 3)
+
+let digit ~b (t : t) i =
+  check_b "Id.digit" b;
+  let lg = log2_b b in
+  let n = bits t lsr lg in
+  if i < 0 || i >= n then
+    invalid_arg (Printf.sprintf "Id.digit: index %d out of range for b = %d (%d digits)" i b n);
+  (* 2^(3 - lg) digits per byte; digit i sits in byte i / 2^(3 - lg). *)
+  let v = Char.code (String.unsafe_get t (i lsr (3 - lg))) in
+  let slot = i land ((1 lsl (3 - lg)) - 1) in
+  (v lsr (8 - (b * (slot + 1)))) land ((1 lsl b) - 1)
 
 (* The loops below run on every learned peer and every routed hop, so
    they are top-level functions taking their free variables as
    arguments: a local closure over [x], [y] or [n] would be
    heap-allocated on every call. *)
-let rec shared_digits_from ~b x y n i =
-  if i < n && digit ~b x i = digit ~b y i then shared_digits_from ~b x y n (i + 1) else i
+let rec first_diff_byte (x : t) (y : t) n i =
+  if i < n && String.unsafe_get x i = String.unsafe_get y i then first_diff_byte x y n (i + 1)
+  else i
 
+(* Leading zero bits of a nonzero byte. *)
+let rec byte_clz v z = if v land 0x80 <> 0 then z else byte_clz (v lsl 1) (z + 1)
+
+(* Digits are b-bit groups aligned within bytes (b divides 8), so the
+   shared digits are the shared leading bits divided by b; the shared
+   bits end at the first set bit of the first differing byte's xor. *)
 let shared_prefix_digits ~b (x : t) (y : t) =
   same_width "Id.shared_prefix_digits" x y;
-  shared_digits_from ~b x y (num_digits ~b x) 0
+  check_b "Id.shared_prefix_digits" b;
+  let n = String.length x in
+  let i = first_diff_byte x y n 0 in
+  if i = n then (8 * n) lsr log2_b b
+  else
+    let d = Char.code (String.unsafe_get x i) lxor Char.code (String.unsafe_get y i) in
+    ((8 * i) + byte_clz d 0) lsr log2_b b
 
 let to_nat (t : t) = Nat.of_bytes_be (Bytes.of_string t)
 
@@ -215,6 +240,14 @@ let dist_key_le_sum d a b =
   done;
   (* A carry out means the sum exceeds any d. *)
   !carry = 1 || String.compare d (Bytes.unsafe_to_string sum) <= 0
+
+let rec sum_carry a b i carry =
+  if i < 0 then carry = 1
+  else sum_carry a b (i - 1) ((Char.code a.[i] + Char.code b.[i] + carry) lsr 8)
+
+let dist_keys_wrap a b =
+  if String.length a <> String.length b then invalid_arg "Id.dist_keys_wrap: width mismatch";
+  sum_carry a b (String.length a - 1) 0
 
 (* Allocation-free ring-distance comparison.
 

@@ -55,17 +55,20 @@ val prefix_of_file_id : t -> t
 
 val compare : t -> t -> int
 (** Numerical (unsigned big-endian) order. Raises [Invalid_argument] on
-    width mismatch. *)
+    width mismatch, naming both widths. *)
 
 val equal : t -> t -> bool
 val hash : t -> int
 
 val digit : b:int -> t -> int -> int
 (** [digit ~b id i] is the [i]-th base-2^b digit, [i = 0] being the most
-    significant. Requires [b] to divide 8 (1, 2, 4 or 8). *)
+    significant. Raises [Invalid_argument] naming the offending value
+    unless [b] divides 8 (1, 2, 4 or 8) and [0 <= i < bits id / b]. *)
 
 val shared_prefix_digits : b:int -> t -> t -> int
-(** Length of the longest common prefix, counted in base-2^b digits. *)
+(** Length of the longest common prefix, counted in base-2^b digits:
+    the shared leading bits up to the first differing byte, divided by
+    [b]. *)
 
 val distance : t -> t -> Past_bignum.Nat.t
 (** Circular distance: [min (|a-b|) (2^bits - |a-b|)]. *)
@@ -109,6 +112,11 @@ val ring_dist_hi7 : t -> t -> int
 val dist_key_le_sum : string -> string -> string -> bool
 (** [dist_key_le_sum d a b] is [d <= a + b] over equal-width distance
     keys (the sum may carry into a 129th bit, which is handled). *)
+
+val dist_keys_wrap : string -> string -> bool
+(** [dist_keys_wrap a b] is [a + b >= 2^bits] over equal-width distance
+    keys: do two arcs of those lengths, laid out on either side of one
+    point, meet or overlap? *)
 
 val add_int : t -> int -> t
 (** Wrapping addition of a (possibly negative) small offset — handy for

@@ -34,6 +34,13 @@ type t = {
      lookup; the deduplicated list is cached and invalidated whenever a
      side changes. *)
   mutable members_cache : Peer.t list option;
+  (* Both sides full and their arcs disjoint: the two extreme keys sum
+     to less than 2^128, so no node lies on both sides and the known
+     nodes run once round the ring in clockwise order (see
+     [replica_set]). False whenever the whole ring fits in the leaf set
+     (N <= l + 1) or a side is short after a removal. Refreshed with
+     [members_cache] after every mutation. *)
+  mutable disjoint : bool;
 }
 
 let make_side ~cap ~own =
@@ -43,7 +50,15 @@ let create ?dir ~config ~own () =
   Config.validate config;
   let dir = match dir with Some d -> d | None -> Directory.create () in
   let cap = config.Config.leaf_set_size / 2 in
-  { config; own; dir; smaller = make_side ~cap ~own; larger = make_side ~cap ~own; members_cache = None }
+  {
+    config;
+    own;
+    dir;
+    smaller = make_side ~cap ~own;
+    larger = make_side ~cap ~own;
+    members_cache = None;
+    disjoint = false;
+  }
 
 let half t = t.config.Config.leaf_set_size / 2
 
@@ -67,10 +82,11 @@ let set_ext side ~own ~cw =
    functions taking their free variables as arguments: a local closure
    over [side], [own] or the candidate would be heap-allocated on every
    call. *)
-let rec side_mem_from side addr i =
-  i < side.n && (side.addrs.(i) = addr || side_mem_from side addr (i + 1))
+(* [n] never exceeds the array's length (the side's capacity). *)
+let rec side_mem_from (addrs : int array) n addr i =
+  i < n && (Array.unsafe_get addrs i = addr || side_mem_from addrs n addr (i + 1))
 
-let side_mem side addr = side_mem_from side addr 0
+let side_mem side addr = side_mem_from side.addrs side.n addr 0
 
 (* Does the candidate [id] (packed prefix [cand_hi]) sort strictly
    before entry [i]? The packed 7-byte distance prefix decides almost
@@ -125,16 +141,37 @@ let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
     end
   end
 
+let refresh t =
+  t.members_cache <- None;
+  let cap = half t in
+  t.disjoint <-
+    t.smaller.n = cap
+    && t.larger.n = cap
+    && not (Id.dist_keys_wrap t.smaller.ext_key t.larger.ext_key)
+
+(* Most offers come from a current member: every keep-alive, ack and
+   repair reply teaches its receiver the sender. When the arcs are
+   disjoint, finding the address on either side answers the offer
+   without any distance arithmetic. Say the member sits on the larger
+   side at clockwise distance d: that side holds it already, and its
+   counterclockwise distance is 2^128 - d >= 2^128 - (larger extreme)
+   > (smaller extreme), so the full smaller side refuses it too — and
+   symmetrically for a member of the smaller side. Both sides refuse,
+   which is what the per-side tests below would conclude. The test
+   comes first: a member's id is not own, and its address is already
+   in the directory, so the two checks it skips are no-ops. *)
 let add t (peer : Peer.t) =
-  if Id.equal peer.Peer.id t.own then false
+  if t.disjoint && (side_mem t.larger peer.Peer.addr || side_mem t.smaller peer.Peer.addr) then
+    false
+  else if Id.equal peer.Peer.id t.own then false
   else begin
     Directory.note t.dir peer;
     let cap = half t in
     let changed_l = side_add t.larger ~cap ~peer ~own:t.own ~cw:true in
     let changed_s = side_add t.smaller ~cap ~peer ~own:t.own ~cw:false in
-    let changed = changed_l || changed_s in
-    if changed then t.members_cache <- None;
-    changed
+    let any = changed_l || changed_s in
+    if any then refresh t;
+    any
   end
 
 (* Snapshot form of [add]. Offered to an empty leaf set, the ring's
@@ -161,7 +198,7 @@ let set_ring t ~ids ~addrs ~pos ~count =
   t.smaller.n <- count;
   set_ext t.larger ~own:t.own ~cw:true;
   set_ext t.smaller ~own:t.own ~cw:false;
-  t.members_cache <- None
+  refresh t
 
 let side_remove side ~own ~cw addr =
   let w = ref 0 in
@@ -182,9 +219,9 @@ let side_remove side ~own ~cw addr =
 let remove_addr t addr =
   let changed_s = side_remove t.smaller ~own:t.own ~cw:false addr in
   let changed_l = side_remove t.larger ~own:t.own ~cw:true addr in
-  let changed = changed_s || changed_l in
-  if changed then t.members_cache <- None;
-  changed
+  let any = changed_s || changed_l in
+  if any then refresh t;
+  any
 
 let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
 
@@ -315,14 +352,82 @@ let rec best_offer_peers b ~k key = function
     if i >= 0 then b.b_elts.(i) <- `Peer p;
     best_offer_peers b ~k key rest
 
+(* --- replica sets from the clockwise window ---------------------------
+
+   With disjoint arcs the known nodes, read clockwise from own, are:
+   slot 0 own, slots 1..n the larger side closest first, slots
+   n+1..2n the smaller side farthest first (n = l/2). The key falls
+   between two cyclically adjacent slots. Ring distance to the key has
+   a single peak along any arc that does not hold the key (it rises to
+   the antipode and falls after it), so the nearest node not yet taken
+   is always one of the two ends of the untaken arc: walking outward
+   from the key with two pointers and taking the closer head each time
+   yields the nodes in exactly the (distance, id) order of a full
+   sort. Two nodes tie in distance only as key - d and key + d, and
+   then both are heads. *)
+
+let slot_id t j =
+  let n = t.larger.n in
+  if j = 0 then t.own else if j <= n then t.larger.ids.(j - 1) else t.smaller.ids.((2 * n) - j)
+
+let slot_elt t j =
+  let n = t.larger.n in
+  if j = 0 then `Self
+  else if j <= n then `Peer (Directory.get t.dir t.larger.addrs.(j - 1))
+  else `Peer (Directory.get t.dir t.smaller.addrs.((2 * n) - j))
+
+(* Is slot [j] at or before the key, clockwise from own? The packed
+   prefix decides unless it ties. *)
+let slot_le t j key key_hi =
+  let id = slot_id t j in
+  let h = Id.cw_dist_hi7 t.own id in
+  h < key_hi
+  || (h = key_hi && String.compare (Id.cw_dist_key t.own id) (Id.cw_dist_key t.own key) <= 0)
+
+(* The last slot in [lo, hi) at or before the key; slot [lo] is. *)
+let rec locate t key key_hi lo hi =
+  if hi - lo <= 1 then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if slot_le t mid key key_hi then locate t key key_hi mid hi else locate t key key_hi lo mid
+
+let head_hi t key j = Id.ring_dist_hi7 key (slot_id t j)
+
+(* The two heads' packed ring-distance prefixes ride along, so a step
+   computes one new prefix; only a prefix tie asks [Id.closer]. *)
+let rec walk t key m left lhi right rhi remaining =
+  if remaining = 0 then []
+  else if
+    lhi < rhi || (lhi = rhi && Id.closer ~target:key (slot_id t left) (slot_id t right) <= 0)
+  then
+    let e = slot_elt t left and left = (left + m - 1) mod m in
+    e :: walk t key m left (head_hi t key left) right rhi (remaining - 1)
+  else
+    let e = slot_elt t right and right = (right + 1) mod m in
+    e :: walk t key m left lhi right (head_hi t key right) (remaining - 1)
+
 let replica_set t ~k key =
-  if k <= 0 then invalid_arg "Leaf_set.replica_set: k must be positive";
-  (* Bounded insertion of own id and the members into k slots. The
-     order is total (distinct ids, and [members] excludes own), so this
-     is exactly the first k of the sorted candidates. *)
-  let b =
-    { b_hi = Array.make k max_int; b_ids = Array.make k t.own; b_elts = Array.make k `Self; b_n = 0 }
-  in
-  ignore (best_slot b ~k key t.own : int);
-  best_offer_peers b ~k key (members t);
-  List.init b.b_n (fun i -> b.b_elts.(i))
+  if k <= 0 then invalid_arg (Printf.sprintf "Leaf_set.replica_set: k must be positive (got %d)" k);
+  if t.disjoint then begin
+    let m = 1 + t.larger.n + t.smaller.n in
+    let j = locate t key (Id.cw_dist_hi7 t.own key) 0 m in
+    let right = (j + 1) mod m in
+    walk t key m j (head_hi t key j) right (head_hi t key right) (Stdlib.min k m)
+  end
+  else begin
+    (* Overlapping arcs: bounded insertion of own id and the members
+       into k slots. The order is total (distinct ids, and [members]
+       excludes own), so this is exactly the first k of the sorted
+       candidates. *)
+    let b =
+      {
+        b_hi = Array.make k max_int;
+        b_ids = Array.make k t.own;
+        b_elts = Array.make k `Self;
+        b_n = 0;
+      }
+    in
+    ignore (best_slot b ~k key t.own : int);
+    best_offer_peers b ~k key (members t);
+    List.init b.b_n (fun i -> b.b_elts.(i))
+  end

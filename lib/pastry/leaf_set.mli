@@ -59,7 +59,8 @@ val closest_including_self : t -> Past_id.Id.t -> [ `Self | `Peer of Peer.t ]
 
 val replica_set : t -> k:int -> Past_id.Id.t -> [ `Self | `Peer of Peer.t ] list
 (** The [k] nodes (members + self) numerically closest to the key,
-    closest first — PAST's replica set for a fileId rooted here. *)
+    closest first — PAST's replica set for a fileId rooted here.
+    Raises [Invalid_argument] naming [k] unless [k > 0]. *)
 
 val extreme_smaller : t -> Peer.t option
 (** Farthest member on the smaller side. *)

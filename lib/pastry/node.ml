@@ -67,12 +67,13 @@ type 'a t = {
      the crash see an old epoch and stop. *)
   mutable maint_epoch : int;
   mutable malicious : bool;
-  (* The three per-node Hashtbls are lazy: nodes that never run
-     maintenance, declare a failure, or take a rare-case hop (the
-     common case in a snapshot-built mega-scale overlay) never pay for
-     the buckets. The initial sizes are part of the determinism
-     surface — iteration order of a table depends on its bucket count. *)
-  pending_acks : (Net.addr, float) Hashtbl.t Lazy.t; (* addr -> failure deadline *)
+  (* The three per-node Hashtbls are created on first write: nodes
+     that never run maintenance, declare a failure, or take a rare-case
+     hop (the common case in a snapshot-built mega-scale overlay) never
+     pay for the buckets. [None] reads as an empty table. The initial
+     sizes are part of the determinism surface — iteration order of a
+     table depends on its bucket count. *)
+  mutable pending_acks : (Net.addr, float) Hashtbl.t option; (* addr -> failure deadline *)
   (* Failure memory: peers we declared failed, with the declaration
      time. [learn] refuses to re-admit them until the entry expires or
      the peer is heard from directly (any message with it as the
@@ -80,12 +81,12 @@ type 'a t = {
      keeps re-importing dead peers from neighbours' stale leaf sets
      faster than keep-alive probing can evict them, and the k-closest
      set stays polluted with dead nodes for many detection cycles. *)
-  suspects : (Net.addr, float) Hashtbl.t Lazy.t;
+  mutable suspects : (Net.addr, float) Hashtbl.t option;
   (* Dedup scratch reused by [known_peers] (per rare-case hop, per
      announce) instead of allocating a fresh Hashtbl each call. Reset —
      not clear — between uses: reset restores the initial bucket count,
      so iteration order matches a fresh table of the same size. *)
-  peers_scratch : (Net.addr, Peer.t) Hashtbl.t Lazy.t;
+  mutable peers_scratch : (Net.addr, Peer.t) Hashtbl.t option;
   shared : shared;
 }
 
@@ -118,14 +119,33 @@ let fire_leaf_change t = match t.app with Some a -> a.on_leaf_change () | None -
 let suspect_ttl t =
   2.0 *. (t.config.Config.keepalive_period +. t.config.Config.failure_timeout)
 
-(* Reads and removals on the lazy tables must not force them: an
-   unforced table is observationally an empty one. *)
-let tbl_remove lazy_tbl key = if Lazy.is_val lazy_tbl then Hashtbl.remove (Lazy.force lazy_tbl) key
+let acks_table t =
+  match t.pending_acks with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 16 in
+    t.pending_acks <- Some tbl;
+    tbl
+
+let suspects_table t =
+  match t.suspects with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 16 in
+    t.suspects <- Some tbl;
+    tbl
+
+(* Reads and removals do not create a table. Nor do they hash the key
+   into an empty one — the suspect table is empty almost always, and
+   every delivered message reads it. *)
+let tbl_remove tbl key =
+  match tbl with
+  | Some tbl when Hashtbl.length tbl > 0 -> Hashtbl.remove tbl key
+  | Some _ | None -> ()
 
 let suspected t addr =
-  if not (Lazy.is_val t.suspects) then false
-  else
-    let suspects = Lazy.force t.suspects in
+  match t.suspects with
+  | Some suspects when Hashtbl.length suspects > 0 -> (
     match Hashtbl.find_opt suspects addr with
     | None -> false
     | Some since ->
@@ -133,7 +153,8 @@ let suspected t addr =
       else begin
         Hashtbl.remove suspects addr;
         false
-      end
+      end)
+  | Some _ | None -> false
 
 let learn t (peer : Peer.t) =
   if
@@ -153,8 +174,16 @@ let set_leaf_ring t ~ids ~addrs ~pos ~count =
   if count > 0 then fire_leaf_change t
 
 let known_peers t =
-  let tbl = Lazy.force t.peers_scratch in
-  Hashtbl.reset tbl;
+  let tbl =
+    match t.peers_scratch with
+    | Some tbl ->
+      Hashtbl.reset tbl;
+      tbl
+    | None ->
+      let tbl = Hashtbl.create 64 in
+      t.peers_scratch <- Some tbl;
+      tbl
+  in
   let collect p = if not (Hashtbl.mem tbl p.Peer.addr) then Hashtbl.replace tbl p.Peer.addr p in
   List.iter collect (Leaf_set.members t.leaf);
   List.iter collect (Routing_table.peers t.rt);
@@ -165,7 +194,7 @@ let known_peers t =
 
 let declare_failed t failed_addr =
   tbl_remove t.pending_acks failed_addr;
-  Hashtbl.replace (Lazy.force t.suspects) failed_addr (Net.now t.net);
+  Hashtbl.replace (suspects_table t) failed_addr (Net.now t.net);
   let was_smaller = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.smaller t.leaf) in
   let was_larger = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.larger t.leaf) in
   let leaf_changed = Leaf_set.remove_addr t.leaf failed_addr in
@@ -483,9 +512,9 @@ let create ?dir ?shared ~net ~config ~rng ~id () =
       maintenance = false;
       maint_epoch = 0;
       malicious = false;
-      pending_acks = lazy (Hashtbl.create 16);
-      suspects = lazy (Hashtbl.create 16);
-      peers_scratch = lazy (Hashtbl.create 64);
+      pending_acks = None;
+      suspects = None;
+      peers_scratch = None;
       shared;
     }
   in
@@ -541,25 +570,27 @@ let send_direct t ~dst payload =
   else tell t dst.Peer.addr (Message.Direct { from = t.self; payload })
 
 let check_failures t =
-  if Lazy.is_val t.pending_acks then begin
-    let acks = Lazy.force t.pending_acks in
+  match t.pending_acks with
+  | None -> ()
+  | Some acks ->
     let now = Net.now t.net in
     let expired =
       Hashtbl.fold (fun a deadline acc -> if deadline < now then a :: acc else acc) acks []
     in
     List.iter (declare_failed t) expired
-  end
 
 let maintenance_tick t =
   (* No liveness guard needed: the timer thunk is owner-gated, so a
      down node's tick is never dispatched in the first place. *)
   check_failures t;
-  let acks = Lazy.force t.pending_acks in
+  let acks = acks_table t in
+  let deadline = Net.now t.net +. t.config.Config.failure_timeout in
+  let probe = Message.Keepalive { from = t.self } in
+  (* [add] on an absent key leaves the bucket layout [replace] would. *)
   List.iter
     (fun (m : Peer.t) ->
-      if not (Hashtbl.mem acks m.Peer.addr) then
-        Hashtbl.replace acks m.Peer.addr (Net.now t.net +. t.config.Config.failure_timeout);
-      tell t m.Peer.addr (Message.Keepalive { from = t.self }))
+      if not (Hashtbl.mem acks m.Peer.addr) then Hashtbl.add acks m.Peer.addr deadline;
+      tell t m.Peer.addr probe)
     (Leaf_set.members t.leaf)
 
 let rec arm_maintenance t ~epoch ~delay =
@@ -583,11 +614,11 @@ let stop_maintenance t = t.maintenance <- false
 let recover t =
   (* A recovering node contacts its last known leaf set, refreshes its
      own leaf set from theirs, and announces its presence (§2.2). *)
-  (if Lazy.is_val t.pending_acks then Hashtbl.reset (Lazy.force t.pending_acks));
+  Option.iter Hashtbl.reset t.pending_acks;
   (* Suspicions recorded before the crash are stale — the suspects may
      well have rejoined during our downtime. Keep-alives re-evict any
      that are still dead. *)
-  (if Lazy.is_val t.suspects then Hashtbl.reset (Lazy.force t.suspects));
+  Option.iter Hashtbl.reset t.suspects;
   List.iter
     (fun (m : Peer.t) -> tell t m.Peer.addr (Message.Leaf_request { from = t.self }))
     (Leaf_set.members t.leaf);

@@ -53,7 +53,9 @@ let position t id =
 
 let lookup t ~row ~col =
   if row < 0 || row >= Config.rows t.config || col < 0 || col >= Config.cols t.config then
-    invalid_arg "Routing_table.lookup: out of range";
+    invalid_arg
+      (Printf.sprintf "Routing_table.lookup: row %d, column %d out of range (%d rows, %d columns)"
+         row col (Config.rows t.config) (Config.cols t.config));
   if row >= t.rows_alloc then None
   else
     let packed = t.cells.((row * Config.cols t.config) + col) in
@@ -130,7 +132,10 @@ let row_fold t i f acc =
   !acc
 
 let row_peers t i =
-  if i < 0 || i >= Config.rows t.config then invalid_arg "Routing_table.row_peers: out of range";
+  if i < 0 || i >= Config.rows t.config then
+    invalid_arg
+      (Printf.sprintf "Routing_table.row_peers: row %d out of range (%d rows)" i
+         (Config.rows t.config));
   if i >= t.rows_alloc then [] else List.rev (row_fold t i (fun acc p -> p :: acc) [])
 
 let peers t =

@@ -79,7 +79,9 @@ let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined so that a caller which only does float arithmetic with the
+   draw (the jitter in [Net.send]) keeps it unboxed. *)
+let[@inline] float t bound =
   (* 53 random bits scaled to [0,1). *)
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0) *. bound

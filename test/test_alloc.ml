@@ -84,6 +84,27 @@ let learn_known_peer () =
     within "Node.learn of a peer already in all three tables" ~budget:2.0
       (words_per_call ~calls:20_000 (fun () -> PNode.learn node peer))
 
+(* A converged static overlay of 100 nodes, l = 32: each leaf set is
+   two full sides whose arcs are disjoint, the state of every node of a
+   ring larger than l + 1. *)
+let sparse_overlay () =
+  let ov : unit Overlay.t = Overlay.create ~seed:12 () in
+  Overlay.build_static ov ~n:100;
+  Overlay.run ov;
+  ov
+
+(* The learn of a leaf-set member, the common case under keep-alive
+   traffic: the leaf set answers from its membership scan, the routing
+   table and the neighbourhood as above. *)
+let learn_leaf_member () =
+  let ov = sparse_overlay () in
+  let node = (Overlay.nodes ov).(0) in
+  let leaf = PNode.leaf_set node in
+  if List.length (Leaf_set.members leaf) <> 32 then Alcotest.fail "leaf set is not 2 x 16 distinct";
+  let peer = List.hd (Leaf_set.larger leaf) in
+  within "Node.learn of a leaf-set member (N = 100)" ~budget:2.0
+    (words_per_call ~calls:20_000 (fun () -> PNode.learn node peer))
+
 (* A keep-alive from a node to a leaf-set member and the member's ack:
    two sends, two wheel pushes and pops, two deliveries, two learns. *)
 let keepalive_round_trip () =
@@ -122,6 +143,20 @@ let replica_set_k3 () =
          incr i;
          ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
 
+(* With disjoint arcs the replica set is read off a window of the
+   sorted leaf set: the result is the only allocation, a list cell and
+   a [`Peer] block (3 words each) per member it names. *)
+let replica_set_window () =
+  let ov = sparse_overlay () in
+  let ls = PNode.leaf_set (Overlay.nodes ov).(0) in
+  let rng = Rng.create 5 in
+  let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
+  let i = ref 0 in
+  within "Leaf_set.replica_set (k = 3, N = 100)" ~budget:18.0
+    (words_per_call ~calls:20_000 (fun () ->
+         incr i;
+         ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
+
 (* A digest allocates its state, message schedule, padded tail (one or
    two blocks) and result, and nothing per input block: 320 bytes are
    five blocks, the sixth is the tail. *)
@@ -151,6 +186,8 @@ let suite =
       "Node.learn of a known peer" => learn_known_peer;
       "keep-alive round trip" => keepalive_round_trip;
       "Leaf_set.replica_set (k = 3)" => replica_set_k3;
+      "Node.learn of a leaf member (N = 100)" => learn_leaf_member;
+      "Leaf_set.replica_set window (k = 3, N = 100)" => replica_set_window;
       "Sha256.digest_string (320 B)" => sha256_320;
       "Sha1.digest_string (320 B)" => sha1_320;
       "Hex.of_bytes (32-byte digest)" => hex_32;

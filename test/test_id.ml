@@ -130,8 +130,29 @@ let map_set_table () =
 
 let width_mismatch_raises () =
   let a = Id.zero ~width:128 and b = Id.zero ~width:160 in
-  Alcotest.check_raises "compare" (Invalid_argument "Id.compare: width mismatch") (fun () ->
-      ignore (Id.compare a b))
+  Alcotest.check_raises "compare" (Invalid_argument "Id.compare: width mismatch (128 vs 160 bits)")
+    (fun () -> ignore (Id.compare a b))
+
+(* A negative index used to wrap into a valid byte and slot (b = 4,
+   i = -1 read byte 0 with shift 8) and return 0, or to raise String's
+   generic error. Each error names the offending value. *)
+let digit_errors_name_values () =
+  let ones = Id.max_id ~width:128 in
+  let raises (b, i, digits) =
+    Alcotest.check_raises
+      (Printf.sprintf "b=%d i=%d" b i)
+      (Invalid_argument
+         (Printf.sprintf "Id.digit: index %d out of range for b = %d (%d digits)" i b digits))
+      (fun () -> ignore (Id.digit ~b ones i))
+  in
+  List.iter raises
+    [ (4, -1, 32); (2, -3, 64); (1, -7, 128); (4, -2, 32); (4, 32, 32); (8, 16, 16) ];
+  Alcotest.check_raises "digit b" (Invalid_argument "Id.digit: b must be 1, 2, 4 or 8 (got 3)")
+    (fun () -> ignore (Id.digit ~b:3 ones 0));
+  Alcotest.check_raises "shared prefix b"
+    (Invalid_argument "Id.shared_prefix_digits: b must be 1, 2, 4 or 8 (got 16)") (fun () ->
+      ignore (Id.shared_prefix_digits ~b:16 ones ones));
+  check Alcotest.int "last digit" 0xf (Id.digit ~b:4 ones 31)
 
 (* qcheck: fast byte-key paths agree with the Nat reference
    implementations. *)
@@ -323,6 +344,7 @@ let suite =
       "node id width" => node_id_of_key_width;
       "map/set/table" => map_set_table;
       "width mismatch raises" => width_mismatch_raises;
+      "digit errors name their values" => digit_errors_name_values;
       QCheck_alcotest.to_alcotest qcheck_cw_key_matches_nat;
       QCheck_alcotest.to_alcotest qcheck_ring_key_matches_nat;
       QCheck_alcotest.to_alcotest qcheck_closer_matches_nat;

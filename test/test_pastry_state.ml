@@ -97,6 +97,18 @@ let rt_row_peers () =
   check Alcotest.int "row 1 has one" 1 (List.length (Routing_table.row_peers rt 1));
   check Alcotest.int "all" 2 (List.length (Routing_table.peers rt))
 
+let rt_errors_name_values () =
+  let rt = Routing_table.create ~config ~own ~proximity:(fun _ -> 1.0) () in
+  Alcotest.check_raises "lookup"
+    (Invalid_argument "Routing_table.lookup: row 32, column 3 out of range (32 rows, 16 columns)")
+    (fun () -> ignore (Routing_table.lookup rt ~row:32 ~col:3));
+  Alcotest.check_raises "lookup column"
+    (Invalid_argument "Routing_table.lookup: row 0, column -1 out of range (32 rows, 16 columns)")
+    (fun () -> ignore (Routing_table.lookup rt ~row:0 ~col:(-1)));
+  Alcotest.check_raises "row_peers"
+    (Invalid_argument "Routing_table.row_peers: row -1 out of range (32 rows)") (fun () ->
+      ignore (Routing_table.row_peers rt (-1)))
+
 (* --- Leaf set --- *)
 
 let i_id n = Id.add_int (Id.of_hex ~width:128 "80000000000000000000000000000000") n
@@ -174,7 +186,11 @@ let leaf_replica_set () =
     check Alcotest.int "then closest" 11 p1.Peer.addr;
     check Alcotest.bool "third is +-" true (p2.Peer.addr = 9 || p2.Peer.addr = 12)
   | _ -> Alcotest.fail "self should be first");
-  check Alcotest.int "k capped by members+1" 7 (List.length (Leaf_set.replica_set ls ~k:50 (i_id 0)))
+  check Alcotest.int "k capped by members+1" 7
+    (List.length (Leaf_set.replica_set ls ~k:50 (i_id 0)));
+  Alcotest.check_raises "k named"
+    (Invalid_argument "Leaf_set.replica_set: k must be positive (got 0)") (fun () ->
+      ignore (Leaf_set.replica_set ls ~k:0 (i_id 0)))
 
 let leaf_remove () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
@@ -398,6 +414,7 @@ let suite =
       "rt remove" => rt_remove;
       "rt next hop" => rt_next_hop;
       "rt row peers" => rt_row_peers;
+      "rt errors name their values" => rt_errors_name_values;
       "leaf basic" => leaf_basic;
       "leaf caps sides" => leaf_caps_sides;
       "leaf ordering" => leaf_ordering;
