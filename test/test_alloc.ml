@@ -100,7 +100,8 @@ let learn_leaf_member () =
   let ov = sparse_overlay () in
   let node = (Overlay.nodes ov).(0) in
   let leaf = PNode.leaf_set node in
-  if List.length (Leaf_set.members leaf) <> 32 then Alcotest.fail "leaf set is not 2 x 16 distinct";
+  if List.length (Leaf_set.members leaf) <> 32 then
+    Alcotest.fail "leaf set is not 2 x 16 distinct";
   let peer = List.hd (Leaf_set.larger leaf) in
   within "Node.learn of a leaf-set member (N = 100)" ~budget:2.0
     (words_per_call ~calls:20_000 (fun () -> PNode.learn node peer))
@@ -129,33 +130,28 @@ let keepalive_round_trip () =
     (Net.messages_delivered net - delivered);
   within "keep-alive send + deliver round trip" ~budget:64.0 words
 
-(* Re-replication and reclaim routing pick the k = 3 closest of own id
-   and 31 leaf-set members: three slot arrays, the few candidates that
-   enter the best k, and the result list. *)
-let replica_set_k3 () =
-  let ov = converged_overlay () in
+(* Replica sets for 64 random keys at node 0 of [ov], in turn. *)
+let replica_set_k3_on ov what ~budget =
   let ls = PNode.leaf_set (Overlay.nodes ov).(0) in
   let rng = Rng.create 5 in
   let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
   let i = ref 0 in
-  within "Leaf_set.replica_set (k = 3, 31 members)" ~budget:96.0
+  within what ~budget
     (words_per_call ~calls:20_000 (fun () ->
          incr i;
          ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
+
+(* Re-replication and reclaim routing pick the k = 3 closest of own id
+   and 31 leaf-set members. Where the arcs overlap: three slot arrays,
+   the few candidates that enter the best k, and the result list. *)
+let replica_set_k3 () =
+  replica_set_k3_on (converged_overlay ()) "Leaf_set.replica_set (k = 3, 31 members)" ~budget:96.0
 
 (* With disjoint arcs the replica set is read off a window of the
    sorted leaf set: the result is the only allocation, a list cell and
    a [`Peer] block (3 words each) per member it names. *)
 let replica_set_window () =
-  let ov = sparse_overlay () in
-  let ls = PNode.leaf_set (Overlay.nodes ov).(0) in
-  let rng = Rng.create 5 in
-  let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
-  let i = ref 0 in
-  within "Leaf_set.replica_set (k = 3, N = 100)" ~budget:18.0
-    (words_per_call ~calls:20_000 (fun () ->
-         incr i;
-         ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
+  replica_set_k3_on (sparse_overlay ()) "Leaf_set.replica_set (k = 3, N = 100)" ~budget:18.0
 
 (* A digest allocates its state, message schedule, padded tail (one or
    two blocks) and result, and nothing per input block: 320 bytes are
