@@ -241,14 +241,6 @@ let dist_key_le_sum d a b =
   (* A carry out means the sum exceeds any d. *)
   !carry = 1 || String.compare d (Bytes.unsafe_to_string sum) <= 0
 
-let rec sum_carry a b i carry =
-  if i < 0 then carry = 1
-  else sum_carry a b (i - 1) ((Char.code a.[i] + Char.code b.[i] + carry) lsr 8)
-
-let dist_keys_wrap a b =
-  if String.length a <> String.length b then invalid_arg "Id.dist_keys_wrap: width mismatch";
-  sum_carry a b (String.length a - 1) 0
-
 (* Allocation-free ring-distance comparison.
 
    [ring_dist_key target u] is min(e, -e) over e = (u - target) mod

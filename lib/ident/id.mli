@@ -113,11 +113,6 @@ val dist_key_le_sum : string -> string -> string -> bool
 (** [dist_key_le_sum d a b] is [d <= a + b] over equal-width distance
     keys (the sum may carry into a 129th bit, which is handled). *)
 
-val dist_keys_wrap : string -> string -> bool
-(** [dist_keys_wrap a b] is [a + b >= 2^bits] over equal-width distance
-    keys: do two arcs of those lengths, laid out on either side of one
-    point, meet or overlap? *)
-
 val add_int : t -> int -> t
 (** Wrapping addition of a (possibly negative) small offset — handy for
     constructing adjacent ids in tests. *)

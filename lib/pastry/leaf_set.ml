@@ -144,10 +144,13 @@ let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
 let refresh t =
   t.members_cache <- None;
   let cap = half t in
+  (* With S and L the two extreme keys, S + L < 2^128 iff the
+     clockwise distance to the smaller side's extreme, 2^128 - S, is
+     greater than L. *)
   t.disjoint <-
     t.smaller.n = cap
     && t.larger.n = cap
-    && not (Id.dist_keys_wrap t.smaller.ext_key t.larger.ext_key)
+    && String.compare (Id.cw_dist_key t.own t.smaller.ids.(cap - 1)) t.larger.ext_key > 0
 
 (* Most offers come from a current member: every keep-alive, ack and
    repair reply teaches its receiver the sender. When the arcs are

@@ -78,14 +78,12 @@ type 'msg t = {
   c_partition : Counter.t Lazy.t;
   c_duplicated : Counter.t Lazy.t;
   latency : Histogram.t;
-  by_kind : (string, kind_counters) Hashtbl.t;
-  (* The kinds met so far, keyed by the physical name string. A
-     [describe] returns one of a fixed set of string literals, so [==]
-     finds a message's counters without hashing its name. A string not
-     found here is looked up in [by_kind] and then remembered, up to
-     [max_kinds_seen] strings, so a [describe] that builds its names
-     cannot grow the scan. *)
-  mutable kinds_seen : (string * kind_counters) array;
+  (* One entry per kind met so far, in order of first use. A
+     [describe] returns one of a fixed set of string literals, so a
+     physical-equality scan finds a message's counters without hashing
+     its name; a name built afresh is found by the [String.equal] scan
+     that follows, so each distinct kind still gets exactly one entry. *)
+  mutable kinds : (string * kind_counters) array;
   mutable samplers : sampler list;
   (* Earliest armed sampler boundary (infinity when none): lets [step]
      skip the per-event sampler scan with one float compare. *)
@@ -128,44 +126,38 @@ let create ?(loss_rate = 0.0) ?registry ?(describe = fun _ -> "msg") ~rng ~topol
       lazy (Registry.counter registry ~labels:[ ("cause", "partition") ] "net.dropped");
     c_duplicated = lazy (Registry.counter registry "net.duplicated");
     latency = Registry.histogram registry "net.link_latency";
-    by_kind = Hashtbl.create 16;
-    kinds_seen = [||];
+    kinds = [||];
     samplers = [];
     next_sample = Float.infinity;
   }
 
 let registry t = t.registry
 
-let max_kinds_seen = 32
+let rec phys_index kinds kind i =
+  if i = Array.length kinds then -1
+  else if fst (Array.unsafe_get kinds i) == kind then i
+  else phys_index kinds kind (i + 1)
 
-let rec seen_index seen kind i =
-  if i = Array.length seen then -1
-  else if fst (Array.unsafe_get seen i) == kind then i
-  else seen_index seen kind (i + 1)
+let rec equal_index kinds kind i =
+  if i = Array.length kinds then -1
+  else if String.equal (fst (Array.unsafe_get kinds i)) kind then i
+  else equal_index kinds kind (i + 1)
 
-(* A kind's registry rows appear on its first use. [Hashtbl.find], not
-   [find_opt]: a hit then allocates no option. *)
+(* A kind's registry rows appear on its first use. *)
 let kind_counters t kind =
-  let i = seen_index t.kinds_seen kind 0 in
-  if i >= 0 then snd (Array.unsafe_get t.kinds_seen i)
+  let i = phys_index t.kinds kind 0 in
+  let i = if i >= 0 then i else equal_index t.kinds kind 0 in
+  if i >= 0 then snd (Array.unsafe_get t.kinds i)
   else begin
+    let labels = [ ("kind", kind) ] in
     let k =
-      match Hashtbl.find t.by_kind kind with
-      | k -> k
-      | exception Not_found ->
-        let labels = [ ("kind", kind) ] in
-        let k =
-          {
-            k_sent = Registry.counter t.registry ~labels "net.sent";
-            k_delivered = Registry.counter t.registry ~labels "net.delivered";
-            k_dropped = Registry.counter t.registry ~labels "net.dropped";
-          }
-        in
-        Hashtbl.replace t.by_kind kind k;
-        k
+      {
+        k_sent = Registry.counter t.registry ~labels "net.sent";
+        k_delivered = Registry.counter t.registry ~labels "net.delivered";
+        k_dropped = Registry.counter t.registry ~labels "net.dropped";
+      }
     in
-    if Array.length t.kinds_seen < max_kinds_seen then
-      t.kinds_seen <- Array.append t.kinds_seen [| (kind, k) |];
+    t.kinds <- Array.append t.kinds [| (kind, k) |];
     k
   end
 
