@@ -43,16 +43,43 @@ let rt =
     ~proximity:(fun a -> float_of_int (a land 0xff))
     ()
 let rt_peers = Array.init 256 (fun i -> Peer.make ~id:(Id.random rng ~width:Id.node_bits) ~addr:i)
-let rt_i = ref 0
 
-let rt_consider_once () =
-  ignore (Routing_table.consider rt rt_peers.(!rt_i land 255));
-  incr rt_i
+(* One call is below the timer's resolution, so a run times 1024; the
+   same holds for the admission check and the id rows below. *)
+let rt_consider_1024 () =
+  for j = 0 to 1023 do
+    ignore (Routing_table.consider rt rt_peers.(j land 255))
+  done
 
 (* --- store admission ---------------------------------------------------- *)
 
 let store = Store.create ~capacity:1_000_000 ()
-let store_admit_once () = ignore (Store.admits store ~size:10_000 ~kind:`Primary)
+
+let store_admit_1024 () =
+  for _ = 1 to 1024 do
+    ignore (Sys.opaque_identity (Store.admits store ~size:10_000 ~kind:`Primary))
+  done
+
+(* --- id comparison, hex and shared prefix --------------------------------- *)
+
+(* A target and 1024 random pairs, from their own stream so the
+   fixtures below draw what they always drew from [rng]. *)
+let ids_rng = Rng.create 79
+let id_target = Id.random ids_rng ~width:Id.node_bits
+
+let id_pairs =
+  Array.init 1024 (fun _ ->
+      (Id.random ids_rng ~width:Id.node_bits, Id.random ids_rng ~width:Id.node_bits))
+
+let id_closer_1024 () =
+  Array.iter (fun (a, b) -> ignore (Sys.opaque_identity (Id.closer ~target:id_target a b))) id_pairs
+
+let id_to_hex_1024 () = Array.iter (fun (a, _) -> ignore (Sys.opaque_identity (Id.to_hex a))) id_pairs
+
+let shared_prefix_1024 () =
+  Array.iter
+    (fun (a, b) -> ignore (Sys.opaque_identity (Id.shared_prefix_digits ~b:4 a b)))
+    id_pairs
 
 (* --- cache cycle --------------------------------------------------------- *)
 

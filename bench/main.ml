@@ -38,9 +38,6 @@ let nat_exp = Nat.random_bits rng 512
 let nat_mod =
   let m = Nat.add (Nat.random_bits rng 512) Nat.one in
   if Nat.is_even m then Nat.add m Nat.one else m
-let id_target = Id.random rng ~width:Id.node_bits
-let id_x = Id.random rng ~width:Id.node_bits
-let id_y = Id.random rng ~width:Id.node_bits
 let overlay = lazy (Harness_fixture.overlay 2000)
 let past_system = lazy (Harness_fixture.system 100)
 
@@ -69,18 +66,16 @@ let micro_tests () =
              Rsa.verify rsa_keypair.Rsa.pub (Bytes.of_string payload_4k) rsa_signature));
       Test.make ~name:"nat modpow 512b"
         (Staged.stage (fun () -> Nat.mod_pow nat_base nat_exp nat_mod));
-      Test.make ~name:"id closer (fast path)"
-        (Staged.stage (fun () -> Id.closer ~target:id_target id_x id_y));
-      Test.make ~name:"id to_hex"
-        (Staged.stage (fun () -> Id.to_hex id_x));
-      Test.make ~name:"id shared-prefix"
-        (Staged.stage (fun () -> Id.shared_prefix_digits ~b:4 id_x id_y));
+      Test.make ~name:"id closer x1024 (fast path)" (Staged.stage Harness_fixture.id_closer_1024);
+      Test.make ~name:"id to_hex x1024" (Staged.stage Harness_fixture.id_to_hex_1024);
+      Test.make ~name:"id shared-prefix x1024" (Staged.stage Harness_fixture.shared_prefix_1024);
       Test.make ~name:"leaf-set insert x32" (Staged.stage Harness_fixture.leaf_insert_once);
       Test.make ~name:"learn x32 leaf members (N=100)"
         (Staged.stage Harness_fixture.learn_leaf_members_once);
       Test.make ~name:"replica set k=3 (N=100)" (Staged.stage Harness_fixture.replica_set_once);
-      Test.make ~name:"routing-table consider" (Staged.stage Harness_fixture.rt_consider_once);
-      Test.make ~name:"store admission check" (Staged.stage Harness_fixture.store_admit_once);
+      Test.make ~name:"routing-table consider x1024"
+        (Staged.stage Harness_fixture.rt_consider_1024);
+      Test.make ~name:"store admission check x1024" (Staged.stage Harness_fixture.store_admit_1024);
       Test.make ~name:"cache offer+find (GD-S)" (Staged.stage Harness_fixture.cache_cycle_once);
       Test.make ~name:"cache offer at full budget (GD-S, 1000 entries)"
         (Staged.stage Harness_fixture.cache_offer_full_once);

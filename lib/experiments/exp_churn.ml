@@ -1,11 +1,16 @@
-(* EXP14 — sustained churn with continuous invariant checking (claims
-   C5/C6).
+(* EXP14 and SOAK — sustained churn with continuous invariant checking
+   (claims C5/C6, and the abstract's "nodes … may silently leave the
+   system without warning. Yet, the system is able to provide strong
+   assurances").
 
-   Where the soak test drives a mixed workload and audits availability
-   once at the end, this experiment holds the stored set fixed and
-   checks the paper's storage-management invariants *while* a sustained
-   join/leave process runs, driven by the declarative fault engine
-   (Past_simnet.Churn):
+   One driver for both. A sustained join/leave process, driven by the
+   declarative fault engine (Past_simnet.Churn), runs over a catalog of
+   files. EXP14 holds the catalog fixed: [files] inserts before churn
+   starts. SOAK ([soak_params]) starts empty and runs an open-loop
+   Poisson stream of inserts, Zipf lookups and reclaims
+   (Past_workload.Generator) at [ops_rate] beside the churn. Either way
+   the paper's storage-management invariants are checked *while* the
+   churn runs:
 
    - C6 availability: a probe loop looks files up throughout the run;
      transient failures are tolerated but every live file must
@@ -24,7 +29,10 @@
      slot: (leaf repair msgs per event) / l <= 2 * ceil(log_2^b N).
      Keep-alives burned on dead nodes and re-replication transfers are
      reported alongside but not bounded — the former is steady-state
-     detection cost, the latter is data volume, not routing repair. *)
+     detection cost, the latter is data volume, not routing repair.
+
+   Acknowledged inserts join the catalog; a reclaimed file is dead, and
+   the probes, the replica scan and the final audit skip it. *)
 
 module System = Past_core.System
 module Client = Past_core.Client
@@ -37,6 +45,8 @@ module Net = Past_simnet.Net
 module Churn = Past_simnet.Churn
 module Rng = Past_stdext.Rng
 module Id = Past_id.Id
+module Generator = Past_workload.Generator
+module Sizes = Past_workload.Sizes
 module Text_table = Past_stdext.Text_table
 module Registry = Past_telemetry.Registry
 module Counter = Past_telemetry.Counter
@@ -47,7 +57,10 @@ type params = {
   n : int;
   capacity : int;
   k : int;
-  files : int;
+  files : int;  (** fixed catalog, inserted before churn starts *)
+  ops_rate : float;
+      (** open-loop client operations per time unit during churn; 0 for
+          none *)
   rate : float;  (** crash arrivals per simulated time unit *)
   mean_downtime : float;
   duration : float;  (** simulated churn horizon (time units ~ ms) *)
@@ -62,6 +75,7 @@ let default_params =
     capacity = 3_000_000;
     k = 3;
     files = 40;
+    ops_rate = 0.0;
     rate = 0.001 (* one crash per 1000 units; ~ rate * mean_downtime nodes down *);
     mean_downtime = 8_000.0;
     duration = 1_800_000.0 (* 30 simulated minutes at ms-scale units *);
@@ -70,12 +84,30 @@ let default_params =
     seed = 4;
   }
 
+let soak_params =
+  {
+    default_params with
+    n = 80;
+    files = 0;
+    ops_rate = 0.01 (* one op per 100 time units; ~600 ops *);
+    rate = 80.0 /. 60_000.0 (* each node fails once per 60k units on average *);
+    duration = 60_000.0;
+    seed = 97;
+  }
+
 type result = {
   n : int;
   duration : float;
   crashes : int;
   recoveries : int;
-  files : int;
+  files : int;  (** live files at the end *)
+  inserts_attempted : int;
+  inserts_ok : int;
+  lookups_attempted : int;
+  lookups_ok : int;
+  reclaims : int;
+  files_available : int;  (** live files with >= 1 live replica at the end *)
+  files_replicated : int;  (** live files with >= k live replicas at the end *)
   probes : int;
   probe_failures : int;  (** transient lookup failures during churn *)
   lost_files : int;  (** live files not found after quiescence — must be 0 *)
@@ -121,7 +153,8 @@ let run ?trace_capacity params =
         System.new_client sys ~verify:false ~op_timeout:2_000.0 ~quota:max_int ())
   in
 
-  (* Fixed catalog: insert the files before churn starts. *)
+  (* The catalog starts with [files] inserts made before churn starts;
+     the op stream appends to it. *)
   let catalog =
     Array.init params.files (fun i ->
         match
@@ -132,7 +165,17 @@ let run ?trace_capacity params =
         with
         | Client.Inserted { file_id; _ } -> Some file_id
         | Client.Insert_failed _ -> None)
-    |> Array.to_list |> List.filter_map Fun.id |> Array.of_list
+    |> Array.to_list |> List.filter_map Fun.id |> Array.of_list |> ref
+  in
+  let dead : (Id.t, unit) Hashtbl.t = Hashtbl.create 8 in
+  let live fid = not (Hashtbl.mem dead fid) in
+  (* [f] on the catalog entry [pick] chooses from its size, if live. *)
+  let with_file pick f =
+    let files = !catalog in
+    if Array.length files > 0 then begin
+      let fid = files.(pick (Array.length files)) in
+      if live fid then f fid
+    end
   in
   System.start_maintenance sys;
   (* Let keep-alive timers desynchronize and reach steady state before
@@ -152,7 +195,7 @@ let run ?trace_capacity params =
       ~rng:(Rng.create (params.seed + 2))
       ~addrs:(Array.map Node.addr nodes)
       ~rate:params.rate ~mean_downtime:params.mean_downtime ~horizon:params.duration
-      ~min_live:(3 * params.n / 4) ()
+      ~min_live:(3 * params.n / 4)
   in
   let plan = List.map (fun e -> { e with Churn.at = e.Churn.at +. t0 }) plan in
   let on_recover addr =
@@ -197,9 +240,11 @@ let run ?trace_capacity params =
   let horizon = t0 +. params.duration in
   let rec probe_tick () =
     if Net.now net < horizon then begin
-      let pending = Hashtbl.fold (fun fid () acc -> fid :: acc) failed_files [] in
+      let pending =
+        Hashtbl.fold (fun fid () acc -> if live fid then fid :: acc else acc) failed_files []
+      in
       List.iter probe_file pending;
-      if Array.length catalog > 0 then probe_file catalog.(Rng.int rng (Array.length catalog));
+      with_file (Rng.int rng) probe_file;
       Net.schedule net ~delay:params.probe_period probe_tick
     end
   in
@@ -263,11 +308,59 @@ let run ?trace_capacity params =
   let rec scan_tick () =
     let now = Net.now net in
     if now < horizon then begin
-      Array.iter (scan_file now) catalog;
+      Array.iter (fun fid -> if live fid then scan_file now fid) !catalog;
       Net.schedule net ~delay:params.scan_period scan_tick
     end
   in
   Net.schedule net ~delay:params.scan_period scan_tick;
+
+  (* SOAK's open-loop op stream: each operation is issued at its time
+     through the asynchronous client API and counted when its callback
+     fires, so a slow or failing operation never delays the ones behind
+     it. A zero rate skips the generator entirely (it would still draw
+     from [rng]), leaving EXP14's event order untouched. *)
+  let inserts_attempted = ref 0 and inserts_ok = ref 0 in
+  let lookups_attempted = ref 0 and lookups_ok = ref 0 and reclaims = ref 0 in
+  let with_client f = Option.iter f (live_client ()) in
+  let with_target catalog_index = with_file (fun m -> catalog_index mod m) in
+  let issue = function
+    | Generator.Insert { name; size } ->
+      incr inserts_attempted;
+      with_client (fun c ->
+          Client.insert c ~name ~data:"" ~declared_size:size ~k:params.k (function
+            | Client.Inserted { file_id; _ } ->
+              incr inserts_ok;
+              catalog := Array.append !catalog [| file_id |]
+            | Client.Insert_failed _ -> ()))
+    | Generator.Lookup { catalog_index } ->
+      with_target catalog_index (fun file_id ->
+          incr lookups_attempted;
+          with_client (fun c ->
+              Client.lookup c ~retries:2 ~file_id (function
+                | Client.Found _ -> incr lookups_ok
+                | Client.Lookup_failed -> ())))
+    | Generator.Reclaim { catalog_index } ->
+      with_target catalog_index (fun file_id ->
+          incr reclaims;
+          Hashtbl.add dead file_id ();
+          Hashtbl.remove deficit_since file_id;
+          Hashtbl.remove outage_since file_id;
+          with_client (fun c -> Client.reclaim c ~file_id ignore))
+  in
+  if params.ops_rate > 0.0 then begin
+    let web = Sizes.web_proxy () in
+    let profile =
+      {
+        Generator.default_profile with
+        Generator.ops_per_time_unit = params.ops_rate;
+        sizes = Sizes.custom (fun rng -> Stdlib.min 30_000 (Sizes.draw web rng));
+      }
+    in
+    (* Nothing has run since [t0], so each op's delay is its time. *)
+    List.iter
+      (fun e -> Net.schedule net ~delay:e.Generator.at (fun () -> issue e.Generator.op))
+      (Generator.schedule profile ~rng ~horizon:params.duration)
+  end;
 
   (* EXP14b time-series: one window every ~1/48 of the churn horizon
      (floored at the probe period), sampled by the network's sim-time
@@ -306,7 +399,8 @@ let run ?trace_capacity params =
 
   (* Close any window still open at the end of the run. *)
   let t_end = Net.now net in
-  Array.iter (scan_file t_end) catalog;
+  let live_files = List.filter live (Array.to_list !catalog) in
+  List.iter (scan_file t_end) live_files;
   Hashtbl.iter
     (fun _ (since, _) -> Histogram.observe deficit_hist (t_end -. since))
     deficit_since;
@@ -316,14 +410,17 @@ let run ?trace_capacity params =
       if t_end -. since > !outage_max then outage_max := t_end -. since)
     outage_since;
 
-  (* Final audit: with everyone back up, every file must be found. *)
+  (* Final audit: with everyone back up, every file must hold k live
+     replicas and be found. *)
+  let final_replicas = List.map live_replicas live_files in
+  let files_with p = List.length (List.filter p final_replicas) in
   let lost = ref 0 in
-  Array.iter
+  List.iter
     (fun file_id ->
       match Client.lookup_sync clients.(0) ~retries:3 ~file_id () with
       | Client.Found _ -> ()
       | Client.Lookup_failed -> incr lost)
-    catalog;
+    live_files;
   System.stop_maintenance sys;
   System.run ~until:(Net.now net +. 60_000.0) sys;
 
@@ -355,7 +452,14 @@ let run ?trace_capacity params =
     duration = params.duration;
     crashes;
     recoveries;
-    files = Array.length catalog;
+    files = List.length live_files;
+    inserts_attempted = !inserts_attempted;
+    inserts_ok = !inserts_ok;
+    lookups_attempted = !lookups_attempted;
+    lookups_ok = !lookups_ok;
+    reclaims = !reclaims;
+    files_available = files_with (fun c -> c >= 1);
+    files_replicated = files_with (fun c -> c >= params.k);
     probes = !probes;
     probe_failures = !probe_failures;
     lost_files = !lost;
@@ -398,6 +502,19 @@ let table r =
     r.repair_bound (pass r.repair_ok);
   Text_table.add_rowf t "keep-alives burned on dead nodes|%d|" r.keepalives_burned;
   Text_table.add_rowf t "re-replication transfers|%d|" r.rereplications;
+  t
+
+(* SOAK's view of the same result. *)
+let soak_table r =
+  let t = Text_table.create [ "metric"; "value" ] in
+  Text_table.add_rowf t "inserts ok|%d / %d" r.inserts_ok r.inserts_attempted;
+  Text_table.add_rowf t "lookups ok|%d / %d" r.lookups_ok r.lookups_attempted;
+  Text_table.add_rowf t "reclaims issued|%d" r.reclaims;
+  Text_table.add_rowf t "failures / recoveries injected|%d / %d" r.crashes r.recoveries;
+  Text_table.add_rowf t "live files at end|%d" r.files;
+  Text_table.add_rowf t "available (>=1 live replica)|%d" r.files_available;
+  Text_table.add_rowf t "fully replicated (k live copies)|%d" r.files_replicated;
+  Text_table.add_rowf t "final live nodes|%d" r.final_live_nodes;
   t
 
 let series_table r = Timeseries.to_table ~max_rows:16 r.series

@@ -182,7 +182,7 @@ let run_soak ~scale:_ =
   tables
     [
       ( "SOAK: mixed Poisson workload under continuous churn (availability + self-healing)",
-        Exp_soak.table (Exp_soak.run Exp_soak.default_params) );
+        Exp_churn.soak_table (Exp_churn.run Exp_churn.soak_params) );
     ]
 
 (* EXP14's two tables, shared by `past_sim all` and `past_sim churn`. *)

@@ -35,7 +35,10 @@ type plan = event list
 
 let plan events =
   let events = List.map (fun (at, action) -> { at; action }) events in
-  if List.exists (fun e -> e.at < 0.0) events then invalid_arg "Churn.plan: negative time";
+  List.iter
+    (fun e ->
+      if e.at < 0.0 then invalid_arg (Printf.sprintf "Churn.plan: negative time %g" e.at))
+    events;
   List.stable_sort (fun a b -> Float.compare a.at b.at) events
 
 type hooks = { on_crash : Net.addr -> unit; on_recover : Net.addr -> unit }
@@ -94,10 +97,14 @@ let recoveries net = Counter.value (snd (counters net))
    schedules a crash that would leave fewer than [min_live] nodes up —
    such arrivals are skipped, keeping the process honest about the
    effective rate rather than queueing kills. *)
-let sustained ~rng ~addrs ~rate ~mean_downtime ~horizon ?(min_live = 1) () =
-  if rate <= 0.0 then invalid_arg "Churn.sustained: rate must be positive";
-  if mean_downtime <= 0.0 then invalid_arg "Churn.sustained: mean_downtime must be positive";
-  if horizon <= 0.0 then invalid_arg "Churn.sustained: horizon must be positive";
+let sustained ~rng ~addrs ~rate ~mean_downtime ~horizon ~min_live =
+  let positive name v =
+    if not (v > 0.0) then
+      invalid_arg (Printf.sprintf "Churn.sustained: %s must be positive (got %g)" name v)
+  in
+  positive "rate" rate;
+  positive "mean_downtime" mean_downtime;
+  positive "horizon" horizon;
   let n = Array.length addrs in
   if n = 0 then invalid_arg "Churn.sustained: no addresses";
   (* Live addresses, swap-removed on crash for O(1) victim draws. *)

@@ -44,7 +44,8 @@ type event = { at : float; action : action }
 type plan = event list
 
 val plan : (float * action) list -> plan
-(** Sort a schedule by time. Raises on negative times. *)
+(** Sort a schedule by time. Raises [Invalid_argument] naming the first
+    negative time. *)
 
 type hooks = { on_crash : Net.addr -> unit; on_recover : Net.addr -> unit }
 (** Layer callbacks: [on_crash] fires after the node is marked down,
@@ -69,12 +70,13 @@ val sustained :
   rate:float ->
   mean_downtime:float ->
   horizon:float ->
-  ?min_live:int ->
-  unit ->
+  min_live:int ->
   plan
 (** A sustained join/leave process: crashes arrive as a Poisson stream
     at [rate] events per time unit; each victim rejoins after an
     exponential downtime with mean [mean_downtime]. Crashes that would
     leave fewer than [min_live] nodes up are skipped. Every victim's
     recovery is included in the plan (possibly after [horizon]), so the
-    network eventually returns to fully live. *)
+    network eventually returns to fully live. Raises [Invalid_argument]
+    naming the value when [rate], [mean_downtime] or [horizon] is not
+    positive. *)

@@ -24,8 +24,9 @@ type t = {
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let create ?(capacity = 1024) () =
-  if capacity < 1 then invalid_arg "Histogram.create: capacity must be positive";
+let capacity = 1024
+
+let create () =
   let state = Bytes.create 8 in
   set64 state 0 0x9E3779B97F4A7C15L;
   {

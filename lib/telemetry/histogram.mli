@@ -1,15 +1,15 @@
 (** Fixed-cost distribution summary.
 
     Exact count/sum/min/max; percentiles come from a bounded reservoir
-    (algorithm R), so memory stays O(capacity) however many samples are
-    observed. With fewer samples than [capacity] the percentiles are
+    (algorithm R) of 1024 samples, so memory stays bounded however many
+    samples are observed. With fewer samples than that the percentiles are
     exact. Deterministic: the reservoir uses a private generator, not
     the simulation RNG. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 1024. *)
+val create : unit -> t
+(** An empty histogram. *)
 
 val observe : t -> float -> unit
 val observe_int : t -> int -> unit

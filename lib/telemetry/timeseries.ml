@@ -20,7 +20,6 @@ type value =
 type window = { w_start : float; w_end : float; w_values : (string * value) list }
 
 type t = {
-  capacity : int;
   mutable probes : (string * probe) list; (* newest first *)
   ring : window option array;
   mutable next : int;
@@ -28,9 +27,10 @@ type t = {
   mutable last_time : float;
 }
 
-let create ?(capacity = 1024) () =
-  if capacity < 1 then invalid_arg "Timeseries.create: capacity must be positive";
-  { capacity; probes = []; ring = Array.make capacity None; next = 0; total = 0; last_time = 0.0 }
+let capacity = 1024
+
+let create () =
+  { probes = []; ring = Array.make capacity None; next = 0; total = 0; last_time = 0.0 }
 
 let add t name probe =
   if List.mem_assoc name t.probes then
@@ -68,23 +68,23 @@ let sample t ~now =
       t.probes
   in
   t.ring.(t.next) <- Some { w_start = t.last_time; w_end = now; w_values = values };
-  t.next <- (t.next + 1) mod t.capacity;
+  t.next <- (t.next + 1) mod capacity;
   t.total <- t.total + 1;
   t.last_time <- now
 
 let windows t =
   if t.total = 0 then []
   else begin
-    let kept = Stdlib.min t.total t.capacity in
-    let start = (t.next - kept + t.capacity) mod t.capacity in
+    let kept = Stdlib.min t.total capacity in
+    let start = (t.next - kept + capacity) mod capacity in
     List.init kept (fun i ->
-        match t.ring.((start + i) mod t.capacity) with
+        match t.ring.((start + i) mod capacity) with
         | Some w -> w
         | None -> assert false)
   end
 
-let window_count t = Stdlib.min t.total t.capacity
-let dropped_windows t = Stdlib.max 0 (t.total - t.capacity)
+let window_count t = Stdlib.min t.total capacity
+let dropped_windows t = Stdlib.max 0 (t.total - capacity)
 
 (* --- export ------------------------------------------------------------ *)
 

@@ -14,9 +14,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring capacity in windows (default 1024); the oldest windows are
-    discarded once full, counted in {!dropped_windows}. *)
+val create : unit -> t
+(** A ring of 1024 windows; the oldest windows are discarded once full,
+    counted in {!dropped_windows}. *)
 
 val add_cumulative : t -> name:string -> (unit -> int) -> unit
 (** Probe a monotone counter; windows report per-window increments. *)

@@ -66,23 +66,3 @@ let schedule profile ~rng ~horizon =
     end
   done;
   List.rev !events
-
-type churn_event = { c_at : float; kind : [ `Fail | `Recover ] }
-
-let churn_schedule ~rng ~horizon ~mean_time_to_failure ~mean_downtime =
-  if mean_time_to_failure <= 0.0 || mean_downtime <= 0.0 then
-    invalid_arg "Generator.churn_schedule: means must be positive";
-  let clock = ref 0.0 in
-  let up = ref true in
-  let events = ref [] in
-  let continue = ref true in
-  while !continue do
-    let rate = if !up then 1.0 /. mean_time_to_failure else 1.0 /. mean_downtime in
-    clock := !clock +. Dist.exponential rng ~rate;
-    if !clock >= horizon then continue := false
-    else begin
-      events := { c_at = !clock; kind = (if !up then `Fail else `Recover) } :: !events;
-      up := not !up
-    end
-  done;
-  List.rev !events

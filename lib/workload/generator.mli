@@ -2,11 +2,10 @@
 
     Generates a reproducible stream of client operations — inserts of
     heavy-tailed files, Zipf-popular lookups, occasional reclaims —
-    with exponential (Poisson-process) inter-arrival times, plus an
-    independent churn schedule of node failures and recoveries. This is
-    the glue between the distribution models and the soak-style
-    experiments/examples that drive a PAST deployment over simulated
-    hours. *)
+    with exponential (Poisson-process) inter-arrival times. This is the
+    glue between the distribution models and the experiments that drive
+    a PAST deployment over simulated hours; node churn comes from
+    [Past_simnet.Churn]. *)
 
 type op =
   | Insert of { name : string; size : int }
@@ -34,14 +33,3 @@ val schedule :
     of inserts issued so far ([n^u] for uniform [u], oldest insert most
     popular; the caller maps ranks to fileIds as its catalog grows);
     while the catalog is empty only inserts are emitted. *)
-
-type churn_event = { c_at : float; kind : [ `Fail | `Recover ] }
-
-val churn_schedule :
-  rng:Past_stdext.Rng.t ->
-  horizon:float ->
-  mean_time_to_failure:float ->
-  mean_downtime:float ->
-  churn_event list
-(** A fail/recover alternation for one node: exponential up-times and
-    down-times. Generate one per node for whole-system churn. *)

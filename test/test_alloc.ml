@@ -49,13 +49,13 @@ let rng_float () =
   within "Rng.float" ~budget:2.0
     (words_per_call ~calls:100_000 (fun () -> ignore (Sys.opaque_identity (Rng.float rng 1.0))))
 
-(* The warm-up overfills the reservoir, so the measured calls also take
-   the replacement path and its generator step. A budget under 2 words
-   admits no per-call block at all. *)
+(* The warm-up overfills the 1024-sample reservoir, so the measured
+   calls also take the replacement path and its generator step. A
+   budget under 2 words admits no per-call block at all. *)
 let histogram_observe () =
-  let h = Histogram.create ~capacity:64 () in
+  let h = Histogram.create () in
   within "Histogram.observe" ~budget:0.5
-    (words_per_call ~calls:100_000 (fun () -> Histogram.observe h 1.5))
+    (words_per_call ~warmup:2_048 ~calls:100_000 (fun () -> Histogram.observe h 1.5))
 
 (* A converged static overlay of 32 nodes: with l = 32 and a
    neighborhood of 32, every node holds every other in its leaf set and

@@ -41,8 +41,23 @@ let plan_applies_in_time_order () =
 let plan_rejects_negative_times () =
   let a = 0 in
   Alcotest.check_raises "negative time"
-    (Invalid_argument "Churn.plan: negative time") (fun () ->
-      ignore (Churn.plan [ (-1.0, Churn.Crash a) ]))
+    (Invalid_argument "Churn.plan: negative time -1.5") (fun () ->
+      ignore (Churn.plan [ (2.0, Churn.Recover a); (-1.5, Churn.Crash a) ]))
+
+(* Each rejected [sustained] argument is named with its value. *)
+let sustained_errors_name_their_values () =
+  let sustained ?(rate = 0.05) ?(mean_downtime = 30.0) ?(horizon = 100.0) () =
+    ignore
+      (Churn.sustained ~rng:(Rng.create 3) ~addrs:[| 0; 1 |] ~rate ~mean_downtime ~horizon
+         ~min_live:1)
+  in
+  List.iter
+    (fun (msg, f) -> Alcotest.check_raises msg (Invalid_argument ("Churn.sustained: " ^ msg)) f)
+    [
+      ("rate must be positive (got 0)", fun () -> sustained ~rate:0.0 ());
+      ("mean_downtime must be positive (got -2)", fun () -> sustained ~mean_downtime:(-2.0) ());
+      ("horizon must be positive (got -0.5)", fun () -> sustained ~horizon:(-0.5) ());
+    ]
 
 let crash_and_recover_are_idempotent () =
   let net = make_net () in
@@ -96,7 +111,7 @@ let sustained_plan_is_consistent () =
   let addrs = Array.init n (fun i -> i) in
   let plan =
     Churn.sustained ~rng:(Rng.create 3) ~addrs ~rate:0.05 ~mean_downtime:30.0 ~horizon:2_000.0
-      ~min_live ()
+      ~min_live
   in
   check Alcotest.bool "plan has events" true (plan <> []);
   let down = Hashtbl.create 8 in
@@ -194,6 +209,7 @@ let suite =
     [
       "plan applies in time order" => plan_applies_in_time_order;
       "plan rejects negative times" => plan_rejects_negative_times;
+      "sustained errors name their values" => sustained_errors_name_their_values;
       "crash/recover idempotent" => crash_and_recover_are_idempotent;
       "plan drives partitions, loss, exec" => plan_drives_faults;
       "sustained plan is consistent" => sustained_plan_is_consistent;

@@ -368,27 +368,31 @@ let malicious_success_monotone () =
     [ "malicious fraction"; "deterministic (any #retries)"; "randomized <=3 tries" ]
 
 let soak_smoke () =
-  (* The soak experiment end to end at smoke scale: the mixed workload
-     makes progress and the quiesce+repair epilogue leaves every
-     surviving file with at least one live replica. *)
-  let open Past_experiments.Exp_soak in
+  (* SOAK end to end at smoke scale: the mixed workload makes progress,
+     every crash's rejoin fires before the audit, and the quiesce+repair
+     epilogue leaves every surviving file found and fully replicated. *)
+  let open Past_experiments.Exp_churn in
   let r =
     run
       {
-        default_params with
+        soak_params with
         n = 30;
-        horizon = 8_000.0;
-        mean_time_to_failure = 20_000.0;
+        duration = 8_000.0;
+        rate = 30.0 /. 20_000.0;
         mean_downtime = 3_000.0;
         seed = 31;
       }
   in
   check Alcotest.bool "inserts attempted" true (r.inserts_attempted > 0);
   check Alcotest.bool "some inserts succeed" true (r.inserts_ok > 0);
+  check Alcotest.bool "churn actually happened" true (r.crashes > 0);
+  check Alcotest.int "every crash recovered" r.crashes r.recoveries;
   check Alcotest.int "all nodes revived by the epilogue" 30 r.final_live_nodes;
-  check Alcotest.int "every live file still available" r.live_files r.files_available;
+  check Alcotest.int "no live file lost" 0 r.lost_files;
+  check Alcotest.int "every live file still available" r.files r.files_available;
+  check Alcotest.int "every live file fully replicated" r.files r.files_replicated;
   check Alcotest.bool "table has the availability row" true
-    (contains (Past_stdext.Text_table.render (table r)) "available (>=1 live replica)")
+    (contains (Past_stdext.Text_table.render (soak_table r)) "available (>=1 live replica)")
 
 let suite =
   ( "experiments",

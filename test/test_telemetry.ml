@@ -57,7 +57,7 @@ let histogram_matches_stats () =
    from the bounded reservoir — they must stay within the observed
    range and roughly in place for a uniform stream. *)
 let histogram_reservoir_bounded () =
-  let h = Histogram.create ~capacity:128 () in
+  let h = Histogram.create () in
   for i = 1 to 10_000 do
     Histogram.observe_int h i
   done;
@@ -382,7 +382,7 @@ let timeseries_window_semantics () =
   let module Ts = Past_telemetry.Timeseries in
   let c = ref 0 and lvl = ref 0.0 in
   let h = Histogram.create () in
-  let ts = Ts.create ~capacity:4 () in
+  let ts = Ts.create () in
   Ts.add_cumulative ts ~name:"c" (fun () -> !c);
   Ts.add_level ts ~name:"l" (fun () -> !lvl);
   Ts.add_windowed_histogram ts ~name:"h" h;
@@ -414,10 +414,10 @@ let timeseries_window_semantics () =
       check Alcotest.int "histogram was reset between windows" 0 d_count
     | _ -> Alcotest.fail "second window shape")
   | l -> Alcotest.failf "expected 2 windows, got %d" (List.length l));
-  for i = 3 to 12 do
+  for i = 3 to 1032 do
     Ts.sample ts ~now:(float_of_int i)
   done;
-  check Alcotest.int "ring bounded" 4 (Ts.window_count ts);
+  check Alcotest.int "ring bounded" 1024 (Ts.window_count ts);
   check Alcotest.int "dropped windows counted" 8 (Ts.dropped_windows ts);
   match Ts.windows ts with
   | w :: _ -> check (Alcotest.float 1e-9) "oldest retained window" 9.0 w.Ts.w_end

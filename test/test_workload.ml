@@ -104,23 +104,6 @@ let generator_mix_respected () =
   check Alcotest.bool "lookups dominate" true (float_of_int !lk /. total > 0.6);
   check Alcotest.bool "reclaims rare" true (float_of_int !rc /. total < 0.12)
 
-let churn_alternates () =
-  let rng = Rng.create 14 in
-  let events =
-    Generator.churn_schedule ~rng ~horizon:100_000.0 ~mean_time_to_failure:5_000.0
-      ~mean_downtime:1_000.0
-  in
-  check Alcotest.bool "non-empty" true (events <> []);
-  (match events with
-  | first :: _ ->
-    check Alcotest.bool "starts with a failure" true (first.Generator.kind = `Fail)
-  | [] -> ());
-  let rec alternates = function
-    | a :: (b :: _ as rest) -> a.Generator.kind <> b.Generator.kind && alternates rest
-    | _ -> true
-  in
-  check Alcotest.bool "fail/recover alternate" true (alternates events)
-
 let suite =
   ( "workload",
     [
@@ -133,5 +116,4 @@ let suite =
       "generator first op is insert" => generator_first_op_is_insert;
       "generator targets valid" => generator_lookup_targets_valid;
       "generator mix respected" => generator_mix_respected;
-      "churn alternates" => churn_alternates;
     ] )
