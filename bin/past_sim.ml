@@ -161,7 +161,8 @@ let churn_cmd =
   let doc =
     "Run the sustained-churn invariant experiment (EXP14): a Poisson crash/rejoin process \
      with continuous availability probes, replica-recovery tracking and repair-cost \
-     accounting."
+     accounting. Exits 1 naming the row when an invariant row (lost files, recovery bound, \
+     C5 repair bound) reads FAIL."
   in
   let rate_arg =
     let doc = "Crash arrivals per simulated time unit (default 0.001)." in
@@ -204,7 +205,12 @@ let churn_cmd =
     let r = Exp_churn.run ?trace_capacity p in
     Report.emit ~json ~trace:0 "churn" (Report.churn_output r);
     Option.iter (fun out -> Report.write_trace ~out r.Exp_churn.registry) trace_out;
-    check_monitors monitors
+    check_monitors monitors;
+    match Exp_churn.failed_invariants r with
+    | [] -> ()
+    | rows ->
+      List.iter (Printf.eprintf "EXP14: invariant row %S reads FAIL\n") rows;
+      exit 1
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(

@@ -305,9 +305,13 @@ let run ?trace_capacity params =
       | Some _ -> ()
     end
   in
+  (* The scan runs through the quiesce phase too, so a window opened
+     near the horizon is timed when repair closes it; it stops just
+     before the final audit closes whatever is still open. *)
+  let scanning = ref true in
   let rec scan_tick () =
-    let now = Net.now net in
-    if now < horizon then begin
+    if !scanning then begin
+      let now = Net.now net in
       Array.iter (fun fid -> if live fid then scan_file now fid) !catalog;
       Net.schedule net ~delay:params.scan_period scan_tick
     end
@@ -397,6 +401,7 @@ let run ?trace_capacity params =
       +. 5_000.0)
     sys;
 
+  scanning := false;
   (* Close any window still open at the end of the run. *)
   let t_end = Net.now net in
   let live_files = List.filter live (Array.to_list !catalog) in
@@ -481,6 +486,16 @@ let run ?trace_capacity params =
     series;
     registry = reg;
   }
+
+(* The rows of {!table} whose invariant reads FAIL. *)
+let failed_invariants r =
+  List.filter_map
+    (fun (row, ok) -> if ok then None else Some row)
+    [
+      ("live files lost", r.lost_files = 0);
+      ("recovery latency vs bound", r.recovery_ok);
+      ("repair msgs per leaf slot", r.repair_ok);
+    ]
 
 let table r =
   let t = Text_table.create [ "metric"; "value"; "invariant" ] in

@@ -406,7 +406,12 @@ let dispatch t (msg : Wire.t) =
       Hashtbl.remove t.audits nonce;
       state.au_cb (String.equal proof state.expected_proof)
     | _ -> ())
-  | _ -> ()
+  | Wire.Insert _ | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _
+  | Wire.Divert_nack _ | Wire.Lookup _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
+  | Wire.Reclaim _ | Wire.Reclaim_exec _ | Wire.Cache_offer _ | Wire.Replicate _
+  | Wire.Audit_challenge _ | Wire.To_client _ ->
+    (* node-to-node traffic; never addressed to a client *)
+    ()
 
 let create ~card ~access ?(op_timeout = 50_000.0) ?(max_insert_attempts = 3) ?(verify = true)
     ~rng () =
@@ -434,16 +439,24 @@ let create ~card ~access ?(op_timeout = 50_000.0) ?(max_insert_attempts = 3) ?(v
 
 (* --- synchronous wrappers ---------------------------------------------- *)
 
-let run_until t settled =
-  let guard = ref 0 in
-  while (not (settled ())) && Net.step (net t) && !guard < 50_000_000 do
-    incr guard
-  done
+(* Step the network until [settled] or the queue drains. A call still
+   open after [max_events] events fails naming [op]: returning would
+   pass it off as a drained queue. *)
+let max_events = 50_000_000
+
+let run_until t ~op settled =
+  let rec go events =
+    if not (settled ()) then
+      if events >= max_events then
+        failwith (Printf.sprintf "Client.%s: not settled after %d events" op events)
+      else if Net.step (net t) then go (events + 1)
+  in
+  go 0
 
 let insert_sync t ~name ~data ?declared_size ~k () =
   let result = ref None in
   insert t ~name ~data ?declared_size ~k (fun r -> result := Some r);
-  run_until t (fun () -> !result <> None);
+  run_until t ~op:"insert_sync" (fun () -> !result <> None);
   match !result with
   | Some r -> r
   | None -> Insert_failed { attempts = 0; reason = "event queue exhausted" }
@@ -451,17 +464,17 @@ let insert_sync t ~name ~data ?declared_size ~k () =
 let lookup_sync t ?retries ~file_id () =
   let result = ref None in
   lookup t ?retries ~file_id (fun r -> result := Some r);
-  run_until t (fun () -> !result <> None);
+  run_until t ~op:"lookup_sync" (fun () -> !result <> None);
   match !result with Some r -> r | None -> Lookup_failed
 
 let audit_sync t ~file_id ~data ~holder () =
   let result = ref None in
   audit t ~file_id ~data ~holder (fun ok -> result := Some ok);
-  run_until t (fun () -> !result <> None);
+  run_until t ~op:"audit_sync" (fun () -> !result <> None);
   Option.value ~default:false !result
 
 let reclaim_sync t ~file_id ?expected () =
   let result = ref None in
   reclaim t ~file_id ?expected (fun r -> result := Some r);
-  run_until t (fun () -> !result <> None);
+  run_until t ~op:"reclaim_sync" (fun () -> !result <> None);
   match !result with Some r -> r | None -> { receipts = []; credited = 0 }

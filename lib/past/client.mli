@@ -4,7 +4,9 @@
 
     Operations are asynchronous over the simulated network; each takes
     a completion callback. [*_sync] wrappers drive the event loop until
-    the operation settles — convenient in examples and tests.
+    the operation settles — convenient in examples and tests. One that
+    has not settled after 50,000,000 events raises [Failure] naming
+    the operation.
 
     The client implements the paper's client-side checks and recovery:
     it verifies store receipts (k copies on distinct nodes), verifies

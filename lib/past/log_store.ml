@@ -18,6 +18,10 @@ module Signer = Past_crypto.Signer
    index slot carries the certificate's size and replication factor, so
    admission and reclaim routing never touch the disk. *)
 
+type kind = Primary | Diverted of { on_behalf : Id.t }
+type entry = { cert : Certificate.file; data : string; kind : kind }
+
+let initial_index_size = 64
 let magic = 0xA5
 let tag_tombstone = 0
 let tag_primary = 1
@@ -49,11 +53,9 @@ type t = {
   dir : string;
   owns_dir : bool;
   segment_target : int;
-  (* Created with the same initial size as {!Store_backend.Mem}'s table
-     and driven through the same replace/remove sequence, so that
-     iterating it visits ids in the same order as the in-memory backend
-     — the CI leg byte-compares full-suite output across backends, and
-     re-replication message order rides on this iteration order. *)
+  (* Created at [initial_index_size] and driven through the same
+     replace/remove sequence as {!Store}'s in-memory table, so both
+     visit ids in the same order. *)
   index : slot Id.Table.t;
   segs : (int, seg) Hashtbl.t;
   mutable active : seg;
@@ -66,7 +68,6 @@ type t = {
   mutable closed : bool;
 }
 
-let backend_name = "log"
 let seg_path dir id = Filename.concat dir (Printf.sprintf "seg-%08d.log" id)
 
 let rec mkdir_p d =
@@ -126,13 +127,13 @@ let frame tag payload =
   Buffer.add_buffer buf payload;
   Buffer.contents buf
 
-let encode_put (e : Store_backend.entry) =
-  let c = e.Store_backend.cert in
+let encode_put (e : entry) =
+  let c = e.cert in
   let p = Buffer.create 256 in
   add_id p c.Certificate.file_id;
-  (match e.Store_backend.kind with
-  | Store_backend.Primary -> ()
-  | Store_backend.Diverted { on_behalf } -> add_id p on_behalf);
+  (match e.kind with
+  | Primary -> ()
+  | Diverted { on_behalf } -> add_id p on_behalf);
   add_str p (Signer.public_to_string c.Certificate.owner);
   add_str p (Bytes.to_string c.Certificate.owner_endorsement);
   add_str p c.Certificate.content_hash;
@@ -141,11 +142,11 @@ let encode_put (e : Store_backend.entry) =
   add_str p c.Certificate.salt;
   Buffer.add_int64_le p (Int64.bits_of_float c.Certificate.inserted_at);
   add_str p (Bytes.to_string c.Certificate.signature);
-  add_str p e.Store_backend.data;
+  add_str p e.data;
   let tag =
-    match e.Store_backend.kind with
-    | Store_backend.Primary -> tag_primary
-    | Store_backend.Diverted _ -> tag_diverted
+    match e.kind with
+    | Primary -> tag_primary
+    | Diverted _ -> tag_diverted
   in
   frame tag p
 
@@ -167,7 +168,7 @@ let record_limit s off =
 
 (* [decode_entry s off] parses the record starting at [off]; [s] must
    hold the full record. Raises [Corrupt] on any malformation. *)
-let decode_entry s off : Store_backend.entry =
+let decode_entry s off : entry =
   let limit = record_limit s off in
   let tag = Char.code s.[off + 1] in
   let pos = ref (off + 6) in
@@ -200,8 +201,8 @@ let decode_entry s off : Store_backend.entry =
   let file_id = read_id () in
   if Id.bits file_id <> Id.file_bits then raise Corrupt;
   let kind =
-    if tag = tag_diverted then Store_backend.Diverted { on_behalf = read_id () }
-    else if tag = tag_primary then Store_backend.Primary
+    if tag = tag_diverted then Diverted { on_behalf = read_id () }
+    else if tag = tag_primary then Primary
     else raise Corrupt
   in
   let owner =
@@ -220,7 +221,7 @@ let decode_entry s off : Store_backend.entry =
   let signature = Bytes.of_string (read_str ()) in
   let data = read_str () in
   {
-    Store_backend.cert =
+    cert =
       {
         Certificate.file_id;
         owner;
@@ -295,7 +296,7 @@ let replay t seg_id =
             Id.Table.remove t.index id
           end
           else begin
-            let c = (decode_entry s off).Store_backend.cert in
+            let c = (decode_entry s off).cert in
             orphan_slot t c.Certificate.file_id;
             Id.Table.replace t.index c.Certificate.file_id
               {
@@ -342,7 +343,7 @@ let create ?dir ?(segment_target = 8 * 1024 * 1024) () =
       dir;
       owns_dir;
       segment_target;
-      index = Id.Table.create 64;
+      index = Id.Table.create initial_index_size;
       segs = Hashtbl.create 16;
       active = new_seg 0;
       out = None;
@@ -529,13 +530,13 @@ let maybe_compact t =
   let garbage = t.disk_bytes - t.live_bytes in
   if garbage > t.segment_target && garbage > t.live_bytes then compact t
 
-let put t (e : Store_backend.entry) =
+let put t (e : entry) =
   check_open t;
   let record = encode_put e in
   roll_if_needed t (String.length record);
   let seg_id = t.active.sg_id in
   let off = append t record in
-  let c = e.Store_backend.cert in
+  let c = e.cert in
   orphan_slot t c.Certificate.file_id;
   let len = String.length record in
   Id.Table.replace t.index c.Certificate.file_id

@@ -1,4 +1,8 @@
-(** Disk-backed log-structured storage backend (DESIGN.md §7).
+(** Disk-backed log-structured replica table (DESIGN.md §7): the [Log]
+    arm of {!Store}, which owns the admission policy, capacity
+    accounting and observer events and keeps its in-memory table as
+    the other arm. This module never refuses a [put] and fires no
+    events; it only maps fileIds to replica entries.
 
     Replica entries live in append-only segment files; an in-memory
     index maps each fileId to its newest record's location, so RAM
@@ -24,6 +28,20 @@
     segment ids than the chain it replaces, so replaying both yields
     the same state as replaying either. *)
 
+type kind = Primary | Diverted of { on_behalf : Past_id.Id.t }
+(** A {e primary} replica is held because the node is one of the k
+    closest to the fileId; a {e diverted} one on behalf of a full
+    leaf-set neighbour. {!Store} re-exports this type and {!entry}. *)
+
+type entry = { cert : Certificate.file; data : string; kind : kind }
+
+val initial_index_size : int
+(** Initial size of the fileId index, shared by {!Store}'s in-memory
+    table. Two [Id.Table]s created at the same size and driven through
+    the same replace/remove sequence visit ids in the same order, and
+    re-replication message order — so every golden and the mem/log
+    byte-compare — rides on that order. *)
+
 type t
 
 val create : ?dir:string -> ?segment_target:int -> unit -> t
@@ -42,7 +60,43 @@ val create : ?dir:string -> ?segment_target:int -> unit -> t
     compaction triggers once dead bytes exceed both the live bytes and
     one segment. *)
 
-include Store_backend.S with type t := t
+val put : t -> entry -> unit
+(** Insert or replace the entry keyed by [entry.cert.file_id]: appends
+    a record and re-points the index, in place for a known id. *)
+
+val get : t -> Past_id.Id.t -> entry option
+(** Reads and decodes the entry's record. *)
+
+val mem : t -> Past_id.Id.t -> bool
+
+val size_of : t -> Past_id.Id.t -> int option
+(** Declared size of the stored certificate, from the index (no disk
+    read) — {!Store}'s delta-admission check for same-id replacement
+    sits on this. *)
+
+val replication_of : t -> Past_id.Id.t -> int option
+(** Replication factor k of the stored certificate, from the index
+    like {!size_of}. *)
+
+val delete : t -> Past_id.Id.t -> unit
+(** Drop the entry, if present, without reading it: appends a
+    tombstone. *)
+
+val iter : t -> (entry -> unit) -> unit
+(** Visit every entry in index order, reading each from disk. *)
+
+val length : t -> int
+
+val iter_sizes : t -> (int -> unit) -> unit
+(** Iterate declared sizes in index order, from the index alone. *)
+
+val flush : t -> unit
+(** Push the append buffer to the OS. *)
+
+val close : t -> unit
+(** Flush and release every descriptor. A store that created its own
+    scratch directory deletes it; one opened on a caller-supplied
+    directory keeps the files, so it can be reopened. *)
 
 val compact : ?crash_before_cleanup:bool -> t -> unit
 (** Force a compaction now. [crash_before_cleanup] (tests only) stops

@@ -471,13 +471,14 @@ let deliver t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
     if not (try_serve_locally t file_id client ~hops:info.PNode.hops ~dist:info.PNode.dist ~path:info.PNode.path)
     then root_fetch t file_id client ~hops:info.PNode.hops ~dist:info.PNode.dist
   | Wire.Reclaim { rc; client } -> handle_reclaim t rc client
-  | other ->
-    (* Replies routed (rather than sent directly) should not occur;
-       accept client-bound ones defensively. *)
-    (match other with
-    | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _ | Wire.Lookup_miss _
-    | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ -> ()
-    | _ -> ())
+  | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _ | Wire.Divert_nack _
+  | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _ | Wire.Lookup_miss _
+  | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _ | Wire.Reclaim_exec _
+  | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _ | Wire.Replicate _
+  | Wire.Audit_challenge _ | Wire.Audit_proof _ | Wire.To_client _ ->
+    (* Only the three requests above are routed; everything else is
+       sent direct (see [on_direct]), so a routed one is dropped. *)
+    ()
 
 let forward t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
   match msg with
@@ -490,7 +491,12 @@ let forward t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
   | Wire.Insert { cert; data; _ } ->
     if t.config.cache_on_insert_path then ignore (Cache.offer t.cache ~cert ~data);
     `Continue
-  | _ -> `Continue
+  | Wire.Reclaim _ | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _
+  | Wire.Divert_nack _ | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _
+  | Wire.Lookup_miss _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
+  | Wire.Reclaim_exec _ | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _
+  | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.Audit_proof _ | Wire.To_client _ ->
+    `Continue
 
 let on_direct t ~from:_ (msg : Wire.t) =
   match msg with

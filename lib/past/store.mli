@@ -11,15 +11,16 @@
     global utilization approach 100%% with few rejections. A node that
     diverts a replica keeps a {e pointer} to the actual holder.
 
-    This module owns the policy only; the entries themselves live in a
-    pluggable {!Store_backend} — the in-memory table, or the disk-backed
-    {!Log_store} that holds millions of files in bounded RAM. Policy
-    decisions, capacity accounting and observer events are identical
-    across backends. *)
+    The replica table has two forms, chosen by {!backend} at
+    {!create}: an in-memory [Id.Table] (the default), or the
+    disk-backed {!Log_store} that holds millions of files in bounded
+    RAM. Each operation matches on the form; policy decisions, capacity
+    accounting, observer events and iteration order are the same in
+    both. *)
 
-type kind = Store_backend.kind = Primary | Diverted of { on_behalf : Past_id.Id.t }
+type kind = Log_store.kind = Primary | Diverted of { on_behalf : Past_id.Id.t }
 
-type entry = Store_backend.entry = { cert : Certificate.file; data : string; kind : kind }
+type entry = Log_store.entry = { cert : Certificate.file; data : string; kind : kind }
 
 type backend =
   | Mem
@@ -70,7 +71,7 @@ val get : t -> Past_id.Id.t -> entry option
 val mem : t -> Past_id.Id.t -> bool
 
 val replication_of : t -> Past_id.Id.t -> int option
-(** The stored certificate's replication factor k, from the backend's
+(** The stored certificate's replication factor k, from the table's
     index (no disk read on the log backend). *)
 
 val remove_if :
@@ -92,11 +93,12 @@ val iter_sizes : t -> (int -> unit) -> unit
     [used] with this. *)
 
 val flush : t -> unit
-(** Push buffered backend writes to durable storage (no-op on [Mem]). *)
+(** Push buffered log writes to durable storage (no-op on [Mem]). *)
 
 val close : t -> unit
-(** Release backend resources (file handles, scratch directories). The
-    store must not be used afterwards. *)
+(** Release the log store's resources (file handles, scratch
+    directories; no-op on [Mem]). The store must not be used
+    afterwards. *)
 
 val log_stats : t -> Log_store.stats option
 (** Segment/compaction counters when the backend is a log store. *)

@@ -10,11 +10,9 @@ module Registry = Past_telemetry.Registry
 type t = {
   overlay : Wire.t Overlay.t;
   brokers : Broker.t array;
-  mutable nodes : Node.t array;
-  by_addr : (Net.addr, Node.t) Hashtbl.t;
+  mutable nodes : Node.t array;  (* node i is pastry address i *)
   rng : Rng.t;
   node_config : Node.config;
-  crypto_mode : [ `Rsa of int | `Insecure ];
 }
 
 let overlay t = t.overlay
@@ -27,8 +25,10 @@ let net t = Overlay.net t.overlay
 let registry t = Overlay.registry t.overlay
 let run ?until t = Overlay.run ?until t.overlay
 
+let node_at t addr = if addr >= 0 && addr < Array.length t.nodes then Some t.nodes.(addr) else None
+
 let node_of_pastry_addr t addr =
-  match Hashtbl.find_opt t.by_addr addr with
+  match node_at t addr with
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "System.node_of_pastry_addr: unknown address %d" addr)
 
@@ -233,23 +233,11 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
   in
   let brokers = Array.init broker_count (fun _ -> Broker.create ~mode:crypto_mode (Rng.split rng)) in
   let build = match build with Some b -> b | None -> if n <= 500 then `Dynamic else `Static in
-  let t =
-    {
-      overlay;
-      brokers;
-      nodes = [||];
-      by_addr = Hashtbl.create (2 * n);
-      rng;
-      node_config;
-      crypto_mode;
-    }
-  in
+  let t = { overlay; brokers; nodes = [||]; rng; node_config } in
   let trusted = Array.to_list (Array.map Broker.public brokers) in
   (* The free-space oracle: the load-balancing shortcut for querying a
      remote node's free space (see Node.free_oracle). *)
-  let free_oracle addr =
-    Option.map (fun node -> Store.free (Node.store node)) (Hashtbl.find_opt t.by_addr addr)
-  in
+  let free_oracle addr = Option.map (fun node -> Store.free (Node.store node)) (node_at t addr) in
   let make_node i =
     let capacity = node_capacity i rng in
     (* Cards are issued round-robin across the competing brokers. *)
@@ -259,12 +247,8 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
       | Error `Supply_exhausted -> assert false (* broker created without enforcement *)
     in
     let pastry = Overlay.add_node_with_id overlay ~id:(Smartcard.node_id card) in
-    let node =
-      Node.attach ~pastry ~card ~brokers:trusted ~capacity ~config:node_config
-        ?backend:store_backend ~free_oracle ()
-    in
-    Hashtbl.replace t.by_addr (PNode.addr pastry) node;
-    node
+    Node.attach ~pastry ~card ~brokers:trusted ~capacity ~config:node_config
+      ?backend:store_backend ~free_oracle ()
   in
   t.nodes <- Array.init n make_node;
   (match build with

@@ -80,6 +80,8 @@ val global_utilization : t -> float
     replicas (the §2.3 metric). *)
 
 val node_of_pastry_addr : t -> Past_simnet.Net.addr -> Node.t
+(** PAST node i is Pastry address i. Raises [Invalid_argument] naming
+    the address when no node has it. *)
 
 val kill_node : t -> Node.t -> unit
 (** Silent departure: the node drops off the network with its stored

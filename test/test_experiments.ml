@@ -394,6 +394,20 @@ let soak_smoke () =
   check Alcotest.bool "table has the availability row" true
     (contains (Past_stdext.Text_table.render (soak_table r)) "available (>=1 live replica)")
 
+let soak_recovery_bounded () =
+  (* SOAK at its own parameters: every repairable below-k window closes
+     within the recovery bound. The replica scan runs until the final
+     audit, so a window opened near the churn horizon is timed when
+     repair restores it, not when the run ends. *)
+  let open Past_experiments.Exp_churn in
+  let r = run soak_params in
+  check Alcotest.bool "deficits observed" true (r.deficits > 0);
+  check Alcotest.bool
+    (Printf.sprintf "deficit max %.0f <= bound %.0f" r.deficit_max r.recovery_bound)
+    true
+    (r.deficit_max <= r.recovery_bound);
+  check Alcotest.bool "recovery_ok" true r.recovery_ok
+
 let suite =
   ( "experiments",
     [
@@ -419,4 +433,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_snapshot_equals_dynamic;
       "EXP15 snapshot/dynamic same destinations" => snapshot_dynamic_same_destinations;
       "SOAK smoke" => soak_smoke;
+      "SOAK recovery within bound" => soak_recovery_bounded;
     ] )

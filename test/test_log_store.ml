@@ -3,7 +3,6 @@
 
 module Store = Past_core.Store
 module Log_store = Past_core.Log_store
-module Store_backend = Past_core.Store_backend
 module Cert = Past_core.Certificate
 module Signer = Past_crypto.Signer
 module Id = Past_id.Id
@@ -23,8 +22,8 @@ let cert ?(data = "") ?salt ?(replication = 3) ~name ~size () =
     ~owner_endorsement:(Bytes.of_string "endorsed") ~name ~data ~declared_size:size ~replication
     ~salt ~now:3.25 ()
 
-let entry ?(data = "payload") ?(kind = Store_backend.Primary) ?replication ~name ~size () =
-  { Store_backend.cert = cert ~data ?replication ~name ~size (); data; kind }
+let entry ?(data = "payload") ?(kind = Store.Primary) ?replication ~name ~size () =
+  { Store.cert = cert ~data ?replication ~name ~size (); data; kind }
 
 let fid name = (cert ~name ~size:1 ()).Cert.file_id
 
@@ -47,21 +46,21 @@ let rm_rf d =
 
 let roundtrip_entry () =
   let ls = Log_store.create () in
-  let diverted = Store_backend.Diverted { on_behalf = Id.random (Rng.create 1) ~width:128 } in
+  let diverted = Store.Diverted { on_behalf = Id.random (Rng.create 1) ~width:128 } in
   let e = entry ~data:"some bytes \x00\xff with binary" ~kind:diverted ~name:"rt" ~size:123 () in
   Log_store.put ls e;
-  (match Log_store.get ls e.Store_backend.cert.Cert.file_id with
+  (match Log_store.get ls e.Store.cert.Cert.file_id with
   | None -> Alcotest.fail "stored entry missing"
   | Some got ->
-    check Alcotest.bool "cert round-trips" true (got.Store_backend.cert = e.Store_backend.cert);
-    check Alcotest.string "data round-trips" e.Store_backend.data got.Store_backend.data;
-    check Alcotest.bool "kind round-trips" true (got.Store_backend.kind = diverted);
+    check Alcotest.bool "cert round-trips" true (got.Store.cert = e.Store.cert);
+    check Alcotest.string "data round-trips" e.Store.data got.Store.data;
+    check Alcotest.bool "kind round-trips" true (got.Store.kind = diverted);
     check Alcotest.bool "signature still verifies" true
-      (Cert.verify_file got.Store_backend.cert));
+      (Cert.verify_file got.Store.cert));
   check (Alcotest.option Alcotest.int) "size_of" (Some 123)
-    (Log_store.size_of ls e.Store_backend.cert.Cert.file_id);
+    (Log_store.size_of ls e.Store.cert.Cert.file_id);
   check (Alcotest.option Alcotest.int) "replication_of" (Some 3)
-    (Log_store.replication_of ls e.Store_backend.cert.Cert.file_id);
+    (Log_store.replication_of ls e.Store.cert.Cert.file_id);
   check (Alcotest.option Alcotest.int) "replication_of absent" None
     (Log_store.replication_of ls (fid "absent"));
   Log_store.close ls
@@ -71,7 +70,7 @@ let remove_and_tombstone () =
   Log_store.put ls (entry ~name:"a" ~size:10 ());
   Log_store.put ls (entry ~name:"b" ~size:20 ());
   (match Log_store.get ls (fid "a") with
-  | Some e -> check Alcotest.int "stored size" 10 e.Store_backend.cert.Cert.size
+  | Some e -> check Alcotest.int "stored size" 10 e.Store.cert.Cert.size
   | None -> Alcotest.fail "stored entry missing");
   Log_store.delete ls (fid "a");
   check Alcotest.bool "deleted" true (Log_store.get ls (fid "a") = None);
@@ -99,7 +98,7 @@ let compaction_reclaims_garbage () =
   check Alcotest.bool "garbage bounded" true
     (st.Log_store.disk_bytes - st.Log_store.live_bytes <= 2 * 2_048 + st.Log_store.live_bytes);
   (match Log_store.get ls (fid "hot") with
-  | Some e -> check Alcotest.int "latest version survives" 500 e.Store_backend.cert.Cert.size
+  | Some e -> check Alcotest.int "latest version survives" 500 e.Store.cert.Cert.size
   | None -> Alcotest.fail "entry lost in compaction");
   Log_store.close ls
 
@@ -121,27 +120,27 @@ let explicit_compaction_exact () =
   check Alcotest.int "live bytes preserved" before.Log_store.live_bytes after.Log_store.live_bytes;
   for i = 26 to 50 do
     match Log_store.get ls (fid (Printf.sprintf "k%d" i)) with
-    | Some e -> check Alcotest.int "size intact" (i * 10) e.Store_backend.cert.Cert.size
+    | Some e -> check Alcotest.int "size intact" (i * 10) e.Store.cert.Cert.size
     | None -> Alcotest.fail "live entry lost"
   done;
   Log_store.close ls
 
 (* --- crash recovery ---------------------------------------------------- *)
 
-let row (e : Store_backend.entry) =
-  ( Id.to_hex e.Store_backend.cert.Cert.file_id,
-    e.Store_backend.cert.Cert.size,
-    e.Store_backend.data,
-    e.Store_backend.kind )
+let row (e : Store.entry) =
+  ( Id.to_hex e.Store.cert.Cert.file_id,
+    e.Store.cert.Cert.size,
+    e.Store.data,
+    e.Store.kind )
 
 (* Every entry, plus the replication factor the index answers for it
    (rebuilt by replay, not read from the record). *)
 let snapshot ls =
   let acc = ref [] in
   Log_store.iter ls (fun e ->
-      let k = Log_store.replication_of ls e.Store_backend.cert.Cert.file_id in
+      let k = Log_store.replication_of ls e.Store.cert.Cert.file_id in
       check (Alcotest.option Alcotest.int) "index replication = record replication"
-        (Some e.Store_backend.cert.Cert.replication) k;
+        (Some e.Store.cert.Cert.replication) k;
       acc := row e :: !acc);
   List.sort compare !acc
 
@@ -189,7 +188,7 @@ let reopen_mid_compaction () =
   (* the recovered store keeps working: replace and read back *)
   Log_store.put ls2 (entry ~data:"fresh" ~name:"g5" ~size:999 ());
   (match Log_store.get ls2 (fid "g5") with
-  | Some e -> check Alcotest.int "post-recovery write" 999 e.Store_backend.cert.Cert.size
+  | Some e -> check Alcotest.int "post-recovery write" 999 e.Store.cert.Cert.size
   | None -> Alcotest.fail "post-recovery entry missing");
   Log_store.close ls2;
   rm_rf dir
@@ -321,7 +320,7 @@ let descriptor_lifetime () =
     for i = 1 to 40 do
       if Log_store.mem ls (fid (name i)) then
         match Log_store.get ls (fid (name i)) with
-        | Some e -> check Alcotest.int "read back" i e.Store_backend.cert.Cert.size
+        | Some e -> check Alcotest.int "read back" i e.Store.cert.Cert.size
         | None -> Alcotest.fail "entry missing"
     done
   in
@@ -402,7 +401,9 @@ let apply_op store op =
 
 let observed store ops =
   (* Run the op sequence and collect every observable: the full event
-     stream, the final accounting, and the sorted entry set. *)
+     stream, the final accounting, the sorted entry set, and the order
+     [Store.iter] visits ids in — re-replication pushes in that order,
+     so the two backends must agree on it, not only on the set. *)
   let events = ref [] in
   Store.set_observer store (fun ev ->
       events :=
@@ -417,7 +418,15 @@ let observed store ops =
            (Id.to_hex e.Store.cert.Cert.file_id, e.Store.cert.Cert.size, e.Store.data))
     |> List.sort compare
   in
-  (results, List.rev !events, Store.used store, Store.free store, Store.file_count store, entries)
+  let order = ref [] in
+  Store.iter store (fun e -> order := Id.to_hex e.Store.cert.Cert.file_id :: !order);
+  ( results,
+    List.rev !events,
+    Store.used store,
+    Store.free store,
+    Store.file_count store,
+    entries,
+    List.rev !order )
 
 let qcheck_mem_log_equivalence =
   QCheck.Test.make ~name:"mem and log backends are observably identical" ~count:60 arb_ops

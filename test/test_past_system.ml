@@ -304,6 +304,27 @@ let insecure_crypto_mode_works () =
   | Client.Found { cert; _ } -> check Alcotest.bool "cert verifies" true (Cert.verify_file cert)
   | Client.Lookup_failed -> Alcotest.fail "lookup failed"
 
+let pastry_address_is_node_index () =
+  let sys =
+    System.create ~seed:73 ~n:12 ~crypto_mode:`Insecure ~node_capacity:(fun _ _ -> 100_000) ()
+  in
+  Array.iteri
+    (fun i node ->
+      check Alcotest.int "node i has address i" i (Node.addr node);
+      check Alcotest.bool "address i maps back to node i" true
+        (System.node_of_pastry_addr sys i == node))
+    (System.nodes sys);
+  List.iter
+    (fun addr ->
+      match System.node_of_pastry_addr sys addr with
+      | _ -> Alcotest.failf "address %d resolved" addr
+      | exception Invalid_argument msg ->
+        check Alcotest.string "error names the address"
+          (Printf.sprintf "System.node_of_pastry_addr: unknown address %d" addr)
+          msg)
+    [ -1; 12 ];
+  System.shutdown sys
+
 let lookup_retries_route_around_droppers () =
   (* Randomized routing + client retries (§2.1 System integrity). *)
   let pastry_config =
@@ -515,6 +536,7 @@ let suite =
       "utilization accounting" => utilization_accounting;
       "dynamic build" => dynamic_build_system;
       "insecure crypto mode" => insecure_crypto_mode_works;
+      "pastry address i is node i" => pastry_address_is_node_index;
       "lookup retries route around droppers" => lookup_retries_route_around_droppers;
       "stale lookup timer ignored" => stale_lookup_timer_ignored;
       "revival waits for repair" => revival_waits_for_repair;
