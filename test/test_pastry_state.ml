@@ -210,49 +210,55 @@ let leaf_wrap_around () =
   | `Peer p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
   | `Self -> Alcotest.fail "wrapped peer is closer"
 
-(* qcheck: replica_set matches a brute-force sort of members+self.
-   Pools run from one peer to 3l, so a leaf set may be sparse (the
-   whole ring fits and its two arcs overlap) or full with disjoint
-   arcs; a quarter of the cases then remove a peer or two, leaving a
-   side short. "Near" ids lie within a few thousand of own, so their
-   distances share the packed 7-byte prefix and near keys tie exactly
-   between two nodes. Keys include own, every member, a member's
-   neighbour and own's antipode; k runs over 1, 3, l/2 and l+1. *)
+(* A leaf set of size [l] offered a random pool of 1..3l peers, so it
+   may be sparse (the whole ring fits and its two arcs overlap) or
+   full with disjoint arcs; a quarter of the cases then remove a peer
+   or two, leaving a side short. "Near" ids lie within a few thousand
+   of own, so their distances share every leading byte and near keys
+   tie exactly between two nodes. Returns own, the near-id generator
+   and the leaf set. *)
+let random_leaf_set rng l =
+  let own = Id.random rng ~width:128 in
+  let id_mode = Rng.int rng 3 in
+  let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
+  let random_id () =
+    match id_mode with
+    | 0 -> Id.random rng ~width:128
+    | 1 -> near ()
+    | _ -> if Rng.bool rng then near () else Id.random rng ~width:128
+  in
+  let pool = 1 + Rng.int rng (3 * l) in
+  let used = Hashtbl.create 64 in
+  Hashtbl.replace used own ();
+  let rec fresh () =
+    let id = random_id () in
+    if Hashtbl.mem used id then fresh ()
+    else begin
+      Hashtbl.replace used id ();
+      id
+    end
+  in
+  let ids = Array.init pool (fun _ -> fresh ()) in
+  let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
+  Array.iteri (fun addr id -> ignore (Leaf_set.add ls (Peer.make ~id ~addr))) ids;
+  if Rng.int rng 4 = 0 then
+    for _ = 0 to Rng.int rng 2 do
+      ignore (Leaf_set.remove_addr ls (Rng.int rng pool))
+    done;
+  (own, near, ls)
+
 let antipode id = Id.of_nat ~width:128 (Nat.add (Id.to_nat id) (Nat.shift_left Nat.one 127))
 
+(* qcheck: replica_set matches a brute-force sort of members+self.
+   Keys include own, every member, a member's neighbour and own's
+   antipode; k runs over 1, 3, l/2 and l+1. *)
 let qcheck_replica_set =
   QCheck.Test.make ~name:"replica_set = brute force k closest" ~count:300
     QCheck.(pair small_nat (int_bound 3))
     (fun (seed, l_index) ->
       let rng = Rng.create seed in
       let l = [| 2; 4; 8; 16 |].(l_index) in
-      let own = Id.random rng ~width:128 in
-      let id_mode = Rng.int rng 3 in
-      let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
-      let random_id () =
-        match id_mode with
-        | 0 -> Id.random rng ~width:128
-        | 1 -> near ()
-        | _ -> if Rng.bool rng then near () else Id.random rng ~width:128
-      in
-      let pool = 1 + Rng.int rng (3 * l) in
-      let used = Hashtbl.create 64 in
-      Hashtbl.replace used own ();
-      let rec fresh () =
-        let id = random_id () in
-        if Hashtbl.mem used id then fresh ()
-        else begin
-          Hashtbl.replace used id ();
-          id
-        end
-      in
-      let ids = Array.init pool (fun _ -> fresh ()) in
-      let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
-      Array.iteri (fun addr id -> ignore (Leaf_set.add ls (Peer.make ~id ~addr))) ids;
-      if Rng.int rng 4 = 0 then
-        for _ = 0 to Rng.int rng 2 do
-          ignore (Leaf_set.remove_addr ls (Rng.int rng pool))
-        done;
+      let own, near, ls = random_leaf_set rng l in
       let members = Leaf_set.members ls |> List.map (fun p -> p.Peer.id) in
       let keys =
         own :: antipode own :: Id.random rng ~width:128 :: near () :: near ()
@@ -270,6 +276,39 @@ let qcheck_replica_set =
               List.equal Id.equal got (List.filteri (fun i _ -> i < k) sorted))
             [ 1; 3; l / 2; l + 1 ])
         keys)
+
+(* Coverage by big integers: with both sides full, the key lies on the
+   counterclockwise arc from the smaller extreme to own or on the
+   clockwise arc from own to the larger extreme; a side with room
+   means the node knows that whole side of the ring. *)
+let covers_oracle ~l ls own key =
+  match (Leaf_set.smaller ls, Leaf_set.larger ls) with
+  | smaller, larger when List.length smaller < l / 2 || List.length larger < l / 2 -> true
+  | smaller, larger ->
+    let lo = (List.nth smaller ((l / 2) - 1)).Peer.id
+    and hi = (List.nth larger ((l / 2) - 1)).Peer.id in
+    Nat.compare (Id.cw_distance lo key) (Id.cw_distance lo own) <= 0
+    || Nat.compare (Id.cw_distance own key) (Id.cw_distance own hi) <= 0
+
+(* qcheck: covers matches the oracle at own, each extreme and its two
+   neighbours, own's antipode and random and near keys. *)
+let qcheck_covers =
+  QCheck.Test.make ~name:"covers = arc oracle" ~count:300
+    QCheck.(pair small_nat (int_bound 3))
+    (fun (seed, l_index) ->
+      let rng = Rng.create seed in
+      let l = [| 2; 4; 8; 16 |].(l_index) in
+      let own, near, ls = random_leaf_set rng l in
+      let extremes =
+        List.filter_map
+          (Option.map (fun (p : Peer.t) -> p.Peer.id))
+          [ Leaf_set.extreme_smaller ls; Leaf_set.extreme_larger ls ]
+      in
+      let keys =
+        own :: antipode own :: Id.random rng ~width:128 :: Id.random rng ~width:128 :: near ()
+        :: List.concat_map (fun e -> [ e; Id.add_int e 1; Id.add_int e (-1) ]) extremes
+      in
+      List.for_all (fun key -> Leaf_set.covers ls key = covers_oracle ~l ls own key) keys)
 
 (* qcheck: [add] and [remove_addr] against a naive model. Each model
    side is a plain list sorted by the exact big-integer ring distance
@@ -424,6 +463,7 @@ let suite =
       "leaf remove" => leaf_remove;
       "leaf wrap-around" => leaf_wrap_around;
       QCheck_alcotest.to_alcotest qcheck_replica_set;
+      QCheck_alcotest.to_alcotest qcheck_covers;
       QCheck_alcotest.to_alcotest qcheck_leaf_set_model;
       "neighborhood cap/closest" => nbhd_caps_and_keeps_closest;
       "neighborhood dedup/remove" => nbhd_dedup_and_remove;
