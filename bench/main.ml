@@ -66,13 +66,14 @@ let micro_tests () =
              Rsa.verify rsa_keypair.Rsa.pub (Bytes.of_string payload_4k) rsa_signature));
       Test.make ~name:"nat modpow 512b"
         (Staged.stage (fun () -> Nat.mod_pow nat_base nat_exp nat_mod));
-      Test.make ~name:"id closer x1024 (fast path)" (Staged.stage Harness_fixture.id_closer_1024);
+      Test.make ~name:"id closer x1024" (Staged.stage Harness_fixture.id_closer_1024);
       Test.make ~name:"id to_hex x1024" (Staged.stage Harness_fixture.id_to_hex_1024);
       Test.make ~name:"id shared-prefix x1024" (Staged.stage Harness_fixture.shared_prefix_1024);
       Test.make ~name:"leaf-set insert x32" (Staged.stage Harness_fixture.leaf_insert_once);
       Test.make ~name:"learn x32 leaf members (N=100)"
         (Staged.stage Harness_fixture.learn_leaf_members_once);
-      Test.make ~name:"replica set k=3 (N=100)" (Staged.stage Harness_fixture.replica_set_once);
+      Test.make ~name:"replica set k=3 x1024 (N=100)"
+        (Staged.stage Harness_fixture.replica_set_1024);
       Test.make ~name:"routing-table consider x1024"
         (Staged.stage Harness_fixture.rt_consider_1024);
       Test.make ~name:"store admission check x1024" (Staged.stage Harness_fixture.store_admit_1024);

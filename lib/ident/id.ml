@@ -10,7 +10,8 @@ let node_bits = 128
 let file_bits = 160
 
 let check_width name w =
-  if w <= 0 || w mod 8 <> 0 then invalid_arg (name ^ ": width must be a positive multiple of 8")
+  if w <= 0 || w mod 8 <> 0 then
+    invalid_arg (Printf.sprintf "%s: width must be a positive multiple of 8 (got %d)" name w)
 
 let of_bytes b : t = Bytes.to_string b
 let to_bytes (t : t) = Bytes.of_string t
@@ -26,7 +27,10 @@ let max_id ~width =
 let of_hex ~width s =
   check_width "Id.of_hex" width;
   let n = Nat.of_hex s in
-  if Nat.num_bits n > width then invalid_arg "Id.of_hex: value exceeds width";
+  if Nat.num_bits n > width then
+    invalid_arg
+      (Printf.sprintf "Id.of_hex: value exceeds width (%d hex digits for %d bits)" (String.length s)
+         width);
   Bytes.to_string (Nat.to_bytes_be ~width:(width / 8) n)
 
 let to_hex (t : t) = Past_crypto.Hex.of_prefix t (String.length t)
@@ -48,7 +52,9 @@ let file_id ~name ~owner ~salt =
   file_id_of_key ~name ~owner_key:(Past_crypto.Rsa.public_to_string owner) ~salt
 
 let prefix_of_file_id (t : t) =
-  if bits t < node_bits then invalid_arg "Id.prefix_of_file_id: id too short";
+  if bits t < node_bits then
+    invalid_arg
+      (Printf.sprintf "Id.prefix_of_file_id: id too short (%d bits, need %d)" (bits t) node_bits);
   String.sub t 0 (node_bits / 8)
 
 (* The checks below run on every id comparison: they are inlined, and
@@ -108,204 +114,67 @@ let shared_prefix_digits ~b (x : t) (y : t) =
     let d = Char.code (String.unsafe_get x i) lxor Char.code (String.unsafe_get y i) in
     ((8 * i) + byte_clz d 0) lsr log2_b b
 
-let to_nat (t : t) = Nat.of_bytes_be (Bytes.of_string t)
+(* --- ring arithmetic on routing ids -------------------------------------
 
-let of_nat ~width n =
-  check_width "Id.of_nat" width;
-  let modulus = Nat.shift_left Nat.one width in
-  let n = Nat.rem n modulus in
-  Bytes.to_string (Nat.to_bytes_be ~width:(width / 8) n)
+   Routing ids are 128 bits: a nodeId, or the 128 most significant bits
+   of a fileId (paper §2.2). Each operand is read as two 64-bit words,
+   high first, and a distance is a two-word difference with a borrow.
+   Each comparison keeps its int64 values inside one function body, the
+   helpers below being inlined into it: without flambda, an int64
+   passed to a call that is not inlined is boxed, and these comparisons
+   run on every routed hop and every leaf-set offer. *)
 
-let linear_distance a b =
-  same_width "Id.linear_distance" a b;
-  let na = to_nat a and nb = to_nat b in
-  if Nat.compare na nb >= 0 then Nat.sub na nb else Nat.sub nb na
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
 
-let distance a b =
-  let d = linear_distance a b in
-  let modulus = Nat.shift_left Nat.one (bits a) in
-  let wrap = Nat.sub modulus d in
-  if Nat.compare d wrap <= 0 then d else wrap
+let[@inline] word (t : t) i = if big_endian () then get64u t i else bswap64 (get64u t i)
 
-let cw_distance a b =
-  same_width "Id.cw_distance" a b;
-  let na = to_nat a and nb = to_nat b in
-  if Nat.compare nb na >= 0 then Nat.sub nb na
-  else Nat.sub (Nat.add (Nat.shift_left Nat.one (bits a)) nb) na
+(* Unsigned order on int64: flipping the sign bit maps it onto the
+   signed order. *)
+let[@inline] ult (a : int64) (b : int64) =
+  Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int
 
-let is_between_cw a x b =
-  (* Walking clockwise from a to b (half-open [a, b)): x is inside iff
-     cw(a,x) < cw(a,b). When a = b the arc covers the whole ring. *)
-  if equal a b then true else Nat.compare (cw_distance a x) (cw_distance a b) < 0
+(* Three-way unsigned comparison of two-word values, 0 on equality. *)
+let[@inline] compare_words (ah : int64) (al : int64) (bh : int64) (bl : int64) =
+  if ah <> bh then if ult ah bh then -1 else 1
+  else if al <> bl then if ult al bl then -1 else 1
+  else 0
 
-(* (b - a) mod 2^bits as big-endian bytes: byte-wise subtraction with
-   borrow, no big-integer allocation. *)
-let cw_dist_key (a : t) (b : t) =
-  same_width "Id.cw_dist_key" a b;
-  let n = String.length a in
-  let out = Bytes.create n in
-  let borrow = ref 0 in
-  for i = n - 1 downto 0 do
-    let d = Char.code b.[i] - Char.code a.[i] - !borrow in
-    if d < 0 then begin
-      Bytes.unsafe_set out i (Char.unsafe_chr (d + 256));
-      borrow := 1
-    end
-    else begin
-      Bytes.unsafe_set out i (Char.unsafe_chr d);
-      borrow := 0
-    end
-  done;
-  Bytes.unsafe_to_string out
+let bad_routing_width name (t : t) =
+  invalid_arg (Printf.sprintf "%s: routing ids are %d bits (got %d)" name node_bits (bits t))
 
-(* Top (up to) seven bytes of [cw_dist_key a b] packed big-endian into
-   a nonnegative int, without allocating the key. The borrow into the
-   packed region is 1 exactly when b's remaining suffix is
-   lexicographically (= numerically, big-endian) below a's. *)
-let rec suffix_lt (a : t) (b : t) n i =
-  i < n
-  &&
-  let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
-  c < 0 || (c = 0 && suffix_lt a b n (i + 1))
+let[@inline] check_routing name (a : t) (b : t) (c : t) =
+  let n = node_bits / 8 in
+  if String.length a <> n then bad_routing_width name a;
+  if String.length b <> n then bad_routing_width name b;
+  if String.length c <> n then bad_routing_width name c
 
-let cw_dist_hi7 (a : t) (b : t) =
-  same_width "Id.cw_dist_hi7" a b;
-  let n = String.length a in
-  let k = if n < 7 then n else 7 in
-  let borrow = if suffix_lt a b n k then 1 else 0 in
-  let hb = ref 0 and ha = ref 0 in
-  for i = 0 to k - 1 do
-    hb := (!hb lsl 8) lor Char.code (String.unsafe_get b i);
-    ha := (!ha lsl 8) lor Char.code (String.unsafe_get a i)
-  done;
-  (!hb - !ha - borrow) land ((1 lsl (8 * k)) - 1)
-
-(* Top (up to) seven bytes of [ring_dist_key a b], likewise packed and
-   allocation-free. One three-way suffix comparison yields both the
-   borrow into the packed region (suffix of b below suffix of a) and —
-   when the suffixes are equal, i.e. the low bytes of e = b - a are all
-   zero — the carry that two's-complement negation propagates into the
-   top bytes of -e. *)
-let rec suffix_cmp (a : t) (b : t) n i =
-  if i = n then 0
-  else
-    let c = Char.code (String.unsafe_get b i) - Char.code (String.unsafe_get a i) in
-    if c <> 0 then c else suffix_cmp a b n (i + 1)
-
-let ring_dist_hi7 (a : t) (b : t) =
-  same_width "Id.ring_dist_hi7" a b;
-  let n = String.length a in
-  let k = if n < 7 then n else 7 in
-  let c = suffix_cmp a b n k in
-  let borrow = if c < 0 then 1 else 0 in
-  let hb = ref 0 and ha = ref 0 in
-  for i = 0 to k - 1 do
-    hb := (!hb lsl 8) lor Char.code (String.unsafe_get b i);
-    ha := (!ha lsl 8) lor Char.code (String.unsafe_get a i)
-  done;
-  let mask = (1 lsl (8 * k)) - 1 in
-  let e = (!hb - !ha - borrow) land mask in
-  (* The sign bit of the full e is the top bit of its leading byte,
-     which the packed int always contains. *)
-  if e land (1 lsl ((8 * k) - 1)) = 0 then e
-  else (lnot e + (if c = 0 then 1 else 0)) land mask
-
-(* Two's-complement negation in place: -e mod 2^bits. *)
-let negate_in_place buf =
-  let n = Bytes.length buf in
-  let carry = ref 1 in
-  for i = n - 1 downto 0 do
-    let v = (Char.code (Bytes.get buf i) lxor 0xFF) + !carry in
-    Bytes.unsafe_set buf i (Char.unsafe_chr (v land 0xFF));
-    carry := v lsr 8
-  done
-
-let ring_dist_key (a : t) (b : t) =
-  let e = Bytes.unsafe_of_string (cw_dist_key a b) in
-  (* min(e, -e): if the top bit is set, -e is smaller (e = 2^(bits-1)
-     maps to itself under negation, so the branch is still correct). *)
-  if Bytes.length e > 0 && Char.code (Bytes.get e 0) >= 0x80 then negate_in_place e;
-  Bytes.unsafe_to_string e
-
-let dist_key_le_sum d a b =
-  if String.length a <> String.length b || String.length a <> String.length d then
-    invalid_arg "Id.dist_key_le_sum: width mismatch";
-  let n = String.length a in
-  let sum = Bytes.create n in
-  let carry = ref 0 in
-  for i = n - 1 downto 0 do
-    let v = Char.code a.[i] + Char.code b.[i] + !carry in
-    Bytes.unsafe_set sum i (Char.unsafe_chr (v land 0xFF));
-    carry := v lsr 8
-  done;
-  (* A carry out means the sum exceeds any d. *)
-  !carry = 1 || String.compare d (Bytes.unsafe_to_string sum) <= 0
-
-(* Allocation-free ring-distance comparison.
-
-   [ring_dist_key target u] is min(e, -e) over e = (u - target) mod
-   2^bits; every leaf-set / replica-set sort comparison used to
-   materialize two such key strings. Instead we precompute, per
-   operand, two bit masks over byte indices — the borrow chain of the
-   subtraction and the carry chain of the two's-complement negation —
-   plus the would-negate bit, packed into one OCaml int (bits [0,n):
-   borrow into byte i; bits [n,2n): +1 carry into byte i of -e; bit
-   2n: key is -e). Key bytes are then streamed most-significant first
-   and compared without touching the heap. *)
-
-let rec closer_masks (target : t) (u : t) n i borrow all_zero bmask zmask =
-  (* [borrow] feeds byte [i]; [all_zero] = bytes (i, n-1] of e are 0. *)
-  let bmask = if borrow <> 0 then bmask lor (1 lsl i) else bmask in
-  let zmask = if all_zero then zmask lor (1 lsl i) else zmask in
-  let d = Char.code (String.unsafe_get u i) - Char.code (String.unsafe_get target i) - borrow in
-  let e = d land 0xff in
-  if i = 0 then bmask lor (zmask lsl n) lor (if e >= 0x80 then 1 lsl (2 * n) else 0)
-  else closer_masks target u n (i - 1) (if d < 0 then 1 else 0) (all_zero && e = 0) bmask zmask
-
-let[@inline] closer_key_byte (target : t) (u : t) n masks i =
-  let b = (masks lsr i) land 1 in
-  let e = (Char.code (String.unsafe_get u i) - Char.code (String.unsafe_get target i) - b) land 0xff in
-  if (masks lsr (2 * n)) land 1 = 1 then (lnot e + ((masks lsr (n + i)) land 1)) land 0xff else e
-
-let rec closer_loop target x y n mx my i =
-  if i = n then compare x y
-  else begin
-    let kx = closer_key_byte target x n mx i and ky = closer_key_byte target y n my i in
-    if kx <> ky then kx - ky else closer_loop target x y n mx my (i + 1)
-  end
-
+(* Ring distance min(e, −e) over e = (u − target) mod 2^128, where −e
+   is taken when e's top bit is set: the sign mask s is all ones then,
+   and −e = (e xor s) − s with a carry into the high word when the low
+   word is 0. 2^127 is its own negation. *)
 let closer ~target x y =
-  same_width "Id.closer" target x;
-  same_width "Id.closer" target y;
-  let n = String.length target in
-  if n > 30 then begin
-    (* Masks no longer fit one int: fall back to materialized keys. *)
-    let c = String.compare (ring_dist_key target x) (ring_dist_key target y) in
-    if c <> 0 then c else compare x y
-  end
-  else
-    closer_loop target x y n
-      (closer_masks target x n (n - 1) 0 true 0 0)
-      (closer_masks target y n (n - 1) 0 true 0 0)
-      0
+  check_routing "Id.closer" target x y;
+  let th = word target 0 and tl = word target 8 in
+  let xl = word x 8 and yl = word y 8 in
+  let xh = Int64.sub (Int64.sub (word x 0) th) (if ult xl tl then 1L else 0L)
+  and yh = Int64.sub (Int64.sub (word y 0) th) (if ult yl tl then 1L else 0L) in
+  let xl = Int64.sub xl tl and yl = Int64.sub yl tl in
+  let sx = Int64.shift_right xh 63 and sy = Int64.shift_right yh 63 in
+  let xh = Int64.sub (Int64.logxor xh sx) (if xl = 0L then sx else 0L)
+  and yh = Int64.sub (Int64.logxor yh sy) (if yl = 0L then sy else 0L) in
+  let xl = Int64.sub (Int64.logxor xl sx) sx and yl = Int64.sub (Int64.logxor yl sy) sy in
+  let c = compare_words xh xl yh yl in
+  if c <> 0 then c else String.compare x y
 
-(* Big-integer reference implementation, kept as the oracle the
-   property tests check [closer] against. *)
-let closer_oracle ~target x y =
-  let c = Nat.compare (distance target x) (distance target y) in
-  if c <> 0 then c else compare x y
-
-let add_int (t : t) delta =
-  let modulus = Nat.shift_left Nat.one (bits t) in
-  let n = to_nat t in
-  let n' =
-    if delta >= 0 then Nat.rem (Nat.add n (Nat.of_int delta)) modulus
-    else begin
-      let d = Nat.rem (Nat.of_int (-delta)) modulus in
-      if Nat.compare n d >= 0 then Nat.sub n d else Nat.sub (Nat.add n modulus) d
-    end
-  in
-  of_nat ~width:(bits t) n'
+let cw_compare ~from x y =
+  check_routing "Id.cw_compare" from x y;
+  let fh = word from 0 and fl = word from 8 in
+  let xl = word x 8 and yl = word y 8 in
+  let xh = Int64.sub (Int64.sub (word x 0) fh) (if ult xl fl then 1L else 0L)
+  and yh = Int64.sub (Int64.sub (word y 0) fh) (if ult yl fl then 1L else 0L) in
+  compare_words xh (Int64.sub xl fl) yh (Int64.sub yl fl)
 
 module Ord = struct
   type nonrec t = t

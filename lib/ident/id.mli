@@ -2,8 +2,13 @@
 
     NodeIds are 128-bit, fileIds are 160-bit (paper §2). Ids are
     interpreted as unsigned big-endian integers; for routing they are
-    read as a sequence of base-2^b digits, most significant first. The
-    id space is circular: distances wrap around 2^bits. *)
+    read as a sequence of base-2^b digits, most significant first.
+
+    Routing distances are 128-bit only: Pastry routes on nodeIds and on
+    the 128 most significant bits of a fileId ({!prefix_of_file_id}),
+    on a circular id space where distances wrap around 2^128.
+    {!closer} and {!cw_compare} compare two such distances exactly;
+    {!compare}, {!hash} and the containers serve both widths. *)
 
 type t
 
@@ -23,8 +28,9 @@ val to_bytes : t -> bytes
 
 val of_hex : width:int -> string -> t
 (** [of_hex ~width s] parses hex [s] (no 0x prefix) and left-pads to
-    [width] bits. Raises [Invalid_argument] if it does not fit or
-    [width] is not a positive multiple of 8. *)
+    [width] bits. Raises [Invalid_argument], naming the width and the
+    hex length, if it does not fit, or naming [width] if it is not a
+    positive multiple of 8. *)
 
 val to_hex : t -> string
 (** Full-width lowercase hex. *)
@@ -51,7 +57,8 @@ val file_id_of_key : name:string -> owner_key:string -> salt:string -> t
 
 val prefix_of_file_id : t -> t
 (** The 128 most significant bits of a 160-bit fileId: the key that
-    Pastry routes on (paper §2.2). *)
+    Pastry routes on (paper §2.2). Raises [Invalid_argument] naming the
+    bit count of an id shorter than 128 bits. *)
 
 val compare : t -> t -> int
 (** Numerical (unsigned big-endian) order. Raises [Invalid_argument] on
@@ -70,56 +77,19 @@ val shared_prefix_digits : b:int -> t -> t -> int
     the shared leading bits up to the first differing byte, divided by
     [b]. *)
 
-val distance : t -> t -> Past_bignum.Nat.t
-(** Circular distance: [min (|a-b|) (2^bits - |a-b|)]. *)
-
-val is_between_cw : t -> t -> t -> bool
-(** [is_between_cw a x b]: walking clockwise (increasing ids, wrapping)
-    from [a] to [b], do we pass [x]? Half-open: includes [x = a],
-    excludes [x = b]. *)
-
-val cw_distance : t -> t -> Past_bignum.Nat.t
-(** Clockwise (increasing, wrapping) distance from [a] to [b]. *)
-
 val closer : target:t -> t -> t -> int
 (** [closer ~target x y < 0] iff [x] is strictly closer to [target] than
-    [y] in circular distance, ties broken by numerical order.
-    Allocation-free for ids up to 240 bits: routing, leaf-set and
-    replica selection sit on this comparison. *)
+    [y] in circular distance, ties broken by numerical order; [0] iff
+    [x = y]. Exact and allocation-free: routing, leaf-set and replica
+    selection sit on this comparison. Raises [Invalid_argument] naming
+    the width unless all three ids are 128 bits. *)
 
-val closer_oracle : target:t -> t -> t -> int
-(** Same ordering computed from {!distance} over big integers — the
-    reference implementation {!closer} is property-tested against. *)
-
-val cw_dist_key : t -> t -> string
-(** [(b − a) mod 2^bits] as a big-endian byte string: clockwise
-    distances compare with [String.compare]. *)
-
-val cw_dist_hi7 : t -> t -> int
-(** The first [min 7 (bytes)] bytes of {!cw_dist_key}[ a b] packed
-    big-endian into a nonnegative int, computed without allocating the
-    key. Comparing these ints agrees with [String.compare] on the full
-    keys except for ties, which callers must break on the full key. *)
-
-val ring_dist_key : t -> t -> string
-(** Circular distance as a comparable big-endian byte string. *)
-
-val ring_dist_hi7 : t -> t -> int
-(** The packed prefix of {!ring_dist_key}, under the same contract as
-    {!cw_dist_hi7}: agreement with [String.compare] on full keys up to
-    ties. *)
-
-val dist_key_le_sum : string -> string -> string -> bool
-(** [dist_key_le_sum d a b] is [d <= a + b] over equal-width distance
-    keys (the sum may carry into a 129th bit, which is handled). *)
-
-val add_int : t -> int -> t
-(** Wrapping addition of a (possibly negative) small offset — handy for
-    constructing adjacent ids in tests. *)
-
-val to_nat : t -> Past_bignum.Nat.t
-val of_nat : width:int -> Past_bignum.Nat.t -> t
-(** Reduced modulo 2^width. *)
+val cw_compare : from:t -> t -> t -> int
+(** [cw_compare ~from x y] compares the clockwise distances
+    [(x − from) mod 2^128] and [(y − from) mod 2^128]: negative, zero
+    (iff [x = y]) or positive. Exact and allocation-free. Raises
+    [Invalid_argument] naming the width unless all three ids are 128
+    bits. *)
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

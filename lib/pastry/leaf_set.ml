@@ -5,24 +5,11 @@ module Id = Past_id.Id
    (denormalized for scan locality: every routed hop probes the leaf
    sets of nodes scattered across the heap) and the bare int
    addresses, resolved through the shared {!Directory} on the cold
-   paths that need the peer record. Distance keys are not stored:
-   an entry's key is a pure function of the own id and the entry id,
-   recomputed on demand; only the farthest (last) entry's key per side
-   is cached, in full (the coverage bound read on every routed hop) and
-   as its packed prefix (the bound every learned peer is tested
-   against).
+   paths that need the peer record. Distances are not stored: each
+   comparison recomputes them exactly from the ids ({!Id.cw_compare}).
    In a sparse ring (< l live nodes) the same peer may legally appear
    on both sides; [members] deduplicates. *)
-type side = {
-  mutable n : int;
-  ids : Id.t array;
-  addrs : int array;
-  (* Full [Id.cw_dist_key] of entry [n-1] and its packed prefix
-     ([entry_hi]); [""] and [max_int] when the side is empty. Refreshed
-     after every mutation. *)
-  mutable ext_key : string;
-  mutable ext_hi : int;
-}
+type side = { mutable n : int; ids : Id.t array; addrs : int array }
 
 type t = {
   config : Config.t;
@@ -34,17 +21,16 @@ type t = {
      lookup; the deduplicated list is cached and invalidated whenever a
      side changes. *)
   mutable members_cache : Peer.t list option;
-  (* Both sides full and their arcs disjoint: the two extreme keys sum
-     to less than 2^128, so no node lies on both sides and the known
-     nodes run once round the ring in clockwise order (see
+  (* Both sides full and their arcs disjoint: the two extremes' distances
+     from own sum to less than 2^128, so no node lies on both sides and
+     the known nodes run once round the ring in clockwise order (see
      [replica_set]). False whenever the whole ring fits in the leaf set
      (N <= l + 1) or a side is short after a removal. Refreshed with
      [members_cache] after every mutation. *)
   mutable disjoint : bool;
 }
 
-let make_side ~cap ~own =
-  { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1); ext_key = ""; ext_hi = max_int }
+let make_side ~cap ~own = { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1) }
 
 let create ?dir ~config ~own () =
   Config.validate config;
@@ -62,22 +48,6 @@ let create ?dir ~config ~own () =
 
 let half t = t.config.Config.leaf_set_size / 2
 
-(* Distance of [id] in the side's orientation: the larger side sorts
-   by clockwise distance from own ([cw] true), the smaller side by
-   counterclockwise, i.e. clockwise from the entry to own. *)
-let entry_hi ~own ~cw id = if cw then Id.cw_dist_hi7 own id else Id.cw_dist_hi7 id own
-let entry_key ~own ~cw id = if cw then Id.cw_dist_key own id else Id.cw_dist_key id own
-
-let set_ext side ~own ~cw =
-  if side.n = 0 then begin
-    side.ext_key <- "";
-    side.ext_hi <- max_int
-  end
-  else begin
-    side.ext_key <- entry_key ~own ~cw side.ids.(side.n - 1);
-    side.ext_hi <- entry_hi ~own ~cw side.ids.(side.n - 1)
-  end
-
 (* The helpers below run on every learned peer. They are top-level
    functions taking their free variables as arguments: a local closure
    over [side], [own] or the candidate would be heap-allocated on every
@@ -88,44 +58,37 @@ let rec side_mem_from (addrs : int array) n addr i =
 
 let side_mem side addr = side_mem_from side.addrs side.n addr 0
 
-(* Does the candidate [id] (packed prefix [cand_hi]) sort strictly
-   before entry [i]? The packed 7-byte distance prefix decides almost
-   every comparison; the full key strings are built only on a prefix
-   tie. *)
-let before side ~own ~cw id (cand_hi : int) i =
-  let c = compare cand_hi (entry_hi ~own ~cw side.ids.(i)) in
-  if c <> 0 then c < 0
-  else begin
-    let c = String.compare (entry_key ~own ~cw id) (entry_key ~own ~cw side.ids.(i)) in
-    c < 0 || (c = 0 && Id.compare id side.ids.(i) < 0)
-  end
+(* Does [x] sort strictly before [y] on its side? The larger side
+   sorts by clockwise distance from own ([cw] true). The smaller side
+   sorts by counterclockwise distance, and for x, y <> own
+   cw(x, own) = 2^128 − cw(own, x), so the same comparison with its
+   arguments swapped orders it. Distinct ids never tie. *)
+let before ~own ~cw x y =
+  (if cw then Id.cw_compare ~from:own x y else Id.cw_compare ~from:own y x) < 0
 
-(* Leftmost i in [lo, hi) with [before i]; [hi] if none. *)
-let rec search side ~own ~cw id cand_hi lo hi =
+(* Leftmost i in [lo, hi) with [id] before entry i; [hi] if none. *)
+let rec search side ~own ~cw id lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if before side ~own ~cw id cand_hi mid then search side ~own ~cw id cand_hi lo mid
-    else search side ~own ~cw id cand_hi (mid + 1) hi
+    if before ~own ~cw id side.ids.(mid) then search side ~own ~cw id lo mid
+    else search side ~own ~cw id (mid + 1) hi
 
 (* Insert into a distance-sorted side, capped at l/2. The insertion
    point is found by binary search (the side is strictly ordered by
-   (distance, id)): the leftmost entry strictly farther than the
-   candidate — identical to what the historical linear scan chose.
-   Membership is tested first: a duplicate address implies an equal
-   distance and id, so it always sorts before the insertion point and
-   refuses the offer either way, but searching for it would tie with
-   its own entry and build the full keys. Before either, a candidate
-   strictly beyond a full side's extreme is refused outright: it can be
-   neither a member (a member's prefix is at most the extreme's) nor
-   inserted — the common case, since every message teaches its
-   receiver the sender. *)
+   distance): the leftmost entry strictly farther than the candidate —
+   identical to what the historical linear scan chose. A candidate
+   beyond a full side's extreme is refused first, by one comparison:
+   it can be neither a member nor inserted — the common case, since
+   every message teaches its receiver the sender. Membership is tested
+   next: a duplicate address implies an equal id, so it always sorts
+   before the insertion point and refuses the offer either way. *)
 let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
-  let cand_hi = entry_hi ~own ~cw peer.Peer.id in
-  if side.n >= cap && cand_hi > side.ext_hi then false
+  let id = peer.Peer.id in
+  if side.n >= cap && before ~own ~cw side.ids.(side.n - 1) id then false
   else if side_mem side peer.Peer.addr then false
   else begin
-    let pos = search side ~own ~cw peer.Peer.id cand_hi 0 side.n in
+    let pos = search side ~own ~cw id 0 side.n in
     if pos = side.n && side.n >= cap then false
     else begin
       let last = Stdlib.min (side.n + 1) cap - 1 in
@@ -133,10 +96,9 @@ let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
         side.ids.(j) <- side.ids.(j - 1);
         side.addrs.(j) <- side.addrs.(j - 1)
       done;
-      side.ids.(pos) <- peer.Peer.id;
+      side.ids.(pos) <- id;
       side.addrs.(pos) <- peer.Peer.addr;
       side.n <- last + 1;
-      set_ext side ~own ~cw;
       true
     end
   end
@@ -144,13 +106,13 @@ let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
 let refresh t =
   t.members_cache <- None;
   let cap = half t in
-  (* With S and L the two extreme keys, S + L < 2^128 iff the
-     clockwise distance to the smaller side's extreme, 2^128 - S, is
-     greater than L. *)
+  (* With S and L the two extremes' distances from own, S + L < 2^128
+     iff the clockwise distance to the smaller side's extreme,
+     2^128 - S, is greater than L. *)
   t.disjoint <-
     t.smaller.n = cap
     && t.larger.n = cap
-    && String.compare (Id.cw_dist_key t.own t.smaller.ids.(cap - 1)) t.larger.ext_key > 0
+    && Id.cw_compare ~from:t.own t.smaller.ids.(cap - 1) t.larger.ids.(cap - 1) > 0
 
 (* Most offers come from a current member: every keep-alive, ack and
    repair reply teaches its receiver the sender. When the arcs are
@@ -199,11 +161,9 @@ let set_ring t ~ids ~addrs ~pos ~count =
   done;
   t.larger.n <- count;
   t.smaller.n <- count;
-  set_ext t.larger ~own:t.own ~cw:true;
-  set_ext t.smaller ~own:t.own ~cw:false;
   refresh t
 
-let side_remove side ~own ~cw addr =
+let side_remove side addr =
   let w = ref 0 in
   for i = 0 to side.n - 1 do
     if side.addrs.(i) <> addr then begin
@@ -216,12 +176,11 @@ let side_remove side ~own ~cw addr =
   done;
   let changed = !w <> side.n in
   side.n <- !w;
-  if changed then set_ext side ~own ~cw;
   changed
 
 let remove_addr t addr =
-  let changed_s = side_remove t.smaller ~own:t.own ~cw:false addr in
-  let changed_l = side_remove t.larger ~own:t.own ~cw:true addr in
+  let changed_s = side_remove t.smaller addr in
+  let changed_l = side_remove t.larger addr in
   let any = changed_s || changed_l in
   if any then refresh t;
   any
@@ -258,38 +217,25 @@ let extreme t side = if side.n = 0 then None else Some (Directory.get t.dir side
 let extreme_smaller t = extreme t t.smaller
 let extreme_larger t = extreme t t.larger
 
+(* A side with spare capacity means we know every node on that side,
+   so the leaf set spans the whole ring; so it does when the two arcs
+   overlap. Otherwise the arc runs clockwise from the smaller extreme
+   lo through own to the larger extreme hi, and its length S + L is
+   below 2^128, so it equals cw(lo, hi). *)
 let covers t key =
-  (* A side with spare capacity means we know every node on that side,
-     so the leaf set effectively spans the whole ring. *)
-  let cap = half t in
-  if t.smaller.n < cap || t.larger.n < cap then true
-  else begin
-    let s = t.smaller and l = t.larger in
-    (* Arc from lo clockwise to hi passes through own: the key is in
-       range iff its clockwise offset from lo does not exceed the
-       arc length, which is lo's ccw distance + hi's cw distance. *)
-    Id.dist_key_le_sum (Id.cw_dist_key s.ids.(s.n - 1) key) s.ext_key l.ext_key
-  end
+  (not t.disjoint)
+  ||
+  let last = half t - 1 in
+  Id.cw_compare ~from:t.smaller.ids.(last) key t.larger.ids.(last) <= 0
 
+(* Ties keep the incumbent, so a peer on both sides of a sparse ring is
+   found on the smaller side. *)
 let closest_to t key =
-  (* Track the minimum by packed ring-distance prefix; only a prefix
-     tie falls back to the full [Id.closer] comparison. A strictly
-     smaller prefix implies a strictly smaller full key, and ties keep
-     the incumbent, so the winner matches the plain closer-scan
-     exactly. *)
   let best_addr = ref (-1) in
   let best_id = ref t.own in
-  let best_hi = ref max_int in
   let scan side =
     for i = 0 to side.n - 1 do
-      let h = Id.ring_dist_hi7 key side.ids.(i) in
-      if h < !best_hi then begin
-        best_addr := side.addrs.(i);
-        best_id := side.ids.(i);
-        best_hi := h
-      end
-      else if h = !best_hi && !best_addr >= 0 && Id.closer ~target:key side.ids.(i) !best_id < 0
-      then begin
+      if !best_addr < 0 || Id.closer ~target:key side.ids.(i) !best_id < 0 then begin
         best_addr := side.addrs.(i);
         best_id := side.ids.(i)
       end
@@ -305,43 +251,24 @@ let closest_including_self t key =
   | Some p -> if Id.closer ~target:key t.own p.Peer.id <= 0 then `Self else `Peer p
 
 (* The k closest candidates so far, closest first, in parallel arrays:
-   packed ring-distance prefix, id, and result element. *)
-type best = {
-  b_hi : int array;
-  b_ids : Id.t array;
-  b_elts : [ `Self | `Peer of Peer.t ] array;
-  mutable b_n : int;
-}
-
-(* Does candidate [id] (prefix [h]) sort strictly before slot [i]? The
-   prefix decides almost every comparison; a prefix tie compares the
-   full keys (random ids essentially never tie), and an exact distance
-   tie breaks on the id, matching [Id.closer]'s ordering. *)
-let best_before b key h id i =
-  let c = compare (h : int) b.b_hi.(i) in
-  if c <> 0 then c < 0
-  else
-    let c = String.compare (Id.ring_dist_key key id) (Id.ring_dist_key key b.b_ids.(i)) in
-    c < 0 || (c = 0 && Id.compare id b.b_ids.(i) < 0)
+   id and result element. *)
+type best = { b_ids : Id.t array; b_elts : [ `Self | `Peer of Peer.t ] array; mutable b_n : int }
 
 (* Make room for the candidate at its place among the first [b_n]
    slots, dropping the farthest once all k are taken, and return its
    slot; -1 when a full set refuses it. The caller stores the element,
    so a refused candidate allocates nothing. *)
 let best_slot b ~k key id =
-  let h = Id.ring_dist_hi7 key id in
-  if b.b_n < k || best_before b key h id (b.b_n - 1) then begin
+  if b.b_n < k || Id.closer ~target:key id b.b_ids.(b.b_n - 1) < 0 then begin
     let last = Stdlib.min b.b_n (k - 1) in
     let pos = ref last in
-    while !pos > 0 && best_before b key h id (!pos - 1) do
+    while !pos > 0 && Id.closer ~target:key id b.b_ids.(!pos - 1) < 0 do
       decr pos
     done;
     for j = last downto !pos + 1 do
-      b.b_hi.(j) <- b.b_hi.(j - 1);
       b.b_ids.(j) <- b.b_ids.(j - 1);
       b.b_elts.(j) <- b.b_elts.(j - 1)
     done;
-    b.b_hi.(!pos) <- h;
     b.b_ids.(!pos) <- id;
     b.b_n <- last + 1;
     !pos
@@ -379,57 +306,37 @@ let slot_elt t j =
   else if j <= n then `Peer (Directory.get t.dir t.larger.addrs.(j - 1))
   else `Peer (Directory.get t.dir t.smaller.addrs.((2 * n) - j))
 
-(* Is slot [j] at or before the key, clockwise from own? The packed
-   prefix decides unless it ties. *)
-let slot_le t j key key_hi =
-  let id = slot_id t j in
-  let h = Id.cw_dist_hi7 t.own id in
-  h < key_hi
-  || (h = key_hi && String.compare (Id.cw_dist_key t.own id) (Id.cw_dist_key t.own key) <= 0)
-
-(* The last slot in [lo, hi) at or before the key; slot [lo] is. *)
-let rec locate t key key_hi lo hi =
+(* The last slot in [lo, hi) at or before the key, clockwise from own;
+   slot [lo] is. *)
+let rec locate t key lo hi =
   if hi - lo <= 1 then lo
   else
     let mid = (lo + hi) / 2 in
-    if slot_le t mid key key_hi then locate t key key_hi mid hi else locate t key key_hi lo mid
+    if Id.cw_compare ~from:t.own (slot_id t mid) key <= 0 then locate t key mid hi
+    else locate t key lo mid
 
-let head_hi t key j = Id.ring_dist_hi7 key (slot_id t j)
-
-(* The two heads' packed ring-distance prefixes ride along, so a step
-   computes one new prefix; only a prefix tie asks [Id.closer]. *)
-let rec walk t key m left lhi right rhi remaining =
+let rec walk t key m left right remaining =
   if remaining = 0 then []
-  else if
-    lhi < rhi || (lhi = rhi && Id.closer ~target:key (slot_id t left) (slot_id t right) <= 0)
-  then
-    let e = slot_elt t left and left = (left + m - 1) mod m in
-    e :: walk t key m left (head_hi t key left) right rhi (remaining - 1)
+  else if Id.closer ~target:key (slot_id t left) (slot_id t right) <= 0 then
+    let e = slot_elt t left in
+    e :: walk t key m ((left + m - 1) mod m) right (remaining - 1)
   else
-    let e = slot_elt t right and right = (right + 1) mod m in
-    e :: walk t key m left lhi right (head_hi t key right) (remaining - 1)
+    let e = slot_elt t right in
+    e :: walk t key m left ((right + 1) mod m) (remaining - 1)
 
 let replica_set t ~k key =
   if k <= 0 then invalid_arg (Printf.sprintf "Leaf_set.replica_set: k must be positive (got %d)" k);
   if t.disjoint then begin
     let m = 1 + t.larger.n + t.smaller.n in
-    let j = locate t key (Id.cw_dist_hi7 t.own key) 0 m in
-    let right = (j + 1) mod m in
-    walk t key m j (head_hi t key j) right (head_hi t key right) (Stdlib.min k m)
+    let j = locate t key 0 m in
+    walk t key m j ((j + 1) mod m) (Stdlib.min k m)
   end
   else begin
     (* Overlapping arcs: bounded insertion of own id and the members
        into k slots. The order is total (distinct ids, and [members]
        excludes own), so this is exactly the first k of the sorted
        candidates. *)
-    let b =
-      {
-        b_hi = Array.make k max_int;
-        b_ids = Array.make k t.own;
-        b_elts = Array.make k `Self;
-        b_n = 0;
-      }
-    in
+    let b = { b_ids = Array.make k t.own; b_elts = Array.make k `Self; b_n = 0 } in
     ignore (best_slot b ~k key t.own : int);
     best_offer_peers b ~k key (members t);
     List.init b.b_n (fun i -> b.b_elts.(i))

@@ -57,6 +57,30 @@ let histogram_observe () =
   within "Histogram.observe" ~budget:0.5
     (words_per_call ~warmup:2_048 ~calls:100_000 (fun () -> Histogram.observe h 1.5))
 
+(* The routing comparisons keep their int64 words unboxed: a budget
+   under 1 word admits no per-call block at all. *)
+let id_triples =
+  let rng = Rng.create 3 in
+  Array.init 64 (fun _ ->
+      let id () = Past_id.Id.random rng ~width:128 in
+      (id (), id (), id ()))
+
+let id_closer () =
+  let i = ref 0 in
+  within "Id.closer" ~budget:0.0
+    (words_per_call ~calls:100_000 (fun () ->
+         incr i;
+         let t, x, y = id_triples.(!i land 63) in
+         ignore (Sys.opaque_identity (Past_id.Id.closer ~target:t x y))))
+
+let id_cw_compare () =
+  let i = ref 0 in
+  within "Id.cw_compare" ~budget:0.0
+    (words_per_call ~calls:100_000 (fun () ->
+         incr i;
+         let f, x, y = id_triples.(!i land 63) in
+         ignore (Sys.opaque_identity (Past_id.Id.cw_compare ~from:f x y))))
+
 (* A converged static overlay of 32 nodes: with l = 32 and a
    neighborhood of 32, every node holds every other in its leaf set and
    its neighborhood. *)
@@ -106,6 +130,18 @@ let learn_leaf_member () =
   within "Node.learn of a leaf-set member (N = 100)" ~budget:2.0
     (words_per_call ~calls:20_000 (fun () -> PNode.learn node peer))
 
+(* The coverage test every routed hop makes, on two full sides with
+   disjoint arcs: one exact comparison, no distance built. *)
+let covers_disjoint () =
+  let leaf = PNode.leaf_set (Overlay.nodes (sparse_overlay ())).(0) in
+  let rng = Rng.create 6 in
+  let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
+  let i = ref 0 in
+  within "Leaf_set.covers (N = 100)" ~budget:0.0
+    (words_per_call ~calls:100_000 (fun () ->
+         incr i;
+         ignore (Sys.opaque_identity (Leaf_set.covers leaf keys.(!i land 63)))))
+
 (* A keep-alive from a node to a leaf-set member and the member's ack:
    two sends, two wheel pushes and pops, two deliveries, two learns. *)
 let keepalive_round_trip () =
@@ -142,10 +178,10 @@ let replica_set_k3_on ov what ~budget =
          ignore (Sys.opaque_identity (Leaf_set.replica_set ls ~k:3 keys.(!i land 63)))))
 
 (* Re-replication and reclaim routing pick the k = 3 closest of own id
-   and 31 leaf-set members. Where the arcs overlap: three slot arrays,
+   and 31 leaf-set members. Where the arcs overlap: two slot arrays,
    the few candidates that enter the best k, and the result list. *)
 let replica_set_k3 () =
-  replica_set_k3_on (converged_overlay ()) "Leaf_set.replica_set (k = 3, 31 members)" ~budget:96.0
+  replica_set_k3_on (converged_overlay ()) "Leaf_set.replica_set (k = 3, 31 members)" ~budget:64.0
 
 (* With disjoint arcs the replica set is read off a window of the
    sorted leaf set: the result is the only allocation, a list cell and
@@ -179,11 +215,14 @@ let suite =
     [
       "Rng.float" => rng_float;
       "Histogram.observe" => histogram_observe;
+      "Id.closer" => id_closer;
+      "Id.cw_compare" => id_cw_compare;
       "Node.learn of a known peer" => learn_known_peer;
       "keep-alive round trip" => keepalive_round_trip;
       "Leaf_set.replica_set (k = 3)" => replica_set_k3;
       "Node.learn of a leaf member (N = 100)" => learn_leaf_member;
       "Leaf_set.replica_set window (k = 3, N = 100)" => replica_set_window;
+      "Leaf_set.covers (N = 100)" => covers_disjoint;
       "Sha256.digest_string (320 B)" => sha256_320;
       "Sha1.digest_string (320 B)" => sha1_320;
       "Hex.of_bytes (32-byte digest)" => hex_32;

@@ -40,7 +40,7 @@ let file_cert_tamper_detected () =
   check Alcotest.bool "size tampered" false (Cert.verify_file { c with Cert.size = c.Cert.size + 1 });
   check Alcotest.bool "k tampered" false (Cert.verify_file { c with Cert.replication = 9 });
   check Alcotest.bool "id tampered" false
-    (Cert.verify_file { c with Cert.file_id = Id.add_int c.Cert.file_id 1 });
+    (Cert.verify_file { c with Cert.file_id = Id_oracle.add_int c.Cert.file_id 1 });
   check Alcotest.bool "hash tampered" false
     (Cert.verify_file { c with Cert.content_hash = String.make 40 '0' })
 
@@ -104,7 +104,7 @@ let store_receipt_roundtrip () =
   check Alcotest.bool "node id embedded" true
     (Id.equal r.Cert.storing_node_id (Smartcard.node_id node_card));
   check Alcotest.bool "tamper" false
-    (Cert.verify_store_receipt { r with Cert.sr_file_id = Id.add_int file_id 1 })
+    (Cert.verify_store_receipt { r with Cert.sr_file_id = Id_oracle.add_int file_id 1 })
 
 (* --- reclaim --- *)
 

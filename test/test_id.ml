@@ -52,17 +52,19 @@ let shared_prefix_manual () =
   check Alcotest.int "b=8 prefix" 1 (Id.shared_prefix_digits ~b:8 a b);
   check Alcotest.int "self prefix" 32 (Id.shared_prefix_digits ~b:4 a a)
 
+(* The big-integer oracle itself: symmetry, wraparound, cw + ccw. *)
 let distance_symmetric () =
   let rng = Rng.create 3 in
   for _ = 1 to 100 do
     let a = Id.random rng ~width:128 and b = Id.random rng ~width:128 in
-    check Alcotest.bool "sym" true (Nat.equal (Id.distance a b) (Id.distance b a))
+    check Alcotest.bool "sym" true (Nat.equal (Id_oracle.distance a b) (Id_oracle.distance b a))
   done
 
 let distance_wraps () =
   let zero = Id.zero ~width:128 in
   let maxid = Id.max_id ~width:128 in
-  check Alcotest.bool "max is adjacent to zero" true (Nat.equal (Id.distance zero maxid) Nat.one)
+  check Alcotest.bool "max is adjacent to zero" true
+    (Nat.equal (Id_oracle.distance zero maxid) Nat.one)
 
 let cw_plus_ccw () =
   (* cw(a,b) + cw(b,a) = 2^128 for distinct ids. *)
@@ -72,36 +74,40 @@ let cw_plus_ccw () =
     let a = Id.random rng ~width:128 and b = Id.random rng ~width:128 in
     if not (Id.equal a b) then
       check Alcotest.bool "cw + ccw = 2^128" true
-        (Nat.equal (Nat.add (Id.cw_distance a b) (Id.cw_distance b a)) modulus)
+        (Nat.equal (Nat.add (Id_oracle.cw_distance a b) (Id_oracle.cw_distance b a)) modulus)
   done
 
 let add_int_wraps () =
   let maxid = Id.max_id ~width:128 in
-  check id_t "max + 1 = 0" (Id.zero ~width:128) (Id.add_int maxid 1);
-  check id_t "0 - 1 = max" maxid (Id.add_int (Id.zero ~width:128) (-1));
+  check id_t "max + 1 = 0" (Id.zero ~width:128) (Id_oracle.add_int maxid 1);
+  check id_t "0 - 1 = max" maxid (Id_oracle.add_int (Id.zero ~width:128) (-1));
   let rng = Rng.create 5 in
   let a = Id.random rng ~width:128 in
-  check id_t "+5 -5" a (Id.add_int (Id.add_int a 5) (-5))
+  check id_t "+5 -5" a (Id_oracle.add_int (Id_oracle.add_int a 5) (-5))
 
 let is_between_cw_cases () =
-  let i n = Id.add_int (Id.zero ~width:128) n in
-  check Alcotest.bool "10 in [5,20)" true (Id.is_between_cw (i 5) (i 10) (i 20));
-  check Alcotest.bool "5 in [5,20)" true (Id.is_between_cw (i 5) (i 5) (i 20));
-  check Alcotest.bool "20 not in [5,20)" false (Id.is_between_cw (i 5) (i 20) (i 20));
+  let i n = Id_oracle.add_int (Id.zero ~width:128) n in
+  let between = Id_oracle.is_between_cw in
+  check Alcotest.bool "10 in [5,20)" true (between (i 5) (i 10) (i 20));
+  check Alcotest.bool "5 in [5,20)" true (between (i 5) (i 5) (i 20));
+  check Alcotest.bool "20 not in [5,20)" false (between (i 5) (i 20) (i 20));
   (* wrap-around arc *)
-  check Alcotest.bool "2 in [max-5, 10)" true
-    (Id.is_between_cw (Id.add_int (i 0) (-5)) (i 2) (i 10));
-  check Alcotest.bool "50 not in wrap arc" false
-    (Id.is_between_cw (Id.add_int (i 0) (-5)) (i 50) (i 10))
+  check Alcotest.bool "2 in [max-5, 10)" true (between (i (-5)) (i 2) (i 10));
+  check Alcotest.bool "50 not in wrap arc" false (between (i (-5)) (i 50) (i 10))
 
 let closer_prefers_closest () =
-  let i n = Id.add_int (Id.zero ~width:128) n in
+  let i n = Id_oracle.add_int (Id.zero ~width:128) n in
   check Alcotest.bool "closer" true (Id.closer ~target:(i 100) (i 99) (i 110) < 0);
   check Alcotest.bool "farther" true (Id.closer ~target:(i 100) (i 150) (i 110) > 0);
   check Alcotest.bool "equal ids" true (Id.closer ~target:(i 100) (i 99) (i 99) = 0);
   (* wrap: max is closer to 0 than 3 is *)
   check Alcotest.bool "wrap closer" true
-    (Id.closer ~target:(i 0) (Id.max_id ~width:128) (i 3) < 0)
+    (Id.closer ~target:(i 0) (Id.max_id ~width:128) (i 3) < 0);
+  (* a tie in distance goes to the numerically smaller id *)
+  check Alcotest.bool "tie by id" true (Id.closer ~target:(i 100) (i 90) (i 110) < 0);
+  check Alcotest.bool "cw from 100: 110 before 90" true
+    (Id.cw_compare ~from:(i 100) (i 110) (i 90) < 0);
+  check Alcotest.int "cw equal ids" 0 (Id.cw_compare ~from:(i 100) (i 90) (i 90))
 
 let file_id_functions () =
   let rng = Rng.create 6 in
@@ -133,6 +139,36 @@ let width_mismatch_raises () =
   Alcotest.check_raises "compare" (Invalid_argument "Id.compare: width mismatch (128 vs 160 bits)")
     (fun () -> ignore (Id.compare a b))
 
+(* Width errors name the value they got. The routing comparisons take
+   128-bit ids only, and name the first operand of another width. *)
+let width_errors_name_values () =
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "zero" "Id.zero: width must be a positive multiple of 8 (got 12)" (fun () ->
+      Id.zero ~width:12);
+  raises "max_id" "Id.max_id: width must be a positive multiple of 8 (got 0)" (fun () ->
+      Id.max_id ~width:0);
+  raises "of_hex width" "Id.of_hex: width must be a positive multiple of 8 (got -8)" (fun () ->
+      Id.of_hex ~width:(-8) "ff");
+  raises "random" "Id.random: width must be a positive multiple of 8 (got 7)" (fun () ->
+      Id.random (Rng.create 1) ~width:7);
+  raises "of_hex fit" "Id.of_hex: value exceeds width (3 hex digits for 8 bits)" (fun () ->
+      Id.of_hex ~width:8 "1ff");
+  raises "prefix" "Id.prefix_of_file_id: id too short (64 bits, need 128)" (fun () ->
+      Id.prefix_of_file_id (Id.zero ~width:64));
+  let n = Id.zero ~width:128 and f = Id.zero ~width:160 and w = Id.zero ~width:256 in
+  raises "closer target" "Id.closer: routing ids are 128 bits (got 160)" (fun () ->
+      Id.closer ~target:f n n);
+  raises "closer x" "Id.closer: routing ids are 128 bits (got 256)" (fun () ->
+      Id.closer ~target:n w f);
+  raises "closer y" "Id.closer: routing ids are 128 bits (got 160)" (fun () ->
+      Id.closer ~target:n n f);
+  raises "cw_compare from" "Id.cw_compare: routing ids are 128 bits (got 256)" (fun () ->
+      Id.cw_compare ~from:w n n);
+  raises "cw_compare y" "Id.cw_compare: routing ids are 128 bits (got 160)" (fun () ->
+      Id.cw_compare ~from:n n f)
+
 (* A negative index used to wrap into a valid byte and slot (b = 4,
    i = -1 read byte 0 with shift 8) and return 0, or to raise String's
    generic error. Each error names the offending value. *)
@@ -154,135 +190,103 @@ let digit_errors_name_values () =
       ignore (Id.shared_prefix_digits ~b:16 ones ones));
   check Alcotest.int "last digit" 0xf (Id.digit ~b:4 ones 31)
 
-(* qcheck: fast byte-key paths agree with the Nat reference
-   implementations. *)
+(* qcheck: the two-word comparisons agree with the big-integer
+   oracle. *)
 
-let qcheck_cw_key_matches_nat =
-  QCheck.Test.make ~name:"cw_dist_key = cw_distance" ~count:500 arb_pair (fun (a, b) ->
-      Nat.equal (Nat.of_bytes_be (Bytes.of_string (Id.cw_dist_key a b))) (Id.cw_distance a b))
+let arb_triple = QCheck.triple arb_id arb_id arb_id
+let sign c = compare c 0
 
-let qcheck_ring_key_matches_nat =
-  QCheck.Test.make ~name:"ring_dist_key = distance" ~count:500 arb_pair (fun (a, b) ->
-      Nat.equal (Nat.of_bytes_be (Bytes.of_string (Id.ring_dist_key a b))) (Id.distance a b))
+let qcheck_cw_compare_matches_nat =
+  QCheck.Test.make ~name:"cw_compare = cw_distance order" ~count:500 arb_triple (fun (f, x, y) ->
+      sign (Id.cw_compare ~from:f x y) = sign (Id_oracle.cw_compare ~from:f x y)
+      && sign (Id.cw_compare ~from:f x x) = 0
+      && sign (Id.cw_compare ~from:f f x) = sign (Id_oracle.cw_compare ~from:f f x))
 
 let qcheck_closer_matches_nat =
-  QCheck.Test.make ~name:"closer consistent with Nat distances" ~count:500
-    (QCheck.triple arb_id arb_id arb_id)
-    (fun (t, x, y) ->
-      let fast = Id.closer ~target:t x y in
-      let dx = Id.distance t x and dy = Id.distance t y in
-      let slow =
-        let c = Nat.compare dx dy in
-        if c <> 0 then c else Id.compare x y
-      in
-      compare fast 0 = compare slow 0)
+  QCheck.Test.make ~name:"closer consistent with Nat distances" ~count:500 arb_triple
+    (fun (t, x, y) -> sign (Id.closer ~target:t x y) = sign (Id_oracle.closer ~target:t x y))
 
-let qcheck_le_sum =
-  QCheck.Test.make ~name:"dist_key_le_sum = Nat inequality" ~count:500
-    (QCheck.triple arb_id arb_id arb_id)
-    (fun (a, b, c) ->
-      let ka = Id.ring_dist_key a b and kb = Id.ring_dist_key b c and kd = Id.ring_dist_key a c in
-      let na = Id.distance a b and nb = Id.distance b c and nd = Id.distance a c in
-      Id.dist_key_le_sum kd ka kb = (Nat.compare nd (Nat.add na nb) <= 0))
+(* [t + d] and [t - d] for a random 128-bit offset [d]: equal ring
+   distances, so the id order decides. *)
+let qcheck_closer_ties =
+  QCheck.Test.make ~name:"closer = oracle on t+-d ties" ~count:500 arb_pair (fun (t, d) ->
+      let nt = Id_oracle.to_nat t and nd = Id_oracle.to_nat d in
+      let x = Id_oracle.of_nat ~width:128 (Nat.add nt nd)
+      and y = Id_oracle.of_nat ~width:128 (Nat.sub (Nat.add nt (Nat.shift_left Nat.one 128)) nd) in
+      sign (Id.closer ~target:t x y) = sign (Id_oracle.closer ~target:t x y)
+      && sign (Id.closer ~target:t y x) = sign (Id_oracle.closer ~target:t y x))
 
-(* [i] with its top bit flipped, i.e. i + 2^(bits-1) mod 2^bits — the
-   point where a clockwise distance is its own two's-complement
-   negation, which stresses the min(e, -e) branch of the fast paths. *)
+(* [i] with its top bit flipped, i.e. i + 2^127 — the point where a
+   clockwise distance is its own two's-complement negation, which
+   stresses the min(e, -e) branch. *)
 let flip_top_bit i =
-  let w = Id.bits i in
   let h = Id.to_hex i in
   let b0 = int_of_string ("0x" ^ String.sub h 0 2) lxor 0x80 in
-  Id.of_hex ~width:w (Printf.sprintf "%02x%s" b0 (String.sub h 2 (String.length h - 2)))
+  Id.of_hex ~width:128 (Printf.sprintf "%02x%s" b0 (String.sub h 2 (String.length h - 2)))
 
-(* Fast [Id.closer] against the Nat-based oracle on crafted inputs:
-   ring wraparound around 0/2^w, exact equal-distance ties (t±d),
-   the 0x80… self-negation point, x = target, and widths covering both
-   the packed-int fast path and (at 256 bits) the wide fallback. *)
+(* Offsets that borrow out of the low word (1, 255, 2^32), that fill
+   it (max_int), and that stay in it. *)
+let offsets = [ 1; 2; 255; 256; 65535; 1 lsl 32; max_int ]
+
+(* [Id.closer] against the oracle on crafted inputs: ring wraparound
+   around 0/2^128, exact equal-distance ties (t±d), the 0x80…
+   self-negation point and x = target. *)
 let adversarial_closer () =
-  List.iter
-    (fun width ->
-      let rng = Rng.create 7 in
-      let zero = Id.zero ~width and maxid = Id.max_id ~width in
-      for _ = 1 to 25 do
-        let t = Id.random rng ~width in
-        List.iter
-          (fun d ->
-            let cases =
-              [
-                (t, Id.add_int t d, Id.add_int t (-d));
-                (t, Id.add_int t (-d), Id.add_int t d);
-                (zero, maxid, Id.add_int zero d);
-                (zero, Id.add_int zero (-d), Id.add_int zero d);
-                (maxid, zero, Id.add_int maxid (-d));
-                (t, flip_top_bit t, Id.add_int t d);
-                (t, flip_top_bit t, t);
-                (t, t, Id.add_int t d);
-                (Id.add_int t d, t, flip_top_bit t);
-              ]
-            in
-            List.iter
-              (fun (target, x, y) ->
-                check Alcotest.int
-                  (Printf.sprintf "w=%d d=%d closer(%s; %s, %s)" width d (Id.short target)
-                     (Id.short x) (Id.short y))
-                  (compare (Id.closer_oracle ~target x y) 0)
-                  (compare (Id.closer ~target x y) 0))
-              cases)
-          [ 1; 2; 255; 256; 65535 ]
-      done)
-    [ 128; 160; 256 ]
-
-let qcheck_closer_oracle_wide =
-  (* 256-bit ids exceed the packed-mask budget, forcing the string-key
-     fallback inside [closer]; the oracle must still agree. *)
-  QCheck.Test.make ~name:"closer = oracle (256-bit fallback)" ~count:300
-    (QCheck.triple (QCheck.make ~print:Id.to_hex (gen_id 256))
-       (QCheck.make ~print:Id.to_hex (gen_id 256))
-       (QCheck.make ~print:Id.to_hex (gen_id 256)))
-    (fun (t, x, y) ->
-      compare (Id.closer ~target:t x y) 0 = compare (Id.closer_oracle ~target:t x y) 0)
-
-(* Reference repack of a full distance key's leading bytes, used to pin
-   down the allocation-free hi7 variants. *)
-let hi_of_key d =
-  let k = Stdlib.min 7 (String.length d) in
-  let v = ref 0 in
-  for i = 0 to k - 1 do
-    v := (!v lsl 8) lor Char.code d.[i]
-  done;
-  !v
-
-let qcheck_hi7_matches_keys =
-  QCheck.Test.make ~name:"cw/ring hi7 = packed key prefix" ~count:500 arb_pair (fun (a, b) ->
-      Id.cw_dist_hi7 a b = hi_of_key (Id.cw_dist_key a b)
-      && Id.ring_dist_hi7 a b = hi_of_key (Id.ring_dist_key a b))
-
-let adversarial_hi7 () =
-  (* Adjacent ids (borrow chains through the suffix), top-bit flips
-     (zero suffix, so negation carries into the packed bytes), and
-     widths at / below the 7-byte pack. *)
-  List.iter
-    (fun width ->
-      let rng = Rng.create 11 in
-      for _ = 1 to 50 do
-        let t = Id.random rng ~width in
-        let others =
-          [ Id.add_int t 1; Id.add_int t (-1); Id.add_int t 256; flip_top_bit t;
-            Id.add_int (flip_top_bit t) 1; Id.zero ~width; Id.max_id ~width ]
+  let rng = Rng.create 7 in
+  let zero = Id.zero ~width:128 and maxid = Id.max_id ~width:128 in
+  let add = Id_oracle.add_int in
+  for _ = 1 to 25 do
+    let t = Id.random rng ~width:128 in
+    List.iter
+      (fun d ->
+        let cases =
+          [
+            (t, add t d, add t (-d));
+            (t, add t (-d), add t d);
+            (zero, maxid, add zero d);
+            (zero, add zero (-d), add zero d);
+            (maxid, zero, add maxid (-d));
+            (t, flip_top_bit t, add t d);
+            (t, flip_top_bit t, t);
+            (t, t, add t d);
+            (add t d, t, flip_top_bit t);
+            (t, add (flip_top_bit t) d, add (flip_top_bit t) (-d));
+          ]
         in
         List.iter
-          (fun x ->
+          (fun (target, x, y) ->
             check Alcotest.int
-              (Printf.sprintf "w=%d cw_hi7 %s %s" width (Id.short t) (Id.short x))
-              (hi_of_key (Id.cw_dist_key t x))
-              (Id.cw_dist_hi7 t x);
+              (Printf.sprintf "d=%d closer(%s; %s, %s)" d (Id.short target) (Id.short x)
+                 (Id.short y))
+              (sign (Id_oracle.closer ~target x y))
+              (sign (Id.closer ~target x y)))
+          cases)
+      offsets
+  done
+
+(* [Id.cw_compare] against the oracle from a random origin to its
+   neighbours, across the top-bit flip, and to 0 and the maximum id:
+   borrows through the low word and out of the high one. *)
+let adversarial_cw_compare () =
+  let rng = Rng.create 11 in
+  let add = Id_oracle.add_int in
+  for _ = 1 to 50 do
+    let f = Id.random rng ~width:128 in
+    let others =
+      f :: flip_top_bit f :: Id.zero ~width:128 :: Id.max_id ~width:128
+      :: List.concat_map (fun d -> [ add f d; add f (-d); add (flip_top_bit f) d ]) offsets
+    in
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
             check Alcotest.int
-              (Printf.sprintf "w=%d ring_hi7 %s %s" width (Id.short t) (Id.short x))
-              (hi_of_key (Id.ring_dist_key t x))
-              (Id.ring_dist_hi7 t x))
-          others
-      done)
-    [ 16; 56; 64; 128; 160 ]
+              (Printf.sprintf "cw_compare(%s; %s, %s)" (Id.short f) (Id.short x) (Id.short y))
+              (sign (Id_oracle.cw_compare ~from:f x y))
+              (sign (Id.cw_compare ~from:f x y)))
+          others)
+      others
+  done
 
 let qcheck_prefix_symmetric =
   QCheck.Test.make ~name:"shared prefix symmetric" ~count:300 arb_pair (fun (a, b) ->
@@ -344,15 +348,13 @@ let suite =
       "node id width" => node_id_of_key_width;
       "map/set/table" => map_set_table;
       "width mismatch raises" => width_mismatch_raises;
+      "width errors name their values" => width_errors_name_values;
       "digit errors name their values" => digit_errors_name_values;
-      QCheck_alcotest.to_alcotest qcheck_cw_key_matches_nat;
-      QCheck_alcotest.to_alcotest qcheck_ring_key_matches_nat;
+      QCheck_alcotest.to_alcotest qcheck_cw_compare_matches_nat;
+      QCheck_alcotest.to_alcotest qcheck_closer_ties;
       QCheck_alcotest.to_alcotest qcheck_closer_matches_nat;
       "closer vs oracle, adversarial ids" => adversarial_closer;
-      QCheck_alcotest.to_alcotest qcheck_closer_oracle_wide;
-      QCheck_alcotest.to_alcotest qcheck_hi7_matches_keys;
-      "dist hi7 vs keys, adversarial ids" => adversarial_hi7;
-      QCheck_alcotest.to_alcotest qcheck_le_sum;
+      "cw_compare vs oracle, adversarial ids" => adversarial_cw_compare;
       QCheck_alcotest.to_alcotest qcheck_prefix_symmetric;
       QCheck_alcotest.to_alcotest qcheck_prefix_oracle;
       QCheck_alcotest.to_alcotest qcheck_digit_reassembly;

@@ -111,7 +111,7 @@ let rt_errors_name_values () =
 
 (* --- Leaf set --- *)
 
-let i_id n = Id.add_int (Id.of_hex ~width:128 "80000000000000000000000000000000") n
+let i_id n = Id_oracle.add_int (Id.of_hex ~width:128 "80000000000000000000000000000000") n
 
 let leaf_basic () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
@@ -201,12 +201,12 @@ let leaf_remove () =
 
 let leaf_wrap_around () =
   (* Own id near zero: smaller side wraps to the top of the ring. *)
-  let own = Id.add_int (Id.zero ~width:128) 5 in
+  let own = Id_oracle.add_int (Id.zero ~width:128) 5 in
   let ls = Leaf_set.create ~config:small_config ~own () in
-  let top = Id.add_int (Id.zero ~width:128) (-3) in
+  let top = Id_oracle.add_int (Id.zero ~width:128) (-3) in
   ignore (Leaf_set.add ls (Peer.make ~id:top ~addr:1));
   check Alcotest.int "wrapped into smaller side" 1 (List.length (Leaf_set.smaller ls));
-  match Leaf_set.closest_including_self ls (Id.add_int (Id.zero ~width:128) (-1)) with
+  match Leaf_set.closest_including_self ls (Id_oracle.add_int (Id.zero ~width:128) (-1)) with
   | `Peer p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
   | `Self -> Alcotest.fail "wrapped peer is closer"
 
@@ -214,13 +214,13 @@ let leaf_wrap_around () =
    may be sparse (the whole ring fits and its two arcs overlap) or
    full with disjoint arcs; a quarter of the cases then remove a peer
    or two, leaving a side short. "Near" ids lie within a few thousand
-   of own, so their distances share every leading byte and near keys
-   tie exactly between two nodes. Returns own, the near-id generator
+   of own, so their distances share the high word and near keys tie
+   exactly between two nodes. Returns own, the near-id generator
    and the leaf set. *)
 let random_leaf_set rng l =
   let own = Id.random rng ~width:128 in
   let id_mode = Rng.int rng 3 in
-  let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
+  let near () = Id_oracle.add_int own (Rng.int_in rng (-3000) 3000) in
   let random_id () =
     match id_mode with
     | 0 -> Id.random rng ~width:128
@@ -247,7 +247,8 @@ let random_leaf_set rng l =
     done;
   (own, near, ls)
 
-let antipode id = Id.of_nat ~width:128 (Nat.add (Id.to_nat id) (Nat.shift_left Nat.one 127))
+let antipode id =
+  Id_oracle.of_nat ~width:128 (Nat.add (Id_oracle.to_nat id) (Nat.shift_left Nat.one 127))
 
 (* qcheck: replica_set matches a brute-force sort of members+self.
    Keys include own, every member, a member's neighbour and own's
@@ -262,7 +263,7 @@ let qcheck_replica_set =
       let members = Leaf_set.members ls |> List.map (fun p -> p.Peer.id) in
       let keys =
         own :: antipode own :: Id.random rng ~width:128 :: near () :: near ()
-        :: List.concat_map (fun m -> [ m; Id.add_int m 1 ]) members
+        :: List.concat_map (fun m -> [ m; Id_oracle.add_int m 1 ]) members
       in
       List.for_all
         (fun key ->
@@ -287,8 +288,8 @@ let covers_oracle ~l ls own key =
   | smaller, larger ->
     let lo = (List.nth smaller ((l / 2) - 1)).Peer.id
     and hi = (List.nth larger ((l / 2) - 1)).Peer.id in
-    Nat.compare (Id.cw_distance lo key) (Id.cw_distance lo own) <= 0
-    || Nat.compare (Id.cw_distance own key) (Id.cw_distance own hi) <= 0
+    Nat.compare (Id_oracle.cw_distance lo key) (Id_oracle.cw_distance lo own) <= 0
+    || Nat.compare (Id_oracle.cw_distance own key) (Id_oracle.cw_distance own hi) <= 0
 
 (* qcheck: covers matches the oracle at own, each extreme and its two
    neighbours, own's antipode and random and near keys. *)
@@ -306,7 +307,9 @@ let qcheck_covers =
       in
       let keys =
         own :: antipode own :: Id.random rng ~width:128 :: Id.random rng ~width:128 :: near ()
-        :: List.concat_map (fun e -> [ e; Id.add_int e 1; Id.add_int e (-1) ]) extremes
+        :: List.concat_map
+             (fun e -> [ e; Id_oracle.add_int e 1; Id_oracle.add_int e (-1) ])
+             extremes
       in
       List.for_all (fun key -> Leaf_set.covers ls key = covers_oracle ~l ls own key) keys)
 
@@ -318,7 +321,7 @@ let qcheck_covers =
    then larger, deduplicated through a 64-bucket table, folded out.
    Pools smaller than l/2 put every peer on both sides of a sparse
    ring; "near" ids lie within a few thousand of own, so their
-   distances share the packed 7-byte prefix and the full keys decide. *)
+   distances share the high word and the low word decides. *)
 let model_side_add ~cap ~dist side ((addr, id) as entry) =
   if List.exists (fun (a, _) -> a = addr) side then (side, false)
   else begin
@@ -349,7 +352,7 @@ let qcheck_leaf_set_model =
       let l = [| 2; 4; 8; 16 |].(l_index) in
       let own = Id.random rng ~width:128 in
       let random_id () =
-        let near () = Id.add_int own (Rng.int_in rng (-3000) 3000) in
+        let near () = Id_oracle.add_int own (Rng.int_in rng (-3000) 3000) in
         match id_mode with
         | 0 -> Id.random rng ~width:128
         | 1 -> near ()
@@ -387,11 +390,11 @@ let qcheck_leaf_set_model =
           | 2 -> (false, Leaf_set.add ls (Peer.make ~id:own ~addr:pool))
           | _ ->
             let g, cg =
-              model_side_add ~cap:(l / 2) ~dist:(Id.cw_distance own) !larger (a, ids.(a))
+              model_side_add ~cap:(l / 2) ~dist:(Id_oracle.cw_distance own) !larger (a, ids.(a))
             in
             let s, cs =
               model_side_add ~cap:(l / 2)
-                ~dist:(fun id -> Id.cw_distance id own)
+                ~dist:(fun id -> Id_oracle.cw_distance id own)
                 !smaller (a, ids.(a))
             in
             larger := g;
