@@ -32,7 +32,10 @@
      detection cost, the latter is data volume, not routing repair.
 
    Acknowledged inserts join the catalog; a reclaimed file is dead, and
-   the probes, the replica scan and the final audit skip it. *)
+   the probes, the replica scan and the final audit skip it. Holders
+   honour a reclaim only from the file's owner (§2.1), so each reclaim
+   goes through the client that inserted the file, and is skipped while
+   that client's access node is down. *)
 
 module System = Past_core.System
 module Client = Past_core.Client
@@ -106,6 +109,7 @@ type result = {
   lookups_attempted : int;
   lookups_ok : int;
   reclaims : int;
+  reclaims_receipted : int;  (** reclaims that returned at least one receipt *)
   files_available : int;  (** live files with >= 1 live replica at the end *)
   files_replicated : int;  (** live files with >= k live replicas at the end *)
   probes : int;
@@ -154,16 +158,20 @@ let run ?trace_capacity params =
   in
 
   (* The catalog starts with [files] inserts made before churn starts;
-     the op stream appends to it. *)
+     the op stream appends to it. [owners] maps each file to the client
+     that inserted it. *)
+  let owners : (Id.t, Client.t) Hashtbl.t = Hashtbl.create 16 in
   let catalog =
     Array.init params.files (fun i ->
+        let c = clients.(i mod Array.length clients) in
         match
-          Client.insert_sync
-            clients.(i mod Array.length clients)
+          Client.insert_sync c
             ~name:(Printf.sprintf "churn-file-%d" i)
             ~data:"" ~declared_size:10_000 ~k:params.k ()
         with
-        | Client.Inserted { file_id; _ } -> Some file_id
+        | Client.Inserted { file_id; _ } ->
+          Hashtbl.replace owners file_id c;
+          Some file_id
         | Client.Insert_failed _ -> None)
     |> Array.to_list |> List.filter_map Fun.id |> Array.of_list |> ref
   in
@@ -324,7 +332,8 @@ let run ?trace_capacity params =
      it. A zero rate skips the generator entirely (it would still draw
      from [rng]), leaving EXP14's event order untouched. *)
   let inserts_attempted = ref 0 and inserts_ok = ref 0 in
-  let lookups_attempted = ref 0 and lookups_ok = ref 0 and reclaims = ref 0 in
+  let lookups_attempted = ref 0 and lookups_ok = ref 0 in
+  let reclaims = ref 0 and reclaims_receipted = ref 0 in
   let with_client f = Option.iter f (live_client ()) in
   let with_target catalog_index = with_file (fun m -> catalog_index mod m) in
   let issue = function
@@ -334,6 +343,7 @@ let run ?trace_capacity params =
           Client.insert c ~name ~data:"" ~declared_size:size ~k:params.k (function
             | Client.Inserted { file_id; _ } ->
               incr inserts_ok;
+              Hashtbl.replace owners file_id c;
               catalog := Array.append !catalog [| file_id |]
             | Client.Insert_failed _ -> ()))
     | Generator.Lookup { catalog_index } ->
@@ -345,11 +355,15 @@ let run ?trace_capacity params =
                 | Client.Lookup_failed -> ())))
     | Generator.Reclaim { catalog_index } ->
       with_target catalog_index (fun file_id ->
-          incr reclaims;
-          Hashtbl.add dead file_id ();
-          Hashtbl.remove deficit_since file_id;
-          Hashtbl.remove outage_since file_id;
-          with_client (fun c -> Client.reclaim c ~file_id ignore))
+          let owner = Hashtbl.find owners file_id in
+          if Net.alive net (Node.addr (Client.access owner)) then begin
+            incr reclaims;
+            Hashtbl.add dead file_id ();
+            Hashtbl.remove deficit_since file_id;
+            Hashtbl.remove outage_since file_id;
+            Client.reclaim owner ~file_id (fun r ->
+                if r.Client.receipts <> [] then incr reclaims_receipted)
+          end)
   in
   if params.ops_rate > 0.0 then begin
     let web = Sizes.web_proxy () in
@@ -463,6 +477,7 @@ let run ?trace_capacity params =
     lookups_attempted = !lookups_attempted;
     lookups_ok = !lookups_ok;
     reclaims = !reclaims;
+    reclaims_receipted = !reclaims_receipted;
     files_available = files_with (fun c -> c >= 1);
     files_replicated = files_with (fun c -> c >= params.k);
     probes = !probes;
@@ -525,6 +540,7 @@ let soak_table r =
   Text_table.add_rowf t "inserts ok|%d / %d" r.inserts_ok r.inserts_attempted;
   Text_table.add_rowf t "lookups ok|%d / %d" r.lookups_ok r.lookups_attempted;
   Text_table.add_rowf t "reclaims issued|%d" r.reclaims;
+  Text_table.add_rowf t "reclaims with >=1 receipt|%d" r.reclaims_receipted;
   Text_table.add_rowf t "failures / recoveries injected|%d / %d" r.crashes r.recoveries;
   Text_table.add_rowf t "live files at end|%d" r.files;
   Text_table.add_rowf t "available (>=1 live replica)|%d" r.files_available;

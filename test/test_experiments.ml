@@ -408,6 +408,18 @@ let soak_recovery_bounded () =
     (r.deficit_max <= r.recovery_bound);
   check Alcotest.bool "recovery_ok" true r.recovery_ok
 
+(* SOAK's reclaims go through the client that inserted the file, the
+   only one whose reclaim the holders honour, so nearly every reclaim
+   returns a receipt (one whose holders are all down cannot). *)
+let soak_reclaims_receipted () =
+  let open Past_experiments.Exp_churn in
+  let r = run soak_params in
+  check Alcotest.bool "reclaims issued" true (r.reclaims > 0);
+  check Alcotest.bool
+    (Printf.sprintf "%d of %d reclaims receipted" r.reclaims_receipted r.reclaims)
+    true
+    (r.reclaims_receipted >= r.reclaims - 2)
+
 let suite =
   ( "experiments",
     [
@@ -434,4 +446,5 @@ let suite =
       "EXP15 snapshot/dynamic same destinations" => snapshot_dynamic_same_destinations;
       "SOAK smoke" => soak_smoke;
       "SOAK recovery within bound" => soak_recovery_bounded;
+      "SOAK reclaims reach the owner's holders" => soak_reclaims_receipted;
     ] )
