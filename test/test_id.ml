@@ -228,9 +228,17 @@ let flip_top_bit i =
    it (max_int), and that stay in it. *)
 let offsets = [ 1; 2; 255; 256; 65535; 1 lsl 32; max_int ]
 
+(* [id + d * 2^64]: an offset that leaves the low word alone, so a
+   distance made of it has a zero low word and its negation carries
+   into the high word. *)
+let add_hi id d =
+  let off = Nat.shift_left (Nat.of_int (abs d)) 64 and n = Id_oracle.to_nat id in
+  Id_oracle.of_nat ~width:128
+    (if d >= 0 then Nat.add n off else Nat.sub (Nat.add n (Nat.shift_left Nat.one 128)) off)
+
 (* [Id.closer] against the oracle on crafted inputs: ring wraparound
    around 0/2^128, exact equal-distance ties (t±d), the 0x80…
-   self-negation point and x = target. *)
+   self-negation point, x = target, and distances whose low word is 0. *)
 let adversarial_closer () =
   let rng = Rng.create 7 in
   let zero = Id.zero ~width:128 and maxid = Id.max_id ~width:128 in
@@ -243,6 +251,11 @@ let adversarial_closer () =
           [
             (t, add t d, add t (-d));
             (t, add t (-d), add t d);
+            (t, add_hi t (-d), add_hi t d);
+            (t, add_hi t d, add_hi t (-d));
+            (t, add_hi t (-d), add t 1);
+            (t, add t 1, add_hi t (-d));
+            (t, add_hi t (-d), add_hi (add t (-1)) (-d));
             (zero, maxid, add zero d);
             (zero, add zero (-d), add zero d);
             (maxid, zero, add maxid (-d));
@@ -274,7 +287,9 @@ let adversarial_cw_compare () =
     let f = Id.random rng ~width:128 in
     let others =
       f :: flip_top_bit f :: Id.zero ~width:128 :: Id.max_id ~width:128
-      :: List.concat_map (fun d -> [ add f d; add f (-d); add (flip_top_bit f) d ]) offsets
+      :: List.concat_map
+           (fun d -> [ add f d; add f (-d); add (flip_top_bit f) d; add_hi f d; add_hi f (-d) ])
+           offsets
     in
     List.iter
       (fun x ->
