@@ -1,39 +1,34 @@
-(* Hierarchical timing wheel. See the .mli for the contract.
+(* Timing wheel with a far-timer heap. See the .mli for the contract.
 
-   Geometry: [levels] = 3 wheels of [slots] = 2^[bits] = 256 slots, a
-   level-0 slot one time unit wide, each level [slots] times coarser.
+   Geometry: one wheel of [slots] = 4096 buckets, each one tick (one
+   time unit) wide, plus a heap [far] for cells further out.
 
    Invariants:
 
    - [cur_tick] is the drain frontier: every cell whose tick is
      <= cur_tick has been moved into [current] (a small binary heap
-     ordered by exact (time, seq)); every cell still in a wheel slot or
-     the overflow store has tick > cur_tick. Because tick(time) is
-     monotone in time, the minimum of [current] is always <= every
-     wheeled cell, so popping from [current] yields the global
-     (time, seq) minimum — the exact binary-heap order.
+     ordered by exact (time, seq)); every other cell has a later tick.
+     Because tick(time) is monotone in time, the minimum of [current]
+     is always <= every cell outside it, so popping from [current]
+     yields the global (time, seq) minimum — the exact binary-heap
+     order.
 
-   - Placement: a cell [delta = tick - cur_tick] ticks ahead lands in
-     the lowest level whose span (2^(bits*(l+1)) ticks) is >= delta, at
-     slot [(tick >> bits*l) land mask]. Slot indices recur once per
-     span, and delta <= span guarantees the cursor's next visit to that
-     index is exactly the cell's due window — no early cascade.
+   - A cell with tick in (cur_tick, cur_tick + slots) sits in bucket
+     [tick land mask]. Those are fewer than [slots] distinct ticks, so
+     a bucket holds the cells of one tick only.
 
-   - Cells with delta beyond the top level's span go to the overflow
-     table keyed by epoch [tick >> bits*levels]; the bucket is drained
-     when the cursor crosses that epoch's boundary, at which point
-     every cell in it has delta <= top span and re-places into a wheel.
+   - Every cell in [far] has tick >= cur_tick + slots. Whenever the
+     frontier moves, the far cells that fall inside the new window move
+     into their bucket (or into [current]), so the invariant holds
+     again before the next pop.
 
    Every event passes through push and pop, so neither allocates
    beyond the cell and its bucket cons: the helpers are top-level
    functions, not closures over [t], and [min_time]/[pop_min] answer
    without an option. *)
 
-let bits = 8
-let slots = 1 lsl bits
+let slots = 4096
 let mask = slots - 1
-let levels = 3
-let top_shift = bits * levels
 
 type 'a cell = { c_time : float; c_seq : int; c_val : 'a }
 
@@ -107,147 +102,78 @@ module Minheap = struct
 end
 
 type 'a t = {
-  wheels : 'a cell list array array;  (* wheels.(l).(slot): unordered bucket *)
-  slot_count : int array array;  (* cells per slot *)
-  level_count : int array;  (* cells per level *)
-  overflow : (int, 'a cell list ref) Hashtbl.t;  (* epoch -> bucket *)
-  mutable overflow_count : int;
-  mutable wheel_count : int;  (* cells in the wheels + overflow *)
+  wheel : 'a cell list array;  (* wheel.(tick land mask): unordered bucket *)
+  mutable wheel_count : int;  (* cells in the wheel *)
+  far : 'a Minheap.t;  (* cells at least [slots] ticks past the frontier *)
   mutable cur_tick : int;
   current : 'a Minheap.t;  (* cells with tick <= cur_tick, exact order *)
 }
 
 let create () =
   {
-    wheels = Array.init levels (fun _ -> Array.make slots []);
-    slot_count = Array.init levels (fun _ -> Array.make slots 0);
-    level_count = Array.make levels 0;
-    overflow = Hashtbl.create 8;
-    overflow_count = 0;
+    wheel = Array.make slots [];
     wheel_count = 0;
+    far = Minheap.create ();
     cur_tick = 0;
     current = Minheap.create ();
   }
 
-let is_empty t = t.wheel_count = 0 && Minheap.is_empty t.current
+let is_empty t = t.wheel_count = 0 && Minheap.is_empty t.far && Minheap.is_empty t.current
 
-(* Level-0 slots are one time unit wide. *)
+(* Slots are one time unit wide. *)
 let[@inline] tick_of time = int_of_float time
 
-(* Place [cell], due at tick [at] = cur_tick + [delta] (delta > 0), in
-   level [l] or above, or in the overflow store. *)
-let rec place t cell at delta l =
-  if l >= levels then begin
-    let epoch = at lsr top_shift in
-    (match Hashtbl.find_opt t.overflow epoch with
-    | Some r -> r := cell :: !r
-    | None -> Hashtbl.replace t.overflow epoch (ref [ cell ]));
-    t.overflow_count <- t.overflow_count + 1
-  end
-  else if delta <= 1 lsl (bits * (l + 1)) then begin
-    let slot = (at lsr (bits * l)) land mask in
-    let lv = Array.unsafe_get t.wheels l in
-    let sc = Array.unsafe_get t.slot_count l in
-    Array.unsafe_set lv slot (cell :: Array.unsafe_get lv slot);
-    Array.unsafe_set sc slot (Array.unsafe_get sc slot + 1);
-    t.level_count.(l) <- t.level_count.(l) + 1
-  end
-  else place t cell at delta (l + 1)
-
-(* Place [cell] (tick > cur_tick) into a wheel level or the overflow
-   store. Shared by push, cascade and overflow drain. *)
-let insert_wheel t cell at =
-  place t cell at (at - t.cur_tick) 0;
-  t.wheel_count <- t.wheel_count + 1
-
-let[@inline] insert t cell =
+let insert t cell =
   let at = tick_of cell.c_time in
-  if at <= t.cur_tick then Minheap.push t.current cell else insert_wheel t cell at
+  if at <= t.cur_tick then Minheap.push t.current cell
+  else if at - t.cur_tick < slots then begin
+    let s = at land mask in
+    Array.unsafe_set t.wheel s (cell :: Array.unsafe_get t.wheel s);
+    t.wheel_count <- t.wheel_count + 1
+  end
+  else Minheap.push t.far cell
 
 let push t ~time ~seq v =
   if not (time >= 0.0) then invalid_arg "Timing_wheel.push: negative or NaN time";
   insert t { c_time = time; c_seq = seq; c_val = v }
 
-(* Take all cells out of wheels.(l).(s), fixing the counts. *)
-let drain_slot t l s =
-  let cells = t.wheels.(l).(s) in
-  let n = t.slot_count.(l).(s) in
-  if n > 0 then begin
-    t.wheels.(l).(s) <- [];
-    t.slot_count.(l).(s) <- 0;
-    t.level_count.(l) <- t.level_count.(l) - n;
-    t.wheel_count <- t.wheel_count - n
-  end;
-  cells
-
-let rec reinsert t = function
+(* Move a drained bucket into [current]. *)
+let rec drain t = function
   | [] -> ()
   | c :: rest ->
-    insert t c;
-    reinsert t rest
+    Minheap.push t.current c;
+    t.wheel_count <- t.wheel_count - 1;
+    drain t rest
 
-let rec push_all heap = function
-  | [] -> ()
-  | c :: rest ->
-    Minheap.push heap c;
-    push_all heap rest
-
-(* Boundary work when the cursor enters the window starting at [from]
-   (a multiple of [slots]; cur_tick = from - 1). Top-down so cells
-   settle into their final slot in one pass: overflow epoch first, then
-   each level whose window also begins at [from]. *)
-let cascade_at t from =
-  if from land ((1 lsl top_shift) - 1) = 0 then begin
-    let epoch = from lsr top_shift in
-    match Hashtbl.find_opt t.overflow epoch with
-    | Some r ->
-      Hashtbl.remove t.overflow epoch;
-      let cells = !r in
-      let n = List.length cells in
-      t.overflow_count <- t.overflow_count - n;
-      t.wheel_count <- t.wheel_count - n;
-      reinsert t cells
-    | None -> ()
-  end;
-  for l = levels - 1 downto 1 do
-    if from land ((1 lsl (bits * l)) - 1) = 0 then begin
-      let s = (from lsr (bits * l)) land mask in
-      if t.slot_count.(l).(s) > 0 then reinsert t (drain_slot t l s)
-    end
+(* Move the frontier to [tick] and the far cells it brings within
+   [slots] ticks into the wheel or [current]. *)
+let advance t tick =
+  t.cur_tick <- tick;
+  let far = t.far in
+  while (not (Minheap.is_empty far)) && tick_of (Minheap.top far).c_time - tick < slots do
+    let c = Minheap.top far in
+    Minheap.remove_top far;
+    insert t c
   done
 
 (* Advance the drain frontier until [current] holds the global minimum
-   (or everything is drained). Each iteration either moves cells into
-   [current] or skips an empty window in O(1). *)
-let rec refill t =
-  if Minheap.is_empty t.current && t.wheel_count > 0 then begin
-    let from = t.cur_tick + 1 in
-    if from land mask = 0 then cascade_at t from;
-    let wbase = from land lnot mask in
-    let found = ref (-1) in
-    if t.level_count.(0) > 0 then begin
-      let sc = Array.unsafe_get t.slot_count 0 in
-      let s = ref (from land mask) in
-      while !found < 0 && !s < slots do
-        if Array.unsafe_get sc !s > 0 then found := !s else incr s
-      done
-    end;
-    if !found >= 0 then begin
-      t.cur_tick <- wbase + !found;
-      push_all t.current (drain_slot t 0 !found)
+   (or everything is drained): to the next occupied bucket, or, with
+   the wheel empty, straight to the far heap's minimum. *)
+let refill t =
+  if Minheap.is_empty t.current then begin
+    if t.wheel_count > 0 then begin
+      let w = t.wheel in
+      let tick = ref (t.cur_tick + 1) in
+      while Array.unsafe_get w (!tick land mask) == [] do
+        incr tick
+      done;
+      let s = !tick land mask in
+      let cells = Array.unsafe_get w s in
+      Array.unsafe_set w s [];
+      drain t cells;
+      advance t !tick
     end
-    else begin
-      (* Nothing left in this window: hop to its end, and when only the
-         overflow store is populated, jump straight to the next
-         populated epoch's boundary. *)
-      t.cur_tick <- wbase + slots - 1;
-      if t.overflow_count = t.wheel_count && t.overflow_count > 0 then begin
-        let min_epoch = Hashtbl.fold (fun e _ acc -> Stdlib.min e acc) t.overflow max_int in
-        let target = (min_epoch lsl top_shift) - 1 in
-        if target > t.cur_tick then t.cur_tick <- target
-      end
-    end;
-    refill t
+    else if not (Minheap.is_empty t.far) then advance t (tick_of (Minheap.top t.far).c_time)
   end
 
 let min_time t =

@@ -1,4 +1,5 @@
-(** Hierarchical timing wheel: an O(1)-amortized discrete-event queue.
+(** Timing wheel with a far-timer heap: an O(1)-amortized
+    discrete-event queue.
 
     The simulator's event queue. Events carry a [(time, seq)] priority;
     pop order is {e exactly} ascending time, FIFO [seq] among equal
@@ -6,19 +7,19 @@
     depend on this order). The tests check it on randomized traces
     against {!Heap}, a reference binary heap nothing else uses.
 
-    Geometry (fixed): 3 wheels of 256 slots each; a level-0 slot is one
-    time unit (the simulator's sim-ms) wide, and each level is 256
-    times coarser, so the wheels cover 2^24 time units ahead. An event
-    due within level [l]'s span lands in one bucket by absolute slot
-    index — O(1) — and cascades one level down each time the cursor
-    crosses its window boundary. Events beyond the top level's horizon
-    go to an overflow store keyed by epoch (top-level wrap count):
-    far-future timers (e.g. maintenance re-arms far ahead) cost O(1) to
-    insert and never degrade near-term scheduling.
+    Geometry (fixed): one wheel of 4096 buckets, each one time unit
+    (the simulator's sim-ms) wide. An event due fewer than 4096 units
+    past the drain frontier lands in the bucket of its tick — O(1).
+    An event further out goes to a binary heap of far timers, and
+    moves into its bucket once the frontier comes within 4096 units of
+    it; with the wheel empty, the frontier hops straight to the far
+    heap's minimum. Simulator traffic is nearly all near-term (message
+    latencies, keep-alive periods); the far heap holds the few long
+    timers, such as client operation timeouts.
 
-    Events that share a level-0 slot are ordered through a tiny
-    per-slot binary heap, so within-tick ordering uses the exact
-    [(time, seq)] comparison, not the quantized tick. *)
+    The events of the tick at the frontier are ordered through a small
+    binary heap, so within-tick ordering uses the exact [(time, seq)]
+    comparison, not the quantized tick. *)
 
 type 'a t
 
@@ -29,11 +30,13 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 (** Schedule a value. [time] must be non-negative and not NaN; [seq]
     breaks ties among equal times (callers pass a monotonically
-    increasing counter for FIFO semantics). O(1). *)
+    increasing counter for FIFO semantics). O(1), or O(log f) for
+    an event 4096 or more time units ahead. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum-(time, seq) event. Amortized
-    O(1) plus O(log m) in the population m of the event's own tick. *)
+    O(1) plus O(log m) in the population m of the event's own tick,
+    and O(log f) in the far-heap population f for a far event. *)
 
 (** {2 Allocation-free access}
 

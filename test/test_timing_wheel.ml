@@ -3,8 +3,8 @@
    The wheel's whole contract is "same pop order as the heap, cheaper":
    every test here builds the same trace in both structures and demands
    bit-identical (time, seq) pop sequences — including tick collisions,
-   interleaved push/pop, and far-future timers that land in the
-   overflow store. *)
+   interleaved push/pop, and timers 4096 or more ticks ahead that wait
+   in the far heap. *)
 
 module Heap = Past_stdext.Heap
 module Wheel = Past_stdext.Timing_wheel
@@ -48,6 +48,35 @@ let equivalent msg events =
   check_same_order msg (drain_heap h) (drain_wheel w);
   check Alcotest.bool (msg ^ ": wheel drained") true (Wheel.is_empty w)
 
+(* The wheel's bucket count: a cell this many ticks past the frontier
+   waits in the far heap, one tick fewer goes to a bucket. *)
+let slots = 4096
+
+(* A heap and a wheel driven in lockstep: every pop must agree.
+   [clock] is the time of the last pop. *)
+type pair = { h : ev Heap.t; w : ev Wheel.t; mutable next_seq : int; mutable clock : float }
+
+let pair () = { h = Heap.create ~leq; w = Wheel.create (); next_seq = 0; clock = 0.0 }
+
+let push2 p time =
+  let e = { time; seq = p.next_seq } in
+  p.next_seq <- p.next_seq + 1;
+  Heap.push p.h e;
+  Wheel.push p.w ~time ~seq:e.seq e
+
+let pop2 msg p =
+  match (Heap.pop p.h, Wheel.pop p.w) with
+  | Some a, Some b ->
+    if a.seq <> b.seq || a.time <> b.time then
+      Alcotest.failf "%s: heap popped %s, wheel %s" msg (pp_ev a) (pp_ev b);
+    p.clock <- a.time
+  | None, None -> ()
+  | _ -> Alcotest.failf "%s: one structure empty" msg
+
+let finish msg p =
+  check_same_order msg (drain_heap p.h) (drain_wheel p.w);
+  check Alcotest.bool (msg ^ ": wheel drained") true (Wheel.is_empty p.w)
+
 (* Random times with deliberate tick collisions: a third of the events
    get integer times so several events share a slot (and a (time, seq)
    tie needs the seq tie-break), the rest get fractional times that
@@ -67,11 +96,16 @@ let random_traces () =
       equivalent (Printf.sprintf "trace seed %d" seed) (random_events rng 2000 ~horizon:5000.0))
     [ 1; 2; 3; 4; 5 ]
 
-(* Times wider than level 0 (so levels 1-2 cascade) and duplicate
-   (time, seq)-adjacent events. *)
-let multi_level_cascade () =
+(* Times spread over 3M ticks, so most cells start in the far heap
+   and move into the wheel as the frontier nears them; then clusters
+   of far cells that share a tick (ties on time and on tick), so the
+   frontier's hop over an empty wheel lands on several at once. *)
+let far_heap_wide_horizon () =
   let rng = Rng.create 11 in
-  equivalent "cascade trace" (random_events rng 3000 ~horizon:3_000_000.0)
+  equivalent "wide trace" (random_events rng 3000 ~horizon:3_000_000.0);
+  let cluster k = List.map (fun frac -> (10_000.0 *. float_of_int k) +. frac) [ 0.5; 0.0; 0.99; 0.5; 0.0 ] in
+  let times = List.concat_map cluster [ 3; 1; 7; 2; 7 ] in
+  equivalent "far clusters" (List.mapi (fun seq time -> { time; seq }) times)
 
 (* Interleaved push/pop: the wheel must stay equivalent when the
    frontier advances mid-stream, including pushes at-or-before the
@@ -111,30 +145,46 @@ let interleaved_push_pop () =
   done;
   check_same_order "interleaved tail" (drain_heap h) (drain_wheel w)
 
-(* Far-future pathology (overflow store): sparse timers far beyond the
-   wheel's top span mixed into dense near-term traffic. Insertion must
-   not degrade (they go to overflow buckets, not a scan), the dense
-   phase must drain normally, and the sparse tail must come out in
-   order via epoch drains and empty-window skips. *)
-let far_future_overflow () =
+(* Sparse timers far beyond the wheel's window mixed into dense
+   near-term traffic: the far pushes must not disturb the dense phase,
+   and the sparse tail must come out in order through frontier hops.
+   Then pushes at the frontier right after each hop: at the popped
+   time itself, earlier in its tick, and at the wheel's edges. *)
+let far_future_timers () =
   let rng = Rng.create 7 in
   let dense = random_events rng 5000 ~horizon:10_000.0 in
   let sparse =
     List.init 20 (fun i ->
-        (* Up to ~1e12 ticks: tens of thousands of epochs past the top
-           span (2^24 ticks), in random order. *)
+        (* Up to ~1e12 ticks, in random order. *)
         { time = 1e7 +. Rng.float rng 1e12; seq = 10_000 + i })
   in
-  (* Interleave so overflow inserts happen while the dense window is
-     still hot. *)
+  (* Interleave so far pushes happen while the dense window is still
+     hot. *)
   let mixed =
     List.concat (List.map2 (fun d s -> [ d; s ]) (List.filteri (fun i _ -> i < 20) dense) sparse)
     @ List.filteri (fun i _ -> i >= 20) dense
   in
-  equivalent "far-future overflow" mixed
+  equivalent "far-future timers" mixed;
+  let p = pair () in
+  let far k = (1e6 *. float_of_int k) +. 0.5 in
+  List.iter (fun k -> push2 p (far k)) [ 4; 1; 3; 2 ];
+  List.iter
+    (fun k ->
+      (* The pop that reaches [far k] is a hop: everything else pending
+         lies within [slots] ticks of the previous one. *)
+      while p.clock < far k do
+        pop2 "to the hop" p
+      done;
+      let f = Float.of_int (int_of_float p.clock) in
+      List.iter (push2 p)
+        [ p.clock; f +. 0.25; p.clock; f +. 1.0; f +. float_of_int (slots - 1); f +. float_of_int slots ];
+      pop2 "after hop" p;
+      pop2 "after hop" p)
+    [ 1; 2; 3; 4 ];
+  finish "pushes after hops" p
 
-(* A single timer in the far future: the drain must skip the empty
-   horizon in epoch-sized hops, not tick by tick. *)
+(* A single timer in the far future: the frontier must hop straight
+   to it, not scan the empty horizon tick by tick. *)
 let lone_far_timer () =
   let w = Wheel.create () in
   let e = { time = 9.0e11; seq = 0 } in
@@ -144,16 +194,32 @@ let lone_far_timer () =
   | None -> Alcotest.fail "lone timer lost");
   check Alcotest.bool "empty after" true (Wheel.is_empty w)
 
-(* Epoch-boundary re-insertion: events whose delta equals the top
-   span exactly when an overflow bucket drains must re-place into a
-   wheel level, not back into overflow (the off-by-one this guards
-   was a real design bug). *)
-let epoch_boundary () =
+(* The window's edge: from non-zero frontiers (the first after a pop
+   at 10,000.5), cells [slots - 1], [slots] and [slots + 1] ticks
+   ahead, at and within their ticks, so the first goes to a bucket and
+   the others to the far heap until the frontier moves. Then cells
+   whole multiples of 2^24 apart: hops over long empty stretches, each
+   landing on a tick that holds several cells. *)
+let far_heap_window_edges () =
+  let p = pair () in
+  push2 p 10_000.5;
+  pop2 "first pop" p;
+  for _ = 1 to 6 do
+    let f = Float.of_int (int_of_float p.clock) in
+    List.iter
+      (fun d ->
+        List.iter (fun frac -> push2 p (f +. float_of_int d +. frac)) [ 0.0; 0.75; 0.25; 0.0 ])
+      [ slots - 1; slots; slots + 1 ];
+    for _ = 1 to 5 do
+      pop2 "edges" p
+    done
+  done;
+  finish "window edges" p;
   let span = float_of_int (1 lsl 24) in
   let events =
     List.init 64 (fun seq -> { time = span *. float_of_int (1 + (seq mod 5)); seq })
   in
-  equivalent "epoch boundaries" events
+  equivalent "2^24 multiples" events
 
 let rejects_bad_times () =
   let w = Wheel.create () in
@@ -189,11 +255,11 @@ let suite =
   ( "timing_wheel",
     [
       "random traces match heap order" => random_traces;
-      "multi-level cascade" => multi_level_cascade;
+      "far heap over a wide horizon" => far_heap_wide_horizon;
       "interleaved push/pop" => interleaved_push_pop;
-      "far-future overflow" => far_future_overflow;
+      "far timers amid dense traffic" => far_future_timers;
       "lone far timer" => lone_far_timer;
-      "epoch boundary re-insertion" => epoch_boundary;
+      "far heap window edges" => far_heap_window_edges;
       "rejects bad times" => rejects_bad_times;
       QCheck_alcotest.to_alcotest qcheck_equivalence;
     ] )
