@@ -228,27 +228,26 @@ let covers t key =
   let last = half t - 1 in
   Id.cw_compare ~from:t.smaller.ids.(last) key t.larger.ids.(last) <= 0
 
-(* Ties keep the incumbent, so a peer on both sides of a sparse ring is
-   found on the smaller side. *)
-let closest_to t key =
-  let best_addr = ref (-1) in
-  let best_id = ref t.own in
-  let scan side =
-    for i = 0 to side.n - 1 do
-      if !best_addr < 0 || Id.closer ~target:key side.ids.(i) !best_id < 0 then begin
-        best_addr := side.addrs.(i);
-        best_id := side.ids.(i)
-      end
-    done
-  in
-  scan t.smaller;
-  scan t.larger;
-  if !best_addr < 0 then None else Some (Directory.get t.dir !best_addr)
+(* Slot [j] of the closest scan: own id at -1, the smaller side at
+   0..n-1, the larger side after it. *)
+let scan_id t j =
+  let n = t.smaller.n in
+  if j < 0 then t.own else if j < n then t.smaller.ids.(j) else t.larger.ids.(j - n)
+
+(* The slot of the closest among own id and the members scanned from
+   [j] on. Ties keep the incumbent, so own id wins a tie and a peer on
+   both sides of a sparse ring is found on the smaller side. *)
+let rec closest_slot t key j best =
+  if j >= t.smaller.n + t.larger.n then best
+  else
+    closest_slot t key (j + 1)
+      (if Id.closer ~target:key (scan_id t j) (scan_id t best) < 0 then j else best)
 
 let closest_including_self t key =
-  match closest_to t key with
-  | None -> `Self
-  | Some p -> if Id.closer ~target:key t.own p.Peer.id <= 0 then `Self else `Peer p
+  let j = closest_slot t key 0 (-1) in
+  let n = t.smaller.n in
+  if j < 0 then None
+  else Some (Directory.get t.dir (if j < n then t.smaller.addrs.(j) else t.larger.addrs.(j - n)))
 
 (* The k closest candidates so far, closest first, in parallel arrays:
    id and result element. *)

@@ -50,12 +50,9 @@ val covers : t -> Past_id.Id.t -> bool
     id)? When a side has fewer than l/2 members the node has global
     knowledge of that side, and coverage is reported accordingly. *)
 
-val closest_to : t -> Past_id.Id.t -> Peer.t option
-(** Member (self excluded) numerically closest to the key; [None] if
-    empty. *)
-
-val closest_including_self : t -> Past_id.Id.t -> [ `Self | `Peer of Peer.t ]
-(** Numerically closest among members and the own id. *)
+val closest_including_self : t -> Past_id.Id.t -> Peer.t option
+(** The member numerically closest to the key, or [None] when the own
+    id is at least as close: the last routing hop delivers there. *)
 
 val replica_set : t -> k:int -> Past_id.Id.t -> [ `Self | `Peer of Peer.t ] list
 (** The [k] nodes (members + self) numerically closest to the key,

@@ -267,8 +267,8 @@ let next_hop t key : 'a hop * Trace.stage =
   let rec leaf_step () =
     if Leaf_set.covers t.leaf key then begin
       match Leaf_set.closest_including_self t.leaf key with
-      | `Self -> Some (Deliver, Trace.Leaf_set)
-      | `Peer p -> if usable t p then Some (Forward p, Trace.Leaf_set) else leaf_step ()
+      | None -> Some (Deliver, Trace.Leaf_set)
+      | Some p -> if usable t p then Some (Forward p, Trace.Leaf_set) else leaf_step ()
     end
     else None
   in

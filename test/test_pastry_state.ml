@@ -148,15 +148,15 @@ let leaf_closest () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
   ignore (Leaf_set.add ls (Peer.make ~id:(i_id 10) ~addr:1));
   ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-10)) ~addr:2));
-  (match Leaf_set.closest_to ls (i_id 9) with
-  | Some p -> check Alcotest.int "closest member" 1 p.Peer.addr
-  | None -> Alcotest.fail "closest missing");
+  (match Leaf_set.closest_including_self ls (i_id (-9)) with
+  | Some p -> check Alcotest.int "closest member on the smaller side" 2 p.Peer.addr
+  | None -> Alcotest.fail "smaller-side peer is closest");
   (match Leaf_set.closest_including_self ls (i_id 2) with
-  | `Self -> ()
-  | `Peer _ -> Alcotest.fail "self is closest");
+  | None -> ()
+  | Some _ -> Alcotest.fail "self is closest");
   match Leaf_set.closest_including_self ls (i_id 9) with
-  | `Peer p -> check Alcotest.int "peer closest" 1 p.Peer.addr
-  | `Self -> Alcotest.fail "peer is closest"
+  | Some p -> check Alcotest.int "peer closest" 1 p.Peer.addr
+  | None -> Alcotest.fail "peer is closest"
 
 let leaf_covers () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
@@ -207,8 +207,8 @@ let leaf_wrap_around () =
   ignore (Leaf_set.add ls (Peer.make ~id:top ~addr:1));
   check Alcotest.int "wrapped into smaller side" 1 (List.length (Leaf_set.smaller ls));
   match Leaf_set.closest_including_self ls (Id_oracle.add_int (Id.zero ~width:128) (-1)) with
-  | `Peer p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
-  | `Self -> Alcotest.fail "wrapped peer is closer"
+  | Some p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
+  | None -> Alcotest.fail "wrapped peer is closer"
 
 (* A leaf set of size [l] offered a random pool of 1..3l peers, so it
    may be sparse (the whole ring fits and its two arcs overlap) or
