@@ -15,6 +15,7 @@ module System = Past_core.System
 module Client = Past_core.Client
 module Store = Past_core.Store
 module Cache = Past_core.Cache
+module Wheel = Past_stdext.Timing_wheel
 
 type probe = unit
 
@@ -125,9 +126,39 @@ let () =
 
 let full_cache_i = ref 1000
 
-let cache_offer_full_once () =
-  ignore (Cache.offer full_cache ~cert:full_cache_certs.(!full_cache_i mod 2000) ~data:"");
-  incr full_cache_i
+(* One offer is near the timer's resolution, so a run times 1024. *)
+let cache_offer_full_1024 () =
+  for _ = 1 to 1024 do
+    ignore (Cache.offer full_cache ~cert:full_cache_certs.(!full_cache_i mod 2000) ~data:"");
+    incr full_cache_i
+  done
+
+(* --- timing wheel ------------------------------------------------------- *)
+
+(* 3200 events pending, each popped one pushed back up to 3200 ticks
+   later, as in pastbench's wheel replay. The increments come from
+   their own stream, so the other fixtures draw what they always drew
+   from [rng]. One cycle is below the timer's resolution, so a run
+   times 1024. *)
+let wheel_inc =
+  let wheel_rng = Rng.create 80 in
+  Array.init 1024 (fun _ -> Rng.float wheel_rng 3200.0)
+
+let wheel = Wheel.create ()
+let wheel_seq = ref 3200
+
+let () =
+  for i = 0 to 3199 do
+    Wheel.push wheel ~time:wheel_inc.(i land 1023) ~seq:i ()
+  done
+
+let wheel_pop_push_1024 () =
+  for j = 0 to 1023 do
+    let time = Wheel.min_time wheel in
+    Wheel.pop_min wheel;
+    Wheel.push wheel ~time:(time +. wheel_inc.(j)) ~seq:!wheel_seq ();
+    incr wheel_seq
+  done
 
 (* --- store receipt ------------------------------------------------------- *)
 

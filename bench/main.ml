@@ -78,8 +78,10 @@ let micro_tests () =
         (Staged.stage Harness_fixture.rt_consider_1024);
       Test.make ~name:"store admission check x1024" (Staged.stage Harness_fixture.store_admit_1024);
       Test.make ~name:"cache offer+find (GD-S)" (Staged.stage Harness_fixture.cache_cycle_once);
-      Test.make ~name:"cache offer at full budget (GD-S, 1000 entries)"
-        (Staged.stage Harness_fixture.cache_offer_full_once);
+      Test.make ~name:"cache offer at full budget x1024 (GD-S, 1000 entries)"
+        (Staged.stage Harness_fixture.cache_offer_full_1024);
+      Test.make ~name:"timing wheel pop+push x1024 (3200 pending)"
+        (Staged.stage Harness_fixture.wheel_pop_push_1024);
       Test.make ~name:"net proximity x1024" (Staged.stage Harness_fixture.net_proximity_1024);
       Test.make ~name:"static build (N=2000)"
         (Staged.stage (Harness_fixture.static_build_once 2000));

@@ -24,6 +24,7 @@ module Routing_table = Past_pastry.Routing_table
 module Sha1 = Past_crypto.Sha1
 module Sha256 = Past_crypto.Sha256
 module Hex = Past_crypto.Hex
+module Wheel = Past_stdext.Timing_wheel
 
 let ( => ) name f = Alcotest.test_case name `Quick f
 
@@ -142,6 +143,38 @@ let covers_disjoint () =
          incr i;
          ignore (Sys.opaque_identity (Leaf_set.covers leaf keys.(!i land 63)))))
 
+(* The last hop of every routed message: the closest of own id and
+   the members, on two full sides with disjoint arcs. The [Some]
+   around the member (2 words) is the only block. *)
+let closest_including_self () =
+  let leaf = PNode.leaf_set (Overlay.nodes (sparse_overlay ())).(0) in
+  let rng = Rng.create 8 in
+  let keys = Array.init 64 (fun _ -> Past_id.Id.random rng ~width:128) in
+  let i = ref 0 in
+  within "Leaf_set.closest_including_self (N = 100)" ~budget:2.0
+    (words_per_call ~calls:100_000 (fun () ->
+         incr i;
+         ignore (Sys.opaque_identity (Leaf_set.closest_including_self leaf keys.(!i land 63)))))
+
+(* One pop and one push at 3200 pending, each popped event pushed back
+   up to 3200 ticks later, as in pastbench's wheel replay: the cell
+   (4 words), its boxed time (2) and the bucket cons (3). *)
+let wheel_cycle () =
+  let rng = Rng.create 9 in
+  let inc = Array.init 1024 (fun _ -> Rng.float rng 3200.0) in
+  let w = Wheel.create () in
+  let seq = ref 0 in
+  for i = 0 to 3199 do
+    Wheel.push w ~time:inc.(i land 1023) ~seq:i i
+  done;
+  seq := 3200;
+  within "Timing_wheel push + pop_min (3200 pending)" ~budget:9.0
+    (words_per_call ~calls:100_000 (fun () ->
+         let time = Wheel.min_time w in
+         let v = Wheel.pop_min w in
+         Wheel.push w ~time:(time +. Array.unsafe_get inc (!seq land 1023)) ~seq:!seq v;
+         incr seq))
+
 (* A keep-alive from a node to a leaf-set member and the member's ack:
    two sends, two wheel pushes and pops, two deliveries, two learns. *)
 let keepalive_round_trip () =
@@ -223,6 +256,8 @@ let suite =
       "Node.learn of a leaf member (N = 100)" => learn_leaf_member;
       "Leaf_set.replica_set window (k = 3, N = 100)" => replica_set_window;
       "Leaf_set.covers (N = 100)" => covers_disjoint;
+      "Leaf_set.closest_including_self (N = 100)" => closest_including_self;
+      "Timing_wheel push + pop_min (3200 pending)" => wheel_cycle;
       "Sha256.digest_string (320 B)" => sha256_320;
       "Sha1.digest_string (320 B)" => sha1_320;
       "Hex.of_bytes (32-byte digest)" => hex_32;
