@@ -35,7 +35,8 @@
    the probes, the replica scan and the final audit skip it. Holders
    honour a reclaim only from the file's owner (§2.1), so each reclaim
    goes through the client that inserted the file, and is skipped while
-   that client's access node is down. *)
+   that client's access node is down. After the quiesce SOAK counts the
+   reclaimed files some node still stores, by the same scan. *)
 
 module System = Past_core.System
 module Client = Past_core.Client
@@ -110,6 +111,8 @@ type result = {
   lookups_ok : int;
   reclaims : int;
   reclaims_receipted : int;  (** reclaims that returned at least one receipt *)
+  reclaimed_still_held : int;
+      (** reclaimed files that some node still stores after the quiesce *)
   files_available : int;  (** live files with >= 1 live replica at the end *)
   files_replicated : int;  (** live files with >= k live replicas at the end *)
   probes : int;
@@ -432,6 +435,9 @@ let run ?trace_capacity params =
   (* Final audit: with everyone back up, every file must hold k live
      replicas and be found. *)
   let final_replicas = List.map live_replicas live_files in
+  let reclaimed_still_held =
+    Hashtbl.fold (fun fid () acc -> if live_replicas fid > 0 then acc + 1 else acc) dead 0
+  in
   let files_with p = List.length (List.filter p final_replicas) in
   let lost = ref 0 in
   List.iter
@@ -478,6 +484,7 @@ let run ?trace_capacity params =
     lookups_ok = !lookups_ok;
     reclaims = !reclaims;
     reclaims_receipted = !reclaims_receipted;
+    reclaimed_still_held;
     files_available = files_with (fun c -> c >= 1);
     files_replicated = files_with (fun c -> c >= params.k);
     probes = !probes;
@@ -541,6 +548,7 @@ let soak_table r =
   Text_table.add_rowf t "lookups ok|%d / %d" r.lookups_ok r.lookups_attempted;
   Text_table.add_rowf t "reclaims issued|%d" r.reclaims;
   Text_table.add_rowf t "reclaims with >=1 receipt|%d" r.reclaims_receipted;
+  Text_table.add_rowf t "reclaimed files still stored|%d of %d" r.reclaimed_still_held r.reclaims;
   Text_table.add_rowf t "failures / recoveries injected|%d / %d" r.crashes r.recoveries;
   Text_table.add_rowf t "live files at end|%d" r.files;
   Text_table.add_rowf t "available (>=1 live replica)|%d" r.files_available;

@@ -418,7 +418,11 @@ let soak_reclaims_receipted () =
   check Alcotest.bool
     (Printf.sprintf "%d of %d reclaims receipted" r.reclaims_receipted r.reclaims)
     true
-    (r.reclaims_receipted >= r.reclaims - 2)
+    (r.reclaims_receipted >= r.reclaims - 2);
+  check Alcotest.bool "reclaimed files still stored: at most the reclaimed" true
+    (r.reclaimed_still_held <= r.reclaims);
+  check Alcotest.bool "table has the still-stored row" true
+    (contains (Past_stdext.Text_table.render (soak_table r)) "reclaimed files still stored")
 
 let suite =
   ( "experiments",
