@@ -228,23 +228,25 @@ let covers t key =
   let last = half t - 1 in
   Id.cw_compare ~from:t.smaller.ids.(last) key t.larger.ids.(last) <= 0
 
-(* Slot [j] of the closest scan: own id at -1, the smaller side at
-   0..n-1, the larger side after it. *)
+(* Member slot [j] of the closest scan: the smaller side at 0..n-1,
+   the larger side after it. *)
 let scan_id t j =
   let n = t.smaller.n in
-  if j < 0 then t.own else if j < n then t.smaller.ids.(j) else t.larger.ids.(j - n)
+  if j < n then t.smaller.ids.(j) else t.larger.ids.(j - n)
 
-(* The slot of the closest among own id and the members scanned from
-   [j] on. Ties keep the incumbent, so own id wins a tie and a peer on
-   both sides of a sparse ring is found on the smaller side. *)
-let rec closest_slot t key j best =
+(* The slot of the closest among the incumbent [best] (-1 for own id)
+   and the members from slot [j] on. Ties keep the incumbent, so own id
+   wins a tie and a peer on both sides of a sparse ring is found on the
+   smaller side. *)
+let rec closest_slot t key j best best_id =
   if j >= t.smaller.n + t.larger.n then best
   else
-    closest_slot t key (j + 1)
-      (if Id.closer ~target:key (scan_id t j) (scan_id t best) < 0 then j else best)
+    let id = scan_id t j in
+    if Id.closer ~target:key id best_id < 0 then closest_slot t key (j + 1) j id
+    else closest_slot t key (j + 1) best best_id
 
 let closest_including_self t key =
-  let j = closest_slot t key 0 (-1) in
+  let j = closest_slot t key 0 (-1) t.own in
   let n = t.smaller.n in
   if j < 0 then None
   else Some (Directory.get t.dir (if j < n then t.smaller.addrs.(j) else t.larger.addrs.(j - n)))

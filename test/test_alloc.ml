@@ -163,11 +163,10 @@ let wheel_cycle () =
   let rng = Rng.create 9 in
   let inc = Array.init 1024 (fun _ -> Rng.float rng 3200.0) in
   let w = Wheel.create () in
-  let seq = ref 0 in
   for i = 0 to 3199 do
     Wheel.push w ~time:inc.(i land 1023) ~seq:i i
   done;
-  seq := 3200;
+  let seq = ref 3200 in
   within "Timing_wheel push + pop_min (3200 pending)" ~budget:9.0
     (words_per_call ~calls:100_000 (fun () ->
          let time = Wheel.min_time w in
