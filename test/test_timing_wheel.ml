@@ -103,7 +103,9 @@ let random_traces () =
 let far_heap_wide_horizon () =
   let rng = Rng.create 11 in
   equivalent "wide trace" (random_events rng 3000 ~horizon:3_000_000.0);
-  let cluster k = List.map (fun frac -> (10_000.0 *. float_of_int k) +. frac) [ 0.5; 0.0; 0.99; 0.5; 0.0 ] in
+  let cluster k =
+    List.map (fun frac -> (10_000.0 *. float_of_int k) +. frac) [ 0.5; 0.0; 0.99; 0.5; 0.0 ]
+  in
   let times = List.concat_map cluster [ 3; 1; 7; 2; 7 ] in
   equivalent "far clusters" (List.mapi (fun seq time -> { time; seq }) times)
 
@@ -177,7 +179,9 @@ let far_future_timers () =
       done;
       let f = Float.of_int (int_of_float p.clock) in
       List.iter (push2 p)
-        [ p.clock; f +. 0.25; p.clock; f +. 1.0; f +. float_of_int (slots - 1); f +. float_of_int slots ];
+        [
+          p.clock; f +. 0.25; p.clock; f +. 1.0; f +. float_of_int (slots - 1); f +. float_of_int slots;
+        ];
       pop2 "after hop" p;
       pop2 "after hop" p)
     [ 1; 2; 3; 4 ];
