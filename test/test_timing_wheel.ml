@@ -114,12 +114,9 @@ let far_heap_wide_horizon () =
    current frontier (the simulator's zero-delay self-sends). *)
 let interleaved_push_pop () =
   let rng = Rng.create 42 in
-  let h = Heap.create ~leq and w = Wheel.create () in
-  let seq = ref 0 in
-  let clock = ref 0.0 in
-  let popped_h = ref [] and popped_w = ref [] in
+  let p = pair () in
   for _ = 1 to 5000 do
-    if Rng.int rng 3 > 0 || Heap.is_empty h then begin
+    if Rng.int rng 3 > 0 || Heap.is_empty p.h then begin
       (* Push relative to the last popped time, occasionally exactly at
          it (delta 0) and occasionally far ahead. *)
       let delta =
@@ -128,24 +125,11 @@ let interleaved_push_pop () =
         | 1 -> Rng.float rng 100_000.0
         | _ -> Rng.float rng 300.0
       in
-      let e = { time = !clock +. delta; seq = !seq } in
-      incr seq;
-      Heap.push h e;
-      Wheel.push w ~time:e.time ~seq:e.seq e
+      push2 p (p.clock +. delta)
     end
-    else begin
-      let a = Heap.pop h and b = Wheel.pop w in
-      match (a, b) with
-      | Some a, Some b ->
-        if a.seq <> b.seq then
-          Alcotest.failf "interleaved: heap popped %s, wheel %s" (pp_ev a) (pp_ev b);
-        clock := a.time;
-        popped_h := a :: !popped_h;
-        popped_w := b :: !popped_w
-      | _ -> Alcotest.fail "interleaved: one structure empty"
-    end
+    else pop2 "interleaved" p
   done;
-  check_same_order "interleaved tail" (drain_heap h) (drain_wheel w)
+  finish "interleaved tail" p
 
 (* Sparse timers far beyond the wheel's window mixed into dense
    near-term traffic: the far pushes must not disturb the dense phase,
