@@ -5,7 +5,7 @@ type 'a routed = {
   key : Past_id.Id.t;  (** routing destination in the 128-bit space *)
   origin : Peer.t;  (** node that initiated the route *)
   sender : Peer.t;  (** previous hop (receivers learn peers from it) *)
-  trace : int;  (** telemetry route id tying this message's hop trace events together *)
+  trace : int;  (** id of the route span tying this message's hop trace events together *)
   hops : int;
   dist : float;  (** accumulated proximity along the route *)
   path : Past_simnet.Net.addr list;  (** visited nodes, most recent first *)

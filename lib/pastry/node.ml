@@ -383,8 +383,7 @@ let handle_routed t (r : 'a Message.routed) =
     | Deliver ->
       Counter.incr t.shared.c_delivered;
       check_hop_bound t r;
-      trace_event t
-        (Trace.Route_deliver { route = r.Message.trace; hops = r.Message.hops; stage });
+      trace_event t (Trace.Span_end { span = r.Message.trace; note = Trace.stage_name stage });
       do_deliver t r
     | Forward next ->
       let decision =
@@ -400,14 +399,7 @@ let handle_routed t (r : 'a Message.routed) =
       if decision = `Continue then begin
         Counter.incr (stage_counter t stage);
         trace_event t
-          (Trace.Route_hop
-             {
-               route = r.Message.trace;
-               seq = r.Message.hops;
-               from_ = t.self.Peer.addr;
-               to_ = next.Peer.addr;
-               stage;
-             });
+          (Trace.Hop { span = r.Message.trace; seq = r.Message.hops; to_ = next.Peer.addr; stage });
         let hop_dist = proximity_to t next.Peer.addr in
         tell t next.Peer.addr
           (Message.Routed
@@ -423,8 +415,7 @@ let handle_routed t (r : 'a Message.routed) =
         (* The application intercepted the lookup (e.g. a PAST cache hit
            en route): the route effectively delivered here. *)
         trace_event t
-          (Trace.Route_deliver
-             { route = r.Message.trace; hops = r.Message.hops; stage = Trace.Local })
+          (Trace.Span_end { span = r.Message.trace; note = Trace.stage_name Trace.Local })
   end
 
 let announce t =
@@ -527,12 +518,16 @@ let state_size t =
   + List.length (Leaf_set.larger t.leaf)
   + Neighborhood.size t.nbhd
 
+(* A routed message is a span: its id rides the message as [trace]. *)
+let start_route t ~parent ~key =
+  let span = Trace.new_span_id t.shared.tracer in
+  trace_event t (Trace.Span_start { span; parent; op = Trace.route_op; detail = Id.short key });
+  span
+
 let join t ~bootstrap =
   if bootstrap = t.self.Peer.addr then invalid_arg "Node.join: cannot bootstrap from self";
   t.joined <- false;
-  let trace = Trace.new_route_id t.shared.tracer in
-  trace_event t
-    (Trace.Route_start { route = trace; parent = Trace.no_parent; key = Id.short t.self.Peer.id });
+  let trace = start_route t ~parent:Trace.no_parent ~key:t.self.Peer.id in
   tell t bootstrap
     (Message.Routed
        {
@@ -547,8 +542,7 @@ let join t ~bootstrap =
        })
 
 let route ?(parent = Trace.no_parent) t ~key payload =
-  let trace = Trace.new_route_id t.shared.tracer in
-  trace_event t (Trace.Route_start { route = trace; parent; key = Id.short key });
+  let trace = start_route t ~parent ~key in
   let r =
     {
       Message.key;

@@ -79,15 +79,11 @@ let trace_context t =
          (fun (e : Trace.event) ->
            let k =
              match e.Trace.kind with
-             | Trace.Route_start { route; key; _ } -> Printf.sprintf "route_start#%d key=%s" route key
-             | Trace.Route_hop { route; from_; to_; _ } ->
-               Printf.sprintf "hop#%d %d->%d" route from_ to_
-             | Trace.Route_deliver { route; hops; _ } ->
-               Printf.sprintf "deliver#%d hops=%d" route hops
-             | Trace.Span_start { span; op; _ } -> Printf.sprintf "span_start#%d %s" span op
-             | Trace.Span_end { span; _ } -> Printf.sprintf "span_end#%d" span
+             | Trace.Span_start { span; op; detail; _ } ->
+               Printf.sprintf "span_start#%d %s %s" span op detail
+             | Trace.Hop { span; to_; _ } -> Printf.sprintf "hop#%d %d->%d" span e.Trace.node to_
              | Trace.Point { span; name } -> Printf.sprintf "point#%d %s" span name
-             | Trace.Note s -> "note " ^ s
+             | Trace.Span_end { span; note } -> Printf.sprintf "span_end#%d %s" span note
            in
            Printf.sprintf "[t=%.1f n%d %s]" e.Trace.time e.Trace.node k)
          recent)

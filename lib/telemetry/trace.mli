@@ -5,33 +5,34 @@
     and overwritten events are counted per kind ({!dropped}) so a
     truncated trace is never mistaken for a complete one.
 
-    Two families of events share one id space:
-
-    - {e routes} — one Pastry routed message, hop by hop, including
-      which routing stage (leaf set, routing table, or the rare-case
-      fallback) chose each next hop;
-    - {e spans} — one logical operation (client insert/lookup, repair
-      cascade), which may cause several routes and fan-out messages.
-
-    A route or span may name a parent span, so the full causal tree of
-    an operation can be reconstructed ({!trees}) and exported as Chrome
-    trace-event JSON loadable in Perfetto ({!chrome_json}). *)
+    Everything traced is a {e span}: one logical operation (client
+    insert/lookup/reclaim, repair cascade) or one Pastry routed message
+    ([op = "route"], [detail] = key). A span may name a parent span; a
+    route records each hop with the routing stage (leaf set, routing
+    table, or the rare-case fallback) that chose it, and ends where it
+    was delivered. One fold rebuilds every span from the retained
+    events; {!routes}, {!spans} and the causal forest ({!trees}) are
+    views of it, and {!chrome_json} exports it as Chrome trace-event
+    JSON loadable in Perfetto. *)
 
 type stage = Leaf_set | Routing_table | Rare_case | Local
 
 val stage_name : stage -> string
 
 val no_parent : int
-(** Sentinel ([-1]) marking a root span or an unparented route. *)
+(** Sentinel ([-1]) marking a root span. *)
+
+val route_op : string
+(** ["route"]: the [op] of a routed message's span. *)
 
 type event_kind =
-  | Route_start of { route : int; parent : int; key : string }
-  | Route_hop of { route : int; seq : int; from_ : int; to_ : int; stage : stage }
-  | Route_deliver of { route : int; hops : int; stage : stage }
   | Span_start of { span : int; parent : int; op : string; detail : string }
-  | Span_end of { span : int; note : string }
+  | Hop of { span : int; seq : int; to_ : int; stage : stage }
+      (** recorded by the forwarding node; [seq] is the hop's index *)
   | Point of { span : int; name : string }
-  | Note of string
+  | Span_end of { span : int; note : string }
+      (** recorded where the span ended: a route's delivery node, with
+          the delivering stage's {!stage_name} as [note] *)
 
 type event = { time : float; node : int; kind : event_kind }
 
@@ -43,13 +44,8 @@ val create : ?capacity:int -> unit -> t
 val enabled : t -> bool
 val record : t -> time:float -> node:int -> event_kind -> unit
 
-val new_route_id : t -> int
-(** Fresh id tying one routed message's events together. Route and
-    span ids come from the same sequence, so an id is unique across
-    both families. *)
-
 val new_span_id : t -> int
-(** Fresh id for an operation span (same sequence as route ids). *)
+(** Fresh id tying one span's events together. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)
@@ -64,31 +60,9 @@ val dropped : t -> (string * int) list
 (** Drop counts by event kind, non-zero entries only, sorted by kind
     name. *)
 
-(** {2 Route reconstruction} *)
+(** {2 Reconstruction} *)
 
 type hop = { h_time : float; h_from : int; h_to : int; h_stage : stage }
-
-type route = {
-  route_id : int;
-  parent : int; (** owning span, or {!no_parent} *)
-  key : string;
-  origin : int;
-  started : float;
-  hops : hop list;
-  delivered_at : int;
-  delivered_time : float;
-  delivered_stage : stage;
-}
-
-val routes : t -> route list
-(** Reconstructed routes, oldest first. Only routes whose start and
-    delivery events both survive in the ring are returned. Hops are
-    de-duplicated by sequence number (first occurrence wins), so
-    fault-injected duplicate deliveries never double-count hops. *)
-
-val route_to_string : route -> string
-
-(** {2 Span / causal-tree reconstruction} *)
 
 type point = { pt_time : float; pt_node : int; pt_name : string; pt_count : int }
 (** A milestone inside a span; identical (name, node) repeats collapse
@@ -100,26 +74,36 @@ type span = {
   op : string;
   detail : string;
   s_start : float;
-  s_node : int;
+  s_node : int; (** where it started: a route's origin *)
   s_end : float option; (** [None] if the end event was dropped or never recorded *)
+  end_node : int; (** where it ended ([-1] if unended): a route's delivery node *)
+  note : string; (** the end's note *)
+  hops : hop list; (** in forwarding order *)
   points : point list; (** in time order *)
 }
+(** Spans are rebuilt only if their start survives in the ring.
+    Duplicate starts and ends keep the first recording and hops are
+    de-duplicated by sequence number, so fault-injected duplicate
+    deliveries never fork a tree or double-count hops. *)
+
+val routes : t -> span list
+(** Routed messages whose start and delivery both survive, oldest
+    first. *)
+
+val route_to_string : span -> string
 
 val spans : t -> span list
-(** Reconstructed spans, oldest first; duplicate starts for one id are
-    ignored (first wins). Spans whose start was overwritten are not
-    returned. *)
+(** Every span that is not a route, oldest first. *)
 
-type tree = { t_span : span; t_routes : route list; t_children : tree list }
+type tree = { t_span : span; t_children : tree list }
 
 val trees : t -> tree list
-(** Causal forest: root spans (no surviving parent) with their child
-    spans and the routes they caused, oldest first. *)
-
-(** {2 Chrome trace-event export} *)
+(** Causal forest: spans whose parent did not survive, each with its
+    child spans (routes included), oldest first. *)
 
 val chrome_json : t -> Past_stdext.Json.t
-(** The retained events as a Chrome trace-event JSON object
-    ([{"traceEvents": [...]}]), loadable in Perfetto / chrome://tracing.
-    Spans and routes become async begin/end pairs, hops and points
-    become instant events; sim-time maps to microseconds 1:1000. *)
+(** The retained spans as a Chrome trace-event JSON object
+    ([{"traceEvents": [...]}]), operations first, then routes. Each
+    span is an async begin/end pair (an unended one ends at the last
+    event and is marked truncated), hops and points are instant events;
+    sim-time maps to microseconds 1:1000. *)

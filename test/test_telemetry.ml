@@ -105,10 +105,26 @@ let registry_isolation_between_systems () =
   check Alcotest.int "sys2 storage counters untouched" 0 (accepted sys2);
   check Alcotest.int "sys2 network counters untouched" base2_sent (sent sys2)
 
+let assert_route_invariants (r : Trace.span) =
+  (match r.Trace.hops with
+  | [] -> ()
+  | first :: _ -> check Alcotest.int "first hop leaves origin" r.Trace.s_node first.Trace.h_from);
+  ignore
+    (List.fold_left
+       (fun prev (h : Trace.hop) ->
+         (match prev with
+         | Some (p : Trace.hop) -> check Alcotest.int "hops chain" p.Trace.h_to h.Trace.h_from
+         | None -> ());
+         Some h)
+       None r.Trace.hops);
+  match List.rev r.Trace.hops with
+  | last :: _ ->
+    check Alcotest.int "delivery node is last hop target" last.Trace.h_to r.Trace.end_node
+  | [] -> check Alcotest.int "zero-hop route delivers at origin" r.Trace.s_node r.Trace.end_node
+
 (* Route every trace event through a real (small) overlay and check the
    reconstruction invariants: every complete route starts at its origin,
-   chains hop to hop, and the delivery hop count equals the number of
-   recorded hops. *)
+   chains hop to hop, and is delivered at its last hop's target. *)
 let route_trace_reconstruction () =
   let module Overlay = Past_pastry.Overlay in
   let overlay : Past_experiments.Harness.probe Overlay.t = Overlay.create ~seed:55 () in
@@ -117,27 +133,11 @@ let route_trace_reconstruction () =
   check Alcotest.int "all delivered" 40 stats.Past_experiments.Harness.delivered;
   let routes = Trace.routes (Registry.tracer (Overlay.registry overlay)) in
   check Alcotest.bool "routes reconstructed" true (List.length routes > 0);
-  List.iter
-    (fun (r : Trace.route) ->
-      (match r.Trace.hops with
-      | [] -> ()
-      | first :: _ -> check Alcotest.int "first hop leaves origin" r.Trace.origin first.Trace.h_from);
-      ignore
-        (List.fold_left
-           (fun prev (h : Trace.hop) ->
-             (match prev with
-             | Some (p : Trace.hop) -> check Alcotest.int "hops chain" p.Trace.h_to h.Trace.h_from
-             | None -> ());
-             Some h)
-           None r.Trace.hops);
-      (match List.rev r.Trace.hops with
-      | last :: _ -> check Alcotest.int "delivery node is last hop target" last.Trace.h_to r.Trace.delivered_at
-      | [] -> check Alcotest.int "zero-hop route delivers at origin" r.Trace.origin r.Trace.delivered_at))
-    routes;
+  List.iter assert_route_invariants routes;
   (* Trace ring wraps without losing count. *)
   let tr = Trace.create ~capacity:8 () in
   for i = 1 to 20 do
-    Trace.record tr ~time:(float_of_int i) ~node:0 (Trace.Note "n")
+    Trace.record tr ~time:(float_of_int i) ~node:0 (Trace.Point { span = 0; name = "n" })
   done;
   check Alcotest.int "ring keeps capacity" 8 (List.length (Trace.events tr));
   check Alcotest.int "total counts overwritten" 20 (Trace.total_recorded tr)
@@ -196,24 +196,24 @@ let trace_drop_accounting () =
   check Alcotest.bool "no drop rows in loss-free table" false
     (contains (Text_table.render (Registry.to_table reg)) "trace.dropped_events");
   for i = 1 to 10 do
-    Trace.record tr ~time:(float_of_int i) ~node:0 (Trace.Note "n")
-  done;
-  for i = 11 to 16 do
     Trace.record tr ~time:(float_of_int i) ~node:0 (Trace.Point { span = 1; name = "p" })
   done;
-  (* 16 recorded into 8 slots: the 8 oldest (all notes) were lost. *)
+  for i = 11 to 16 do
+    Trace.record tr ~time:(float_of_int i) ~node:0 (Trace.Span_end { span = 1; note = "" })
+  done;
+  (* 16 recorded into 8 slots: the 8 oldest (all points) were lost. *)
   check Alcotest.int "dropped total" 8 (Trace.dropped_total tr);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "drops counted by kind"
-    [ ("note", 8) ]
+    [ ("point", 8) ]
     (Trace.dropped tr);
   check Alcotest.bool "drop rows surface once events are lost" true
     (contains (Text_table.render (Registry.to_table reg)) "trace.dropped_events")
 
-(* Hand-built causal tree: child span under a root span, a route owned
-   by the child, repeated points collapsing, and a duplicate Span_start
-   that must not fork the tree. *)
+(* Hand-built causal tree: child span under a root span, a route span
+   owned by the child, repeated points collapsing, and a duplicate
+   Span_start that must not fork the tree. *)
 let span_tree_reconstruction () =
   let tr = Trace.create ~capacity:128 () in
   let a = Trace.new_span_id tr in
@@ -222,12 +222,13 @@ let span_tree_reconstruction () =
   let b = Trace.new_span_id tr in
   Trace.record tr ~time:2.0 ~node:0
     (Trace.Span_start { span = b; parent = a; op = "replicate"; detail = "" });
-  let r = Trace.new_route_id tr in
-  Trace.record tr ~time:2.5 ~node:3 (Trace.Route_start { route = r; parent = b; key = "k" });
+  let r = Trace.new_span_id tr in
+  Trace.record tr ~time:2.5 ~node:3
+    (Trace.Span_start { span = r; parent = b; op = Trace.route_op; detail = "k" });
   Trace.record tr ~time:2.6 ~node:3
-    (Trace.Route_hop { route = r; seq = 0; from_ = 3; to_ = 4; stage = Trace.Leaf_set });
+    (Trace.Hop { span = r; seq = 0; to_ = 4; stage = Trace.Leaf_set });
   Trace.record tr ~time:2.7 ~node:4
-    (Trace.Route_deliver { route = r; hops = 1; stage = Trace.Leaf_set });
+    (Trace.Span_end { span = r; note = Trace.stage_name Trace.Leaf_set });
   Trace.record tr ~time:3.0 ~node:0 (Trace.Point { span = b; name = "ack" });
   Trace.record tr ~time:3.1 ~node:0 (Trace.Point { span = b; name = "ack" });
   Trace.record tr ~time:4.0 ~node:0 (Trace.Span_end { span = b; note = "" });
@@ -243,6 +244,8 @@ let span_tree_reconstruction () =
     (match t.Trace.t_children with
     | [ c ] ->
       check Alcotest.string "child op" "replicate" c.Trace.t_span.Trace.op;
+      check Alcotest.int "child parent link" t.Trace.t_span.Trace.span_id
+        c.Trace.t_span.Trace.span_parent;
       check Alcotest.string "duplicate start ignored (first wins)" ""
         c.Trace.t_span.Trace.detail;
       check
@@ -253,30 +256,16 @@ let span_tree_reconstruction () =
         check Alcotest.string "point name" "ack" p.Trace.pt_name;
         check Alcotest.int "identical points collapse" 2 p.Trace.pt_count
       | l -> Alcotest.failf "expected one collapsed point, got %d" (List.length l));
-      (match c.Trace.t_routes with
-      | [ r ] ->
+      (match c.Trace.t_children with
+      | [ { Trace.t_span = r; t_children = [] } ] ->
+        check Alcotest.string "route span under child span" Trace.route_op r.Trace.op;
+        check Alcotest.int "route parent link" c.Trace.t_span.Trace.span_id r.Trace.span_parent;
         check Alcotest.int "route under child span" 1 (List.length r.Trace.hops);
-        check Alcotest.int "route delivered at hop target" 4 r.Trace.delivered_at
+        check Alcotest.int "route delivered at hop target" 4 r.Trace.end_node;
+        check Alcotest.string "delivery stage" "leaf-set" r.Trace.note
       | l -> Alcotest.failf "expected one route, got %d" (List.length l))
     | l -> Alcotest.failf "expected one child, got %d" (List.length l))
   | l -> Alcotest.failf "expected one root, got %d" (List.length l)
-
-let assert_route_invariants (r : Trace.route) =
-  (match r.Trace.hops with
-  | [] -> ()
-  | first :: _ -> check Alcotest.int "first hop leaves origin" r.Trace.origin first.Trace.h_from);
-  ignore
-    (List.fold_left
-       (fun prev (h : Trace.hop) ->
-         (match prev with
-         | Some (p : Trace.hop) -> check Alcotest.int "hops chain" p.Trace.h_to h.Trace.h_from
-         | None -> ());
-         Some h)
-       None r.Trace.hops);
-  match List.rev r.Trace.hops with
-  | last :: _ ->
-    check Alcotest.int "delivery node is last hop target" last.Trace.h_to r.Trace.delivered_at
-  | [] -> check Alcotest.int "zero-hop route delivers at origin" r.Trace.origin r.Trace.delivered_at
 
 (* Satellite: fault-injected duplicate and reordered deliveries must
    not corrupt route reconstruction — hops are deduplicated by sequence
@@ -341,10 +330,14 @@ let causal_tree_end_to_end () =
       let s = t.Trace.t_span in
       check Alcotest.bool (s.Trace.op ^ " span ended") true (s.Trace.s_end <> None);
       List.iter
-        (fun (r : Trace.route) ->
-          check Alcotest.int "route parented to its operation" s.Trace.span_id r.Trace.parent;
-          assert_route_invariants r)
-        t.Trace.t_routes)
+        (fun (c : Trace.tree) ->
+          let r = c.Trace.t_span in
+          if r.Trace.op = Trace.route_op && r.Trace.s_end <> None then begin
+            check Alcotest.int "route parented to its operation" s.Trace.span_id
+              r.Trace.span_parent;
+            assert_route_invariants r
+          end)
+        t.Trace.t_children)
     op_trees
 
 (* In a loss-free run the reconstructed per-route hop lists must agree
@@ -487,12 +480,13 @@ let chrome_json_structure () =
   let a = Trace.new_span_id tr in
   Trace.record tr ~time:1.0 ~node:0
     (Trace.Span_start { span = a; parent = Trace.no_parent; op = "insert"; detail = "f" });
-  let r = Trace.new_route_id tr in
-  Trace.record tr ~time:1.5 ~node:2 (Trace.Route_start { route = r; parent = a; key = "k" });
+  let r = Trace.new_span_id tr in
+  Trace.record tr ~time:1.5 ~node:2
+    (Trace.Span_start { span = r; parent = a; op = Trace.route_op; detail = "k" });
   Trace.record tr ~time:1.6 ~node:2
-    (Trace.Route_hop { route = r; seq = 0; from_ = 2; to_ = 5; stage = Trace.Routing_table });
+    (Trace.Hop { span = r; seq = 0; to_ = 5; stage = Trace.Routing_table });
   Trace.record tr ~time:1.8 ~node:5
-    (Trace.Route_deliver { route = r; hops = 1; stage = Trace.Leaf_set });
+    (Trace.Span_end { span = r; note = Trace.stage_name Trace.Leaf_set });
   Trace.record tr ~time:2.0 ~node:0 (Trace.Span_end { span = a; note = "ok" });
   let j = Trace.chrome_json tr in
   let evs =
@@ -518,6 +512,49 @@ let chrome_json_structure () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "chrome JSON does not parse: %s" e
 
+(* A route whose delivery never made it into the ring is still a span:
+   the export shows it as a truncated "route" pair ending at the last
+   event, and [routes] leaves it out. *)
+let unended_route_exported_truncated () =
+  let module Json = Past_stdext.Json in
+  let tr = Trace.create ~capacity:64 () in
+  let r = Trace.new_span_id tr in
+  Trace.record tr ~time:1.0 ~node:2
+    (Trace.Span_start { span = r; parent = Trace.no_parent; op = Trace.route_op; detail = "k" });
+  Trace.record tr ~time:1.5 ~node:2
+    (Trace.Hop { span = r; seq = 0; to_ = 7; stage = Trace.Leaf_set });
+  check Alcotest.int "absent from routes" 0 (List.length (Trace.routes tr));
+  check Alcotest.int "absent from operation spans" 0 (List.length (Trace.spans tr));
+  let evs =
+    match Json.member "traceEvents" (Trace.chrome_json tr) with
+    | Some l -> Option.value ~default:[] (Json.to_list l)
+    | None -> []
+  in
+  let async ph =
+    List.filter
+      (fun e -> Json.string_member "ph" e = Some ph && Json.string_member "cat" e = Some "route")
+      evs
+  in
+  (match (async "b", async "e") with
+  | [ b ], [ e ] ->
+    check (Alcotest.option Alcotest.string) "named by its key" (Some "route k")
+      (Json.string_member "name" b);
+    check Alcotest.bool "marked truncated" true
+      (match Json.member "args" b with
+      | Some args -> Json.member "truncated" args = Some (Json.Bool true)
+      | None -> false);
+    check Alcotest.bool "no delivery node" true
+      (match Json.member "args" b with
+      | Some args -> Json.member "delivered_at" args = None
+      | None -> false);
+    check Alcotest.bool "ends at the last event" true
+      (Json.member "ts" e = Some (Json.Float 1500.0))
+  | b, e ->
+    Alcotest.failf "expected one route pair, got %d begins, %d ends" (List.length b)
+      (List.length e));
+  check Alcotest.int "its hop is an instant" 1
+    (List.length (List.filter (fun e -> Json.string_member "cat" e = Some "hop") evs))
+
 let suite =
   ( "telemetry",
     [
@@ -536,5 +573,6 @@ let suite =
       "timeseries window semantics" => timeseries_window_semantics;
       "monitor grace and global accounting" => monitor_grace_and_global;
       "chrome trace-event structure" => chrome_json_structure;
+      "unended route exported truncated" => unended_route_exported_truncated;
       "report JSON smoke (PAST_SCALE=0.05)" => report_json_smoke;
     ] )
