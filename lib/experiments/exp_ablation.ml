@@ -73,28 +73,11 @@ let run_l_sweep ~n ~trials ~lookups_per_trial ~seed =
   let counts =
     Domain_pool.map_shared
       (fun (l, m, trial) ->
-        let config = { Config.default with Config.leaf_set_size = l } in
-        let overlay : Harness.probe Overlay.t =
-          Overlay.create ~config ~seed:(seed + (100 * l) + (10 * m) + trial) ()
-        in
-        Overlay.build_static overlay ~n;
-        let key = Id.random (Overlay.rng overlay) ~width:Id.node_bits in
-        List.iter (Overlay.kill overlay) (Overlay.sorted_neighbours overlay key ~k:m);
-        let truth = Overlay.closest_live_node overlay key in
-        let ok = ref 0 and total = ref 0 in
-        Overlay.install_apps overlay (fun node ->
-            {
-              Harness.null_app with
-              Node.deliver =
-                (fun ~key:_ _ _ ->
-                  incr total;
-                  if Node.addr node = Node.addr truth then incr ok);
-            });
-        for _ = 1 to lookups_per_trial do
-          Node.route (Overlay.random_live_node overlay) ~key ()
-        done;
-        Overlay.run overlay;
-        (!ok, !total))
+        Exp_failures.run_trial
+          ~config:{ Config.default with Config.leaf_set_size = l }
+          ~n ~lookups:lookups_per_trial
+          ~seed:(seed + (100 * l) + (10 * m) + trial)
+          ~m)
       cases
   in
   let fraction l m =
@@ -161,40 +144,20 @@ let run_bias_sweep ~n ~lookups ~fraction ~retries ~seed =
       let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:(seed + 1) () in
       Overlay.build_static overlay ~n;
       let rng = Rng.create (seed + 2) in
-      let nodes = Overlay.nodes overlay in
-      let bad = int_of_float (fraction *. float_of_int (Array.length nodes)) in
-      List.iter
-        (fun i -> Node.set_malicious nodes.(i) true)
-        (Rng.sample_without_replacement rng bad (Array.length nodes));
+      Exp_malicious.mark_malicious overlay rng ~fraction;
       let hops = Stats.create () in
       let ok = ref 0 in
       for _ = 1 to lookups do
         let key = Id.random rng ~width:Id.node_bits in
-        let truth = Overlay.closest_live_node overlay key in
-        let delivered = ref false in
-        Overlay.install_apps overlay (fun node ->
-            {
-              Harness.null_app with
-              Node.deliver =
-                (fun ~key:_ _ info ->
-                  if Node.addr node = Node.addr truth && not (Node.malicious node) then begin
-                    delivered := true;
-                    Stats.add_int hops info.Node.hops
-                  end);
-            });
-        let rec attempt r =
-          if r > 0 && not !delivered then begin
-            let rec honest () =
-              let src = Overlay.random_live_node overlay in
-              if Node.malicious src then honest () else src
-            in
-            Node.route (honest ()) ~key ();
-            Overlay.run overlay;
-            attempt (r - 1)
-          end
+        let rec try_up_to r =
+          if r > 0 then
+            match Exp_malicious.attempt overlay key with
+            | Some h ->
+              incr ok;
+              Stats.add_int hops h
+            | None -> try_up_to (r - 1)
         in
-        attempt retries;
-        if !delivered then incr ok
+        try_up_to retries
       done;
       {
         bias;

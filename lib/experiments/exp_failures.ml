@@ -38,15 +38,15 @@ type row = { m : int; success_rate : float; delivered_rate : float }
 
 type result = { rows : row list; half : int }
 
-(* One (m, trial) cell: fresh overlay (so failures do not accumulate),
-   m victims killed, lookups fired; returns (hits, deliveries). *)
-let run_trial params config m trial =
-  let overlay : Harness.probe Overlay.t =
-    Overlay.create ~config ~seed:(params.seed + (1000 * m) + trial) ()
-  in
-  Overlay.build_static overlay ~n:params.n;
-  let rng = Overlay.rng overlay in
-  let key = Id.random rng ~width:Id.node_bits in
+(* One cell: a fresh n-node overlay (so failures do not accumulate),
+   the m nodes adjacent to a random key killed, [lookups] lookups of
+   that key fired from random live nodes; returns (hits at the closest
+   live node, deliveries anywhere). Ablation B reuses it per leaf-set
+   size. *)
+let run_trial ~config ~n ~lookups ~seed ~m =
+  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed () in
+  Overlay.build_static overlay ~n;
+  let key = Id.random (Overlay.rng overlay) ~width:Id.node_bits in
   (* Kill the m nodes numerically closest to the key. *)
   let victims = Overlay.sorted_neighbours overlay key ~k:m in
   List.iter (Overlay.kill overlay) victims;
@@ -60,9 +60,8 @@ let run_trial params config m trial =
             incr got;
             if Node.addr node = Node.addr truth then incr hit);
       });
-  for _ = 1 to params.lookups_per_trial do
-    let src = Overlay.random_live_node overlay in
-    Node.route src ~key ()
+  for _ = 1 to lookups do
+    Node.route (Overlay.random_live_node overlay) ~key ()
   done;
   Overlay.run overlay;
   (!hit, !got)
@@ -79,7 +78,13 @@ let run params =
       (fun m -> List.init params.trials (fun i -> (m, i + 1)))
       params.failure_counts
   in
-  let counts = Domain_pool.map_shared (fun (m, trial) -> run_trial params config m trial) cases in
+  let counts =
+    Domain_pool.map_shared
+      (fun (m, trial) ->
+        run_trial ~config ~n:params.n ~lookups:params.lookups_per_trial
+          ~seed:(params.seed + (1000 * m) + trial) ~m)
+      cases
+  in
   let rows =
     List.map
       (fun m ->

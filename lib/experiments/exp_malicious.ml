@@ -37,39 +37,41 @@ type row = {
 
 type result = { rows : row list; max_retries : int }
 
+(* Marks ⌊fraction·N⌋ nodes malicious, sampled with [rng]. *)
+let mark_malicious overlay rng ~fraction =
+  let nodes = Overlay.nodes overlay in
+  let bad = int_of_float (fraction *. float_of_int (Array.length nodes)) in
+  List.iter
+    (fun i -> Node.set_malicious nodes.(i) true)
+    (Rng.sample_without_replacement rng bad (Array.length nodes))
+
 let build params ~randomized ~fraction seed =
   let config = { Config.default with Config.randomized_routing = randomized } in
   let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed () in
   Overlay.build_static overlay ~n:params.n;
-  let rng = Overlay.rng overlay in
-  let nodes = Overlay.nodes overlay in
-  let bad = int_of_float (fraction *. float_of_int (Array.length nodes)) in
-  let idx = Rng.sample_without_replacement rng bad (Array.length nodes) in
-  List.iter (fun i -> Node.set_malicious nodes.(i) true) idx;
+  mark_malicious overlay (Overlay.rng overlay) ~fraction;
   overlay
 
-(* One lookup attempt: returns true if the message reached the correct
-   live node. The source is always honest. *)
+(* One lookup attempt from an honest source: the hop count if the
+   message reached the correct live node, [None] otherwise. *)
 let attempt overlay key =
-  let delivered_ok = ref false in
+  let delivered = ref None in
   let truth = Overlay.closest_live_node overlay key in
   Overlay.install_apps overlay (fun node ->
       {
         Harness.null_app with
         Node.deliver =
-          (fun ~key:_ _ _ ->
+          (fun ~key:_ _ info ->
             if Node.addr node = Node.addr truth && not (Node.malicious node) then
-              delivered_ok := true);
+              delivered := Some info.Node.hops);
       });
-  let rng = Overlay.rng overlay in
   let rec pick_honest () =
     let src = Overlay.random_live_node overlay in
     if Node.malicious src then pick_honest () else src
   in
-  ignore rng;
   Node.route (pick_honest ()) ~key ();
   Overlay.run overlay;
-  !delivered_ok
+  !delivered
 
 let run params =
   let rows =
@@ -82,7 +84,7 @@ let run params =
         let rng = Rng.create (params.seed + 100) in
         for _ = 1 to params.lookups do
           let key = Id.random rng ~width:Id.node_bits in
-          if attempt det key then incr det_ok
+          if attempt det key <> None then incr det_ok
         done;
         (* Randomized: a client retries up to max_retries times. *)
         let rand = build params ~randomized:true ~fraction (params.seed + 2) in
@@ -92,8 +94,7 @@ let run params =
           let key = Id.random rng ~width:Id.node_bits in
           let rec try_from a =
             if a < params.max_retries then begin
-              let ok = attempt rand key in
-              if ok then
+              if attempt rand key <> None then
                 for b = a to params.max_retries - 1 do
                   rand_ok.(b) <- rand_ok.(b) + 1
                 done
