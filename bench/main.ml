@@ -2,8 +2,8 @@
    rests on — hashing and signatures (the certificate machinery behind
    EXP9/EXP13), id arithmetic and table maintenance (EXP1–EXP8
    routing), storage admission (EXP9) and cache decisions (EXP11) —
-   plus whole-operation benches: one snapshot overlay build, one routed
-   lookup and one full PAST insert, the last two also with the trace
+   plus whole-operation benches: one snapshot overlay build, 64 routed
+   lookups and 16 full PAST inserts, the last two also with the trace
    ring off to price tracing.
 
    Prints one table to stdout and takes no arguments. End-to-end
@@ -85,14 +85,14 @@ let micro_tests () =
       Test.make ~name:"net proximity x1024" (Staged.stage Harness_fixture.net_proximity_1024);
       Test.make ~name:"static build (N=2000)"
         (Staged.stage (Harness_fixture.static_build_once 2000));
-      Test.make ~name:"route 1 lookup (N=2000)"
-        (Staged.stage (fun () -> Harness_fixture.route_once overlay));
-      Test.make ~name:"route 1 lookup (N=2000, tracing off)"
-        (Staged.stage (fun () -> Harness_fixture.route_once overlay_untraced));
-      Test.make ~name:"full PAST insert (N=100, k=3)"
-        (Staged.stage (fun () -> Harness_fixture.insert_once past_system));
-      Test.make ~name:"full PAST insert (N=100, k=3, tracing off)"
-        (Staged.stage (fun () -> Harness_fixture.insert_once past_system_untraced));
+      Test.make ~name:"route lookup x64 (N=2000)"
+        (Staged.stage (fun () -> Harness_fixture.route_64 overlay));
+      Test.make ~name:"route lookup x64 (N=2000, tracing off)"
+        (Staged.stage (fun () -> Harness_fixture.route_64 overlay_untraced));
+      Test.make ~name:"full PAST insert x16 (N=100, k=3)"
+        (Staged.stage (fun () -> Harness_fixture.insert_16 past_system));
+      Test.make ~name:"full PAST insert x16 (N=100, k=3, tracing off)"
+        (Staged.stage (fun () -> Harness_fixture.insert_16 past_system_untraced));
     ]
 
 let () =
