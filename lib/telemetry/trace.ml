@@ -29,11 +29,30 @@ type event = { time : float; node : int; kind : event_kind }
 (* Drop accounting is indexed by a dense kind tag. *)
 let kind_names = [| "span_start"; "hop"; "point"; "span_end" |]
 
-let kind_index = function Span_start _ -> 0 | Hop _ -> 1 | Point _ -> 2 | Span_end _ -> 3
+let stage_index = function Leaf_set -> 0 | Routing_table -> 1 | Rare_case -> 2 | Local -> 3
+let stages = [| Leaf_set; Routing_table; Rare_case; Local |]
 
+(* The ring is columnar: slot i of each array holds one field of the
+   i-th retained event, so recording writes unboxed floats and ints in
+   place and allocates nothing. A ring of fresh event records would
+   promote every event once the ring is older than the minor heap. The
+   [a]/[b]/[c] and [s]/[d] columns hold the kind's own fields:
+   - Span_start: a = parent, s = op, d = detail;
+   - Hop: a = seq, b = to_, c = stage;
+   - Point: s = name;
+   - Span_end: s = note.
+   Unused cells keep whatever an older event left there. *)
 type t = {
   capacity : int;
-  ring : event array;
+  times : float array;
+  nodes : int array;
+  tags : int array; (* index into [kind_names] *)
+  spans : int array;
+  a : int array;
+  b : int array;
+  c : int array;
+  s : string array;
+  d : string array;
   mutable next : int; (* slot for the next write *)
   mutable total : int; (* events ever recorded *)
   mutable next_id : int; (* span id sequence *)
@@ -41,13 +60,21 @@ type t = {
   mutable dropped_sum : int;
 }
 
-let dummy = { time = 0.0; node = -1; kind = Point { span = -1; name = "" } }
-
 let create ?(capacity = 4096) () =
   if capacity < 0 then invalid_arg "Trace.create: negative capacity";
+  let cells = Stdlib.max 1 capacity in
+  let ints () = Array.make cells 0 in
   {
     capacity;
-    ring = Array.make (Stdlib.max 1 capacity) dummy;
+    times = Array.make cells 0.0;
+    nodes = ints ();
+    tags = ints ();
+    spans = ints ();
+    a = ints ();
+    b = ints ();
+    c = ints ();
+    s = Array.make cells "";
+    d = Array.make cells "";
     next = 0;
     total = 0;
     next_id = 0;
@@ -59,15 +86,37 @@ let enabled t = t.capacity > 0
 
 let record t ~time ~node kind =
   if t.capacity > 0 then begin
+    let i = t.next in
     if t.total >= t.capacity then begin
       (* The slot holds a still-retained event about to be lost. *)
-      let old = t.ring.(t.next) in
-      let i = kind_index old.kind in
-      t.dropped_by_kind.(i) <- t.dropped_by_kind.(i) + 1;
+      let k = t.tags.(i) in
+      t.dropped_by_kind.(k) <- t.dropped_by_kind.(k) + 1;
       t.dropped_sum <- t.dropped_sum + 1
     end;
-    t.ring.(t.next) <- { time; node; kind };
-    t.next <- (t.next + 1) mod t.capacity;
+    t.times.(i) <- time;
+    t.nodes.(i) <- node;
+    (match kind with
+    | Span_start { span; parent; op; detail } ->
+      t.tags.(i) <- 0;
+      t.spans.(i) <- span;
+      t.a.(i) <- parent;
+      t.s.(i) <- op;
+      t.d.(i) <- detail
+    | Hop { span; seq; to_; stage } ->
+      t.tags.(i) <- 1;
+      t.spans.(i) <- span;
+      t.a.(i) <- seq;
+      t.b.(i) <- to_;
+      t.c.(i) <- stage_index stage
+    | Point { span; name } ->
+      t.tags.(i) <- 2;
+      t.spans.(i) <- span;
+      t.s.(i) <- name
+    | Span_end { span; note } ->
+      t.tags.(i) <- 3;
+      t.spans.(i) <- span;
+      t.s.(i) <- note);
+    t.next <- (i + 1) mod t.capacity;
     t.total <- t.total + 1
   end
 
@@ -84,13 +133,24 @@ let dropped t =
   |> List.filter (fun (_, n) -> n > 0)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let event_at t i =
+  let span = t.spans.(i) in
+  let kind =
+    match t.tags.(i) with
+    | 0 -> Span_start { span; parent = t.a.(i); op = t.s.(i); detail = t.d.(i) }
+    | 1 -> Hop { span; seq = t.a.(i); to_ = t.b.(i); stage = stages.(t.c.(i)) }
+    | 2 -> Point { span; name = t.s.(i) }
+    | _ -> Span_end { span; note = t.s.(i) }
+  in
+  { time = t.times.(i); node = t.nodes.(i); kind }
+
 (* Retained events, oldest first. *)
 let events t =
   if t.capacity = 0 || t.total = 0 then []
   else begin
     let kept = Stdlib.min t.total t.capacity in
     let start = (t.next - kept + t.capacity) mod t.capacity in
-    List.init kept (fun i -> t.ring.((start + i) mod t.capacity))
+    List.init kept (fun i -> event_at t ((start + i) mod t.capacity))
   end
 
 (* --- reconstruction ------------------------------------------------------ *)

@@ -25,6 +25,7 @@ module Sha1 = Past_crypto.Sha1
 module Sha256 = Past_crypto.Sha256
 module Hex = Past_crypto.Hex
 module Wheel = Past_stdext.Timing_wheel
+module Trace = Past_telemetry.Trace
 
 let ( => ) name f = Alcotest.test_case name `Quick f
 
@@ -174,6 +175,21 @@ let wheel_cycle () =
          Wheel.push w ~time:(time +. Array.unsafe_get inc (!seq land 1023)) ~seq:!seq v;
          incr seq))
 
+(* Recording into a ring that has wrapped overwrites one slot of each
+   unboxed column and counts the drop: no block, so nothing a traced
+   run records is promoted by the ring. The kind is built once, as a
+   caller passing a constant kind would. *)
+let trace_record_wrapped () =
+  let tr = Trace.create ~capacity:64 () in
+  let kind = Trace.Hop { span = 7; seq = 2; to_ = 11; stage = Trace.Routing_table } in
+  let node = ref 0 in
+  within "Trace.record into a wrapped ring" ~budget:0.0
+    (words_per_call ~calls:100_000 (fun () ->
+         incr node;
+         Trace.record tr ~time:1.5 ~node:(!node land 31) kind));
+  if Trace.dropped_total tr <> Trace.total_recorded tr - 64 then
+    Alcotest.fail "every overwrite is counted as a drop"
+
 (* A keep-alive from a node to a leaf-set member and the member's ack:
    two sends, two wheel pushes and pops, two deliveries, two learns. *)
 let keepalive_round_trip () =
@@ -251,6 +267,7 @@ let suite =
       "Id.cw_compare" => id_cw_compare;
       "Node.learn of a known peer" => learn_known_peer;
       "keep-alive round trip" => keepalive_round_trip;
+      "Trace.record into a wrapped ring" => trace_record_wrapped;
       "Leaf_set.replica_set (k = 3)" => replica_set_k3;
       "Node.learn of a leaf member (N = 100)" => learn_leaf_member;
       "Leaf_set.replica_set window (k = 3, N = 100)" => replica_set_window;
