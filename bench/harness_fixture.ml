@@ -32,7 +32,7 @@ let leaf_insert_once () =
      steady mixed state without unbounded growth. *)
   let ls = Leaf_set.create ~config:Config.default ~own:leaf_own () in
   for j = 0 to 31 do
-    ignore (Leaf_set.add ls leaf_peers.((!leaf_i + j) mod 64))
+    ignore (Leaf_set.add ls ~now:0.0 leaf_peers.((!leaf_i + j) mod 64))
   done;
   incr leaf_i
 

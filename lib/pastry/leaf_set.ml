@@ -8,8 +8,21 @@ module Id = Past_id.Id
    paths that need the peer record. Distances are not stored: each
    comparison recomputes them exactly from the ids ({!Id.cw_compare}).
    In a sparse ring (< l live nodes) the same peer may legally appear
-   on both sides; [members] deduplicates. *)
-type side = { mutable n : int; ids : Id.t array; addrs : int array }
+   on both sides; [members] deduplicates.
+
+   Once maintenance runs, each slot also keeps the time its member was
+   last heard from and the deadline of an unanswered probe ([infinity]
+   when none is pending), in two float arrays parallel to [addrs] and
+   shifted with it. Until then both are the empty array, so static
+   overlays pay nothing for them. A peer on both sides has the same
+   state in both slots. *)
+type side = {
+  mutable n : int;
+  ids : Id.t array;
+  addrs : int array;
+  mutable heard : float array;
+  mutable due : float array;
+}
 
 type t = {
   config : Config.t;
@@ -30,7 +43,8 @@ type t = {
   mutable disjoint : bool;
 }
 
-let make_side ~cap ~own = { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1) }
+let make_side ~cap ~own =
+  { n = 0; ids = Array.make cap own; addrs = Array.make cap (-1); heard = [||]; due = [||] }
 
 let create ?dir ~config ~own () =
   Config.validate config;
@@ -58,6 +72,13 @@ let rec side_mem_from (addrs : int array) n addr i =
 
 let side_mem side addr = side_mem_from side.addrs side.n addr 0
 
+(* The slot holding [addr], or -1. *)
+let rec slot_from (addrs : int array) n addr i =
+  if i >= n then -1 else if Array.unsafe_get addrs i = addr then i else slot_from addrs n addr (i + 1)
+
+let slot_of side addr = slot_from side.addrs side.n addr 0
+let tracked side = Array.length side.heard > 0
+
 (* Does [x] sort strictly before [y] on its side? The larger side
    sorts by clockwise distance from own ([cw] true). The smaller side
    sorts by counterclockwise distance, and for x, y <> own
@@ -82,26 +103,47 @@ let rec search side ~own ~cw id lo hi =
    it can be neither a member nor inserted — the common case, since
    every message teaches its receiver the sender. Membership is tested
    next: a duplicate address implies an equal id, so it always sorts
-   before the insertion point and refuses the offer either way. *)
+   before the insertion point and refuses the offer either way.
+   Returns the new slot, or -1 when the side is unchanged; the caller
+   fills a tracked slot's liveness. *)
 let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
   let id = peer.Peer.id in
-  if side.n >= cap && before ~own ~cw side.ids.(side.n - 1) id then false
-  else if side_mem side peer.Peer.addr then false
+  if side.n >= cap && before ~own ~cw side.ids.(side.n - 1) id then -1
+  else if side_mem side peer.Peer.addr then -1
   else begin
     let pos = search side ~own ~cw id 0 side.n in
-    if pos = side.n && side.n >= cap then false
+    if pos = side.n && side.n >= cap then -1
     else begin
       let last = Stdlib.min (side.n + 1) cap - 1 in
       for j = last downto pos + 1 do
         side.ids.(j) <- side.ids.(j - 1);
         side.addrs.(j) <- side.addrs.(j - 1)
       done;
+      if tracked side then
+        for j = last downto pos + 1 do
+          side.heard.(j) <- side.heard.(j - 1);
+          side.due.(j) <- side.due.(j - 1)
+        done;
       side.ids.(pos) <- id;
       side.addrs.(pos) <- peer.Peer.addr;
       side.n <- last + 1;
-      true
+      pos
     end
   end
+
+(* A new tracked slot takes the state its peer already has on the other
+   side ([from] is that slot, or -1), or else counts as heard at [now]
+   with no probe pending. *)
+let init_slot side pos ~other ~from ~now =
+  if tracked side then
+    if from >= 0 then begin
+      side.heard.(pos) <- other.heard.(from);
+      side.due.(pos) <- other.due.(from)
+    end
+    else begin
+      side.heard.(pos) <- now;
+      side.due.(pos) <- infinity
+    end
 
 let refresh t =
   t.members_cache <- None;
@@ -125,16 +167,25 @@ let refresh t =
    which is what the per-side tests below would conclude. The test
    comes first: a member's id is not own, and its address is already
    in the directory, so the two checks it skips are no-ops. *)
-let add t (peer : Peer.t) =
+let add t ~now (peer : Peer.t) =
   if t.disjoint && (side_mem t.larger peer.Peer.addr || side_mem t.smaller peer.Peer.addr) then
     false
   else if Id.equal peer.Peer.id t.own then false
   else begin
     Directory.note t.dir peer;
     let cap = half t in
-    let changed_l = side_add t.larger ~cap ~peer ~own:t.own ~cw:true in
-    let changed_s = side_add t.smaller ~cap ~peer ~own:t.own ~cw:false in
-    let any = changed_l || changed_s in
+    let addr = peer.Peer.addr in
+    let pos_l = side_add t.larger ~cap ~peer ~own:t.own ~cw:true in
+    let pos_s = side_add t.smaller ~cap ~peer ~own:t.own ~cw:false in
+    if pos_l >= 0 then
+      init_slot t.larger pos_l ~other:t.smaller
+        ~from:(if pos_s >= 0 then -1 else slot_of t.smaller addr)
+        ~now;
+    if pos_s >= 0 then
+      init_slot t.smaller pos_s ~other:t.larger
+        ~from:(if pos_l >= 0 then -1 else slot_of t.larger addr)
+        ~now;
+    let any = pos_l >= 0 || pos_s >= 0 in
     if any then refresh t;
     any
   end
@@ -147,7 +198,7 @@ let add t (peer : Peer.t) =
    all the offers (the predecessor slice the counterclockwise-nearest)
    even when the ring is so small that the slices overlap. So the
    slices are written straight in. *)
-let set_ring t ~ids ~addrs ~pos ~count =
+let set_ring t ~now ~ids ~addrs ~pos ~count =
   let total = Array.length ids in
   if t.smaller.n > 0 || t.larger.n > 0 then invalid_arg "Leaf_set.set_ring: leaf set is not empty";
   if count < 0 || count > half t || count >= Stdlib.max 1 total then
@@ -161,15 +212,24 @@ let set_ring t ~ids ~addrs ~pos ~count =
   done;
   t.larger.n <- count;
   t.smaller.n <- count;
+  for i = 0 to count - 1 do
+    init_slot t.larger i ~other:t.smaller ~from:(-1) ~now;
+    init_slot t.smaller i ~other:t.larger ~from:(-1) ~now
+  done;
   refresh t
 
 let side_remove side addr =
   let w = ref 0 in
+  let tracked = tracked side in
   for i = 0 to side.n - 1 do
     if side.addrs.(i) <> addr then begin
       if !w < i then begin
         side.ids.(!w) <- side.ids.(i);
-        side.addrs.(!w) <- side.addrs.(i)
+        side.addrs.(!w) <- side.addrs.(i);
+        if tracked then begin
+          side.heard.(!w) <- side.heard.(i);
+          side.due.(!w) <- side.due.(i)
+        end
       end;
       incr w
     end
@@ -186,6 +246,90 @@ let remove_addr t addr =
   any
 
 let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
+
+(* --- liveness -----------------------------------------------------------
+
+   Keep-alive state per slot (MSPastry's suppression, Castro, Costa and
+   Rowstron, DSN 2004): any message from a member proves it alive, so a
+   tick probes only the members not heard from within one keep-alive
+   period P, and a probe's deadline counts from the last message rather
+   than from the probe. With ticks P apart, a member last heard at h is
+   first probed at the first tick after h + P, which is at most h + 2P;
+   its deadline is h + P + T (T the failure timeout), and it is declared
+   failed at the first tick after that: in (h + P + T, h + 2P + T]
+   whenever T >= P. *)
+
+let stamp_side side ~cap ~now =
+  if not (tracked side) then begin
+    side.heard <- Array.make cap now;
+    side.due <- Array.make cap infinity
+  end
+  else begin
+    Array.fill side.heard 0 cap now;
+    Array.fill side.due 0 cap infinity
+  end
+
+let track_liveness t ~now =
+  stamp_side t.smaller ~cap:(half t) ~now;
+  stamp_side t.larger ~cap:(half t) ~now
+
+let heard_side side addr ~now =
+  let i = slot_of side addr in
+  if i >= 0 then begin
+    side.heard.(i) <- now;
+    side.due.(i) <- infinity
+  end
+
+let heard t addr ~now =
+  if tracked t.smaller then begin
+    heard_side t.smaller addr ~now;
+    heard_side t.larger addr ~now
+  end
+
+let last_heard t addr =
+  if not (tracked t.smaller) then None
+  else
+    let i = slot_of t.smaller addr in
+    if i >= 0 then Some t.smaller.heard.(i)
+    else
+      let j = slot_of t.larger addr in
+      if j >= 0 then Some t.larger.heard.(j) else None
+
+(* A larger-side slot whose peer is also on the smaller side is that
+   peer's second slot: the scans below visit each member once. *)
+let primary t side i = side == t.smaller || not (side_mem t.smaller side.addrs.(i))
+
+let rec expired_in t side ~now i acc =
+  if i < 0 then acc
+  else
+    expired_in t side ~now (i - 1)
+      (if side.due.(i) < now && primary t side i then side.addrs.(i) :: acc else acc)
+
+let expired t ~now =
+  if not (tracked t.smaller) then []
+  else expired_in t t.smaller ~now (t.smaller.n - 1) (expired_in t t.larger ~now (t.larger.n - 1) [])
+
+let probe_side t side ~now ~period ~timeout f =
+  for i = 0 to side.n - 1 do
+    let addr = side.addrs.(i) in
+    if now -. side.heard.(i) > period && primary t side i then begin
+      if side.due.(i) = infinity then begin
+        let due = side.heard.(i) +. period +. timeout in
+        side.due.(i) <- due;
+        if side == t.smaller then begin
+          let j = slot_of t.larger addr in
+          if j >= 0 then t.larger.due.(j) <- due
+        end
+      end;
+      f addr
+    end
+  done
+
+let probe_silent t ~now ~period ~timeout f =
+  if tracked t.smaller then begin
+    probe_side t t.smaller ~now ~period ~timeout f;
+    probe_side t t.larger ~now ~period ~timeout f
+  end
 
 let members t =
   match t.members_cache with

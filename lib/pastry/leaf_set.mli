@@ -15,12 +15,19 @@ val create : ?dir:Directory.t -> config:Config.t -> own:Past_id.Id.t -> unit -> 
 (** [dir] (default: a fresh private directory) resolves stored
     addresses back to peers; overlay nodes share one. *)
 
-val add : t -> Peer.t -> bool
+val add : t -> now:float -> Peer.t -> bool
 (** Offer a peer; inserted on whichever side(s) it is among the l/2
-    closest. Returns [true] if membership changed. *)
+    closest. Returns [true] if membership changed. While liveness is
+    tracked, a new member counts as heard at [now]. *)
 
 val set_ring :
-  t -> ids:Past_id.Id.t array -> addrs:Past_simnet.Net.addr array -> pos:int -> count:int -> unit
+  t ->
+  now:float ->
+  ids:Past_id.Id.t array ->
+  addrs:Past_simnet.Net.addr array ->
+  pos:int ->
+  count:int ->
+  unit
 (** Snapshot bulk write: [ids]/[addrs] list a ring's nodes in id order
     (distinct ids, every address already in the directory) and [pos]
     is the owner's slot. The larger side becomes the [count] ring
@@ -63,3 +70,31 @@ val extreme_smaller : t -> Peer.t option
 (** Farthest member on the smaller side. *)
 
 val extreme_larger : t -> Peer.t option
+
+(** {2 Liveness}
+
+    Keep-alive state per slot: when each member was last heard from
+    and the deadline of its unanswered probe. Nothing is kept until
+    {!track_liveness} is first called. *)
+
+val track_liveness : t -> now:float -> unit
+(** Keep liveness from now on, and count every current member as heard
+    at [now] with no probe pending. *)
+
+val heard : t -> Past_simnet.Net.addr -> now:float -> unit
+(** A message from this address arrived at [now]: if it is a member,
+    stamp it heard and clear its deadline. *)
+
+val last_heard : t -> Past_simnet.Net.addr -> float option
+(** When a member was last heard from; [None] for a non-member or
+    while liveness is not tracked. *)
+
+val expired : t -> now:float -> Past_simnet.Net.addr list
+(** Members whose probe deadline is before [now], each once, in slot
+    order: the smaller side closest first, then the larger side. *)
+
+val probe_silent :
+  t -> now:float -> period:float -> timeout:float -> (Past_simnet.Net.addr -> unit) -> unit
+(** Call the function, in slot order, on each member last heard from
+    more than [period] before [now]; a member without a pending
+    deadline gets one at its last-heard time + [period] + [timeout]. *)

@@ -67,25 +67,24 @@ type 'a t = {
      the crash see an old epoch and stop. *)
   mutable maint_epoch : int;
   mutable malicious : bool;
-  (* The three per-node Hashtbls are created on first write: nodes
-     that never run maintenance, declare a failure, or take a rare-case
-     hop (the common case in a snapshot-built mega-scale overlay) never
-     pay for the buckets. [None] reads as an empty table. The initial
-     sizes are part of the determinism surface — iteration order of a
-     table depends on its bucket count. *)
-  mutable pending_acks : (Net.addr, float) Hashtbl.t option; (* addr -> failure deadline *)
   (* Failure memory: peers we declared failed, with the declaration
-     time. [learn] refuses to re-admit them until the entry expires or
-     the peer is heard from directly (any message with it as the
-     immediate sender). Without this, leaf repair during a churn storm
-     keeps re-importing dead peers from neighbours' stale leaf sets
-     faster than keep-alive probing can evict them, and the k-closest
-     set stays polluted with dead nodes for many detection cycles. *)
-  mutable suspects : (Net.addr, float) Hashtbl.t option;
+     time, as two parallel arrays exactly as long as the entry count.
+     [learn] refuses to re-admit them until the entry expires or the
+     peer is heard from directly (any message with it as the immediate
+     sender). Without this, leaf repair during a churn storm keeps
+     re-importing dead peers from neighbours' stale leaf sets faster
+     than keep-alive probing can evict them, and the k-closest set
+     stays polluted with dead nodes for many detection cycles. Entries
+     come and go only on failures and on hearing from a suspect, so the
+     arrays are rebuilt then; every delivered message reads the empty
+     arrays with one length test. *)
+  mutable suspect_addrs : Net.addr array;
+  mutable suspect_since : float array;
   (* Dedup scratch reused by [known_peers] (per rare-case hop, per
-     announce) instead of allocating a fresh Hashtbl each call. Reset —
-     not clear — between uses: reset restores the initial bucket count,
-     so iteration order matches a fresh table of the same size. *)
+     announce) instead of allocating a fresh Hashtbl each call, created
+     on first use. Reset — not clear — between uses: reset restores the
+     initial bucket count, so iteration order matches a fresh table of
+     the same size. *)
   mutable peers_scratch : (Net.addr, Peer.t) Hashtbl.t option;
   shared : shared;
 }
@@ -119,42 +118,36 @@ let fire_leaf_change t = match t.app with Some a -> a.on_leaf_change () | None -
 let suspect_ttl t =
   2.0 *. (t.config.Config.keepalive_period +. t.config.Config.failure_timeout)
 
-let acks_table t =
-  match t.pending_acks with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 16 in
-    t.pending_acks <- Some tbl;
-    tbl
+let rec suspect_slot (addrs : Net.addr array) addr i =
+  if i >= Array.length addrs then -1
+  else if Array.unsafe_get addrs i = addr then i
+  else suspect_slot addrs addr (i + 1)
 
-let suspects_table t =
-  match t.suspects with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 16 in
-    t.suspects <- Some tbl;
-    tbl
+(* Keep the entries whose slot satisfies [keep], in order. *)
+let filter_suspects t keep =
+  let kept = List.filter keep (List.init (Array.length t.suspect_addrs) Fun.id) in
+  t.suspect_addrs <- Array.of_list (List.map (Array.get t.suspect_addrs) kept);
+  t.suspect_since <- Array.of_list (List.map (Array.get t.suspect_since) kept)
 
-(* Reads and removals do not create a table. Nor do they hash the key
-   into an empty one — the suspect table is empty almost always, and
-   every delivered message reads it. *)
-let tbl_remove tbl key =
-  match tbl with
-  | Some tbl when Hashtbl.length tbl > 0 -> Hashtbl.remove tbl key
-  | Some _ | None -> ()
+let forget_suspect t addr =
+  if Array.length t.suspect_addrs > 0 then begin
+    let i = suspect_slot t.suspect_addrs addr 0 in
+    if i >= 0 then filter_suspects t (fun j -> j <> i)
+  end
 
+(* Record a declared failure at [now], dropping expired entries. *)
+let add_suspect t addr =
+  let now = Net.now t.net and ttl = suspect_ttl t in
+  filter_suspects t (fun j -> t.suspect_addrs.(j) <> addr && now -. t.suspect_since.(j) < ttl);
+  t.suspect_addrs <- Array.append t.suspect_addrs [| addr |];
+  t.suspect_since <- Array.append t.suspect_since [| now |]
+
+(* An expired entry reads as no suspicion; [add_suspect] drops it. *)
 let suspected t addr =
-  match t.suspects with
-  | Some suspects when Hashtbl.length suspects > 0 -> (
-    match Hashtbl.find_opt suspects addr with
-    | None -> false
-    | Some since ->
-      if Net.now t.net -. since < suspect_ttl t then true
-      else begin
-        Hashtbl.remove suspects addr;
-        false
-      end)
-  | Some _ | None -> false
+  Array.length t.suspect_addrs > 0
+  &&
+  let i = suspect_slot t.suspect_addrs addr 0 in
+  i >= 0 && Net.now t.net -. t.suspect_since.(i) < suspect_ttl t
 
 let learn t (peer : Peer.t) =
   if
@@ -162,7 +155,7 @@ let learn t (peer : Peer.t) =
     && (not (Id.equal peer.Peer.id t.self.Peer.id))
     && not (suspected t peer.Peer.addr)
   then begin
-    let leaf_changed = Leaf_set.add t.leaf peer in
+    let leaf_changed = Leaf_set.add t.leaf ~now:(Net.now t.net) peer in
     let prox = proximity_to t peer.Peer.addr in
     ignore (Routing_table.consider_prox t.rt ~prox peer);
     ignore (Neighborhood.add t.nbhd ~proximity:prox peer);
@@ -170,7 +163,7 @@ let learn t (peer : Peer.t) =
   end
 
 let set_leaf_ring t ~ids ~addrs ~pos ~count =
-  Leaf_set.set_ring t.leaf ~ids ~addrs ~pos ~count;
+  Leaf_set.set_ring t.leaf ~now:(Net.now t.net) ~ids ~addrs ~pos ~count;
   if count > 0 then fire_leaf_change t
 
 let known_peers t =
@@ -193,8 +186,7 @@ let known_peers t =
 (* --- failure handling ------------------------------------------------ *)
 
 let declare_failed t failed_addr =
-  tbl_remove t.pending_acks failed_addr;
-  Hashtbl.replace (suspects_table t) failed_addr (Net.now t.net);
+  add_suspect t failed_addr;
   let was_smaller = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.smaller t.leaf) in
   let was_larger = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.larger t.leaf) in
   let leaf_changed = Leaf_set.remove_addr t.leaf failed_addr in
@@ -424,8 +416,10 @@ let announce t =
 let handle t src msg =
   (* Hearing from a node directly is proof of life: drop any suspicion
      so [learn] can re-admit it (e.g. a crashed peer that rejoined and
-     resumed keep-alives). *)
-  tbl_remove t.suspects src;
+     resumed keep-alives), and, for a leaf-set member, stamp it heard
+     so the next ticks need not probe it. *)
+  forget_suspect t src;
+  Leaf_set.heard t.leaf src ~now:(Net.now t.net);
   match msg with
   | Message.Routed r ->
     (* A joiner in flight must not enter anyone's tables yet: learning
@@ -459,9 +453,7 @@ let handle t src msg =
   | Message.Keepalive { from } ->
     learn t from;
     tell t from.Peer.addr (Message.Keepalive_ack { from = t.self })
-  | Message.Keepalive_ack { from } ->
-    tbl_remove t.pending_acks from.Peer.addr;
-    learn t from
+  | Message.Keepalive_ack { from } -> learn t from
   | Message.Leaf_request { from } ->
     learn t from;
     tell t from.Peer.addr
@@ -503,8 +495,8 @@ let create ?dir ?shared ~net ~config ~rng ~id () =
       maintenance = false;
       maint_epoch = 0;
       malicious = false;
-      pending_acks = None;
-      suspects = None;
+      suspect_addrs = [||];
+      suspect_since = [||];
       peers_scratch = None;
       shared;
     }
@@ -563,29 +555,20 @@ let send_direct t ~dst payload =
   end
   else tell t dst.Peer.addr (Message.Direct { from = t.self; payload })
 
-let check_failures t =
-  match t.pending_acks with
-  | None -> ()
-  | Some acks ->
-    let now = Net.now t.net in
-    let expired =
-      Hashtbl.fold (fun a deadline acc -> if deadline < now then a :: acc else acc) acks []
-    in
-    List.iter (declare_failed t) expired
+(* Members whose probe went unanswered past its deadline are declared
+   failed, in slot order. The list is taken before any declaration: a
+   declaration's leaf-change callback may itself evict members. *)
+let check_failures t = List.iter (declare_failed t) (Leaf_set.expired t.leaf ~now:(Net.now t.net))
 
+(* Probe only the members not heard from within one keep-alive period
+   (see Leaf_set's liveness section for the detection bound). *)
 let maintenance_tick t =
   (* No liveness guard needed: the timer thunk is owner-gated, so a
      down node's tick is never dispatched in the first place. *)
   check_failures t;
-  let acks = acks_table t in
-  let deadline = Net.now t.net +. t.config.Config.failure_timeout in
   let probe = Message.Keepalive { from = t.self } in
-  (* [add] on an absent key leaves the bucket layout [replace] would. *)
-  List.iter
-    (fun (m : Peer.t) ->
-      if not (Hashtbl.mem acks m.Peer.addr) then Hashtbl.add acks m.Peer.addr deadline;
-      tell t m.Peer.addr probe)
-    (Leaf_set.members t.leaf)
+  Leaf_set.probe_silent t.leaf ~now:(Net.now t.net) ~period:t.config.Config.keepalive_period
+    ~timeout:t.config.Config.failure_timeout (fun addr -> tell t addr probe)
 
 let rec arm_maintenance t ~epoch ~delay =
   Net.schedule t.net ~owner:t.self.Peer.addr ~delay (fun () ->
@@ -598,6 +581,7 @@ let start_maintenance t =
   if not t.maintenance then begin
     t.maintenance <- true;
     t.maint_epoch <- t.maint_epoch + 1;
+    Leaf_set.track_liveness t.leaf ~now:(Net.now t.net);
     (* Desynchronise nodes' timers. *)
     arm_maintenance t ~epoch:t.maint_epoch
       ~delay:(Rng.float t.rng t.config.Config.keepalive_period)
@@ -608,11 +592,14 @@ let stop_maintenance t = t.maintenance <- false
 let recover t =
   (* A recovering node contacts its last known leaf set, refreshes its
      own leaf set from theirs, and announces its presence (§2.2). *)
-  Option.iter Hashtbl.reset t.pending_acks;
+  (* Liveness heard before the crash is stale: every member starts
+     afresh, as if just inserted. *)
+  if t.maintenance then Leaf_set.track_liveness t.leaf ~now:(Net.now t.net);
   (* Suspicions recorded before the crash are stale — the suspects may
      well have rejoined during our downtime. Keep-alives re-evict any
      that are still dead. *)
-  Option.iter Hashtbl.reset t.suspects;
+  t.suspect_addrs <- [||];
+  t.suspect_since <- [||];
   List.iter
     (fun (m : Peer.t) -> tell t m.Peer.addr (Message.Leaf_request { from = t.self }))
     (Leaf_set.members t.leaf);

@@ -8,6 +8,7 @@ module Rng = Past_stdext.Rng
 module Overlay = Past_pastry.Overlay
 module PNode = Past_pastry.Node
 module Config = Past_pastry.Config
+module Leaf_set = Past_pastry.Leaf_set
 module Exp_churn = Past_experiments.Exp_churn
 module Harness = Past_experiments.Harness
 
@@ -182,6 +183,84 @@ let crashed_node_sends_nothing () =
   check Alcotest.int "no keep-alives from crashed nodes" before (sent ());
   Overlay.stop_maintenance overlay
 
+(* The keep-alive detection bound, pinned: every live leaf-set member
+   of a killed node evicts it within (T + P, T + 2P] of the last message
+   it had from it, T the failure timeout and P the keep-alive period.
+   The network is stepped one event at a time, so each member's last
+   hearing of the victim (messages in flight at the kill still land) and
+   its eviction are both seen at the event that makes them. Eight nodes
+   with l = 32: every node holds every other, no routed traffic, so
+   only keep-alive probing can evict. *)
+let eviction_lands_in_detection_bound () =
+  let config = Config.default in
+  let p = config.Config.keepalive_period and timeout = config.Config.failure_timeout in
+  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:44 () in
+  Overlay.build_dynamic overlay ~n:8;
+  Overlay.install_apps overlay (fun _ -> Harness.null_app);
+  let net = Overlay.net overlay in
+  let nodes = Overlay.nodes overlay in
+  Overlay.start_maintenance overlay;
+  Overlay.run ~until:(Net.now net +. (10.0 *. p) +. 137.0) overlay;
+  let victim = nodes.(3) in
+  let v = PNode.addr victim in
+  Overlay.kill overlay victim;
+  let watchers = List.filter (fun n -> n != victim) (Array.to_list nodes) in
+  let leaf n = PNode.leaf_set n in
+  List.iter
+    (fun n -> check Alcotest.bool "victim is a member" true (Leaf_set.mem_addr (leaf n) v))
+    watchers;
+  let last = Array.make (Array.length nodes) nan and evicted = Array.make (Array.length nodes) nan in
+  let horizon = Net.now net +. timeout +. (4.0 *. p) in
+  while
+    List.exists (fun n -> Float.is_nan evicted.(PNode.addr n)) watchers
+    && Net.now net < horizon && Net.step net
+  do
+    List.iter
+      (fun n ->
+        let a = PNode.addr n in
+        if Float.is_nan evicted.(a) then
+          match Leaf_set.last_heard (leaf n) v with
+          | Some h -> last.(a) <- h
+          | None -> evicted.(a) <- Net.now net)
+      watchers
+  done;
+  List.iter
+    (fun n ->
+      let a = PNode.addr n in
+      let after = evicted.(a) -. last.(a) in
+      if not (after > timeout +. p && after <= timeout +. (2.0 *. p)) then
+        Alcotest.failf "node@%d evicted the victim %.1f after its last message (bound (%g, %g])" a
+          after (timeout +. p)
+          (timeout +. (2.0 *. p)))
+    watchers;
+  Overlay.stop_maintenance overlay
+
+(* Suppression: between two quiet nodes a keep-alive and its ack count
+   as hearing from each other, so the pair sends at most one probe per
+   period where probing every member every tick would send two. *)
+let quiet_pair_probes_once_per_period () =
+  let config = Config.default in
+  let p = config.Config.keepalive_period in
+  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:45 () in
+  Overlay.build_dynamic overlay ~n:2;
+  Overlay.install_apps overlay (fun _ -> Harness.null_app);
+  let net = Overlay.net overlay in
+  Overlay.start_maintenance overlay;
+  Overlay.run ~until:(Net.now net +. (4.0 *. p)) overlay;
+  let sent () = match Net.counters_for_kind net "keepalive" with s, _, _ -> s in
+  let before = sent () in
+  let periods = 200 in
+  Overlay.run ~until:(Net.now net +. (float_of_int periods *. p)) overlay;
+  let probes = sent () - before in
+  if probes > periods + 1 then
+    Alcotest.failf "%d probes in %d periods: more than one per pair per period" probes periods;
+  (* Probing goes on: each side stays within a probe of its deadline. *)
+  check Alcotest.bool "probing continues" true (probes >= periods / 2);
+  Array.iter
+    (fun n -> check Alcotest.int "both stay members" 1 (Leaf_set.size (PNode.leaf_set n)))
+    (Overlay.nodes overlay);
+  Overlay.stop_maintenance overlay
+
 (* End-to-end smoke: a short sustained-churn run must lose nothing and
    return to full strength. *)
 let exp_churn_smoke () =
@@ -215,5 +294,7 @@ let suite =
       "sustained plan is consistent" => sustained_plan_is_consistent;
       "revived node resumes maintenance" => revived_node_resumes_maintenance;
       "crashed node sends nothing" => crashed_node_sends_nothing;
+      "eviction lands in the detection bound" => eviction_lands_in_detection_bound;
+      "quiet pair probes once per period" => quiet_pair_probes_once_per_period;
       "exp_churn smoke" => exp_churn_smoke;
     ] )

@@ -116,17 +116,17 @@ let i_id n = Id_oracle.add_int (Id.of_hex ~width:128 "80000000000000000000000000
 let leaf_basic () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
   check Alcotest.bool "empty" true (Leaf_set.is_empty ls);
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 1) ~addr:1));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-1)) ~addr:2));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 1) ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-1)) ~addr:2));
   check Alcotest.int "size" 2 (Leaf_set.size ls);
   check Alcotest.bool "mem" true (Leaf_set.mem_addr ls 1);
-  check Alcotest.bool "self rejected" false (Leaf_set.add ls (Peer.make ~id:(i_id 0) ~addr:3))
+  check Alcotest.bool "self rejected" false (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 0) ~addr:3))
 
 let leaf_caps_sides () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
   (* l=4 -> 2 per side; add 5 on the larger side. *)
   for d = 1 to 5 do
-    ignore (Leaf_set.add ls (Peer.make ~id:(i_id (10 * d)) ~addr:d))
+    ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (10 * d)) ~addr:d))
   done;
   check Alcotest.int "larger capped" 2 (List.length (Leaf_set.larger ls));
   (* The two closest survive. *)
@@ -135,9 +135,9 @@ let leaf_caps_sides () =
 
 let leaf_ordering () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 30) ~addr:3));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 10) ~addr:1));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-20)) ~addr:2));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 30) ~addr:3));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 10) ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-20)) ~addr:2));
   let larger = List.map (fun p -> p.Peer.addr) (Leaf_set.larger ls) in
   check (Alcotest.list Alcotest.int) "larger sorted by distance" [ 1; 3 ] larger;
   match Leaf_set.extreme_larger ls with
@@ -146,8 +146,8 @@ let leaf_ordering () =
 
 let leaf_closest () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 10) ~addr:1));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-10)) ~addr:2));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 10) ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-10)) ~addr:2));
   (match Leaf_set.closest_including_self ls (i_id (-9)) with
   | Some p -> check Alcotest.int "closest member on the smaller side" 2 p.Peer.addr
   | None -> Alcotest.fail "smaller-side peer is closest");
@@ -162,10 +162,10 @@ let leaf_covers () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
   (* Sparse: covers everything. *)
   check Alcotest.bool "sparse covers" true (Leaf_set.covers ls (i_id 1_000_000));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 10) ~addr:1));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 20) ~addr:2));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-10)) ~addr:3));
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id (-20)) ~addr:4));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 10) ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 20) ~addr:2));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-10)) ~addr:3));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-20)) ~addr:4));
   (* Both sides full now (cap 2). *)
   check Alcotest.bool "inside" true (Leaf_set.covers ls (i_id 15));
   check Alcotest.bool "inside negative" true (Leaf_set.covers ls (i_id (-15)));
@@ -176,7 +176,7 @@ let leaf_covers () =
 let leaf_replica_set () =
   let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = 8 } ~own:(i_id 0) () in
   List.iter
-    (fun d -> ignore (Leaf_set.add ls (Peer.make ~id:(i_id (10 * d)) ~addr:(10 + d))))
+    (fun d -> ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (10 * d)) ~addr:(10 + d))))
     [ 1; 2; 3; -1; -2; -3 ]
   |> ignore;
   let rs = Leaf_set.replica_set ls ~k:3 (i_id 1) in
@@ -194,7 +194,7 @@ let leaf_replica_set () =
 
 let leaf_remove () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
-  ignore (Leaf_set.add ls (Peer.make ~id:(i_id 10) ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 10) ~addr:1));
   check Alcotest.bool "removed" true (Leaf_set.remove_addr ls 1);
   check Alcotest.bool "gone" false (Leaf_set.mem_addr ls 1);
   check Alcotest.bool "remove again false" false (Leaf_set.remove_addr ls 1)
@@ -204,7 +204,7 @@ let leaf_wrap_around () =
   let own = Id_oracle.add_int (Id.zero ~width:128) 5 in
   let ls = Leaf_set.create ~config:small_config ~own () in
   let top = Id_oracle.add_int (Id.zero ~width:128) (-3) in
-  ignore (Leaf_set.add ls (Peer.make ~id:top ~addr:1));
+  ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:top ~addr:1));
   check Alcotest.int "wrapped into smaller side" 1 (List.length (Leaf_set.smaller ls));
   match Leaf_set.closest_including_self ls (Id_oracle.add_int (Id.zero ~width:128) (-1)) with
   | Some p -> check Alcotest.int "wrap closest" 1 p.Peer.addr
@@ -240,7 +240,7 @@ let random_leaf_set rng l =
   in
   let ids = Array.init pool (fun _ -> fresh ()) in
   let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
-  Array.iteri (fun addr id -> ignore (Leaf_set.add ls (Peer.make ~id ~addr))) ids;
+  Array.iteri (fun addr id -> ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id ~addr))) ids;
   if Rng.int rng 4 = 0 then
     for _ = 0 to Rng.int rng 2 do
       ignore (Leaf_set.remove_addr ls (Rng.int rng pool))
@@ -387,7 +387,7 @@ let qcheck_leaf_set_model =
             smaller := s;
             larger := g;
             (changed, Leaf_set.remove_addr ls a)
-          | 2 -> (false, Leaf_set.add ls (Peer.make ~id:own ~addr:pool))
+          | 2 -> (false, Leaf_set.add ls ~now:0.0 (Peer.make ~id:own ~addr:pool))
           | _ ->
             let g, cg =
               model_side_add ~cap:(l / 2) ~dist:(Id_oracle.cw_distance own) !larger (a, ids.(a))
@@ -399,7 +399,7 @@ let qcheck_leaf_set_model =
             in
             larger := g;
             smaller := s;
-            (cg || cs, Leaf_set.add ls (Peer.make ~id:ids.(a) ~addr:a))
+            (cg || cs, Leaf_set.add ls ~now:0.0 (Peer.make ~id:ids.(a) ~addr:a))
         in
         if
           expected <> got
@@ -409,6 +409,76 @@ let qcheck_leaf_set_model =
         then agrees := false
       done;
       !agrees)
+
+(* qcheck: the per-slot liveness follows its address through inserts,
+   shifts, removals and second-side slots of a sparse ring. Model per
+   member address: last heard (its latest [heard] while a member, else
+   the time it became one) and probe deadline. [probe_silent] must name
+   each member silent for more than a period exactly once, and
+   [expired] each member past its deadline. *)
+let qcheck_liveness_model =
+  QCheck.Test.make ~name:"leaf set liveness = per-address model" ~count:300
+    QCheck.(pair small_nat (int_bound 3))
+    (fun (seed, l_index) ->
+      let rng = Rng.create seed in
+      let l = [| 2; 4; 8; 16 |].(l_index) in
+      let own = Id.random rng ~width:128 in
+      let pool = 1 + Rng.int rng 24 in
+      let ids = Array.init pool (fun _ -> Id_oracle.add_int own (1 + Rng.int rng 100_000)) in
+      let distinct = List.length (List.sort_uniq Id.compare (Array.to_list ids)) = pool in
+      let ls = Leaf_set.create ~config:{ Config.default with Config.leaf_set_size = l } ~own () in
+      let period = 500.0 and timeout = 1500.0 in
+      let heard = Hashtbl.create 32 and due = Hashtbl.create 32 in
+      let now = ref 0.0 in
+      let agrees = ref true in
+      let sorted l = List.sort compare l in
+      let members () = List.filter (Leaf_set.mem_addr ls) (List.init pool Fun.id) in
+      let join_new before =
+        List.iter
+          (fun a ->
+            if not (List.mem a before) then begin
+              Hashtbl.replace heard a !now;
+              Hashtbl.replace due a infinity
+            end)
+          (members ())
+      in
+      for a = 0 to pool - 1 do
+        ignore (Leaf_set.add ls ~now:!now (Peer.make ~id:ids.(a) ~addr:a))
+      done;
+      Leaf_set.track_liveness ls ~now:!now;
+      join_new [];
+      for _ = 1 to 120 do
+        now := !now +. Rng.float rng 400.0;
+        let a = Rng.int rng pool in
+        let before = members () in
+        (match Rng.int rng 8 with
+        | 0 | 1 | 2 -> ignore (Leaf_set.add ls ~now:!now (Peer.make ~id:ids.(a) ~addr:a))
+        | 3 -> ignore (Leaf_set.remove_addr ls a)
+        | 4 | 5 ->
+          Leaf_set.heard ls a ~now:!now;
+          if List.mem a before then begin
+            Hashtbl.replace heard a !now;
+            Hashtbl.replace due a infinity
+          end
+        | 6 ->
+          let probed = ref [] in
+          Leaf_set.probe_silent ls ~now:!now ~period ~timeout (fun a -> probed := a :: !probed);
+          let silent = List.filter (fun a -> !now -. Hashtbl.find heard a > period) before in
+          List.iter
+            (fun a ->
+              if Hashtbl.find due a = infinity then
+                Hashtbl.replace due a (Hashtbl.find heard a +. period +. timeout))
+            silent;
+          if sorted !probed <> sorted silent then agrees := false
+        | _ ->
+          let late = List.filter (fun a -> Hashtbl.find due a < !now) before in
+          if sorted (Leaf_set.expired ls ~now:!now) <> sorted late then agrees := false);
+        join_new before;
+        List.iter
+          (fun a -> if Leaf_set.last_heard ls a <> Some (Hashtbl.find heard a) then agrees := false)
+          (members ())
+      done;
+      (not distinct) || !agrees)
 
 (* --- Neighborhood --- *)
 
@@ -468,6 +538,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_replica_set;
       QCheck_alcotest.to_alcotest qcheck_covers;
       QCheck_alcotest.to_alcotest qcheck_leaf_set_model;
+      QCheck_alcotest.to_alcotest qcheck_liveness_model;
       "neighborhood cap/closest" => nbhd_caps_and_keeps_closest;
       "neighborhood dedup/remove" => nbhd_dedup_and_remove;
     ] )
