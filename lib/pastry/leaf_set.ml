@@ -66,17 +66,13 @@ let half t = t.config.Config.leaf_set_size / 2
    functions taking their free variables as arguments: a local closure
    over [side], [own] or the candidate would be heap-allocated on every
    call. *)
-(* [n] never exceeds the array's length (the side's capacity). *)
-let rec side_mem_from (addrs : int array) n addr i =
-  i < n && (Array.unsafe_get addrs i = addr || side_mem_from addrs n addr (i + 1))
-
-let side_mem side addr = side_mem_from side.addrs side.n addr 0
-
-(* The slot holding [addr], or -1. *)
+(* The slot holding [addr], or -1. [n] never exceeds the array's
+   length (the side's capacity). *)
 let rec slot_from (addrs : int array) n addr i =
   if i >= n then -1 else if Array.unsafe_get addrs i = addr then i else slot_from addrs n addr (i + 1)
 
 let slot_of side addr = slot_from side.addrs side.n addr 0
+let side_mem side addr = slot_of side addr >= 0
 let tracked side = Array.length side.heard > 0
 
 (* Does [x] sort strictly before [y] on its side? The larger side
