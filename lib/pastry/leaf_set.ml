@@ -327,6 +327,20 @@ let probe_silent t ~now ~period ~timeout f =
     probe_side t t.larger ~now ~period ~timeout f
   end
 
+(* A dead member keeps its slot for up to T + 2P after its last
+   message. A leaf-set reply that passed it on would plant it in leaf
+   sets that never declared it failed, so that their suspect memory
+   cannot refuse it, each import restarting its detection clock; so a
+   reply leaves out the members awaiting an answer to a probe. *)
+let rec vouched_from t side i acc =
+  if i < 0 then acc
+  else
+    vouched_from t side (i - 1)
+      (if tracked side && side.due.(i) < infinity then acc
+       else Directory.get t.dir side.addrs.(i) :: acc)
+
+let vouched t = (vouched_from t t.smaller (t.smaller.n - 1) [], vouched_from t t.larger (t.larger.n - 1) [])
+
 let members t =
   match t.members_cache with
   | Some m -> m

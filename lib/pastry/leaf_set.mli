@@ -98,3 +98,8 @@ val probe_silent :
 (** Call the function, in slot order, on each member last heard from
     more than [period] before [now]; a member without a pending
     deadline gets one at its last-heard time + [period] + [timeout]. *)
+
+val vouched : t -> Peer.t list * Peer.t list
+(** The smaller and larger sides, closest first, without the members
+    awaiting an answer to a probe: what a leaf-set reply passes on.
+    While liveness is not tracked, the whole sides. *)

@@ -456,9 +456,8 @@ let handle t src msg =
   | Message.Keepalive_ack { from } -> learn t from
   | Message.Leaf_request { from } ->
     learn t from;
-    tell t from.Peer.addr
-      (Message.Leaf_reply
-         { from = t.self; smaller = Leaf_set.smaller t.leaf; larger = Leaf_set.larger t.leaf })
+    let smaller, larger = Leaf_set.vouched t.leaf in
+    tell t from.Peer.addr (Message.Leaf_reply { from = t.self; smaller; larger })
   | Message.Leaf_reply { from; smaller; larger } ->
     learn t from;
     List.iter (learn t) smaller;

@@ -414,8 +414,9 @@ let qcheck_leaf_set_model =
    shifts, removals and second-side slots of a sparse ring. Model per
    member address: last heard (its latest [heard] while a member, else
    the time it became one) and probe deadline. [probe_silent] must name
-   each member silent for more than a period exactly once, and
-   [expired] each member past its deadline. *)
+   each member silent for more than a period exactly once, [expired]
+   each member past its deadline, and [vouched] each side without the
+   members awaiting a probe's answer. *)
 let qcheck_liveness_model =
   QCheck.Test.make ~name:"leaf set liveness = per-address model" ~count:300
     QCheck.(pair small_nat (int_bound 3))
@@ -476,7 +477,12 @@ let qcheck_liveness_model =
         join_new before;
         List.iter
           (fun a -> if Leaf_set.last_heard ls a <> Some (Hashtbl.find heard a) then agrees := false)
-          (members ())
+          (members ());
+        let vouched side = List.filter (fun (p : Peer.t) -> Hashtbl.find due p.Peer.addr = infinity) side in
+        let smaller, larger = Leaf_set.vouched ls in
+        if
+          smaller <> vouched (Leaf_set.smaller ls) || larger <> vouched (Leaf_set.larger ls)
+        then agrees := false
       done;
       (not distinct) || !agrees)
 
