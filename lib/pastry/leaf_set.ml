@@ -69,7 +69,9 @@ let half t = t.config.Config.leaf_set_size / 2
 (* The slot holding [addr], or -1. [n] never exceeds the array's
    length (the side's capacity). *)
 let rec slot_from (addrs : int array) n addr i =
-  if i >= n then -1 else if Array.unsafe_get addrs i = addr then i else slot_from addrs n addr (i + 1)
+  if i >= n then -1
+  else if Array.unsafe_get addrs i = addr then i
+  else slot_from addrs n addr (i + 1)
 
 let slot_of side addr = slot_from side.addrs side.n addr 0
 let side_mem side addr = slot_of side addr >= 0
@@ -256,14 +258,8 @@ let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
    whenever T >= P. *)
 
 let stamp_side side ~cap ~now =
-  if not (tracked side) then begin
-    side.heard <- Array.make cap now;
-    side.due <- Array.make cap infinity
-  end
-  else begin
-    Array.fill side.heard 0 cap now;
-    Array.fill side.due 0 cap infinity
-  end
+  side.heard <- Array.make cap now;
+  side.due <- Array.make cap infinity
 
 let track_liveness t ~now =
   stamp_side t.smaller ~cap:(half t) ~now;
@@ -303,7 +299,8 @@ let rec expired_in t side ~now i acc =
 
 let expired t ~now =
   if not (tracked t.smaller) then []
-  else expired_in t t.smaller ~now (t.smaller.n - 1) (expired_in t t.larger ~now (t.larger.n - 1) [])
+  else
+    expired_in t t.smaller ~now (t.smaller.n - 1) (expired_in t t.larger ~now (t.larger.n - 1) [])
 
 let probe_side t side ~now ~period ~timeout f =
   for i = 0 to side.n - 1 do
@@ -339,7 +336,8 @@ let rec vouched_from t side i acc =
       (if tracked side && side.due.(i) < infinity then acc
        else Directory.get t.dir side.addrs.(i) :: acc)
 
-let vouched t = (vouched_from t t.smaller (t.smaller.n - 1) [], vouched_from t t.larger (t.larger.n - 1) [])
+let vouched t =
+  (vouched_from t t.smaller (t.smaller.n - 1) [], vouched_from t t.larger (t.larger.n - 1) [])
 
 let members t =
   match t.members_cache with

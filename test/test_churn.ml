@@ -209,7 +209,8 @@ let eviction_lands_in_detection_bound () =
   List.iter
     (fun n -> check Alcotest.bool "victim is a member" true (Leaf_set.mem_addr (leaf n) v))
     watchers;
-  let last = Array.make (Array.length nodes) nan and evicted = Array.make (Array.length nodes) nan in
+  let last = Array.make (Array.length nodes) nan in
+  let evicted = Array.make (Array.length nodes) nan in
   let horizon = Net.now net +. timeout +. (4.0 *. p) in
   while
     List.exists (fun n -> Float.is_nan evicted.(PNode.addr n)) watchers

@@ -120,7 +120,8 @@ let leaf_basic () =
   ignore (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id (-1)) ~addr:2));
   check Alcotest.int "size" 2 (Leaf_set.size ls);
   check Alcotest.bool "mem" true (Leaf_set.mem_addr ls 1);
-  check Alcotest.bool "self rejected" false (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 0) ~addr:3))
+  check Alcotest.bool "self rejected" false
+    (Leaf_set.add ls ~now:0.0 (Peer.make ~id:(i_id 0) ~addr:3))
 
 let leaf_caps_sides () =
   let ls = Leaf_set.create ~config:small_config ~own:(i_id 0) () in
@@ -478,7 +479,9 @@ let qcheck_liveness_model =
         List.iter
           (fun a -> if Leaf_set.last_heard ls a <> Some (Hashtbl.find heard a) then agrees := false)
           (members ());
-        let vouched side = List.filter (fun (p : Peer.t) -> Hashtbl.find due p.Peer.addr = infinity) side in
+        let vouched side =
+          List.filter (fun (p : Peer.t) -> Hashtbl.find due p.Peer.addr = infinity) side
+        in
         let smaller, larger = Leaf_set.vouched ls in
         if
           smaller <> vouched (Leaf_set.smaller ls) || larger <> vouched (Leaf_set.larger ls)
