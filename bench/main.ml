@@ -6,9 +6,10 @@
    lookups and 16 full PAST inserts, the last two also with the trace
    ring off to price tracing.
 
-   Prints one table to stdout and takes no arguments. End-to-end
-   numbers come from `past_sim` (the tables, `scale`) and from
-   pastbench. *)
+   Runs the suite three times and prints one table to stdout, each row
+   with its median and min–max across the runs; takes no arguments.
+   End-to-end numbers come from `past_sim` (the tables, `scale`) and
+   from pastbench. *)
 
 open Bechamel
 open Toolkit
@@ -95,29 +96,52 @@ let micro_tests () =
         (Staged.stage (fun () -> Harness_fixture.insert_16 past_system_untraced));
     ]
 
-let () =
-  print_endline "== micro-benchmarks (Bechamel, monotonic clock) ==";
+(* One run can move a row by a factor on a shared host (EXPERIMENTS.md
+   §Benchmarks), so a single figure shows nothing about its noise. *)
+let repetitions = 3
+
+(* One run of the suite: (name, (ns per op, r²)) per row. *)
+let run_once tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
+  let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table = Past_stdext.Text_table.create [ "benchmark"; "time/op"; "r^2" ] in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  Hashtbl.fold
+    (fun name ols acc ->
+      let ns = match Analyze.OLS.estimates ols with Some (t :: _) -> t | Some [] | None -> nan in
+      let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
+      (name, (ns, r2)) :: acc)
+    results []
+
+let pretty ns =
+  if Float.is_nan ns then "n/a"
+  else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
+  else Printf.sprintf "%.0f ns" ns
+
+let () =
+  Printf.printf
+    "== micro-benchmarks (Bechamel, monotonic clock; %d runs, OCaml %s, %d cores) ==\n%!"
+    repetitions Sys.ocaml_version
+    (Domain.recommended_domain_count ());
+  let tests = micro_tests () in
+  let runs = List.init repetitions (fun _ -> run_once tests) in
+  let names = List.sort_uniq compare (List.concat_map (List.map fst) runs) in
+  let table = Past_stdext.Text_table.create [ "benchmark"; "median"; "min-max"; "min r^2" ] in
   List.iter
-    (fun (name, ols) ->
-      let ns =
-        match Analyze.OLS.estimates ols with Some (t :: _) -> t | Some [] | None -> nan
-      in
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with Some r -> Printf.sprintf "%.3f" r | None -> "-"
-      in
-      Past_stdext.Text_table.add_row table [ name; pretty; r2 ])
-    (List.sort compare rows);
+    (fun name ->
+      let got = List.filter_map (List.assoc_opt name) runs in
+      let ns = Array.of_list (List.sort Float.compare (List.map fst got)) in
+      let n = Array.length ns in
+      let median = if n = 0 then nan else ns.(n / 2) in
+      let r2 = List.fold_left (fun acc (_, r) -> Float.min acc r) infinity got in
+      Past_stdext.Text_table.add_row table
+        [
+          name;
+          pretty median;
+          (if n = 0 then "n/a" else pretty ns.(0) ^ " - " ^ pretty ns.(n - 1));
+          (if Float.is_nan r2 || r2 = infinity then "-" else Printf.sprintf "%.3f" r2);
+        ])
+    names;
   Past_stdext.Text_table.print table

@@ -53,7 +53,7 @@ let node_of_pastry_addr t addr =
      are caught at evaluation time by diffing a liveness snapshot and
      crediting/debiting the flipped node's holdings. An evaluation
      then touches only the nodes array and the (normally tiny)
-     suspect set.
+     at-risk set.
 
    - [past.quota_conservation]: per node, [Store.used] equals the sum
      of the stored certificates' declared sizes and never exceeds the
@@ -81,7 +81,7 @@ let install_monitors t =
       +. t.node_config.Node.replication_delay
     in
     let stats : replica_stat Id.Table.t = Id.Table.create 1024 in
-    let suspects : unit Id.Table.t = Id.Table.create 64 in
+    let at_risk : unit Id.Table.t = Id.Table.create 64 in
     let deficits : float Id.Table.t = Id.Table.create 64 in
     (* What the monitor currently believes about each node's liveness.
        Observer deltas only apply while the node's holdings are
@@ -94,10 +94,10 @@ let install_monitors t =
        copies are allowed) or managed displacement, both policy
        choices that lower the bar for the file — from a liveness debit
        (every replica on a dead node is potential data loss; the bar
-       stays, and the file becomes a suspect). The suspect test uses
+       stays, and the file becomes at risk). The at-risk test uses
        the liveness-free bound [min best k]; the true requirement
        (capped by the live-node count) is applied at evaluation time,
-       so the suspect set is a conservative superset. *)
+       so the at-risk set is a conservative superset. *)
     let update file_id k delta ~deliberate =
       let s =
         match Id.Table.find_opt stats file_id with
@@ -112,11 +112,11 @@ let install_monitors t =
       if deliberate && delta < 0 && s.rs_best > s.rs_n then s.rs_best <- Stdlib.max s.rs_n 0;
       if s.rs_n <= 0 && deliberate then begin
         Id.Table.remove stats file_id;
-        Id.Table.remove suspects file_id;
+        Id.Table.remove at_risk file_id;
         Id.Table.remove deficits file_id
       end
-      else if s.rs_n < Stdlib.min s.rs_best s.rs_k then Id.Table.replace suspects file_id ()
-      else Id.Table.remove suspects file_id
+      else if s.rs_n < Stdlib.min s.rs_best s.rs_k then Id.Table.replace at_risk file_id ()
+      else Id.Table.remove at_risk file_id
     in
     let credit_store node delta ~deliberate =
       Store.iter (Node.store node) (fun e ->
@@ -148,10 +148,10 @@ let install_monitors t =
             end)
           t.nodes;
         (* Retire clocks of files that recovered (or were reclaimed —
-           those left the suspect set in [update]). *)
+           those left the at-risk set in [update]). *)
         let resolved =
           Id.Table.fold
-            (fun id _ acc -> if Id.Table.mem suspects id then acc else id :: acc)
+            (fun id _ acc -> if Id.Table.mem at_risk id then acc else id :: acc)
             deficits []
         in
         List.iter (Id.Table.remove deficits) resolved;
@@ -177,7 +177,7 @@ let install_monitors t =
                   | _ -> worst := Some (id, s.rs_n, req, age)
               end
               else Id.Table.remove deficits id)
-          suspects;
+          at_risk;
         match !worst with
         | None -> Ok ()
         | Some (id, n, req, age) ->

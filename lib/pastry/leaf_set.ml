@@ -257,13 +257,13 @@ let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
    failed at the first tick after that: in (h + P + T, h + 2P + T]
    whenever T >= P. *)
 
-let stamp_side side ~cap ~now =
+let stamp_side side ~cap ~now ~due =
   side.heard <- Array.make cap now;
-  side.due <- Array.make cap infinity
+  side.due <- Array.make cap due
 
-let track_liveness t ~now =
-  stamp_side t.smaller ~cap:(half t) ~now;
-  stamp_side t.larger ~cap:(half t) ~now
+let track_liveness t ~now ~due =
+  stamp_side t.smaller ~cap:(half t) ~now ~due;
+  stamp_side t.larger ~cap:(half t) ~now ~due
 
 let heard_side side addr ~now =
   let i = slot_of side addr in
@@ -326,9 +326,9 @@ let probe_silent t ~now ~period ~timeout f =
 
 (* A dead member keeps its slot for up to T + 2P after its last
    message. A leaf-set reply that passed it on would plant it in leaf
-   sets that never declared it failed, so that their suspect memory
-   cannot refuse it, each import restarting its detection clock; so a
-   reply leaves out the members awaiting an answer to a probe. *)
+   sets that never declared it failed, each import restarting its
+   detection clock; so a reply leaves out the members awaiting an
+   answer to a probe. *)
 let rec vouched_from t side i acc =
   if i < 0 then acc
   else

@@ -77,9 +77,12 @@ val extreme_larger : t -> Peer.t option
     and the deadline of its unanswered probe. Nothing is kept until
     {!track_liveness} is first called. *)
 
-val track_liveness : t -> now:float -> unit
+val track_liveness : t -> now:float -> due:float -> unit
 (** Keep liveness from now on, and count every current member as heard
-    at [now] with no probe pending. *)
+    at [now] with probe deadline [due]: [infinity] for no probe
+    pending, a finite time to hold every member under probe until it
+    answers (it stays out of {!vouched} and {!expired} names it once
+    [due] has passed). *)
 
 val heard : t -> Past_simnet.Net.addr -> now:float -> unit
 (** A message from this address arrived at [now]: if it is a member,

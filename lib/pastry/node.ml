@@ -67,25 +67,6 @@ type 'a t = {
      the crash see an old epoch and stop. *)
   mutable maint_epoch : int;
   mutable malicious : bool;
-  (* Failure memory: peers we declared failed, with the declaration
-     time, as two parallel arrays exactly as long as the entry count.
-     [learn] refuses to re-admit them until the entry expires or the
-     peer is heard from directly (any message with it as the immediate
-     sender). Without this, leaf repair during a churn storm keeps
-     re-importing dead peers from neighbours' stale leaf sets faster
-     than keep-alive probing can evict them, and the k-closest set
-     stays polluted with dead nodes for many detection cycles. Entries
-     come and go only on failures and on hearing from a suspect, so the
-     arrays are rebuilt then; every delivered message reads the empty
-     arrays with one length test. *)
-  mutable suspect_addrs : Net.addr array;
-  mutable suspect_since : float array;
-  (* Dedup scratch reused by [known_peers] (per rare-case hop, per
-     announce) instead of allocating a fresh Hashtbl each call, created
-     on first use. Reset — not clear — between uses: reset restores the
-     initial bucket count, so iteration order matches a fresh table of
-     the same size. *)
-  mutable peers_scratch : (Net.addr, Peer.t) Hashtbl.t option;
   shared : shared;
 }
 
@@ -111,49 +92,10 @@ let tell t dst msg =
 
 let fire_leaf_change t = match t.app with Some a -> a.on_leaf_change () | None -> ()
 
-(* A suspect entry only needs to outlive the stale-gossip recycle: any
-   neighbour still advertising the dead peer evicts it within its own
-   probe cycle (keep-alive period + failure timeout). Two cycles give
-   slack for desynchronised timers. *)
-let suspect_ttl t =
-  2.0 *. (t.config.Config.keepalive_period +. t.config.Config.failure_timeout)
-
-let rec suspect_slot (addrs : Net.addr array) addr i =
-  if i >= Array.length addrs then -1
-  else if Array.unsafe_get addrs i = addr then i
-  else suspect_slot addrs addr (i + 1)
-
-(* Keep the entries whose slot satisfies [keep], in order. *)
-let filter_suspects t keep =
-  let kept = List.filter keep (List.init (Array.length t.suspect_addrs) Fun.id) in
-  t.suspect_addrs <- Array.of_list (List.map (Array.get t.suspect_addrs) kept);
-  t.suspect_since <- Array.of_list (List.map (Array.get t.suspect_since) kept)
-
-let forget_suspect t addr =
-  if Array.length t.suspect_addrs > 0 then begin
-    let i = suspect_slot t.suspect_addrs addr 0 in
-    if i >= 0 then filter_suspects t (fun j -> j <> i)
-  end
-
-(* Record a declared failure at [now], dropping expired entries. *)
-let add_suspect t addr =
-  let now = Net.now t.net and ttl = suspect_ttl t in
-  filter_suspects t (fun j -> t.suspect_addrs.(j) <> addr && now -. t.suspect_since.(j) < ttl);
-  t.suspect_addrs <- Array.append t.suspect_addrs [| addr |];
-  t.suspect_since <- Array.append t.suspect_since [| now |]
-
-(* An expired entry reads as no suspicion; [add_suspect] drops it. *)
-let suspected t addr =
-  Array.length t.suspect_addrs > 0
-  &&
-  let i = suspect_slot t.suspect_addrs addr 0 in
-  i >= 0 && Net.now t.net -. t.suspect_since.(i) < suspect_ttl t
-
 let learn t (peer : Peer.t) =
   if
     peer.Peer.addr <> t.self.Peer.addr
-    && (not (Id.equal peer.Peer.id t.self.Peer.id))
-    && not (suspected t peer.Peer.addr)
+    && not (Id.equal peer.Peer.id t.self.Peer.id)
   then begin
     let leaf_changed = Leaf_set.add t.leaf ~now:(Net.now t.net) peer in
     let prox = proximity_to t peer.Peer.addr in
@@ -167,16 +109,7 @@ let set_leaf_ring t ~ids ~addrs ~pos ~count =
   if count > 0 then fire_leaf_change t
 
 let known_peers t =
-  let tbl =
-    match t.peers_scratch with
-    | Some tbl ->
-      Hashtbl.reset tbl;
-      tbl
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      t.peers_scratch <- Some tbl;
-      tbl
-  in
+  let tbl = Hashtbl.create 64 in
   let collect p = if not (Hashtbl.mem tbl p.Peer.addr) then Hashtbl.replace tbl p.Peer.addr p in
   List.iter collect (Leaf_set.members t.leaf);
   List.iter collect (Routing_table.peers t.rt);
@@ -186,7 +119,6 @@ let known_peers t =
 (* --- failure handling ------------------------------------------------ *)
 
 let declare_failed t failed_addr =
-  add_suspect t failed_addr;
   let was_smaller = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.smaller t.leaf) in
   let was_larger = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.larger t.leaf) in
   let leaf_changed = Leaf_set.remove_addr t.leaf failed_addr in
@@ -414,11 +346,8 @@ let announce t =
   List.iter (fun p -> tell t p.Peer.addr (Message.Announce { from = t.self })) (known_peers t)
 
 let handle t src msg =
-  (* Hearing from a node directly is proof of life: drop any suspicion
-     so [learn] can re-admit it (e.g. a crashed peer that rejoined and
-     resumed keep-alives), and, for a leaf-set member, stamp it heard
-     so the next ticks need not probe it. *)
-  forget_suspect t src;
+  (* Hearing from a node directly is proof of life: a leaf-set member
+     is stamped heard, so the next ticks need not probe it. *)
   Leaf_set.heard t.leaf src ~now:(Net.now t.net);
   match msg with
   | Message.Routed r ->
@@ -494,9 +423,6 @@ let create ?dir ?shared ~net ~config ~rng ~id () =
       maintenance = false;
       maint_epoch = 0;
       malicious = false;
-      suspect_addrs = [||];
-      suspect_since = [||];
-      peers_scratch = None;
       shared;
     }
   in
@@ -580,7 +506,7 @@ let start_maintenance t =
   if not t.maintenance then begin
     t.maintenance <- true;
     t.maint_epoch <- t.maint_epoch + 1;
-    Leaf_set.track_liveness t.leaf ~now:(Net.now t.net);
+    Leaf_set.track_liveness t.leaf ~now:(Net.now t.net) ~due:infinity;
     (* Desynchronise nodes' timers. *)
     arm_maintenance t ~epoch:t.maint_epoch
       ~delay:(Rng.float t.rng t.config.Config.keepalive_period)
@@ -591,14 +517,15 @@ let stop_maintenance t = t.maintenance <- false
 let recover t =
   (* A recovering node contacts its last known leaf set, refreshes its
      own leaf set from theirs, and announces its presence (§2.2). *)
-  (* Liveness heard before the crash is stale: every member starts
-     afresh, as if just inserted. *)
-  if t.maintenance then Leaf_set.track_liveness t.leaf ~now:(Net.now t.net);
-  (* Suspicions recorded before the crash are stale — the suspects may
-     well have rejoined during our downtime. Keep-alives re-evict any
-     that are still dead. *)
-  t.suspect_addrs <- [||];
-  t.suspect_since <- [||];
+  (* Liveness heard before the crash is stale, and members may have died
+     while we were down: every member is held under probe, due one
+     failure timeout from now. The leaf-set requests below are the
+     probes; a member reappears in our replies once it answers, and a
+     dead one is evicted at the first tick past the deadline. *)
+  if t.maintenance then begin
+    let now = Net.now t.net in
+    Leaf_set.track_liveness t.leaf ~now ~due:(now +. t.config.Config.failure_timeout)
+  end;
   List.iter
     (fun (m : Peer.t) -> tell t m.Peer.addr (Message.Leaf_request { from = t.self }))
     (Leaf_set.members t.leaf);

@@ -198,7 +198,7 @@ let keepalive_round_trip () =
   let ov = converged_overlay () in
   let net = Overlay.net ov in
   Array.iter
-    (fun n -> Leaf_set.track_liveness (PNode.leaf_set n) ~now:(Net.now net))
+    (fun n -> Leaf_set.track_liveness (PNode.leaf_set n) ~now:(Net.now net) ~due:infinity)
     (Overlay.nodes ov);
   let a = (Overlay.nodes ov).(0) in
   let dst =

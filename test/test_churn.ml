@@ -9,6 +9,7 @@ module Overlay = Past_pastry.Overlay
 module PNode = Past_pastry.Node
 module Config = Past_pastry.Config
 module Leaf_set = Past_pastry.Leaf_set
+module Peer = Past_pastry.Peer
 module Exp_churn = Past_experiments.Exp_churn
 module Harness = Past_experiments.Harness
 
@@ -236,6 +237,74 @@ let eviction_lands_in_detection_bound () =
     watchers;
   Overlay.stop_maintenance overlay
 
+(* A recovering node holds its pre-crash leaf set under probe: a member
+   that died while it was down is not passed on in its leaf-set replies,
+   and it is evicted at the first tick past one failure timeout, within
+   T + P of the recovery. Eight nodes with l = 32 and no routed traffic,
+   as above. *)
+let recovered_node_vouches_for_no_dead_member () =
+  let config = Config.default in
+  let p = config.Config.keepalive_period and timeout = config.Config.failure_timeout in
+  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:46 () in
+  Overlay.build_dynamic overlay ~n:8;
+  Overlay.install_apps overlay (fun _ -> Harness.null_app);
+  let net = Overlay.net overlay in
+  let nodes = Overlay.nodes overlay in
+  Overlay.start_maintenance overlay;
+  Overlay.run ~until:(Net.now net +. (10.0 *. p) +. 137.0) overlay;
+  let sleeper = nodes.(2) and victim = nodes.(5) in
+  let v = PNode.addr victim in
+  let leaf = PNode.leaf_set sleeper in
+  Overlay.kill overlay sleeper;
+  Overlay.run ~until:(Net.now net +. p) overlay;
+  Overlay.kill overlay victim;
+  Overlay.run ~until:(Net.now net +. (3.0 *. (timeout +. p))) overlay;
+  check Alcotest.bool "victim still in the sleeper's leaf set" true (Leaf_set.mem_addr leaf v);
+  Overlay.revive overlay sleeper;
+  let recovered = Net.now net in
+  let smaller, larger = Leaf_set.vouched leaf in
+  if List.exists (fun q -> q.Peer.addr = v) (smaller @ larger) then
+    Alcotest.fail "a recovered node vouches for a member that died while it was down";
+  let horizon = recovered +. timeout +. (2.0 *. p) in
+  while Leaf_set.mem_addr leaf v && Net.now net <= horizon && Net.step net do
+    ()
+  done;
+  let after = Net.now net -. recovered in
+  if Leaf_set.mem_addr leaf v || after > timeout +. p then
+    Alcotest.failf "dead member held %.1f after recovery (bound %g)" after (timeout +. p);
+  Overlay.stop_maintenance overlay
+
+(* With no failure memory, nothing re-admits an evicted dead node: once
+   every live node of a maintained overlay has evicted a killed node, no
+   leaf set takes it back over the next 2(P + T). *)
+let evicted_node_stays_out () =
+  let config = Config.default in
+  let p = config.Config.keepalive_period and timeout = config.Config.failure_timeout in
+  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:47 () in
+  Overlay.build_dynamic overlay ~n:8;
+  Overlay.install_apps overlay (fun _ -> Harness.null_app);
+  let net = Overlay.net overlay in
+  let nodes = Overlay.nodes overlay in
+  Overlay.start_maintenance overlay;
+  Overlay.run ~until:(Net.now net +. (10.0 *. p) +. 137.0) overlay;
+  let victim = nodes.(6) in
+  let v = PNode.addr victim in
+  Overlay.kill overlay victim;
+  let watchers = List.filter (fun n -> n != victim) (Array.to_list nodes) in
+  let holders () = List.filter (fun n -> Leaf_set.mem_addr (PNode.leaf_set n) v) watchers in
+  let horizon = Net.now net +. timeout +. (4.0 *. p) in
+  while holders () <> [] && Net.now net < horizon && Net.step net do
+    ()
+  done;
+  check Alcotest.int "every live node evicted the victim" 0 (List.length (holders ()));
+  let until = Net.now net +. (2.0 *. (p +. timeout)) in
+  while Net.now net < until && Net.step net do
+    match holders () with
+    | [] -> ()
+    | n :: _ -> Alcotest.failf "node@%d re-admitted the evicted node" (PNode.addr n)
+  done;
+  Overlay.stop_maintenance overlay
+
 (* Suppression: between two quiet nodes a keep-alive and its ack count
    as hearing from each other, so the pair sends at most one probe per
    period where probing every member every tick would send two. *)
@@ -296,6 +365,8 @@ let suite =
       "revived node resumes maintenance" => revived_node_resumes_maintenance;
       "crashed node sends nothing" => crashed_node_sends_nothing;
       "eviction lands in the detection bound" => eviction_lands_in_detection_bound;
+      "recovered node vouches for no dead member" => recovered_node_vouches_for_no_dead_member;
+      "evicted node stays out" => evicted_node_stays_out;
       "quiet pair probes once per period" => quiet_pair_probes_once_per_period;
       "exp_churn smoke" => exp_churn_smoke;
     ] )

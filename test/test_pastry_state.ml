@@ -417,7 +417,9 @@ let qcheck_leaf_set_model =
    the time it became one) and probe deadline. [probe_silent] must name
    each member silent for more than a period exactly once, [expired]
    each member past its deadline, and [vouched] each side without the
-   members awaiting a probe's answer. *)
+   members awaiting a probe's answer. [track_liveness] restamps every
+   member, with no probe pending or, as a recovering node does, under
+   probe until a deadline one timeout away. *)
 let qcheck_liveness_model =
   QCheck.Test.make ~name:"leaf set liveness = per-address model" ~count:300
     QCheck.(pair small_nat (int_bound 3))
@@ -447,13 +449,22 @@ let qcheck_liveness_model =
       for a = 0 to pool - 1 do
         ignore (Leaf_set.add ls ~now:!now (Peer.make ~id:ids.(a) ~addr:a))
       done;
-      Leaf_set.track_liveness ls ~now:!now;
-      join_new [];
+      let track () =
+        let d = if Rng.bool rng then infinity else !now +. timeout in
+        Leaf_set.track_liveness ls ~now:!now ~due:d;
+        List.iter
+          (fun a ->
+            Hashtbl.replace heard a !now;
+            Hashtbl.replace due a d)
+          (members ())
+      in
+      track ();
       for _ = 1 to 120 do
         now := !now +. Rng.float rng 400.0;
         let a = Rng.int rng pool in
         let before = members () in
-        (match Rng.int rng 8 with
+        (match Rng.int rng 9 with
+        | 8 -> track ()
         | 0 | 1 | 2 -> ignore (Leaf_set.add ls ~now:!now (Peer.make ~id:ids.(a) ~addr:a))
         | 3 -> ignore (Leaf_set.remove_addr ls a)
         | 4 | 5 ->
