@@ -13,13 +13,17 @@
 
    Run configuration is read here only: `--scale`, `--jobs`, `--store`
    and `--monitors` fall back to PAST_SCALE, PAST_JOBS, PAST_STORE and
-   PAST_MONITORS through the flag's own converter. *)
+   PAST_MONITORS through the flag's own converter. The libraries keep
+   no defaults of their own: each command builds one [Setup.t] (the
+   pool, the store backend and the monitor sink) and hands it to what
+   it runs. *)
 
 open Cmdliner
 module Domain_pool = Past_stdext.Domain_pool
 module Monitor = Past_telemetry.Monitor
 module Store = Past_core.Store
 module Report = Past_experiments.Report
+module Setup = Past_experiments.Setup
 
 let experiment_names = List.map fst Report.all
 
@@ -103,30 +107,40 @@ let monitors_arg =
   in
   Arg.(value & flag & info [ "monitors" ] ~env:(env "PAST_MONITORS") ~doc)
 
-(* The library defaults are process-wide: set them before any worker
-   domain spawns. *)
-let configure ?jobs ?store monitors =
-  Option.iter Domain_pool.set_jobs jobs;
-  Option.iter Store.set_default_backend store;
-  Monitor.set_default_active monitors
+(* A command's setup from its flags: a pool [jobs] wide (1 when the
+   command fans nothing out), every node's store backend and, with
+   --monitors, the sink every system's monitors report to. *)
+let setup ?(jobs = 1) ?(store = Store.Mem) monitors =
+  {
+    Setup.pool = Domain_pool.create ~jobs;
+    store;
+    monitors = (if monitors then Some (Monitor.Sink.create ()) else None);
+  }
 
-(* Exit nonzero when any monitor in any system (including systems run
-   on pool domains) recorded a violation. *)
-let check_monitors monitors =
-  if monitors then
-    match Monitor.global_violations () with
-    | 0 -> prerr_endline "invariant monitors: all green"
-    | v ->
-      Printf.eprintf "invariant monitors: %d violation(s)\n" v;
-      List.iter (fun line -> Printf.eprintf "  %s\n" line) (Monitor.global_summaries ());
-      exit 1
+(* Stop the pool, then exit nonzero when any monitor in any system of
+   the run (including systems run on pool domains) recorded a
+   violation. *)
+let finish (setup : Setup.t) =
+  Domain_pool.shutdown setup.pool;
+  Option.iter
+    (fun sink ->
+      match Monitor.Sink.violations sink with
+      | 0 -> prerr_endline "invariant monitors: all green"
+      | v ->
+        Printf.eprintf "invariant monitors: %d violation(s)\n" v;
+        List.iter (fun line -> Printf.eprintf "  %s\n" line) (Monitor.Sink.summaries sink);
+        exit 1)
+    setup.monitors
+
+(* --jobs, or the runtime's recommended domain count. *)
+let pool_width jobs = Option.value jobs ~default:(Domain_pool.recommended ())
 
 let run_cmd name =
   let doc = Printf.sprintf "Run the %s experiment and print its table(s)." name in
   let f scale jobs store json trace monitors =
-    configure ?jobs ~store monitors;
-    Report.run_named ~json ~trace ~scale name;
-    check_monitors monitors
+    let setup = setup ~jobs:(pool_width jobs) ~store monitors in
+    Report.run_named ~json ~trace ~setup ~scale name;
+    finish setup
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(const f $ scale_arg $ jobs_arg $ store_arg $ json_arg $ trace_arg $ monitors_arg)
@@ -134,9 +148,9 @@ let run_cmd name =
 let all_cmd =
   let doc = "Run every experiment (regenerates all tables)." in
   let f scale jobs store json trace monitors =
-    configure ?jobs ~store monitors;
-    Report.run_all ~json ~trace ~scale ();
-    check_monitors monitors
+    let setup = setup ~jobs:(pool_width jobs) ~store monitors in
+    Report.run_all ~json ~trace ~setup ~scale ();
+    finish setup
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(const f $ scale_arg $ jobs_arg $ store_arg $ json_arg $ trace_arg $ monitors_arg)
@@ -147,9 +161,9 @@ let metrics_cmd =
      counters, routing-stage counters, storage metrics, latency histogram)."
   in
   let f store json trace monitors =
-    configure ~store monitors;
-    Report.metrics ~json ~trace ();
-    check_monitors monitors
+    let setup = setup ~store monitors in
+    Report.metrics ~json ~trace ~setup ();
+    finish setup
   in
   Cmd.v (Cmd.info "metrics" ~doc) Term.(const f $ store_arg $ json_arg $ trace_arg $ monitors_arg)
 
@@ -188,7 +202,7 @@ let churn_cmd =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let f scale store json rate duration seed monitors trace_out =
-    configure ~store monitors;
+    let setup = setup ~store monitors in
     let p = Exp_churn.default_params in
     let p =
       {
@@ -202,10 +216,10 @@ let churn_cmd =
       }
     in
     let trace_capacity = Option.map (fun _ -> 262_144) trace_out in
-    let r = Exp_churn.run ?trace_capacity p in
+    let r = Exp_churn.run ?trace_capacity ~setup p in
     Report.emit ~json ~trace:0 "churn" (Report.churn_output r);
     Option.iter (fun out -> Report.write_trace ~out r.Exp_churn.registry) trace_out;
-    check_monitors monitors;
+    finish setup;
     match Exp_churn.failed_invariants r with
     | [] -> ()
     | rows ->
@@ -240,15 +254,15 @@ let megastore_cmd =
     Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let f json files nodes store seed monitors =
-    configure ~store monitors;
-    let m = Exp_storage.run_mega ~n:nodes ~files ~seed () in
+    let setup = setup ~store monitors in
+    let m = Exp_storage.run_mega ~setup ~n:nodes ~files ~seed () in
     Report.emit ~json ~trace:0 "megastore"
       (Report.tables
          [
            ( "EXP9/EXP10 mega: utilization, rejects and insert throughput at scale",
              Exp_storage.mega_table m );
          ]);
-    check_monitors monitors
+    finish setup
   in
   Cmd.v (Cmd.info "megastore" ~doc)
     Term.(const f $ json_arg $ files_arg $ nodes_arg $ store_arg $ seed_arg $ monitors_arg)
@@ -319,7 +333,7 @@ let scale_cmd =
     Arg.(value & opt positive_float 0.45 & info [ "tolerance" ] ~docv:"TOL" ~doc)
   in
   let f json ns points lookups tail seed tolerance monitors =
-    configure monitors;
+    let setup = setup monitors in
     let params =
       {
         Exp_scale.ns =
@@ -332,14 +346,14 @@ let scale_cmd =
         hop_tolerance = tolerance;
       }
     in
-    let r = Exp_scale.run params in
+    let r = Exp_scale.run ~setup params in
     Report.emit ~json ~trace:0 "scale"
       (Report.tables
          [
            ("EXP15: scaling sweep (C1 hops, C3 state vs log_2^b N)", Exp_scale.table r);
            ("EXP15: least-squares scaling fits", Exp_scale.fits_table r);
          ]);
-    check_monitors monitors;
+    finish setup;
     if not (r.Exp_scale.hop_ok && r.Exp_scale.state_ok) then begin
       prerr_endline "EXP15: fitted scaling slope outside its analytic window";
       exit 1
@@ -361,9 +375,9 @@ let trace_cmd =
     Arg.(value & opt string "past_trace.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let f store out monitors =
-    configure ~store monitors;
-    Report.trace_export ~out ();
-    check_monitors monitors
+    let setup = setup ~store monitors in
+    Report.trace_export ~setup ~out ();
+    finish setup
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const f $ store_arg $ out_arg $ monitors_arg)
 

@@ -67,5 +67,3 @@ let verify pub msg signature =
     let m = Nat.mod_pow s pub.e pub.n in
     Nat.equal m (encode_message pub.n msg)
   end
-
-let fingerprint pub = Sha256.digest_hex (public_to_string pub)

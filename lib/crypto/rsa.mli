@@ -25,6 +25,3 @@ val sign : keypair -> bytes -> bytes
 
 val verify : public -> bytes -> bytes -> bool
 (** [verify pub msg signature]. *)
-
-val fingerprint : public -> string
-(** Hex SHA-256 of the canonical public-key encoding. *)

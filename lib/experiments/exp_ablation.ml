@@ -26,11 +26,11 @@ module Domain_pool = Past_stdext.Domain_pool
 
 type b_row = { b : int; avg_hops : float; bound : float; avg_rt : float }
 
-let run_b_sweep ~n ~lookups ~seed =
-  Domain_pool.map_shared
+let run_b_sweep ~(setup : Setup.t) ~n ~lookups ~seed =
+  Domain_pool.map setup.pool
     (fun b ->
       let config = { Config.default with Config.b } in
-      let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:(seed + b) () in
+      let overlay : Harness.probe Overlay.t = Setup.overlay setup ~config ~seed:(seed + b) () in
       Overlay.build_static overlay ~n;
       let stats = Harness.random_lookups overlay ~lookups in
       let rt = Stats.create () in
@@ -60,7 +60,7 @@ type l_row = { l : int; below : float; at : float }
    (l, m, trial) cell is an isolated, independently seeded overlay, so
    the whole grid fans out over the domain pool and the per-(l, m)
    fractions are reassembled in sweep order. *)
-let run_l_sweep ~n ~trials ~lookups_per_trial ~seed =
+let run_l_sweep ~(setup : Setup.t) ~n ~trials ~lookups_per_trial ~seed =
   let ls = [ 8; 16; 32 ] in
   let cases =
     List.concat_map
@@ -71,9 +71,9 @@ let run_l_sweep ~n ~trials ~lookups_per_trial ~seed =
       ls
   in
   let counts =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun (l, m, trial) ->
-        Exp_failures.run_trial
+        Exp_failures.run_trial ~setup
           ~config:{ Config.default with Config.leaf_set_size = l }
           ~n ~lookups:lookups_per_trial
           ~seed:(seed + (100 * l) + (10 * m) + trial)
@@ -105,8 +105,8 @@ let l_table rows =
 
 type t_row = { t_pri : float; final_util : float; rejects : float }
 
-let run_t_sweep ~seed =
-  Domain_pool.map_shared
+let run_t_sweep ~(setup : Setup.t) ~seed =
+  Domain_pool.map setup.pool
     (fun t_pri ->
       let base = Exp_storage.default_params in
       let params =
@@ -114,7 +114,7 @@ let run_t_sweep ~seed =
       in
       (* Rebuild node config with the swept thresholds via the policy
          hook: reuse run_policy but with a custom config. *)
-      let row = Exp_storage.run_policy_with_thresholds params ~t_pri ~t_div:(t_pri /. 2.0) in
+      let row = Exp_storage.run_policy_with_thresholds ~setup params ~t_pri ~t_div:(t_pri /. 2.0) in
       {
         t_pri;
         final_util = row.Exp_storage.final_utilization;
@@ -135,13 +135,13 @@ let t_table rows =
 
 type bias_row = { bias : float; success : float; avg_hops_b : float }
 
-let run_bias_sweep ~n ~lookups ~fraction ~retries ~seed =
-  Domain_pool.map_shared
+let run_bias_sweep ~(setup : Setup.t) ~n ~lookups ~fraction ~retries ~seed =
+  Domain_pool.map setup.pool
     (fun bias ->
       let config =
         { Config.default with Config.randomized_routing = true; randomize_bias = bias }
       in
-      let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed:(seed + 1) () in
+      let overlay : Harness.probe Overlay.t = Setup.overlay setup ~config ~seed:(seed + 1) () in
       Overlay.build_static overlay ~n;
       let rng = Rng.create (seed + 2) in
       Exp_malicious.mark_malicious overlay rng ~fraction;

@@ -63,7 +63,7 @@ let mean_pairwise_proximity net addrs =
    function of (params.seed, trial index), so trials fan out over the
    domain pool; the merge concatenates samples in trial order, keeping
    the output byte-identical at any --jobs. *)
-let run_trial params ~trial ~diversity_samples =
+let run_trial ~(setup : Setup.t) params ~trial ~diversity_samples =
   let node_config =
     {
       Node.default_config with
@@ -75,7 +75,7 @@ let run_trial params ~trial ~diversity_samples =
   in
   let trial_rng = Rng.derive (Rng.create params.seed) ~salt:trial in
   let sys =
-    System.create ~node_config ~build:`Static ~seed:(Int64.to_int (Rng.bits64 trial_rng))
+    Setup.system setup ~node_config ~build:`Static ~seed:(Int64.to_int (Rng.bits64 trial_rng))
       ~n:params.n
       ~node_capacity:(fun _ _ -> max_int / 4)
       ()
@@ -108,15 +108,15 @@ let run_trial params ~trial ~diversity_samples =
   System.shutdown sys;
   (per_node, replica, random)
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let trials = Stdlib.max 1 params.trials in
   let share t =
     (params.diversity_samples / trials)
     + (if t < params.diversity_samples mod trials then 1 else 0)
   in
   let per_trial =
-    Domain_pool.map_shared
-      (fun trial -> run_trial params ~trial ~diversity_samples:(share trial))
+    Domain_pool.map setup.pool
+      (fun trial -> run_trial ~setup params ~trial ~diversity_samples:(share trial))
       (List.init trials Fun.id)
   in
   (* Pool the samples in trial order: trials are same-sized worlds, so

@@ -62,7 +62,7 @@ type row = {
 
 type result = { rows : row list; params : params }
 
-let run_one params policy fill =
+let run_one ~(setup : Setup.t) params policy fill =
   let node_config =
     {
       Node.default_config with
@@ -73,7 +73,7 @@ let run_one params policy fill =
     }
   in
   let sys =
-    System.create ~node_config ~build:`Static
+    Setup.system setup ~node_config ~build:`Static
       ~seed:(params.seed + int_of_float (fill *. 100.))
       ~n:params.n
       ~node_capacity:(fun _ _ -> params.capacity_mean)
@@ -162,7 +162,7 @@ let run_one params policy fill =
     trajectory;
   }
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   (* Flatten the (fill, policy) grid: every cell builds and probes its
      own system, so all six default cells run in parallel. *)
   let cases =
@@ -170,7 +170,9 @@ let run params =
       (fun fill -> List.map (fun policy -> (policy, fill)) params.policies)
       params.fill_fractions
   in
-  let rows = Domain_pool.map_shared (fun (policy, fill) -> run_one params policy fill) cases in
+  let rows =
+    Domain_pool.map setup.pool (fun (policy, fill) -> run_one ~setup params policy fill) cases
+  in
   { rows; params }
 
 let table { rows; _ } =

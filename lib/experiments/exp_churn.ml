@@ -139,12 +139,12 @@ type result = {
   registry : Registry.t;  (** the run's telemetry registry (tracer, monitors) *)
 }
 
-let run ?trace_capacity params =
+let run ?trace_capacity ?(setup = Setup.sequential ()) params =
   let node_config =
     { Node.default_config with Node.verify_certificates = false; replication_delay = 200.0 }
   in
   let sys =
-    System.create ~node_config ~build:`Dynamic ?trace_capacity
+    Setup.system setup ~node_config ~build:`Dynamic ?trace_capacity
       ~topology:(Past_simnet.Topology.transit_stub ())
       ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ _ -> params.capacity)

@@ -43,8 +43,8 @@ type result = { rows : row list; half : int }
    that key fired from random live nodes; returns (hits at the closest
    live node, deliveries anywhere). Ablation B reuses it per leaf-set
    size. *)
-let run_trial ~config ~n ~lookups ~seed ~m =
-  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed () in
+let run_trial ~(setup : Setup.t) ~config ~n ~lookups ~seed ~m =
+  let overlay : Harness.probe Overlay.t = Setup.overlay setup ~config ~seed () in
   Overlay.build_static overlay ~n;
   let key = Id.random (Overlay.rng overlay) ~width:Id.node_bits in
   (* Kill the m nodes numerically closest to the key. *)
@@ -66,7 +66,7 @@ let run_trial ~config ~n ~lookups ~seed ~m =
   Overlay.run overlay;
   (!hit, !got)
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let config =
     { Past_pastry.Config.default with Past_pastry.Config.leaf_set_size = params.leaf_set_size }
   in
@@ -79,9 +79,9 @@ let run params =
       params.failure_counts
   in
   let counts =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun (m, trial) ->
-        run_trial ~config ~n:params.n ~lookups:params.lookups_per_trial
+        run_trial ~setup ~config ~n:params.n ~lookups:params.lookups_per_trial
           ~seed:(params.seed + (1000 * m) + trial) ~m)
       cases
   in

@@ -39,15 +39,15 @@ let config_of params =
 
 (* Each row is a fully isolated simulation (own overlay, own seed
    derived from [seed + n], own registry), so rows run in parallel on
-   the shared domain pool; the order-preserving merge keeps the result
+   the setup's domain pool; the order-preserving merge keeps the result
    — and the registry list, in row order — byte-identical to a
    sequential run. *)
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let results =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun n ->
         let overlay : Harness.probe Overlay.t =
-          Overlay.create ~config:(config_of params) ~seed:(params.seed + n) ()
+          Setup.overlay setup ~config:(config_of params) ~seed:(params.seed + n) ()
         in
         Overlay.build_static overlay ~n;
         let stats = Harness.random_lookups overlay ~lookups:params.lookups in
@@ -87,9 +87,9 @@ let default_dist_params = { dn = 5000; dlookups = 10000; db = 4; dseed = 7 }
 
 type dist_result = { probs : (int * float) list; dn : int; expected : float }
 
-let run_distribution p =
+let run_distribution ?(setup = Setup.sequential ()) p =
   let overlay : Harness.probe Overlay.t =
-    Overlay.create
+    Setup.overlay setup
       ~config:{ Config.default with Config.b = p.db }
       ~seed:p.dseed ()
   in

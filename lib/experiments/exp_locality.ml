@@ -58,15 +58,15 @@ let measure overlay ~lookups =
   Overlay.run overlay;
   (Stats.mean ratio, Stats.mean hops)
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   (* Flatten the (N, locality) grid so all four overlays build and
      measure in parallel; each cell is an isolated simulation. *)
   let cases = List.concat_map (fun n -> [ (n, true); (n, false) ]) params.ns in
   let rows =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun (n, locality) ->
         let overlay : Harness.probe Overlay.t =
-          Overlay.create ~seed:(params.seed + n + if locality then 0 else 1) ()
+          Setup.overlay setup ~seed:(params.seed + n + if locality then 0 else 1) ()
         in
         Overlay.build_static ~locality ~rt_samples:24 overlay ~n;
         let avg_ratio, avg_hops = measure overlay ~lookups:params.lookups in

@@ -41,15 +41,15 @@ let count_repair net =
   let dropped kind = match Net.counters_for_kind net kind with _, _, d -> d in
   sent "leaf_request" + sent "leaf_reply" + dropped "keepalive"
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let config = Config.default in
   (* Each N grows and probes its own dynamic overlay — rows run on the
-     shared domain pool. *)
+     setup's domain pool. *)
   let rows =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun n ->
         let overlay : Harness.probe Overlay.t =
-          Overlay.create ~config ~seed:(params.seed + n) ()
+          Setup.overlay setup ~config ~seed:(params.seed + n) ()
         in
         (* Throwaway base overlay: batch the quiescence drain; the
            joins being measured below run fully sequential. *)

@@ -45,9 +45,9 @@ let mark_malicious overlay rng ~fraction =
     (fun i -> Node.set_malicious nodes.(i) true)
     (Rng.sample_without_replacement rng bad (Array.length nodes))
 
-let build params ~randomized ~fraction seed =
+let build ~(setup : Setup.t) params ~randomized ~fraction seed =
   let config = { Config.default with Config.randomized_routing = randomized } in
-  let overlay : Harness.probe Overlay.t = Overlay.create ~config ~seed () in
+  let overlay : Harness.probe Overlay.t = Setup.overlay setup ~config ~seed () in
   Overlay.build_static overlay ~n:params.n;
   mark_malicious overlay (Overlay.rng overlay) ~fraction;
   overlay
@@ -73,13 +73,13 @@ let attempt overlay key =
   Overlay.run overlay;
   !delivered
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let rows =
     List.map
       (fun fraction ->
         (* Deterministic: retries repeat the same path, so a single
            attempt's success rate is also the eventual one. *)
-        let det = build params ~randomized:false ~fraction (params.seed + 1) in
+        let det = build ~setup params ~randomized:false ~fraction (params.seed + 1) in
         let det_ok = ref 0 in
         let rng = Rng.create (params.seed + 100) in
         for _ = 1 to params.lookups do
@@ -87,7 +87,7 @@ let run params =
           if attempt det key <> None then incr det_ok
         done;
         (* Randomized: a client retries up to max_retries times. *)
-        let rand = build params ~randomized:true ~fraction (params.seed + 2) in
+        let rand = build ~setup params ~randomized:true ~fraction (params.seed + 2) in
         let rand_ok = Array.make params.max_retries 0 in
         let rng = Rng.create (params.seed + 200) in
         for _ = 1 to params.lookups do

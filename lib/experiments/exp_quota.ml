@@ -58,10 +58,10 @@ type result = {
       (** quota used (sum over cards) = bytes in stores for live files *)
 }
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let node_config = { Node.default_config with Node.cache_policy = Past_core.Cache.No_cache } in
   let sys =
-    System.create ~node_config ~build:`Static ~seed:params.seed ~n:params.n
+    Setup.system setup ~node_config ~build:`Static ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ _ -> 4_000_000)
       ()
   in

@@ -57,9 +57,9 @@ let known_replicas node replicas =
    (params.seed, trial index), so trials fan out over the domain pool
    and merge in submission order — byte-identical output at any
    --jobs. *)
-let run_trial params ~trial ~lookups =
+let run_trial ~(setup : Setup.t) params ~trial ~lookups =
   let seed = Int64.to_int (Rng.bits64 (Rng.derive (Rng.create params.seed) ~salt:trial)) in
-  let overlay : Harness.probe Overlay.t = Overlay.create ~seed () in
+  let overlay : Harness.probe Overlay.t = Setup.overlay setup ~seed () in
   Overlay.build_static ~rt_samples:64 overlay ~n:params.n;
   let net = Overlay.net overlay in
   let rng = Overlay.rng overlay in
@@ -124,14 +124,14 @@ let run_trial params ~trial ~lookups =
   done;
   (!done_count, rank_counts)
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let trials = Stdlib.max 1 params.trials in
   (* Spread the lookup budget over the trials (earlier trials take the
      remainder), then sum the per-trial rank histograms. *)
   let share t = (params.lookups / trials) + (if t < params.lookups mod trials then 1 else 0) in
   let per_trial =
-    Domain_pool.map_shared
-      (fun trial -> run_trial params ~trial ~lookups:(share trial))
+    Domain_pool.map setup.pool
+      (fun trial -> run_trial ~setup params ~trial ~lookups:(share trial))
       (List.init trials Fun.id)
   in
   let rank_counts = Array.make params.k 0 in

@@ -92,11 +92,11 @@ let live_words () =
   Gc.compact ();
   (Gc.stat ()).Gc.live_words
 
-let run_one ~config ~params n =
+let run_one ~(setup : Setup.t) ~config ~params n =
   let words0 = live_words () in
   let t0 = Unix.gettimeofday () in
   let overlay : Harness.probe Overlay.t =
-    Overlay.create ~config ~trace_capacity:0 ~seed:(params.seed + n) ()
+    Setup.overlay setup ~config ~trace_capacity:0 ~seed:(params.seed + n) ()
   in
   Overlay.build_static ~dynamic_tail:params.dynamic_tail overlay ~n;
   let build_s = Unix.gettimeofday () -. t0 in
@@ -117,12 +117,12 @@ let run_one ~config ~params n =
     misdelivered = r.Harness.misdelivered;
   }
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let config = Config.default in
   (* Sequential on purpose: each N is measured against a compacted
      heap, and the previous overlay must be garbage before the next
      build's live-words baseline is taken. *)
-  let rows = List.map (run_one ~config ~params) params.ns in
+  let rows = List.map (run_one ~setup ~config ~params) params.ns in
   let xs = List.map (fun r -> r.log_bound) rows in
   let hop_fit = least_squares xs (List.map (fun r -> r.avg_hops) rows) in
   let state_fit = least_squares xs (List.map (fun r -> r.avg_state) rows) in

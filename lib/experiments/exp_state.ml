@@ -26,14 +26,14 @@ type row = {
 
 type result = { rows : row list }
 
-let run params =
+let run ?(setup = Setup.sequential ()) params =
   let config = { Config.default with Config.b = params.b; leaf_set_size = params.leaf_set_size } in
-  (* One isolated overlay per N — rows run on the shared domain pool. *)
+  (* One isolated overlay per N — rows run on the setup's domain pool. *)
   let rows =
-    Domain_pool.map_shared
+    Domain_pool.map setup.pool
       (fun n ->
         let overlay : Harness.probe Overlay.t =
-          Overlay.create ~config ~seed:(params.seed + n) ()
+          Setup.overlay setup ~config ~seed:(params.seed + n) ()
         in
         Overlay.build_static overlay ~n;
         let rt = Stats.create () and leaf = Stats.create () in

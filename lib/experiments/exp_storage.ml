@@ -119,9 +119,9 @@ let max_attempts_of = function Baseline -> 1 | Thresholds | Full -> 3
    Returns the system alongside the row so callers that need
    final-state access (store/backend statistics) can take it — they
    own the shutdown then. *)
-let run_policy_sys ?(attempt_cap = 500_000) params policy node_config =
+let run_policy_sys ?(attempt_cap = 500_000) ~(setup : Setup.t) params policy node_config =
   let sys =
-    System.create ~node_config ~build:`Static ~seed:params.seed ~n:params.n
+    Setup.system setup ~node_config ~build:`Static ~seed:params.seed ~n:params.n
       ~node_capacity:(fun _ rng ->
         Capacities.draw (Capacities.normal_truncated ~mean:params.capacity_mean ~cv:0.4) rng)
       ()
@@ -184,22 +184,21 @@ let run_policy_sys ?(attempt_cap = 500_000) params policy node_config =
     },
     sys )
 
-let run_policy_with_config params policy node_config =
-  let row, sys = run_policy_sys params policy node_config in
+let run_policy ~setup params policy node_config =
+  let row, sys = run_policy_sys ~setup params policy node_config in
   System.shutdown sys;
   row
 
-let run_policy params policy = run_policy_with_config params policy (node_config_of policy)
-
 (* Each policy fills its own isolated system from the same seeds, so
-   the three ablation arms run in parallel on the shared domain pool. *)
-let run params = { rows = Domain_pool.map_shared (run_policy params) params.policies; params }
+   the three ablation arms run in parallel on the setup's domain pool. *)
+let run ?(setup = Setup.sequential ()) params =
+  let run_one policy = run_policy ~setup params policy (node_config_of policy) in
+  { rows = Domain_pool.map setup.pool run_one params.policies; params }
 
 (* Used by the ablation sweep: the Full policy with custom admission
    thresholds. *)
-let run_policy_with_thresholds params ~t_pri ~t_div =
-  let config = { (node_config_of Full) with Node.t_pri; t_div } in
-  run_policy_with_config params Full config
+let run_policy_with_thresholds ~setup params ~t_pri ~t_div =
+  run_policy ~setup params Full { (node_config_of Full) with Node.t_pri; t_div }
 
 (* --- mega-scale run -------------------------------------------------
 
@@ -257,10 +256,11 @@ let mega_params ~n ~files ~k ~seed =
     policies = [ Full ];
   }
 
-let run_mega ?(n = 100) ?(files = 1_000_000) ?(k = 3) ?(seed = 97) () =
+let run_mega ?(setup = Setup.sequential ()) ?(n = 100) ?(files = 1_000_000) ?(k = 3) ?(seed = 97)
+    () =
   let params = mega_params ~n ~files ~k ~seed in
   let t0 = Unix.gettimeofday () in
-  let row, sys = run_policy_sys ~attempt_cap:files params Full (node_config_of Full) in
+  let row, sys = run_policy_sys ~attempt_cap:files ~setup params Full (node_config_of Full) in
   let wall = Unix.gettimeofday () -. t0 in
   let nodes = System.nodes sys in
   let files_stored =

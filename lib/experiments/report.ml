@@ -32,12 +32,12 @@ type output = {
 
 let tables ts = { tables = ts; trace_registry = None }
 
-let run_hops ~scale =
+let run_hops ~setup ~scale =
   let p = Exp_hops.default_params in
-  let r = Exp_hops.run { p with Exp_hops.lookups = s_int ~scale p.Exp_hops.lookups } in
+  let r = Exp_hops.run ~setup { p with Exp_hops.lookups = s_int ~scale p.Exp_hops.lookups } in
   let d = Exp_hops.default_dist_params in
   let dist =
-    Exp_hops.run_distribution { d with Exp_hops.dlookups = s_int ~scale d.Exp_hops.dlookups }
+    Exp_hops.run_distribution ~setup { d with Exp_hops.dlookups = s_int ~scale d.Exp_hops.dlookups }
   in
   {
     tables =
@@ -50,36 +50,37 @@ let run_hops ~scale =
       (match r.Exp_hops.registries with (_, reg) :: _ -> Some reg | [] -> None);
   }
 
-let run_state ~scale:_ =
+let run_state ~setup ~scale:_ =
   tables
     [
       ( "EXP3: per-node state vs formula (2^b-1)*ceil(log_2^b N) + 2l",
-        Exp_state.table (Exp_state.run Exp_state.default_params) );
+        Exp_state.table (Exp_state.run ~setup Exp_state.default_params) );
     ]
 
-let run_locality ~scale =
+let run_locality ~setup ~scale =
   let p = Exp_locality.default_params in
   tables
     [
       ( "EXP4: locality — route distance vs direct distance (paper: ~1.5x with locality)",
         Exp_locality.table
-          (Exp_locality.run
+          (Exp_locality.run ~setup
              { p with Exp_locality.lookups = s_int ~scale p.Exp_locality.lookups }) );
     ]
 
-let run_replica ~scale =
+let run_replica ~setup ~scale =
   let p = Exp_replica.default_params in
   tables
     [
       ( "EXP5: which of the k=5 replicas serves a lookup",
         Exp_replica.table
-          (Exp_replica.run { p with Exp_replica.lookups = s_int ~scale p.Exp_replica.lookups }) );
+          (Exp_replica.run ~setup
+             { p with Exp_replica.lookups = s_int ~scale p.Exp_replica.lookups }) );
     ]
 
-let run_failures ~scale =
+let run_failures ~setup ~scale =
   let p = Exp_failures.default_params in
   let r =
-    Exp_failures.run
+    Exp_failures.run ~setup
       {
         p with
         Exp_failures.trials = s_int ~scale ~min_value:2 p.Exp_failures.trials;
@@ -95,13 +96,13 @@ let run_failures ~scale =
         Exp_failures.table r );
     ]
 
-let run_maintenance ~scale =
+let run_maintenance ~setup ~scale =
   let p = Exp_maintenance.default_params in
   tables
     [
       ( "EXP7: join and failure-repair message cost (paper: O(log_2^b N))",
         Exp_maintenance.table
-          (Exp_maintenance.run
+          (Exp_maintenance.run ~setup
              {
                p with
                Exp_maintenance.join_samples =
@@ -110,28 +111,30 @@ let run_maintenance ~scale =
              }) );
     ]
 
-let run_malicious ~scale =
+let run_malicious ~setup ~scale =
   let p = Exp_malicious.default_params in
   tables
     [
       ( "EXP8: routing around malicious droppers (randomized + retries vs deterministic)",
         Exp_malicious.table
-          (Exp_malicious.run
+          (Exp_malicious.run ~setup
              { p with Exp_malicious.lookups = s_int ~scale p.Exp_malicious.lookups })
       );
     ]
 
-let run_storage ~scale:_ =
+let run_storage ~setup ~scale:_ =
   tables
     [
       ( "EXP9/EXP10: storage utilization & insert rejection (paper: >95% util, <5% rejects, \
          large files rejected first)",
-        Exp_storage.table (Exp_storage.run Exp_storage.default_params) );
+        Exp_storage.table (Exp_storage.run ~setup Exp_storage.default_params) );
     ]
 
-let run_caching ~scale =
+let run_caching ~setup ~scale =
   let p = Exp_caching.default_params in
-  let r = Exp_caching.run { p with Exp_caching.lookups = s_int ~scale p.Exp_caching.lookups } in
+  let r =
+    Exp_caching.run ~setup { p with Exp_caching.lookups = s_int ~scale p.Exp_caching.lookups }
+  in
   tables
     [
       ( "EXP11: caching popular files (paper: caching cuts fetch distance, balances query \
@@ -141,13 +144,13 @@ let run_caching ~scale =
         Exp_caching.trajectory_table r );
     ]
 
-let run_balance ~scale =
+let run_balance ~setup ~scale =
   let p = Exp_balance.default_params in
   tables
     [
       ( "EXP12: per-node file balance and replica diversity",
         Exp_balance.table
-          (Exp_balance.run
+          (Exp_balance.run ~setup
              {
                p with
                Exp_balance.diversity_samples = s_int ~scale p.Exp_balance.diversity_samples;
@@ -155,34 +158,35 @@ let run_balance ~scale =
       );
     ]
 
-let run_quota ~scale:_ =
+let run_quota ~setup ~scale:_ =
   tables
     [
       ( "EXP13: smartcard quota economy (debit on insert, credit on reclaim)",
-        Exp_quota.table (Exp_quota.run Exp_quota.default_params) );
+        Exp_quota.table (Exp_quota.run ~setup Exp_quota.default_params) );
     ]
 
-let run_ablation ~scale:_ =
+let run_ablation ~setup ~scale:_ =
   tables
     [
       ( "ABLATION A: digit width b (N=2000)",
-        Exp_ablation.b_table (Exp_ablation.run_b_sweep ~n:2000 ~lookups:500 ~seed:61) );
+        Exp_ablation.b_table (Exp_ablation.run_b_sweep ~setup ~n:2000 ~lookups:500 ~seed:61) );
       ( "ABLATION B: leaf-set size l vs adjacent-failure threshold (N=1500)",
         Exp_ablation.l_table
-          (Exp_ablation.run_l_sweep ~n:1500 ~trials:6 ~lookups_per_trial:20 ~seed:62) );
+          (Exp_ablation.run_l_sweep ~setup ~n:1500 ~trials:6 ~lookups_per_trial:20 ~seed:62) );
       ( "ABLATION C: admission threshold t_pri (full policy)",
-        Exp_ablation.t_table (Exp_ablation.run_t_sweep ~seed:63) );
+        Exp_ablation.t_table (Exp_ablation.run_t_sweep ~setup ~seed:63) );
       ( "ABLATION D: randomized-routing bias (N=1000)",
         Exp_ablation.bias_table
-          (Exp_ablation.run_bias_sweep ~n:1000 ~lookups:200 ~fraction:0.2 ~retries:3 ~seed:64)
+          (Exp_ablation.run_bias_sweep ~setup ~n:1000 ~lookups:200 ~fraction:0.2 ~retries:3
+             ~seed:64)
       );
     ]
 
-let run_soak ~scale:_ =
+let run_soak ~setup ~scale:_ =
   tables
     [
       ( "SOAK: mixed Poisson workload under continuous churn (availability + self-healing)",
-        Exp_churn.soak_table (Exp_churn.run Exp_churn.soak_params) );
+        Exp_churn.soak_table (Exp_churn.run ~setup Exp_churn.soak_params) );
     ]
 
 (* EXP14's two tables, shared by `past_sim all` and `past_sim churn`. *)
@@ -198,15 +202,15 @@ let churn_output (r : Exp_churn.result) =
     trace_registry = Some r.Exp_churn.registry;
   }
 
-let run_churn ~scale =
+let run_churn ~setup ~scale =
   let p = Exp_churn.default_params in
   (* Churn scales its horizon, not its sampling: the invariants are
      about behaviour over time. Floor it at one full fault cycle so a
      smoke pass still exercises crash, detection and repair. *)
   let duration = Float.max 60_000.0 (p.Exp_churn.duration *. scale) in
-  churn_output (Exp_churn.run { p with Exp_churn.duration })
+  churn_output (Exp_churn.run ~setup { p with Exp_churn.duration })
 
-let all : (string * (scale:float -> output)) list =
+let all : (string * (setup:Setup.t -> scale:float -> output)) list =
   [
     ("hops", run_hops);
     ("state", run_state);
@@ -282,24 +286,25 @@ let suite_json ~trace run =
 (* What `past_sim all --json` prints, minus its timing. The --jobs
    determinism test compares it: every experiment merges its
    pool-mapped rows in submission order, so this string is
-   byte-identical for any --jobs value at fixed scale and seeds. *)
-let all_json ?(trace = 0) ~scale () = suite_json ~trace (fun _ run -> run ~scale)
+   byte-identical for any pool width at fixed scale and seeds. *)
+let all_json ?(trace = 0) ?(setup = Setup.sequential ()) ~scale () =
+  suite_json ~trace (fun _ run -> run ~setup ~scale)
 
-let wall_clock_table timings =
+let wall_clock_table ~jobs timings =
   let t = Text_table.create [ "experiment"; "wall clock" ] in
   List.iter (fun (name, dt) -> Text_table.add_rowf t "%s|%.1fs" name dt) timings;
-  Text_table.add_rowf t "total (jobs=%d)|%.1fs" (Domain_pool.current_jobs ())
+  Text_table.add_rowf t "total (jobs=%d)|%.1fs" jobs
     (List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 timings);
   t
 
 (* Runs every experiment, then prints a wall-clock table of them. The
    table goes to stderr in JSON mode to keep stdout byte-comparable
    across --jobs values. *)
-let run_all ?(json = false) ?(trace = 0) ~scale () =
+let run_all ?(json = false) ?(trace = 0) ~(setup : Setup.t) ~scale () =
   let timings = ref [] in
   let timed name run =
     let t0 = Unix.gettimeofday () in
-    let out = run ~scale in
+    let out = run ~setup ~scale in
     let dt = Unix.gettimeofday () -. t0 in
     timings := (name, dt) :: !timings;
     (out, dt)
@@ -314,13 +319,13 @@ let run_all ?(json = false) ?(trace = 0) ~scale () =
         Printf.printf "(%s finished in %.1fs)\n%!" name dt)
       all;
   let timings = List.rev !timings in
-  let table = wall_clock_table timings in
+  let table = wall_clock_table ~jobs:(Domain_pool.jobs setup.pool) timings in
   if json then output_string stderr ("\nwall clock per experiment\n" ^ Text_table.render table)
   else Text_table.print ~title:"wall clock per experiment" table
 
-let run_named ?(json = false) ?(trace = 0) ~scale name =
+let run_named ?(json = false) ?(trace = 0) ~setup ~scale name =
   match List.assoc_opt name all with
-  | Some run -> emit ~json ~trace name (run ~scale)
+  | Some run -> emit ~json ~trace name (run ~setup ~scale)
   | None ->
     Printf.eprintf "unknown experiment %S; available: %s\n" name
       (String.concat ", " (List.map fst all));
@@ -421,9 +426,9 @@ let write_trace ~out reg =
 (* The demo behind `metrics` and `trace`: 30 client inserts into a
    40-node system. Returns the system, its client and the stored
    fileIds, newest first. *)
-let demo_inserts () =
+let demo_inserts ~(setup : Setup.t) =
   let sys =
-    System.create ~seed:11 ~n:40 ~trace_capacity:65_536 ~node_capacity:(fun _ _ -> 120_000) ()
+    Setup.system setup ~seed:11 ~n:40 ~trace_capacity:65_536 ~node_capacity:(fun _ _ -> 120_000) ()
   in
   let client = System.new_client sys ~quota:2_000_000 () in
   let stored = ref [] in
@@ -438,8 +443,8 @@ let demo_inserts () =
 (* The demo's causal trace, for `past_sim trace`: after the inserts, a
    mid-run crash so the export contains repair spans, then lookups (the
    doubled pass hits caches) and a reclaim. *)
-let trace_export ~out () =
-  let sys, client, stored = demo_inserts () in
+let trace_export ~setup ~out () =
+  let sys, client, stored = demo_inserts ~setup in
   System.start_maintenance sys;
   let nodes = System.nodes sys in
   if Array.length nodes > 1 then
@@ -456,8 +461,8 @@ let trace_export ~out () =
    inserts, every file is looked up twice. The snapshot exercises every
    layer: network counters and latency histogram, routing-stage
    counters, and the storage layer's accept/reject/cache metrics. *)
-let metrics ?(json = false) ?(trace = 0) () =
-  let sys, client, stored = demo_inserts () in
+let metrics ?(json = false) ?(trace = 0) ~setup () =
+  let sys, client, stored = demo_inserts ~setup in
   List.iter (fun file_id -> ignore (Client.lookup_sync client ~file_id ())) (stored @ stored);
   let reg = System.registry sys in
   if json then print_endline (Json.to_string ~indent:true (Registry.to_json reg))

@@ -20,10 +20,6 @@ let zero ~width =
   check_width "Id.zero" width;
   String.make (width / 8) '\000'
 
-let max_id ~width =
-  check_width "Id.max_id" width;
-  String.make (width / 8) '\255'
-
 let of_hex ~width s =
   check_width "Id.of_hex" width;
   let n = Nat.of_hex s in

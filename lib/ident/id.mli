@@ -39,7 +39,6 @@ val short : t -> string
 (** First 8 hex digits — compact display in traces and monitor messages. *)
 
 val zero : width:int -> t
-val max_id : width:int -> t
 
 val random : Past_stdext.Rng.t -> width:int -> t
 

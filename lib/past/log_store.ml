@@ -78,7 +78,10 @@ let rec mkdir_p d =
   end
 
 (* Scratch directories are deleted on {!close}; the at_exit sweep
-   covers stores the process abandons without closing. *)
+   covers stores the process abandons without closing. Stores open and
+   close on several domains at once (pool rows), so [temp_lock] guards
+   the table and the flag. *)
+let temp_lock = Mutex.create ()
 let live_temp_dirs : (string, unit) Hashtbl.t = Hashtbl.create 8
 let cleanup_registered = ref false
 
@@ -91,11 +94,14 @@ let remove_dir d =
   try Sys.rmdir d with Sys_error _ -> ()
 
 let register_temp d =
-  if not !cleanup_registered then begin
-    cleanup_registered := true;
-    at_exit (fun () -> Hashtbl.iter (fun d () -> remove_dir d) live_temp_dirs)
-  end;
-  Hashtbl.replace live_temp_dirs d ()
+  Mutex.protect temp_lock (fun () ->
+      if not !cleanup_registered then begin
+        cleanup_registered := true;
+        at_exit (fun () ->
+            Mutex.protect temp_lock (fun () ->
+                Hashtbl.iter (fun d () -> remove_dir d) live_temp_dirs))
+      end;
+      Hashtbl.replace live_temp_dirs d ())
 
 let fresh_temp_dir () =
   let base =
@@ -576,7 +582,7 @@ let close t =
     t.closed <- true;
     if t.owns_dir then begin
       remove_dir t.dir;
-      Hashtbl.remove live_temp_dirs t.dir
+      Mutex.protect temp_lock (fun () -> Hashtbl.remove live_temp_dirs t.dir)
     end
   end
 

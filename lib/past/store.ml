@@ -10,10 +10,6 @@ type table = Mem of entry Id.Table.t | Log of Log_store.t
 
 type backend = Mem | Log of { dir : string option; segment_target : int option }
 
-(* Set once by the binary before any worker domain spawns; read-only after. *)
-let process_default = ref Mem
-let set_default_backend backend = process_default := backend
-
 type event = Added of Certificate.file | Removed of Certificate.file
 
 type t = {
@@ -26,11 +22,11 @@ type t = {
   mutable observer : (event -> unit) option;
 }
 
-let create ~capacity ?(t_pri = 0.1) ?(t_div = 0.05) ?backend () =
+let create ~capacity ?(t_pri = 0.1) ?(t_div = 0.05) ?(backend = Mem) () =
   if capacity < 0 then invalid_arg "Store.create: negative capacity";
   if t_pri <= 0.0 || t_div <= 0.0 then invalid_arg "Store.create: thresholds must be positive";
   let table : table =
-    match Option.value backend ~default:!process_default with
+    match backend with
     | Mem -> Mem (Id.Table.create Log_store.initial_index_size)
     | Log { dir; segment_target } -> Log (Log_store.create ?dir ?segment_target ())
   in

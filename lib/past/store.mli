@@ -28,17 +28,13 @@ type backend =
       (** [dir = None] uses a scratch directory, deleted on {!close};
           see {!Log_store.create}. *)
 
-val set_default_backend : backend -> unit
-(** The backend {!create} uses when none is given; [Mem] until set.
-    Process-wide ([past_sim --store]): set it before any worker domain
-    spawns. *)
-
 type t
 
 val create : capacity:int -> ?t_pri:float -> ?t_div:float -> ?backend:backend -> unit -> t
 (** Thresholds default to the companion paper's values
-    [t_pri = 0.1], [t_div = 0.05]. [backend] defaults to the one last
-    given to {!set_default_backend}. *)
+    [t_pri = 0.1], [t_div = 0.05]. [backend] defaults to [Mem]; a
+    whole system picks its nodes' backend through
+    [System.create ?store_backend]. *)
 
 val backend_name : t -> string
 

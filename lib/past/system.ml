@@ -224,12 +224,13 @@ let install_monitors t =
 
 let create ?pastry_config ?(node_config = Node.default_config) ?topology
     ?(crypto_mode = `Insecure) ?build ?loss_rate ?(broker_count = 1) ?trace_capacity
-    ?store_backend ~seed ~n ~node_capacity () =
+    ?store_backend ?monitors ~seed ~n ~node_capacity () =
   if n < 1 then invalid_arg "System.create: need at least one node";
   if broker_count < 1 then invalid_arg "System.create: need at least one broker";
   let rng = Rng.create seed in
   let overlay =
-    Overlay.create ?config:pastry_config ?topology ?loss_rate ?trace_capacity ~seed:(seed + 1) ()
+    Overlay.create ?config:pastry_config ?topology ?loss_rate ?trace_capacity ?monitors
+      ~seed:(seed + 1) ()
   in
   let brokers = Array.init broker_count (fun _ -> Broker.create ~mode:crypto_mode (Rng.split rng)) in
   let build = match build with Some b -> b | None -> if n <= 500 then `Dynamic else `Static in

@@ -18,6 +18,7 @@ val create :
   ?broker_count:int ->
   ?trace_capacity:int ->
   ?store_backend:Store.backend ->
+  ?monitors:Past_telemetry.Monitor.Sink.t ->
   seed:int ->
   n:int ->
   node_capacity:(int -> Past_stdext.Rng.t -> int) ->
@@ -30,12 +31,12 @@ val create :
     {!Past_pastry.Overlay}). [crypto_mode] defaults to [`Insecure]
     (simulation-fast signatures; use [`Rsa bits] for real crypto).
     [trace_capacity] sizes the system's causal-trace ring (see
-    {!Past_telemetry.Trace}). When invariant monitoring is active
-    (see {!Past_telemetry.Monitor.set_default_active}), PAST-level
-    monitors ([past.replica_count], [past.quota_conservation]) are
-    installed alongside Pastry's. [store_backend] selects every node's
-    replica storage backend (default: the process-wide one, see
-    {!Store.set_default_backend}). *)
+    {!Past_telemetry.Trace}). With a [monitors] sink the invariant
+    monitors are active: PAST-level monitors ([past.replica_count],
+    [past.quota_conservation]) are installed alongside Pastry's, and
+    every violation is reported to the sink. Without one (the default)
+    they are off. [store_backend] selects every node's replica storage
+    backend (default [Store.Mem]). *)
 
 val overlay : t -> Wire.t Past_pastry.Overlay.t
 

@@ -196,11 +196,12 @@ let install_monitors t =
         Monitor.tick monitors ~now)
   end
 
-let create ?(config = Config.default) ?topology ?(loss_rate = 0.0) ?trace_capacity ~seed () =
+let create ?(config = Config.default) ?topology ?(loss_rate = 0.0) ?trace_capacity ?monitors ~seed
+    () =
   Config.validate config;
   let rng = Rng.create seed in
   let topology = match topology with Some t -> t | None -> Topology.plane () in
-  let registry = Past_telemetry.Registry.create ~name:"overlay" ?trace_capacity () in
+  let registry = Past_telemetry.Registry.create ~name:"overlay" ?trace_capacity ?monitors () in
   let net =
     Net.create ~loss_rate ~registry ~describe:Message.describe ~rng:(Rng.split rng) ~topology ()
   in

@@ -18,14 +18,16 @@ val create :
   ?topology:Past_simnet.Topology.t ->
   ?loss_rate:float ->
   ?trace_capacity:int ->
+  ?monitors:Past_telemetry.Monitor.Sink.t ->
   seed:int ->
   unit ->
   'a t
 (** [trace_capacity] sizes the registry's trace-event ring (see
-    {!Past_telemetry.Trace.create}; 0 disables tracing). When invariant
-    monitors are active ({!Past_telemetry.Monitor.set_default_active})
-    the overlay registers a leaf-set symmetry monitor and arms a
-    keepalive-period sampler that ticks the registry's monitor set. *)
+    {!Past_telemetry.Trace.create}; 0 disables tracing). With a
+    [monitors] sink the registry's invariant monitors are active: the
+    overlay registers a leaf-set symmetry monitor and arms a
+    keepalive-period sampler that ticks the registry's monitor set.
+    Without one (the default) they are off. *)
 
 val net : 'a t -> 'a Message.t Past_simnet.Net.t
 val config : 'a t -> Config.t
@@ -36,15 +38,12 @@ val registry : 'a t -> Past_telemetry.Registry.t
     shared by the network and every node): counters, histograms, and
     the route tracer. *)
 
-val add_node : 'a t -> 'a Node.t
-(** Create a node with a random nodeId, registered on the network but
-    with empty tables and not joined to anything. The next builder call
-    builds it: [build_static ~n:0] populates it by snapshot,
-    [build_dynamic ~n:0] joins it through the protocol. *)
-
 val add_node_with_id : 'a t -> id:Past_id.Id.t -> 'a Node.t
-(** Same, with a caller-supplied nodeId (PAST derives nodeIds from
-    smartcard keys). *)
+(** Create a node with nodeId [id] (PAST derives nodeIds from smartcard
+    keys), registered on the network but with empty tables and not
+    joined to anything. The next builder call builds it:
+    [build_static ~n:0] populates it by snapshot, [build_dynamic ~n:0]
+    joins it through the protocol. *)
 
 val build_static :
   ?locality:bool -> ?rt_samples:int -> ?dynamic_tail:float -> 'a t -> n:int -> unit

@@ -424,11 +424,5 @@ let run ?until t =
     end
   done
 
-let messages_sent t = Counter.value t.c_sent
 let messages_delivered t = Counter.value t.c_delivered
 let messages_dropped t = Counter.value t.c_dropped
-
-let opt_value c = if Lazy.is_val c then Counter.value (Lazy.force c) else 0
-let messages_dropped_src_down t = opt_value t.c_src_down
-let messages_dropped_partition t = opt_value t.c_partition
-let messages_duplicated t = opt_value t.c_duplicated

@@ -142,21 +142,14 @@ val proximity : _ t -> addr -> addr -> float
 
 val rng : _ t -> Past_stdext.Rng.t
 
-(** Counters, cumulative since creation. These are thin reads of the
-    registry's [net.sent] / [net.delivered] / [net.dropped] counters. *)
+(** Counters, cumulative since creation: thin reads of the registry's
+    [net.delivered] / [net.dropped] counters, kept for the benchmark
+    harness's per-run message totals. The other network counters
+    ([net.sent], [net.dropped] by [cause], [net.duplicated]) are read
+    from {!registry}. *)
 
-val messages_sent : _ t -> int
 val messages_delivered : _ t -> int
 val messages_dropped : _ t -> int
-
-val messages_dropped_src_down : _ t -> int
-(** Subset of [messages_dropped]: sends suppressed because the source
-    itself was down. *)
-
-val messages_dropped_partition : _ t -> int
-(** Subset of [messages_dropped]: messages cut by a partition. *)
-
-val messages_duplicated : _ t -> int
 
 val counters_for_kind : _ t -> string -> int * int * int
 (** [(sent, delivered, dropped)] for one [describe] kind — how the

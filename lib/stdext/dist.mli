@@ -25,4 +25,5 @@ val zipf_draw : zipf -> Rng.t -> int
 (** Rank in \[1, n\], rank 1 most popular. O(log n) per draw. *)
 
 val zipf_pmf : zipf -> int -> float
-(** Probability of a given rank. *)
+(** Probability of a given rank. Kept as the oracle the sampler's
+    empirical-frequency test compares {!zipf_draw} against. *)

@@ -130,30 +130,3 @@ let map pool f items =
     | None -> ());
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false (* all tasks completed *)) results)
-
-(* --- shared pool -------------------------------------------------------- *)
-
-let requested_jobs = ref None
-let shared_pool = ref None
-
-let current_jobs () =
-  match !requested_jobs with Some j -> j | None -> Stdlib.min (recommended ()) max_jobs
-
-let set_jobs j =
-  let j = Stdlib.max 1 (Stdlib.min j max_jobs) in
-  requested_jobs := Some j;
-  match !shared_pool with
-  | Some pool when pool.jobs <> j ->
-    shutdown pool;
-    shared_pool := None
-  | Some _ | None -> ()
-
-let shared () =
-  match !shared_pool with
-  | Some pool -> pool
-  | None ->
-    let pool = create ~jobs:(current_jobs ()) in
-    shared_pool := Some pool;
-    pool
-
-let map_shared f items = map (shared ()) f items

@@ -4,6 +4,8 @@
     overlay, one seed, one telemetry registry per row); [map] fans those
     rows out over OCaml 5 domains and merges the results in submission
     order, so parallel output is byte-identical to sequential output.
+    [past_sim] creates one pool from [--jobs] and hands it to the
+    experiments.
 
     No external dependencies (no domainslib): a shared FIFO of thunks
     guarded by a mutex/condition pair. The caller participates in
@@ -46,22 +48,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Drain remaining tasks, stop and join the worker domains. The pool
     must not be used afterwards. Idempotent. *)
-
-(** {1 Shared pool}
-
-    The experiment modules pull their parallelism from one process-wide
-    pool so that one [set_jobs] call (from [past_sim --jobs N]) configures
-    every per-row loop without threading a pool through each signature. *)
-
-val set_jobs : int -> unit
-(** Request a width for the shared pool. If a shared pool of a
-    different width already exists it is shut down and lazily
-    recreated at the new width on the next [map_shared]. *)
-
-val current_jobs : unit -> int
-(** Width the shared pool has (or will be created with): the last
-    [set_jobs] value (clamped like {!create}'s), else [recommended ()]
-    capped at {!max_jobs}. *)
-
-val map_shared : ('a -> 'b) -> 'a list -> 'b list
-(** [map] on the shared pool, creating it on first use. *)

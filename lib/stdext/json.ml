@@ -241,6 +241,3 @@ let of_string s =
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_list = function List items -> Some items | _ -> None
-
-let string_member key t =
-  match member key t with Some (String s) -> Some s | _ -> None

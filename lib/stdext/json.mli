@@ -23,4 +23,3 @@ val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)
 
 val to_list : t -> t list option
-val string_member : string -> t -> string option

@@ -75,10 +75,6 @@ let int t bound =
   done;
   Int64.to_int (Int64.rem !r bound64)
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Rng.int_in: lo > hi";
-  lo + int t (hi - lo + 1)
-
 (* Inlined so that a caller which only does float arithmetic with the
    draw (the jitter in [Net.send]) keeps it unboxed. *)
 let[@inline] float t bound =

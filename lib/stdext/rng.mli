@@ -35,10 +35,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound). Requires [bound > 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in \[lo, hi\] inclusive. Requires
-    [lo <= hi]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 

@@ -33,7 +33,7 @@ let mask = slots - 1
 type 'a cell = { c_time : float; c_seq : int; c_val : 'a }
 
 (* Specialized binary min-heap over cells, ordered by exact
-   (time, seq). A private copy (rather than Stdext.Heap) so the
+   (time, seq). Specialized (rather than a generic heap) so the
    comparison is a direct monomorphic inline, not a closure call — this
    heap sits on the pop path of every single event. *)
 module Minheap = struct

@@ -5,7 +5,7 @@
     pop order is {e exactly} ascending time, FIFO [seq] among equal
     times (the EXP1 golden fixture and every [--jobs] byte-compare
     depend on this order). The tests check it on randomized traces
-    against {!Heap}, a reference binary heap nothing else uses.
+    against a reference binary heap that lives with them.
 
     Geometry (fixed): one wheel of 4096 buckets, each one time unit
     (the simulator's sim-ms) wide. An event due fewer than 4096 units

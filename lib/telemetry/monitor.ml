@@ -1,8 +1,9 @@
 (* Invariant monitors. Each monitor keeps its own failure bookkeeping;
-   an episode latch counts a run of failures as one violation. A
-   process-global accumulator (mutex-guarded — experiment suites run
-   systems on multiple domains) lets a CI driver fail a whole run on
-   any violation without threading monitor sets through every layer. *)
+   an episode latch counts a run of failures as one violation. A set
+   made with a sink also reports each violation to it: the sink is the
+   run's collector, shared by every system the run creates (on any
+   domain, hence its mutex), so a CI driver can fail a whole run on any
+   violation without threading monitor sets through every layer. *)
 
 type entry = {
   e_name : string;
@@ -18,51 +19,29 @@ type entry = {
   mutable e_trace_context : string;
 }
 
+module Sink = struct
+  type t = { mutex : Mutex.t; mutable count : int; mutable lines : string list (* newest first *) }
+
+  let create () = { mutex = Mutex.create (); count = 0; lines = [] }
+
+  let note s line =
+    Mutex.protect s.mutex (fun () ->
+        s.count <- s.count + 1;
+        if not (List.mem line s.lines) then s.lines <- line :: s.lines)
+
+  let violations s = Mutex.protect s.mutex (fun () -> s.count)
+  let summaries s = Mutex.protect s.mutex (fun () -> List.rev s.lines)
+end
+
 type t = {
-  is_active : bool;
+  sink : Sink.t option; (* active iff present *)
   mutable entries : entry list; (* newest first *)
   mutable tracer : Trace.t option;
 }
 
-(* --- process-global accounting ---------------------------------------- *)
+let create ?sink () = { sink; entries = []; tracer = None }
 
-let global_mutex = Mutex.create ()
-let global_count = ref 0
-let global_lines : string list ref = ref [] (* newest first *)
-
-let note_global line =
-  Mutex.lock global_mutex;
-  incr global_count;
-  if not (List.mem line !global_lines) then global_lines := line :: !global_lines;
-  Mutex.unlock global_mutex
-
-let global_violations () =
-  Mutex.lock global_mutex;
-  let n = !global_count in
-  Mutex.unlock global_mutex;
-  n
-
-let global_summaries () =
-  Mutex.lock global_mutex;
-  let l = List.rev !global_lines in
-  Mutex.unlock global_mutex;
-  l
-
-let reset_global () =
-  Mutex.lock global_mutex;
-  global_count := 0;
-  global_lines := [];
-  Mutex.unlock global_mutex
-
-(* --- monitor sets ------------------------------------------------------ *)
-
-(* Set once by the binary before any worker domain spawns; read-only after. *)
-let default_active = ref false
-let set_default_active a = default_active := a
-
-let create () = { is_active = !default_active; entries = []; tracer = None }
-
-let active t = t.is_active
+let active t = Option.is_some t.sink
 let attach_tracer t tracer = t.tracer <- Some tracer
 
 let trace_context t =
@@ -113,7 +92,7 @@ let find_or_create t ~name ~pred =
   | None -> fresh t ~name ~interval:0.0 ~pred
 
 let register t ~name ?(interval = 0.0) pred =
-  if t.is_active then ignore (fresh t ~name ~interval ~pred:(Some pred))
+  if active t then ignore (fresh t ~name ~interval ~pred:(Some pred))
 
 let violate t e ~now ~detail =
   e.e_violations <- e.e_violations + 1;
@@ -122,9 +101,12 @@ let violate t e ~now ~detail =
     e.e_first_detail <- detail;
     e.e_trace_context <- trace_context t
   end;
-  note_global
-    (Printf.sprintf "%s first violated at t=%.1f%s" e.e_name now
-       (if detail = "" then "" else ": " ^ detail))
+  Option.iter
+    (fun sink ->
+      Sink.note sink
+        (Printf.sprintf "%s first violated at t=%.1f%s" e.e_name now
+           (if detail = "" then "" else ": " ^ detail)))
+    t.sink
 
 let observe t e ~now result =
   e.e_checks <- e.e_checks + 1;
@@ -138,7 +120,7 @@ let observe t e ~now result =
     end
 
 let tick t ~now =
-  if t.is_active then
+  if active t then
     List.iter
       (fun e ->
         match e.e_pred with
@@ -149,7 +131,7 @@ let tick t ~now =
       t.entries
 
 let record_check t ~name ~now ?(detail = "") ok =
-  if t.is_active then begin
+  if active t then begin
     let e = find_or_create t ~name ~pred:None in
     e.e_checks <- e.e_checks + 1;
     if not ok then begin

@@ -20,23 +20,29 @@
     detail, and a snippet of the causal trace (the most recent trace
     events, if a tracer is attached) are captured for the report.
 
-    A process-wide violation count ({!global_violations}) accumulates
-    across every monitor set created while active, so a CI driver can
-    run a whole experiment suite and fail the run if any invariant
-    broke anywhere. Monitors are inactive unless {!set_default_active}
-    turned them on before the set was created, and inactive sets cost
-    one branch per check site. *)
+    A set is active iff it was created with a {!Sink.t}: the run-scoped
+    collector every violation is also reported to, so a CI driver can
+    run a whole experiment suite — systems on several domains included
+    — and fail the run if any invariant broke anywhere. Inactive sets
+    cost one branch per check site. *)
+
+module Sink : sig
+  type t
+
+  val create : unit -> t
+
+  val violations : t -> int
+  (** Violations reported so far by every set made with this sink.
+      Thread-safe: sets on different domains may share one sink. *)
+
+  val summaries : t -> string list
+  (** One line per distinct violated monitor, oldest first. *)
+end
 
 type t
 
-val create : unit -> t
-(** Active iff the value last given to {!set_default_active} is
-    [true]. *)
-
-val set_default_active : bool -> unit
-(** Whether {!create} makes active sets; [false] until set.
-    Process-wide ([past_sim --monitors]): set it before any worker
-    domain spawns. *)
+val create : ?sink:Sink.t -> unit -> t
+(** Active iff [sink] is given. *)
 
 val active : t -> bool
 val attach_tracer : t -> Trace.t -> unit
@@ -79,14 +85,3 @@ val reports : t -> report list
 
 val violations : t -> int
 (** Total violations across this set's monitors. *)
-
-(** {2 Process-wide accounting (for CI gating)} *)
-
-val global_violations : unit -> int
-(** Violations across every active monitor set since process start (or
-    {!reset_global}). Thread-safe. *)
-
-val global_summaries : unit -> string list
-(** One line per distinct violated monitor, oldest first. *)
-
-val reset_global : unit -> unit

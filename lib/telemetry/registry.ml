@@ -21,9 +21,9 @@ type t = {
   monitors : Monitor.t;
 }
 
-let create ?(name = "telemetry") ?trace_capacity () =
+let create ?(name = "telemetry") ?trace_capacity ?monitors () =
   let tracer = Trace.create ?capacity:trace_capacity () in
-  let monitors = Monitor.create () in
+  let monitors = Monitor.create ?sink:monitors () in
   Monitor.attach_tracer monitors tracer;
   {
     name;

@@ -10,10 +10,10 @@
 
 type t
 
-val create : ?name:string -> ?trace_capacity:int -> unit -> t
+val create : ?name:string -> ?trace_capacity:int -> ?monitors:Monitor.Sink.t -> unit -> t
 (** [trace_capacity] sizes the trace ring (see {!Trace.create}). The
-    monitor set is active iff {!Monitor.set_default_active} turned
-    monitoring on. *)
+    monitor set is active iff [monitors] is given; its violations are
+    reported to that sink. *)
 
 val tracer : t -> Trace.t
 val monitors : t -> Monitor.t
@@ -30,6 +30,8 @@ val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 type value =
   | Counter_value of int
   | Gauge_value of float
+      (** No gauge is registered in the library; the constructor stays
+          for the benchmark harness, which matches on it. *)
   | Histogram_value of Histogram.summary
 
 type item = { i_name : string; i_labels : (string * string) list; i_value : value }

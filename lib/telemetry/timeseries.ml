@@ -83,9 +83,6 @@ let windows t =
         | None -> assert false)
   end
 
-let window_count t = Stdlib.min t.total capacity
-let dropped_windows t = Stdlib.max 0 (t.total - capacity)
-
 (* --- export ------------------------------------------------------------ *)
 
 let series_names t = List.rev_map fst t.probes

@@ -15,8 +15,8 @@
 type t
 
 val create : unit -> t
-(** A ring of 1024 windows; the oldest windows are discarded once full,
-    counted in {!dropped_windows}. *)
+(** A ring of 1024 windows; the oldest windows are discarded once
+    full. *)
 
 val add_cumulative : t -> name:string -> (unit -> int) -> unit
 (** Probe a monotone counter; windows report per-window increments. *)
@@ -41,9 +41,6 @@ type window = { w_start : float; w_end : float; w_values : (string * value) list
 
 val windows : t -> window list
 (** Retained windows, oldest first. *)
-
-val window_count : t -> int
-val dropped_windows : t -> int
 
 val to_table : ?max_rows:int -> t -> Past_stdext.Text_table.t
 (** Text rendering; when more than [max_rows] (default 24) windows are

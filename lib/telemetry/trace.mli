@@ -99,7 +99,9 @@ type tree = { t_span : span; t_children : tree list }
 
 val trees : t -> tree list
 (** Causal forest: spans whose parent did not survive, each with its
-    child spans (routes included), oldest first. *)
+    child spans (routes included), oldest first. Kept as the oracle for
+    the parent links the tracer records: the tests check that repair
+    cascades under faults nest as trees. *)
 
 val chrome_json : t -> Past_stdext.Json.t
 (** The retained spans as a Chrome trace-event JSON object

@@ -16,9 +16,5 @@ let web_proxy () =
   heavy_tailed ~mu:8.35 ~sigma:1.5 ~tail_prob:0.03 ~tail_min:40_000.0 ~tail_alpha:1.1
     ~cap:5_000_000
 
-let filesystem () =
-  heavy_tailed ~mu:9.6 ~sigma:2.0 ~tail_prob:0.05 ~tail_min:200_000.0 ~tail_alpha:1.05
-    ~cap:50_000_000
-
 let custom sample = sample
 let draw t rng = t rng

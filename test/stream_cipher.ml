@@ -1,3 +1,5 @@
+module Sha256 = Past_crypto.Sha256
+
 let derive_key ~passphrase = Bytes.to_string (Sha256.digest_string ("past-key:" ^ passphrase))
 
 let encrypt ~key ~nonce plaintext =

@@ -4,8 +4,8 @@
     leaves encryption to the user ("users may use encryption to protect
     the privacy of their data, using a cryptosystem of their choice.
     Data encryption does not involve the smartcards"). This module is
-    the cryptosystem of choice for the examples: keystream block [i] is
-    SHA-256(key ‖ nonce ‖ i), XORed over the plaintext. Symmetric:
+    the cryptosystem of choice for the security tests: keystream block
+    [i] is SHA-256(key ‖ nonce ‖ i), XORed over the plaintext. Symmetric:
     [decrypt = encrypt]. *)
 
 val derive_key : passphrase:string -> string

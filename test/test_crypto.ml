@@ -157,11 +157,6 @@ let rsa_small_keys_work () =
   let msg = Bytes.of_string "tiny key" in
   check Alcotest.bool "verifies" true (Rsa.verify kp.Rsa.pub msg (Rsa.sign kp msg))
 
-let rsa_fingerprint_stable () =
-  let kp = Lazy.force keypair in
-  check Alcotest.string "fingerprint deterministic" (Rsa.fingerprint kp.Rsa.pub)
-    (Rsa.fingerprint kp.Rsa.pub)
-
 let rsa_deterministic_signature () =
   let kp = Lazy.force keypair in
   let msg = Bytes.of_string "same" in
@@ -211,7 +206,6 @@ let suite =
       "rsa rejects wrong key" => rsa_reject_wrong_key;
       "rsa signature length" => rsa_signature_length;
       "rsa small keys" => rsa_small_keys_work;
-      "rsa fingerprint stable" => rsa_fingerprint_stable;
       "rsa deterministic signature" => rsa_deterministic_signature;
       "signer rsa mode" => signer_rsa;
       "signer insecure mode" => signer_insecure;

@@ -95,36 +95,32 @@ let nested_map () =
         [ [ 11; 12; 13 ]; [ 21; 22; 23 ]; [ 31; 32; 33 ]; [ 41; 42; 43 ] ]
         r)
 
-let shared_pool_configuration () =
-  Domain_pool.set_jobs 3;
-  check Alcotest.int "current_jobs reflects set_jobs" 3 (Domain_pool.current_jobs ());
-  check (Alcotest.list Alcotest.int) "map_shared ordered" [ 0; 1; 4; 9; 16 ]
-    (Domain_pool.map_shared (fun i -> i * i) [ 0; 1; 2; 3; 4 ]);
-  Domain_pool.set_jobs 1
-
 (* The headline property of this layer: the full `past_sim all --json`
    payload at a fixed scale and fixed seeds is byte-identical whether
    the experiments run sequentially or fanned out over four domains —
    each row is an isolated (seed, overlay, registry) simulation and the
    pool merges rows in submission order. *)
 let suite_json_identical_across_jobs () =
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.set_jobs 1)
-    (fun () ->
-      Domain_pool.set_jobs 1;
-      let sequential = Past_experiments.Report.all_json ~scale:0.05 () in
-      Domain_pool.set_jobs 4;
-      let parallel = Past_experiments.Report.all_json ~scale:0.05 () in
-      if not (String.equal sequential parallel) then begin
-        let n = Stdlib.min (String.length sequential) (String.length parallel) in
-        let rec first_diff i =
-          if i < n && sequential.[i] = parallel.[i] then first_diff (i + 1) else i
-        in
-        Alcotest.failf
-          "past_sim all --json drifted between --jobs 1 and --jobs 4 (first difference at \
-           byte %d; %d vs %d bytes)"
-          (first_diff 0) (String.length sequential) (String.length parallel)
-      end)
+  let all_json jobs =
+    let pool = Domain_pool.create ~jobs in
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.shutdown pool)
+      (fun () ->
+        let setup = { (Past_experiments.Setup.sequential ()) with pool } in
+        Past_experiments.Report.all_json ~setup ~scale:0.05 ())
+  in
+  let sequential = all_json 1 in
+  let parallel = all_json 4 in
+  if not (String.equal sequential parallel) then begin
+    let n = Stdlib.min (String.length sequential) (String.length parallel) in
+    let rec first_diff i =
+      if i < n && sequential.[i] = parallel.[i] then first_diff (i + 1) else i
+    in
+    Alcotest.failf
+      "past_sim all --json drifted between --jobs 1 and --jobs 4 (first difference at byte \
+       %d; %d vs %d bytes)"
+      (first_diff 0) (String.length sequential) (String.length parallel)
+  end
 
 let suite =
   ( "domain_pool",
@@ -134,6 +130,5 @@ let suite =
       "jobs=1 passthrough" => jobs1_passthrough;
       "pool reuse" => pool_reuse;
       "nested map" => nested_map;
-      "shared pool configuration" => shared_pool_configuration;
       "suite JSON identical for --jobs 1 vs 4" => suite_json_identical_across_jobs;
     ] )

@@ -177,21 +177,25 @@ let replica_balance_jobs_byte_identical () =
   let module Json = Past_stdext.Json in
   let module Text_table = Past_stdext.Text_table in
   let render jobs =
-    Domain_pool.set_jobs jobs;
-    let r =
-      Past_experiments.Exp_replica.(
-        table (run { n = 400; k = 5; lookups = 120; trials = 4; seed = 21 }))
-    in
-    let b =
-      Past_experiments.Exp_balance.(
-        table
-          (run { n = 100; files = 400; k = 3; diversity_samples = 80; trials = 4; seed = 22 }))
-    in
-    Json.to_string (Json.List [ Text_table.to_json r; Text_table.to_json b ])
+    let pool = Domain_pool.create ~jobs in
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.shutdown pool)
+      (fun () ->
+        let setup = { (Past_experiments.Setup.sequential ()) with pool } in
+        let r =
+          Past_experiments.Exp_replica.(
+            table (run ~setup { n = 400; k = 5; lookups = 120; trials = 4; seed = 21 }))
+        in
+        let b =
+          Past_experiments.Exp_balance.(
+            table
+              (run ~setup
+                 { n = 100; files = 400; k = 3; diversity_samples = 80; trials = 4; seed = 22 }))
+        in
+        Json.to_string (Json.List [ Text_table.to_json r; Text_table.to_json b ]))
   in
   let j1 = render 1 in
   let j4 = render 4 in
-  Domain_pool.set_jobs (Domain_pool.recommended ());
   check Alcotest.string "replica+balance JSON identical at jobs 1 vs 4" j1 j4
 
 let quota_economy_conserves () =

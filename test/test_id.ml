@@ -4,6 +4,8 @@ module Rng = Past_stdext.Rng
 
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
+(* The all-ones 128-bit id, the top of the ring. *)
+let max_id = Id.of_bytes (Bytes.make 16 '\255')
 let id_t = Alcotest.testable (fun fmt i -> Format.pp_print_string fmt (Id.to_hex i)) Id.equal
 
 let gen_id width =
@@ -62,9 +64,8 @@ let distance_symmetric () =
 
 let distance_wraps () =
   let zero = Id.zero ~width:128 in
-  let maxid = Id.max_id ~width:128 in
   check Alcotest.bool "max is adjacent to zero" true
-    (Nat.equal (Id_oracle.distance zero maxid) Nat.one)
+    (Nat.equal (Id_oracle.distance zero max_id) Nat.one)
 
 let cw_plus_ccw () =
   (* cw(a,b) + cw(b,a) = 2^128 for distinct ids. *)
@@ -78,9 +79,8 @@ let cw_plus_ccw () =
   done
 
 let add_int_wraps () =
-  let maxid = Id.max_id ~width:128 in
-  check id_t "max + 1 = 0" (Id.zero ~width:128) (Id_oracle.add_int maxid 1);
-  check id_t "0 - 1 = max" maxid (Id_oracle.add_int (Id.zero ~width:128) (-1));
+  check id_t "max + 1 = 0" (Id.zero ~width:128) (Id_oracle.add_int max_id 1);
+  check id_t "0 - 1 = max" max_id (Id_oracle.add_int (Id.zero ~width:128) (-1));
   let rng = Rng.create 5 in
   let a = Id.random rng ~width:128 in
   check id_t "+5 -5" a (Id_oracle.add_int (Id_oracle.add_int a 5) (-5))
@@ -102,7 +102,7 @@ let closer_prefers_closest () =
   check Alcotest.bool "equal ids" true (Id.closer ~target:(i 100) (i 99) (i 99) = 0);
   (* wrap: max is closer to 0 than 3 is *)
   check Alcotest.bool "wrap closer" true
-    (Id.closer ~target:(i 0) (Id.max_id ~width:128) (i 3) < 0);
+    (Id.closer ~target:(i 0) max_id (i 3) < 0);
   (* a tie in distance goes to the numerically smaller id *)
   check Alcotest.bool "tie by id" true (Id.closer ~target:(i 100) (i 90) (i 110) < 0);
   check Alcotest.bool "cw from 100: 110 before 90" true
@@ -147,8 +147,6 @@ let width_errors_name_values () =
   in
   raises "zero" "Id.zero: width must be a positive multiple of 8 (got 12)" (fun () ->
       Id.zero ~width:12);
-  raises "max_id" "Id.max_id: width must be a positive multiple of 8 (got 0)" (fun () ->
-      Id.max_id ~width:0);
   raises "of_hex width" "Id.of_hex: width must be a positive multiple of 8 (got -8)" (fun () ->
       Id.of_hex ~width:(-8) "ff");
   raises "random" "Id.random: width must be a positive multiple of 8 (got 7)" (fun () ->
@@ -173,7 +171,7 @@ let width_errors_name_values () =
    i = -1 read byte 0 with shift 8) and return 0, or to raise String's
    generic error. Each error names the offending value. *)
 let digit_errors_name_values () =
-  let ones = Id.max_id ~width:128 in
+  let ones = max_id in
   let raises (b, i, digits) =
     Alcotest.check_raises
       (Printf.sprintf "b=%d i=%d" b i)
@@ -241,7 +239,7 @@ let add_hi id d =
    self-negation point, x = target, and distances whose low word is 0. *)
 let adversarial_closer () =
   let rng = Rng.create 7 in
-  let zero = Id.zero ~width:128 and maxid = Id.max_id ~width:128 in
+  let zero = Id.zero ~width:128 in
   let add = Id_oracle.add_int in
   for _ = 1 to 25 do
     let t = Id.random rng ~width:128 in
@@ -256,9 +254,9 @@ let adversarial_closer () =
             (t, add_hi t (-d), add t 1);
             (t, add t 1, add_hi t (-d));
             (t, add_hi t (-d), add_hi (add t (-1)) (-d));
-            (zero, maxid, add zero d);
+            (zero, max_id, add zero d);
             (zero, add zero (-d), add zero d);
-            (maxid, zero, add maxid (-d));
+            (max_id, zero, add max_id (-d));
             (t, flip_top_bit t, add t d);
             (t, flip_top_bit t, t);
             (t, t, add t d);
@@ -286,7 +284,7 @@ let adversarial_cw_compare () =
   for _ = 1 to 50 do
     let f = Id.random rng ~width:128 in
     let others =
-      f :: flip_top_bit f :: Id.zero ~width:128 :: Id.max_id ~width:128
+      f :: flip_top_bit f :: Id.zero ~width:128 :: max_id
       :: List.concat_map
            (fun d -> [ add f d; add f (-d); add (flip_top_bit f) d; add_hi f d; add_hi f (-d) ])
            offsets

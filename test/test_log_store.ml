@@ -494,6 +494,31 @@ let front_end_on_log_backend () =
   check Alcotest.bool "stats exposed" true (Store.log_stats s <> None);
   Store.close s
 
+(* Scratch stores opened, written and closed on four domains at once,
+   as pool rows do under --store log: the process-wide table of scratch
+   directories must survive concurrent creates and closes, and every
+   close must leave no directory behind. *)
+let concurrent_scratch_stores () =
+  let base = scratch_dir () in
+  let previous = Option.value (Sys.getenv_opt "PAST_STORE_DIR") ~default:"" in
+  Unix.putenv "PAST_STORE_DIR" base;
+  let e = entry ~name:"shared" ~size:10 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "PAST_STORE_DIR" previous;
+      rm_rf base)
+    (fun () ->
+      let worker () =
+        for _ = 1 to 40 do
+          let ls = Log_store.create () in
+          Log_store.put ls e;
+          Log_store.close ls
+        done
+      in
+      List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn worker));
+      check (Alcotest.list Alcotest.string) "every scratch directory removed" []
+        (Array.to_list (Sys.readdir base)))
+
 let suite =
   ( "log-store",
     [
@@ -507,6 +532,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_corrupt_segment;
       "short read names the segment" => short_read_named;
       "descriptor lifetime" => descriptor_lifetime;
+      "concurrent scratch stores" => concurrent_scratch_stores;
       QCheck_alcotest.to_alcotest qcheck_mem_log_equivalence;
       "front-end on log backend" => front_end_on_log_backend;
       "remove_if predicate (mem)" => remove_if_predicate Store.Mem;

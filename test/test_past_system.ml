@@ -478,45 +478,68 @@ let revival_waits_for_repair () =
   in
   check Alcotest.int "no push yet: store stays empty" 0 restored
 
+(* Insert one file at k = 3 on a maintained system, kill one holder and
+   run 40 s, then kill the other holders and run 40 s more. Returns the
+   system's monitor set and its violation count after each phase. *)
+let replica_loss ?monitors () =
+  let node_config = { Node.default_config with Node.verify_certificates = false } in
+  let sys =
+    System.create ~node_config ?monitors ~seed:5 ~n:30 ~crypto_mode:`Insecure
+      ~node_capacity:(fun _ _ -> 1_000_000)
+      ()
+  in
+  let set = Registry.monitors (System.registry sys) in
+  let client = System.new_client sys ~quota:1_000_000 () in
+  let r = insert_exn client ~name:"watched" ~data:"payload" ~k:3 in
+  System.start_maintenance sys;
+  let holders () =
+    List.filter
+      (fun n -> Net.alive (System.net sys) (Node.addr n) && Store.mem (Node.store n) r.file_id)
+      (Array.to_list (System.nodes sys))
+  in
+  let run_for ms = System.run ~until:(Net.now (System.net sys) +. ms) sys in
+  System.kill_node sys (List.hd (holders ()));
+  run_for 40_000.0;
+  let after_one = Monitor.violations set in
+  List.iter (System.kill_node sys) (holders ());
+  run_for 40_000.0;
+  (set, after_one, Monitor.violations set)
+
 (* The production replica-count monitor fires on real loss: losing one
    of three holders is repaired within the monitor's bound, losing all
-   three leaves the file at 0/3 and is exactly one violation. *)
+   three leaves the file at 0/3 and is exactly one violation, which
+   the run's sink also receives. *)
 let replica_monitor_fires_on_loss () =
-  Monitor.set_default_active true;
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.set_default_active false;
-      Monitor.reset_global ())
-    (fun () ->
-      Monitor.reset_global ();
-      let node_config = { Node.default_config with Node.verify_certificates = false } in
-      let sys =
-        System.create ~node_config ~seed:5 ~n:30 ~crypto_mode:`Insecure
-          ~node_capacity:(fun _ _ -> 1_000_000)
-          ()
-      in
-      let monitors = Registry.monitors (System.registry sys) in
-      let client = System.new_client sys ~quota:1_000_000 () in
-      let r = insert_exn client ~name:"watched" ~data:"payload" ~k:3 in
-      System.start_maintenance sys;
-      let holders () =
-        List.filter
-          (fun n -> Net.alive (System.net sys) (Node.addr n) && Store.mem (Node.store n) r.file_id)
-          (Array.to_list (System.nodes sys))
-      in
-      let run_for ms = System.run ~until:(Net.now (System.net sys) +. ms) sys in
-      System.kill_node sys (List.hd (holders ()));
-      run_for 40_000.0;
-      check Alcotest.int "one lost holder is repaired in time" 0 (Monitor.violations monitors);
-      List.iter (System.kill_node sys) (holders ());
-      run_for 40_000.0;
-      check Alcotest.int "losing every holder is one violation" 1 (Monitor.violations monitors);
-      match List.filter (fun r -> r.Monitor.m_violations > 0) (Monitor.reports monitors) with
-      | [ rep ] ->
-        check Alcotest.string "monitor" "past.replica_count" rep.Monitor.m_name;
-        check Alcotest.string "names the loss" "0/3"
-          (List.nth (String.split_on_char ' ' rep.Monitor.m_first_detail) 3)
-      | reps -> Alcotest.failf "expected one violated monitor, got %d" (List.length reps))
+  let sink = Monitor.Sink.create () in
+  let set, after_one, after_all = replica_loss ~monitors:sink () in
+  check Alcotest.int "one lost holder is repaired in time" 0 after_one;
+  check Alcotest.int "losing every holder is one violation" 1 after_all;
+  check Alcotest.int "the sink received it" 1 (Monitor.Sink.violations sink);
+  match List.filter (fun r -> r.Monitor.m_violations > 0) (Monitor.reports set) with
+  | [ rep ] ->
+    check Alcotest.string "monitor" "past.replica_count" rep.Monitor.m_name;
+    check Alcotest.string "names the loss" "0/3"
+      (List.nth (String.split_on_char ' ' rep.Monitor.m_first_detail) 3)
+  | reps -> Alcotest.failf "expected one violated monitor, got %d" (List.length reps)
+
+(* Monitoring is per system: two systems run the loss scenario at once
+   on two domains, one with a sink and one without. Only the first
+   records the violation, and the sink holds exactly that one. *)
+let monitors_scoped_to_their_system () =
+  let sink = Monitor.Sink.create () in
+  let watched = Domain.spawn (fun () -> replica_loss ~monitors:sink ()) in
+  let unwatched, _, unwatched_violations = replica_loss () in
+  let watched, _, watched_violations = Domain.join watched in
+  check Alcotest.bool "set with a sink is active" true (Monitor.active watched);
+  check Alcotest.bool "set without one is off" false (Monitor.active unwatched);
+  check Alcotest.int "watched system records the loss" 1 watched_violations;
+  check Alcotest.int "unwatched system records nothing" 0 unwatched_violations;
+  check Alcotest.int "sink holds only the watched violation" 1 (Monitor.Sink.violations sink);
+  match Monitor.Sink.summaries sink with
+  | [ line ] ->
+    check Alcotest.string "names the monitor" "past.replica_count"
+      (List.hd (String.split_on_char ' ' line))
+  | lines -> Alcotest.failf "expected one summary line, got %d" (List.length lines)
 
 let suite =
   ( "past-system",
@@ -541,5 +564,6 @@ let suite =
       "stale lookup timer ignored" => stale_lookup_timer_ignored;
       "revival waits for repair" => revival_waits_for_repair;
       "replica monitor fires on loss" => replica_monitor_fires_on_loss;
+      "monitors report only to their own sink" => monitors_scoped_to_their_system;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )

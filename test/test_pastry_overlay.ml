@@ -11,6 +11,11 @@ module Leaf_set = Past_pastry.Leaf_set
 module Routing_table = Past_pastry.Routing_table
 module Net = Past_simnet.Net
 
+(* A node with a random nodeId drawn from the overlay's stream, added
+   but not yet built. *)
+let add_node overlay =
+  Overlay.add_node_with_id overlay ~id:(Id.random (Overlay.rng overlay) ~width:Id.node_bits)
+
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
 
@@ -266,7 +271,7 @@ let join_through_distant_bootstrap () =
   (* A joiner bootstrapped from the farthest node still converges. *)
   let overlay : unit Overlay.t = Overlay.create ~seed:16 () in
   Overlay.build_static overlay ~n:30;
-  let joiner = Overlay.add_node overlay in
+  let joiner = add_node overlay in
   Node.join joiner ~bootstrap:(Node.addr (Overlay.nodes overlay).(0));
   Overlay.run overlay;
   check Alcotest.bool "joined" true (Node.joined joiner);
@@ -330,7 +335,7 @@ let static_rejects_rebuild_and_duplicate_ids () =
 let dynamic_joins_registered_then_grows () =
   let overlay : unit Overlay.t = Overlay.create ~seed:24 () in
   for _ = 1 to 40 do
-    ignore (Overlay.add_node overlay)
+    ignore (add_node overlay)
   done;
   Overlay.build_dynamic overlay ~n:0;
   check Alcotest.int "one join per registered node but the first" 39 (sent overlay "join_leaf");

@@ -221,7 +221,7 @@ let leaf_wrap_around () =
 let random_leaf_set rng l =
   let own = Id.random rng ~width:128 in
   let id_mode = Rng.int rng 3 in
-  let near () = Id_oracle.add_int own (Rng.int_in rng (-3000) 3000) in
+  let near () = Id_oracle.add_int own (Rng.int rng 6001 - 3000) in
   let random_id () =
     match id_mode with
     | 0 -> Id.random rng ~width:128
@@ -353,7 +353,7 @@ let qcheck_leaf_set_model =
       let l = [| 2; 4; 8; 16 |].(l_index) in
       let own = Id.random rng ~width:128 in
       let random_id () =
-        let near () = Id_oracle.add_int own (Rng.int_in rng (-3000) 3000) in
+        let near () = Id_oracle.add_int own (Rng.int rng 6001 - 3000) in
         match id_mode with
         | 0 -> Id.random rng ~width:128
         | 1 -> near ()

@@ -49,13 +49,6 @@ let int_covers_all () =
   done;
   Array.iteri (fun i s -> check Alcotest.bool (Printf.sprintf "value %d seen" i) true s) seen
 
-let int_in_bounds () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    let v = Rng.int_in rng (-5) 5 in
-    if v < -5 || v > 5 then Alcotest.failf "out of range: %d" v
-  done
-
 let int_rejects_bad_bound () =
   let rng = Rng.create 1 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
@@ -120,14 +113,6 @@ let bytes_length () =
   let rng = Rng.create 43 in
   check Alcotest.int "length" 33 (Bytes.length (Rng.bytes rng 33))
 
-let qcheck_int_in =
-  QCheck.Test.make ~name:"int_in always within bounds" ~count:500
-    QCheck.(pair (int_range (-1000) 1000) (int_range 0 1000))
-    (fun (lo, extent) ->
-      let rng = Rng.create (lo + extent) in
-      let v = Rng.int_in rng lo (lo + extent) in
-      v >= lo && v <= lo + extent)
-
 (* Rng.derive: the per-trial stream of the experiments' parallel loops.
    A trial's world must be a pure function of (seed, salt) — the same
    values in any order, on any domain, which is what makes --jobs N
@@ -187,7 +172,6 @@ let suite =
       "split diverges" => split_diverges;
       "int bounds" => int_bounds;
       "int covers all values" => int_covers_all;
-      "int_in bounds" => int_in_bounds;
       "int rejects bad bound" => int_rejects_bad_bound;
       "float bounds" => float_bounds;
       "chance p=0" => chance_extremes;
@@ -198,7 +182,6 @@ let suite =
       "sample full range" => sample_full_range;
       "pick singleton" => pick_from_singleton;
       "bytes length" => bytes_length;
-      QCheck_alcotest.to_alcotest qcheck_int_in;
       "derive keeps parent" => derive_keeps_parent;
       "derive bit balance across salts" => derive_bit_balance;
       QCheck_alcotest.to_alcotest qcheck_derive_replays;

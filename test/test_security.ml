@@ -8,7 +8,7 @@ module Store = Past_core.Store
 module Broker = Past_core.Broker
 module Smartcard = Past_core.Smartcard
 module Cert = Past_core.Certificate
-module Cipher = Past_crypto.Stream_cipher
+module Cipher = Stream_cipher
 module Signer = Past_crypto.Signer
 module PNode = Past_pastry.Node
 module Id = Past_id.Id

@@ -1,9 +1,15 @@
 module Topology = Past_simnet.Topology
 module Net = Past_simnet.Net
 module Rng = Past_stdext.Rng
+module Registry = Past_telemetry.Registry
+module Counter = Past_telemetry.Counter
 
 let check = Alcotest.check
 let ( => ) name f = Alcotest.test_case name `Quick f
+
+(* Network counters, read from the registry they report into. *)
+let counter ?labels net name = Counter.value (Registry.counter (Net.registry net) ?labels name)
+let dropped_by net cause = counter net ~labels:[ ("cause", cause) ] "net.dropped"
 
 (* --- Topology --- *)
 
@@ -197,7 +203,7 @@ let counters () =
   let b = Net.register net ~handler:(fun _ _ -> ()) in
   Net.send net ~src:a ~dst:b "m";
   Net.run net;
-  check Alcotest.int "sent" 1 (Net.messages_sent net);
+  check Alcotest.int "sent" 1 (counter net "net.sent");
   check Alcotest.int "delivered" 1 (Net.messages_delivered net)
 
 let per_kind_counters () =
@@ -282,7 +288,7 @@ let src_down_sends_dropped () =
   Net.run net;
   check Alcotest.int "not delivered" 0 !got;
   check Alcotest.int "dropped" 1 (Net.messages_dropped net);
-  check Alcotest.int "attributed to src_down" 1 (Net.messages_dropped_src_down net);
+  check Alcotest.int "attributed to src_down" 1 (dropped_by net "src_down");
   Net.set_alive net b true;
   Net.send net ~src:b ~dst:a "x";
   Net.run net;
@@ -348,7 +354,7 @@ let partition_blocks_and_heals () =
   Net.run net;
   check Alcotest.int "a->b cut" 0 !got_b;
   check Alcotest.int "b->a cut" 0 !got_a;
-  check Alcotest.int "attributed to partition" 2 (Net.messages_dropped_partition net);
+  check Alcotest.int "attributed to partition" 2 (dropped_by net "partition");
   Net.heal_partition net;
   check Alcotest.bool "reachable after heal" true (Net.reachable net ~src:a ~dst:b);
   Net.send net ~src:a ~dst:b "x";
@@ -413,7 +419,7 @@ let duplication_counted () =
   done;
   Net.run net;
   check Alcotest.int "each message delivered twice" 10 !got;
-  check Alcotest.int "duplications counted" 5 (Net.messages_duplicated net)
+  check Alcotest.int "duplications counted" 5 (counter net "net.duplicated")
 
 let reorder_overtakes () =
   let net =

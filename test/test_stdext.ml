@@ -3,7 +3,6 @@
 module Rng = Past_stdext.Rng
 module Dist = Past_stdext.Dist
 module Stats = Past_stdext.Stats
-module Heap = Past_stdext.Heap
 module Text_table = Past_stdext.Text_table
 
 let check = Alcotest.check

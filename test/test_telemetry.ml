@@ -7,6 +7,9 @@ module Stats = Past_stdext.Stats
 module Rng = Past_stdext.Rng
 
 let check = Alcotest.check
+
+let string_member key obj =
+  match Past_stdext.Json.member key obj with Some (Past_stdext.Json.String s) -> Some s | _ -> None
 let ( => ) name f = Alcotest.test_case name `Quick f
 
 let counter_semantics () =
@@ -95,7 +98,7 @@ let registry_isolation_between_systems () =
   let sys1 = mk 101 in
   let sys2 = mk 202 in
   let accepted sys = Counter.value (Registry.counter (System.registry sys) "past.insert.accepted") in
-  let sent sys = Past_simnet.Net.messages_sent (System.net sys) in
+  let sent sys = Counter.value (Registry.counter (System.registry sys) "net.sent") in
   let base2_sent = sent sys2 in
   let client = System.new_client sys1 ~quota:1_000_000 () in
   (match Client.insert_sync client ~name:"f" ~data:(String.make 512 'a') ~k:3 () with
@@ -161,7 +164,7 @@ let report_json_smoke () =
     List.iter2
       (fun (name, _) obj ->
         check (Alcotest.option Alcotest.string) "experiment name" (Some name)
-          (Json.string_member "experiment" obj);
+          (string_member "experiment" obj);
         let tables =
           match Json.member "tables" obj with
           | Some t -> ( match Json.to_list t with Some l -> l | None -> [])
@@ -171,7 +174,7 @@ let report_json_smoke () =
         List.iter
           (fun tbl ->
             check Alcotest.bool (name ^ " table titled") true
-              (Json.string_member "title" tbl <> None);
+              (string_member "title" tbl <> None);
             match Json.member "rows" tbl with
             | Some rows ->
               check Alcotest.bool (name ^ " rows are a list") true (Json.to_list rows <> None)
@@ -410,66 +413,56 @@ let timeseries_window_semantics () =
   for i = 3 to 1032 do
     Ts.sample ts ~now:(float_of_int i)
   done;
-  check Alcotest.int "ring bounded" 1024 (Ts.window_count ts);
-  check Alcotest.int "dropped windows counted" 8 (Ts.dropped_windows ts);
-  match Ts.windows ts with
-  | w :: _ -> check (Alcotest.float 1e-9) "oldest retained window" 9.0 w.Ts.w_end
+  let windows = Ts.windows ts in
+  check Alcotest.int "ring bounded" 1024 (List.length windows);
+  match windows with
+  | w :: _ -> check (Alcotest.float 1e-9) "oldest retained window: 8 dropped" 9.0 w.Ts.w_end
   | [] -> Alcotest.fail "no windows retained"
 
-(* Monitor episode semantics plus the process-wide accumulator the CI
-   gate reads. *)
+(* Monitor episode semantics plus the run's sink the CI gate reads. *)
 let monitor_grace_and_global () =
   let module Monitor = Past_telemetry.Monitor in
-  Monitor.set_default_active true;
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.set_default_active false;
-      Monitor.reset_global ())
-    (fun () ->
-      Monitor.reset_global ();
-      let m = Monitor.create () in
-      check Alcotest.bool "set_default_active activates" true (Monitor.active m);
-      let failing = ref false in
-      Monitor.register m ~name:"inv" (fun ~now:_ -> if !failing then Error "broken" else Ok ());
-      Monitor.tick m ~now:0.0;
-      check Alcotest.int "passing checks are not violations" 0 (Monitor.violations m);
-      failing := true;
-      Monitor.tick m ~now:1.0;
-      check Alcotest.int "a failure violates at once" 1 (Monitor.violations m);
-      Monitor.tick m ~now:8.0;
-      Monitor.tick m ~now:12.0;
-      check Alcotest.int "a run of failures is one violation" 1 (Monitor.violations m);
-      (match Monitor.reports m with
-      | [ r ] ->
-        check Alcotest.int "checks" 4 r.Monitor.m_checks;
-        check Alcotest.int "raw failures" 3 r.Monitor.m_failures;
-        check
-          (Alcotest.option (Alcotest.float 1e-9))
-          "first violation time" (Some 1.0) r.Monitor.m_first_violation;
-        check Alcotest.string "first detail" "broken" r.Monitor.m_first_detail
-      | l -> Alcotest.failf "expected one report, got %d" (List.length l));
-      (* Healing ends the episode: the next failure is a new violation. *)
-      failing := false;
-      Monitor.tick m ~now:13.0;
-      failing := true;
-      Monitor.tick m ~now:14.0;
-      check Alcotest.int "fresh episode violates again" 2 (Monitor.violations m);
-      (* Event-driven checks violate immediately. *)
-      Monitor.record_check m ~name:"hop_bound" ~now:20.0 ~detail:"hops=9" false;
-      check Alcotest.int "event-driven violation" 3 (Monitor.violations m);
-      check Alcotest.bool "global accumulator sees all" true
-        (Monitor.global_violations () >= 3);
-      check Alcotest.bool "global summaries name the monitor" true
-        (List.exists (fun s -> contains s "hop_bound") (Monitor.global_summaries ()));
-      Monitor.reset_global ();
-      check Alcotest.int "global reset" 0 (Monitor.global_violations ());
-      (* Inactive sets are no-ops end to end. *)
-      Monitor.set_default_active false;
-      let off = Monitor.create () in
-      Monitor.register off ~name:"never" (fun ~now:_ -> Error "x");
-      Monitor.tick off ~now:1.0;
-      Monitor.record_check off ~name:"never2" ~now:1.0 false;
-      check Alcotest.int "inactive set records nothing" 0 (Monitor.violations off))
+  let sink = Monitor.Sink.create () in
+  let m = Monitor.create ~sink () in
+  check Alcotest.bool "a sink activates" true (Monitor.active m);
+  let failing = ref false in
+  Monitor.register m ~name:"inv" (fun ~now:_ -> if !failing then Error "broken" else Ok ());
+  Monitor.tick m ~now:0.0;
+  check Alcotest.int "passing checks are not violations" 0 (Monitor.violations m);
+  failing := true;
+  Monitor.tick m ~now:1.0;
+  check Alcotest.int "a failure violates at once" 1 (Monitor.violations m);
+  Monitor.tick m ~now:8.0;
+  Monitor.tick m ~now:12.0;
+  check Alcotest.int "a run of failures is one violation" 1 (Monitor.violations m);
+  (match Monitor.reports m with
+  | [ r ] ->
+    check Alcotest.int "checks" 4 r.Monitor.m_checks;
+    check Alcotest.int "raw failures" 3 r.Monitor.m_failures;
+    check
+      (Alcotest.option (Alcotest.float 1e-9))
+      "first violation time" (Some 1.0) r.Monitor.m_first_violation;
+    check Alcotest.string "first detail" "broken" r.Monitor.m_first_detail
+  | l -> Alcotest.failf "expected one report, got %d" (List.length l));
+  (* Healing ends the episode: the next failure is a new violation. *)
+  failing := false;
+  Monitor.tick m ~now:13.0;
+  failing := true;
+  Monitor.tick m ~now:14.0;
+  check Alcotest.int "fresh episode violates again" 2 (Monitor.violations m);
+  (* Event-driven checks violate immediately. *)
+  Monitor.record_check m ~name:"hop_bound" ~now:20.0 ~detail:"hops=9" false;
+  check Alcotest.int "event-driven violation" 3 (Monitor.violations m);
+  check Alcotest.int "the sink sees all" 3 (Monitor.Sink.violations sink);
+  check Alcotest.bool "sink summaries name the monitor" true
+    (List.exists (fun s -> contains s "hop_bound") (Monitor.Sink.summaries sink));
+  (* Sets without a sink are no-ops end to end. *)
+  let off = Monitor.create () in
+  Monitor.register off ~name:"never" (fun ~now:_ -> Error "x");
+  Monitor.tick off ~now:1.0;
+  Monitor.record_check off ~name:"never2" ~now:1.0 false;
+  check Alcotest.int "inactive set records nothing" 0 (Monitor.violations off);
+  check Alcotest.int "nor reaches any sink" 3 (Monitor.Sink.violations sink)
 
 (* Chrome trace-event export: a well-formed traceEvents list where
    every async begin ("b") of an ended span/route has a matching end
@@ -495,7 +488,7 @@ let chrome_json_structure () =
     | None -> []
   in
   check Alcotest.bool "traceEvents non-empty" true (List.length evs > 0);
-  let phase e = Json.string_member "ph" e in
+  let phase e = string_member "ph" e in
   let id e = match Json.member "id" e with Some (Json.Int i) -> Some i | _ -> None in
   let begins = List.filter (fun e -> phase e = Some "b") evs in
   let ends = List.filter (fun e -> phase e = Some "e") evs in
@@ -532,13 +525,13 @@ let unended_route_exported_truncated () =
   in
   let async ph =
     List.filter
-      (fun e -> Json.string_member "ph" e = Some ph && Json.string_member "cat" e = Some "route")
+      (fun e -> string_member "ph" e = Some ph && string_member "cat" e = Some "route")
       evs
   in
   (match (async "b", async "e") with
   | [ b ], [ e ] ->
     check (Alcotest.option Alcotest.string) "named by its key" (Some "route k")
-      (Json.string_member "name" b);
+      (string_member "name" b);
     check Alcotest.bool "marked truncated" true
       (match Json.member "args" b with
       | Some args -> Json.member "truncated" args = Some (Json.Bool true)
@@ -553,7 +546,7 @@ let unended_route_exported_truncated () =
     Alcotest.failf "expected one route pair, got %d begins, %d ends" (List.length b)
       (List.length e));
   check Alcotest.int "its hop is an instant" 1
-    (List.length (List.filter (fun e -> Json.string_member "cat" e = Some "hop") evs))
+    (List.length (List.filter (fun e -> string_member "cat" e = Some "hop") evs))
 
 let suite =
   ( "telemetry",

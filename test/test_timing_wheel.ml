@@ -6,7 +6,7 @@
    interleaved push/pop, and timers 4096 or more ticks ahead that wait
    in the far heap. *)
 
-module Heap = Past_stdext.Heap
+
 module Wheel = Past_stdext.Timing_wheel
 module Rng = Past_stdext.Rng
 

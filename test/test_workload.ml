@@ -15,7 +15,7 @@ let sizes_positive () =
         let v = Sizes.draw dist rng in
         if v < 1 then Alcotest.failf "%s produced %d" name v
       done)
-    [ ("web_proxy", Sizes.web_proxy ()); ("filesystem", Sizes.filesystem ()) ]
+    [ ("web_proxy", Sizes.web_proxy ()) ]
 
 let sizes_web_proxy_mean () =
   let rng = Rng.create 2 in
