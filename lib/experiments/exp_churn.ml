@@ -127,7 +127,8 @@ type result = {
   outage_max : float;
   leaf_msgs : int;
   keepalives_burned : int;
-  rereplications : int;
+  rereplications : int;  (** data-carrying [Replicate] messages *)
+  repair_offers : int;  (** [Replica_offer] messages *)
   per_event_leaf_msgs : float;
   per_slot : float;  (** per leaf-set slot, the C5 invariant metric *)
   repair_bound : float;  (** 2 * ceil(log_2^b N) *)
@@ -199,6 +200,8 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
   let leaf_msgs0 = sent "leaf_request" + sent "leaf_reply" in
   let keepalive_drops0 = dropped "keepalive" in
   let rereplicate0 = Counter.value c_rereplicate in
+  let c_offers = Registry.counter reg "past.rereplicate.offers" in
+  let offers0 = Counter.value c_offers in
 
   (* The sustained join/leave process, armed as a declarative plan. *)
   let plan =
@@ -457,10 +460,12 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
   let repair_bound = 2.0 *. Float.ceil (Harness.log2b params.n cfg.Config.b) in
   (* Worst-case repairable recovery: one detection window is
      failure_timeout plus up to two keep-alive periods of tick phase;
-     repair can chain two of them (the holder that ends up pushing may
-     only recompute its replica set after a leaf-repair exchange with
-     the neighbour that detected the crash), then the re-replication
-     debounce, plus scan granularity on both edges. *)
+     repair can chain two of them (the holder whose offer repairs the
+     deficit may only recompute its replica set after a leaf-repair
+     exchange with the neighbour that detected the crash), then the
+     re-replication debounce, plus scan granularity on both edges. The
+     last second is slack; it also covers the repair exchange's three
+     one-way trips (under 300 ms on transit-stub). *)
   let detection =
     cfg.Config.failure_timeout +. (2.0 *. cfg.Config.keepalive_period)
   in
@@ -500,6 +505,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
     leaf_msgs;
     keepalives_burned = dropped "keepalive" - keepalive_drops0;
     rereplications = Counter.value c_rereplicate - rereplicate0;
+    repair_offers = Counter.value c_offers - offers0;
     per_event_leaf_msgs = per_event;
     per_slot;
     repair_bound;
@@ -539,6 +545,7 @@ let table r =
     r.repair_bound (pass r.repair_ok);
   Text_table.add_rowf t "keep-alives burned on dead nodes|%d|" r.keepalives_burned;
   Text_table.add_rowf t "re-replication transfers|%d|" r.rereplications;
+  Text_table.add_rowf t "re-replication offers|%d|" r.repair_offers;
   t
 
 (* SOAK's view of the same result. *)

@@ -24,13 +24,17 @@ type row = {
   avg_join_msgs : float;
   avg_repair_msgs : float;
   log_bound : float;  (** log_2^b N *)
+  live_declared : int;
+      (** failure declarations that named a node still up, over the
+          whole row (pastry.declared_failed.live) *)
 }
 
 type result = { rows : row list }
 
-let count_ctl overlay =
-  Past_telemetry.Counter.value
-    (Past_telemetry.Registry.counter (Overlay.registry overlay) "pastry.control_sent")
+let counter overlay name =
+  Past_telemetry.Counter.value (Past_telemetry.Registry.counter (Overlay.registry overlay) name)
+
+let count_ctl overlay = counter overlay "pastry.control_sent"
 
 (* Repair traffic, read from the network's per-kind counters:
    leaf-set state exchanges plus the keep-alives burned on the dead
@@ -92,6 +96,7 @@ let run ?(setup = Setup.sequential ()) params =
           avg_join_msgs = Stats.mean join_stats;
           avg_repair_msgs = Stats.mean repair_stats;
           log_bound = Harness.log2b n config.Config.b;
+          live_declared = counter overlay "pastry.declared_failed.live";
         })
       params.ns
   in
@@ -99,10 +104,14 @@ let run ?(setup = Setup.sequential ()) params =
 
 let table { rows } =
   let t =
-    Text_table.create [ "N"; "avg msgs per join"; "avg extra msgs per failure"; "log_2^b N" ]
+    Text_table.create
+      [
+        "N"; "avg msgs per join"; "avg extra msgs per failure"; "log_2^b N"; "live nodes declared failed";
+      ]
   in
   List.iter
     (fun r ->
-      Text_table.add_rowf t "%d|%.1f|%.1f|%.2f" r.n r.avg_join_msgs r.avg_repair_msgs r.log_bound)
+      Text_table.add_rowf t "%d|%.1f|%.1f|%.2f|%d" r.n r.avg_join_msgs r.avg_repair_msgs r.log_bound
+        r.live_declared)
     rows;
   t

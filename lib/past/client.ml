@@ -408,8 +408,8 @@ let dispatch t (msg : Wire.t) =
     | _ -> ())
   | Wire.Insert _ | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _
   | Wire.Divert_nack _ | Wire.Lookup _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
-  | Wire.Reclaim _ | Wire.Reclaim_exec _ | Wire.Cache_offer _ | Wire.Replicate _
-  | Wire.Audit_challenge _ | Wire.To_client _ ->
+  | Wire.Reclaim _ | Wire.Reclaim_exec _ | Wire.Cache_offer _ | Wire.Replica_offer _
+  | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.To_client _ ->
     (* node-to-node traffic; never addressed to a client *)
     ()
 

@@ -69,6 +69,8 @@ type t = {
   c_cache_hits : Counter.t;
   c_cache_misses : Counter.t;
   c_rereplicate : Counter.t;
+  c_offers : Counter.t Lazy.t;
+      (* lazy: a run that never repairs keeps its metric schema *)
   h_size : Histogram.t;
   tracer : Trace.t;
 }
@@ -374,53 +376,92 @@ let handle_reclaim t (rc : Certificate.reclaim) client =
 
 (* --- failure recovery / re-replication (§2.1 Persistence) -------------- *)
 
+(* One pass's offer to one fellow replica-set member. *)
+type offer = { peer : Peer.t; mutable ids : Id.t list }
+
 let re_replicate t =
   t.replication_scheduled <- false;
-  (* The repair pass is a causal root of its own: every Replicate it
-     pushes (and any diverted store the push causes downstream) carries
-     this span, so a repair cascade reads as one tree in the trace. The
-     span is minted lazily — quiet passes that push nothing leave no
-     trace events. *)
-  let repair_span = ref Trace.no_parent in
-  let pushes = ref 0 in
-  let repair_op () =
-    if !repair_span < 0 && Trace.enabled t.tracer then begin
-      let span = Trace.new_span_id t.tracer in
-      Trace.record t.tracer ~time:(now t) ~node:(addr t)
-        (Trace.Span_start
-           { span; parent = Trace.no_parent; op = "repair"; detail = Id.short (id t) });
-      repair_span := span
-    end;
-    !repair_span
+  (* Offer, then send data only for what is wanted. For every primary
+     it holds whose replica set includes it, a node offers the file's
+     id to each other member of that set: one [Replica_offer] per peer
+     per pass. A pass thus costs at most one offer and one
+     [Replica_want] per peer, and at most 2(k-1) peers for k-way files
+     (a replica set that includes this node reaches at most k-1 nodes
+     to either side of it), plus one [Replicate] per copy a member
+     actually lacks, one round trip after the offer. Every holder
+     offers, not only the root. A root-only scheme is cheaper but
+     stalls under churn: when the root crashes while the surviving
+     holders are non-roots, nobody offers and the file stays below k
+     copies until a holder rejoins. The wide offer also seeds the new
+     root with a copy, so it can coordinate the next repair. *)
+  let offers = ref [] (* first-seen peer last *) in
+  let rec offer_to (p : Peer.t) = function
+    | o :: rest -> if o.peer.Peer.addr = p.Peer.addr then o else offer_to p rest
+    | [] ->
+      let o = { peer = p; ids = [] } in
+      offers := o :: !offers;
+      o
   in
   Store.iter t.store (fun entry ->
       match entry.Store.kind with
       | Store.Diverted _ -> ()
       | Store.Primary ->
         let cert = entry.Store.cert in
-        let key = routing_key cert in
-        let rs = replica_set t ~k:cert.Certificate.replication key in
-        let am_replica = List.exists (fun (p : Peer.t) -> p.Peer.addr = addr t) rs in
-        (* Every replica-set member holding a primary copy pushes;
-           recipients deduplicate (Store.mem), so this costs at most
-           k(k-1) messages per event. A root-only push is cheaper but
-           stalls under churn: when the root crashes while the
-           surviving holders are non-roots, nobody pushes and the file
-           stays below k copies until a holder rejoins. The wide push
-           also seeds the new root with a copy, so it can coordinate
-           the next repair. *)
-        if am_replica then
+        let rs = replica_set t ~k:cert.Certificate.replication (routing_key cert) in
+        if List.exists (fun (p : Peer.t) -> p.Peer.addr = addr t) rs then
           List.iter
             (fun (p : Peer.t) ->
               if p.Peer.addr <> addr t then begin
-                Counter.incr t.c_rereplicate;
-                incr pushes;
-                send t p (Wire.Replicate { cert; data = entry.Store.data; op = repair_op () })
+                let o = offer_to p !offers in
+                o.ids <- cert.Certificate.file_id :: o.ids
               end)
             rs);
-  if !repair_span >= 0 then
-    Trace.record t.tracer ~time:(now t) ~node:(addr t)
-      (Trace.Span_end { span = !repair_span; note = Printf.sprintf "%d push(es)" !pushes })
+  match List.rev !offers with
+  | [] -> ()
+  | offers ->
+    (* The pass is a causal root of its own: its offers, the wants they
+       draw and the data those pull (and any diverted store that
+       causes downstream) carry this span, so a repair cascade reads as
+       one tree in the trace. Passes with nothing to offer leave no
+       trace events. *)
+    let op =
+      if Trace.enabled t.tracer then begin
+        let span = Trace.new_span_id t.tracer in
+        Trace.record t.tracer ~time:(now t) ~node:(addr t)
+          (Trace.Span_start
+             { span; parent = Trace.no_parent; op = "repair"; detail = Id.short (id t) });
+        span
+      end
+      else Trace.no_parent
+    in
+    let c_offers = Lazy.force t.c_offers in
+    List.iter
+      (fun o ->
+        Counter.incr c_offers;
+        send t o.peer (Wire.Replica_offer { ids = o.ids; op }))
+      offers;
+    if op >= 0 then
+      Trace.record t.tracer ~time:(now t) ~node:(addr t)
+        (Trace.Span_end { span = op; note = Printf.sprintf "%d offer(s)" (List.length offers) })
+
+(* Answer an offer with the ids this node lacks, by the same
+   [Store.mem] test [handle_replicate] applies to the data. *)
+let handle_replica_offer t ids ~op ~from =
+  match List.filter (fun id -> not (Store.mem t.store id)) ids with
+  | [] -> ()
+  | wanted -> send t from (Wire.Replica_want { ids = wanted; op })
+
+(* Send the data of each wanted id still held as a primary replica; a
+   file reclaimed (or diverted away) since the offer is skipped. *)
+let handle_replica_want t ids ~op ~from =
+  List.iter
+    (fun id ->
+      match Store.get t.store id with
+      | Some { Store.kind = Store.Primary; cert; data } ->
+        Counter.incr t.c_rereplicate;
+        send t from (Wire.Replicate { cert; data; op })
+      | Some { Store.kind = Store.Diverted _; _ } | None -> ())
+    ids
 
 let schedule_re_replication t =
   if not t.replication_scheduled then begin
@@ -474,8 +515,9 @@ let deliver t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
   | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _ | Wire.Divert_nack _
   | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _ | Wire.Lookup_miss _
   | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _ | Wire.Reclaim_exec _
-  | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _ | Wire.Replicate _
-  | Wire.Audit_challenge _ | Wire.Audit_proof _ | Wire.To_client _ ->
+  | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _ | Wire.Replica_offer _
+  | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.Audit_proof _
+  | Wire.To_client _ ->
     (* Only the three requests above are routed; everything else is
        sent direct (see [on_direct]), so a routed one is dropped. *)
     ()
@@ -495,10 +537,11 @@ let forward t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
   | Wire.Divert_nack _ | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _
   | Wire.Lookup_miss _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
   | Wire.Reclaim_exec _ | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _
-  | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.Audit_proof _ | Wire.To_client _ ->
+  | Wire.Replica_offer _ | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _
+  | Wire.Audit_proof _ | Wire.To_client _ ->
     `Continue
 
-let on_direct t ~from:_ (msg : Wire.t) =
+let on_direct t ~from (msg : Wire.t) =
   match msg with
   | Wire.Store_replica { cert; data; client } -> handle_store_replica t cert data client
   | Wire.Divert_store { cert; data; client; origin } -> handle_divert_store t cert data client origin
@@ -543,6 +586,8 @@ let on_direct t ~from:_ (msg : Wire.t) =
   | Wire.Cache_offer { cert; data; op } ->
     if not (Store.mem t.store cert.Certificate.file_id) then
       if Cache.offer t.cache ~cert ~data then point t ~span:op "cached_en_route"
+  | Wire.Replica_offer { ids; op } -> handle_replica_offer t ids ~op ~from
+  | Wire.Replica_want { ids; op } -> handle_replica_want t ids ~op ~from
   | Wire.Replicate { cert; data; op } -> handle_replicate t cert data ~op
   | Wire.Insert _ | Wire.Lookup _ | Wire.Reclaim _ -> ()
 
@@ -571,6 +616,7 @@ let attach ~pastry ~card ~brokers ~capacity ?(config = default_config) ?backend 
       c_cache_hits = Registry.counter reg "past.cache.hits";
       c_cache_misses = Registry.counter reg "past.cache.misses";
       c_rereplicate = Registry.counter reg "past.rereplicate.sent";
+      c_offers = lazy (Registry.counter reg "past.rereplicate.offers");
       h_size = Registry.histogram reg "past.replica.size";
       tracer = Registry.tracer reg;
     }

@@ -72,7 +72,7 @@ let install_monitors t =
     let cfg = Overlay.config t.overlay in
     let node_alive node = Net.alive net (PNode.addr (Node.pastry node)) in
     (* Recovery bound: failure detection (keepalive + timeout), the
-       re-replication debounce, then the fetch/push round trips. The
+       re-replication debounce, then the offer/want/data round trips. The
        bound is a deliberately loose multiple — the monitor is a lost-
        file tripwire, not a repair-latency benchmark. *)
     let replica_bound =

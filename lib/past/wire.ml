@@ -53,9 +53,19 @@ type t =
   | Cache_offer of { cert : Certificate.file; data : string; op : int }
       (** direct: a node serving a lookup populates route caches; [op]
           ties the offer to the lookup span that caused it *)
+  | Replica_offer of { ids : Past_id.Id.t list; op : int }
+      (** direct: a repair pass's one offer to a fellow replica-set
+          member — the ids of every primary it holds whose replica set
+          includes that member, in reverse store order. [op] is the pass's
+          repair span, carried on to the want and the data. *)
+  | Replica_want of { ids : Past_id.Id.t list; op : int }
+      (** direct: reply to a [Replica_offer], naming the offered ids
+          the receiver does not hold; never sent empty *)
   | Replicate of { cert : Certificate.file; data : string; op : int }
-      (** direct: failure recovery / join re-replication; [op] is the
-          repair span minted by the pushing node *)
+      (** direct: the data of one wanted id, sent only while the
+          offerer still holds the file as a primary replica; the
+          receiver rechecks that it lacks the file and verifies the
+          certificate before storing *)
   | Audit_challenge of { file_id : Past_id.Id.t; nonce : string; client : client_ref }
       (** direct: auditor → a node that is supposed to hold the file
           (§2.1 "nodes are randomly audited to see if they can produce

@@ -32,6 +32,9 @@ type shared = {
      schema (the EXP1 golden compares registry snapshots byte-for-byte);
      the row appears once the first repair happens. *)
   c_rt_repairs : Counter.t Lazy.t;
+  (* Failure declarations naming a node that is in fact up (ground
+     truth from the simulator; lazy for the same schema reason). *)
+  c_declared_live : Counter.t Lazy.t;
 }
 
 let shared_of_registry reg =
@@ -48,6 +51,7 @@ let shared_of_registry reg =
     c_ctl = Registry.counter reg "pastry.control_sent";
     c_repairs = Registry.counter reg "pastry.leaf_repairs";
     c_rt_repairs = lazy (Registry.counter reg "pastry.rt_repairs");
+    c_declared_live = lazy (Registry.counter reg "pastry.declared_failed.live");
   }
 
 type 'a t = {
@@ -119,6 +123,7 @@ let known_peers t =
 (* --- failure handling ------------------------------------------------ *)
 
 let declare_failed t failed_addr =
+  if Net.alive t.net failed_addr then Counter.incr (Lazy.force t.shared.c_declared_live);
   let was_smaller = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.smaller t.leaf) in
   let was_larger = List.exists (fun p -> p.Peer.addr = failed_addr) (Leaf_set.larger t.leaf) in
   let leaf_changed = Leaf_set.remove_addr t.leaf failed_addr in

@@ -103,9 +103,12 @@ let violate t e ~now ~detail =
   end;
   Option.iter
     (fun sink ->
+      let what =
+        if e.e_violations = 1 then Printf.sprintf "first violated at t=%.1f" now
+        else Printf.sprintf "violated again at t=%.1f (episode %d)" now e.e_violations
+      in
       Sink.note sink
-        (Printf.sprintf "%s first violated at t=%.1f%s" e.e_name now
-           (if detail = "" then "" else ": " ^ detail)))
+        (Printf.sprintf "%s %s%s" e.e_name what (if detail = "" then "" else ": " ^ detail)))
     t.sink
 
 let observe t e ~now result =

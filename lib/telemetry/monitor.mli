@@ -36,7 +36,9 @@ module Sink : sig
       Thread-safe: sets on different domains may share one sink. *)
 
   val summaries : t -> string list
-  (** One line per distinct violated monitor, oldest first. *)
+  (** One line per violation, oldest first, exact repeats dropped. A
+      monitor's first violation reads ["<name> first violated at t=T"];
+      each later one ["<name> violated again at t=T (episode n)"]. *)
 end
 
 type t

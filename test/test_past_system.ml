@@ -541,6 +541,164 @@ let monitors_scoped_to_their_system () =
       (List.hd (String.split_on_char ' ' line))
   | lines -> Alcotest.failf "expected one summary line, got %d" (List.length lines)
 
+(* --- the repair exchange: offer ids, want what is lacking, send data --- *)
+
+let counter sys name =
+  Past_telemetry.Counter.value (Registry.counter (System.registry sys) name)
+
+let repair_system ?loss_rate ?(replication_delay = Node.default_config.Node.replication_delay) () =
+  let node_config =
+    { Node.default_config with Node.verify_certificates = false; replication_delay }
+  in
+  System.create ~node_config ~topology:(Past_simnet.Topology.transit_stub ()) ?loss_rate ~seed:11
+    ~n:30 ~crypto_mode:`Insecure
+    ~node_capacity:(fun _ _ -> 1_000_000)
+    ()
+
+let holders sys file_id =
+  List.filter
+    (fun n -> Net.alive (System.net sys) (Node.addr n) && Store.mem (Node.store n) file_id)
+    (Array.to_list (System.nodes sys))
+
+(* The k live nodes closest to the file's routing key: where its
+   replicas belong. *)
+let closest_live sys file_id ~k =
+  let key = Id.prefix_of_file_id file_id in
+  Array.to_list (System.nodes sys)
+  |> List.filter (fun n -> Net.alive (System.net sys) (Node.addr n))
+  |> List.sort (fun a b -> Id.closer ~target:key (Node.id a) (Node.id b))
+  |> List.filteri (fun i _ -> i < k)
+
+let addrs nodes = List.sort compare (List.map Node.addr nodes)
+
+(* Run one repair pass on every live node, then let its exchange
+   settle. *)
+let force_passes sys =
+  Array.iter
+    (fun n -> if Net.alive (System.net sys) (Node.addr n) then Node.notify_revived n)
+    (System.nodes sys);
+  System.run ~until:(Net.now (System.net sys) +. 5_000.0) sys
+
+(* In a fully replicated, quiet system a pass offers ids and moves no
+   data: every peer already holds what it is offered. *)
+let repair_quiet_system_sends_no_data () =
+  let sys = repair_system () in
+  let client = System.new_client sys ~quota:max_int () in
+  let ids =
+    List.init 8 (fun i -> (insert_exn client ~name:(Printf.sprintf "q%d" i) ~data:"d" ~k:3).file_id)
+  in
+  List.iter (fun id -> check Alcotest.int "3 copies" 3 (List.length (holders sys id))) ids;
+  let offers0 = counter sys "past.rereplicate.offers" in
+  let sent0 = counter sys "past.rereplicate.sent" in
+  force_passes sys;
+  check Alcotest.bool "the pass offered" true (counter sys "past.rereplicate.offers" > offers0);
+  check Alcotest.int "no data moved" sent0 (counter sys "past.rereplicate.sent")
+
+(* Losing one of k holders: only the node that entered the file's
+   replica set stores a copy, and data moves at most once per surviving
+   holder. Every survivor offers to the entrant; the entrant wants the
+   file from each offer that lands before a copy does. The debounce is
+   set above the exchange's round trip (three one-way trips, under
+   300 ms on transit-stub), so each survivor's leaf-set changes around
+   the eviction coalesce into one pass, and a later pass finds the
+   copy in place. Offering to the whole leaf set stores copies
+   elsewhere; wanting ids already held makes the survivors send each
+   other data. *)
+let repair_sends_data_only_to_new_member () =
+  let sys = repair_system ~replication_delay:1_000.0 () in
+  let client = System.new_client sys ~quota:max_int () in
+  let r = insert_exn client ~name:"scoped" ~data:"payload" ~k:3 in
+  let before = holders sys r.file_id in
+  check
+    Alcotest.(list int)
+    "replicas on the 3 closest"
+    (addrs (closest_live sys r.file_id ~k:3))
+    (addrs before);
+  let added = ref [] in
+  Array.iter
+    (fun n ->
+      Store.set_observer (Node.store n) (function
+        | Store.Added cert -> added := (Node.addr n, cert.Cert.file_id) :: !added
+        | Store.Removed _ -> ()))
+    (System.nodes sys);
+  let sent0 = counter sys "past.rereplicate.sent" in
+  System.start_maintenance sys;
+  System.kill_node sys (List.hd before);
+  let cfg = Past_pastry.Config.default in
+  let horizon =
+    Net.now (System.net sys)
+    +. (3.0 *. cfg.Past_pastry.Config.failure_timeout)
+    +. (3.0 *. cfg.Past_pastry.Config.keepalive_period)
+    +. 1_000.0
+  in
+  System.run ~until:horizon sys;
+  System.stop_maintenance sys;
+  System.run ~until:(horizon +. 10_000.0) sys;
+  let after = closest_live sys r.file_id ~k:3 in
+  let entered = List.filter (fun n -> not (List.memq n before)) after in
+  check Alcotest.int "one node entered the replica set" 1 (List.length entered);
+  check Alcotest.(list int) "k copies again" (addrs after) (addrs (holders sys r.file_id));
+  check
+    Alcotest.(list (pair int string))
+    "only the entrant stored a copy"
+    (List.map (fun n -> (Node.addr n, Id.to_hex r.file_id)) entered)
+    (List.map (fun (a, id) -> (a, Id.to_hex id)) !added);
+  let data = counter sys "past.rereplicate.sent" - sent0 in
+  check Alcotest.bool
+    (Printf.sprintf "data at most once per survivor (%d messages)" data)
+    true
+    (data >= 1 && data <= 2)
+
+(* A want is answered only from what the node still holds: after a
+   reclaim, a want for the file (one drawn by an offer made before the
+   reclaim) sends nothing. *)
+let repair_want_after_reclaim_sends_nothing () =
+  let sys = repair_system () in
+  let client = System.new_client sys ~quota:max_int () in
+  let r = insert_exn client ~name:"reclaimed" ~data:"payload" ~k:3 in
+  let offerer, lacking =
+    match holders sys r.file_id with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "expected 3 holders"
+  in
+  let want () =
+    PNode.send_direct (Node.pastry lacking)
+      ~dst:(PNode.self (Node.pastry offerer))
+      (Past_core.Wire.Replica_want { ids = [ r.file_id ]; op = -1 });
+    System.run sys
+  in
+  (* While the file is held, a want pulls it back. *)
+  ignore (Store.remove (Node.store lacking) r.file_id);
+  let sent0 = counter sys "past.rereplicate.sent" in
+  want ();
+  check Alcotest.int "held: one data message" 1 (counter sys "past.rereplicate.sent" - sent0);
+  check Alcotest.bool "held: copy restored" true (Store.mem (Node.store lacking) r.file_id);
+  ignore (Client.reclaim_sync client ~file_id:r.file_id ());
+  check Alcotest.int "reclaimed everywhere" 0 (List.length (holders sys r.file_id));
+  let sent1 = counter sys "past.rereplicate.sent" in
+  want ();
+  check Alcotest.int "reclaimed: no data" sent1 (counter sys "past.rereplicate.sent");
+  check Alcotest.int "reclaimed: no copy" 0 (List.length (holders sys r.file_id))
+
+(* With lossy links an offer, a want or the data can vanish; the next
+   pass offers again and the file regains its k copies. *)
+let repair_recovers_under_loss () =
+  let sys = repair_system () in
+  let client = System.new_client sys ~quota:max_int () in
+  let r = insert_exn client ~name:"lossy" ~data:"payload" ~k:3 in
+  let lacking = List.hd (holders sys r.file_id) in
+  ignore (Store.remove (Node.store lacking) r.file_id);
+  Net.set_loss_rate (System.net sys) 0.5;
+  let rec passes n =
+    if n > 0 && List.length (holders sys r.file_id) < 3 then begin
+      force_passes sys;
+      passes (n - 1)
+    end
+  in
+  passes 30;
+  check Alcotest.(list int) "k copies again" (addrs (closest_live sys r.file_id ~k:3))
+    (addrs (holders sys r.file_id))
+
 let suite =
   ( "past-system",
     [
@@ -565,5 +723,9 @@ let suite =
       "revival waits for repair" => revival_waits_for_repair;
       "replica monitor fires on loss" => replica_monitor_fires_on_loss;
       "monitors report only to their own sink" => monitors_scoped_to_their_system;
+      "repair: quiet system moves no data" => repair_quiet_system_sends_no_data;
+      "repair: data only to the new member" => repair_sends_data_only_to_new_member;
+      "repair: want after reclaim sends nothing" => repair_want_after_reclaim_sends_nothing;
+      "repair: lossy links regain k copies" => repair_recovers_under_loss;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )
