@@ -182,7 +182,7 @@ let overlay ?trace_capacity n : probe Overlay.t =
 let route_64 ov =
   for _ = 1 to 64 do
     let key = Id.random (Overlay.rng ov) ~width:Id.node_bits in
-    PNode.route (Overlay.random_node ov) ~key ();
+    PNode.route (Overlay.random_live_node ov) ~key ();
     Overlay.run ov
   done
 

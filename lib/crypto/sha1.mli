@@ -7,6 +7,3 @@ val digest_bytes : bytes -> bytes
 (** 20-byte digest. *)
 
 val digest_string : string -> bytes
-
-val digest_hex : string -> string
-(** [digest_hex s] is the lowercase hex digest of [s]. *)

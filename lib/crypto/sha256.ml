@@ -84,4 +84,3 @@ let digest_bytes msg =
 
 (* The kernel only reads its argument, so the string is not copied. *)
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
-let digest_hex s = Hex.of_bytes (digest_string s)

@@ -8,6 +8,3 @@ val digest_bytes : bytes -> bytes
 (** 32-byte digest. *)
 
 val digest_string : string -> bytes
-
-val digest_hex : string -> string
-(** [digest_hex s] is the lowercase hex digest of [s]. *)

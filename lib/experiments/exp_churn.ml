@@ -43,7 +43,6 @@ module Client = Past_core.Client
 module Node = Past_core.Node
 module Store = Past_core.Store
 module Overlay = Past_pastry.Overlay
-module PNode = Past_pastry.Node
 module Config = Past_pastry.Config
 module Net = Past_simnet.Net
 module Churn = Past_simnet.Churn
@@ -212,12 +211,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
       ~min_live:(3 * params.n / 4)
   in
   let plan = List.map (fun e -> { e with Churn.at = e.Churn.at +. t0 }) plan in
-  let on_recover addr =
-    let node = System.node_of_pastry_addr sys addr in
-    PNode.recover (Node.pastry node);
-    Node.notify_revived node
-  in
-  Churn.apply ~hooks:{ Churn.no_hooks with on_recover } net plan;
+  Churn.apply net plan;
 
   (* C6 probe loop: look up a random file every probe_period; files that
      failed are re-probed every tick until they are found again, so a

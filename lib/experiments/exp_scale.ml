@@ -161,37 +161,3 @@ let fits_table { hop_fit; state_fit; hop_ok; state_ok; _ } =
     "[1, 2·(2^b−1)]"
     (if state_ok then "yes" else "NO");
   t
-
-(* Deterministic per-route dump over a snapshot-built overlay — the
-   pinned golden for the snapshot builder (test/exp15_scale.golden).
-   Any change to the builder's RNG draw order, the packed-table
-   layout, or routing policy shows a diff here. Deliberately excludes
-   wall clock and memory: golden bytes must be stable. *)
-let route_dump ?(n = 300) ?(lookups = 60) ?(seed = 15) () =
-  let overlay : Harness.probe Overlay.t = Overlay.create ~trace_capacity:0 ~seed () in
-  Overlay.build_static ~dynamic_tail:0.01 overlay ~n;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "EXP15 route golden (n=%d lookups=%d seed=%d, snapshot builder)\n" n
-       lookups seed);
-  let last = ref None in
-  Overlay.install_apps overlay (fun node ->
-      {
-        Harness.null_app with
-        Node.deliver = (fun ~key:_ _ info -> last := Some (Node.id node, info.Node.hops));
-      });
-  let rng = Overlay.rng overlay in
-  for i = 1 to lookups do
-    let key = Id.random rng ~width:Id.node_bits in
-    let src = Overlay.random_live_node overlay in
-    last := None;
-    Node.route src ~key ();
-    Overlay.run overlay;
-    match !last with
-    | Some (dest, hops) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%02d key=%s src=%s dest=%s hops=%d\n" i (Id.short key)
-           (Id.short (Node.id src)) (Id.short dest) hops)
-    | None -> Buffer.add_string buf (Printf.sprintf "%02d key=%s LOST\n" i (Id.short key))
-  done;
-  Buffer.contents buf

@@ -331,80 +331,6 @@ let run_named ?(json = false) ?(trace = 0) ~setup ~scale name =
       (String.concat ", " (List.map fst all));
     exit 2
 
-(* --- determinism fixture ------------------------------------------------ *)
-
-(* A fixed-seed, fixed-size EXP1 run rendered together with the full
-   telemetry snapshot of its first overlay. The test suite compares
-   this string byte-for-byte against the committed golden file
-   (test/exp1_hops.golden, first generated before the PR 2 hot-path
-   optimizations): any change to RNG consumption, event ordering or
-   telemetry counter totals shows up as a diff. Regenerate with
-   `dune exec test/gen/gen_golden.exe > test/exp1_hops.golden` only
-   when intentionally changing experiment behavior. *)
-let determinism_fixture () =
-  let params =
-    { Exp_hops.ns = [ 100; 300 ]; lookups = 150; b = 4; leaf_set_size = 32; seed = 1 }
-  in
-  let r = Exp_hops.run params in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "EXP1 (golden: ns=[100;300] lookups=150 b=4 l=32 seed=1)\n";
-  Buffer.add_string buf (Text_table.render (Exp_hops.table r));
-  (match r.Exp_hops.registries with
-  | (n, reg) :: _ ->
-    Buffer.add_string buf (Printf.sprintf "\ntelemetry snapshot (N=%d overlay)\n" n);
-    Buffer.add_string buf (Text_table.render (Registry.to_table reg))
-  | [] -> ());
-  Buffer.contents buf
-
-(* A fixed-seed, scaled-down EXP14 churn run, rendered with its
-   time-series and telemetry snapshot: the golden file
-   (test/exp14_churn.golden) pins churn, failure detection, repair and
-   the probe loop end to end. Regenerate with
-   `dune exec test/gen/gen_golden.exe -- churn > test/exp14_churn.golden`
-   only when intentionally changing engine or experiment behavior. *)
-let churn_fixture () =
-  let params =
-    { Exp_churn.default_params with Exp_churn.n = 40; files = 24; duration = 60_000.0 }
-  in
-  let r = Exp_churn.run params in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "EXP14 (golden: n=40 files=24 duration=60000 seed=4)\n";
-  Buffer.add_string buf (Text_table.render (Exp_churn.table r));
-  Buffer.add_string buf "\nchurn time-series\n";
-  Buffer.add_string buf (Text_table.render (Exp_churn.series_table r));
-  Buffer.add_string buf "\ntelemetry snapshot\n";
-  Buffer.add_string buf (Text_table.render (Registry.to_table r.Exp_churn.registry));
-  Buffer.contents buf
-
-(* The default EXP11 run (under a second), rendered with full-precision
-   per-cell figures and its hit-rate trajectory: the golden file
-   (test/exp11_caching.golden) pins cache admission and eviction order
-   end to end, GD-S's tie rule included. Regenerate with
-   `dune exec test/gen/gen_golden.exe -- caching > test/exp11_caching.golden`
-   only when intentionally changing cache or experiment behavior. *)
-let caching_fixture () =
-  let p = Exp_caching.default_params in
-  let r = Exp_caching.run p in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "EXP11 (golden: default params n=%d catalog=%d lookups=%d seed=%d)\n"
-       p.Exp_caching.n p.Exp_caching.catalog p.Exp_caching.lookups p.Exp_caching.seed);
-  Buffer.add_string buf (Text_table.render (Exp_caching.table r));
-  (* The table rounds to 0.1%; these full-precision figures move with a
-     single changed eviction. *)
-  Buffer.add_string buf "\npolicy fill: cache-hit fraction, fetch distance, load CV\n";
-  List.iter
-    (fun (row : Exp_caching.row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %.1f: %.9f %.6f %.9f\n"
-           (Past_core.Cache.policy_name row.Exp_caching.policy)
-           row.Exp_caching.fill row.Exp_caching.cache_hit_fraction row.Exp_caching.avg_dist
-           row.Exp_caching.query_load_cv))
-    r.Exp_caching.rows;
-  Buffer.add_string buf "\nhit-rate trajectory\n";
-  Buffer.add_string buf (Text_table.render (Exp_caching.trajectory_table r));
-  Buffer.contents buf
-
 (* --- demo workloads ------------------------------------------------------ *)
 
 (* Write [reg]'s trace ring as Chrome trace-event JSON (open in

@@ -87,27 +87,13 @@ let client_ref t ~op = { Wire.access = PNode.self (Node.pastry t.node); tag = t.
 
 (* Causal spans: each client operation (all attempts included) is one
    span; the span id travels on the wire in [client_ref.op] and as the
-   [parent] of every route the operation launches. Ids are minted
-   whether or not tracing is on — minting draws no randomness and
-   branches nothing, so enabling the trace ring can never change a
-   run's behaviour. *)
+   [parent] of every route the operation launches. *)
 let span_start t ~op_name ~detail =
-  let span = Trace.new_span_id t.tracer in
-  Trace.record t.tracer ~time:(now t)
+  Trace.start_span t.tracer ~time:(now t)
     ~node:(PNode.addr (Node.pastry t.node))
-    (Trace.Span_start { span; parent = Trace.no_parent; op = op_name; detail });
-  span
+    ~parent:Trace.no_parent ~op:op_name detail
 
-let span_end t span ~note =
-  Trace.record t.tracer ~time:(now t)
-    ~node:(PNode.addr (Node.pastry t.node))
-    (Trace.Span_end { span; note })
-
-let span_point t span name =
-  if Trace.enabled t.tracer then
-    Trace.record t.tracer ~time:(now t)
-      ~node:(PNode.addr (Node.pastry t.node))
-      (Trace.Point { span; name })
+let trace t kind = Trace.record t.tracer ~time:(now t) ~node:(PNode.addr (Node.pastry t.node)) kind
 
 (* Full-jitter exponential backoff: after [failures] consecutive
    failures of one operation, wait a uniform draw from
@@ -186,7 +172,7 @@ and finish_insert_attempt t state ~timed_out =
         with
         | Ok cert' ->
           Counter.incr t.c_insert_retries;
-          span_point t state.op "insert_retry";
+          trace t (Trace.Point { span = state.op; name = "insert_retry" });
           let next =
             {
               state with
@@ -227,11 +213,12 @@ let insert t ~name ~data ?declared_size ~k cb =
   | Ok cert ->
     let op = span_start t ~op_name:"insert" ~detail:name in
     let cb r =
-      span_end t op
-        ~note:
-          (match r with
-          | Inserted { attempts; _ } -> Printf.sprintf "inserted after %d attempt(s)" attempts
-          | Insert_failed { reason; _ } -> reason);
+      let note =
+        match r with
+        | Inserted { attempts; _ } -> Printf.sprintf "inserted after %d attempt(s)" attempts
+        | Insert_failed { reason; _ } -> reason
+      in
+      trace t (Trace.Span_end { span = op; note });
       cb r
     in
     start_insert_attempt t
@@ -273,7 +260,7 @@ and lookup_failed_attempt t file_id state =
     if state.retries_left > 0 then begin
       state.retries_left <- state.retries_left - 1;
       Counter.incr t.c_lookup_retries;
-      span_point t state.lk_op "lookup_retry";
+      trace t (Trace.Point { span = state.lk_op; name = "lookup_retry" });
       state.lk_retry_pending <- true;
       Net.schedule (net t)
         ~delay:(backoff_delay t ~failures:state.lk_attempt)
@@ -294,7 +281,8 @@ and lookup_failed_attempt t file_id state =
 let lookup t ?(retries = 0) ~file_id cb =
   let op = span_start t ~op_name:"lookup" ~detail:(Id.short file_id) in
   let cb r =
-    span_end t op ~note:(match r with Found _ -> "found" | Lookup_failed -> "failed");
+    let note = match r with Found _ -> "found" | Lookup_failed -> "failed" in
+    trace t (Trace.Span_end { span = op; note });
     cb r
   in
   send_lookup t file_id
@@ -313,7 +301,8 @@ let finish_reclaim t file_id state =
 let reclaim t ~file_id ?expected cb =
   let op = span_start t ~op_name:"reclaim" ~detail:(Id.short file_id) in
   let cb (r : reclaim_result) =
-    span_end t op ~note:(Printf.sprintf "%d receipt(s)" (List.length r.receipts));
+    let note = Printf.sprintf "%d receipt(s)" (List.length r.receipts) in
+    trace t (Trace.Span_end { span = op; note });
     cb r
   in
   let state =

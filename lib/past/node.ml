@@ -425,14 +425,8 @@ let re_replicate t =
        one tree in the trace. Passes with nothing to offer leave no
        trace events. *)
     let op =
-      if Trace.enabled t.tracer then begin
-        let span = Trace.new_span_id t.tracer in
-        Trace.record t.tracer ~time:(now t) ~node:(addr t)
-          (Trace.Span_start
-             { span; parent = Trace.no_parent; op = "repair"; detail = Id.short (id t) });
-        span
-      end
-      else Trace.no_parent
+      Trace.start_span t.tracer ~time:(now t) ~node:(addr t) ~parent:Trace.no_parent ~op:"repair"
+        (Id.short (id t))
     in
     let c_offers = Lazy.force t.c_offers in
     List.iter
@@ -440,9 +434,8 @@ let re_replicate t =
         Counter.incr c_offers;
         send t o.peer (Wire.Replica_offer { ids = o.ids; op }))
       offers;
-    if op >= 0 then
-      Trace.record t.tracer ~time:(now t) ~node:(addr t)
-        (Trace.Span_end { span = op; note = Printf.sprintf "%d offer(s)" (List.length offers) })
+    Trace.record t.tracer ~time:(now t) ~node:(addr t)
+      (Trace.Span_end { span = op; note = Printf.sprintf "%d offer(s)" (List.length offers) })
 
 (* Answer an offer with the ids this node lacks, by the same
    [Store.mem] test [handle_replicate] applies to the data. *)

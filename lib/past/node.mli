@@ -73,7 +73,9 @@ val notify_revived : t -> unit
     Needed after a crash/recovery cycle: the owner-gated re-replication
     timer armed before the crash was skipped while the node was down,
     which would otherwise leave the latch stuck and suppress all future
-    re-replication on this node. *)
+    re-replication on this node. {!System.create} registers it as a
+    liveness observer, so every revival runs it; tests call it to force
+    a pass on a live node. *)
 
 (** Counters for the experiments. *)
 

@@ -47,13 +47,12 @@ let node_of_pastry_addr t addr =
      Storage-heavy runs hold ~10^5 certificates and (thanks to client
      backoff near capacity) span ~10^8 sim-ms, so a per-evaluation
      census is unaffordable. Counts are instead maintained
-     incrementally: store mutations stream through {!Store.set_observer}
-     (O(1) per replica added/removed), and node deaths/revivals —
-     which can happen below the System API, directly on the simnet —
-     are caught at evaluation time by diffing a liveness snapshot and
-     crediting/debiting the flipped node's holdings. An evaluation
-     then touches only the nodes array and the (normally tiny)
-     at-risk set.
+     incrementally: store mutations of live nodes stream through
+     {!Store.set_observer} (O(1) per replica added/removed), and a
+     liveness observer on the network credits or debits a node's
+     holdings when it comes back or goes down, whoever flips the flag.
+     An evaluation then touches only the nodes array and the (normally
+     tiny) at-risk set.
 
    - [past.quota_conservation]: per node, [Store.used] equals the sum
      of the stored certificates' declared sizes and never exceeds the
@@ -83,12 +82,6 @@ let install_monitors t =
     let stats : replica_stat Id.Table.t = Id.Table.create 1024 in
     let at_risk : unit Id.Table.t = Id.Table.create 64 in
     let deficits : float Id.Table.t = Id.Table.create 64 in
-    (* What the monitor currently believes about each node's liveness.
-       Observer deltas only apply while the node's holdings are
-       credited (believed live); flips are reconciled at evaluation
-       time, so a death plus revival between two evaluations nets out
-       without double counting. *)
-    let believed_alive = Array.map node_alive t.nodes in
     (* [deliberate] distinguishes an explicit removal — reclaim (best-
        effort by design: §2.1 only promises the quota back, surviving
        copies are allowed) or managed displacement, both policy
@@ -123,30 +116,26 @@ let install_monitors t =
           update e.Store.cert.Certificate.file_id e.Store.cert.Certificate.replication delta
             ~deliberate)
     in
-    Array.iteri
-      (fun i node ->
-        if believed_alive.(i) then credit_store node 1 ~deliberate:true;
+    (* Only live nodes' holdings are credited: a store's deltas count
+       while its node is up, and a flip credits or debits the lot. *)
+    Array.iter
+      (fun node ->
+        if node_alive node then credit_store node 1 ~deliberate:true;
         Store.set_observer (Node.store node) (fun ev ->
-            if believed_alive.(i) then
+            if node_alive node then
               match ev with
               | Store.Added c ->
                 update c.Certificate.file_id c.Certificate.replication 1 ~deliberate:true
               | Store.Removed c ->
                 update c.Certificate.file_id c.Certificate.replication (-1) ~deliberate:true))
       t.nodes;
+    Net.on_liveness net (fun addr up ->
+        if up then credit_store t.nodes.(addr) 1 ~deliberate:true
+        else credit_store t.nodes.(addr) (-1) ~deliberate:false);
     Monitor.register monitors ~name:"past.replica_count" ~interval:(replica_bound /. 4.)
       (fun ~now ->
         let live = ref 0 in
-        Array.iteri
-          (fun i node ->
-            let alive = node_alive node in
-            if alive then incr live;
-            if alive <> believed_alive.(i) then begin
-              believed_alive.(i) <- alive;
-              if alive then credit_store node 1 ~deliberate:true
-              else credit_store node (-1) ~deliberate:false
-            end)
-          t.nodes;
+        Array.iter (fun node -> if node_alive node then incr live) t.nodes;
         (* Retire clocks of files that recovered (or were reclaimed —
            those left the at-risk set in [update]). *)
         let resolved =
@@ -256,6 +245,11 @@ let create ?pastry_config ?(node_config = Node.default_config) ?topology
   | `Static -> Overlay.build_static overlay ~n:0
   | `Dynamic -> Overlay.build_dynamic overlay ~n:0);
   Overlay.run overlay;
+  (* After the overlay's own observer has run the Pastry rejoin, a
+     returning node restarts its replica repair: a crash may have
+     swallowed a scheduled pass. *)
+  Net.on_liveness (Overlay.net overlay) (fun addr up ->
+      if up then Node.notify_revived t.nodes.(addr));
   install_monitors t;
   t
 
@@ -283,9 +277,7 @@ let global_utilization t =
   if cap = 0 then 0.0 else float_of_int (total_used t) /. float_of_int cap
 
 let kill_node t node = Overlay.kill t.overlay (Node.pastry node)
-let revive_node t node =
-  Overlay.revive t.overlay (Node.pastry node);
-  Node.notify_revived node
+let revive_node t node = Overlay.revive t.overlay (Node.pastry node)
 let start_maintenance t = Overlay.start_maintenance t.overlay
 let stop_maintenance t = Overlay.stop_maintenance t.overlay
 let shutdown t =

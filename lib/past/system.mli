@@ -90,9 +90,12 @@ val kill_node : t -> Node.t -> unit
     warning"). *)
 
 val revive_node : t -> Node.t -> unit
-(** Bring a killed node back with its previous state: re-runs the
-    Pastry rejoin/repair protocol and re-arms PAST's re-replication
-    (whose timers were suppressed while the node was down). *)
+(** Bring a killed node back with its previous state. The system's
+    liveness observers (see {!Past_simnet.Net.on_liveness}) re-run the
+    Pastry rejoin/repair protocol and re-arm PAST's re-replication
+    (whose timers were suppressed while the node was down) on every
+    down-to-up flip, so a {!Past_simnet.Churn} plan applied to {!net}
+    revives a node just as fully. *)
 
 val start_maintenance : t -> unit
 (** Arm keep-alive failure detection on every node (needed before

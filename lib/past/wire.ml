@@ -4,9 +4,10 @@
     [client] fields identify the client's access node plus a per-client
     tag, so replies reach the right client object attached to that
     node. [op] is the causal span id of the client operation (see
-    {!Past_telemetry.Trace}; [Trace.no_parent] when untraced): it rides
-    every request through routing, replica fan-out and diversion so the
-    whole causal tree of an operation can be reconstructed. *)
+    {!Past_telemetry.Trace}; [Trace.no_parent] for a storage audit,
+    which opens no span): it rides every request through routing,
+    replica fan-out and diversion so the whole causal tree of an
+    operation can be reconstructed. *)
 
 type client_ref = { access : Past_pastry.Peer.t; tag : int; op : int }
 

@@ -442,9 +442,8 @@ let state_size t =
 
 (* A routed message is a span: its id rides the message as [trace]. *)
 let start_route t ~parent ~key =
-  let span = Trace.new_span_id t.shared.tracer in
-  trace_event t (Trace.Span_start { span; parent; op = Trace.route_op; detail = Id.short key });
-  span
+  Trace.start_span t.shared.tracer ~time:(Net.now t.net) ~node:t.self.Peer.addr ~parent
+    ~op:Trace.route_op (Id.short key)
 
 let join t ~bootstrap =
   if bootstrap = t.self.Peer.addr then invalid_arg "Node.join: cannot bootstrap from self";

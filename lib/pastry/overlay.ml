@@ -25,13 +25,12 @@ type 'a t = {
      registry rows appear exactly when they always did. *)
   dir : Directory.t;
   mutable shared : Node.shared option;
-  (* Live-node array in insertion order, revalidated against the
-     network's liveness epoch and the node count: [random_live_node]
-     and [live_nodes] run per lookup in every experiment, so they must
-     not materialize the live set each call. *)
+  (* Live-node array in insertion order, rebuilt when a node was added
+     since or a liveness flag flipped: [random_live_node] and
+     [live_nodes] run per lookup in every experiment, so they must not
+     materialize the live set each call. *)
   mutable live : 'a Node.t array;
-  mutable live_epoch : int; (* Net.liveness_epoch at build; -1 = never built *)
-  mutable live_count_at : int; (* node_count at build *)
+  mutable live_count_at : int; (* node_count at build; -1 = stale *)
 }
 
 let net t = t.net
@@ -80,15 +79,13 @@ let sorted_nodes t =
 let alive t node = Net.alive t.net (Node.addr node)
 
 (* Live nodes in insertion order, cached until a node is added or any
-   liveness bit flips (tracked by the network's liveness epoch). The
-   insertion order and the single bounded draw in [random_live_node]
-   match the historical list-based implementation, so fixed-seed runs
-   are byte-identical. *)
+   liveness flag flips (the overlay's liveness observer marks the cache
+   stale). The insertion order and the single bounded draw in
+   [random_live_node] match the historical list-based implementation,
+   so fixed-seed runs are byte-identical. *)
 let live_array t =
-  let epoch = Net.liveness_epoch t.net in
-  if t.live_epoch <> epoch || t.live_count_at <> t.count then begin
+  if t.live_count_at <> t.count then begin
     t.live <- Array.of_list (List.filter (alive t) (Array.to_list (nodes t)));
-    t.live_epoch <- epoch;
     t.live_count_at <- t.count
   end;
   t.live
@@ -218,16 +215,16 @@ let create ?(config = Config.default) ?topology ?(loss_rate = 0.0) ?trace_capaci
       shared = None;
       sorted = [||];
       live = [||];
-      live_epoch = -1;
       live_count_at = -1;
     }
   in
+  (* A node that comes back contacts its last known leaf set (§2.2),
+     whoever flipped its flag: a churn plan, an experiment or [revive]. *)
+  Net.on_liveness net (fun addr up ->
+      t.live_count_at <- -1;
+      if up then Node.recover t.all.(addr));
   install_monitors t;
   t
-
-let random_node t =
-  let a = nodes t in
-  a.(Rng.int t.rng (Array.length a))
 
 let random_live_node t =
   let live = live_array t in
@@ -465,9 +462,7 @@ let build_dynamic ?quiesce_every t ~n =
 
 let kill t node = Net.set_alive t.net (Node.addr node) false
 
-let revive t node =
-  Net.set_alive t.net (Node.addr node) true;
-  Node.recover node
+let revive t node = Net.set_alive t.net (Node.addr node) true
 
 let run ?until t = Net.run ?until t.net
 let start_maintenance t = Array.iter Node.start_maintenance (nodes t)

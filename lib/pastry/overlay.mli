@@ -87,7 +87,6 @@ val install_apps : 'a t -> ('a Node.t -> 'a Node.app) -> unit
 
 val nodes : 'a t -> 'a Node.t array
 val node_count : 'a t -> int
-val random_node : 'a t -> 'a Node.t
 val random_live_node : 'a t -> 'a Node.t
 val live_nodes : 'a t -> 'a Node.t list
 
@@ -103,7 +102,11 @@ val kill : 'a t -> 'a Node.t -> unit
 (** Take the node off the network (silent departure). *)
 
 val revive : 'a t -> 'a Node.t -> unit
-(** Bring it back and run the recovery protocol. *)
+(** Bring it back. The overlay's liveness observer (see
+    {!Past_simnet.Net.on_liveness}) runs the recovery protocol on every
+    down-to-up flip, so a node revived by any other path — a
+    {!Past_simnet.Churn} plan, a direct [Net.set_alive] — recovers the
+    same way. Reviving a live node does nothing. *)
 
 val run : ?until:float -> 'a t -> unit
 (** Drain the event queue (bounded by [until] when maintenance timers

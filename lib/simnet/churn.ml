@@ -3,9 +3,9 @@
    A [plan] is a time-ordered list of fault actions. [apply] schedules
    the whole plan as ownerless network thunks, so faults fire while the
    simulation runs — interleaved with protocol traffic — instead of
-   being injected by ad-hoc driver code between [Net.run] calls.
-   Domain layers hook crash/recovery through [hooks] (e.g. Pastry's
-   [recover], PAST's re-replication kick). *)
+   being injected by ad-hoc experiment code between [Net.run] calls. A
+   crash or recovery only flips the node's liveness flag: the layers
+   above react through their [Net.on_liveness] observers. *)
 
 module Rng = Past_stdext.Rng
 module Registry = Past_telemetry.Registry
@@ -13,7 +13,7 @@ module Counter = Past_telemetry.Counter
 
 type action =
   | Crash of Net.addr  (** silent departure: down, no goodbye traffic *)
-  | Recover of Net.addr  (** rejoin with previous state; fires [on_recover] *)
+  | Recover of Net.addr  (** rejoin with previous state *)
   | Partition of Net.addr list list
   | Heal
   | Set_link of {
@@ -41,22 +41,16 @@ let plan events =
     events;
   List.stable_sort (fun a b -> Float.compare a.at b.at) events
 
-type hooks = { on_crash : Net.addr -> unit; on_recover : Net.addr -> unit }
-
-let no_hooks = { on_crash = (fun _ -> ()); on_recover = (fun _ -> ()) }
-
-let execute net hooks c_crash c_recover = function
+let execute net c_crash c_recover = function
   | Crash a ->
     if Net.alive net a then begin
       Net.set_alive net a false;
-      Counter.incr c_crash;
-      hooks.on_crash a
+      Counter.incr c_crash
     end
   | Recover a ->
     if not (Net.alive net a) then begin
       Net.set_alive net a true;
-      Counter.incr c_recover;
-      hooks.on_recover a
+      Counter.incr c_recover
     end
   | Partition groups -> Net.partition net groups
   | Heal -> Net.heal_partition net
@@ -73,7 +67,7 @@ let counters net =
   ( Registry.counter reg "churn.crashes",
     Registry.counter reg "churn.recoveries" )
 
-let apply ?(hooks = no_hooks) net plan =
+let apply net plan =
   let now = Net.now net in
   let c_crash, c_recover = counters net in
   List.iter
@@ -83,7 +77,7 @@ let apply ?(hooks = no_hooks) net plan =
          is alive. *)
       Net.schedule net
         ~delay:(Stdlib.max 0.0 (at -. now))
-        (fun () -> execute net hooks c_crash c_recover action))
+        (fun () -> execute net c_crash c_recover action))
     plan
 
 let crashes net = Counter.value (fst (counters net))

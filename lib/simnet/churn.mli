@@ -6,6 +6,9 @@
     partitions, per-link loss/delay asymmetry, duplication and
     reordering knobs — and {!apply} arms it on a {!Net.t} so the faults
     fire interleaved with protocol traffic as the simulation runs.
+    Crashes and recoveries only flip {!Net.set_alive}; an overlay or a
+    PAST system built on the network reacts through its own liveness
+    observers, so applying a plan is all an experiment does.
 
     Determinism: plans are data, generated from an explicit RNG, and
     the network draws all fault coins from its dedicated fault stream —
@@ -18,8 +21,9 @@ type action =
           its owned timers stop firing, and (new in this engine) any
           send it attempts mid-cascade is suppressed. *)
   | Recover of Net.addr
-      (** Bring the node back with its previous state; [on_recover]
-          lets the overlay/storage layers run their rejoin protocol. *)
+      (** Bring the node back with its previous state. The layers
+          above run their rejoin from the liveness flip (see
+          {!Net.on_liveness}): a plan needs no wiring of its own. *)
   | Partition of Net.addr list list
       (** Split the network into the listed groups (unlisted nodes form
           the remaining side); cross-side messages are dropped. *)
@@ -47,14 +51,7 @@ val plan : (float * action) list -> plan
 (** Sort a schedule by time. Raises [Invalid_argument] naming the first
     negative time. *)
 
-type hooks = { on_crash : Net.addr -> unit; on_recover : Net.addr -> unit }
-(** Layer callbacks: [on_crash] fires after the node is marked down,
-    [on_recover] after it is marked up — wire Pastry's [recover] and
-    PAST's re-replication kick here. *)
-
-val no_hooks : hooks
-
-val apply : ?hooks:hooks -> 'msg Net.t -> plan -> unit
+val apply : 'msg Net.t -> plan -> unit
 (** Schedule every event of the plan on the network (events whose time
     is already past fire immediately on the next step). Crashing an
     already-down node or recovering an already-up one is a no-op, so

@@ -61,7 +61,8 @@ type 'msg t = {
      learned peer and reads this array alone, never a node record. *)
   mutable coords : float array;
   mutable next_addr : addr;
-  mutable liveness_epoch : int;
+  (* Liveness observers in registration order. *)
+  mutable observers : (addr -> bool -> unit) list;
   links : (addr * addr, link) Hashtbl.t;
   mutable partitioned : bool;  (** any node in a group <> 0 *)
   registry : Registry.t;
@@ -112,7 +113,7 @@ let create ?(loss_rate = 0.0) ?registry ?(describe = fun _ -> "msg") ~rng ~topol
     nodes = Array.make 1024 None;
     coords = Array.make (1024 * Topology.stride) 0.0;
     next_addr = 0;
-    liveness_epoch = 0;
+    observers = [];
     links = Hashtbl.create 16;
     partitioned = false;
     registry;
@@ -325,12 +326,16 @@ let schedule ?owner t ~delay run =
   if delay < 0.0 then invalid_arg "Net.schedule: negative delay";
   push_event t (t.clock +. delay) (Thunk { owner; run })
 
+let on_liveness t f = t.observers <- t.observers @ [ f ]
+
 let set_alive t addr up =
-  t.liveness_epoch <- t.liveness_epoch + 1;
-  (node t addr).up <- up
+  let n = node t addr in
+  if n.up <> up then begin
+    n.up <- up;
+    List.iter (fun f -> f addr up) t.observers
+  end
 
 let alive t addr = (node t addr).up
-let liveness_epoch t = t.liveness_epoch
 let node_count t = t.next_addr
 
 let dispatch t = function

@@ -5,7 +5,12 @@
     are delivered after a latency proportional to the topology
     proximity between the endpoints. Everything is driven by an event
     queue (a {!Past_stdext.Timing_wheel}), so a run is a pure function
-    of the seed. *)
+    of the seed.
+
+    The network also owns node liveness. {!set_alive} is the one place
+    a node goes down or comes back, and it tells the observers
+    registered with {!on_liveness}; the overlay and storage layers run
+    their rejoin and repair from there. *)
 
 type addr = int
 
@@ -125,14 +130,18 @@ val step : _ t -> bool
 
 val set_alive : _ t -> addr -> bool -> unit
 (** Down nodes neither receive messages nor fire their scheduled
-    thunks. *)
+    thunks. When the flag flips, every {!on_liveness} observer runs,
+    in registration order, after the flag is set; setting a node to
+    the state it is already in runs none. *)
 
 val alive : _ t -> addr -> bool
 
-val liveness_epoch : _ t -> int
-(** Bumped on every [set_alive] call — lets callers cache derived
-    liveness state (e.g. the overlay's live-node array) and revalidate
-    with one int comparison. *)
+val on_liveness : _ t -> (addr -> bool -> unit) -> unit
+(** [on_liveness t f] calls [f addr up] on every liveness flip of any
+    node of [t]. The layers above register here once per network: the
+    overlay runs a returning node's rejoin (paper §2.2), PAST restarts
+    its repair, monitors re-count replicas. So whoever flips the flag
+    — a {!Churn} plan, an experiment, a test — gets the whole recovery. *)
 
 val node_count : _ t -> int
 val proximity : _ t -> addr -> addr -> float

@@ -8,7 +8,6 @@ module Text_table = Past_stdext.Text_table
 
 type metric =
   | Counter of Counter.t
-  | Gauge of Gauge.t
   | Histogram of Histogram.t
 
 type key = { k_name : string; k_labels : (string * string) list }
@@ -62,13 +61,6 @@ let counter t ?(labels = []) name =
       (c, Counter c))
     ~extract:(function Counter c -> Some c | _ -> None)
 
-let gauge t ?(labels = []) name =
-  find_or_add t ~name ~labels ~kind:"gauge"
-    ~make:(fun () ->
-      let g = Gauge.create () in
-      (g, Gauge g))
-    ~extract:(function Gauge g -> Some g | _ -> None)
-
 let histogram t ?(labels = []) name =
   find_or_add t ~name ~labels ~kind:"histogram"
     ~make:(fun () ->
@@ -99,7 +91,6 @@ let snapshot t =
       let value =
         match Hashtbl.find t.metrics key with
         | Counter c -> Counter_value (Counter.value c)
-        | Gauge g -> Gauge_value (Gauge.value g)
         | Histogram h -> Histogram_value (Histogram.summary h)
       in
       { i_name = key.k_name; i_labels = key.k_labels; i_value = value })

@@ -19,7 +19,6 @@ val tracer : t -> Trace.t
 val monitors : t -> Monitor.t
 
 val counter : t -> ?labels:(string * string) list -> string -> Counter.t
-val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
 val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 (** Get-or-create (histograms get {!Histogram.create}'s default
     reservoir). Raises [Invalid_argument] if the name+labels pair is
@@ -30,8 +29,8 @@ val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 type value =
   | Counter_value of int
   | Gauge_value of float
-      (** No gauge is registered in the library; the constructor stays
-          for the benchmark harness, which matches on it. *)
+      (** Never produced: the registry keeps no gauges. The constructor
+          stays for the benchmark harness, which matches on it. *)
   | Histogram_value of Histogram.summary
 
 type item = { i_name : string; i_labels : (string * string) list; i_value : value }

@@ -120,10 +120,14 @@ let record t ~time ~node kind =
     t.total <- t.total + 1
   end
 
-let new_span_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
+(* The id is minted whether or not the ring records: minting draws no
+   randomness and branches nothing, so turning tracing on never changes
+   a run, and a traced run numbers its spans the same way every time. *)
+let start_span t ~time ~node ~parent ~op detail =
+  let span = t.next_id in
+  t.next_id <- span + 1;
+  record t ~time ~node (Span_start { span; parent; op; detail });
+  span
 
 let total_recorded t = t.total
 let dropped_total t = t.dropped_sum

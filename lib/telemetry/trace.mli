@@ -44,8 +44,11 @@ val create : ?capacity:int -> unit -> t
 val enabled : t -> bool
 val record : t -> time:float -> node:int -> event_kind -> unit
 
-val new_span_id : t -> int
-(** Fresh id tying one span's events together. *)
+val start_span : t -> time:float -> node:int -> parent:int -> op:string -> string -> int
+(** [start_span t ~time ~node ~parent ~op detail] mints a fresh span id
+    and records the span's [Span_start] with [detail]; it returns the
+    id, which ties the span's later events together. The id is minted
+    even when recording is off. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)

@@ -22,15 +22,10 @@ let plan_applies_in_time_order () =
   let net = make_net () in
   let a = Net.register net ~handler:(fun _ _ -> ()) in
   let crashed_at = ref nan and recovered_at = ref nan in
-  let hooks =
-    {
-      Churn.on_crash = (fun _ -> crashed_at := Net.now net);
-      on_recover = (fun _ -> recovered_at := Net.now net);
-    }
-  in
+  Net.on_liveness net (fun _ up -> (if up then recovered_at else crashed_at) := Net.now net);
   (* Out-of-order input: [plan] sorts it. *)
   let plan = Churn.plan [ (20.0, Churn.Recover a); (10.0, Churn.Crash a) ] in
-  Churn.apply ~hooks net plan;
+  Churn.apply net plan;
   Net.run ~until:15.0 net;
   check Alcotest.bool "down mid-plan" false (Net.alive net a);
   Net.run net;
@@ -61,9 +56,15 @@ let sustained_errors_name_their_values () =
       ("horizon must be positive (got -0.5)", fun () -> sustained ~horizon:(-0.5) ());
     ]
 
+(* Only a flip runs the liveness observers: crashing a down node or
+   reviving a live one, by plan or by [Net.set_alive], runs none. They
+   run in registration order, after the flag is set. *)
 let crash_and_recover_are_idempotent () =
   let net = make_net () in
   let a = Net.register net ~handler:(fun _ _ -> ()) in
+  let seen = ref [] in
+  Net.on_liveness net (fun addr up -> seen := ("first", addr, up, Net.alive net addr) :: !seen);
+  Net.on_liveness net (fun addr up -> seen := ("second", addr, up, Net.alive net addr) :: !seen);
   let plan =
     Churn.plan
       [ (1.0, Churn.Crash a); (2.0, Churn.Crash a); (3.0, Churn.Recover a); (4.0, Churn.Recover a) ]
@@ -72,7 +73,21 @@ let crash_and_recover_are_idempotent () =
   Net.run net;
   check Alcotest.int "one crash" 1 (Churn.crashes net);
   check Alcotest.int "one recovery" 1 (Churn.recoveries net);
-  check Alcotest.bool "alive" true (Net.alive net a)
+  check Alcotest.bool "alive" true (Net.alive net a);
+  Net.set_alive net a true;
+  Net.set_alive net a false;
+  Net.set_alive net a false;
+  let flip = Alcotest.(list (pair string (pair int (pair bool bool)))) in
+  check flip "observers ran once per flip, in order, after the flag"
+    [
+      ("first", (a, (false, false)));
+      ("second", (a, (false, false)));
+      ("first", (a, (true, true)));
+      ("second", (a, (true, true)));
+      ("first", (a, (false, false)));
+      ("second", (a, (false, false)));
+    ]
+    (List.rev_map (fun (who, addr, up, alive) -> (who, (addr, (up, alive)))) !seen)
 
 let plan_drives_faults () =
   let net = make_net () in

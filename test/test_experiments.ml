@@ -230,27 +230,27 @@ let check_golden ~what ~file ~gen actual =
 
 let golden_determinism () =
   check_golden ~what:"EXP1 output" ~file:"exp1_hops.golden" ~gen:""
-    (Past_experiments.Report.determinism_fixture ())
+    (Golden.determinism_fixture ())
 
 (* The EXP14 fixture pins churn, failure detection, repair and the probe
    loop end to end (see gen_golden.ml). *)
 let golden_churn () =
   check_golden ~what:"EXP14 output" ~file:"exp14_churn.golden" ~gen:" -- churn"
-    (Past_experiments.Report.churn_fixture ())
+    (Golden.churn_fixture ())
 
 (* Pinned snapshot-builder behavior: the per-route dump over a
    snapshot-built overlay. Guards the builder's RNG draw order, the
    packed table layout, and routing policy together. *)
 let golden_scale () =
   check_golden ~what:"EXP15 route dump" ~file:"exp15_scale.golden" ~gen:" -- scale"
-    (Past_experiments.Exp_scale.route_dump ())
+    (Golden.route_dump ())
 
 (* Pinned cache behavior: EXP11 at its defaults, where caches are full
    and evicting, so a change to admission, eviction order or GD-S's
    tie rule shows up here. *)
 let golden_caching () =
   check_golden ~what:"EXP11 output" ~file:"exp11_caching.golden" ~gen:" -- caching"
-    (Past_experiments.Report.caching_fixture ())
+    (Golden.caching_fixture ())
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

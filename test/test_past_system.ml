@@ -13,6 +13,8 @@ module Id = Past_id.Id
 module Overlay = Past_pastry.Overlay
 module PNode = Past_pastry.Node
 module Net = Past_simnet.Net
+module Churn = Past_simnet.Churn
+module Trace = Past_telemetry.Trace
 module Monitor = Past_telemetry.Monitor
 module Registry = Past_telemetry.Registry
 
@@ -699,6 +701,51 @@ let repair_recovers_under_loss () =
   check Alcotest.(list int) "k copies again" (addrs (closest_live sys r.file_id ~k:3))
     (addrs (holders sys r.file_id))
 
+(* A churn plan needs no wiring: the system's liveness observers run
+   Pastry's rejoin and PAST's repair kick on the flip. After a plan
+   brings a holder back, it opens a repair pass of its own, and its
+   keep-alive chain runs again: with every other node's maintenance
+   stopped, each keep-alive sent is its own. *)
+let plan_alone_revives_a_past_node () =
+  let node_config = { Node.default_config with Node.verify_certificates = false } in
+  let sys =
+    System.create ~node_config ~topology:(Past_simnet.Topology.transit_stub ())
+      ~trace_capacity:65_536 ~seed:11 ~n:30 ~crypto_mode:`Insecure
+      ~node_capacity:(fun _ _ -> 1_000_000)
+      ()
+  in
+  let net = System.net sys in
+  let client = System.new_client sys ~quota:max_int () in
+  let r = insert_exn client ~name:"held" ~data:"payload" ~k:3 in
+  let a = List.hd (holders sys r.file_id) in
+  System.start_maintenance sys;
+  let cfg = Past_pastry.Config.default in
+  let window =
+    2.0 *. (cfg.Past_pastry.Config.failure_timeout +. cfg.Past_pastry.Config.keepalive_period)
+  in
+  let crash_at = Net.now net +. 1_000.0 in
+  let recover_at = crash_at +. window in
+  let a_addr = Node.addr a in
+  Churn.apply net (Churn.plan [ (crash_at, Churn.Crash a_addr); (recover_at, Churn.Recover a_addr) ]);
+  System.run ~until:(recover_at -. 1.0) sys;
+  check Alcotest.bool "down before the recovery" false (Net.alive net a_addr);
+  let offers0 = counter sys "past.rereplicate.offers" in
+  System.run ~until:(recover_at +. window) sys;
+  check Alcotest.bool "back up" true (Net.alive net a_addr);
+  check Alcotest.bool "repair offers rose" true (counter sys "past.rereplicate.offers" > offers0);
+  let own_passes =
+    List.filter
+      (fun (sp : Trace.span) ->
+        sp.Trace.op = "repair" && sp.Trace.s_node = a_addr && sp.Trace.s_start >= recover_at)
+      (Trace.spans (Registry.tracer (System.registry sys)))
+  in
+  check Alcotest.bool "the revived node ran a repair pass" true (own_passes <> []);
+  Array.iter (fun n -> if n != a then PNode.stop_maintenance (Node.pastry n)) (System.nodes sys);
+  let sent () = match Net.counters_for_kind net "keepalive" with s, _, _ -> s in
+  let before = sent () in
+  System.run ~until:(Net.now net +. window) sys;
+  check Alcotest.bool "the revived node sends keep-alives" true (sent () > before)
+
 let suite =
   ( "past-system",
     [
@@ -727,5 +774,6 @@ let suite =
       "repair: data only to the new member" => repair_sends_data_only_to_new_member;
       "repair: want after reclaim sends nothing" => repair_want_after_reclaim_sends_nothing;
       "repair: lossy links regain k copies" => repair_recovers_under_loss;
+      "a plan alone brings a PAST node back" => plan_alone_revives_a_past_node;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )

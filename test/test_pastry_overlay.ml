@@ -121,7 +121,7 @@ let route_to_own_key_is_local () =
   let overlay : unit Overlay.t = Overlay.create ~seed:6 () in
   Overlay.build_static overlay ~n:50;
   let self_delivered = ref false in
-  let node = Overlay.random_node overlay in
+  let node = Overlay.random_live_node overlay in
   Node.set_app node
     { null_app with Node.deliver = (fun ~key:_ _ info -> self_delivered := info.Node.hops = 0) };
   Node.route node ~key:(Node.id node) ();
@@ -216,14 +216,14 @@ let malicious_node_drops () =
   let overlay : unit Overlay.t = Overlay.create ~seed:13 () in
   Overlay.build_static overlay ~n:100;
   Overlay.install_apps overlay (fun _ -> null_app);
-  let bad = Overlay.random_node overlay in
+  let bad = Overlay.random_live_node overlay in
   Node.set_malicious bad true;
   check Alcotest.bool "flag" true (Node.malicious bad);
   (* A message whose key is owned by the malicious node disappears. *)
   let delivered = ref 0 in
   Overlay.install_apps overlay (fun _ ->
       { null_app with Node.deliver = (fun ~key:_ _ _ -> incr delivered) });
-  let src = Overlay.random_node overlay in
+  let src = Overlay.random_live_node overlay in
   if Node.addr src <> Node.addr bad then begin
     Node.route src ~key:(Node.id bad) ();
     Overlay.run overlay;

@@ -1,5 +1,4 @@
 module Counter = Past_telemetry.Counter
-module Gauge = Past_telemetry.Gauge
 module Histogram = Past_telemetry.Histogram
 module Registry = Past_telemetry.Registry
 module Trace = Past_telemetry.Trace
@@ -18,17 +17,6 @@ let counter_semantics () =
   Counter.incr c;
   Counter.incr c;
   check Alcotest.int "incr" 2 (Counter.value c)
-
-let gauge_semantics () =
-  let g = Gauge.create () in
-  check (Alcotest.float 1e-9) "starts at zero" 0.0 (Gauge.value g);
-  Gauge.set g 2.5;
-  Gauge.add g 1.0;
-  check (Alcotest.float 1e-9) "set + add" 3.5 (Gauge.value g);
-  Gauge.add g (-5.0);
-  check (Alcotest.float 1e-9) "gauges may go negative" (-1.5) (Gauge.value g);
-  Gauge.reset g;
-  check (Alcotest.float 1e-9) "reset" 0.0 (Gauge.value g)
 
 (* Below reservoir capacity the histogram keeps every sample, so its
    ceil-rank percentiles must agree exactly with Stats (which keeps the
@@ -83,7 +71,7 @@ let registry_get_or_create () =
   Counter.incr l1;
   check Alcotest.int "labels sorted" 1 (Counter.value l2);
   (* Same name as a different metric type is an error. *)
-  (match Registry.gauge reg "x" with
+  (match Registry.histogram reg "x" with
   | _ -> Alcotest.fail "type mismatch accepted"
   | exception Invalid_argument _ -> ());
   ignore (Registry.histogram reg "h");
@@ -219,15 +207,9 @@ let trace_drop_accounting () =
    Span_start that must not fork the tree. *)
 let span_tree_reconstruction () =
   let tr = Trace.create ~capacity:128 () in
-  let a = Trace.new_span_id tr in
-  Trace.record tr ~time:1.0 ~node:0
-    (Trace.Span_start { span = a; parent = Trace.no_parent; op = "insert"; detail = "f" });
-  let b = Trace.new_span_id tr in
-  Trace.record tr ~time:2.0 ~node:0
-    (Trace.Span_start { span = b; parent = a; op = "replicate"; detail = "" });
-  let r = Trace.new_span_id tr in
-  Trace.record tr ~time:2.5 ~node:3
-    (Trace.Span_start { span = r; parent = b; op = Trace.route_op; detail = "k" });
+  let a = Trace.start_span tr ~time:1.0 ~node:0 ~parent:Trace.no_parent ~op:"insert" "f" in
+  let b = Trace.start_span tr ~time:2.0 ~node:0 ~parent:a ~op:"replicate" "" in
+  let r = Trace.start_span tr ~time:2.5 ~node:3 ~parent:b ~op:Trace.route_op "k" in
   Trace.record tr ~time:2.6 ~node:3
     (Trace.Hop { span = r; seq = 0; to_ = 4; stage = Trace.Leaf_set });
   Trace.record tr ~time:2.7 ~node:4
@@ -479,12 +461,8 @@ let monitor_grace_and_global () =
 let chrome_json_structure () =
   let module Json = Past_stdext.Json in
   let tr = Trace.create ~capacity:256 () in
-  let a = Trace.new_span_id tr in
-  Trace.record tr ~time:1.0 ~node:0
-    (Trace.Span_start { span = a; parent = Trace.no_parent; op = "insert"; detail = "f" });
-  let r = Trace.new_span_id tr in
-  Trace.record tr ~time:1.5 ~node:2
-    (Trace.Span_start { span = r; parent = a; op = Trace.route_op; detail = "k" });
+  let a = Trace.start_span tr ~time:1.0 ~node:0 ~parent:Trace.no_parent ~op:"insert" "f" in
+  let r = Trace.start_span tr ~time:1.5 ~node:2 ~parent:a ~op:Trace.route_op "k" in
   Trace.record tr ~time:1.6 ~node:2
     (Trace.Hop { span = r; seq = 0; to_ = 5; stage = Trace.Routing_table });
   Trace.record tr ~time:1.8 ~node:5
@@ -520,9 +498,7 @@ let chrome_json_structure () =
 let unended_route_exported_truncated () =
   let module Json = Past_stdext.Json in
   let tr = Trace.create ~capacity:64 () in
-  let r = Trace.new_span_id tr in
-  Trace.record tr ~time:1.0 ~node:2
-    (Trace.Span_start { span = r; parent = Trace.no_parent; op = Trace.route_op; detail = "k" });
+  let r = Trace.start_span tr ~time:1.0 ~node:2 ~parent:Trace.no_parent ~op:Trace.route_op "k" in
   Trace.record tr ~time:1.5 ~node:2
     (Trace.Hop { span = r; seq = 0; to_ = 7; stage = Trace.Leaf_set });
   check Alcotest.int "absent from routes" 0 (List.length (Trace.routes tr));
@@ -561,7 +537,6 @@ let suite =
   ( "telemetry",
     [
       "counter semantics" => counter_semantics;
-      "gauge semantics" => gauge_semantics;
       "histogram percentiles match Stats" => histogram_matches_stats;
       "histogram reservoir bounded" => histogram_reservoir_bounded;
       "registry get-or-create" => registry_get_or_create;
