@@ -36,7 +36,8 @@
    honour a reclaim only from the file's owner (§2.1), so each reclaim
    goes through the client that inserted the file, and is skipped while
    that client's access node is down. After the quiesce SOAK counts the
-   reclaimed files some node still stores, by the same scan. *)
+   reclaimed files some node still stores, by the same scan, and the
+   asynchronous client calls whose callback never fired. *)
 
 module System = Past_core.System
 module Client = Past_core.Client
@@ -112,6 +113,9 @@ type result = {
   reclaims_receipted : int;  (** reclaims that returned at least one receipt *)
   reclaimed_still_held : int;
       (** reclaimed files that some node still stores after the quiesce *)
+  ops_unsettled : int;
+      (** asynchronous client calls whose callback had not fired after
+          the quiesce *)
   files_available : int;  (** live files with >= 1 live replica at the end *)
   files_replicated : int;  (** live files with >= k live replicas at the end *)
   probes : int;
@@ -217,6 +221,15 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
      failed are re-probed every tick until they are found again, so a
      single run distinguishes transient misses from lost files. *)
   let probes = ref 0 and probe_failures = ref 0 in
+  (* Every asynchronous client call goes through [track], which counts
+     it in and counts its callback out. *)
+  let ops_issued = ref 0 and ops_settled = ref 0 in
+  let track call cb =
+    incr ops_issued;
+    call (fun r ->
+        incr ops_settled;
+        cb r)
+  in
   (* Dedicated to the time-series below: windowed histograms are reset
      on every sample, so this must not feed end-of-run figures. *)
   let probe_latency = Histogram.create () in
@@ -237,7 +250,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
     | None -> incr probe_failures (* every access point is down right now *)
     | Some c ->
       let issued = Net.now net in
-      Client.lookup c ~retries:2 ~file_id (function
+      track (Client.lookup c ~retries:2 ~file_id) (function
         | Client.Found _ ->
           Histogram.observe probe_latency (Net.now net -. issued);
           Hashtbl.remove failed_files file_id
@@ -340,7 +353,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
     | Generator.Insert { name; size } ->
       incr inserts_attempted;
       with_client (fun c ->
-          Client.insert c ~name ~data:"" ~declared_size:size ~k:params.k (function
+          track (Client.insert c ~name ~data:"" ~declared_size:size ~k:params.k) (function
             | Client.Inserted { file_id; _ } ->
               incr inserts_ok;
               Hashtbl.replace owners file_id c;
@@ -350,7 +363,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
       with_target catalog_index (fun file_id ->
           incr lookups_attempted;
           with_client (fun c ->
-              Client.lookup c ~retries:2 ~file_id (function
+              track (Client.lookup c ~retries:2 ~file_id) (function
                 | Client.Found _ -> incr lookups_ok
                 | Client.Lookup_failed -> ())))
     | Generator.Reclaim { catalog_index } ->
@@ -361,7 +374,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
             Hashtbl.add dead file_id ();
             Hashtbl.remove deficit_since file_id;
             Hashtbl.remove outage_since file_id;
-            Client.reclaim owner ~file_id (fun r ->
+            track (Client.reclaim owner ~file_id) (fun r ->
                 if r.Client.receipts <> [] then incr reclaims_receipted)
           end)
   in
@@ -484,6 +497,7 @@ let run ?trace_capacity ?(setup = Setup.sequential ()) params =
     reclaims = !reclaims;
     reclaims_receipted = !reclaims_receipted;
     reclaimed_still_held;
+    ops_unsettled = !ops_issued - !ops_settled;
     files_available = files_with (fun c -> c >= 1);
     files_replicated = files_with (fun c -> c >= params.k);
     probes = !probes;
@@ -550,6 +564,7 @@ let soak_table r =
   Text_table.add_rowf t "reclaims issued|%d" r.reclaims;
   Text_table.add_rowf t "reclaims with >=1 receipt|%d" r.reclaims_receipted;
   Text_table.add_rowf t "reclaimed files still stored|%d of %d" r.reclaimed_still_held r.reclaims;
+  Text_table.add_rowf t "client operations left unsettled|%d" r.ops_unsettled;
   Text_table.add_rowf t "failures / recoveries injected|%d / %d" r.crashes r.recoveries;
   Text_table.add_rowf t "live files at end|%d" r.files;
   Text_table.add_rowf t "available (>=1 live replica)|%d" r.files_available;

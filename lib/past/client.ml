@@ -6,34 +6,11 @@ module Registry = Past_telemetry.Registry
 module Counter = Past_telemetry.Counter
 module Trace = Past_telemetry.Trace
 
-type insert_state = {
-  name : string;
-  data : string;
-  declared_size : int option;
-  k : int;
-  attempt : int;
-  op : int; (* causal span spanning all attempts of this insert *)
-  cert : Certificate.file;
-  mutable receipts : Certificate.store_receipt list;
-  mutable nacks : int;
-  mutable settled : bool;
-  cb : insert_result -> unit;
-}
-
-and insert_result =
+type insert_result =
   | Inserted of { file_id : Id.t; receipts : Certificate.store_receipt list; attempts : int }
   | Insert_failed of { attempts : int; reason : string }
 
-type lookup_state = {
-  mutable lk_settled : bool;
-  mutable retries_left : int;
-  mutable lk_attempt : int;
-  mutable lk_retry_pending : bool;  (* a backed-off re-send is scheduled *)
-  lk_op : int; (* causal span spanning all attempts *)
-  lk_cb : lookup_result -> unit;
-}
-
-and lookup_result =
+type lookup_result =
   | Found of {
       cert : Certificate.file;
       data : string;
@@ -43,22 +20,50 @@ and lookup_result =
     }
   | Lookup_failed
 
+type reclaim_result = { receipts : Certificate.reclaim_receipt list; credited : int }
+
+(* One attempt of an insert: a retry under a fresh fileId is a fresh
+   record. *)
+type insert_state = {
+  name : string;
+  data : string;
+  declared_size : int option;
+  k : int;
+  attempt : int;
+  cert : Certificate.file;
+  mutable receipts : Certificate.store_receipt list;
+  mutable nacks : int;
+  cb : insert_result -> unit;
+}
+
+type lookup_state = {
+  file_id : Id.t;
+  mutable retries_left : int;
+  mutable lk_attempt : int;
+  mutable retry_pending : bool;  (* a backed-off re-send is scheduled *)
+  lk_cb : lookup_result -> unit;
+}
+
 type reclaim_state = {
-  mutable rc_receipts : Certificate.reclaim_receipt list;
-  mutable rc_settled : bool;
-  mutable rc_credited : int;
-  credit : bool; (* false for internal cleanup of failed inserts *)
+  rc_file_id : Id.t;
   expected : int option;
+  mutable rc_receipts : Certificate.reclaim_receipt list;
+  mutable rc_credited : int;
   rc_cb : reclaim_result -> unit;
 }
 
-and reclaim_result = { receipts : Certificate.reclaim_receipt list; credited : int }
+type audit_state = { nonce : string; expected_proof : string; au_cb : bool -> unit }
 
-type audit_state = {
-  expected_proof : string;
-  mutable au_settled : bool;
-  au_cb : bool -> unit;
-}
+(* A pending operation. Each attempt files a fresh value under the
+   operation's span id, and its timer acts only while that value is
+   still the one filed. *)
+type pending =
+  | Inserting of insert_state
+  | Looking_up of lookup_state
+  | Reclaiming of reclaim_state
+  | Auditing of audit_state
+
+module Pending = Hashtbl.Make (Int)
 
 type t = {
   card : Smartcard.t;
@@ -68,10 +73,7 @@ type t = {
   op_timeout : float;
   max_insert_attempts : int;
   verify : bool;
-  inserts : insert_state Id.Table.t; (* by file_id *)
-  lookups : lookup_state Id.Table.t;
-  reclaims : reclaim_state Id.Table.t;
-  audits : (string, audit_state) Hashtbl.t; (* by nonce *)
+  pending : pending Pending.t; (* by span id *)
   (* overlay-wide retry accounting in the system's registry *)
   c_insert_retries : Counter.t;
   c_lookup_retries : Counter.t;
@@ -86,8 +88,9 @@ let now t = Net.now (net t)
 let client_ref t ~op = { Wire.access = PNode.self (Node.pastry t.node); tag = t.tag; op }
 
 (* Causal spans: each client operation (all attempts included) is one
-   span; the span id travels on the wire in [client_ref.op] and as the
-   [parent] of every route the operation launches. *)
+   span; the span id travels on the wire in [client_ref.op], comes back
+   with every reply, and is the [parent] of every route the operation
+   launches. *)
 let span_start t ~op_name ~detail =
   Trace.start_span t.tracer ~time:(now t)
     ~node:(PNode.addr (Node.pastry t.node))
@@ -106,6 +109,24 @@ let backoff_delay t ~failures =
   let window = t.op_timeout *. Float.of_int (1 lsl min (failures - 1) 8) in
   Rng.float t.rng window
 
+(* --- the pending table ------------------------------------------------- *)
+
+let current t ~op entry =
+  match Pending.find_opt t.pending op with Some e -> e == entry | None -> false
+
+(* Arm an attempt's timeout: [on_timeout] runs only if [entry] is still
+   filed under [op], so a settled operation, or one that moved on to a
+   later attempt, ignores it. *)
+let arm t ~op entry on_timeout =
+  Net.schedule (net t) ~delay:t.op_timeout (fun () -> if current t ~op entry then on_timeout ())
+
+(* The one way an operation ends: it leaves the table, its span closes
+   with [note], and its callback runs. *)
+let settle t ~op ~note cb result =
+  Pending.remove t.pending op;
+  trace t (Trace.Span_end { span = op; note });
+  cb result
+
 (* --- insert ------------------------------------------------------------ *)
 
 let distinct_receipts receipts =
@@ -120,86 +141,54 @@ let distinct_receipts receipts =
       end)
     receipts
 
-let rec start_insert_attempt t state =
-  let cert = state.cert in
-  Id.Table.replace t.inserts cert.Certificate.file_id state;
-  Node.route_client_op t.node ~parent:state.op
-    ~key:(Id.prefix_of_file_id cert.Certificate.file_id)
-    (Wire.Insert { cert; data = state.data; client = client_ref t ~op:state.op });
-  let file_id = cert.Certificate.file_id in
-  Net.schedule (net t) ~delay:t.op_timeout (fun () ->
-      match Id.Table.find_opt t.inserts file_id with
-      | Some s when (not s.settled) && s.attempt = state.attempt ->
-        finish_insert_attempt t s ~timed_out:true
-      | _ -> ())
+let rec send_insert t ~op entry s =
+  Node.route_client_op t.node ~parent:op
+    ~key:(Id.prefix_of_file_id s.cert.Certificate.file_id)
+    (Wire.Insert { cert = s.cert; data = s.data; client = client_ref t ~op });
+  arm t ~op entry (fun () -> finish_insert_attempt t ~op s ~timed_out:true)
 
-and finish_insert_attempt t state ~timed_out =
-  if not state.settled then begin
-    let cert = state.cert in
-    let file_id = cert.Certificate.file_id in
-    let ok = distinct_receipts state.receipts in
-    if List.length ok >= state.k && state.nacks = 0 then begin
-      state.settled <- true;
-      Id.Table.remove t.inserts file_id;
-      state.cb (Inserted { file_id; receipts = ok; attempts = state.attempt })
+and finish_insert_attempt t ~op s ~timed_out =
+  let cert = s.cert in
+  let file_id = cert.Certificate.file_id in
+  let ok = distinct_receipts s.receipts in
+  let failed reason =
+    Smartcard.refund_failed_insert t.card cert ~copies_not_stored:s.k;
+    settle t ~op ~note:reason s.cb (Insert_failed { attempts = s.attempt; reason })
+  in
+  if List.length ok >= s.k && s.nacks = 0 then
+    settle t ~op
+      ~note:(Printf.sprintf "inserted after %d attempt(s)" s.attempt)
+      s.cb
+      (Inserted { file_id; receipts = ok; attempts = s.attempt })
+  else if timed_out || s.nacks > 0 then begin
+    (* Clean up whatever copies were stored under this fileId. The
+       reclaim is sent but not tracked: its receipts are not credited,
+       as the whole attempt's debit is refunded at the end instead. *)
+    if s.receipts <> [] then begin
+      let rc = Smartcard.issue_reclaim_certificate t.card ~file_id ~now:(now t) in
+      Node.route_client_op t.node ~parent:op ~key:(Id.prefix_of_file_id file_id)
+        (Wire.Reclaim { rc; client = client_ref t ~op })
+    end;
+    if s.attempt < t.max_insert_attempts then begin
+      (* File diversion (§2.3): a fresh salt gives a fresh fileId in a
+         different part of the ring. Replies still to come for the old
+         fileId no longer match the filed attempt. *)
+      match
+        Smartcard.reissue_file_certificate t.card ~name:s.name ~data:s.data
+          ?declared_size:s.declared_size ~replication:s.k ~now:(now t) ()
+      with
+      | Ok cert' ->
+        Counter.incr t.c_insert_retries;
+        trace t (Trace.Point { span = op; name = "insert_retry" });
+        let next = { s with cert = cert'; attempt = s.attempt + 1; receipts = []; nacks = 0 } in
+        let entry = Inserting next in
+        Pending.replace t.pending op entry;
+        Net.schedule (net t)
+          ~delay:(backoff_delay t ~failures:s.attempt)
+          (fun () -> send_insert t ~op entry next)
+      | Error (Smartcard.Quota_exceeded _) -> failed "quota exhausted"
     end
-    else if timed_out || state.nacks > 0 then begin
-      state.settled <- true;
-      Id.Table.remove t.inserts file_id;
-      (* Clean up whatever copies were stored under this fileId. The
-         receipts are not credited: the whole attempt's debit is
-         refunded at the end instead. *)
-      if state.receipts <> [] then begin
-        Id.Table.replace t.reclaims file_id
-          {
-            rc_receipts = [];
-            rc_settled = false;
-            rc_credited = 0;
-            credit = false;
-            expected = Some (List.length state.receipts);
-            rc_cb = (fun _ -> ());
-          };
-        let rc = Smartcard.issue_reclaim_certificate t.card ~file_id ~now:(now t) in
-        Node.route_client_op t.node ~parent:state.op ~key:(Id.prefix_of_file_id file_id)
-          (Wire.Reclaim { rc; client = client_ref t ~op:state.op })
-      end;
-      if state.attempt < t.max_insert_attempts then begin
-        (* File diversion (§2.3): a fresh salt gives a fresh fileId in a
-           different part of the ring. *)
-        match
-          Smartcard.reissue_file_certificate t.card ~name:state.name ~data:state.data
-            ?declared_size:state.declared_size ~replication:state.k ~now:(now t) ()
-        with
-        | Ok cert' ->
-          Counter.incr t.c_insert_retries;
-          trace t (Trace.Point { span = state.op; name = "insert_retry" });
-          let next =
-            {
-              state with
-              cert = cert';
-              attempt = state.attempt + 1;
-              receipts = [];
-              nacks = 0;
-              settled = false;
-            }
-          in
-          Net.schedule (net t)
-            ~delay:(backoff_delay t ~failures:state.attempt)
-            (fun () -> start_insert_attempt t next)
-        | Error (Smartcard.Quota_exceeded _) ->
-          Smartcard.refund_failed_insert t.card cert ~copies_not_stored:state.k;
-          state.cb (Insert_failed { attempts = state.attempt; reason = "quota exhausted" })
-      end
-      else begin
-        Smartcard.refund_failed_insert t.card cert ~copies_not_stored:state.k;
-        state.cb
-          (Insert_failed
-             {
-               attempts = state.attempt;
-               reason = (if timed_out then "timeout" else "storage refused");
-             })
-      end
-    end
+    else failed (if timed_out then "timeout" else "storage refused")
   end
 
 let insert t ~name ~data ?declared_size ~k cb =
@@ -212,110 +201,66 @@ let insert t ~name ~data ?declared_size ~k cb =
     cb (Insert_failed { attempts = 0; reason = "quota exceeded" })
   | Ok cert ->
     let op = span_start t ~op_name:"insert" ~detail:name in
-    let cb r =
-      let note =
-        match r with
-        | Inserted { attempts; _ } -> Printf.sprintf "inserted after %d attempt(s)" attempts
-        | Insert_failed { reason; _ } -> reason
-      in
-      trace t (Trace.Span_end { span = op; note });
-      cb r
+    let s =
+      { name; data; declared_size; k; attempt = 1; cert; receipts = []; nacks = 0; cb }
     in
-    start_insert_attempt t
-      {
-        name;
-        data;
-        declared_size;
-        k;
-        attempt = 1;
-        op;
-        cert;
-        receipts = [];
-        nacks = 0;
-        settled = false;
-        cb;
-      }
+    let entry = Inserting s in
+    Pending.replace t.pending op entry;
+    send_insert t ~op entry s
 
 (* --- lookup ------------------------------------------------------------ *)
 
-let rec send_lookup t file_id state =
-  let attempt = state.lk_attempt in
-  Id.Table.replace t.lookups file_id state;
-  Node.route_client_op t.node ~parent:state.lk_op ~key:(Id.prefix_of_file_id file_id)
-    (Wire.Lookup { file_id; client = client_ref t ~op:state.lk_op });
-  (* The timer belongs to this lookup's attempt alone: a later lookup
-     of the same file by this client replaces the table entry, and an
-     earlier lookup's timer must not fail it. *)
-  Net.schedule (net t) ~delay:t.op_timeout (fun () ->
-      match Id.Table.find_opt t.lookups file_id with
-      | Some s when s == state && (not s.lk_settled) && s.lk_attempt = attempt ->
-        lookup_failed_attempt t file_id s
-      | _ -> ())
+let rec send_lookup t ~op s =
+  let entry = Looking_up s in
+  Pending.replace t.pending op entry;
+  Node.route_client_op t.node ~parent:op ~key:(Id.prefix_of_file_id s.file_id)
+    (Wire.Lookup { file_id = s.file_id; client = client_ref t ~op });
+  arm t ~op entry (fun () -> lookup_failed_attempt t ~op entry s)
 
-and lookup_failed_attempt t file_id state =
-  (* [lk_retry_pending] keeps a stale timeout timer or a late
-     Lookup_miss from double-consuming retries while a backed-off
-     re-send is already in flight. *)
-  if (not state.lk_settled) && not state.lk_retry_pending then begin
-    if state.retries_left > 0 then begin
-      state.retries_left <- state.retries_left - 1;
+and lookup_failed_attempt t ~op entry s =
+  (* [retry_pending] keeps a stale timeout timer or a late Lookup_miss
+     from double-consuming retries while a backed-off re-send is
+     already in flight. *)
+  if not s.retry_pending then begin
+    if s.retries_left > 0 then begin
+      s.retries_left <- s.retries_left - 1;
       Counter.incr t.c_lookup_retries;
-      trace t (Trace.Point { span = state.lk_op; name = "lookup_retry" });
-      state.lk_retry_pending <- true;
+      trace t (Trace.Point { span = op; name = "lookup_retry" });
+      s.retry_pending <- true;
       Net.schedule (net t)
-        ~delay:(backoff_delay t ~failures:state.lk_attempt)
+        ~delay:(backoff_delay t ~failures:s.lk_attempt)
         (fun () ->
-          if not state.lk_settled then begin
-            state.lk_retry_pending <- false;
-            state.lk_attempt <- state.lk_attempt + 1;
-            send_lookup t file_id state
+          if current t ~op entry then begin
+            s.retry_pending <- false;
+            s.lk_attempt <- s.lk_attempt + 1;
+            send_lookup t ~op s
           end)
     end
-    else begin
-      state.lk_settled <- true;
-      Id.Table.remove t.lookups file_id;
-      state.lk_cb Lookup_failed
-    end
+    else settle t ~op ~note:"failed" s.lk_cb Lookup_failed
   end
 
 let lookup t ?(retries = 0) ~file_id cb =
   let op = span_start t ~op_name:"lookup" ~detail:(Id.short file_id) in
-  let cb r =
-    let note = match r with Found _ -> "found" | Lookup_failed -> "failed" in
-    trace t (Trace.Span_end { span = op; note });
-    cb r
-  in
-  send_lookup t file_id
-    { lk_settled = false; retries_left = retries; lk_attempt = 1; lk_retry_pending = false;
-      lk_op = op; lk_cb = cb }
+  send_lookup t ~op
+    { file_id; retries_left = retries; lk_attempt = 1; retry_pending = false; lk_cb = cb }
 
 (* --- reclaim ----------------------------------------------------------- *)
 
-let finish_reclaim t file_id state =
-  if not state.rc_settled then begin
-    state.rc_settled <- true;
-    Id.Table.remove t.reclaims file_id;
-    state.rc_cb { receipts = List.rev state.rc_receipts; credited = state.rc_credited }
-  end
+let finish_reclaim t ~op s =
+  settle t ~op
+    ~note:(Printf.sprintf "%d receipt(s)" (List.length s.rc_receipts))
+    s.rc_cb
+    { receipts = List.rev s.rc_receipts; credited = s.rc_credited }
 
 let reclaim t ~file_id ?expected cb =
   let op = span_start t ~op_name:"reclaim" ~detail:(Id.short file_id) in
-  let cb (r : reclaim_result) =
-    let note = Printf.sprintf "%d receipt(s)" (List.length r.receipts) in
-    trace t (Trace.Span_end { span = op; note });
-    cb r
-  in
-  let state =
-    { rc_receipts = []; rc_settled = false; rc_credited = 0; credit = true; expected; rc_cb = cb }
-  in
-  Id.Table.replace t.reclaims file_id state;
+  let s = { rc_file_id = file_id; expected; rc_receipts = []; rc_credited = 0; rc_cb = cb } in
+  let entry = Reclaiming s in
+  Pending.replace t.pending op entry;
   let rc = Smartcard.issue_reclaim_certificate t.card ~file_id ~now:(now t) in
   Node.route_client_op t.node ~parent:op ~key:(Id.prefix_of_file_id file_id)
     (Wire.Reclaim { rc; client = client_ref t ~op });
-  Net.schedule (net t) ~delay:t.op_timeout (fun () ->
-      match Id.Table.find_opt t.reclaims file_id with
-      | Some s when s == state && not s.rc_settled -> finish_reclaim t file_id s
-      | _ -> ())
+  arm t ~op entry (fun () -> finish_reclaim t ~op s)
 
 (* --- audits (§2.1: "nodes are randomly audited to see if they can
    produce files they are supposed to store") ---------------------------- *)
@@ -325,82 +270,55 @@ let audit t ~file_id ~data ~holder cb =
   let expected_proof =
     Past_crypto.Hex.of_bytes (Past_crypto.Sha1.digest_string (nonce ^ data))
   in
-  let state = { expected_proof; au_settled = false; au_cb = cb } in
-  Hashtbl.replace t.audits nonce state;
+  let op = span_start t ~op_name:"audit" ~detail:(Id.short file_id) in
+  let entry = Auditing { nonce; expected_proof; au_cb = cb } in
+  Pending.replace t.pending op entry;
   PNode.send_direct (Node.pastry t.node) ~dst:holder
-    (Wire.Audit_challenge { file_id; nonce; client = client_ref t ~op:Trace.no_parent });
-  Net.schedule (net t) ~delay:t.op_timeout (fun () ->
-      match Hashtbl.find_opt t.audits nonce with
-      | Some s when not s.au_settled ->
-        s.au_settled <- true;
-        Hashtbl.remove t.audits nonce;
-        s.au_cb false
-      | _ -> ())
+    (Wire.Audit_challenge { file_id; nonce; client = client_ref t ~op });
+  arm t ~op entry (fun () -> settle t ~op ~note:"timed out" cb false)
 
 (* --- dispatch of replies arriving at our access node ------------------- *)
 
-let dispatch t (msg : Wire.t) =
-  match msg with
-  | Wire.Replica_ack { file_id; receipt } -> (
-    match Id.Table.find_opt t.inserts file_id with
-    | Some state when not state.settled ->
-      if (not t.verify) || Certificate.verify_store_receipt receipt then begin
-        state.receipts <- receipt :: state.receipts;
-        if List.length (distinct_receipts state.receipts) >= state.k then
-          finish_insert_attempt t state ~timed_out:false
-      end
+(* A reply counts only for the operation it names, and only if it
+   answers that operation's current file (or nonce): another file's
+   certificate, or a late ack from an insert's earlier attempt, is
+   dropped, as is any reply to a settled operation. *)
+let dispatch t ~op (reply : Wire.reply) =
+  match (Pending.find_opt t.pending op, reply) with
+  | Some (Inserting s), Wire.Replica_ack { file_id; receipt }
+    when Id.equal file_id s.cert.Certificate.file_id ->
+    if (not t.verify) || Certificate.verify_store_receipt receipt then begin
+      s.receipts <- receipt :: s.receipts;
+      if List.length (distinct_receipts s.receipts) >= s.k then
+        finish_insert_attempt t ~op s ~timed_out:false
+    end
+  | Some (Inserting s), Wire.Replica_nack { file_id; _ }
+    when Id.equal file_id s.cert.Certificate.file_id ->
+    s.nacks <- s.nacks + 1;
+    finish_insert_attempt t ~op s ~timed_out:false
+  | Some (Looking_up s), Wire.Lookup_hit { cert; data; hops; dist; server }
+    when Id.equal cert.Certificate.file_id s.file_id ->
+    (* Client-side integrity check (§2.1): the certificate travels
+       with the file and authenticates the content. Disabled for
+       simulation-scale runs with placeholder payloads. *)
+    if
+      (not t.verify)
+      || (Certificate.verify_file cert && Certificate.file_matches_content cert data)
+    then settle t ~op ~note:"found" s.lk_cb (Found { cert; data; hops; dist; server })
+  | Some (Looking_up s as entry), Wire.Lookup_miss { file_id } when Id.equal file_id s.file_id ->
+    lookup_failed_attempt t ~op entry s
+  | Some (Reclaiming s), Wire.Reclaim_ack { receipt }
+    when Id.equal receipt.Certificate.rr_file_id s.rc_file_id -> (
+    s.rc_receipts <- receipt :: s.rc_receipts;
+    if Smartcard.credit_reclaim_receipt t.card receipt then
+      s.rc_credited <- s.rc_credited + receipt.Certificate.freed;
+    match s.expected with
+    | Some n when List.length s.rc_receipts >= n -> finish_reclaim t ~op s
     | _ -> ())
-  | Wire.Replica_nack { file_id; _ } -> (
-    match Id.Table.find_opt t.inserts file_id with
-    | Some state when not state.settled ->
-      state.nacks <- state.nacks + 1;
-      finish_insert_attempt t state ~timed_out:false
-    | _ -> ())
-  | Wire.Lookup_hit { cert; data; hops; dist; server } -> (
-    let file_id = cert.Certificate.file_id in
-    match Id.Table.find_opt t.lookups file_id with
-    | Some state when not state.lk_settled ->
-      (* Client-side integrity check (§2.1): the certificate travels
-         with the file and authenticates the content. Disabled for
-         simulation-scale runs with placeholder payloads. *)
-      if
-        (not t.verify)
-        || (Certificate.verify_file cert && Certificate.file_matches_content cert data)
-      then begin
-        state.lk_settled <- true;
-        Id.Table.remove t.lookups file_id;
-        state.lk_cb (Found { cert; data; hops; dist; server })
-      end
-    | _ -> ())
-  | Wire.Lookup_miss { file_id } -> (
-    match Id.Table.find_opt t.lookups file_id with
-    | Some state -> lookup_failed_attempt t file_id state
-    | None -> ())
-  | Wire.Reclaim_ack { receipt } -> (
-    let file_id = receipt.Certificate.rr_file_id in
-    match Id.Table.find_opt t.reclaims file_id with
-    | Some state when not state.rc_settled ->
-      state.rc_receipts <- receipt :: state.rc_receipts;
-      if state.credit && Smartcard.credit_reclaim_receipt t.card receipt then
-        state.rc_credited <- state.rc_credited + receipt.Certificate.freed;
-      (match state.expected with
-      | Some n when List.length state.rc_receipts >= n -> finish_reclaim t file_id state
-      | _ -> ())
-    | _ -> ())
-  | Wire.Reclaim_nack _ -> ()
-  | Wire.Audit_proof { nonce; proof; _ } -> (
-    match Hashtbl.find_opt t.audits nonce with
-    | Some state when not state.au_settled ->
-      state.au_settled <- true;
-      Hashtbl.remove t.audits nonce;
-      state.au_cb (String.equal proof state.expected_proof)
-    | _ -> ())
-  | Wire.Insert _ | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _
-  | Wire.Divert_nack _ | Wire.Lookup _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
-  | Wire.Reclaim _ | Wire.Reclaim_exec _ | Wire.Cache_offer _ | Wire.Replica_offer _
-  | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.To_client _ ->
-    (* node-to-node traffic; never addressed to a client *)
-    ()
+  | Some (Auditing s), Wire.Audit_proof { nonce; proof; _ } when String.equal nonce s.nonce ->
+    let ok = String.equal proof s.expected_proof in
+    settle t ~op ~note:(if ok then "passed" else "failed") s.au_cb ok
+  | _ -> ()
 
 let create ~card ~access ?(op_timeout = 50_000.0) ?(max_insert_attempts = 3) ?(verify = true)
     ~rng () =
@@ -410,15 +328,12 @@ let create ~card ~access ?(op_timeout = 50_000.0) ?(max_insert_attempts = 3) ?(v
       {
         card;
         node = access;
-        tag = Node.register_client access (fun msg -> dispatch (Lazy.force t) msg);
+        tag = Node.register_client access (fun ~op reply -> dispatch (Lazy.force t) ~op reply);
         rng;
         op_timeout;
         max_insert_attempts;
         verify;
-        inserts = Id.Table.create 8;
-        lookups = Id.Table.create 8;
-        reclaims = Id.Table.create 8;
-        audits = Hashtbl.create 8;
+        pending = Pending.create 8;
         tracer = Registry.tracer reg;
         c_insert_retries = Registry.counter reg "past.client.insert_retries";
         c_lookup_retries = Registry.counter reg "past.client.lookup_retries";
@@ -428,42 +343,34 @@ let create ~card ~access ?(op_timeout = 50_000.0) ?(max_insert_attempts = 3) ?(v
 
 (* --- synchronous wrappers ---------------------------------------------- *)
 
-(* Step the network until [settled] or the queue drains. A call still
-   open after [max_events] events fails naming [op]: returning would
+(* Start an operation and step the network until its callback fires or
+   the queue drains; a drained queue yields [default]. A call still
+   open after [max_events] events fails naming [name]: returning would
    pass it off as a drained queue. *)
 let max_events = 50_000_000
 
-let run_until t ~op settled =
+let await t ~name ~default start =
+  let result = ref None in
+  start (fun r -> result := Some r);
   let rec go events =
-    if not (settled ()) then
+    if Option.is_none !result then
       if events >= max_events then
-        failwith (Printf.sprintf "Client.%s: not settled after %d events" op events)
+        failwith (Printf.sprintf "Client.%s: not settled after %d events" name events)
       else if Net.step (net t) then go (events + 1)
   in
-  go 0
+  go 0;
+  Option.value !result ~default
 
 let insert_sync t ~name ~data ?declared_size ~k () =
-  let result = ref None in
-  insert t ~name ~data ?declared_size ~k (fun r -> result := Some r);
-  run_until t ~op:"insert_sync" (fun () -> !result <> None);
-  match !result with
-  | Some r -> r
-  | None -> Insert_failed { attempts = 0; reason = "event queue exhausted" }
+  await t ~name:"insert_sync"
+    ~default:(Insert_failed { attempts = 0; reason = "event queue exhausted" })
+    (insert t ~name ~data ?declared_size ~k)
 
 let lookup_sync t ?retries ~file_id () =
-  let result = ref None in
-  lookup t ?retries ~file_id (fun r -> result := Some r);
-  run_until t ~op:"lookup_sync" (fun () -> !result <> None);
-  match !result with Some r -> r | None -> Lookup_failed
+  await t ~name:"lookup_sync" ~default:Lookup_failed (lookup t ?retries ~file_id)
 
 let audit_sync t ~file_id ~data ~holder () =
-  let result = ref None in
-  audit t ~file_id ~data ~holder (fun ok -> result := Some ok);
-  run_until t ~op:"audit_sync" (fun () -> !result <> None);
-  Option.value ~default:false !result
+  await t ~name:"audit_sync" ~default:false (audit t ~file_id ~data ~holder)
 
 let reclaim_sync t ~file_id ?expected () =
-  let result = ref None in
-  reclaim t ~file_id ?expected (fun r -> result := Some r);
-  run_until t ~op:"reclaim_sync" (fun () -> !result <> None);
-  match !result with Some r -> r | None -> { receipts = []; credited = 0 }
+  await t ~name:"reclaim_sync" ~default:{ receipts = []; credited = 0 } (reclaim t ~file_id ?expected)

@@ -3,10 +3,14 @@
     routing client requests to insert or retrieve files").
 
     Operations are asynchronous over the simulated network; each takes
-    a completion callback. [*_sync] wrappers drive the event loop until
-    the operation settles — convenient in examples and tests. One that
-    has not settled after 50,000,000 events raises [Failure] naming
-    the operation.
+    a completion callback. Every operation, storage audits included,
+    opens a causal span and is pending under the span's id until its
+    callback runs; each reply names the operation it answers
+    ([Wire.client_ref.op]), so two operations on one file, even two
+    lookups of it in flight at once, settle independently. [*_sync]
+    wrappers drive the event loop until the operation settles —
+    convenient in examples and tests. One that has not settled after
+    50,000,000 events raises [Failure] naming the operation.
 
     The client implements the paper's client-side checks and recovery:
     it verifies store receipts (k copies on distinct nodes), verifies

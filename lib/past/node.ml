@@ -54,7 +54,7 @@ type t = {
       (* stands in for the free-space advertisements leaf-set nodes
          piggyback on keep-alives in [12]; used to pick diversion
          targets *)
-  clients : (int, Wire.t -> unit) Hashtbl.t;
+  clients : (int, op:int -> Wire.reply -> unit) Hashtbl.t;
   mutable next_tag : int;
   pending_fetches : pending_fetch Id.Table.t;
   mutable replication_scheduled : bool;
@@ -99,15 +99,17 @@ let sync_cache t = Cache.set_budget t.cache (Store.free t.store)
 
 let send t (dst : Peer.t) msg = PNode.send_direct t.pastry ~dst msg
 
-(* Deliver a reply to a client object through its access node; remote
-   replies travel in a To_client envelope carrying the tag. *)
-let to_client t (c : Wire.client_ref) msg =
-  if c.Wire.access.Peer.addr = addr t then begin
-    match Hashtbl.find_opt t.clients c.Wire.tag with
-    | Some dispatch -> dispatch msg
-    | None -> ()
-  end
-  else send t c.Wire.access (Wire.To_client { tag = c.Wire.tag; inner = msg })
+let dispatch_to_client t ~tag ~op reply =
+  match Hashtbl.find_opt t.clients tag with
+  | Some dispatch -> dispatch ~op reply
+  | None -> ()
+
+(* Deliver a reply to a client operation through its access node;
+   remote replies travel in a To_client envelope carrying the tag and
+   the operation's span id. *)
+let to_client t (c : Wire.client_ref) reply =
+  if c.Wire.access.Peer.addr = addr t then dispatch_to_client t ~tag:c.Wire.tag ~op:c.Wire.op reply
+  else send t c.Wire.access (Wire.To_client { tag = c.Wire.tag; op = c.Wire.op; reply })
 
 let register_client t dispatch =
   let tag = t.next_tag in
@@ -506,11 +508,9 @@ let deliver t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
     then root_fetch t file_id client ~hops:info.PNode.hops ~dist:info.PNode.dist
   | Wire.Reclaim { rc; client } -> handle_reclaim t rc client
   | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _ | Wire.Divert_nack _
-  | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _ | Wire.Lookup_miss _
   | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _ | Wire.Reclaim_exec _
-  | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _ | Wire.Replica_offer _
-  | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.Audit_proof _
-  | Wire.To_client _ ->
+  | Wire.Cache_offer _ | Wire.Replica_offer _ | Wire.Replica_want _ | Wire.Replicate _
+  | Wire.Audit_challenge _ | Wire.To_client _ ->
     (* Only the three requests above are routed; everything else is
        sent direct (see [on_direct]), so a routed one is dropped. *)
     ()
@@ -527,11 +527,9 @@ let forward t ~key:_ (msg : Wire.t) (info : PNode.route_info) =
     if t.config.cache_on_insert_path then ignore (Cache.offer t.cache ~cert ~data);
     `Continue
   | Wire.Reclaim _ | Wire.Store_replica _ | Wire.Divert_store _ | Wire.Divert_ack _
-  | Wire.Divert_nack _ | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _
-  | Wire.Lookup_miss _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
-  | Wire.Reclaim_exec _ | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ | Wire.Cache_offer _
-  | Wire.Replica_offer _ | Wire.Replica_want _ | Wire.Replicate _ | Wire.Audit_challenge _
-  | Wire.Audit_proof _ | Wire.To_client _ ->
+  | Wire.Divert_nack _ | Wire.Fetch _ | Wire.Fetch_reply _ | Wire.Fetch_miss _
+  | Wire.Reclaim_exec _ | Wire.Cache_offer _ | Wire.Replica_offer _ | Wire.Replica_want _
+  | Wire.Replicate _ | Wire.Audit_challenge _ | Wire.To_client _ ->
     `Continue
 
 let on_direct t ~from (msg : Wire.t) =
@@ -546,15 +544,7 @@ let on_direct t ~from (msg : Wire.t) =
       Counter.incr t.c_reject;
       to_client t client (Wire.Replica_nack { file_id; node_id = id t })
     end
-  | Wire.To_client { tag; inner } -> (
-    match Hashtbl.find_opt t.clients tag with
-    | Some dispatch -> dispatch inner
-    | None -> ())
-  | Wire.Replica_ack _ | Wire.Replica_nack _ | Wire.Lookup_hit _ | Wire.Lookup_miss _
-  | Wire.Reclaim_ack _ | Wire.Reclaim_nack _ ->
-    (* Bare client-bound replies only occur tagless (tag -1, internal
-       maintenance traffic); ignore. *)
-    ()
+  | Wire.To_client { tag; op; reply } -> dispatch_to_client t ~tag ~op reply
   | Wire.Fetch { file_id; requester } -> handle_fetch t file_id requester
   | Wire.Fetch_reply { cert; data } -> handle_fetch_reply t cert data
   | Wire.Fetch_miss { file_id } -> handle_fetch_miss t file_id
@@ -575,7 +565,6 @@ let on_direct t ~from (msg : Wire.t) =
       match Store.pointer t.store file_id with
       | Some holder -> send t holder (Wire.Audit_challenge { file_id; nonce; client })
       | None -> to_client t client (Wire.Audit_proof { file_id; nonce; proof = "" })))
-  | Wire.Audit_proof _ -> ()
   | Wire.Cache_offer { cert; data; op } ->
     if not (Store.mem t.store cert.Certificate.file_id) then
       if Cache.offer t.cache ~cert ~data then point t ~span:op "cached_en_route"

@@ -4,7 +4,10 @@
     The node acts as (a) a replica root coordinating inserts of files
     whose fileId it is numerically closest to, (b) a storage node
     holding primary and diverted replicas, (c) a cache for popular
-    files passing through it, and (d) an access point for clients. *)
+    files passing through it, and (d) an access point for clients.
+    Every reply to a client is a {!Wire.reply} addressed to the client's
+    tag and to the span id of the operation it answers, which is the key
+    the client files its pending operations under. *)
 
 module Signer = Past_crypto.Signer
 
@@ -59,9 +62,10 @@ val config : t -> config
 val id : t -> Past_id.Id.t
 val addr : t -> Past_simnet.Net.addr
 
-val register_client : t -> (Wire.t -> unit) -> int
+val register_client : t -> (op:int -> Wire.reply -> unit) -> int
 (** Register a client attached to this access point; returns the tag
-    that routes replies back to it. *)
+    that routes replies back to it. Each reply reaches the client with
+    the span id of the operation it answers ([client_ref.op]). *)
 
 val route_client_op : ?parent:int -> t -> key:Past_id.Id.t -> Wire.t -> unit
 (** Inject a client operation into the overlay at this access point.

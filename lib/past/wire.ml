@@ -4,12 +4,37 @@
     [client] fields identify the client's access node plus a per-client
     tag, so replies reach the right client object attached to that
     node. [op] is the causal span id of the client operation (see
-    {!Past_telemetry.Trace}; [Trace.no_parent] for a storage audit,
-    which opens no span): it rides every request through routing,
+    {!Past_telemetry.Trace}); every client operation, storage audits
+    included, opens one. It rides every request through routing,
     replica fan-out and diversion so the whole causal tree of an
-    operation can be reconstructed. *)
+    operation can be reconstructed, and it comes back with every reply:
+    the client keys its pending operations by it.
+
+    Replies to a client are their own type, {!reply}, and cross the
+    network only inside a {!To_client} envelope. *)
 
 type client_ref = { access : Past_pastry.Peer.t; tag : int; op : int }
+
+(** Replies to a client operation. *)
+type reply =
+  | Replica_ack of {
+      file_id : Past_id.Id.t;
+      receipt : Certificate.store_receipt;
+    }  (** storing node → client (store receipt, §2.1) *)
+  | Replica_nack of { file_id : Past_id.Id.t; node_id : Past_id.Id.t }
+  | Lookup_hit of {
+      cert : Certificate.file;
+      data : string;
+      hops : int;
+      dist : float;
+      server : Past_pastry.Peer.t;
+    }
+  | Lookup_miss of { file_id : Past_id.Id.t }
+  | Reclaim_ack of { receipt : Certificate.reclaim_receipt }
+  | Reclaim_nack of { file_id : Past_id.Id.t; reason : string }
+  | Audit_proof of { file_id : Past_id.Id.t; nonce : string; proof : string }
+      (** audited node → auditor; [proof = SHA-1(nonce ‖ content)],
+          empty when the node cannot produce the file *)
 
 type t =
   (* insert *)
@@ -25,21 +50,8 @@ type t =
     }  (** direct: full replica node → leaf-set neighbour (replica diversion) *)
   | Divert_ack of { file_id : Past_id.Id.t; holder : Past_pastry.Peer.t }
   | Divert_nack of { file_id : Past_id.Id.t; client : client_ref }
-  | Replica_ack of {
-      file_id : Past_id.Id.t;
-      receipt : Certificate.store_receipt;
-    }  (** direct: storing node → client (store receipt, §2.1) *)
-  | Replica_nack of { file_id : Past_id.Id.t; node_id : Past_id.Id.t }
   (* lookup *)
   | Lookup of { file_id : Past_id.Id.t; client : client_ref }  (** routed *)
-  | Lookup_hit of {
-      cert : Certificate.file;
-      data : string;
-      hops : int;
-      dist : float;
-      server : Past_pastry.Peer.t;
-    }
-  | Lookup_miss of { file_id : Past_id.Id.t }
   (* fetch (root pulling a diverted/lost replica, re-replication) *)
   | Fetch of { file_id : Past_id.Id.t; requester : Past_pastry.Peer.t }
   | Fetch_reply of { cert : Certificate.file; data : string }
@@ -48,8 +60,6 @@ type t =
   | Reclaim of { rc : Certificate.reclaim; client : client_ref }  (** routed *)
   | Reclaim_exec of { rc : Certificate.reclaim; client : client_ref }
       (** direct: root → replica set members and pointer holders *)
-  | Reclaim_ack of { receipt : Certificate.reclaim_receipt }
-  | Reclaim_nack of { file_id : Past_id.Id.t; reason : string }
   (* caching and replication maintenance *)
   | Cache_offer of { cert : Certificate.file; data : string; op : int }
       (** direct: a node serving a lookup populates route caches; [op]
@@ -71,10 +81,7 @@ type t =
       (** direct: auditor → a node that is supposed to hold the file
           (§2.1 "nodes are randomly audited to see if they can produce
           files they are supposed to store") *)
-  | Audit_proof of { file_id : Past_id.Id.t; nonce : string; proof : string }
-      (** direct: audited node → auditor; [proof = SHA-1(nonce ‖ content)],
-          empty when the node cannot produce the file *)
-  | To_client of { tag : int; inner : t }
-      (** envelope for client-bound replies crossing the network to the
-          client's access node *)
+  | To_client of { tag : int; op : int; reply : reply }
+      (** direct: a reply crossing the network to the client's access
+          node, for the client [tag] and its operation [op] *)
 

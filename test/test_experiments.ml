@@ -398,13 +398,16 @@ let soak_smoke () =
   check Alcotest.bool "table has the availability row" true
     (contains (Past_stdext.Text_table.render (soak_table r)) "available (>=1 live replica)")
 
+(* One SOAK run at its own parameters, shared by the tests below: the
+   run is deterministic, so each would see the same result. *)
+let soak_result = lazy (Past_experiments.Exp_churn.run Past_experiments.Exp_churn.soak_params)
+
 let soak_recovery_bounded () =
   (* SOAK at its own parameters: every repairable below-k window closes
      within the recovery bound. The replica scan runs until the final
      audit, so a window opened near the churn horizon is timed when
      repair restores it, not when the run ends. *)
-  let open Past_experiments.Exp_churn in
-  let r = run soak_params in
+  let r = Lazy.force soak_result in
   check Alcotest.bool "deficits observed" true (r.deficits > 0);
   check Alcotest.bool
     (Printf.sprintf "deficit max %.0f <= bound %.0f" r.deficit_max r.recovery_bound)
@@ -417,7 +420,7 @@ let soak_recovery_bounded () =
    returns a receipt (one whose holders are all down cannot). *)
 let soak_reclaims_receipted () =
   let open Past_experiments.Exp_churn in
-  let r = run soak_params in
+  let r = Lazy.force soak_result in
   check Alcotest.bool "reclaims issued" true (r.reclaims > 0);
   check Alcotest.bool
     (Printf.sprintf "%d of %d reclaims receipted" r.reclaims_receipted r.reclaims)
@@ -427,6 +430,17 @@ let soak_reclaims_receipted () =
     (r.reclaimed_still_held <= r.reclaims);
   check Alcotest.bool "table has the still-stored row" true
     (contains (Past_stdext.Text_table.render (soak_table r)) "reclaimed files still stored")
+
+(* Every asynchronous client call SOAK makes gets its callback by the
+   end of the run. A second lookup of a file by the same client, started
+   while the first was in flight, used to take the first one's place,
+   and the first never settled: this read 4. *)
+let soak_settles_every_client_op () =
+  let open Past_experiments.Exp_churn in
+  let r = Lazy.force soak_result in
+  check Alcotest.int "client operations left unsettled" 0 r.ops_unsettled;
+  check Alcotest.bool "table has the unsettled row" true
+    (contains (Past_stdext.Text_table.render (soak_table r)) "client operations left unsettled")
 
 let suite =
   ( "experiments",
@@ -455,4 +469,5 @@ let suite =
       "SOAK smoke" => soak_smoke;
       "SOAK recovery within bound" => soak_recovery_bounded;
       "SOAK reclaims reach the owner's holders" => soak_reclaims_receipted;
+      "SOAK settles every client operation" => soak_settles_every_client_op;
     ] )

@@ -367,7 +367,10 @@ let lookup_retries_route_around_droppers () =
 (* A lookup's timeout fails that lookup only. The client looks the same
    file up twice; the second lookup starts just before the first one's
    timer fires and is still in flight when it does. With [retries:0],
-   a timer that matched by fileId and attempt number would fail it. *)
+   a timer that matched by fileId and attempt number would fail it.
+   Then two lookups of the file start at once: each settles on its own
+   reply. A client that filed lookups by fileId let the second replace
+   the first, which never settled. *)
 let stale_lookup_timer_ignored () =
   let node_config =
     { Node.default_config with Node.cache_on_lookup_path = false; cache_on_insert_path = false }
@@ -401,10 +404,21 @@ let stale_lookup_timer_ignored () =
   | Some Client.Lookup_failed -> Alcotest.fail "the first lookup's timer failed the second"
   | Some (Client.Found _) -> Alcotest.fail "second lookup settled before the first timer fired");
   System.run sys;
-  match !second with
+  (match !second with
   | Some (Client.Found _) -> ()
   | Some Client.Lookup_failed -> Alcotest.fail "the first lookup's timer failed the second"
-  | None -> Alcotest.fail "second lookup never settled"
+  | None -> Alcotest.fail "second lookup never settled");
+  let a = ref None and b = ref None in
+  Client.lookup reader ~file_id:r.file_id (fun res -> a := Some res);
+  Client.lookup reader ~file_id:r.file_id (fun res -> b := Some res);
+  System.run sys;
+  List.iter
+    (fun (which, res) ->
+      match !res with
+      | Some (Client.Found _) -> ()
+      | Some Client.Lookup_failed -> Alcotest.failf "concurrent lookup %s failed" which
+      | None -> Alcotest.failf "concurrent lookup %s never settled" which)
+    [ ("one", a); ("two", b) ]
 
 (* qcheck: the smartcard debit/refund protocol never leaks quota across
    multi-attempt inserts. Small op timeouts force attempts to settle
@@ -746,6 +760,106 @@ let plan_alone_revives_a_past_node () =
   System.run ~until:(Net.now net +. window) sys;
   check Alcotest.bool "the revived node sends keep-alives" true (sent () > before)
 
+(* A lookup counts only a reply for the file it asked for. A reply that
+   names the lookup's operation but carries another file's certificate,
+   with that file's genuine content so every content check passes,
+   reaches the client before the real one and must not settle it. *)
+let lookup_ignores_another_files_hit () =
+  let node_config =
+    { Node.default_config with Node.cache_on_lookup_path = false; cache_on_insert_path = false }
+  in
+  let sys =
+    System.create ~node_config ~trace_capacity:4096 ~seed:78 ~n:20 ~crypto_mode:`Insecure
+      ~node_capacity:(fun _ _ -> 1_000_000)
+      ()
+  in
+  let writer = System.new_client sys ~quota:1_000_000 () in
+  let wanted = insert_exn writer ~name:"wanted" ~data:"the file asked for" ~k:2 in
+  let other_data = "another file" in
+  let other = insert_exn writer ~name:"other" ~data:other_data ~k:2 in
+  let other_cert =
+    match Store.get (Node.store (List.hd (holders sys other.file_id))) other.file_id with
+    | Some entry -> entry.Store.cert
+    | None -> Alcotest.fail "no holder of the other file"
+  in
+  let access =
+    List.find
+      (fun n ->
+        n != Client.access writer
+        && (not (Store.mem (Node.store n) wanted.file_id))
+        && not (Store.mem (Node.store n) other.file_id))
+      (Array.to_list (System.nodes sys))
+  in
+  (* The first client attached to a node gets tag 0. *)
+  let reader = System.new_client sys ~access ~quota:0 () in
+  let result = ref None in
+  Client.lookup reader ~file_id:wanted.file_id (fun res -> result := Some res);
+  let op =
+    (List.find
+       (fun (sp : Trace.span) -> sp.Trace.op = "lookup")
+       (Trace.spans (Registry.tracer (System.registry sys))))
+      .Trace.span_id
+  in
+  (* A direct message to oneself is delivered at once, ahead of the
+     routed lookup's own reply. *)
+  let pastry = Node.pastry access in
+  PNode.send_direct pastry ~dst:(PNode.self pastry)
+    (Past_core.Wire.To_client
+       {
+         tag = 0;
+         op;
+         reply =
+           Past_core.Wire.Lookup_hit
+             { cert = other_cert; data = other_data; hops = 1; dist = 0.0; server = PNode.self pastry };
+       });
+  (match !result with
+  | None -> ()
+  | Some _ -> Alcotest.fail "another file's certificate settled the lookup");
+  System.run sys;
+  match !result with
+  | Some (Client.Found { cert; data; _ }) ->
+    check Alcotest.bool "the file asked for" true (Id.equal cert.Cert.file_id wanted.file_id);
+    check Alcotest.string "its content" "the file asked for" data
+  | Some Client.Lookup_failed -> Alcotest.fail "lookup failed"
+  | None -> Alcotest.fail "lookup never settled"
+
+(* The root of a file that lost its copy fetches it from a fellow
+   replica and serves the lookup itself. The lookup starts at the root,
+   so no other node on the route can serve it. *)
+let root_fetches_from_fellow_replica () =
+  let node_config =
+    { Node.default_config with Node.cache_on_lookup_path = false; cache_on_insert_path = false }
+  in
+  let sys =
+    System.create ~node_config ~trace_capacity:4096 ~seed:79 ~n:20 ~crypto_mode:`Insecure
+      ~node_capacity:(fun _ _ -> 1_000_000)
+      ()
+  in
+  let writer = System.new_client sys ~quota:1_000_000 () in
+  let data = "fetched from a fellow replica" in
+  let r = insert_exn writer ~name:"refetched" ~data ~k:3 in
+  let root = List.hd (closest_live sys r.file_id ~k:1) in
+  let store = Node.store root in
+  check Alcotest.bool "the root held a copy" true (Store.remove store r.file_id <> None);
+  check Alcotest.bool "no diversion pointer" true (Store.pointer store r.file_id = None);
+  check Alcotest.bool "no cached copy" false (Cache.mem (Node.cache root) r.file_id);
+  check Alcotest.int "two fellow replicas hold it" 2 (List.length (holders sys r.file_id));
+  let reader = System.new_client sys ~access:root ~quota:0 () in
+  (match Client.lookup_sync reader ~file_id:r.file_id () with
+  | Client.Found { data = got; server; _ } ->
+    check Alcotest.string "content" data got;
+    check Alcotest.int "served by the root" (Node.addr root) server.Past_pastry.Peer.addr
+  | Client.Lookup_failed -> Alcotest.fail "lookup failed");
+  check Alcotest.bool "the root kept a cached copy" true (Cache.mem (Node.cache root) r.file_id);
+  let lookup_span =
+    List.find
+      (fun (sp : Trace.span) -> sp.Trace.op = "lookup")
+      (Trace.spans (Registry.tracer (System.registry sys)))
+  in
+  let points = List.map (fun (p : Trace.point) -> p.Trace.pt_name) lookup_span.Trace.points in
+  check Alcotest.(list string) "fetched, then served" [ "root_fetch"; "fetch_served" ]
+    (List.filter (fun p -> p = "root_fetch" || p = "fetch_served") points)
+
 let suite =
   ( "past-system",
     [
@@ -775,5 +889,7 @@ let suite =
       "repair: want after reclaim sends nothing" => repair_want_after_reclaim_sends_nothing;
       "repair: lossy links regain k copies" => repair_recovers_under_loss;
       "a plan alone brings a PAST node back" => plan_alone_revives_a_past_node;
+      "lookup ignores another file's hit" => lookup_ignores_another_files_hit;
+      "root fetches from a fellow replica" => root_fetches_from_fellow_replica;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )

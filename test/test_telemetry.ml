@@ -8,7 +8,7 @@ module Rng = Past_stdext.Rng
 let check = Alcotest.check
 
 let string_member key obj =
-  match Past_stdext.Json.member key obj with Some (Past_stdext.Json.String s) -> Some s | _ -> None
+  match Json.member key obj with Some (Json.String s) -> Some s | _ -> None
 let ( => ) name f = Alcotest.test_case name `Quick f
 
 let counter_semantics () =
@@ -138,7 +138,6 @@ let route_trace_reconstruction () =
    experiment, each carrying its titled tables. *)
 let report_json_smoke () =
   let module Report = Past_experiments.Report in
-  let module Json = Past_stdext.Json in
   match Json.of_string (Report.all_json ~scale:0.05 ()) with
   | Error e -> Alcotest.failf "report JSON does not parse: %s" e
   | Ok parsed ->
@@ -459,7 +458,6 @@ let monitor_grace_and_global () =
    every async begin ("b") of an ended span/route has a matching end
    ("e") with the same id, and instants are phase "i". *)
 let chrome_json_structure () =
-  let module Json = Past_stdext.Json in
   let tr = Trace.create ~capacity:256 () in
   let a = Trace.start_span tr ~time:1.0 ~node:0 ~parent:Trace.no_parent ~op:"insert" "f" in
   let r = Trace.start_span tr ~time:1.5 ~node:2 ~parent:a ~op:Trace.route_op "k" in
@@ -496,7 +494,6 @@ let chrome_json_structure () =
    the export shows it as a truncated "route" pair ending at the last
    event, and [routes] leaves it out. *)
 let unended_route_exported_truncated () =
-  let module Json = Past_stdext.Json in
   let tr = Trace.create ~capacity:64 () in
   let r = Trace.start_span tr ~time:1.0 ~node:2 ~parent:Trace.no_parent ~op:Trace.route_op "k" in
   Trace.record tr ~time:1.5 ~node:2
